@@ -103,3 +103,29 @@ func TestTenantSweepAcceptance(t *testing.T) {
 		}
 	}
 }
+
+// TestTenantSweepGrowsRecorderWithGrant is the regression for a tenant
+// that receives reclaimed nodes: its trace recorder, sized at admission,
+// must follow the grant, or the receiver's extra busy cores and GPUs
+// trip the recorder's capacity bound. Three targets per tenant is where
+// weighted-fair reclaim first moves nodes into running tenants.
+func TestTenantSweepGrowsRecorderWithGrant(t *testing.T) {
+	cs, err := Build("tenant-sweep", Params{Seed: 42, Seeds: 1, Targets: 24, Admission: "weighted-fair"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := Run(cs, 1)
+	if len(outs) != 1 {
+		t.Fatalf("got %d outcomes, want 1", len(outs))
+	}
+	o := outs[0]
+	if o.Err != nil {
+		t.Fatalf("%s: %v", o.Name, o.Err)
+	}
+	if o.Result.NodeTransfers == 0 {
+		t.Fatal("no node moved between tenants; the regression path was not exercised")
+	}
+	if u := o.Result.CPUUtilization; u <= 0 || u > 1 {
+		t.Fatalf("pooled CPU utilization %.3f outside (0,1]", u)
+	}
+}

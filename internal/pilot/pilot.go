@@ -296,9 +296,13 @@ func (p *Pilot) QueuedRequests() []cluster.Request {
 // crash chain the donor's ShrinkNode detached (nil when the donor ran no
 // crash model): a fault-enabled pilot adopts it — or arms a fresh
 // deterministic chain — so steered-in hardware keeps failing; a pilot
-// without the node-crash model drops it.
+// without the node-crash model drops it. The campaign recorder's
+// capacity follows the grant.
 func (p *Pilot) GrowNode(nc cluster.NodeCapacity, ch *fault.Chain) int {
 	id := p.agent.cluster.AddNode(nc)
+	if p.agent.rec != nil {
+		p.agent.rec.Resize(nc.Cores, nc.GPUs)
+	}
 	if p.injector != nil {
 		p.injector.adopt(id, ch)
 	}
@@ -321,6 +325,9 @@ func (p *Pilot) ShrinkNode(id int) (cluster.NodeCapacity, *fault.Chain, error) {
 	nc, err := p.agent.cluster.RemoveNode(id)
 	if err != nil {
 		return nc, nil, err
+	}
+	if p.agent.rec != nil {
+		p.agent.rec.Resize(-nc.Cores, -nc.GPUs)
 	}
 	var ch *fault.Chain
 	if p.injector != nil {

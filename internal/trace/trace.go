@@ -87,8 +87,13 @@ func (t TaskRecord) Run() time.Duration { return t.EndedAt.Sub(t.RunAt) }
 // Recorder accumulates busy-resource deltas and phase durations. All
 // methods take explicit timestamps so the recorder works under any clock.
 type Recorder struct {
+	// totalCores and totalGPUs are the peak capacity held (the
+	// utilization denominators and AddBusy's bound); heldCores and
+	// heldGPUs are the capacity held right now, moved by Resize.
 	totalCores int
 	totalGPUs  int
+	heldCores  int
+	heldGPUs   int
 
 	cpuBusy int
 	gpuBusy int
@@ -129,6 +134,8 @@ func NewRecorder(totalCores, totalGPUs int, start simclock.Time) *Recorder {
 	return &Recorder{
 		totalCores: totalCores,
 		totalGPUs:  totalGPUs,
+		heldCores:  totalCores,
+		heldGPUs:   totalGPUs,
 		cpuSeries:  append(make([]Point, 0, seriesHint), Point{T: start, Value: 0}),
 		gpuSeries:  append(make([]Point, 0, seriesHint), Point{T: start, Value: 0}),
 		phases:     make(map[string]time.Duration),
@@ -138,11 +145,26 @@ func NewRecorder(totalCores, totalGPUs int, start simclock.Time) *Recorder {
 	}
 }
 
-// TotalCores returns the tracked core capacity.
+// TotalCores returns the tracked core capacity: the most ever held.
 func (r *Recorder) TotalCores() int { return r.totalCores }
 
-// TotalGPUs returns the tracked GPU capacity.
+// TotalGPUs returns the tracked GPU capacity: the most ever held.
 func (r *Recorder) TotalGPUs() int { return r.totalGPUs }
+
+// Resize applies a capacity delta: a node granted to (positive) or taken
+// from (negative) the recorded resource. The tracked capacity follows
+// the peak held, so utilization stays a fraction of the most the
+// campaign ever had, and a shrink-then-grow transfer between two pilots
+// of one campaign leaves it unchanged.
+func (r *Recorder) Resize(dCores, dGPUs int) {
+	r.heldCores += dCores
+	r.heldGPUs += dGPUs
+	if r.heldCores < 0 || r.heldGPUs < 0 {
+		panic(fmt.Sprintf("trace: held capacity %d cores, %d GPUs below zero", r.heldCores, r.heldGPUs))
+	}
+	r.totalCores = max(r.totalCores, r.heldCores)
+	r.totalGPUs = max(r.totalGPUs, r.heldGPUs)
+}
 
 // AddBusy applies a busy-resource delta at time t. Negative deltas mark
 // the end of a busy phase. Going below zero or above capacity panics —

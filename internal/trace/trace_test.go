@@ -53,6 +53,35 @@ func TestOverCapacityPanics(t *testing.T) {
 	r.AddBusy(0, 5, 0)
 }
 
+func TestResizeTracksPeakCapacity(t *testing.T) {
+	r := NewRecorder(28, 4, 0)
+	// A transfer between two pilots of one campaign is net zero.
+	r.Resize(-28, -4)
+	r.Resize(28, 4)
+	if r.TotalCores() != 28 || r.TotalGPUs() != 4 {
+		t.Fatalf("net-zero transfer moved capacity to %d cores, %d GPUs", r.TotalCores(), r.TotalGPUs())
+	}
+	// A granted node raises the bound AddBusy checks against.
+	r.Resize(28, 4)
+	r.AddBusy(0, 56, 8)
+	if r.TotalCores() != 56 || r.TotalGPUs() != 8 {
+		t.Fatalf("grant left capacity at %d cores, %d GPUs", r.TotalCores(), r.TotalGPUs())
+	}
+	// Taking the node back keeps the peak as the utilization base.
+	r.AddBusy(hour(1), -56, -8)
+	r.Resize(-28, -4)
+	r.Close(hour(2))
+	if got := r.CPUUtilization(); math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("CPU utilization = %v, want 0.5", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for negative held capacity")
+		}
+	}()
+	r.Resize(-56, 0)
+}
+
 func TestNegativeBusyPanics(t *testing.T) {
 	r := NewRecorder(4, 1, 0)
 	defer func() {
