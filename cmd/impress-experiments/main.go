@@ -61,6 +61,9 @@ func run() int {
 	}
 	defer stopProfiles()
 
+	p := common.Params()
+	p.Targets = *screen
+
 	if *scenario != "" {
 		// Scenarios that declare a CSV report write it into -out, mirroring
 		// the per-experiment CSV convention.
@@ -74,53 +77,16 @@ func run() int {
 				csvPath = filepath.Join(*outDir, *scenario+".csv")
 			}
 		}
-		return scenariorun.Run(os.Stdout, os.Stderr, *scenario, impress.ScenarioParams{
-			Seed:               common.Seed,
-			Targets:            *screen,
-			Policy:             common.Policy,
-			Fault:              common.Fault(),
-			Recovery:           common.Recovery,
-			Steer:              common.Steer,
-			Fleet:              common.Fleet,
-			CheckpointInterval: common.CheckpointInterval,
-			WalltimeGrace:      common.WalltimeGrace,
-			Tenants:            common.Tenants,
-			Arrival:            common.Arrival,
-			ArrivalSpan:        common.ArrivalSpan,
-			Admission:          common.Admission,
-			Reclaim:            common.Reclaim,
-		}, common.Parallel, csvPath, common.ChromeTrace)
+		return scenariorun.Run(os.Stdout, os.Stderr, *scenario, p, common.Parallel, csvPath, common.ChromeTrace)
 	}
-	if common.CheckpointInterval > 0 || common.WalltimeGrace > 0 {
-		// The paper experiments predate checkpointed preemption; the
-		// evict-and-resume machinery hangs off scenario runs.
-		fmt.Fprintln(os.Stderr, "-checkpoint-interval and -walltime-grace apply only to -scenario runs (the paper experiments replicate the paper's execution model)")
+	// The paper experiments replicate the paper's single-pilot machine and
+	// execution model: only seeding, the scheduling-policy and fault
+	// ablations, and output flags apply. Any other explicitly set flag
+	// is rejected rather than silently dropped.
+	honoured := func(name string) bool { return paperFlags[name] }
+	if err := common.Reject("the paper experiments (use -scenario)", honoured); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
-	}
-	if impress.SteerEnabled(common.Steer) {
-		// The paper experiments run the single-pilot Amarel node; there is
-		// nothing to steer between. Reject rather than silently drop (an
-		// explicit "none" is the default and passes through).
-		fmt.Fprintln(os.Stderr, "-steer applies only to -scenario runs (the paper experiments are single-pilot)")
-		return 2
-	}
-	if common.Fleet != "" {
-		// Same reasoning: generated fleets exist for fleet-driven scenarios.
-		fmt.Fprintln(os.Stderr, "-fleet applies only to -scenario runs (the paper experiments run the paper's machine)")
-		return 2
-	}
-	if common.ChromeTrace != "" {
-		// Same reasoning: the experiment harness owns its output set; the
-		// timeline exporter hangs off scenario runs.
-		fmt.Fprintln(os.Stderr, "-chrome-trace applies only to -scenario runs (the paper experiments write their own outputs)")
-		return 2
-	}
-	seed := &common.Seed
-	parallel := &common.Parallel
-	opts := impress.ExperimentOptions{
-		Policy:   common.Policy,
-		Fault:    common.Fault(),
-		Recovery: common.Recovery,
 	}
 
 	selected := flag.Args()
@@ -132,7 +98,7 @@ func run() int {
 		want[strings.ToLower(s)] = true
 	}
 
-	experiments := impress.ExperimentsWith(opts)
+	experiments := impress.ExperimentsWith(p)
 	known := make(map[string]bool)
 	for _, e := range experiments {
 		known[e.ID] = true
@@ -149,22 +115,16 @@ func run() int {
 		if !want["all"] && !want[exp.ID] {
 			continue
 		}
-		if exp.ID == "fig3" && *screen != 70 {
-			n := *screen
-			exp.Run = func(seed uint64) (*impress.ExperimentOutput, error) {
-				return impress.Fig3ExperimentWith(seed, n, opts)
-			}
-		}
 		selectedExps = append(selectedExps, exp)
 	}
 
 	// Experiments run concurrently on the library's bounded worker pool;
 	// buffered outputs print in selection order.
-	outs, errs := impress.RunExperiments(selectedExps, *seed, *parallel)
+	outs, errs := impress.RunExperiments(selectedExps, p.Seed, common.Parallel)
 
 	failed := false
 	for i, exp := range selectedExps {
-		fmt.Printf("### %s — %s (seed %d)\n\n", exp.ID, exp.Title, *seed)
+		fmt.Printf("### %s — %s (seed %d)\n\n", exp.ID, exp.Title, p.Seed)
 		if errs[i] != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", exp.ID, errs[i])
 			failed = true
@@ -182,6 +142,14 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// paperFlags are the flags the paper experiments honour.
+var paperFlags = map[string]bool{
+	"seed": true, "parallel": true, "screen": true, "out": true,
+	"cpuprofile": true, "memprofile": true, "policy": true, "recovery": true,
+	"fault": true, "mtbf": true, "repair": true, "outage-mtbf": true,
+	"outage-dur": true, "cascade": true, "cascade-window": true, "maintenance": true,
 }
 
 func writeOutputs(dir string, out *impress.ExperimentOutput) error {

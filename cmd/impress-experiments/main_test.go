@@ -17,5 +17,11 @@ func TestTranscripts(t *testing.T) {
 		{Name: "fig2-fault-retry", Args: []string{"-fault", "0.1", "-recovery", "retry", "fig2"}},
 		{Name: "table1-steer", Args: []string{"-steer", "greedy", "table1"}},
 		{Name: "scenario-pair", Args: []string{"-scenario", "pair"}},
+		// Paper mode rejects every explicitly set flag it does not
+		// honour, including an explicit default and each tenancy flag.
+		{Name: "table1-admit", Args: []string{"-admit", "quota", "table1"}},
+		{Name: "table1-steer-none", Args: []string{"-steer", "none", "table1"}},
+		{Name: "table1-tenancy", Args: []string{"-tenants", "3", "-arrival", "linear", "-arrival-span", "1h", "-admit", "quota", "-reclaim", "none", "table1"}},
+		{Name: "table1-preempt", Args: []string{"-checkpoint-interval", "30m", "-walltime-grace", "10m", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1", "-chrome-trace", "x.json", "table1"}},
 	})
 }

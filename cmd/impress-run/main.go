@@ -28,6 +28,7 @@ import (
 	"os"
 
 	"impress"
+	"impress/internal/campaign"
 	"impress/internal/cliflags"
 	"impress/internal/scenariorun"
 )
@@ -82,63 +83,31 @@ func run() int {
 		return 2
 	}
 	defer stopProfiles()
-	split := common.SplitPilots()
+	p := common.Params()
+	p.Seeds = *seeds
+	p.Targets = *screenSize
 
 	if *scenario != "" {
-		// Scenarios are self-contained campaign declarations: the
-		// single-campaign tuning and output flags don't apply. Reject
-		// explicitly set ones instead of silently dropping them. -csv is
-		// allowed exactly when the scenario declares a CSV report.
-		sc, known := impress.LookupScenario(*scenario)
-		if known {
-			compat := map[string]bool{
-				"scenario": true, "seed": true, "seeds": true,
-				"screen-size": true, "pilots": true, "nodes": true, "parallel": true,
-				"policy": true, "steer": true, "fleet": true, "csv": sc.ReportCSV != nil,
-				"cpuprofile": true, "memprofile": true,
-			}
-			for _, name := range cliflags.FaultFlagNames() {
-				compat[name] = true
-			}
-			for _, name := range cliflags.TelemetryFlagNames() {
-				compat[name] = true
-			}
-			for _, name := range cliflags.PreemptFlagNames() {
-				compat[name] = true
-			}
-			for _, name := range cliflags.TenancyFlagNames() {
-				compat[name] = true
-			}
-			var ignored []string
-			flag.Visit(func(f *flag.Flag) {
-				if !compat[f.Name] {
-					ignored = append(ignored, "-"+f.Name)
+		// Scenarios are self-contained campaign declarations: every
+		// execution knob applies, but the single-campaign tuning and
+		// output flags this command declares do not. -csv is honoured
+		// exactly when the scenario declares a CSV report.
+		if sc, known := impress.LookupScenario(*scenario); known {
+			err := common.Reject("-scenario "+*scenario+" runs", func(name string) bool {
+				switch name {
+				case "scenario", "seeds", "screen-size":
+					return true
+				case "csv":
+					return sc.ReportCSV != nil
 				}
+				return common.Shared(name)
 			})
-			if len(ignored) > 0 {
-				fmt.Fprintf(os.Stderr, "flags %v do not apply to -scenario %s runs\n", ignored, *scenario)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
 				return 2
 			}
 		}
-		return scenariorun.Run(os.Stdout, os.Stderr, *scenario, impress.ScenarioParams{
-			Seed:               common.Seed,
-			Seeds:              *seeds,
-			Targets:            *screenSize,
-			SplitPilots:        split,
-			Nodes:              common.Nodes,
-			Policy:             common.Policy,
-			Fault:              common.Fault(),
-			Recovery:           common.Recovery,
-			Steer:              common.Steer,
-			Fleet:              common.Fleet,
-			CheckpointInterval: common.CheckpointInterval,
-			WalltimeGrace:      common.WalltimeGrace,
-			Tenants:            common.Tenants,
-			Arrival:            common.Arrival,
-			ArrivalSpan:        common.ArrivalSpan,
-			Admission:          common.Admission,
-			Reclaim:            common.Reclaim,
-		}, common.Parallel, *csvPath, common.ChromeTrace)
+		return scenariorun.Run(os.Stdout, os.Stderr, *scenario, p, common.Parallel, *csvPath, common.ChromeTrace)
 	}
 
 	// The protocol config fully encodes the execution policy here
@@ -148,45 +117,28 @@ func run() int {
 	var cfg impress.Config
 	switch *protocol {
 	case "imrp":
-		cfg = impress.AdaptiveConfig(common.Seed)
+		cfg = impress.AdaptiveConfig(p.Seed)
 	case "contv":
-		cfg = impress.ControlConfig(common.Seed)
+		cfg = impress.ControlConfig(p.Seed)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown protocol %q (want imrp or contv)\n", *protocol)
 		return 2
 	}
-	if common.Nodes > 1 {
-		cfg.Machine = impress.AmarelCluster(common.Nodes)
+	cfg, err = campaign.Configure(cfg, p)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	if split {
-		ps, err := impress.SplitPilots(cfg.Machine)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		cfg.Pilots = ps
-	}
-	if common.Fleet != "" {
+	if p.Fleet != "" {
 		// A fleet spec defines its own split placement with explicit node
 		// capacities, superseding -pilots/-nodes.
-		ps, err := impress.FleetPilots(common.Fleet, common.Seed)
+		ps, err := impress.FleetPilots(p.Fleet, p.Seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		cfg.Pilots = ps
 	}
-	if common.Policy != "" {
-		cfg.Policy = common.Policy
-	}
-	if fs := common.Fault(); fs.Enabled() {
-		cfg.Fault = fs
-	}
-	cfg.Recovery = common.Recovery
-	cfg.Steer = common.Steer
-	cfg.CheckpointInterval = common.CheckpointInterval
-	cfg.WalltimeGrace = common.WalltimeGrace
-	cfg.Telemetry = common.ChromeTrace != ""
 	common.PrintWarnings(os.Stderr)
 	if *cycles > 0 {
 		cfg.Pipeline.Cycles = *cycles
@@ -210,9 +162,9 @@ func run() int {
 	var targets []*impress.Target
 	switch *targetsKind {
 	case "named":
-		targets, err = impress.NamedPDZTargets(common.Seed)
+		targets, err = impress.NamedPDZTargets(p.Seed)
 	case "screen":
-		targets, err = impress.PDZScreen(common.Seed, *screenSize)
+		targets, err = impress.PDZScreen(p.Seed, *screenSize)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q (want named or screen)\n", *targetsKind)
 		return 2
@@ -223,8 +175,8 @@ func run() int {
 	}
 
 	c := impress.Campaign{
-		Name:    fmt.Sprintf("%s/seed%d", *protocol, common.Seed),
-		Seed:    common.Seed,
+		Name:    fmt.Sprintf("%s/seed%d", *protocol, p.Seed),
+		Seed:    p.Seed,
 		Targets: targets,
 		Config:  cfg,
 	}

@@ -63,29 +63,11 @@ func run() int {
 		return 2
 	}
 	defer stopProfiles()
-	params := impress.ScenarioParams{
-		SplitPilots:        common.SplitPilots(),
-		Nodes:              common.Nodes,
-		Policy:             common.Policy,
-		Fault:              common.Fault(),
-		Recovery:           common.Recovery,
-		Steer:              common.Steer,
-		Fleet:              common.Fleet,
-		Telemetry:          common.ChromeTrace != "",
-		CheckpointInterval: common.CheckpointInterval,
-		WalltimeGrace:      common.WalltimeGrace,
-		Tenants:            common.Tenants,
-		Arrival:            common.Arrival,
-		ArrivalSpan:        common.ArrivalSpan,
-		Admission:          common.Admission,
-		Reclaim:            common.Reclaim,
-	}
+	params := common.Params()
+	params.Seeds = *nSeeds
 
 	if *scenario != "" {
-		p := params
-		p.Seed = common.Seed
-		p.Seeds = *nSeeds
-		return scenariorun.Run(os.Stdout, os.Stderr, *scenario, p, common.Parallel, *csvPath, common.ChromeTrace)
+		return scenariorun.Run(os.Stdout, os.Stderr, *scenario, params, common.Parallel, *csvPath, common.ChromeTrace)
 	}
 	common.PrintWarnings(os.Stderr)
 
@@ -95,7 +77,7 @@ func run() int {
 	seeds := make([]uint64, 0, *nSeeds)
 	for i := 0; i < *nSeeds; i++ {
 		p := params
-		p.Seed = common.Seed + uint64(i)
+		p.Seed += uint64(i)
 		pair, err := impress.BuildScenario("pair", p)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seed %d: %v\n", p.Seed, err)
@@ -166,7 +148,7 @@ func run() int {
 	describe("IM-RP sub-pipelines", collect(func(r row) float64 { return float64(r.adpt.SubPipelines) }))
 	describe("IM-RP trajectories", collect(func(r row) float64 { return float64(r.adpt.TrajectoryCount()) }))
 	fmt.Printf("  IM-RP beats CONT-V on Δ pLDDT in %d/%d seeds\n", wins, len(rows))
-	if params.Fault.Enabled() {
+	if rows[0].adpt.Faults != nil {
 		describe("IM-RP goodput", collect(func(r row) float64 { return r.adpt.Goodput() }))
 		describe("IM-RP killed pipelines", collect(func(r row) float64 { return float64(r.adpt.Faults.KilledPipelines) }))
 	}

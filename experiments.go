@@ -64,69 +64,45 @@ type Experiment struct {
 	Run func(seed uint64) (*ExperimentOutput, error)
 }
 
-// ExperimentOptions adjusts how experiment campaigns execute without
-// changing what they compute — the ablation hook behind the
-// impress-experiments -policy flag (e.g. regenerate Table I under
-// best-fit scheduling).
-type ExperimentOptions struct {
-	// Policy overrides the agent scheduling policy of every campaign;
-	// empty keeps each protocol's default (backfill for IM-RP, fifo for
-	// CONT-V).
-	Policy string
-	// Fault injects failure models into every campaign (a resilience
-	// ablation: regenerate Table I under a 10% task-fault rate); the
-	// zero value keeps the paper's fault-free runs.
-	Fault FaultSpec
-	// Recovery sets the fault-recovery policy of every campaign; empty
-	// keeps "none".
-	Recovery string
-}
-
-func (o ExperimentOptions) apply(cfg Config) Config {
-	if o.Policy != "" {
-		cfg.Policy = o.Policy
-	}
-	if o.Fault.Enabled() {
-		cfg.Fault = o.Fault
-	}
-	if o.Recovery != "" {
-		cfg.Recovery = o.Recovery
-	}
-	return cfg
-}
-
 // Experiments returns the paper's full evaluation harness, one entry per
 // table and figure of Section III.
-func Experiments() []Experiment { return ExperimentsWith(ExperimentOptions{}) }
+func Experiments() []Experiment { return ExperimentsWith(ScenarioParams{}) }
 
 // ExperimentsWith returns the evaluation harness with every campaign's
-// execution adjusted by opts.
-func ExperimentsWith(opts ExperimentOptions) []Experiment {
+// execution configured from p (campaign.Configure) — the ablation hook
+// behind the impress-experiments -policy and fault flags, e.g. Table I
+// under best-fit scheduling or a 10% task-fault rate. p.Targets sets
+// Fig. 3's screen width (default 70, the paper's); the seed comes from
+// each experiment's Run.
+func ExperimentsWith(p ScenarioParams) []Experiment {
+	if p.Targets <= 0 {
+		p.Targets = 70
+	}
 	return []Experiment{
 		{
 			ID:    "table1",
 			Title: "Table I: experimental setup and results for CONT-V and IM-RP",
-			Run:   func(seed uint64) (*ExperimentOutput, error) { return tableIExperiment(seed, opts) },
+			Run:   func(seed uint64) (*ExperimentOutput, error) { return tableIExperiment(seed, p) },
 		},
 		{
 			ID:    "fig2",
 			Title: "Fig. 2: per-iteration AlphaFold metrics, CONT-V vs IM-RP (4 PDZ-peptide structures)",
-			Run:   func(seed uint64) (*ExperimentOutput, error) { return fig2Experiment(seed, opts) },
+			Run:   func(seed uint64) (*ExperimentOutput, error) { return fig2Experiment(seed, p) },
 		},
 		{
 			ID:    "fig3",
 			Title: "Fig. 3: per-iteration AlphaFold metrics for the expanded IM-RP workflow (70 structures)",
-			Run:   func(seed uint64) (*ExperimentOutput, error) { return fig3Experiment(seed, 70, opts) },
+			Run:   func(seed uint64) (*ExperimentOutput, error) { return fig3Experiment(seed, p) },
 		},
 		{
 			ID:    "fig4",
 			Title: "Fig. 4: CONT-V total GPU/CPU resource utilization and execution time",
-			Run:   func(seed uint64) (*ExperimentOutput, error) { return fig4Experiment(seed, opts) },
+			Run:   func(seed uint64) (*ExperimentOutput, error) { return fig4Experiment(seed, p) },
 		},
 		{
 			ID:    "fig5",
 			Title: "Fig. 5: IM-RP total GPU/CPU utilization, execution time and phase breakdown",
-			Run:   func(seed uint64) (*ExperimentOutput, error) { return fig5Experiment(seed, opts) },
+			Run:   func(seed uint64) (*ExperimentOutput, error) { return fig5Experiment(seed, p) },
 		},
 	}
 }
@@ -156,18 +132,17 @@ func runExperiment(exp Experiment, seed uint64) (out *ExperimentOutput, err erro
 	return exp.Run(seed)
 }
 
-// pairCampaign runs both protocols on the paper's 4-PDZ workload through
-// the campaign engine, one worker per protocol. Campaigns are hermetic,
-// so the concurrent pair is bit-identical to running the two in sequence.
-func pairCampaign(seed uint64, opts ExperimentOptions) (ctrl, adpt *Result, err error) {
-	targets, err := NamedPDZTargets(seed)
+// pairCampaign runs the pair scenario — CONT-V and IM-RP on the paper's
+// 4-PDZ workload — through the campaign engine, one worker per protocol.
+// Campaigns are hermetic, so the concurrent pair is bit-identical to
+// running the two in sequence.
+func pairCampaign(seed uint64, p ScenarioParams) (ctrl, adpt *Result, err error) {
+	p.Seed = seed
+	pair, err := campaign.Build("pair", p)
 	if err != nil {
 		return nil, nil, err
 	}
-	outs := campaign.Run([]campaign.Campaign{
-		{Name: fmt.Sprintf("contv/seed%d", seed), Seed: seed, Targets: targets, Config: opts.apply(ControlConfig(seed)), Control: true},
-		{Name: fmt.Sprintf("imrp/seed%d", seed), Seed: seed, Targets: targets, Config: opts.apply(AdaptiveConfig(seed))},
-	}, 2)
+	outs := campaign.Run(pair, 2)
 	for _, o := range outs {
 		if o.Err != nil {
 			return nil, nil, o.Err
@@ -176,8 +151,14 @@ func pairCampaign(seed uint64, opts ExperimentOptions) (ctrl, adpt *Result, err 
 	return outs[0].Result, outs[1].Result, nil
 }
 
-// runSingle executes one campaign through the engine.
-func runSingle(c campaign.Campaign) (*Result, error) {
+// runSingle configures one campaign from p and executes it through the
+// engine.
+func runSingle(c campaign.Campaign, p ScenarioParams) (*Result, error) {
+	cfg, err := campaign.Configure(c.Config, p)
+	if err != nil {
+		return nil, err
+	}
+	c.Config = cfg
 	out := campaign.Run([]campaign.Campaign{c}, 1)[0]
 	return out.Result, out.Err
 }
@@ -186,11 +167,11 @@ func runSingle(c campaign.Campaign) (*Result, error) {
 // domains against the α-synuclein 10-mer, reporting pipeline counts,
 // trajectories, utilization, time, and metric net deltas.
 func TableIExperiment(seed uint64) (*ExperimentOutput, error) {
-	return tableIExperiment(seed, ExperimentOptions{})
+	return tableIExperiment(seed, ScenarioParams{})
 }
 
-func tableIExperiment(seed uint64, opts ExperimentOptions) (*ExperimentOutput, error) {
-	ctrl, adpt, err := pairCampaign(seed, opts)
+func tableIExperiment(seed uint64, p ScenarioParams) (*ExperimentOutput, error) {
+	ctrl, adpt, err := pairCampaign(seed, p)
 	if err != nil {
 		return nil, err
 	}
@@ -209,11 +190,11 @@ func tableIExperiment(seed uint64, opts ExperimentOptions) (*ExperimentOutput, e
 // pAE per design iteration for CONT-V and IM-RP over the four named PDZ
 // targets, with half-σ error bars.
 func Fig2Experiment(seed uint64) (*ExperimentOutput, error) {
-	return fig2Experiment(seed, ExperimentOptions{})
+	return fig2Experiment(seed, ScenarioParams{})
 }
 
-func fig2Experiment(seed uint64, opts ExperimentOptions) (*ExperimentOutput, error) {
-	ctrl, adpt, err := pairCampaign(seed, opts)
+func fig2Experiment(seed uint64, p ScenarioParams) (*ExperimentOutput, error) {
+	ctrl, adpt, err := pairCampaign(seed, p)
 	if err != nil {
 		return nil, err
 	}
@@ -235,24 +216,20 @@ func fig2Experiment(seed uint64, opts ExperimentOptions) (*ExperimentOutput, err
 // 4-mer, four design cycles, and adaptivity not enforced in the final
 // cycle — reproducing the final-iteration quality drop.
 func Fig3Experiment(seed uint64, n int) (*ExperimentOutput, error) {
-	return fig3Experiment(seed, n, ExperimentOptions{})
+	return fig3Experiment(seed, ScenarioParams{Targets: n})
 }
 
-// Fig3ExperimentWith is Fig3Experiment with execution options applied.
-func Fig3ExperimentWith(seed uint64, n int, opts ExperimentOptions) (*ExperimentOutput, error) {
-	return fig3Experiment(seed, n, opts)
-}
-
-func fig3Experiment(seed uint64, n int, opts ExperimentOptions) (*ExperimentOutput, error) {
+func fig3Experiment(seed uint64, p ScenarioParams) (*ExperimentOutput, error) {
+	n := p.Targets
 	screen, err := PDZScreen(seed, n)
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.apply(AdaptiveConfig(seed))
+	cfg := AdaptiveConfig(seed)
 	cfg.Pipeline.FinalCycleAdaptive = false
 	res, err := runSingle(campaign.Campaign{
 		Name: fmt.Sprintf("fig3/screen%d/seed%d", n, seed), Seed: seed, Targets: screen, Config: cfg,
-	})
+	}, p)
 	if err != nil {
 		return nil, err
 	}
@@ -270,18 +247,18 @@ func fig3Experiment(seed uint64, n int, opts ExperimentOptions) (*ExperimentOutp
 // Fig4Experiment regenerates Fig. 4: CONT-V's CPU/GPU utilization time
 // series and execution time on the Amarel node.
 func Fig4Experiment(seed uint64) (*ExperimentOutput, error) {
-	return fig4Experiment(seed, ExperimentOptions{})
+	return fig4Experiment(seed, ScenarioParams{})
 }
 
-func fig4Experiment(seed uint64, opts ExperimentOptions) (*ExperimentOutput, error) {
+func fig4Experiment(seed uint64, p ScenarioParams) (*ExperimentOutput, error) {
 	targets, err := NamedPDZTargets(seed)
 	if err != nil {
 		return nil, err
 	}
 	res, err := runSingle(campaign.Campaign{
 		Name: fmt.Sprintf("fig4/seed%d", seed), Seed: seed, Targets: targets,
-		Config: opts.apply(ControlConfig(seed)), Control: true,
-	})
+		Config: ControlConfig(seed), Control: true,
+	}, p)
 	if err != nil {
 		return nil, err
 	}
@@ -296,18 +273,18 @@ func fig4Experiment(seed uint64, opts ExperimentOptions) (*ExperimentOutput, err
 // series, execution time, and the Bootstrap / Exec setup / Running phase
 // breakdown.
 func Fig5Experiment(seed uint64) (*ExperimentOutput, error) {
-	return fig5Experiment(seed, ExperimentOptions{})
+	return fig5Experiment(seed, ScenarioParams{})
 }
 
-func fig5Experiment(seed uint64, opts ExperimentOptions) (*ExperimentOutput, error) {
+func fig5Experiment(seed uint64, p ScenarioParams) (*ExperimentOutput, error) {
 	targets, err := NamedPDZTargets(seed)
 	if err != nil {
 		return nil, err
 	}
 	res, err := runSingle(campaign.Campaign{
 		Name: fmt.Sprintf("fig5/seed%d", seed), Seed: seed, Targets: targets,
-		Config: opts.apply(AdaptiveConfig(seed)),
-	})
+		Config: AdaptiveConfig(seed),
+	}, p)
 	if err != nil {
 		return nil, err
 	}

@@ -186,10 +186,13 @@ func Build(name string, p Params) ([]Campaign, error) {
 	return s.Build(p)
 }
 
-// applyExecution switches a config to the split CPU/GPU pilot pair, a
-// non-default scheduling policy, and/or the fault/recovery configuration
-// when the scenario params request them.
-func applyExecution(cfg core.Config, p Params) (core.Config, error) {
+// Configure applies the execution knobs of p to a protocol config: the
+// machine size and split CPU/GPU pilot pair, the scheduling policy, the
+// fault/recovery configuration, steering, telemetry and checkpointed
+// preemption. Zero-valued knobs keep cfg's own setting. Every scenario,
+// the paper experiments and impress-run's single campaign configure
+// through it, so a new core.Config knob needs one line here.
+func Configure(cfg core.Config, p Params) (core.Config, error) {
 	if p.Nodes > 1 {
 		// Scale the machine before any split derives partitions from it.
 		cfg.Machine = cluster.AmarelCluster(p.Nodes)
@@ -244,11 +247,11 @@ func pairAt(seed uint64, p Params) ([]Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrlCfg, err := applyExecution(core.ControlConfig(seed), p)
+	ctrlCfg, err := Configure(core.ControlConfig(seed), p)
 	if err != nil {
 		return nil, err
 	}
-	adptCfg, err := applyExecution(core.AdaptiveConfig(seed), p)
+	adptCfg, err := Configure(core.AdaptiveConfig(seed), p)
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +267,7 @@ func screenAt(seed uint64, n int, p Params) (Campaign, error) {
 	if err != nil {
 		return Campaign{}, err
 	}
-	cfg, err := applyExecution(core.AdaptiveConfig(seed), p)
+	cfg, err := Configure(core.AdaptiveConfig(seed), p)
 	if err != nil {
 		return Campaign{}, err
 	}
@@ -328,7 +331,7 @@ func tenantSweepAt(seed uint64, admissions []string, p Params) ([]Campaign, erro
 		}}
 		for i := 0; i < p.Tenants; i++ {
 			tseed := seed + uint64(i)
-			cfg, err := applyExecution(core.AdaptiveConfig(tseed), p)
+			cfg, err := Configure(core.AdaptiveConfig(tseed), p)
 			if err != nil {
 				return nil, err
 			}
@@ -368,7 +371,7 @@ func policyCompareAt(seed uint64, p Params) ([]Campaign, error) {
 	for _, pol := range sched.Names() {
 		cell := p
 		cell.Policy = pol
-		cfg, err := applyExecution(core.AdaptiveConfig(seed), cell)
+		cfg, err := Configure(core.AdaptiveConfig(seed), cell)
 		if err != nil {
 			return nil, err
 		}
@@ -394,7 +397,7 @@ func faultSweepAt(seed uint64, rates []float64, p Params) ([]Campaign, error) {
 	}
 	base := p
 	base.Fault = fault.Spec{}
-	baseCfg, err := applyExecution(core.AdaptiveConfig(seed), base)
+	baseCfg, err := Configure(core.AdaptiveConfig(seed), base)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +412,7 @@ func faultSweepAt(seed uint64, rates []float64, p Params) ([]Campaign, error) {
 			cell := p
 			cell.Fault.TaskFailProb = rate
 			cell.Recovery = rec
-			cfg, err := applyExecution(core.AdaptiveConfig(seed), cell)
+			cfg, err := Configure(core.AdaptiveConfig(seed), cell)
 			if err != nil {
 				return nil, err
 			}
@@ -491,11 +494,11 @@ func kiloScreenAt(seed uint64, n int, p Params) (Campaign, error) {
 		return Campaign{}, fmt.Errorf("campaign: kilo-screen needs a fleet of >= %d nodes, got %d from %q", kiloMinNodes, total, spec)
 	}
 	// The machine override and split belong to the fleet, not to the
-	// Nodes/SplitPilots params applyExecution honours elsewhere.
+	// Nodes/SplitPilots params Configure honours elsewhere.
 	cell := p
 	cell.Nodes = 0
 	cell.SplitPilots = false
-	cfg, err := applyExecution(core.AdaptiveConfig(seed), cell)
+	cfg, err := Configure(core.AdaptiveConfig(seed), cell)
 	if err != nil {
 		return Campaign{}, err
 	}
@@ -555,10 +558,10 @@ func chaosSweepAt(seed uint64, n int, p Params) ([]Campaign, error) {
 	}
 	mkConfig := func(cell Params) (core.Config, error) {
 		// The machine and split belong to the fleet, not to the
-		// Nodes/SplitPilots params applyExecution honours elsewhere.
+		// Nodes/SplitPilots params Configure honours elsewhere.
 		cell.Nodes = 0
 		cell.SplitPilots = false
-		cfg, err := applyExecution(core.AdaptiveConfig(seed), cell)
+		cfg, err := Configure(core.AdaptiveConfig(seed), cell)
 		if err != nil {
 			return core.Config{}, err
 		}
@@ -678,12 +681,12 @@ func preemptSweepAt(seed uint64, n int, p Params) ([]Campaign, error) {
 	}
 	mkConfig := func(cell Params, wall *fault.Spec) (core.Config, error) {
 		// The machine and placement belong to the scenario, not to the
-		// Nodes/SplitPilots params applyExecution honours elsewhere.
+		// Nodes/SplitPilots params Configure honours elsewhere.
 		cell.Nodes = 0
 		cell.SplitPilots = false
 		cfg := core.AdaptiveConfig(seed)
 		cfg.Machine = machine
-		cfg, err := applyExecution(cfg, cell)
+		cfg, err := Configure(cfg, cell)
 		if err != nil {
 			return core.Config{}, err
 		}
@@ -760,7 +763,7 @@ func elasticScreenAt(seed uint64, n int, p Params) ([]Campaign, error) {
 		cell.Steer = st
 		cfg := core.AdaptiveConfig(seed)
 		cfg.Machine = cluster.AmarelCluster(elasticNodes)
-		cfg, err := applyExecution(cfg, cell)
+		cfg, err := Configure(cfg, cell)
 		if err != nil {
 			return nil, err
 		}

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"impress/internal/campaign"
 	"impress/internal/fault"
 	"impress/internal/fleet"
 	"impress/internal/sched"
@@ -43,22 +44,15 @@ type Options struct {
 	WithPilots bool
 }
 
-// Common holds the parsed values of the shared flags.
+// Common holds the parsed values of the shared flags. The execution
+// knobs bind straight into a campaign.Params, the one spec every mode
+// runs from; only the fault-model inputs, which assemble into
+// Params.Fault, and the command-level flags live here.
 type Common struct {
-	// Seed is the campaign (or first sweep) seed.
-	Seed uint64
+	p campaign.Params
+
 	// Parallel is the campaign-engine worker count (0 = GOMAXPROCS).
 	Parallel int
-	// Pilots is the placement name ("single" or "split"); only set when
-	// registered via Options.WithPilots.
-	Pilots string
-	// Nodes is the machine size in Amarel nodes (default 1, the paper's
-	// evaluation resource); only registered via Options.WithPilots.
-	// Steering needs N >= 2 — on a single node the split partitions hold
-	// one node each and the last-node floor vetoes every transfer.
-	Nodes int
-	// Policy is the agent scheduling policy name ("" = default).
-	Policy string
 	// FaultRate is the per-task failure probability (0 = no task
 	// faults).
 	FaultRate float64
@@ -66,8 +60,6 @@ type Common struct {
 	MTBF time.Duration
 	// Repair is the node repair window (used when MTBF is set).
 	Repair time.Duration
-	// Recovery is the fault-recovery policy name ("" = none).
-	Recovery string
 	// OutageMTBF enables the correlated domain-outage model (0 = off).
 	OutageMTBF time.Duration
 	// OutageDur is the whole-domain outage duration (0 = the repair
@@ -81,34 +73,6 @@ type Common struct {
 	// MaintenanceSpec is the scheduled-maintenance description
 	// (fault.ParseMaintenance syntax; "" = none).
 	MaintenanceSpec string
-	// Steer is the elastic-steering policy name ("" = none: pilot
-	// partitions stay frozen).
-	Steer string
-	// CheckpointInterval is the virtual-time checkpoint cadence for
-	// evict-and-resume (0 = checkpointing off; interrupted attempts
-	// restart from zero).
-	CheckpointInterval time.Duration
-	// WalltimeGrace is the graceful drain window at fault-model walltime
-	// expiry (0 = hard kill at the deadline).
-	WalltimeGrace time.Duration
-	// Fleet is a node-template spec (internal/fleet syntax) for
-	// fleet-driven scenarios like kilo-screen ("" = the scenario's
-	// default fleet).
-	Fleet string
-	// Tenants is the arriving-campaign count for the tenant-sweep
-	// scenario (0 = scenario default).
-	Tenants int
-	// Arrival is the tenant arrival-process kind (internal/fleet name;
-	// "" = scenario default).
-	Arrival string
-	// ArrivalSpan is the tenant arrival window (0 = scenario default).
-	ArrivalSpan time.Duration
-	// Admission pins the tenant-sweep to one admission-control policy
-	// ("" = race all of them).
-	Admission string
-	// Reclaim is the inter-campaign steering policy for multi-tenant
-	// services ("" = scenario default; "none" freezes grants).
-	Reclaim string
 	// ChromeTrace, when set, is the path the campaign's Chrome Trace
 	// Event Format timeline is written to (open in Perfetto or
 	// chrome://tracing). Setting it also turns the telemetry recorder on.
@@ -121,11 +85,34 @@ type Common struct {
 	MemProfile string
 
 	withPilots bool
+	fs         *flag.FlagSet
+	shared     map[string]bool
+}
+
+// placement is the -pilots flag: "single" or "split", bound straight to
+// Params.SplitPilots.
+type placement bool
+
+func (v *placement) String() string {
+	if v != nil && *v {
+		return "split"
+	}
+	return "single"
+}
+
+func (v *placement) Set(s string) error {
+	switch s {
+	case "single", "split":
+		*v = s == "split"
+		return nil
+	}
+	return fmt.Errorf("unknown pilot placement %q (want single or split)", s)
 }
 
 // Register declares the shared flags on fs and returns the value holder.
 func Register(fs *flag.FlagSet, o Options) *Common {
-	c := &Common{withPilots: o.WithPilots}
+	c := &Common{withPilots: o.WithPilots, fs: fs, shared: make(map[string]bool)}
+	p := &c.p
 	seedName := o.SeedName
 	if seedName == "" {
 		seedName = "seed"
@@ -134,18 +121,18 @@ func Register(fs *flag.FlagSet, o Options) *Common {
 	if seedUsage == "" {
 		seedUsage = "campaign seed"
 	}
-	fs.Uint64Var(&c.Seed, seedName, o.SeedDefault, seedUsage)
+	fs.Uint64Var(&p.Seed, seedName, o.SeedDefault, seedUsage)
 	fs.IntVar(&c.Parallel, "parallel", o.ParallelDefault, "campaign engine workers (0 = GOMAXPROCS)")
 	if o.WithPilots {
-		fs.StringVar(&c.Pilots, "pilots", "single", "pilot placement: single (one shared pilot) or split (CPU pilot + GPU pilot)")
-		fs.IntVar(&c.Nodes, "nodes", 1, "machine size in Amarel nodes (use >= 2 with -steer so nodes can actually move)")
+		fs.Var((*placement)(&p.SplitPilots), "pilots", "pilot placement: single (one shared pilot, the default) or split (CPU pilot + GPU pilot)")
+		fs.IntVar(&p.Nodes, "nodes", 1, "machine size in Amarel nodes (use >= 2 with -steer so nodes can actually move)")
 	}
-	fs.StringVar(&c.Policy, "policy", "",
+	fs.StringVar(&p.Policy, "policy", "",
 		"agent scheduling policy: "+strings.Join(sched.Names(), ", ")+" (empty = protocol default)")
 	fs.Float64Var(&c.FaultRate, "fault", 0, "per-task failure probability injected into every pilot (0 = no task faults)")
 	fs.DurationVar(&c.MTBF, "mtbf", 0, "node mean-time-between-failures for the crash model (0 = no node crashes)")
 	fs.DurationVar(&c.Repair, "repair", fault.DefaultNodeRepair, "node repair window after a crash (with -mtbf)")
-	fs.StringVar(&c.Recovery, "recovery", "",
+	fs.StringVar(&p.Recovery, "recovery", "",
 		"fault-recovery policy: "+strings.Join(fault.Names(), ", ")+" (empty = none)")
 	fs.DurationVar(&c.OutageMTBF, "outage-mtbf", 0, "mean time between whole-domain outages per failure domain (0 = no domain outages)")
 	fs.DurationVar(&c.OutageDur, "outage-dur", 0, "domain outage duration (0 = the -repair window)")
@@ -153,30 +140,60 @@ func Register(fs *flag.FlagSet, o Options) *Common {
 	fs.DurationVar(&c.CascadeWindow, "cascade-window", 0, "window cascade follow-up crashes land in (0 = default)")
 	fs.StringVar(&c.MaintenanceSpec, "maintenance", "",
 		"scheduled maintenance windows, e.g. rackA@6h/30m/24h,rackB@12h/1h (domain@start/duration[/every]; empty = none)")
-	fs.StringVar(&c.Steer, "steer", "",
+	fs.StringVar(&p.Steer, "steer", "",
 		"elastic steering policy for multi-pilot campaigns: "+strings.Join(steer.Names(), ", ")+" (empty = none: partitions stay frozen)")
-	fs.DurationVar(&c.CheckpointInterval, "checkpoint-interval", 0,
+	fs.DurationVar(&p.CheckpointInterval, "checkpoint-interval", 0,
 		"checkpoint cadence in virtual time for evict-and-resume, e.g. 30m (0 = off: interrupted attempts restart from zero)")
-	fs.DurationVar(&c.WalltimeGrace, "walltime-grace", 0,
+	fs.DurationVar(&p.WalltimeGrace, "walltime-grace", 0,
 		"graceful drain window at fault-model walltime expiry: running work that cannot finish is checkpointed and requeued (0 = hard kill)")
-	fs.StringVar(&c.Fleet, "fleet", "",
+	fs.StringVar(&p.Fleet, "fleet", "",
 		"fleet template spec for fleet-driven scenarios, e.g. cpu:28c0g128m*900+gpu:8c4g32m*100 (empty = scenario default)")
-	fs.IntVar(&c.Tenants, "tenants", 0,
+	fs.IntVar(&p.Tenants, "tenants", 0,
 		"arriving campaigns in the tenant-sweep scenario (0 = scenario default)")
-	fs.StringVar(&c.Arrival, "arrival", "",
+	fs.StringVar(&p.Arrival, "arrival", "",
 		"tenant arrival process: "+strings.Join(fleet.ArrivalKinds(), ", ")+" (empty = scenario default)")
-	fs.DurationVar(&c.ArrivalSpan, "arrival-span", 0,
+	fs.DurationVar(&p.ArrivalSpan, "arrival-span", 0,
 		"tenant arrival window, e.g. 12h (0 = scenario default; ignored for instant arrivals)")
-	fs.StringVar(&c.Admission, "admit", "",
+	fs.StringVar(&p.Admission, "admit", "",
 		"admission-control policy for the shared pool: "+strings.Join(tenancy.Names(), ", ")+" (empty = race all of them)")
-	fs.StringVar(&c.Reclaim, "reclaim", "",
+	fs.StringVar(&p.Reclaim, "reclaim", "",
 		"inter-campaign steering policy: "+strings.Join(steer.TenantNames(), ", ")+" (empty = scenario default; none freezes grants)")
 	fs.StringVar(&c.ChromeTrace, "chrome-trace", "",
 		"write the campaign timeline in Chrome Trace Event Format to this path (view in Perfetto; also enables telemetry)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof allocation profile to this path at exit")
+	fs.VisitAll(func(f *flag.Flag) { c.shared[f.Name] = true })
 	return c
 }
+
+// Params returns the campaign spec the shared flags describe. Commands
+// fill in the workload fields (Seeds, Targets) from their own flags.
+func (c *Common) Params() campaign.Params {
+	p := c.p
+	p.Fault = c.Fault()
+	p.Telemetry = c.ChromeTrace != ""
+	return p
+}
+
+// Reject returns an error naming every flag set explicitly on the
+// command line that the running mode does not honour, or nil. mode
+// completes the message "flags [...] do not apply to <mode>".
+func (c *Common) Reject(mode string, honoured func(name string) bool) error {
+	var ignored []string
+	c.fs.Visit(func(f *flag.Flag) {
+		if !honoured(f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) == 0 {
+		return nil
+	}
+	return fmt.Errorf("flags %v do not apply to %s", ignored, mode)
+}
+
+// Shared reports whether name is one of the flags Register declared, as
+// opposed to one a command registered itself.
+func (c *Common) Shared(name string) bool { return c.shared[name] }
 
 // StartProfiles begins CPU profiling when -cpuprofile was given and
 // returns a stop function that finishes the CPU profile and writes the
@@ -223,22 +240,20 @@ func (c *Common) StartProfiles() (stop func(), err error) {
 // Validate checks every shared value; commands call it right after
 // flag.Parse and print the error verbatim.
 func (c *Common) Validate() error {
-	if c.withPilots && c.Pilots != "single" && c.Pilots != "split" {
-		return fmt.Errorf("unknown pilot placement %q (want single or split)", c.Pilots)
-	}
-	if err := sched.Validate(c.Policy); err != nil {
+	p := &c.p
+	if err := sched.Validate(p.Policy); err != nil {
 		return err
 	}
-	if err := fault.Validate(c.Recovery); err != nil {
+	if err := fault.Validate(p.Recovery); err != nil {
 		return err
 	}
-	if err := steer.Validate(c.Steer); err != nil {
+	if err := steer.Validate(p.Steer); err != nil {
 		return err
 	}
-	if c.Fleet != "" {
+	if p.Fleet != "" {
 		// Parse errors name the offending segment, so a long spec stays
 		// debuggable from the command line.
-		if _, err := fleet.ParseSpec(c.Fleet); err != nil {
+		if _, err := fleet.ParseSpec(p.Fleet); err != nil {
 			return fmt.Errorf("-fleet: %w", err)
 		}
 	}
@@ -246,40 +261,40 @@ func (c *Common) Validate() error {
 		return fmt.Errorf("-maintenance: %w", err)
 	}
 	if c.withPilots {
-		if c.Nodes < 1 {
-			return fmt.Errorf("-nodes %d: machine needs at least one node", c.Nodes)
+		if p.Nodes < 1 {
+			return fmt.Errorf("-nodes %d: machine needs at least one node", p.Nodes)
 		}
-		if steer.Enabled(c.Steer) && !c.SplitPilots() {
-			return fmt.Errorf("-steer %s needs a multi-pilot placement (-pilots split)", c.Steer)
+		if steer.Enabled(p.Steer) && !p.SplitPilots {
+			return fmt.Errorf("-steer %s needs a multi-pilot placement (-pilots split)", p.Steer)
 		}
-		if steer.Enabled(c.Steer) && c.Nodes < 2 {
-			return fmt.Errorf("-steer %s needs a multi-node machine (-nodes >= 2); on one node each split partition holds a single node and the last-node floor vetoes every transfer", c.Steer)
+		if steer.Enabled(p.Steer) && p.Nodes < 2 {
+			return fmt.Errorf("-steer %s needs a multi-node machine (-nodes >= 2); on one node each split partition holds a single node and the last-node floor vetoes every transfer", p.Steer)
 		}
 	}
-	if c.CheckpointInterval < 0 {
-		return fmt.Errorf("-checkpoint-interval %v: checkpoint cadence cannot be negative", c.CheckpointInterval)
+	if p.CheckpointInterval < 0 {
+		return fmt.Errorf("-checkpoint-interval %v: checkpoint cadence cannot be negative", p.CheckpointInterval)
 	}
-	if c.Tenants < 0 {
-		return fmt.Errorf("-tenants %d: tenant count cannot be negative", c.Tenants)
+	if p.Tenants < 0 {
+		return fmt.Errorf("-tenants %d: tenant count cannot be negative", p.Tenants)
 	}
-	if c.Arrival != "" {
-		if err := fleet.ValidateArrival(c.Arrival); err != nil {
+	if p.Arrival != "" {
+		if err := fleet.ValidateArrival(p.Arrival); err != nil {
 			return fmt.Errorf("-arrival: %w", err)
 		}
 	}
-	if c.ArrivalSpan < 0 {
-		return fmt.Errorf("-arrival-span %v: arrival window cannot be negative", c.ArrivalSpan)
+	if p.ArrivalSpan < 0 {
+		return fmt.Errorf("-arrival-span %v: arrival window cannot be negative", p.ArrivalSpan)
 	}
-	if c.Admission != "" {
-		if err := tenancy.Validate(c.Admission); err != nil {
+	if p.Admission != "" {
+		if err := tenancy.Validate(p.Admission); err != nil {
 			return fmt.Errorf("-admit: %w", err)
 		}
 	}
-	if err := steer.ValidateTenant(c.Reclaim); err != nil {
+	if err := steer.ValidateTenant(p.Reclaim); err != nil {
 		return fmt.Errorf("-reclaim: %w", err)
 	}
-	if c.WalltimeGrace < 0 {
-		return fmt.Errorf("-walltime-grace %v: drain window cannot be negative", c.WalltimeGrace)
+	if p.WalltimeGrace < 0 {
+		return fmt.Errorf("-walltime-grace %v: drain window cannot be negative", p.WalltimeGrace)
 	}
 	return c.Fault().Validate()
 }
@@ -290,20 +305,21 @@ func (c *Common) Validate() error {
 // campaign runs (scenario runs supply their own defaults, so flag-only
 // analysis would cry wolf there).
 func (c *Common) Warnings() []string {
+	p := &c.p
 	var out []string
-	if c.Recovery != "" && !c.Fault().Enabled() {
+	if p.Recovery != "" && !c.Fault().Enabled() {
 		out = append(out, fmt.Sprintf(
-			"-recovery %s has no effect without a failure model (set -fault, -mtbf, -outage-mtbf, or -maintenance)", c.Recovery))
+			"-recovery %s has no effect without a failure model (set -fault, -mtbf, -outage-mtbf, or -maintenance)", p.Recovery))
 	}
-	if c.CheckpointInterval > 0 && !c.Fault().Enabled() && c.Steer != "preempt" {
+	if p.CheckpointInterval > 0 && !c.Fault().Enabled() && p.Steer != "preempt" {
 		out = append(out, fmt.Sprintf(
-			"-checkpoint-interval %v has no effect: nothing evicts running work without a failure model or -steer preempt", c.CheckpointInterval))
+			"-checkpoint-interval %v has no effect: nothing evicts running work without a failure model or -steer preempt", p.CheckpointInterval))
 	}
-	if c.WalltimeGrace > 0 && c.Fault().Walltime == 0 {
+	if p.WalltimeGrace > 0 && c.Fault().Walltime == 0 {
 		out = append(out, fmt.Sprintf(
-			"-walltime-grace %v has no effect without a fault-model walltime bounding a pilot", c.WalltimeGrace))
+			"-walltime-grace %v has no effect without a fault-model walltime bounding a pilot", p.WalltimeGrace))
 	}
-	if c.Steer == "preempt" && c.CheckpointInterval == 0 {
+	if p.Steer == "preempt" && p.CheckpointInterval == 0 {
 		out = append(out,
 			"-steer preempt without -checkpoint-interval loses all progress on every drain (evicted work resumes from zero)")
 	}
@@ -316,9 +332,6 @@ func (c *Common) PrintWarnings(w io.Writer) {
 		fmt.Fprintln(w, "warning:", msg)
 	}
 }
-
-// SplitPilots reports whether -pilots selected the split placement.
-func (c *Common) SplitPilots() bool { return c.Pilots == "split" }
 
 // Fault assembles the failure-model spec the shared flags describe.
 // Call Validate first: a malformed -maintenance spec is reported there
@@ -337,32 +350,4 @@ func (c *Common) Fault() fault.Spec {
 	}
 	s.Domains.Maintenance, _ = fault.ParseMaintenance(c.MaintenanceSpec)
 	return s
-}
-
-// FaultFlagNames lists the flag names this package registers for the
-// fault subsystem — commands that gate scenario-incompatible flags use
-// it to keep their allowlists in one place.
-func FaultFlagNames() []string {
-	return []string{
-		"fault", "mtbf", "repair", "recovery",
-		"outage-mtbf", "outage-dur", "cascade", "cascade-window", "maintenance",
-	}
-}
-
-// TelemetryFlagNames lists the observability flags this package
-// registers — the scenario-only allowlist companion of FaultFlagNames.
-func TelemetryFlagNames() []string {
-	return []string{"chrome-trace"}
-}
-
-// PreemptFlagNames lists the checkpointed-preemption flags this package
-// registers — the allowlist companion of FaultFlagNames.
-func PreemptFlagNames() []string {
-	return []string{"checkpoint-interval", "walltime-grace"}
-}
-
-// TenancyFlagNames lists the multi-tenant service flags this package
-// registers — the allowlist companion of FaultFlagNames.
-func TenancyFlagNames() []string {
-	return []string{"tenants", "arrival", "arrival-span", "admit", "reclaim"}
 }

@@ -2,8 +2,10 @@ package cliflags
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +23,7 @@ func parse(t *testing.T, o Options, args ...string) *Common {
 
 func TestDefaultsAndRenaming(t *testing.T) {
 	c := parse(t, Options{SeedDefault: 42, ParallelDefault: 1, WithPilots: true})
-	if c.Seed != 42 || c.Parallel != 1 || c.Pilots != "single" || c.Recovery != "" || c.FaultRate != 0 {
+	if c.p.Seed != 42 || c.Parallel != 1 || c.p.SplitPilots || c.p.Recovery != "" || c.FaultRate != 0 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	if err := c.Validate(); err != nil {
@@ -32,7 +34,7 @@ func TestDefaultsAndRenaming(t *testing.T) {
 	}
 
 	c = parse(t, Options{SeedName: "first-seed", SeedDefault: 100}, "-first-seed", "7")
-	if c.Seed != 7 {
+	if c.p.Seed != 7 {
 		t.Fatalf("renamed seed flag not parsed: %+v", c)
 	}
 }
@@ -44,10 +46,10 @@ func TestFaultFlags(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Steer != "hysteresis" || c.Nodes != 4 {
+	if c.p.Steer != "hysteresis" || c.p.Nodes != 4 {
 		t.Fatalf("steer/nodes flags not parsed: %+v", c)
 	}
-	if !c.SplitPilots() {
+	if !c.Params().SplitPilots {
 		t.Fatal("split placement not detected")
 	}
 	s := c.Fault()
@@ -62,8 +64,14 @@ func TestFaultFlags(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
+	// An unknown placement is refused while parsing.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Register(fs, Options{WithPilots: true})
+	if err := fs.Parse([]string{"-pilots", "mesh"}); err == nil {
+		t.Fatal("-pilots mesh accepted")
+	}
 	for _, args := range [][]string{
-		{"-pilots", "mesh"},
 		{"-policy", "roulette"},
 		{"-recovery", "hope"},
 		{"-steer", "warp"},
@@ -196,4 +204,65 @@ func TestStartProfilesNoFlagsIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop()
+}
+
+// TestEveryParamsFieldHasAFlag guards against knob drift: every exported
+// campaign.Params field is bound directly by one of the shared flags, or
+// is listed here as filled some other way. A new Params knob without a
+// flag fails until it gets one or an exemption.
+func TestEveryParamsFieldHasAFlag(t *testing.T) {
+	exempt := map[string]string{
+		"Seeds":      "workload width, a per-command flag (-seeds)",
+		"Targets":    "workload width, a per-command flag (-screen-size, -screen)",
+		"FaultRates": "fault-sweep grid, set by library callers",
+		"Telemetry":  "derived from -chrome-trace",
+		"Fault":      "assembled from the fault-model flags",
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	c := Register(fs, Options{WithPilots: true})
+	bound := map[uintptr]string{}
+	fs.VisitAll(func(f *flag.Flag) {
+		bound[reflect.ValueOf(f.Value).Pointer()] = f.Name
+	})
+	pv := reflect.ValueOf(&c.p).Elem()
+	for i := 0; i < pv.NumField(); i++ {
+		field := pv.Type().Field(i)
+		if !field.IsExported() {
+			continue
+		}
+		name, isBound := bound[pv.Field(i).Addr().Pointer()]
+		_, isExempt := exempt[field.Name]
+		switch {
+		case isBound && isExempt:
+			t.Errorf("Params.%s is bound by -%s but also exempt", field.Name, name)
+		case !isBound && !isExempt:
+			t.Errorf("Params.%s has no shared flag and no exemption", field.Name)
+		}
+	}
+}
+
+func TestReject(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	c := Register(fs, Options{WithPilots: true})
+	fs.String("csv", "", "a flag the command registers itself")
+	if err := fs.Parse([]string{"-steer", "none", "-admit", "quota", "-csv", "x", "-seed", "7"}); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Shared("steer") || !c.Shared("admit") || c.Shared("csv") {
+		t.Fatal("Shared does not tell the registered flags from the command's own")
+	}
+	// Explicitly set flags are judged even at their default value.
+	err := c.Reject("test mode", func(name string) bool { return name == "seed" })
+	if err == nil || err.Error() != "flags [-admit -csv -steer] do not apply to test mode" {
+		t.Fatalf("Reject = %v", err)
+	}
+	if err := c.Reject("test mode", c.Shared); err == nil || err.Error() != "flags [-csv] do not apply to test mode" {
+		t.Fatalf("Reject = %v", err)
+	}
+	// Flags left unset are never judged.
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	c = Register(fs, Options{})
+	if err := c.Reject("test mode", func(string) bool { return false }); err != nil {
+		t.Fatalf("unset flags rejected: %v", err)
+	}
 }
