@@ -71,31 +71,20 @@ func run() int {
 	}
 	common.PrintWarnings(os.Stderr)
 
-	// Build the sweep as campaign data: a CONT-V/IM-RP pair per seed.
-	var campaigns []impress.Campaign
-	var buildErrs int
-	seeds := make([]uint64, 0, *nSeeds)
-	for i := 0; i < *nSeeds; i++ {
-		p := params
-		p.Seed += uint64(i)
-		pair, err := impress.BuildScenario("pair", p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seed %d: %v\n", p.Seed, err)
-			buildErrs++
-			continue
-		}
-		seeds = append(seeds, p.Seed)
-		campaigns = append(campaigns, pair...)
+	// The sweep scenario is the CONT-V/IM-RP pair at each seed.
+	campaigns, err := impress.BuildScenario("sweep", params)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
-
 	outs := impress.RunCampaigns(campaigns, common.Parallel)
 
 	// Collect per-seed rows, keeping every completed pair even when other
 	// seeds failed.
 	var rows []row
-	failures := buildErrs
-	for i, seed := range seeds {
-		ctrl, adpt := outs[2*i], outs[2*i+1]
+	failures := 0
+	for i := 0; i < len(outs); i += 2 {
+		seed, ctrl, adpt := campaigns[i].Seed, outs[i], outs[i+1]
 		if ctrl.Err != nil || adpt.Err != nil {
 			failures++
 			for _, o := range []impress.CampaignOutcome{ctrl, adpt} {

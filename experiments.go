@@ -251,22 +251,7 @@ func Fig4Experiment(seed uint64) (*ExperimentOutput, error) {
 }
 
 func fig4Experiment(seed uint64, p ScenarioParams) (*ExperimentOutput, error) {
-	targets, err := NamedPDZTargets(seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runSingle(campaign.Campaign{
-		Name: fmt.Sprintf("fig4/seed%d", seed), Seed: seed, Targets: targets,
-		Config: ControlConfig(seed), Control: true,
-	}, p)
-	if err != nil {
-		return nil, err
-	}
-	return &ExperimentOutput{
-		ID: "fig4", Title: "Fig. 4",
-		Text:    report.UtilizationFigure("Fig. 4: CONT-V total GPU/CPU resource utilization and execution time", res),
-		Results: map[string]*Result{"CONT-V": res},
-	}, nil
+	return utilizationExperiment(seed, p, "fig4", "Fig. 4", "Fig. 4: CONT-V total GPU/CPU resource utilization and execution time", true)
 }
 
 // Fig5Experiment regenerates Fig. 5: IM-RP's CPU/GPU utilization time
@@ -277,20 +262,29 @@ func Fig5Experiment(seed uint64) (*ExperimentOutput, error) {
 }
 
 func fig5Experiment(seed uint64, p ScenarioParams) (*ExperimentOutput, error) {
+	return utilizationExperiment(seed, p, "fig5", "Fig. 5", "Fig. 5: IM-RP total GPU/CPU utilization and execution time", false)
+}
+
+// utilizationExperiment runs one protocol — CONT-V when control is set,
+// IM-RP otherwise — over the four named PDZ targets and renders its
+// utilization figure.
+func utilizationExperiment(seed uint64, p ScenarioParams, id, figure, title string, control bool) (*ExperimentOutput, error) {
 	targets, err := NamedPDZTargets(seed)
 	if err != nil {
 		return nil, err
 	}
+	cfg, approach := AdaptiveConfig(seed), "IM-RP"
+	if control {
+		cfg, approach = ControlConfig(seed), "CONT-V"
+	}
 	res, err := runSingle(campaign.Campaign{
-		Name: fmt.Sprintf("fig5/seed%d", seed), Seed: seed, Targets: targets,
-		Config: AdaptiveConfig(seed),
+		Name: fmt.Sprintf("%s/seed%d", id, seed), Seed: seed, Targets: targets, Config: cfg, Control: control,
 	}, p)
 	if err != nil {
 		return nil, err
 	}
 	return &ExperimentOutput{
-		ID: "fig5", Title: "Fig. 5",
-		Text:    report.UtilizationFigure("Fig. 5: IM-RP total GPU/CPU utilization and execution time", res),
-		Results: map[string]*Result{"IM-RP": res},
+		ID: id, Title: figure, Text: report.UtilizationFigure(title, res),
+		Results: map[string]*Result{approach: res},
 	}, nil
 }

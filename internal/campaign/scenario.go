@@ -100,12 +100,18 @@ type Params struct {
 	Reclaim string
 }
 
-func (p Params) withDefaults() Params {
+// The sweep and screen widths scenarios default to unless they declare
+// their own.
+const defaultSeeds, defaultTargets = 8, 70
+
+// withDefaults substitutes a scenario's default sweep width and screen
+// width for zero (or negative) Seeds and Targets.
+func (p Params) withDefaults(seeds, targets int) Params {
 	if p.Seeds <= 0 {
-		p.Seeds = 8
+		p.Seeds = seeds
 	}
 	if p.Targets <= 0 {
-		p.Targets = 70
+		p.Targets = targets
 	}
 	return p
 }
@@ -240,6 +246,16 @@ func Configure(cfg core.Config, p Params) (core.Config, error) {
 	return cfg, nil
 }
 
+// configureOn is Configure for scenarios that own their machine and
+// pilot placement: the Nodes and SplitPilots knobs do not apply, and the
+// scenario's pilots replace the config's.
+func configureOn(cfg core.Config, p Params, pilots []core.PilotSpec) (core.Config, error) {
+	p.Nodes, p.SplitPilots = 0, false
+	cfg, err := Configure(cfg, p)
+	cfg.Pilots = pilots
+	return cfg, err
+}
+
 // pairAt builds the paper's CONT-V + IM-RP pair over the four named PDZ
 // domains at one seed.
 func pairAt(seed uint64, p Params) ([]Campaign, error) {
@@ -262,21 +278,35 @@ func pairAt(seed uint64, p Params) ([]Campaign, error) {
 }
 
 // screenAt builds one IM-RP campaign over n PDB-mined complexes.
-func screenAt(seed uint64, n int, p Params) (Campaign, error) {
+func screenAt(seed uint64, n int, p Params) ([]Campaign, error) {
 	targets, err := workload.MinedScreen(seed, n, workload.DefaultConfig())
 	if err != nil {
-		return Campaign{}, err
+		return nil, err
 	}
 	cfg, err := Configure(core.AdaptiveConfig(seed), p)
 	if err != nil {
-		return Campaign{}, err
+		return nil, err
 	}
-	return Campaign{
+	return []Campaign{{
 		Name:    fmt.Sprintf("screen%d/seed%d", n, seed),
 		Seed:    seed,
 		Targets: targets,
 		Config:  cfg,
-	}, nil
+	}}, nil
+}
+
+// perSeed concatenates the campaigns build returns for each of the
+// p.Seeds consecutive seeds starting at p.Seed.
+func perSeed(p Params, build func(seed uint64) ([]Campaign, error)) ([]Campaign, error) {
+	var all []Campaign
+	for i := 0; i < p.Seeds; i++ {
+		cs, err := build(p.Seed + uint64(i))
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, cs...)
+	}
+	return all, nil
 }
 
 // tenantSweepAt builds one multi-tenant service campaign per admission
@@ -473,10 +503,10 @@ const (
 
 // kiloScreenAt builds one IM-RP screen campaign on a generated kilo-node
 // fleet.
-func kiloScreenAt(seed uint64, n int, p Params) (Campaign, error) {
+func kiloScreenAt(seed uint64, n int, p Params) ([]Campaign, error) {
 	targets, err := workload.MinedScreen(seed, n, workload.DefaultConfig())
 	if err != nil {
-		return Campaign{}, err
+		return nil, err
 	}
 	spec := p.Fleet
 	if spec == "" {
@@ -484,31 +514,25 @@ func kiloScreenAt(seed uint64, n int, p Params) (Campaign, error) {
 	}
 	pilots, err := FleetPilots(spec, seed)
 	if err != nil {
-		return Campaign{}, err
+		return nil, err
 	}
 	total := 0
 	for _, ps := range pilots {
 		total += len(ps.Nodes)
 	}
 	if total < kiloMinNodes {
-		return Campaign{}, fmt.Errorf("campaign: kilo-screen needs a fleet of >= %d nodes, got %d from %q", kiloMinNodes, total, spec)
+		return nil, fmt.Errorf("campaign: kilo-screen needs a fleet of >= %d nodes, got %d from %q", kiloMinNodes, total, spec)
 	}
-	// The machine override and split belong to the fleet, not to the
-	// Nodes/SplitPilots params Configure honours elsewhere.
-	cell := p
-	cell.Nodes = 0
-	cell.SplitPilots = false
-	cfg, err := Configure(core.AdaptiveConfig(seed), cell)
+	cfg, err := configureOn(core.AdaptiveConfig(seed), p, pilots)
 	if err != nil {
-		return Campaign{}, err
+		return nil, err
 	}
-	cfg.Pilots = pilots
-	return Campaign{
+	return []Campaign{{
 		Name:    fmt.Sprintf("kilo%d/seed%d", total, seed),
 		Seed:    seed,
 		Targets: targets,
 		Config:  cfg,
-	}, nil
+	}}, nil
 }
 
 // The chaos-sweep defaults: a small labeled fleet spread over four
@@ -557,16 +581,7 @@ func chaosSweepAt(seed uint64, n int, p Params) ([]Campaign, error) {
 		return nil, err
 	}
 	mkConfig := func(cell Params) (core.Config, error) {
-		// The machine and split belong to the fleet, not to the
-		// Nodes/SplitPilots params Configure honours elsewhere.
-		cell.Nodes = 0
-		cell.SplitPilots = false
-		cfg, err := Configure(core.AdaptiveConfig(seed), cell)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.Pilots = pilots
-		return cfg, nil
+		return configureOn(core.AdaptiveConfig(seed), cell, pilots)
 	}
 	base := p
 	base.Fault = fault.Spec{}
@@ -680,21 +695,11 @@ func preemptSweepAt(seed uint64, n int, p Params) ([]Campaign, error) {
 		rec = "elsewhere"
 	}
 	mkConfig := func(cell Params, wall *fault.Spec) (core.Config, error) {
-		// The machine and placement belong to the scenario, not to the
-		// Nodes/SplitPilots params Configure honours elsewhere.
-		cell.Nodes = 0
-		cell.SplitPilots = false
 		cfg := core.AdaptiveConfig(seed)
 		cfg.Machine = machine
-		cfg, err := Configure(cfg, cell)
-		if err != nil {
-			return core.Config{}, err
-		}
-		ps := make([]core.PilotSpec, len(pilots))
-		copy(ps, pilots)
+		ps := append([]core.PilotSpec(nil), pilots...)
 		ps[0].Fault = wall
-		cfg.Pilots = ps
-		return cfg, nil
+		return configureOn(cfg, cell, ps)
 	}
 	base := p
 	base.Fault = fault.Spec{}
@@ -787,7 +792,7 @@ func init() {
 		Name:        "pair",
 		Description: "CONT-V vs IM-RP over the paper's four PDZ domains (Table I workload)",
 		Build: func(p Params) ([]Campaign, error) {
-			p = p.withDefaults()
+			p = p.withDefaults(defaultSeeds, defaultTargets)
 			return pairAt(p.Seed, p)
 		},
 	}))
@@ -795,44 +800,24 @@ func init() {
 		Name:        "sweep",
 		Description: "the pair comparison replicated across Seeds consecutive seeds",
 		Build: func(p Params) ([]Campaign, error) {
-			p = p.withDefaults()
-			var all []Campaign
-			for i := 0; i < p.Seeds; i++ {
-				pair, err := pairAt(p.Seed+uint64(i), p)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, pair...)
-			}
-			return all, nil
+			p = p.withDefaults(defaultSeeds, defaultTargets)
+			return perSeed(p, func(seed uint64) ([]Campaign, error) { return pairAt(seed, p) })
 		},
 	}))
 	must(Register(Scenario{
 		Name:        "screen",
 		Description: "one IM-RP campaign over Targets PDB-mined PDZ-peptide complexes (Fig. 3 workload)",
 		Build: func(p Params) ([]Campaign, error) {
-			p = p.withDefaults()
-			c, err := screenAt(p.Seed, p.Targets, p)
-			if err != nil {
-				return nil, err
-			}
-			return []Campaign{c}, nil
+			p = p.withDefaults(defaultSeeds, defaultTargets)
+			return screenAt(p.Seed, p.Targets, p)
 		},
 	}))
 	must(Register(Scenario{
 		Name:        "stress",
 		Description: "multi-target stress test: Seeds independent screen campaigns of Targets complexes each",
 		Build: func(p Params) ([]Campaign, error) {
-			p = p.withDefaults()
-			var all []Campaign
-			for i := 0; i < p.Seeds; i++ {
-				c, err := screenAt(p.Seed+uint64(i), p.Targets, p)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, c)
-			}
-			return all, nil
+			p = p.withDefaults(defaultSeeds, defaultTargets)
+			return perSeed(p, func(seed uint64) ([]Campaign, error) { return screenAt(seed, p.Targets, p) })
 		},
 	}))
 	must(Register(Scenario{
@@ -847,12 +832,8 @@ func init() {
 				p.Targets = 128
 			}
 			p.SplitPilots = true
-			p = p.withDefaults()
-			c, err := screenAt(p.Seed, p.Targets, p)
-			if err != nil {
-				return nil, err
-			}
-			return []Campaign{c}, nil
+			p = p.withDefaults(defaultSeeds, defaultTargets)
+			return screenAt(p.Seed, p.Targets, p)
 		},
 	}))
 	must(Register(Scenario{
@@ -864,9 +845,7 @@ func init() {
 			// "Kilo" is about the fleet, not the screen: the node floor is
 			// enforced in kiloScreenAt, while Targets stays tunable so CI
 			// race smokes can run a reduced screen on the full fleet.
-			if p.Targets <= 0 {
-				p.Targets = kiloTargets
-			}
+			p = p.withDefaults(defaultSeeds, kiloTargets)
 			// Faults and steering default on — the scenario exists to drive
 			// every ledger mutation path (allocate/release/crash/repair/
 			// transfer) at scale. Explicit settings pass through.
@@ -879,31 +858,18 @@ func init() {
 			if p.Steer == "" {
 				p.Steer = "greedy"
 			}
-			p = p.withDefaults()
-			c, err := kiloScreenAt(p.Seed, p.Targets, p)
-			if err != nil {
-				return nil, err
-			}
-			return []Campaign{c}, nil
+			return kiloScreenAt(p.Seed, p.Targets, p)
 		},
 	}))
 	must(Register(Scenario{
 		Name:        "policy-compare",
 		Description: "races every scheduling policy (fifo, backfill, bestfit, worstfit, largest) as IM-RP campaigns over a Seeds-wide seed sweep of the four PDZ domains",
 		Build: func(p Params) ([]Campaign, error) {
-			p = p.withDefaults()
+			p = p.withDefaults(defaultSeeds, defaultTargets)
 			if p.Policy != "" {
 				return nil, fmt.Errorf("campaign: policy-compare races every policy; a fixed policy %q does not apply", p.Policy)
 			}
-			var all []Campaign
-			for i := 0; i < p.Seeds; i++ {
-				cs, err := policyCompareAt(p.Seed+uint64(i), p)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, cs...)
-			}
-			return all, nil
+			return perSeed(p, func(seed uint64) ([]Campaign, error) { return policyCompareAt(seed, p) })
 		},
 		Report:    report.PolicyCompare,
 		ReportCSV: report.PolicyCompareCSV,
@@ -923,22 +889,8 @@ func init() {
 			// screen is a quarter of the paper's 70 complexes and the seed
 			// grid half the usual sweep, because every seed runs once per
 			// steering policy on a 4× machine. Explicit values pass through.
-			if p.Targets <= 0 {
-				p.Targets = 18
-			}
-			if p.Seeds <= 0 {
-				p.Seeds = 4
-			}
-			p = p.withDefaults()
-			var all []Campaign
-			for i := 0; i < p.Seeds; i++ {
-				cs, err := elasticScreenAt(p.Seed+uint64(i), p.Targets, p)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, cs...)
-			}
-			return all, nil
+			p = p.withDefaults(4, 18)
+			return perSeed(p, func(seed uint64) ([]Campaign, error) { return elasticScreenAt(seed, p.Targets, p) })
 		},
 		Report:    report.Elastic,
 		ReportCSV: report.ElasticCSV,
@@ -948,7 +900,7 @@ func init() {
 		Description: "races every fault-recovery policy (none, retry, backoff, elsewhere) across a failure-rate grid " +
 			"and a Seeds-wide seed sweep, against fault-free baselines, and reports goodput / wasted work / makespan inflation",
 		Build: func(p Params) ([]Campaign, error) {
-			p = p.withDefaults()
+			p = p.withDefaults(defaultSeeds, defaultTargets)
 			if p.Recovery != "" {
 				return nil, fmt.Errorf("campaign: fault-sweep races every recovery policy; a fixed policy %q does not apply", p.Recovery)
 			}
@@ -959,15 +911,7 @@ func init() {
 			if len(rates) == 0 {
 				rates = []float64{0.05, 0.15, 0.30}
 			}
-			var all []Campaign
-			for i := 0; i < p.Seeds; i++ {
-				cs, err := faultSweepAt(p.Seed+uint64(i), rates, p)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, cs...)
-			}
-			return all, nil
+			return perSeed(p, func(seed uint64) ([]Campaign, error) { return faultSweepAt(seed, rates, p) })
 		},
 		Report:    report.Resilience,
 		ReportCSV: report.ResilienceCSV,
@@ -989,22 +933,8 @@ func init() {
 			// The grid is recovery × steering wide, so the defaults keep
 			// each cell small: a short screen and a narrow seed sweep.
 			// Explicit values pass through.
-			if p.Targets <= 0 {
-				p.Targets = 8
-			}
-			if p.Seeds <= 0 {
-				p.Seeds = 2
-			}
-			p = p.withDefaults()
-			var all []Campaign
-			for i := 0; i < p.Seeds; i++ {
-				cs, err := chaosSweepAt(p.Seed+uint64(i), p.Targets, p)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, cs...)
-			}
-			return all, nil
+			p = p.withDefaults(2, 8)
+			return perSeed(p, func(seed uint64) ([]Campaign, error) { return chaosSweepAt(seed, p.Targets, p) })
 		},
 		Report:    report.Chaos,
 		ReportCSV: report.ChaosCSV,
@@ -1029,22 +959,8 @@ func init() {
 			// The grid is interval × mode × steering wide, so the defaults
 			// keep each cell small: a short screen and a narrow seed sweep.
 			// Explicit values pass through.
-			if p.Targets <= 0 {
-				p.Targets = 8
-			}
-			if p.Seeds <= 0 {
-				p.Seeds = 2
-			}
-			p = p.withDefaults()
-			var all []Campaign
-			for i := 0; i < p.Seeds; i++ {
-				cs, err := preemptSweepAt(p.Seed+uint64(i), p.Targets, p)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, cs...)
-			}
-			return all, nil
+			p = p.withDefaults(2, 8)
+			return perSeed(p, func(seed uint64) ([]Campaign, error) { return preemptSweepAt(seed, p.Targets, p) })
 		},
 		Report:    report.Preemption,
 		ReportCSV: report.PreemptionCSV,
@@ -1074,25 +990,11 @@ func init() {
 			// Tenants whole campaigns, so the defaults keep cells small:
 			// a short per-tenant screen and a narrow seed sweep. Explicit
 			// values pass through.
-			if p.Targets <= 0 {
-				p.Targets = 16
-			}
-			if p.Seeds <= 0 {
-				p.Seeds = 2
-			}
+			p = p.withDefaults(2, 16)
 			if p.Tenants <= 0 {
 				p.Tenants = 8
 			}
-			p = p.withDefaults()
-			var all []Campaign
-			for i := 0; i < p.Seeds; i++ {
-				cs, err := tenantSweepAt(p.Seed+uint64(i), admissions, p)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, cs...)
-			}
-			return all, nil
+			return perSeed(p, func(seed uint64) ([]Campaign, error) { return tenantSweepAt(seed, admissions, p) })
 		},
 		Report:    report.Fairness,
 		ReportCSV: report.FairnessCSV,

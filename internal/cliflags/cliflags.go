@@ -46,30 +46,15 @@ type Options struct {
 
 // Common holds the parsed values of the shared flags. The execution
 // knobs bind straight into a campaign.Params, the one spec every mode
-// runs from; only the fault-model inputs, which assemble into
-// Params.Fault, and the command-level flags live here.
+// runs from; only the two fault-model inputs that need assembling and
+// the command-level flags live here.
 type Common struct {
 	p campaign.Params
 
 	// Parallel is the campaign-engine worker count (0 = GOMAXPROCS).
 	Parallel int
-	// FaultRate is the per-task failure probability (0 = no task
-	// faults).
-	FaultRate float64
-	// MTBF enables the node-crash model (0 = off).
-	MTBF time.Duration
-	// Repair is the node repair window (used when MTBF is set).
+	// Repair is the node repair window (used when -mtbf is set).
 	Repair time.Duration
-	// OutageMTBF enables the correlated domain-outage model (0 = off).
-	OutageMTBF time.Duration
-	// OutageDur is the whole-domain outage duration (0 = the repair
-	// window).
-	OutageDur time.Duration
-	// Cascade is the per-neighbor cascade probability after a crash
-	// (0 = off; needs -mtbf).
-	Cascade float64
-	// CascadeWindow bounds the cascade follow-up delay (0 = default).
-	CascadeWindow time.Duration
 	// MaintenanceSpec is the scheduled-maintenance description
 	// (fault.ParseMaintenance syntax; "" = none).
 	MaintenanceSpec string
@@ -129,15 +114,15 @@ func Register(fs *flag.FlagSet, o Options) *Common {
 	}
 	fs.StringVar(&p.Policy, "policy", "",
 		"agent scheduling policy: "+strings.Join(sched.Names(), ", ")+" (empty = protocol default)")
-	fs.Float64Var(&c.FaultRate, "fault", 0, "per-task failure probability injected into every pilot (0 = no task faults)")
-	fs.DurationVar(&c.MTBF, "mtbf", 0, "node mean-time-between-failures for the crash model (0 = no node crashes)")
+	fs.Float64Var(&p.Fault.TaskFailProb, "fault", 0, "per-task failure probability injected into every pilot (0 = no task faults)")
+	fs.DurationVar(&p.Fault.NodeMTBF, "mtbf", 0, "node mean-time-between-failures for the crash model (0 = no node crashes)")
 	fs.DurationVar(&c.Repair, "repair", fault.DefaultNodeRepair, "node repair window after a crash (with -mtbf)")
 	fs.StringVar(&p.Recovery, "recovery", "",
 		"fault-recovery policy: "+strings.Join(fault.Names(), ", ")+" (empty = none)")
-	fs.DurationVar(&c.OutageMTBF, "outage-mtbf", 0, "mean time between whole-domain outages per failure domain (0 = no domain outages)")
-	fs.DurationVar(&c.OutageDur, "outage-dur", 0, "domain outage duration (0 = the -repair window)")
-	fs.Float64Var(&c.Cascade, "cascade", 0, "probability a node crash cascades to each same-domain neighbor (0 = off; needs -mtbf)")
-	fs.DurationVar(&c.CascadeWindow, "cascade-window", 0, "window cascade follow-up crashes land in (0 = default)")
+	fs.DurationVar(&p.Fault.Domains.OutageMTBF, "outage-mtbf", 0, "mean time between whole-domain outages per failure domain (0 = no domain outages)")
+	fs.DurationVar(&p.Fault.Domains.OutageDuration, "outage-dur", 0, "domain outage duration (0 = the -repair window)")
+	fs.Float64Var(&p.Fault.Domains.CascadeProb, "cascade", 0, "probability a node crash cascades to each same-domain neighbor (0 = off; needs -mtbf)")
+	fs.DurationVar(&p.Fault.Domains.CascadeWindow, "cascade-window", 0, "window cascade follow-up crashes land in (0 = default)")
 	fs.StringVar(&c.MaintenanceSpec, "maintenance", "",
 		"scheduled maintenance windows, e.g. rackA@6h/30m/24h,rackB@12h/1h (domain@start/duration[/every]; empty = none)")
 	fs.StringVar(&p.Steer, "steer", "",
@@ -337,16 +322,9 @@ func (c *Common) PrintWarnings(w io.Writer) {
 // Call Validate first: a malformed -maintenance spec is reported there
 // and silently dropped here.
 func (c *Common) Fault() fault.Spec {
-	s := fault.Spec{TaskFailProb: c.FaultRate}
-	if c.MTBF > 0 {
-		s.NodeMTBF = c.MTBF
+	s := c.p.Fault
+	if s.NodeMTBF > 0 {
 		s.NodeRepair = c.Repair
-	}
-	s.Domains = fault.DomainSpec{
-		OutageMTBF:     c.OutageMTBF,
-		OutageDuration: c.OutageDur,
-		CascadeProb:    c.Cascade,
-		CascadeWindow:  c.CascadeWindow,
 	}
 	s.Domains.Maintenance, _ = fault.ParseMaintenance(c.MaintenanceSpec)
 	return s

@@ -23,7 +23,7 @@ func parse(t *testing.T, o Options, args ...string) *Common {
 
 func TestDefaultsAndRenaming(t *testing.T) {
 	c := parse(t, Options{SeedDefault: 42, ParallelDefault: 1, WithPilots: true})
-	if c.p.Seed != 42 || c.Parallel != 1 || c.p.SplitPilots || c.p.Recovery != "" || c.FaultRate != 0 {
+	if c.p.Seed != 42 || c.Parallel != 1 || c.p.SplitPilots || c.p.Recovery != "" || c.p.Fault.TaskFailProb != 0 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	if err := c.Validate(); err != nil {
@@ -207,16 +207,16 @@ func TestStartProfilesNoFlagsIsNoop(t *testing.T) {
 }
 
 // TestEveryParamsFieldHasAFlag guards against knob drift: every exported
-// campaign.Params field is bound directly by one of the shared flags, or
-// is listed here as filled some other way. A new Params knob without a
-// flag fails until it gets one or an exemption.
+// campaign.Params field is bound by one of the shared flags (a struct
+// field such as Fault counts when a flag binds inside it), or is listed
+// here as filled some other way. A new Params knob without a flag fails
+// until it gets one or an exemption.
 func TestEveryParamsFieldHasAFlag(t *testing.T) {
 	exempt := map[string]string{
 		"Seeds":      "workload width, a per-command flag (-seeds)",
 		"Targets":    "workload width, a per-command flag (-screen-size, -screen)",
 		"FaultRates": "fault-sweep grid, set by library callers",
 		"Telemetry":  "derived from -chrome-trace",
-		"Fault":      "assembled from the fault-model flags",
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := Register(fs, Options{WithPilots: true})
@@ -230,12 +230,18 @@ func TestEveryParamsFieldHasAFlag(t *testing.T) {
 		if !field.IsExported() {
 			continue
 		}
-		name, isBound := bound[pv.Field(i).Addr().Pointer()]
+		start := pv.Field(i).Addr().Pointer()
+		var by string
+		for ptr, name := range bound {
+			if ptr >= start && ptr < start+field.Type.Size() {
+				by = name
+			}
+		}
 		_, isExempt := exempt[field.Name]
 		switch {
-		case isBound && isExempt:
-			t.Errorf("Params.%s is bound by -%s but also exempt", field.Name, name)
-		case !isBound && !isExempt:
+		case by != "" && isExempt:
+			t.Errorf("Params.%s is bound by -%s but also exempt", field.Name, by)
+		case by == "" && !isExempt:
 			t.Errorf("Params.%s has no shared flag and no exemption", field.Name)
 		}
 	}
