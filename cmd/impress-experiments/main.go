@@ -7,7 +7,7 @@
 //
 // Experiments: table1, fig2, fig3, fig4, fig5, or "all" (default).
 //
-// Flags:
+// Flags (given before any experiment name):
 //
 //	-seed N       campaign seed (default 42)
 //	-screen N     Fig. 3 screen size (default 70, the paper's)
@@ -15,9 +15,17 @@
 //	-policy P     scheduling-policy ablation (fifo, backfill, bestfit, worstfit, largest)
 //	-fault P      resilience ablation: per-task failure probability
 //	-mtbf D       resilience ablation: node crash MTBF (with -repair)
+//	-outage-mtbf, -outage-dur, -cascade, -cascade-window, -maintenance
+//	              resilience ablation: correlated failure-domain models
 //	-recovery R   fault-recovery policy (none, retry, backoff, elsewhere)
-//	-steer S      elastic steering policy for -scenario runs (none, greedy, hysteresis)
 //	-out DIR      also write <experiment>.txt and <experiment>.csv files
+//	-cpuprofile, -memprofile  pprof profiles of the run
+//
+// Scenario mode (-scenario NAME) runs a registered campaign scenario
+// instead and also honours the execution flags the paper experiments
+// reject when set: -steer, -fleet, -checkpoint-interval,
+// -walltime-grace, -chrome-trace and the tenancy flags -tenants,
+// -arrival, -arrival-span, -admit and -reclaim.
 package main
 
 import (

@@ -2,10 +2,11 @@
 //
 // impress-run, impress-sweep, and impress-experiments all expose the
 // same execution knobs — seed, engine parallelism, pilot placement,
-// scheduling policy, and the fault/recovery configuration — and before
-// this package each main declared its own copies, which drifted. Here
-// the common set is registered once, with per-command defaults, and
-// validated in one place.
+// scheduling policy, the fault/recovery configuration, steering,
+// preemption and tenancy. Here the common set is registered once, with
+// per-command defaults, bound straight into the campaign.Params every
+// mode runs from, validated in one place, and guarded in one place
+// against flags a mode does not honour (Common.Reject).
 package cliflags
 
 import (
