@@ -2,7 +2,8 @@ package impress_test
 
 // Checkpointed-preemption regression layer: the preempt-sweep scenario's
 // headline claim (evict-and-resume strictly beats kill-and-restart on
-// wasted core-hours at equal-or-better makespan) pinned on two seeds,
+// wasted core-hours on every seed, at a median makespan no worse) pinned
+// on eight seeds,
 // plus a randomized invariant suite over the full grid — whatever the
 // seed, attempt chains stay gapless, checkpointed progress is resumed
 // exactly once, an eviction loses at most one checkpoint interval, and
@@ -11,13 +12,17 @@ package impress_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"impress"
+	"impress/internal/stats"
 )
 
-// runPreemptSweep builds and runs the preempt-sweep scenario, returning
-// results keyed by campaign name.
+// runPreemptSweep builds and runs the preempt-sweep scenario on
+// GOMAXPROCS engine workers (campaigns are hermetically seeded, so the
+// results do not depend on the worker count), returning results keyed by
+// campaign name.
 func runPreemptSweep(t *testing.T, p impress.ScenarioParams) map[string]*impress.Result {
 	t.Helper()
 	campaigns, err := impress.BuildScenario("preempt-sweep", p)
@@ -25,7 +30,7 @@ func runPreemptSweep(t *testing.T, p impress.ScenarioParams) map[string]*impress
 		t.Fatal(err)
 	}
 	byName := make(map[string]*impress.Result, len(campaigns))
-	for _, o := range impress.RunCampaigns(campaigns, 1) {
+	for _, o := range impress.RunCampaigns(campaigns, runtime.GOMAXPROCS(0)) {
 		if o.Err != nil {
 			t.Fatalf("campaign %s failed: %v", o.Name, o.Err)
 		}
@@ -146,20 +151,25 @@ func checkPreemptInvariants(t *testing.T, name string, res *impress.Result) {
 	}
 }
 
-// TestPreemptSweepAcceptance pins the scenario's reason to exist on two
-// seeds: with preemptive steering, graceful drain plus a 15m checkpoint
-// cadence strictly reduces wasted core-hours versus hard kill with
-// checkpointing off, at equal-or-better makespan. Every cell of the run
-// is also pushed through the invariant suite.
+// TestPreemptSweepAcceptance pins the scenario's reason to exist on
+// seeds 42–49: with preemptive steering, graceful drain plus a 15m
+// checkpoint cadence strictly reduces wasted core-hours versus hard kill
+// with checkpointing off on every seed, and the median evict-and-resume /
+// kill-and-restart makespan ratio is at most 1. A single seed's makespan
+// may go either way (the two cells are different schedules), so that
+// claim is judged across seeds. Every cell of the run is also pushed
+// through the invariant suite.
 func TestPreemptSweepAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full preemption grid in -short mode")
 	}
-	byName := runPreemptSweep(t, impress.ScenarioParams{Seed: 42, Seeds: 2, Targets: 8})
+	const firstSeed, nSeeds = 42, 8
+	byName := runPreemptSweep(t, impress.ScenarioParams{Seed: firstSeed, Seeds: nSeeds, Targets: 8})
 	for name, res := range byName {
 		checkPreemptInvariants(t, name, res)
 	}
-	for _, seed := range []uint64{42, 43} {
+	var ratios []float64
+	for seed := uint64(firstSeed); seed < firstSeed+nSeeds; seed++ {
 		kill := byName[fmt.Sprintf("preempt/kill+preempt/ck0/seed%d", seed)]
 		resume := byName[fmt.Sprintf("preempt/drain+preempt/ck15m/seed%d", seed)]
 		if kill == nil || resume == nil {
@@ -169,10 +179,11 @@ func TestPreemptSweepAcceptance(t *testing.T) {
 			t.Errorf("seed %d: evict-and-resume wasted %.2f core-h, kill-and-restart %.2f — resume must waste strictly less",
 				seed, resume.Faults.WastedCoreHours, kill.Faults.WastedCoreHours)
 		}
-		if resume.Makespan > kill.Makespan {
-			t.Errorf("seed %d: evict-and-resume makespan %.2fh exceeds kill-and-restart %.2fh",
-				seed, resume.Makespan.Hours(), kill.Makespan.Hours())
-		}
+		ratio := resume.Makespan.Hours() / kill.Makespan.Hours()
+		ratios = append(ratios, ratio)
+		t.Logf("seed %d: makespan evict-and-resume %.2fh / kill-and-restart %.2fh = %.3f; wasted %.2f vs %.2f core-h",
+			seed, resume.Makespan.Hours(), kill.Makespan.Hours(), ratio,
+			resume.Faults.WastedCoreHours, kill.Faults.WastedCoreHours)
 		if resume.Faults.Evictions == 0 {
 			t.Errorf("seed %d: the drain cell never evicted", seed)
 		}
@@ -197,6 +208,11 @@ func TestPreemptSweepAcceptance(t *testing.T) {
 			t.Errorf("seed %d: checkpointed restart wasted %.2f core-h, cold restart %.2f — checkpoints must waste strictly less",
 				seed, killWarm.Faults.WastedCoreHours, killCold.Faults.WastedCoreHours)
 		}
+	}
+	median := stats.Median(ratios)
+	t.Logf("median makespan ratio evict-and-resume / kill-and-restart over %d seeds: %.3f", nSeeds, median)
+	if median > 1 {
+		t.Errorf("median evict-and-resume / kill-and-restart makespan ratio %.3f over %d seeds, want <= 1", median, nSeeds)
 	}
 }
 
