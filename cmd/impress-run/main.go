@@ -110,6 +110,16 @@ func run() int {
 		return scenariorun.Run(os.Stdout, os.Stderr, *scenario, p, common.Parallel, *csvPath, common.ChromeTrace)
 	}
 
+	// A single campaign honours every flag but the multi-seed sweep width
+	// and the tenancy flags, which only scenarios consume.
+	err = common.Reject("single-campaign runs (use -scenario)", func(name string) bool {
+		return name != "seeds" && !cliflags.Tenancy(name)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+
 	// The protocol config fully encodes the execution policy here
 	// (ControlConfig is already sequential and non-adaptive), and flags
 	// may override any part of it — so the campaign is submitted without

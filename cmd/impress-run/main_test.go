@@ -20,5 +20,7 @@ func TestTranscripts(t *testing.T) {
 		{Name: "scenario-pair", Args: []string{"-scenario", "pair"}},
 		{Name: "scenario-pair-protocol", Args: []string{"-scenario", "pair", "-protocol", "imrp"}},
 		{Name: "checkpoint-warning", Args: []string{"-checkpoint-interval", "30m"}},
+		// Single-campaign mode rejects the flags only scenarios honour.
+		{Name: "single-tenancy-seeds", Args: []string{"-tenants", "4", "-admit", "quota", "-seeds", "3"}},
 	})
 }

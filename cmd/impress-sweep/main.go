@@ -69,6 +69,15 @@ func run() int {
 	if *scenario != "" {
 		return scenariorun.Run(os.Stdout, os.Stderr, *scenario, params, common.Parallel, *csvPath, common.ChromeTrace)
 	}
+	// The pair sweep runs on each protocol's own machine: neither the
+	// tenancy flags nor -fleet reach its campaigns.
+	err = common.Reject("the pair sweep (use -scenario)", func(name string) bool {
+		return name != "fleet" && !cliflags.Tenancy(name)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	common.PrintWarnings(os.Stderr)
 
 	// The sweep scenario is the CONT-V/IM-RP pair at each seed.

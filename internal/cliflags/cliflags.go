@@ -181,6 +181,17 @@ func (c *Common) Reject(mode string, honoured func(name string) bool) error {
 // opposed to one a command registered itself.
 func (c *Common) Shared(name string) bool { return c.shared[name] }
 
+// Tenancy reports whether name is one of the tenancy flags (-tenants,
+// -arrival, -arrival-span, -admit, -reclaim), which only the tenant-sweep
+// scenario honours.
+func Tenancy(name string) bool {
+	switch name {
+	case "tenants", "arrival", "arrival-span", "admit", "reclaim":
+		return true
+	}
+	return false
+}
+
 // StartProfiles begins CPU profiling when -cpuprofile was given and
 // returns a stop function that finishes the CPU profile and writes the
 // -memprofile allocation snapshot. The stop function is idempotent and

@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -270,5 +271,22 @@ func TestReject(t *testing.T) {
 	c = Register(fs, Options{})
 	if err := c.Reject("test mode", func(string) bool { return false }); err != nil {
 		t.Fatalf("unset flags rejected: %v", err)
+	}
+}
+
+func TestTenancyNamesSharedFlags(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	c := Register(fs, Options{WithPilots: true})
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) {
+		if Tenancy(f.Name) {
+			got = append(got, f.Name)
+		}
+	})
+	if want := "[admit arrival arrival-span reclaim tenants]"; fmt.Sprint(got) != want {
+		t.Fatalf("tenancy flags %v, want %s", got, want)
+	}
+	if !c.Shared("tenants") || Tenancy("fleet") {
+		t.Fatal("Tenancy misclassifies a shared flag")
 	}
 }
