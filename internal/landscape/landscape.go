@@ -125,14 +125,12 @@ func New(st *protein.Structure, seed uint64, cfg Config) *Model {
 		seed:   seed,
 		cfg:    cfg,
 	}
-	// NumAA is even, so the pairwise bulk draws below consume the exact
-	// deviate stream the per-cell NormFloat64 loop did.
-	rng := xrand.New(xrand.Derive(seed, "landscape:"+st.Name))
+	// Bulk draws take ziggurat normals, one per cell in row-major order:
+	// fields, then each edge's W.
+	rng := xrand.Seeded(xrand.Derive(seed, "landscape:"+st.Name))
 	for i := range m.Fields {
-		for a := 0; a < protein.NumAA; a += 2 {
-			w1, w2 := rng.NormPair()
-			m.Fields[i][a] = w1 * cfg.FieldStd
-			m.Fields[i][a+1] = w2 * cfg.FieldStd
+		for a := range m.Fields[i] {
+			m.Fields[i][a] = rng.Ziggurat() * cfg.FieldStd
 		}
 	}
 	contacts := st.Contacts(cfg.ContactCutoff)
@@ -145,14 +143,10 @@ func New(st *protein.Structure, seed uint64, cfg Config) *Model {
 			std = cfg.InterCouplingStd
 		}
 		for a := 0; a < protein.NumAA; a++ {
-			for b := 0; b < protein.NumAA; b += 2 {
-				w1, w2 := rng.NormPair()
-				w1 *= std
-				w2 *= std
-				e.W[a][b] = w1
-				e.W[a][b+1] = w2
-				e.wt[b][a] = w1
-				e.wt[b+1][a] = w2
+			for b := 0; b < protein.NumAA; b++ {
+				w := rng.Ziggurat() * std
+				e.W[a][b] = w
+				e.wt[b][a] = w
 			}
 		}
 	}
@@ -521,15 +515,12 @@ func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
 	c.EnergyOpt, c.InterOpt = m.EnergyOpt, m.InterOpt
 	c.seed, c.cfg = seed, m.cfg
 
-	// NumAA is even, so the pairwise bulk draws below consume the exact
-	// deviate stream the per-cell NormFloat64 loop did.
+	// The noise takes ziggurat normals in New's cell order.
 	rng := xrand.Seeded(xrand.Derive(seed, "corrupt:"+m.Name))
 	fStd := m.cfg.FieldStd * level
 	for i := range m.Fields {
-		for a := 0; a < protein.NumAA; a += 2 {
-			n1, n2 := rng.NormPair()
-			c.Fields[i][a] = m.Fields[i][a] + n1*fStd
-			c.Fields[i][a+1] = m.Fields[i][a+1] + n2*fStd
+		for a, f := range &m.Fields[i] {
+			c.Fields[i][a] = f + rng.Ziggurat()*fStd
 		}
 	}
 	sameTopology := sameShape
@@ -547,14 +538,10 @@ func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
 		for a := 0; a < protein.NumAA; a++ {
 			srcRow := &src.W[a]
 			dstRow := &dst.W[a]
-			for b := 0; b < protein.NumAA; b += 2 {
-				n1, n2 := rng.NormPair()
-				w1 := srcRow[b] + n1*std
-				w2 := srcRow[b+1] + n2*std
-				dstRow[b] = w1
-				dstRow[b+1] = w2
-				dst.wt[b][a] = w1
-				dst.wt[b+1][a] = w2
+			for b, w := range srcRow {
+				w += rng.Ziggurat() * std
+				dstRow[b] = w
+				dst.wt[b][a] = w
 			}
 		}
 	}

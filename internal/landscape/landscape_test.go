@@ -269,6 +269,95 @@ func TestCorruptKeepsCalibrationAndTopology(t *testing.T) {
 	}
 }
 
+// TestCorruptNoiseMoments checks the surrogate noise table by table:
+// (Corrupt(level) − truth)/(std·level) has mean ≈ 0 and variance ≈ 1 over
+// the field table, the intra-chain edges and the inter-chain edges, each
+// with its own configured std. The truth tables themselves, divided by
+// their std, must be standard normal too. Tolerances are four standard
+// errors of the sample mean and variance.
+func TestCorruptNoiseMoments(t *testing.T) {
+	st := testStructure(21, 120, 12)
+	cfg := DefaultConfig()
+	m := New(st, 21, cfg)
+	const level = 0.7
+	c := m.Corrupt(level, 5)
+	type table struct {
+		name         string
+		std          float64
+		noise, truth []float64
+	}
+	fields := &table{name: "fields", std: cfg.FieldStd}
+	intra := &table{name: "intra-chain edges", std: cfg.CouplingStd}
+	inter := &table{name: "inter-chain edges", std: cfg.InterCouplingStd}
+	for i := range m.Fields {
+		for a := range m.Fields[i] {
+			fields.noise = append(fields.noise, (c.Fields[i][a]-m.Fields[i][a])/(fields.std*level))
+			fields.truth = append(fields.truth, m.Fields[i][a]/fields.std)
+		}
+	}
+	for k := range m.Edges {
+		tb := intra
+		if m.Edges[k].Interchain {
+			tb = inter
+		}
+		for a := 0; a < protein.NumAA; a++ {
+			for b := 0; b < protein.NumAA; b++ {
+				w := m.Edges[k].W[a][b]
+				tb.noise = append(tb.noise, (c.Edges[k].W[a][b]-w)/(tb.std*level))
+				tb.truth = append(tb.truth, w/tb.std)
+			}
+		}
+	}
+	check := func(name string, xs []float64) {
+		n := float64(len(xs))
+		if n < 1000 {
+			t.Fatalf("%s: only %d cells; the test structure is too small", name, len(xs))
+		}
+		mean, variance := stats.Mean(xs), stats.Variance(xs)
+		if tol := 4 / math.Sqrt(n); math.Abs(mean) > tol {
+			t.Errorf("%s: mean %.4f over %d cells, want 0 ± %.4f", name, mean, len(xs), tol)
+		}
+		if tol := 4 * math.Sqrt(2/n); math.Abs(variance-1) > tol {
+			t.Errorf("%s: variance %.4f over %d cells, want 1 ± %.4f", name, variance, len(xs), tol)
+		}
+	}
+	for _, tb := range []*table{fields, intra, inter} {
+		check("noise on "+tb.name, tb.noise)
+		check("truth "+tb.name, tb.truth)
+	}
+}
+
+// TestTransposeMatchesW pins wt = Wᵀ bit for bit on every edge of a fresh
+// model, a fresh corruption, and a corruption recycled into an earlier
+// surrogate's memory.
+func TestTransposeMatchesW(t *testing.T) {
+	m, _ := testModel(22)
+	check := func(name string, x *Model) {
+		for k := range x.Edges {
+			e := &x.Edges[k]
+			for a := 0; a < protein.NumAA; a++ {
+				for b := 0; b < protein.NumAA; b++ {
+					if math.Float64bits(e.wt[b][a]) != math.Float64bits(e.W[a][b]) {
+						t.Fatalf("%s: edge %d wt[%d][%d] = %v, W[%d][%d] = %v", name, k, b, a, e.wt[b][a], a, b, e.W[a][b])
+					}
+				}
+			}
+		}
+	}
+	check("New", m)
+	fresh := m.Corrupt(0.6, 3)
+	check("fresh CorruptInto", fresh)
+	m.Recycle(fresh)
+	recycled := m.Corrupt(0.9, 4)
+	if recycled != fresh {
+		t.Fatal("Corrupt did not reuse the recycled surrogate")
+	}
+	check("recycled CorruptInto", recycled)
+	if want := m.CorruptInto(nil, 0.9, 4); want.Edges[0].W != recycled.Edges[0].W || want.Fields[0] != recycled.Fields[0] {
+		t.Fatal("recycled corruption differs from a fresh one at the same seed")
+	}
+}
+
 func TestMetricsRangesProperty(t *testing.T) {
 	check := func(zRaw, ziRaw int16, isComplex bool) bool {
 		z := float64(zRaw) / 1000
@@ -393,5 +482,14 @@ func BenchmarkModelConstruction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = New(st, 1, DefaultConfig())
+	}
+}
+
+func BenchmarkCorrupt(b *testing.B) {
+	m := New(testStructure(1, 90, 10), 1, DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Recycle(m.Corrupt(0.5, uint64(i)))
 	}
 }

@@ -107,50 +107,31 @@ func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// boxMuller draws one fresh Box–Muller pair from two uniforms. It is the
-// single source of truth for the transform: NormFloat64 and NormPair both
-// route through it, so their deviate streams cannot drift apart. Sincos
-// shares one argument reduction between the pair; its results are
-// bit-identical to separate Sin and Cos calls (pinned by
-// TestNormFloat64SincosBitIdentical), so golden traces are unchanged.
-func (r *RNG) boxMuller() (first, second float64) {
-	var u, v float64
+// NormFloat64 returns a standard normal deviate via the Box–Muller
+// transform, caching the second deviate of each pair. It drives the
+// sparse draws (cost-model jitter, fold observation noise); bulk draws
+// use the cheaper Ziggurat. Sincos shares one argument reduction between
+// the pair; its results are bit-identical to separate Sin and Cos calls
+// (pinned by TestNormFloat64SincosBitIdentical), so golden traces are
+// unchanged.
+func (r *RNG) NormFloat64() float64 {
+	if r.has {
+		r.has = false
+		return r.spare
+	}
+	var u float64
 	for {
 		u = r.Float64()
 		if u > 1e-300 {
 			break
 		}
 	}
-	v = r.Float64()
+	v := r.Float64()
 	mag := math.Sqrt(-2 * math.Log(u))
 	sin, cos := math.Sincos(2 * math.Pi * v)
-	return mag * cos, mag * sin
-}
-
-// NormFloat64 returns a standard normal deviate via the Box–Muller
-// transform (with caching of the second deviate).
-func (r *RNG) NormFloat64() float64 {
-	if r.has {
-		r.has = false
-		return r.spare
-	}
-	first, second := r.boxMuller()
-	r.spare = second
+	r.spare = mag * sin
 	r.has = true
-	return first
-}
-
-// NormPair returns the next two standard normal deviates — exactly the
-// values two consecutive NormFloat64 calls would return — in one shot.
-// Bulk generators (landscape construction and corruption draw hundreds of
-// thousands of deviates per model) use it to skip the per-call spare
-// bookkeeping; a pending spare from an earlier NormFloat64 call is
-// honoured first, so the stream never diverges.
-func (r *RNG) NormPair() (first, second float64) {
-	if r.has {
-		return r.NormFloat64(), r.NormFloat64()
-	}
-	return r.boxMuller()
+	return mag * cos
 }
 
 // ExpFloat64 returns an exponentially distributed value with rate 1.

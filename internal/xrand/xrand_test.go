@@ -278,27 +278,3 @@ func TestSeededMatchesNew(t *testing.T) {
 		t.Fatal("Seeded normal stream diverges from New")
 	}
 }
-
-// TestNormPairMatchesNormFloat64 pins NormPair to the exact stream of two
-// consecutive NormFloat64 calls, from both spare states.
-func TestNormPairMatchesNormFloat64(t *testing.T) {
-	// Spare-free state (fresh generator).
-	a, b := New(7), New(7)
-	for i := 0; i < 10_000; i++ {
-		x1, x2 := a.NormPair()
-		if x1 != b.NormFloat64() || x2 != b.NormFloat64() {
-			t.Fatalf("NormPair diverged at pair %d (spare-free)", i)
-		}
-	}
-	// Pending-spare state: one NormFloat64 leaves a cached deviate.
-	a, b = New(8), New(8)
-	if a.NormFloat64() != b.NormFloat64() {
-		t.Fatal("setup draw diverged")
-	}
-	for i := 0; i < 10_000; i++ {
-		x1, x2 := a.NormPair()
-		if x1 != b.NormFloat64() || x2 != b.NormFloat64() {
-			t.Fatalf("NormPair diverged at pair %d (pending spare)", i)
-		}
-	}
-}
