@@ -1,6 +1,8 @@
 // Command impress-run executes protein-design campaigns through the
 // campaign engine — the adaptive IM-RP protocol or the CONT-V baseline —
-// over the paper's PDZ workloads and prints the outcome.
+// over the paper's PDZ workloads and prints the outcome. A single
+// campaign rejects -seeds and the tenancy flags, which only -scenario
+// runs honour.
 //
 // Examples:
 //

@@ -6,7 +6,8 @@
 // are hermetically seeded, so results are identical at any -parallel
 // setting. A failing seed is reported and skipped — completed rows are
 // kept, still summarized, and still written to CSV — but the process
-// always exits non-zero when any seed failed.
+// always exits non-zero when any seed failed. The pair sweep rejects
+// -fleet and the tenancy flags, which only -scenario runs honour.
 //
 //	impress-sweep -seeds 10
 //	impress-sweep -seeds 20 -parallel 8 -csv sweep.csv

@@ -127,7 +127,7 @@ func New(st *protein.Structure, seed uint64, cfg Config) *Model {
 	}
 	// Bulk draws take ziggurat normals, one per cell in row-major order:
 	// fields, then each edge's W.
-	rng := xrand.Seeded(xrand.Derive(seed, "landscape:"+st.Name))
+	rng := xrand.New(xrand.Derive(seed, "landscape:"+st.Name))
 	for i := range m.Fields {
 		for a := range m.Fields[i] {
 			m.Fields[i][a] = rng.Ziggurat() * cfg.FieldStd
