@@ -22,5 +22,8 @@ func TestTranscripts(t *testing.T) {
 		{Name: "checkpoint-warning", Args: []string{"-checkpoint-interval", "30m"}},
 		// Single-campaign mode rejects the flags only scenarios honour.
 		{Name: "single-tenancy-seeds", Args: []string{"-tenants", "4", "-admit", "quota", "-seeds", "3"}},
+		// A node count past fleet.MaxNodes is a usage error, not a
+		// makeslice panic in fleet generation.
+		{Name: "fleet-count-ceiling", Args: []string{"-scenario", "kilo-screen", "-screen-size", "1", "-parallel", "0", "-fleet", "a:28c4g128m*9223372036854775807"}},
 	})
 }

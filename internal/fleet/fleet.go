@@ -17,6 +17,12 @@ import (
 	"impress/internal/xrand"
 )
 
+// MaxNodes is the largest fleet ParseSpec accepts and Generate expands,
+// per segment and in total. It sits three orders of magnitude above the
+// kilo-node scenarios and keeps a mistyped count from overflowing the
+// node total or exhausting memory.
+const MaxNodes = 1 << 20
+
 // Template is one weighted node shape of a fleet description.
 type Template struct {
 	// Name labels the template ("cpu", "gpu", "bigmem", …).
@@ -137,6 +143,9 @@ func Generate(seed uint64, ts []Template) ([]cluster.NodeCapacity, error) {
 		if t.Count == 0 {
 			return nil, fmt.Errorf("fleet: template %q has an unresolved weight; call Distribute first", t.Name)
 		}
+		if t.Count > MaxNodes-total {
+			return nil, fmt.Errorf("fleet: templates through %q expand to more than %d nodes", t.Name, MaxNodes)
+		}
 		total += t.Count
 	}
 	caps := make([]cluster.NodeCapacity, 0, total)
@@ -157,8 +166,9 @@ func Generate(seed uint64, ts []Template) ([]cluster.NodeCapacity, error) {
 //	cpu:28c0g128m*900+gpu:8c4g32m*100@rackB
 //
 // — '+'-separated segments, each name:<cores>c<gpus>g<mem>m*<count>
-// with an optional @<domain> failure-domain label. Errors name the
-// offending segment so a long flag value stays debuggable.
+// with an optional @<domain> failure-domain label. Counts, and their
+// total, may not exceed MaxNodes. Errors name the offending segment so a
+// long flag value stays debuggable.
 func ParseSpec(s string) ([]Template, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("fleet: empty fleet spec")
@@ -166,15 +176,22 @@ func ParseSpec(s string) ([]Template, error) {
 	segs := strings.Split(s, "+")
 	ts := make([]Template, 0, len(segs))
 	seen := make(map[string]bool, len(segs))
+	total := 0
 	for _, raw := range segs {
-		t, err := parseSegment(strings.TrimSpace(raw))
+		seg := strings.TrimSpace(raw)
+		t, err := parseSegment(seg)
 		if err != nil {
 			return nil, err
 		}
 		if seen[t.Name] {
-			return nil, fmt.Errorf("fleet: bad segment %q: duplicate template name %q", strings.TrimSpace(raw), t.Name)
+			return nil, fmt.Errorf("fleet: bad segment %q: duplicate template name %q", seg, t.Name)
 		}
 		seen[t.Name] = true
+		// parseSegment caps each count at MaxNodes, so the sum cannot
+		// overflow before this check.
+		if total += t.Count; total > MaxNodes {
+			return nil, fmt.Errorf("fleet: bad segment %q: fleet total %d exceeds the %d-node ceiling", seg, total, MaxNodes)
+		}
 		ts = append(ts, t)
 	}
 	return ts, nil
@@ -213,6 +230,9 @@ func parseSegment(seg string) (Template, error) {
 	count, err := strconv.Atoi(countStr)
 	if err != nil || count <= 0 {
 		return bad(fmt.Sprintf("bad count %q", countStr))
+	}
+	if count > MaxNodes {
+		return bad(fmt.Sprintf("count %d exceeds the %d-node ceiling", count, MaxNodes))
 	}
 	t := Template{Name: name, Cap: nc, Count: count, Domain: domain}
 	if err := t.Validate(); err != nil {

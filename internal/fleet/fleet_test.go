@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,15 +36,17 @@ func TestParseSpecErrorsNameSegment(t *testing.T) {
 		seg  string // the segment the error must quote
 	}{
 		{"", ""},
-		{"28c0g128m*900", "28c0g128m*900"},                                 // no name
-		{"cpu:28c0g128m", "cpu:28c0g128m"},                                 // no count
-		{"cpu:28c128m*900", "cpu:28c128m*900"},                             // missing g field
-		{"cpu:28c0g128m*bogus", "cpu:28c0g128m*bogus"},                     // bad count
-		{"cpu:28c0g128m*0", "cpu:28c0g128m*0"},                             // zero count
-		{"cpu:28c0g128mXX*9", "cpu:28c0g128mXX*9"},                         // trailing junk
-		{"cpu:0c0g128m*9", "cpu:0c0g128m*9"},                               // degenerate shape
-		{"cpu:4c0g8m*2+cpu:8c0g16m*2", "cpu:8c0g16m*2"},                    // duplicate name
-		{"cpu:4c0g8m*2+gpu:2c1g4m*bad+big:8c0g64m*1", "gpu:2c1g4m*bad"},    // middle segment
+		{"28c0g128m*900", "28c0g128m*900"},                                     // no name
+		{"cpu:28c0g128m", "cpu:28c0g128m"},                                     // no count
+		{"cpu:28c128m*900", "cpu:28c128m*900"},                                 // missing g field
+		{"cpu:28c0g128m*bogus", "cpu:28c0g128m*bogus"},                         // bad count
+		{"cpu:28c0g128m*0", "cpu:28c0g128m*0"},                                 // zero count
+		{"cpu:28c0g128mXX*9", "cpu:28c0g128mXX*9"},                             // trailing junk
+		{"cpu:0c0g128m*9", "cpu:0c0g128m*9"},                                   // degenerate shape
+		{"cpu:4c0g8m*2+cpu:8c0g16m*2", "cpu:8c0g16m*2"},                        // duplicate name
+		{"cpu:4c0g8m*2+gpu:2c1g4m*bad+big:8c0g64m*1", "gpu:2c1g4m*bad"},        // middle segment
+		{"a:28c4g128m*9223372036854775807", "a:28c4g128m*9223372036854775807"}, // count past MaxNodes
+		{"a:1c0g1m*1048576+b:1c0g1m*1", "b:1c0g1m*1"},                          // total past MaxNodes
 	}
 	for _, tc := range cases {
 		_, err := ParseSpec(tc.spec)
@@ -207,7 +210,7 @@ func TestParseSpecDomains(t *testing.T) {
 		t.Fatalf("generated domain counts %v, want rackA:3 rackB:2 unlabeled:1", byDomain)
 	}
 	for _, bad := range []struct{ spec, seg string }{
-		{"cpu:8c0g32m*3@", "cpu:8c0g32m*3@"},          // empty domain
+		{"cpu:8c0g32m*3@", "cpu:8c0g32m*3@"},           // empty domain
 		{"cpu:8c0g32m*x@rackA", "cpu:8c0g32m*x@rackA"}, // bad count with domain
 	} {
 		_, err := ParseSpec(bad.spec)
@@ -218,4 +221,54 @@ func TestParseSpecDomains(t *testing.T) {
 			t.Fatalf("ParseSpec(%q) error %q does not name segment %q", bad.spec, err, bad.seg)
 		}
 	}
+}
+
+// TestNodeCeiling: counts up to MaxNodes parse, one past it does not, and
+// Generate refuses templates built in code whose total passes the ceiling
+// instead of overflowing its capacity arithmetic.
+func TestNodeCeiling(t *testing.T) {
+	if _, err := ParseSpec(fmt.Sprintf("a:1c0g1m*%d", MaxNodes)); err != nil {
+		t.Fatalf("a count of exactly MaxNodes rejected: %v", err)
+	}
+	if _, err := ParseSpec(fmt.Sprintf("a:1c0g1m*%d", MaxNodes+1)); err == nil {
+		t.Fatal("a count past MaxNodes accepted")
+	}
+	big := []Template{
+		{Name: "a", Cap: cluster.NodeCapacity{Cores: 1}, Count: 1 << 62},
+		{Name: "b", Cap: cluster.NodeCapacity{Cores: 1}, Count: 1 << 62},
+	}
+	if _, err := Generate(1, big); err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Fatalf("Generate over the ceiling: %v", err)
+	}
+}
+
+// FuzzParseSpec: no input panics the parser, and every spec it accepts
+// expands through Generate to exactly the sum of its counts. The seed
+// corpus (testdata/fuzz/FuzzParseSpec) holds the overflowing counts that
+// once panicked or exhausted memory in Generate.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"cpu:28c0g128m*900+gpu:8c4g32m*100",
+		"cpu:8c0g32m*3@rackA+gpu:8c4g32m*2@rackB+misc:4c0g16m*1",
+		" cpu:4c0g8m*2 + gpu:2c1g4m*1 ",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		ts, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		want := 0
+		for _, tp := range ts {
+			want += tp.Count
+		}
+		caps, err := Generate(7, ts)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) accepted a spec Generate rejects: %v", spec, err)
+		}
+		if len(caps) != want {
+			t.Fatalf("ParseSpec(%q): Generate returned %d nodes, counts sum to %d", spec, len(caps), want)
+		}
+	})
 }

@@ -23,6 +23,7 @@ package landscape
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"impress/internal/protein"
@@ -59,23 +60,22 @@ func DefaultConfig() Config {
 
 // Edge is one coupled residue pair with its 20×20 coupling table. Indices
 // follow the Structure convention: receptor residues first, then peptide.
+// W[a][b] couples residue a at I with residue b at J; the table is stored
+// once and read from both ends (see halfEdge).
 type Edge struct {
 	I, J       int
 	Interchain bool
 	W          [protein.NumAA][protein.NumAA]float64
-	// wt is W transposed (wt[b][a] = W[a][b]), built by buildAdjacency so
-	// the Gibbs kernel reads a contiguous row from whichever side of the
-	// edge it stands on instead of striding down a column.
-	wt [protein.NumAA][protein.NumAA]float64
 }
 
-// halfEdge is one directed view of an edge: rows is oriented so that
-// rows[other][a] is the coupling added to candidate residue a at this
-// position when the far position holds residue other — &W on the J side,
-// &wt on the I side. The kernel therefore always sums a contiguous row.
+// halfEdge is one directed view of an edge from the position it is listed
+// under. On the J side the coupling added to candidate residue a, when the
+// far position holds residue other, is the row W[other][a]; on the I side
+// (col set) it is the column W[a][other]. Both sides read the one table.
 type halfEdge struct {
-	other int
-	rows  *[protein.NumAA][protein.NumAA]float64
+	w     *[protein.NumAA][protein.NumAA]float64
+	other int32
+	col   bool
 }
 
 // Model is a target-specific Potts landscape. It is immutable after
@@ -101,13 +101,9 @@ type Model struct {
 	seed uint64
 	cfg  Config
 
-	// spare is a retired corrupted copy of this model awaiting reuse by
-	// the next Corrupt call (see Recycle). It deliberately holds a strong
-	// reference: a sync.Pool would be drained by exactly the GC pressure
-	// the slot exists to remove. Guarded by mu; everything else in the
-	// model stays immutable after construction.
-	mu    sync.Mutex
-	spare *Model
+	// halfEdges is the flat backing array of adj, kept so a recycled
+	// surrogate rebuilds its adjacency without allocating.
+	halfEdges []halfEdge
 }
 
 // New builds the landscape for a structure. The same (structure geometry,
@@ -144,9 +140,7 @@ func New(st *protein.Structure, seed uint64, cfg Config) *Model {
 		}
 		for a := 0; a < protein.NumAA; a++ {
 			for b := 0; b < protein.NumAA; b++ {
-				w := rng.Ziggurat() * std
-				e.W[a][b] = w
-				e.wt[b][a] = w
+				e.W[a][b] = rng.Ziggurat() * std
 			}
 		}
 	}
@@ -156,35 +150,43 @@ func New(st *protein.Structure, seed uint64, cfg Config) *Model {
 }
 
 // buildAdjacency derives the per-position half-edge lists. The lists live
-// in one flat backing array (two counted passes instead of per-position
-// append growth), which cuts model construction from ~2·E·log(deg) small
-// allocations to three. Within each position, half-edges keep edge order
-// — the same order the old append loop produced — so the kernel's float
-// additions are bit-identical. Writers of Edge tables (New, CorruptInto)
-// maintain wt = Wᵀ as they fill W.
+// in one flat backing array carved into exactly-sized, capacity-capped
+// slices, and both reuse whatever capacity the model already holds, so a
+// recycled surrogate rebuilds them without allocating. Within each
+// position, half-edges keep edge order, which fixes the order of the
+// kernel's float additions.
 func (m *Model) buildAdjacency() {
-	n := m.RecLen + m.PepLen
-	start := make([]int, n+1)
-	for k := range m.Edges {
-		start[m.Edges[k].I+1]++
-		start[m.Edges[k].J+1]++
+	m.adj = resize(m.adj, m.RecLen+m.PepLen)
+	m.halfEdges = resize(m.halfEdges, 2*len(m.Edges))
+	// Count each position's degree in the length of its list; the flat
+	// array's capacity bounds every degree.
+	for i := range m.adj {
+		m.adj[i] = m.halfEdges[:0]
 	}
-	for i := 0; i < n; i++ {
-		start[i+1] += start[i]
-	}
-	flat := make([]halfEdge, 2*len(m.Edges))
-	fill := make([]int, n)
 	for k := range m.Edges {
 		e := &m.Edges[k]
-		flat[start[e.I]+fill[e.I]] = halfEdge{other: e.J, rows: &e.wt}
-		fill[e.I]++
-		flat[start[e.J]+fill[e.J]] = halfEdge{other: e.I, rows: &e.W}
-		fill[e.J]++
+		m.adj[e.I] = m.adj[e.I][:len(m.adj[e.I])+1]
+		m.adj[e.J] = m.adj[e.J][:len(m.adj[e.J])+1]
 	}
-	m.adj = make([][]halfEdge, n)
-	for i := 0; i < n; i++ {
-		m.adj[i] = flat[start[i]:start[i+1]:start[i+1]]
+	off := 0
+	for i, l := range m.adj {
+		m.adj[i] = m.halfEdges[off : off : off+len(l)]
+		off += len(l)
 	}
+	for k := range m.Edges {
+		e := &m.Edges[k]
+		m.adj[e.I] = append(m.adj[e.I], halfEdge{w: &e.W, other: int32(e.J), col: true})
+		m.adj[e.J] = append(m.adj[e.J], halfEdge{w: &e.W, other: int32(e.I)})
+	}
+}
+
+// resize returns s re-sliced to length n, allocating only when its
+// capacity is short. Contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // calibrate standardizes the energy scale using random receptor sequences
@@ -196,14 +198,42 @@ func (m *Model) calibrate(st *protein.Structure) {
 	if k < 2 {
 		k = 2
 	}
-	totals := make([]float64, k)
-	inters := make([]float64, k)
+	// Draw every sample first, in sample order, into position-major
+	// residue columns: idx[i*k+s] is sample s's residue index at i. The
+	// last sample stays in full as the anneal start below.
+	n := m.Len()
+	idx := make([]uint8, n*k)
 	full := st.FullSequence()
 	for s := 0; s < k; s++ {
 		for i := 0; i < m.RecLen; i++ {
 			full[i] = protein.Alphabet[rng.Intn(protein.NumAA)]
 		}
-		totals[s], inters[s] = m.Energies(full)
+		for i, aa := range full {
+			idx[i*k+s] = uint8(protein.Index(aa))
+		}
+	}
+	// Energies term by term across all samples: each table is loaded once,
+	// and each sample still adds its field terms and then its edge terms in
+	// Energies' order, so the sums are bit-identical to calling it per
+	// sample.
+	totals := make([]float64, k)
+	inters := make([]float64, k)
+	for i := range m.Fields {
+		f := &m.Fields[i]
+		for s, a := range idx[i*k : (i+1)*k] {
+			totals[s] += f[a]
+		}
+	}
+	for j := range m.Edges {
+		e := &m.Edges[j]
+		as, bs := idx[e.I*k:(e.I+1)*k], idx[e.J*k:(e.J+1)*k]
+		for s, a := range as {
+			w := e.W[a][bs[s]]
+			totals[s] += w
+			if e.Interchain {
+				inters[s] += w
+			}
+		}
 	}
 	m.EnergyMean, m.EnergyStd = meanStd(totals)
 	m.InterMean, m.InterStd = meanStd(inters)
@@ -309,12 +339,19 @@ func (m *Model) ConditionalEnergies(full protein.Sequence, pos int, out []float6
 		panic("landscape: ConditionalEnergies buffer size")
 	}
 	// Fixed-size array views eliminate per-iteration bounds checks in the
-	// kernel; every half-edge contributes one contiguous 20-float row.
+	// kernel; every half-edge contributes one 20-float row or column.
 	o := (*[protein.NumAA]float64)(out)
 	*o = m.Fields[pos]
 	for _, he := range m.adj[pos] {
-		row := &he.rows[protein.Index(full[he.other])]
-		for a := 0; a < protein.NumAA; a++ {
+		b := protein.Index(full[he.other])
+		if he.col {
+			for a := range o {
+				o[a] += he.w[a][b]
+			}
+			continue
+		}
+		row := &he.w[b]
+		for a := range o {
 			o[a] += row[a]
 		}
 	}
@@ -463,51 +500,70 @@ func (m *Model) Anneal(start protein.Sequence, sweeps int, tHi, tLo float64, see
 // its log-likelihood ranking decorrelates from true quality. The noise is
 // frozen by seed so one design stage sees one consistent surrogate model.
 // Calibration statistics are copied (not recomputed): z-scores always
-// refer to the true landscape's scale.
+// refer to the true landscape's scale. The surrogate is written into a
+// buffer from the process-wide free list when one is waiting there (see
+// Recycle).
 func (m *Model) Corrupt(level float64, seed uint64) *Model {
-	m.mu.Lock()
-	reuse := m.spare
-	m.spare = nil
-	m.mu.Unlock()
+	surrogates.Lock()
+	var reuse *Model
+	if n := len(surrogates.free); n > 0 {
+		reuse = surrogates.free[n-1]
+		surrogates.free[n-1] = nil
+		surrogates.free = surrogates.free[:n-1]
+	}
+	surrogates.Unlock()
 	return m.CorruptInto(reuse, level, seed)
 }
 
-// Recycle offers a surrogate produced by Corrupt back to this truth model
-// for memory reuse by the next Corrupt call. The caller must own c
-// exclusively and stop using it afterwards; the next corruption rewrites
-// it in place. Recycling keeps design stages — which corrupt a multi-MB
-// model per call — off the allocator for the lifetime of a target.
+// surrogates is the process-wide free list of retired surrogate buffers,
+// shared by every target: Corrupt pops one, Recycle pushes one back. It
+// deliberately holds strong references — a sync.Pool would be drained by
+// exactly the GC pressure the list exists to remove. Buffers only grow
+// (see CorruptInto), so the list settles at one buffer per concurrent
+// Corrupt caller, each sized for the largest target it has held.
+var surrogates struct {
+	sync.Mutex
+	free []*Model
+}
+
+// Recycle returns a surrogate produced by Corrupt to the process-wide free
+// list, for reuse by the next Corrupt call on any target. The caller must
+// own c exclusively and stop using it afterwards; the next corruption
+// rewrites it in place. Recycling keeps design stages — which corrupt a
+// multi-MB model per call — off the allocator. Recycling the receiver, or
+// a surrogate already on the list, is a no-op.
 func (m *Model) Recycle(c *Model) {
 	if c == nil || c == m {
 		return
 	}
-	m.mu.Lock()
-	m.spare = c
-	m.mu.Unlock()
+	surrogates.Lock()
+	defer surrogates.Unlock()
+	if !slices.Contains(surrogates.free, c) {
+		surrogates.free = append(surrogates.free, c)
+	}
 }
 
-// CorruptInto is Corrupt recycling a previous surrogate's memory: when
-// reuse is a model of the same shape (same lengths and edge topology —
-// any earlier corruption of the same truth qualifies), its field table,
-// edge tables, and adjacency lists are overwritten in place instead of
-// allocated fresh. Every cell is rewritten from the truth model and the
-// seed's noise stream, so the result is bit-identical to Corrupt; only
-// the allocator traffic differs. A nil or mismatched reuse model falls
-// back to fresh allocation.
+// CorruptInto is Corrupt writing into a previous surrogate's memory. Any
+// earlier surrogate qualifies, whichever target it was built for: its
+// field, edge and adjacency arrays are re-sliced to this target's lengths
+// wherever their capacity suffices, and only a short array is replaced,
+// by one of exactly the needed length. Capacity therefore only grows.
+// Every cell is rewritten from the truth model and the seed's noise
+// stream, so the result is bit-identical to a fresh corruption; only the
+// allocator traffic differs. A nil reuse allocates a fresh surrogate.
 func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
 	if level < 0 {
 		panic("landscape: negative corruption level")
 	}
 	c := reuse
-	sameShape := c != nil &&
-		c.RecLen == m.RecLen && c.PepLen == m.PepLen &&
-		len(c.Fields) == len(m.Fields) && len(c.Edges) == len(m.Edges)
-	if !sameShape {
-		c = &Model{
-			Fields: make([][protein.NumAA]float64, len(m.Fields)),
-			Edges:  make([]Edge, len(m.Edges)),
-		}
+	if c == nil {
+		c = new(Model)
 	}
+	// The adjacency survives only a buffer that last held this topology;
+	// the edge loop below checks the endpoints.
+	sameTopology := c.adj != nil && len(c.Fields) == len(m.Fields) && len(c.Edges) == len(m.Edges)
+	c.Fields = resize(c.Fields, len(m.Fields))
+	c.Edges = resize(c.Edges, len(m.Edges))
 	c.Name = m.Name
 	c.RecLen, c.PepLen = m.RecLen, m.PepLen
 	c.EnergyMean, c.EnergyStd = m.EnergyMean, m.EnergyStd
@@ -523,7 +579,6 @@ func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
 			c.Fields[i][a] = f + rng.Ziggurat()*fStd
 		}
 	}
-	sameTopology := sameShape
 	for k := range m.Edges {
 		src := &m.Edges[k]
 		dst := &c.Edges[k]
@@ -539,16 +594,14 @@ func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
 			srcRow := &src.W[a]
 			dstRow := &dst.W[a]
 			for b, w := range srcRow {
-				w += rng.Ziggurat() * std
-				dstRow[b] = w
-				dst.wt[b][a] = w
+				dstRow[b] = w + rng.Ziggurat()*std
 			}
 		}
 	}
 	// A reused model with unchanged topology keeps its adjacency lists:
-	// the half-edge row pointers aim into c.Edges, whose backing array was
-	// recycled, and the tables behind them were just rewritten.
-	if !sameTopology || c.adj == nil {
+	// the half-edge table pointers aim into c.Edges, whose backing array
+	// was recycled, and the tables behind them were just rewritten.
+	if !sameTopology {
 		c.buildAdjacency()
 	}
 	return c

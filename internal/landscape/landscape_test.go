@@ -2,6 +2,7 @@ package landscape
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -327,34 +328,220 @@ func TestCorruptNoiseMoments(t *testing.T) {
 	}
 }
 
-// TestTransposeMatchesW pins wt = Wᵀ bit for bit on every edge of a fresh
-// model, a fresh corruption, and a corruption recycled into an earlier
-// surrogate's memory.
-func TestTransposeMatchesW(t *testing.T) {
-	m, _ := testModel(22)
-	check := func(name string, x *Model) {
-		for k := range x.Edges {
-			e := &x.Edges[k]
-			for a := 0; a < protein.NumAA; a++ {
-				for b := 0; b < protein.NumAA; b++ {
-					if math.Float64bits(e.wt[b][a]) != math.Float64bits(e.W[a][b]) {
-						t.Fatalf("%s: edge %d wt[%d][%d] = %v, W[%d][%d] = %v", name, k, b, a, e.wt[b][a], a, b, e.W[a][b])
-					}
+// refConditional is ConditionalEnergies computed straight from the edge
+// list: each edge touching pos adds the column W[·][s_J] when pos is its I
+// end and the row W[s_I][·] when pos is its J end, in edge order.
+func refConditional(m *Model, full protein.Sequence, pos int) [protein.NumAA]float64 {
+	out := m.Fields[pos]
+	for k := range m.Edges {
+		e := &m.Edges[k]
+		switch pos {
+		case e.I:
+			b := protein.Index(full[e.J])
+			for a := range out {
+				out[a] += e.W[a][b]
+			}
+		case e.J:
+			row := &e.W[protein.Index(full[e.I])]
+			for a := range out {
+				out[a] += row[a]
+			}
+		}
+	}
+	return out
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// shapedTruths returns three truth models of different sizes: the
+// standard test target plus a bigger and a smaller one.
+func shapedTruths() (m, big, small *Model) {
+	m, _ = testModel(22)
+	big = New(testStructure(23, 90, 10), 23, DefaultConfig())
+	small = New(testStructure(24, 40, 6), 24, DefaultConfig())
+	return m, big, small
+}
+
+// recycledSurrogates returns corruptions of m written into buffers whose
+// previous contents were a surrogate of m itself (through the free list),
+// of a bigger target, of a smaller one and of one of the same size, keyed
+// by that history.
+func recycledSurrogates(t *testing.T, m, big, small *Model, level float64, seed uint64) map[string]*Model {
+	t.Helper()
+	out := make(map[string]*Model)
+	prev := m.Corrupt(0.3, 1)
+	m.Recycle(prev)
+	if out["same target"] = m.Corrupt(level, seed); out["same target"] != prev {
+		t.Fatal("Corrupt did not reuse the recycled surrogate")
+	}
+	bigBuf := big.CorruptInto(nil, 0.3, 2)
+	bigEdges := &bigBuf.Edges[0]
+	if out["bigger target"] = m.CorruptInto(bigBuf, level, seed); &out["bigger target"].Edges[0] != bigEdges {
+		t.Fatal("CorruptInto reallocated the edges of a buffer with room to spare")
+	}
+	out["smaller target"] = m.CorruptInto(small.CorruptInto(nil, 0.3, 3), level, seed)
+	// A target of exactly m's size whose edges come in reverse order: the
+	// lengths match, so only the endpoint check can catch the stale
+	// adjacency.
+	twin := &Model{Name: "twin", RecLen: m.RecLen, PepLen: m.PepLen, Fields: m.Fields, Edges: slices.Clone(m.Edges), cfg: m.cfg}
+	slices.Reverse(twin.Edges)
+	twin.buildAdjacency()
+	out["same-size target"] = m.CorruptInto(twin.CorruptInto(nil, 0.3, 4), level, seed)
+	return out
+}
+
+// TestConditionalEnergiesMatchReference pins the Gibbs kernel's column
+// and row reads bit for bit against refConditional, on every position of
+// a fresh model and of surrogates written into recycled buffers.
+func TestConditionalEnergiesMatchReference(t *testing.T) {
+	m, big, small := shapedTruths()
+	models := recycledSurrogates(t, m, big, small, 0.7, 5)
+	models["New"] = m
+	models["fresh surrogate"] = m.CorruptInto(nil, 0.7, 5)
+	rng := xrand.New(31)
+	seqs := []protein.Sequence{testStructure(22, 60, 8).FullSequence()}
+	for i := 0; i < 3; i++ {
+		s := seqs[0].Clone()
+		for pos := 0; pos < m.RecLen; pos++ {
+			s[pos] = protein.Alphabet[rng.Intn(protein.NumAA)]
+		}
+		seqs = append(seqs, s)
+	}
+	got := make([]float64, protein.NumAA)
+	for name, x := range models {
+		for _, full := range seqs {
+			for pos := 0; pos < x.Len(); pos++ {
+				x.ConditionalEnergies(full, pos, got)
+				if want := refConditional(x, full, pos); !sameBits(got, want[:]) {
+					t.Fatalf("%s: position %d: kernel %v, reference %v", name, pos, got, want)
 				}
 			}
 		}
 	}
-	check("New", m)
-	fresh := m.Corrupt(0.6, 3)
-	check("fresh CorruptInto", fresh)
-	m.Recycle(fresh)
-	recycled := m.Corrupt(0.9, 4)
-	if recycled != fresh {
-		t.Fatal("Corrupt did not reuse the recycled surrogate")
+}
+
+// TestCorruptIntoMatchesFresh: a corruption written into any recycled
+// buffer equals a freshly allocated one bit for bit — fields, every
+// coupling table, calibration — and its adjacency lists are exactly the
+// ones its own edges induce, whichever target last used the buffer.
+func TestCorruptIntoMatchesFresh(t *testing.T) {
+	m, big, small := shapedTruths()
+	want := m.CorruptInto(nil, 0.9, 4)
+	for name, got := range recycledSurrogates(t, m, big, small, 0.9, 4) {
+		if got.Name != want.Name || got.RecLen != want.RecLen || got.PepLen != want.PepLen ||
+			got.seed != want.seed || got.cfg != want.cfg ||
+			got.EnergyMean != want.EnergyMean || got.EnergyStd != want.EnergyStd ||
+			got.InterMean != want.InterMean || got.InterStd != want.InterStd ||
+			got.EnergyOpt != want.EnergyOpt || got.InterOpt != want.InterOpt {
+			t.Fatalf("%s: header differs from a fresh corruption", name)
+		}
+		if len(got.Fields) != len(want.Fields) || len(got.Edges) != len(want.Edges) {
+			t.Fatalf("%s: %d fields, %d edges; want %d, %d", name, len(got.Fields), len(got.Edges), len(want.Fields), len(want.Edges))
+		}
+		for i := range want.Fields {
+			if !sameBits(got.Fields[i][:], want.Fields[i][:]) {
+				t.Fatalf("%s: field %d differs", name, i)
+			}
+		}
+		for k := range want.Edges {
+			g, w := &got.Edges[k], &want.Edges[k]
+			if g.I != w.I || g.J != w.J || g.Interchain != w.Interchain {
+				t.Fatalf("%s: edge %d endpoints differ", name, k)
+			}
+			for a := range w.W {
+				if !sameBits(g.W[a][:], w.W[a][:]) {
+					t.Fatalf("%s: edge %d row %d differs", name, k, a)
+				}
+			}
+		}
+		// Reference adjacency: each edge in order, column view at I and
+		// row view at J, pointing into got's own tables.
+		ref := make([][]halfEdge, got.Len())
+		for k := range got.Edges {
+			e := &got.Edges[k]
+			ref[e.I] = append(ref[e.I], halfEdge{w: &e.W, other: int32(e.J), col: true})
+			ref[e.J] = append(ref[e.J], halfEdge{w: &e.W, other: int32(e.I)})
+		}
+		if len(got.adj) != len(ref) {
+			t.Fatalf("%s: %d adjacency lists, want %d", name, len(got.adj), len(ref))
+		}
+		for pos := range ref {
+			if !slices.Equal(got.adj[pos], ref[pos]) {
+				t.Fatalf("%s: adjacency of position %d differs from its edges", name, pos)
+			}
+			if cap(got.adj[pos]) != len(got.adj[pos]) {
+				t.Fatalf("%s: adjacency of position %d has spare capacity", name, pos)
+			}
+		}
 	}
-	check("recycled CorruptInto", recycled)
-	if want := m.CorruptInto(nil, 0.9, 4); want.Edges[0].W != recycled.Edges[0].W || want.Fields[0] != recycled.Fields[0] {
-		t.Fatal("recycled corruption differs from a fresh one at the same seed")
+}
+
+// TestCalibrationMatchesPerSampleEnergies: the edge-major calibration
+// equals the per-sample loop it replaced — one Energies call per random
+// sequence, the last one seeding the anneals — bit for bit, on a complex
+// and on a monomer.
+func TestCalibrationMatchesPerSampleEnergies(t *testing.T) {
+	for _, st := range []*protein.Structure{testStructure(25, 70, 9), testStructure(26, 50, 0)} {
+		m := New(st, 25, DefaultConfig())
+		rng := xrand.New(xrand.Derive(m.seed, "calibrate:"+m.Name))
+		k := m.cfg.CalibrationSamples
+		totals := make([]float64, k)
+		inters := make([]float64, k)
+		full := st.FullSequence()
+		for s := 0; s < k; s++ {
+			for i := 0; i < m.RecLen; i++ {
+				full[i] = protein.Alphabet[rng.Intn(protein.NumAA)]
+			}
+			totals[s], inters[s] = m.Energies(full)
+		}
+		eMean, eStd := meanStd(totals)
+		iMean, iStd := meanStd(inters)
+		if eStd < 1e-9 {
+			eStd = 1
+		}
+		if iStd < 1e-9 {
+			iStd = 1
+		}
+		eOpt, iOpt := eMean, iMean
+		optSeed := xrand.Derive(m.seed, "calibrate-opt:"+m.Name)
+		for r := uint64(0); r < 2; r++ {
+			e, ei := m.Energies(m.Anneal(full, 28, 2.0, 0.15, xrand.DeriveN(optSeed, r)))
+			if e < eOpt {
+				eOpt, iOpt = e, ei
+			}
+		}
+		got := []float64{m.EnergyMean, m.EnergyStd, m.InterMean, m.InterStd, m.EnergyOpt, m.InterOpt}
+		want := []float64{eMean, eStd, iMean, iStd, eOpt, iOpt}
+		if !sameBits(got, want) {
+			t.Fatalf("PepLen %d: calibration %v, per-sample reference %v", m.PepLen, got, want)
+		}
+	}
+}
+
+// TestCorruptRecycleAllocatesNothing guards the free list: once a buffer
+// has grown to fit the largest of three differently shaped targets, a
+// Corrupt+Recycle cycle on any of them allocates nothing.
+func TestCorruptRecycleAllocatesNothing(t *testing.T) {
+	m, big, small := shapedTruths()
+	truths := []*Model{m, big, small}
+	cycle := func() {
+		for _, x := range truths {
+			x.Recycle(x.Corrupt(0.5, 6))
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(5, cycle); avg != 0 {
+		t.Fatalf("steady-state Corrupt+Recycle across targets allocates %.1f objects per pass, want 0", avg)
 	}
 }
 

@@ -107,9 +107,10 @@ type Design struct {
 
 // Sampler generates designs for one target. It is safe for concurrent
 // use; all mutable state lives on the stack of each call. Surrogate
-// models are recycled through the truth landscape (landscape.Recycle),
-// so every pipeline and sub-pipeline of a target shares one reusable
-// corruption buffer instead of allocating multi-MB models per stage.
+// models come from and return to the landscape package's process-wide
+// free list (landscape.Corrupt, Recycle), so all targets share one
+// reusable corruption buffer per concurrent Design call instead of
+// allocating multi-MB models per stage.
 type Sampler struct {
 	truth *landscape.Model
 	cfg   Config
@@ -198,8 +199,9 @@ func (s *Sampler) Design(st *protein.Structure, seed uint64) []Design {
 	level := s.CorruptionFor(st.Generation)
 	// The corrupted view is frozen per (target, generation, stage seed):
 	// every candidate within one Stage-1 call sees the same surrogate.
-	// The surrogate's memory is recycled through the sampler's pool — the
-	// corruption stream rewrites every cell, so reuse is bit-identical.
+	// The surrogate's memory is recycled through the process-wide free
+	// list, possibly from another target — the corruption stream rewrites
+	// every cell, so reuse is bit-identical.
 	surrogateSeed := xrand.Derive(seed, fmt.Sprintf("surrogate:%s:gen%d", st.Name, st.Generation))
 	surrogate := s.truth.Corrupt(level, surrogateSeed)
 	defer s.truth.Recycle(surrogate)

@@ -1,6 +1,9 @@
 package mpnn
 
 import (
+	"fmt"
+	"math"
+	"sync"
 	"testing"
 
 	"impress/internal/landscape"
@@ -10,13 +13,17 @@ import (
 )
 
 func testTarget(seed uint64) (*protein.Structure, *landscape.Model) {
-	cfg := protein.DefaultBackboneConfig(60, 8)
+	return sizedTarget("PDZ-TEST", seed, 60, 8)
+}
+
+func sizedTarget(name string, seed uint64, recLen, pepLen int) (*protein.Structure, *landscape.Model) {
+	cfg := protein.DefaultBackboneConfig(recLen, pepLen)
 	rec, pep := protein.Backbone(seed, cfg)
 	rng := xrand.New(xrand.Derive(seed, "seq"))
 	st := &protein.Structure{
-		Name:     "PDZ-TEST",
-		Receptor: protein.Chain{ID: "A", Seq: protein.RandomSequence(rng, 60)},
-		Peptide:  protein.Chain{ID: "B", Seq: protein.RandomSequence(rng, 8)},
+		Name:     name,
+		Receptor: protein.Chain{ID: "A", Seq: protein.RandomSequence(rng, recLen)},
+		Peptide:  protein.Chain{ID: "B", Seq: protein.RandomSequence(rng, pepLen)},
 		RecXYZ:   rec,
 		PepXYZ:   pep,
 	}
@@ -83,6 +90,56 @@ func TestDesignDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if same == len(a) {
 		t.Fatal("different seeds produced identical design sets")
+	}
+}
+
+// TestConcurrentDesignAcrossTargets: Design calls on differently sized
+// targets running at once share the landscape package's surrogate free
+// list, so each call may be handed a buffer another target just used.
+// The designs must equal those of the same calls run one after another
+// (run it under -race).
+func TestConcurrentDesignAcrossTargets(t *testing.T) {
+	type target struct {
+		st *protein.Structure
+		s  *Sampler
+	}
+	var targets []target
+	for i, shape := range [][2]int{{60, 8}, {90, 10}, {40, 6}, {75, 0}} {
+		st, model := sizedTarget(fmt.Sprintf("T%d", i), uint64(30+i), shape[0], shape[1])
+		cfg := DefaultConfig()
+		cfg.Parallelism = 2
+		targets = append(targets, target{st, newSampler(t, model, cfg)})
+	}
+	const rounds = 3
+	design := func(tg target, r int) []Design { return tg.s.Design(tg.st, uint64(100+r)) }
+	want := make([][][]Design, len(targets))
+	for i, tg := range targets {
+		for r := 0; r < rounds; r++ {
+			want[i] = append(want[i], design(tg, r))
+		}
+	}
+	got := make([][][]Design, len(targets))
+	var wg sync.WaitGroup
+	for i, tg := range targets {
+		got[i] = make([][]Design, rounds)
+		for r := 0; r < rounds; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i][r] = design(tg, r)
+			}()
+		}
+	}
+	wg.Wait()
+	for i := range targets {
+		for r := 0; r < rounds; r++ {
+			for k, d := range got[i][r] {
+				w := want[i][r][k]
+				if !d.Full.Equal(w.Full) || math.Float64bits(d.LogLikelihood) != math.Float64bits(w.LogLikelihood) || d.Index != w.Index {
+					t.Fatalf("target %d round %d design %d: concurrent %+v, sequential %+v", i, r, k, d, w)
+				}
+			}
+		}
 	}
 }
 

@@ -273,3 +273,44 @@ func TestServiceRunTwice(t *testing.T) {
 		t.Fatal("second Run accepted")
 	}
 }
+
+// TestServiceThreeTargetTenantWave pins the tenant-wave shape with three
+// targets per tenant, which once panicked with "trace: busy cores 32
+// outside [0,28]" under weighted-fair admission with fairshare reclaim:
+// 24 tenants of three mined targets each arrive in a wave on 12 shared
+// nodes, checkpointing every 30 minutes with telemetry on. The run must
+// finish clean, with reclaims: every tenant reported, no failed task, the
+// pool ledger audited and fully free.
+func TestServiceThreeTargetTenantWave(t *testing.T) {
+	spec := testSpec(24, 12, 0, "weighted-fair", "fairshare", fleet.ArrivalWave, 42)
+	spec.Config.Span = 12 * time.Hour
+	spec.Config.Workers = 1
+	for i := range spec.Tenants {
+		ts := &spec.Tenants[i]
+		ts.Nodes = 2 + i%3
+		ts.TargetCount = 3
+		ts.Config.Pipeline.MPNN.Parallelism = 1
+		ts.Config.CheckpointInterval = 30 * time.Minute
+		ts.Config.Telemetry = true
+	}
+	s, res := runService(t, spec)
+	if len(res.Tenants) != len(spec.Tenants) {
+		t.Fatalf("%d of %d tenants reported", len(res.Tenants), len(spec.Tenants))
+	}
+	reclaims := 0
+	for _, ts := range res.Tenants {
+		reclaims += ts.Reclaimed
+	}
+	if reclaims == 0 {
+		t.Fatal("no fairshare reclaim happened; the wave no longer exercises the reclaim path")
+	}
+	if res.FailedTasks != 0 {
+		t.Fatalf("%d failed tasks, want 0", res.FailedTasks)
+	}
+	if err := s.pool.Audit(); err != nil {
+		t.Fatalf("pool ledger corrupt after run: %v", err)
+	}
+	if free, total := s.pool.FreeNodes(), s.pool.TotalNodes(); free != total {
+		t.Fatalf("%d of %d nodes still leased after all tenants finished", total-free, total)
+	}
+}
