@@ -25,5 +25,11 @@ func TestTranscripts(t *testing.T) {
 		// A node count past fleet.MaxNodes is a usage error, not a
 		// makeslice panic in fleet generation.
 		{Name: "fleet-count-ceiling", Args: []string{"-scenario", "kilo-screen", "-screen-size", "1", "-parallel", "0", "-fleet", "a:28c4g128m*9223372036854775807"}},
+		// So is a node shape past fleet.MaxPerNode, which used to overflow
+		// the capacity sums into NaN campaign metrics.
+		// A maintenance window past fault.MaxMaintenanceSpan is a usage
+		// error, not an event scheduled before now.
+		{Name: "maintenance-span-ceiling", Args: []string{"-maintenance", "@9223372036854775807ns/1h"}},
+		{Name: "fleet-shape-ceiling", Args: []string{"-scenario", "kilo-screen", "-screen-size", "1", "-parallel", "0", "-fleet", "a:4611686018427387904c0g1m*500+b:1c4g1m*500"}},
 	})
 }

@@ -302,6 +302,13 @@ type Request struct {
 	MemGB int
 }
 
+// Covers reports whether r asks for at least as much as o in cores, GPUs
+// and memory: every node that can host r right now can host o, so when o
+// fits nowhere, neither does r.
+func (r Request) Covers(o Request) bool {
+	return r.Cores >= o.Cores && r.GPUs >= o.GPUs && r.MemGB >= o.MemGB
+}
+
 // Fits reports whether the request could ever be satisfied by an empty
 // node of one of the cluster's *home* shapes (the distinct capacities
 // present at construction) — used by the scheduler to fail impossible

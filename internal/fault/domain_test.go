@@ -91,12 +91,15 @@ func TestParseMaintenance(t *testing.T) {
 		t.Fatalf("unlabeled window = (%+v, %v)", ms, err)
 	}
 	for _, bad := range []string{
-		"rackA",             // no window
-		"rackA@6h",          // no duration
-		"rackA@6h/30m/24h/x", // too many fields
-		"rackA@x/30m",       // bad start
-		"rackA@6h/0s",       // zero duration
-		"rackA@6h/2h/1h",    // period shorter than the window
+		"rackA",                             // no window
+		"rackA@6h",                          // no duration
+		"rackA@6h/30m/24h/x",                // too many fields
+		"rackA@x/30m",                       // bad start
+		"rackA@6h/0s",                       // zero duration
+		"rackA@6h/2h/1h",                    // period shorter than the window
+		"rackA@9223372036854775807ns/1h",    // start past MaxMaintenanceSpan
+		"rackA@1h/87601h",                   // duration past it
+		"rackA@1h/1h/9223372036854775807ns", // period past it
 	} {
 		if _, err := ParseMaintenance(bad); err == nil {
 			t.Fatalf("bad maintenance spec %q accepted", bad)
@@ -128,4 +131,35 @@ func TestCascadeDelayStreamShape(t *testing.T) {
 	if a.Float64() != b.Float64() {
 		t.Fatal("hit and miss consumed different stream lengths")
 	}
+}
+
+// FuzzParseMaintenance: no input panics the parser, every window it
+// accepts passes Validate, and an accepted window's first close and
+// second opening are representable virtual instants. The seed corpus
+// (testdata/fuzz/FuzzParseMaintenance) holds zero, negative and
+// overflowing durations, an empty domain and trailing commas.
+func FuzzParseMaintenance(f *testing.F) {
+	for _, s := range []string{
+		"rackA@6h/30m/24h,rackB@12h/1h",
+		"@1h/30m",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		ms, err := ParseMaintenance(spec)
+		if err != nil {
+			return
+		}
+		for _, m := range ms {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("ParseMaintenance(%q) accepted %+v, which Validate rejects: %v", spec, m, err)
+			}
+			// Both sums stay far below the int64 nanosecond range when
+			// every field is within MaxMaintenanceSpan.
+			if m.Start+m.Duration < m.Start || m.Start+m.Every < m.Start {
+				t.Fatalf("ParseMaintenance(%q) accepted %+v, whose instants overflow", spec, m)
+			}
+		}
+	})
 }

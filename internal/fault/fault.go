@@ -213,6 +213,13 @@ type Maintenance struct {
 	Every time.Duration
 }
 
+// MaxMaintenanceSpan bounds a maintenance window's start, duration and
+// period. Ten years of virtual time is far past any campaign, and it
+// keeps the opening and closing instants inside the virtual clock's
+// range, where a larger value overflowed into an event scheduled in the
+// past.
+const MaxMaintenanceSpan = 10 * 365 * 24 * time.Hour
+
 // Validate rejects windows that cannot be scheduled.
 func (m Maintenance) Validate() error {
 	if m.Start < 0 {
@@ -223,6 +230,9 @@ func (m Maintenance) Validate() error {
 	}
 	if m.Every < 0 {
 		return fmt.Errorf("negative period %v", m.Every)
+	}
+	if m.Start > MaxMaintenanceSpan || m.Duration > MaxMaintenanceSpan || m.Every > MaxMaintenanceSpan {
+		return fmt.Errorf("start, duration and period must not exceed %v", MaxMaintenanceSpan)
 	}
 	if m.Every > 0 && m.Every <= m.Duration {
 		return fmt.Errorf("period %v must exceed duration %v", m.Every, m.Duration)

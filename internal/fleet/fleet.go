@@ -23,6 +23,13 @@ import (
 // node total or exhausting memory.
 const MaxNodes = 1 << 20
 
+// MaxPerNode is the largest per-node core, GPU or memory (GB) count a
+// template may carry. With at most MaxNodes nodes, every fleet total
+// stays within 2^40: exact in an int and in the float64 arithmetic of
+// utilization and campaign metrics, where an uncapped shape overflowed
+// the pilot's capacity sums.
+const MaxPerNode = 1 << 20
+
 // Template is one weighted node shape of a fleet description.
 type Template struct {
 	// Name labels the template ("cpu", "gpu", "bigmem", …).
@@ -50,6 +57,10 @@ func (t Template) Validate() error {
 	nc := t.Cap
 	if nc.Cores < 0 || nc.GPUs < 0 || nc.MemGB < 0 || (nc.Cores == 0 && nc.GPUs == 0) {
 		return fmt.Errorf("fleet: template %q has degenerate node shape %+v", t.Name, nc)
+	}
+	if nc.Cores > MaxPerNode || nc.GPUs > MaxPerNode || nc.MemGB > MaxPerNode {
+		return fmt.Errorf("fleet: template %q node shape %dc%dg%dm exceeds the per-node ceiling of %d cores, GPUs and GB",
+			t.Name, nc.Cores, nc.GPUs, nc.MemGB, MaxPerNode)
 	}
 	if t.Count < 0 {
 		return fmt.Errorf("fleet: template %q has negative count %d", t.Name, t.Count)
@@ -167,8 +178,9 @@ func Generate(seed uint64, ts []Template) ([]cluster.NodeCapacity, error) {
 //
 // — '+'-separated segments, each name:<cores>c<gpus>g<mem>m*<count>
 // with an optional @<domain> failure-domain label. Counts, and their
-// total, may not exceed MaxNodes. Errors name the offending segment so a
-// long flag value stays debuggable.
+// total, may not exceed MaxNodes; cores, GPUs and memory may not exceed
+// MaxPerNode. Errors name the offending segment so a long flag value
+// stays debuggable.
 func ParseSpec(s string) ([]Template, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("fleet: empty fleet spec")

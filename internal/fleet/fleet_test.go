@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math/big"
 	"reflect"
 	"strings"
 	"testing"
@@ -47,6 +48,9 @@ func TestParseSpecErrorsNameSegment(t *testing.T) {
 		{"cpu:4c0g8m*2+gpu:2c1g4m*bad+big:8c0g64m*1", "gpu:2c1g4m*bad"},        // middle segment
 		{"a:28c4g128m*9223372036854775807", "a:28c4g128m*9223372036854775807"}, // count past MaxNodes
 		{"a:1c0g1m*1048576+b:1c0g1m*1", "b:1c0g1m*1"},                          // total past MaxNodes
+		{"a:4611686018427387904c0g1m*500", "a:4611686018427387904c0g1m*500"},   // cores past MaxPerNode
+		{"a:1c1048577g1m*1", "a:1c1048577g1m*1"},                               // GPUs past MaxPerNode
+		{"a:1c0g1048577m*1", "a:1c0g1048577m*1"},                               // memory past MaxPerNode
 	}
 	for _, tc := range cases {
 		_, err := ParseSpec(tc.spec)
@@ -223,15 +227,30 @@ func TestParseSpecDomains(t *testing.T) {
 	}
 }
 
-// TestNodeCeiling: counts up to MaxNodes parse, one past it does not, and
-// Generate refuses templates built in code whose total passes the ceiling
-// instead of overflowing its capacity arithmetic.
+// TestNodeCeiling: counts up to MaxNodes and per-node resources up to
+// MaxPerNode parse, one past either does not, and Generate refuses
+// templates built in code whose total passes the ceiling instead of
+// overflowing its capacity arithmetic.
 func TestNodeCeiling(t *testing.T) {
 	if _, err := ParseSpec(fmt.Sprintf("a:1c0g1m*%d", MaxNodes)); err != nil {
 		t.Fatalf("a count of exactly MaxNodes rejected: %v", err)
 	}
 	if _, err := ParseSpec(fmt.Sprintf("a:1c0g1m*%d", MaxNodes+1)); err == nil {
 		t.Fatal("a count past MaxNodes accepted")
+	}
+	top := fmt.Sprintf("a:%dc%dg%dm*%d", MaxPerNode, MaxPerNode, MaxPerNode, MaxNodes)
+	ts, err := ParseSpec(top)
+	if err != nil {
+		t.Fatalf("the largest legal fleet %q rejected: %v", top, err)
+	}
+	if c := ts[0].Cap; c.Cores*ts[0].Count != 1<<40 || float64(c.Cores)*float64(ts[0].Count) != 1<<40 {
+		t.Fatalf("largest fleet's core total is not exact")
+	}
+	for _, shape := range []string{"%dc0g1m", "1c%dg1m", "1c0g%dm"} {
+		spec := fmt.Sprintf("a:"+shape+"*1", MaxPerNode+1)
+		if _, err := ParseSpec(spec); err == nil {
+			t.Fatalf("%q past MaxPerNode accepted", spec)
+		}
 	}
 	big := []Template{
 		{Name: "a", Cap: cluster.NodeCapacity{Cores: 1}, Count: 1 << 62},
@@ -243,9 +262,11 @@ func TestNodeCeiling(t *testing.T) {
 }
 
 // FuzzParseSpec: no input panics the parser, and every spec it accepts
-// expands through Generate to exactly the sum of its counts. The seed
-// corpus (testdata/fuzz/FuzzParseSpec) holds the overflowing counts that
-// once panicked or exhausted memory in Generate.
+// expands through Generate to exactly the sum of its counts, with core,
+// GPU and memory totals equal to the exact sums of count × shape. The
+// seed corpus (testdata/fuzz/FuzzParseSpec) holds the overflowing counts
+// and shapes that once panicked, exhausted memory or turned campaign
+// metrics into NaN.
 func FuzzParseSpec(f *testing.F) {
 	for _, s := range []string{
 		"cpu:28c0g128m*900+gpu:8c4g32m*100",
@@ -260,8 +281,13 @@ func FuzzParseSpec(f *testing.F) {
 			return
 		}
 		want := 0
+		var wantRes [3]big.Int // exact Σ count × shape: cores, GPUs, GB
 		for _, tp := range ts {
 			want += tp.Count
+			for i, v := range [3]int{tp.Cap.Cores, tp.Cap.GPUs, tp.Cap.MemGB} {
+				var term big.Int
+				wantRes[i].Add(&wantRes[i], term.Mul(big.NewInt(int64(tp.Count)), big.NewInt(int64(v))))
+			}
 		}
 		caps, err := Generate(7, ts)
 		if err != nil {
@@ -269,6 +295,17 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if len(caps) != want {
 			t.Fatalf("ParseSpec(%q): Generate returned %d nodes, counts sum to %d", spec, len(caps), want)
+		}
+		var got [3]int
+		for _, nc := range caps {
+			got[0] += nc.Cores
+			got[1] += nc.GPUs
+			got[2] += nc.MemGB
+		}
+		for i := range got {
+			if !wantRes[i].IsInt64() || wantRes[i].Int64() != int64(got[i]) {
+				t.Fatalf("ParseSpec(%q): generated resource total %d, exact count × shape sum %s", spec, got[i], wantRes[i].String())
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package pilot
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -44,13 +45,28 @@ type agent struct {
 	blocked      bool
 	blockedStamp uint64
 
-	// Scratch buffers reused across scheduling passes so the steady-state
-	// hot path allocates nothing. queueBuf is the spare backing the pass
-	// filters the queue into (swapped with queue each pass); the others
-	// serve the policy path's queue view and ledger snapshot.
-	queueBuf       []*Task
+	// Failed-shape memo of the submission-order pass. shapes interns the
+	// distinct requests of enqueued tasks, and covers[s] is the bit set of
+	// interned shapes that Cover shapes[s]: when a task of shape s fits
+	// nowhere, no task of a shape in covers[s] fits for the rest of the
+	// pass either, because placements only shrink free capacity. queued[s]
+	// counts the queued tasks of shape s, and unshaped those that arrived
+	// after the table filled (noShape), so a pass knows when every task it
+	// has yet to visit is of a failed shape.
+	shapes   []cluster.Request
+	covers   []uint64
+	queued   []int
+	unshaped int
+
+	// Scratch of the submission-order pass: per-shape counts of the tasks
+	// it has yet to visit, and the queue indices of the tasks it started.
+	left  []int
+	holes []int
+
+	// Scratch buffers reused across policy-path passes (queue view, offer
+	// marks, ledger snapshot) so the steady-state hot path allocates
+	// nothing.
 	scratchItems   []sched.Task
-	scratchStarted []bool
 	scratchOffered []bool
 	scratchNodes   []cluster.Request
 
@@ -113,12 +129,68 @@ func (a *agent) noteOccupancy() {
 // even if no capacity was freed, because this task was never offered.
 func (a *agent) enqueue(t *Task) {
 	a.tm.transition(t, StateScheduling)
+	t.shape = a.internShape(requestOf(t))
+	a.countQueued(t, 1)
 	a.queue = append(a.queue, t)
 	a.blocked = false
 	a.noteQueueDepth()
 	if a.pilot.state == PilotActive {
 		a.schedule()
 	}
+}
+
+// noShape is the shape of a task whose request arrived after the agent's
+// shape table filled: the pass offers it capacity every time.
+const noShape = -1
+
+// maxShapes bounds the shape table, so that a pass's failed shapes fit in
+// one machine word.
+const maxShapes = 64
+
+// internShape returns r's id in the agent's shape table, adding it, and
+// extending the covers sets both ways, when it is new.
+func (a *agent) internShape(r cluster.Request) int8 {
+	for i, s := range a.shapes {
+		if s == r {
+			return int8(i)
+		}
+	}
+	if len(a.shapes) == maxShapes {
+		return noShape
+	}
+	id := len(a.shapes)
+	covers := uint64(1) << id
+	for i, s := range a.shapes {
+		if r.Covers(s) {
+			a.covers[i] |= 1 << id
+		}
+		if s.Covers(r) {
+			covers |= 1 << i
+		}
+	}
+	a.shapes = append(a.shapes, r)
+	a.covers = append(a.covers, covers)
+	a.queued = append(a.queued, 0)
+	return int8(id)
+}
+
+// countQueued adds d to the queued count of t's shape.
+func (a *agent) countQueued(t *Task, d int) {
+	if t.shape == noShape {
+		a.unshaped += d
+	} else {
+		a.queued[t.shape] += d
+	}
+}
+
+// dequeue removes a queued task that leaves without being placed
+// (cancelled, failed or evicted).
+func (a *agent) dequeue(t *Task) {
+	if i := slices.Index(a.queue, t); i >= 0 {
+		a.queue = slices.Delete(a.queue, i, i+1)
+		a.countQueued(t, -1)
+	}
+	a.noteQueueDepth()
 }
 
 // QueueLen returns the number of tasks waiting for resources.
@@ -163,31 +235,11 @@ func (a *agent) schedulePass() {
 	}
 	a.blocked = false
 
-	// The pass filters queue[:n] into queueBuf; transition callbacks may
-	// append new arrivals to queue mid-pass, which survive as queue[n:].
+	// The pass offers capacity to queue[:n]; transition callbacks may
+	// append new arrivals to queue mid-pass, which wait for the next pass.
 	n := len(a.queue)
-	remaining := a.queueBuf[:0]
-
-	// Fast path for submission-order policies (fifo/backfill): no queue
-	// view, no ledger snapshot, no ordering — the legacy pass verbatim.
 	if sched.SubmissionOrder(a.policy) {
-		continueOnBlock := a.policy.ContinueOnBlock()
-		blocked := false
-		for i := 0; i < n; i++ {
-			t := a.queue[i]
-			if blocked && !continueOnBlock {
-				remaining = append(remaining, a.queue[i:n]...)
-				break
-			}
-			alloc := a.allocate(t)
-			if alloc == nil {
-				blocked = true
-				remaining = append(remaining, t)
-				continue
-			}
-			a.startSetup(t, alloc)
-		}
-		a.finishPass(n, remaining)
+		a.submissionPass(n)
 		return
 	}
 
@@ -207,7 +259,6 @@ func (a *agent) schedulePass() {
 	}
 	order := a.policy.Order(items, free)
 
-	started := resetBools(&a.scratchStarted, n)
 	offered := resetBools(&a.scratchOffered, n)
 	blocked := false
 	for _, idx := range order {
@@ -224,29 +275,130 @@ func (a *agent) schedulePass() {
 			blocked = true
 			continue
 		}
-		started[idx] = true
 		a.startSetup(t, alloc)
 	}
 	// Unstarted tasks stay queued in submission order, whatever order the
 	// policy visited them in.
-	for i := 0; i < n; i++ {
-		if !started[i] {
-			remaining = append(remaining, a.queue[i])
+	holes := a.holes[:0]
+	for i, t := range a.queue[:n] {
+		if t.state != StateScheduling {
+			holes = append(holes, i)
 		}
 	}
-	a.finishPass(n, remaining)
+	a.holes = holes
+	a.finishPass(n, holes)
 }
 
-// finishPass installs the filtered queue (plus any mid-pass arrivals) and
-// latches the blocked watermark when the pass ends with work still
-// waiting. Mid-pass arrivals suppress the latch — they were never offered
+// submissionPass is the fifo/backfill pass: offer capacity to queue[:n]
+// in submission order, starting every task that fits. Fifo stops at the
+// first task that does not fit. Backfill goes on, but a miss by a task
+// without node exclusions marks its shape, and every shape covering it,
+// as failed for the rest of the pass: later tasks of a marked shape stay
+// queued without asking the ledger (an Allocate that fails changes
+// nothing), and once every task left to visit is of a marked shape the
+// pass stops. A release by a transition callback clears the marks.
+// Placements are exactly those of offering every task in turn.
+func (a *agent) submissionPass(n int) {
+	continueOnBlock := a.policy.ContinueOnBlock()
+	stamp := a.cluster.FreedStamp()
+	// left and unshaped count the tasks of queue[i:n] by shape; live marks
+	// the shapes with any.
+	left := append(a.left[:0], a.queued...)
+	a.left = left
+	unshaped := a.unshaped
+	var live, failed uint64
+	for s, c := range left {
+		if c > 0 {
+			live |= 1 << s
+		}
+	}
+	holes := a.holes[:0]
+	for i := 0; i < n; i++ {
+		t := a.queue[i]
+		s := t.shape
+		if s == noShape {
+			unshaped--
+		} else if left[s]--; left[s] == 0 {
+			live &^= 1 << s
+		}
+		if s == noShape || failed&(1<<s) == 0 {
+			if alloc := a.allocate(t); alloc != nil {
+				holes = append(holes, i)
+				a.startSetup(t, alloc)
+				if fs := a.cluster.FreedStamp(); fs != stamp {
+					stamp, failed = fs, 0
+				}
+			} else if !continueOnBlock {
+				break
+			} else if s != noShape && len(t.avoidNodes) == 0 {
+				failed |= a.covers[s]
+			}
+		}
+		if live&^failed == 0 && unshaped == 0 {
+			break
+		}
+	}
+	a.holes = holes
+	a.finishPass(n, holes)
+}
+
+// finishPass removes the tasks a pass started, at the ascending indices
+// holes of queue[:n], and latches the blocked watermark when the pass
+// ends with work still waiting. Survivors keep their order. The run of
+// survivors in the widest gap between holes (or between a hole and an
+// end of the queue) stays in place; the survivors before it shift toward
+// it, and those after it, mid-pass arrivals (queue[n:]) included, shift
+// back, so a pass moves as few pointers as its placements allow.
+// Mid-pass arrivals suppress the latch — they were never offered
 // resources, so the next pass must run.
-func (a *agent) finishPass(n int, remaining []*Task) {
-	tail := a.queue[n:]
-	remaining = append(remaining, tail...)
-	a.queueBuf = a.queue[:0]
-	a.queue = remaining
-	if len(tail) == 0 && len(remaining) > 0 {
+func (a *agent) finishPass(n int, holes []int) {
+	q := a.queue
+	arrivals := len(q) > n
+	if k := len(holes); k > 0 {
+		// Gap j runs from holes[j-1] to holes[j], with the ends of the
+		// queue as holes -1 and len(q).
+		gap := func(j int) (lo, hi int) {
+			lo, hi = -1, len(q)
+			if j > 0 {
+				lo = holes[j-1]
+			}
+			if j < k {
+				hi = holes[j]
+			}
+			return lo, hi
+		}
+		keep := 0
+		for j := 1; j <= k; j++ {
+			lo, hi := gap(j)
+			if klo, khi := gap(keep); hi-lo > khi-klo {
+				keep = j
+			}
+		}
+		for _, h := range holes {
+			a.countQueued(q[h], -1)
+		}
+		if keep < k {
+			w := holes[keep]
+			for j := keep + 1; j <= k; j++ {
+				lo, hi := gap(j)
+				w += copy(q[w:], q[lo+1:hi])
+			}
+			clear(q[w:])
+			q = q[:w]
+		}
+		if keep > 0 {
+			w := holes[keep-1] + 1
+			for j := keep - 1; j >= 0; j-- {
+				lo, hi := gap(j)
+				w -= hi - lo - 1
+				copy(q[w:], q[lo+1:hi])
+			}
+			clear(q[:w])
+			q = q[w:]
+		}
+		a.queue = q
+	}
+	if !arrivals && len(q) > 0 {
 		a.blocked = true
 		a.blockedStamp = a.cluster.FreedStamp()
 	}
@@ -487,13 +639,7 @@ func (a *agent) failWithFault(t *Task, kind fault.Kind, err error) {
 	a.tm.planRecovery(t, kind)
 	switch t.state {
 	case StateSubmitted, StateScheduling:
-		for i, q := range a.queue {
-			if q == t {
-				a.queue = append(a.queue[:i], a.queue[i+1:]...)
-				break
-			}
-		}
-		a.noteQueueDepth()
+		a.dequeue(t)
 		t.EndedAt = a.pilot.engine.Now()
 		t.Err = err
 		if a.rec != nil {
@@ -571,13 +717,7 @@ func (a *agent) evict(t *Task, resumeOn, reason string) {
 	err := fmt.Errorf("pilot: %s", reason)
 	switch t.state {
 	case StateSubmitted, StateScheduling:
-		for i, q := range a.queue {
-			if q == t {
-				a.queue = append(a.queue[:i], a.queue[i+1:]...)
-				break
-			}
-		}
-		a.noteQueueDepth()
+		a.dequeue(t)
 		t.EndedAt = now
 		t.Err = err
 		if a.rec != nil {
@@ -646,13 +786,7 @@ func (a *agent) drainAll(grace time.Duration) {
 func (a *agent) cancel(t *Task, reason string) {
 	switch t.state {
 	case StateSubmitted, StateScheduling:
-		for i, q := range a.queue {
-			if q == t {
-				a.queue = append(a.queue[:i], a.queue[i+1:]...)
-				break
-			}
-		}
-		a.noteQueueDepth()
+		a.dequeue(t)
 		t.EndedAt = a.pilot.engine.Now()
 		t.Err = fmt.Errorf("pilot: %s", reason)
 		if a.rec != nil {

@@ -1,6 +1,7 @@
 package pilot
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -47,7 +48,7 @@ func TestBlockedSchedulePassAllocationFree(t *testing.T) {
 			}
 
 			// Forced full pass: clear the latch each run so schedulePass
-			// really iterates the queue and rebuilds the remaining set.
+			// really offers capacity to the queue and compacts it.
 			// Fit-ranking policies allocate inside Policy.Order (their
 			// ranked index slice is part of the policy contract), so the
 			// zero-alloc guarantee covers the submission-order policies —
@@ -58,6 +59,58 @@ func TestBlockedSchedulePassAllocationFree(t *testing.T) {
 					a.schedule()
 				}); avg != 0 {
 					t.Fatalf("full blocked schedulePass allocates %.1f objects, want 0", avg)
+				}
+			}
+			if policy != "backfill" {
+				return
+			}
+			// Exclusions disable the failed-shape memo, so this backfill
+			// pass offers every queued task and compacts the whole queue.
+			for _, q := range a.queue {
+				q.avoidNodes = []int{0}
+			}
+			if avg := testing.AllocsPerRun(200, func() {
+				a.blocked = false
+				a.schedule()
+			}); avg != 0 {
+				t.Fatalf("backfill pass offering every task allocates %.1f objects, want 0", avg)
+			}
+			// Compaction after a pass that started every other queued
+			// task. The recorder is detached because a changed queue
+			// depth books a sample.
+			queued := append([]*Task(nil), a.queue...)
+			buf := make([]*Task, len(queued))
+			var holes []int
+			for i := 0; i < len(buf); i += 2 {
+				holes = append(holes, i)
+			}
+			rec := a.rec
+			a.rec = nil
+			defer func() { a.rec = rec }()
+			if avg := testing.AllocsPerRun(200, func() {
+				copy(buf, queued)
+				a.queue = buf
+				for _, h := range holes {
+					a.countQueued(buf[h], 1) // finishPass uncounts them
+				}
+				a.finishPass(len(buf), holes)
+			}); avg != 0 {
+				t.Fatalf("compaction allocates %.1f objects, want 0", avg)
+			}
+			if len(a.queue) != len(queued)/2 {
+				t.Fatalf("compaction kept %d of %d tasks, want %d", len(a.queue), len(queued), len(queued)/2)
+			}
+			for i, q := range a.queue {
+				if q != queued[2*i+1] {
+					t.Fatalf("compacted queue[%d] = %s, want %s", i, q.ID, queued[2*i+1].ID)
+				}
+			}
+			// The slots of the backing array outside the queue must not
+			// keep started tasks alive.
+			start := slices.IndexFunc(buf, func(q *Task) bool { return q == a.queue[0] })
+			for i, q := range buf {
+				if (i < start || i >= start+len(a.queue)) && q != nil {
+					t.Fatalf("dead queue slot %d still holds %s", i, q.ID)
 				}
 			}
 		})

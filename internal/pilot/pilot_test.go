@@ -30,7 +30,7 @@ type harness struct {
 	tm     *TaskManager
 }
 
-func newHarness(t *testing.T, pd PilotDescription) *harness {
+func newHarness(t testing.TB, pd PilotDescription) *harness {
 	t.Helper()
 	engine := simclock.New()
 	rec := trace.NewRecorder(pd.Machine.TotalCores(), pd.Machine.TotalGPUs(), 0)

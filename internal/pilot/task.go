@@ -221,6 +221,9 @@ type Task struct {
 	exec       *execution
 	avoidNodes []int
 	requeue    *requeuePlan
+	// shape is the task's request as interned by its agent at enqueue
+	// (noShape once the agent's shape table is full).
+	shape int8
 }
 
 // requeuePlan is a recovery decision staged on a failing attempt before
