@@ -17,13 +17,8 @@ package impress_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"impress"
-	"impress/internal/cluster"
-	"impress/internal/fleet"
-	"impress/internal/workload"
-	"impress/internal/xrand"
 )
 
 // reportCampaign attaches the scientific metrics of a result to b.
@@ -350,8 +345,7 @@ func BenchmarkPolicyCompare(b *testing.B) {
 	}
 }
 
-// benchScreenScaling is one screen-scaling cell, shared by
-// BenchmarkScreenScaling and the BENCH_<n>.json emitter.
+// benchScreenScaling is one cell of BenchmarkScreenScaling.
 func benchScreenScaling(b *testing.B, n int) {
 	screen, err := impress.PDZScreen(42, n)
 	if err != nil {
@@ -376,9 +370,12 @@ func BenchmarkScreenScaling(b *testing.B) {
 	}
 }
 
-// benchMegaScreen is the mega-screen body, shared by BenchmarkMegaScreen
-// and the BENCH_<n>.json emitter.
-func benchMegaScreen(b *testing.B) {
+// BenchmarkMegaScreen runs the mega-screen scenario — a 128-target
+// IM-RP screen on the split CPU/GPU pilot pair — end to end through the
+// campaign engine. It is the headroom demonstration for the
+// allocation-free simulation hot path: nearly double the paper's Fig. 3
+// workload, on the heterogeneous two-pilot placement, in one op.
+func BenchmarkMegaScreen(b *testing.B) {
 	campaigns, err := impress.BuildScenario("mega-screen", impress.ScenarioParams{Seed: 42})
 	if err != nil {
 		b.Fatal(err)
@@ -395,69 +392,12 @@ func benchMegaScreen(b *testing.B) {
 	reportCampaign(b, outs[0].Result)
 }
 
-// BenchmarkMegaScreen runs the mega-screen scenario — a 128-target
-// IM-RP screen on the split CPU/GPU pilot pair — end to end through the
-// campaign engine. It is the headroom demonstration for the
-// allocation-free simulation hot path: nearly double the paper's Fig. 3
-// workload, on the heterogeneous two-pilot placement, in one op.
-func BenchmarkMegaScreen(b *testing.B) {
-	benchMegaScreen(b)
-}
-
-// benchAllocScaling is one allocation-ledger cell, shared by
-// BenchmarkAllocScaling and the BENCH_<n>.json emitter. The cluster is
-// driven to the indexed ledger's worst-documented case for a linear
-// scan: every node but the last is completely full, so first-fit must
-// reject n-1 nodes before placing. The linear mode pays O(n) per
-// placement; the segment tree prunes full subtrees and pays O(log n).
-// Both modes are differentially tested to pick identical nodes, so this
-// is a pure mechanism A/B over one behaviour.
-func benchAllocScaling(b *testing.B, n int, indexed bool) {
-	spec := cluster.AmarelCluster(n)
-	mk := cluster.NewLinear
-	if indexed {
-		mk = cluster.New
-	}
-	c, err := mk(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	full := cluster.Request{Cores: spec.CoresPerNode, GPUs: spec.GPUsPerNode, MemGB: spec.MemGBPerNode}
-	for i := 0; i < n-1; i++ {
-		if c.Allocate(full) == nil {
-			b.Fatalf("fill allocation %d failed", i)
-		}
-	}
-	r := cluster.Request{Cores: 4, GPUs: 1, MemGB: 8}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := c.Allocate(r)
-		if a == nil {
-			b.Fatal("steady-state allocation failed")
-		}
-		c.Release(a)
-	}
-}
-
-// BenchmarkAllocScaling measures a single allocate/release round trip
-// against cluster size, indexed ledger vs retained linear scan.
-func BenchmarkAllocScaling(b *testing.B) {
-	for _, n := range []int{64, 512, 4096} {
-		for _, mode := range []struct {
-			name    string
-			indexed bool
-		}{{"indexed", true}, {"linear", false}} {
-			b.Run(fmt.Sprintf("nodes=%d/%s", n, mode.name), func(b *testing.B) {
-				benchAllocScaling(b, n, mode.indexed)
-			})
-		}
-	}
-}
-
-// benchKiloScreen is the kilo-screen body, shared by BenchmarkKiloScreen
-// and the BENCH_<n>.json emitter.
-func benchKiloScreen(b *testing.B) {
+// BenchmarkKiloScreen runs the kilo-screen scenario — a 128-target IM-RP
+// screen on a generated 1000-node heterogeneous fleet with faults,
+// recovery, and steering all active — end to end through the campaign
+// engine. This is the scale the indexed allocation ledger exists for:
+// every scheduling pass walks a thousand-node free-capacity ledger.
+func BenchmarkKiloScreen(b *testing.B) {
 	campaigns, err := impress.BuildScenario("kilo-screen", impress.ScenarioParams{Seed: 42})
 	if err != nil {
 		b.Fatal(err)
@@ -479,17 +419,8 @@ func benchKiloScreen(b *testing.B) {
 	}
 }
 
-// BenchmarkKiloScreen runs the kilo-screen scenario — a 128-target IM-RP
-// screen on a generated 1000-node heterogeneous fleet with faults,
-// recovery, and steering all active — end to end through the campaign
-// engine. This is the scale the indexed allocation ledger exists for:
-// every scheduling pass walks a thousand-node free-capacity ledger.
-func BenchmarkKiloScreen(b *testing.B) {
-	benchKiloScreen(b)
-}
-
-// benchTelemetry is one telemetry-overhead cell, shared by
-// BenchmarkTelemetry and the BENCH_<n>.json emitter: the seed-42 pair
+// benchTelemetry is one telemetry-overhead cell of BenchmarkTelemetry:
+// the seed-42 pair
 // scenario (CONT-V + IM-RP, the golden workload) with the observability
 // recorder on or off. The off mode is the hot path the golden and
 // allocation guards pin; the on mode additionally records task spans,
@@ -653,14 +584,14 @@ func BenchmarkChaosSweep(b *testing.B) {
 	b.ReportMetric(float64(maints), "maint-windows")
 }
 
-// benchPreemptSweep is the preempt-sweep body, shared by
-// BenchmarkPreemptSweep and the BENCH_<n>.json emitter: the one-seed
-// preemption grid (fault-free baseline plus every checkpoint-cadence ×
-// kill-vs-drain × steering cell), reporting the grid's total evictions
-// and resumes and the headline waste comparison — wasted core-hours
-// with checkpointing off (the kill+none/ck0 cell) against the
-// evict-and-resume cell (drain+preempt/ck15m).
-func benchPreemptSweep(b *testing.B) {
+// BenchmarkPreemptSweep runs the one-seed preemption grid (fault-free
+// baseline plus every checkpoint-cadence × kill-vs-drain × steering
+// cell) end to end, reporting the grid's total evictions and resumes and
+// the headline waste comparison — wasted core-hours with checkpointing
+// off (the kill+none/ck0 cell) against the evict-and-resume cell
+// (drain+preempt/ck15m). CI runs it at -benchtime 1x as the
+// checkpointed-preemption smoke test.
+func BenchmarkPreemptSweep(b *testing.B) {
 	campaigns, err := impress.BuildScenario("preempt-sweep", impress.ScenarioParams{
 		Seed:    42,
 		Seeds:   1,
@@ -701,19 +632,13 @@ func benchPreemptSweep(b *testing.B) {
 	b.ReportMetric(wastedOn, "wasted-ck-on")
 }
 
-// BenchmarkPreemptSweep runs the one-seed preemption grid end to end.
-// CI runs it at -benchtime 1x as the checkpointed-preemption smoke test.
-func BenchmarkPreemptSweep(b *testing.B) {
-	benchPreemptSweep(b)
-}
-
-// benchTenantSweep is the tenant-sweep body, shared by
-// BenchmarkTenantSweep and the BENCH_<n>.json emitter: the one-seed
-// admission grid — every admission-control policy over eight campaigns
-// arriving on one shared 12-node fleet with fairshare reclaim —
-// reporting the best Jain's index, the fcfs baseline index, and the
-// grid's total inter-campaign node reclaims.
-func benchTenantSweep(b *testing.B) {
+// BenchmarkTenantSweep runs the one-seed admission grid — every
+// admission-control policy over eight campaigns arriving on one shared
+// 12-node fleet with fairshare reclaim — end to end, reporting the best
+// Jain's index, the fcfs baseline index, and the grid's total
+// inter-campaign node reclaims. CI runs it at -benchtime 1x as the
+// multi-tenant service's smoke test.
+func BenchmarkTenantSweep(b *testing.B) {
 	campaigns, err := impress.BuildScenario("tenant-sweep", impress.ScenarioParams{
 		Seed:    42,
 		Seeds:   1,
@@ -746,125 +671,4 @@ func benchTenantSweep(b *testing.B) {
 	b.ReportMetric(bestJain, "best-jain")
 	b.ReportMetric(fcfsJain, "fcfs-jain")
 	b.ReportMetric(float64(reclaims), "reclaims")
-}
-
-// BenchmarkTenantSweep runs the one-seed admission grid end to end.
-// CI runs it at -benchtime 1x as the multi-tenant service's smoke test.
-func BenchmarkTenantSweep(b *testing.B) {
-	benchTenantSweep(b)
-}
-
-// benchTenantCell is the BENCH_<n>.json consolidation A/B: the same
-// eight arriving tenant campaigns run either through the shared-cluster
-// service (weighted-fair admission on the 12-node pool — this PR's
-// measurement) or on isolated private clusters, one demand-sized
-// machine per tenant with no sharing at all (the baseline). The
-// isolated fleet is nearly twice the hardware (23 nodes vs 12) and its
-// makespan is each tenant's private runtime offset by its arrival —
-// the cell's metric deltas price what consolidation costs in makespan
-// against what it saves in nodes.
-func benchTenantCell(b *testing.B, shared bool) {
-	all, err := impress.BuildScenario("tenant-sweep", impress.ScenarioParams{
-		Seed:      42,
-		Seeds:     1,
-		Targets:   8,
-		Admission: "weighted-fair",
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(all) != 1 {
-		b.Fatalf("pinned admission built %d campaigns, want 1", len(all))
-	}
-	spec := all[0].Tenancy
-
-	if shared {
-		var outs []impress.CampaignOutcome
-		for i := 0; i < b.N; i++ {
-			outs = impress.RunCampaigns(all, 1)
-			if outs[0].Err != nil {
-				b.Fatalf("campaign %s failed: %v", all[0].Name, outs[0].Err)
-			}
-		}
-		res := outs[0].Result
-		b.ReportMetric(res.Makespan.Hours(), "makespan-h")
-		b.ReportMetric(float64(spec.Config.Machine.Nodes), "nodes")
-		b.ReportMetric(impress.JainOf(res), "jain")
-		b.ReportMetric(float64(res.NodeTransfers), "reclaims")
-		return
-	}
-
-	// Isolated baseline: each tenant on its own private demand-sized
-	// cluster, workload and arrival stream identical to the service run.
-	arrivals, err := fleet.Arrivals(spec.Config.Arrival, len(spec.Tenants), spec.Config.Span, spec.Config.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nodes := 0
-	campaigns := make([]impress.Campaign, len(spec.Tenants))
-	for i, ts := range spec.Tenants {
-		targets, err := workload.MinedScreen(xrand.Derive(ts.Seed, "tenant:"+ts.Name), ts.TargetCount, workload.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := ts.Config
-		cfg.Machine = cluster.AmarelCluster(ts.Nodes)
-		nodes += ts.Nodes
-		campaigns[i] = impress.Campaign{Name: "isolated/" + ts.Name, Seed: ts.Seed, Targets: targets, Config: cfg}
-	}
-	var outs []impress.CampaignOutcome
-	for i := 0; i < b.N; i++ {
-		outs = impress.RunCampaigns(campaigns, 0)
-		for _, o := range outs {
-			if o.Err != nil {
-				b.Fatalf("campaign %s failed: %v", o.Name, o.Err)
-			}
-		}
-	}
-	var makespan time.Duration
-	for i, o := range outs {
-		if end := arrivals[i] + o.Result.Makespan; end > makespan {
-			makespan = end
-		}
-	}
-	b.ReportMetric(makespan.Hours(), "makespan-h")
-	b.ReportMetric(float64(nodes), "nodes")
-	// Private clusters never queue or reclaim: slowdown 1 for everyone.
-	b.ReportMetric(1, "jain")
-	b.ReportMetric(0, "reclaims")
-}
-
-// benchPreemptCell runs a single named campaign of the preemption grid —
-// the BENCH_<n>.json A/B cells: the evict-and-resume measurement against
-// the kill-and-restart baseline on the identical workload and walltime.
-func benchPreemptCell(b *testing.B, campaign string) {
-	all, err := impress.BuildScenario("preempt-sweep", impress.ScenarioParams{
-		Seed:    42,
-		Seeds:   1,
-		Targets: 8,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var picked []impress.Campaign
-	for _, c := range all {
-		if c.Name == campaign {
-			picked = append(picked, c)
-		}
-	}
-	if len(picked) != 1 {
-		b.Fatalf("campaign %q not in the preempt-sweep grid", campaign)
-	}
-	var outs []impress.CampaignOutcome
-	for i := 0; i < b.N; i++ {
-		outs = impress.RunCampaigns(picked, 1)
-		if outs[0].Err != nil {
-			b.Fatalf("campaign %s failed: %v", campaign, outs[0].Err)
-		}
-	}
-	res := outs[0].Result
-	b.ReportMetric(res.Makespan.Hours(), "makespan-h")
-	b.ReportMetric(res.Faults.WastedCoreHours, "wasted-core-h")
-	b.ReportMetric(float64(res.Faults.Resumes), "resumes")
-	b.ReportMetric(float64(res.Faults.Evictions), "evictions")
 }

@@ -75,6 +75,53 @@ func renderPairOutcomes(t *testing.T, outs []impress.CampaignOutcome) string {
 	return sb.String()
 }
 
+// readGolden returns the pinned pair trace.
+func readGolden(t *testing.T) string {
+	t.Helper()
+	want, err := os.ReadFile(goldenPairPath)
+	if err != nil {
+		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
+	}
+	return string(want)
+}
+
+// firstDiff returns the 1-based number and contents of the first line
+// where got and want differ, or line 0 when one is a line prefix of the
+// other (only the lengths differ), along with both line counts.
+func firstDiff(got, want string) (line int, g, w string, gotLines, wantLines int) {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < min(len(gl), len(wl)); i++ {
+		if gl[i] != wl[i] {
+			return i + 1, gl[i], wl[i], len(gl), len(wl)
+		}
+	}
+	return 0, "", "", len(gl), len(wl)
+}
+
+// goldenCase is one replay of the pinned pair trace: the scenario params
+// it runs with and the failure message when its bytes diverge.
+type goldenCase struct {
+	params impress.ScenarioParams
+	msg    string
+}
+
+// checkGoldenInert renders each case and fails with the case's message
+// unless its trace is byte-identical to the golden file. The inertness
+// tests compare against the file TestGoldenPairTrace regenerates, so
+// they skip while UPDATE_GOLDEN is set.
+func checkGoldenInert(t *testing.T, cases ...goldenCase) {
+	t.Helper()
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		t.Skip("golden file is regenerated by TestGoldenPairTrace")
+	}
+	want := readGolden(t)
+	for _, c := range cases {
+		if got := renderPairTrace(t, c.params); got != want {
+			t.Fatal(c.msg)
+		}
+	}
+}
+
 func TestGoldenPairTrace(t *testing.T) {
 	got := renderPairTrace(t, impress.ScenarioParams{})
 	if os.Getenv("UPDATE_GOLDEN") != "" {
@@ -87,26 +134,17 @@ func TestGoldenPairTrace(t *testing.T) {
 		t.Logf("wrote %s (%d bytes)", goldenPairPath, len(got))
 		return
 	}
-	want, err := os.ReadFile(goldenPairPath)
-	if err != nil {
-		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
-	}
-	if got == string(want) {
+	want := readGolden(t)
+	if got == want {
 		return
 	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	n := len(gotLines)
-	if len(wantLines) < n {
-		n = len(wantLines)
+	line, g, w, gotLines, wantLines := firstDiff(got, want)
+	if line > 0 {
+		t.Fatalf("golden trace diverged at line %d:\n got: %s\nwant: %s\n"+
+			"(default-policy behaviour must stay bit-identical; regenerate only for intentional changes)",
+			line, g, w)
 	}
-	for i := 0; i < n; i++ {
-		if gotLines[i] != wantLines[i] {
-			t.Fatalf("golden trace diverged at line %d:\n got: %s\nwant: %s\n"+
-				"(default-policy behaviour must stay bit-identical; regenerate only for intentional changes)",
-				i+1, gotLines[i], wantLines[i])
-		}
-	}
-	t.Fatalf("golden trace length changed: got %d lines, want %d", len(gotLines), len(wantLines))
+	t.Fatalf("golden trace length changed: got %d lines, want %d", gotLines, wantLines)
 }
 
 // TestGoldenTraceDeterminism guards the golden harness itself: two
@@ -129,17 +167,8 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 // bump, or ledger reshaping that leaks from the elastic layer into the
 // frozen path fails this test.
 func TestGoldenPairTraceSteerDisabled(t *testing.T) {
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		t.Skip("golden file is regenerated by TestGoldenPairTrace")
-	}
-	got := renderPairTrace(t, impress.ScenarioParams{Steer: "none"})
-	want, err := os.ReadFile(goldenPairPath)
-	if err != nil {
-		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
-	}
-	if got != string(want) {
-		t.Fatal("steering subsystem disabled is not inert: the seed-42 pair trace diverged from the golden file")
-	}
+	checkGoldenInert(t, goldenCase{impress.ScenarioParams{Steer: "none"},
+		"steering subsystem disabled is not inert: the seed-42 pair trace diverged from the golden file"})
 }
 
 // TestGoldenPairTraceTelemetryEnabled proves the telemetry layer is a
@@ -151,17 +180,8 @@ func TestGoldenPairTraceSteerDisabled(t *testing.T) {
 // other golden test in this file already proves, since they run with
 // telemetry off.)
 func TestGoldenPairTraceTelemetryEnabled(t *testing.T) {
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		t.Skip("golden file is regenerated by TestGoldenPairTrace")
-	}
-	got := renderPairTrace(t, impress.ScenarioParams{Telemetry: true})
-	want, err := os.ReadFile(goldenPairPath)
-	if err != nil {
-		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
-	}
-	if got != string(want) {
-		t.Fatal("telemetry recorder is not a pure observer: the seed-42 pair trace diverged from the golden file")
-	}
+	checkGoldenInert(t, goldenCase{impress.ScenarioParams{Telemetry: true},
+		"telemetry recorder is not a pure observer: the seed-42 pair trace diverged from the golden file"})
 }
 
 // TestGoldenPairTraceCheckpointInert proves the checkpointed-preemption
@@ -175,19 +195,11 @@ func TestGoldenPairTraceTelemetryEnabled(t *testing.T) {
 // so the checkpoint plumbing threads through every pilot yet may not
 // perturb a single timestamp.
 func TestGoldenPairTraceCheckpointInert(t *testing.T) {
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		t.Skip("golden file is regenerated by TestGoldenPairTrace")
-	}
-	want, err := os.ReadFile(goldenPairPath)
-	if err != nil {
-		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
-	}
-	if got := renderPairTrace(t, impress.ScenarioParams{CheckpointInterval: 0}); got != string(want) {
-		t.Fatal("checkpoint-interval 0 is not inert: the seed-42 pair trace diverged from the golden file")
-	}
-	if got := renderPairTrace(t, impress.ScenarioParams{CheckpointInterval: 30 * time.Minute}); got != string(want) {
-		t.Fatal("lazy checkpointing leaked into the healthy path: a 30m interval with nothing evicting diverged from the golden file")
-	}
+	checkGoldenInert(t,
+		goldenCase{impress.ScenarioParams{CheckpointInterval: 0},
+			"checkpoint-interval 0 is not inert: the seed-42 pair trace diverged from the golden file"},
+		goldenCase{impress.ScenarioParams{CheckpointInterval: 30 * time.Minute},
+			"lazy checkpointing leaked into the healthy path: a 30m interval with nothing evicting diverged from the golden file"})
 }
 
 // TestGoldenPairTraceSingleTenantService proves the multi-tenant
@@ -245,23 +257,13 @@ func TestGoldenPairTraceSingleTenantService(t *testing.T) {
 		})
 	}
 	got := renderPairOutcomes(t, outs)
-	want, err := os.ReadFile(goldenPairPath)
-	if err != nil {
-		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
-	}
-	if got != string(want) {
-		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		n := len(gotLines)
-		if len(wantLines) < n {
-			n = len(wantLines)
+	if want := readGolden(t); got != want {
+		line, g, w, gotLines, wantLines := firstDiff(got, want)
+		if line > 0 {
+			t.Fatalf("single-tenant service replay diverged from the golden trace at line %d:\n got: %s\nwant: %s",
+				line, g, w)
 		}
-		for i := 0; i < n; i++ {
-			if gotLines[i] != wantLines[i] {
-				t.Fatalf("single-tenant service replay diverged from the golden trace at line %d:\n got: %s\nwant: %s",
-					i+1, gotLines[i], wantLines[i])
-			}
-		}
-		t.Fatalf("single-tenant service replay changed the trace length: got %d lines, want %d", len(gotLines), len(wantLines))
+		t.Fatalf("single-tenant service replay changed the trace length: got %d lines, want %d", gotLines, wantLines)
 	}
 }
 
@@ -272,18 +274,6 @@ func TestGoldenPairTraceSingleTenantService(t *testing.T) {
 // scheduled event, or behavioural gate that leaks from the fault layer
 // into the healthy path fails this test.
 func TestGoldenPairTraceFaultDisabled(t *testing.T) {
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		t.Skip("golden file is regenerated by TestGoldenPairTrace")
-	}
-	got := renderPairTrace(t, impress.ScenarioParams{
-		Fault:    impress.FaultSpec{},
-		Recovery: "none",
-	})
-	want, err := os.ReadFile(goldenPairPath)
-	if err != nil {
-		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
-	}
-	if got != string(want) {
-		t.Fatal("fault subsystem disabled is not inert: the seed-42 pair trace diverged from the golden file")
-	}
+	checkGoldenInert(t, goldenCase{impress.ScenarioParams{Fault: impress.FaultSpec{}, Recovery: "none"},
+		"fault subsystem disabled is not inert: the seed-42 pair trace diverged from the golden file"})
 }

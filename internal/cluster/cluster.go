@@ -8,6 +8,11 @@
 // by package trace — that distinction is the whole story of Fig. 4, where
 // CONT-V's AlphaFold task holds a GPU for hours while only the CPU-bound
 // MSA phase runs.
+//
+// Every query runs on one indexed ledger (a segment tree, see index.go).
+// The linear first-fit scan it must agree with is in the test files: the
+// oracle of the randomized differential suite and the baseline of
+// BenchmarkAllocScaling.
 package cluster
 
 import (
@@ -149,7 +154,6 @@ func (n *Node) idle() bool {
 // concurrent use; the pilot agent serializes access through the
 // discrete-event engine.
 type Cluster struct {
-	spec  Spec
 	nodes []*Node
 	// freed is the freed-capacity watermark: it advances whenever free
 	// capacity can have grown (an allocation released, a node repaired).
@@ -163,18 +167,14 @@ type Cluster struct {
 	// change what the pilot accepts (see Fits).
 	homeShapes []NodeCapacity
 
-	// idx is the segment-tree allocation index (see index.go); nil in
-	// linear-reference mode, where every query falls back to the original
-	// O(nodes) scans. The linear mode is kept as the A/B baseline for the
-	// allocation benchmarks and as the oracle the randomized differential
-	// suite replays against.
+	// idx is the segment-tree allocation index (see index.go).
 	idx *ledgerIndex
 
 	// Aggregate ledger counters, maintained incrementally on every
-	// mutation path so the indexed mode answers FreeCores/CapCores/
-	// ActiveNodeCount/UpNodeCount-style queries in O(1). Free totals
-	// include down nodes (their ledger stays exact across crash/repair);
-	// removed nodes hold zeroed capacity and contribute nothing.
+	// mutation path so FreeCores/CapCores/ActiveNodeCount/UpNodeCount-style
+	// queries answer in O(1). Free totals include down nodes (their
+	// ledger stays exact across crash/repair); removed nodes hold zeroed
+	// capacity and contribute nothing.
 	freeCores, freeGPUs, freeMemGB int
 	capCores, capGPUs, capMemGB    int
 	activeNodes, upNodes           int
@@ -187,39 +187,24 @@ type Cluster struct {
 	epoch      uint64
 }
 
-// New builds an indexed cluster with all resources free.
+// New builds a cluster with all resources free.
 func New(spec Spec) (*Cluster, error) {
-	return newCluster(spec, nil, true)
+	return newCluster(spec, nil)
 }
 
-// NewLinear builds a cluster that answers every query with the original
-// linear scans — the reference mode the indexed ledger is differentially
-// tested and benchmarked against.
-func NewLinear(spec Spec) (*Cluster, error) {
-	return newCluster(spec, nil, false)
-}
-
-// NewWithNodes builds an indexed cluster whose nodes take explicit,
-// possibly heterogeneous capacities (a generated fleet). spec.Nodes must
-// equal len(caps); spec's per-node fields describe the nominal partition
-// for reporting, while Fits derives its envelope from the distinct
+// NewWithNodes builds a cluster whose nodes take explicit, possibly
+// heterogeneous capacities (a generated fleet). spec.Nodes must equal
+// len(caps); spec's per-node fields describe the nominal partition for
+// reporting, while Fits derives its envelope from the distinct
 // capacities actually present.
 func NewWithNodes(spec Spec, caps []NodeCapacity) (*Cluster, error) {
 	if caps == nil {
 		caps = []NodeCapacity{}
 	}
-	return newCluster(spec, caps, true)
+	return newCluster(spec, caps)
 }
 
-// NewLinearWithNodes is NewWithNodes in linear-reference mode.
-func NewLinearWithNodes(spec Spec, caps []NodeCapacity) (*Cluster, error) {
-	if caps == nil {
-		caps = []NodeCapacity{}
-	}
-	return newCluster(spec, caps, false)
-}
-
-func newCluster(spec Spec, caps []NodeCapacity, indexed bool) (*Cluster, error) {
+func newCluster(spec Spec, caps []NodeCapacity) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -240,7 +225,6 @@ func newCluster(spec Spec, caps []NodeCapacity, indexed bool) (*Cluster, error) 
 		}
 	}
 	c := &Cluster{
-		spec:       spec,
 		nodes:      make([]*Node, 0, len(caps)),
 		avoidEpoch: make([]uint64, len(caps)),
 	}
@@ -262,9 +246,7 @@ func newCluster(spec Spec, caps []NodeCapacity, indexed bool) (*Cluster, error) 
 	}
 	c.activeNodes = len(caps)
 	c.upNodes = len(caps)
-	if indexed {
-		c.rebuildIndex()
-	}
+	c.rebuildIndex()
 	return c, nil
 }
 
@@ -277,13 +259,6 @@ func (c *Cluster) addHomeShape(nc NodeCapacity) {
 	}
 	c.homeShapes = append(c.homeShapes, nc)
 }
-
-// Indexed reports whether this cluster runs the segment-tree allocation
-// index (false for the linear-reference mode).
-func (c *Cluster) Indexed() bool { return c.idx != nil }
-
-// Spec returns the cluster's specification.
-func (c *Cluster) Spec() Spec { return c.spec }
 
 // Alloc is a granted reservation on a single node.
 type Alloc struct {
@@ -323,11 +298,45 @@ func (c *Cluster) Fits(r Request) bool {
 		return false
 	}
 	for _, s := range c.homeShapes {
-		if r.Cores <= s.Cores && r.GPUs <= s.GPUs && r.MemGB <= s.MemGB {
+		if hostsCap(s, r) {
 			return true
 		}
 	}
 	return false
+}
+
+// FitsOutside reports whether some node not named in avoid, up or down
+// but not transferred away, has a capacity that could host r once empty
+// — whether an attempt excluded from the avoided nodes can ever be
+// placed here. Out-of-range IDs in avoid match no node.
+func (c *Cluster) FitsOutside(r Request, avoid []int) bool {
+	if !c.Fits(r) {
+		return false
+	}
+	c.stampAvoid(avoid)
+	// Removed nodes hold zero capacity, so they never match.
+	for _, n := range c.nodes {
+		if c.avoidEpoch[n.ID] != c.epoch && hostsCap(n.cap, r) {
+			return true
+		}
+	}
+	return false
+}
+
+// stampAvoid opens a new exclusion epoch and stamps the in-range IDs of
+// avoid with it.
+func (c *Cluster) stampAvoid(avoid []int) {
+	c.epoch++
+	for _, id := range avoid {
+		if id >= 0 && id < len(c.avoidEpoch) {
+			c.avoidEpoch[id] = c.epoch
+		}
+	}
+}
+
+// hostsCap reports whether an empty node of capacity nc can host r.
+func hostsCap(nc NodeCapacity, r Request) bool {
+	return r.Cores <= nc.Cores && r.GPUs <= nc.GPUs && r.MemGB <= nc.MemGB
 }
 
 // Allocate reserves resources on the first node that fits (first-fit
@@ -349,29 +358,13 @@ func (c *Cluster) AllocateExcluding(r Request, avoid []int) *Alloc {
 	}
 	excluding := len(avoid) > 0
 	if excluding {
-		c.epoch++
-		for _, id := range avoid {
-			if id >= 0 && id < len(c.avoidEpoch) {
-				c.avoidEpoch[id] = c.epoch
-			}
-		}
+		c.stampAvoid(avoid)
 	}
-	if c.idx != nil {
-		id := c.idxFirstFit(1, r, excluding)
-		if id < 0 {
-			return nil
-		}
-		return c.take(c.nodes[id], r)
+	id := c.idxFirstFit(1, r, excluding)
+	if id < 0 {
+		return nil
 	}
-	for _, n := range c.nodes {
-		if n.down || n.removed || (excluding && c.avoidEpoch[n.ID] == c.epoch) {
-			continue
-		}
-		if n.freeCores >= r.Cores && n.freeGPUs >= r.GPUs && n.freeMemGB >= r.MemGB {
-			return c.take(n, r)
-		}
-	}
-	return nil
+	return c.take(c.nodes[id], r)
 }
 
 // AllocateOn reserves resources on one specific node, bypassing first-fit
@@ -404,32 +397,17 @@ func (c *Cluster) take(n *Node, r Request) *Alloc {
 	c.freeCores -= r.Cores
 	c.freeGPUs -= r.GPUs
 	c.freeMemGB -= r.MemGB
-	if c.idx != nil {
-		c.updateLeaf(n.ID)
-	}
+	c.updateLeaf(n.ID)
 	return &Alloc{Node: n, Cores: r.Cores, GPUs: r.GPUs, MemGB: r.MemGB}
 }
 
 // VisitFitting calls f for every allocatable node whose free counters can
 // host r right now, in ascending node ID order, passing the node's ID and
-// free counters. f returning false stops the walk. In indexed mode only
-// fitting subtrees are descended, so scheduling policies rank candidates
-// in O(matches · log n) instead of rescanning the full node snapshot.
+// free counters. f returning false stops the walk. Only fitting subtrees
+// of the index are descended, so scheduling policies rank candidates in
+// O(matches · log n) instead of rescanning every node.
 func (c *Cluster) VisitFitting(r Request, f func(id int, free Request) bool) {
-	if c.idx != nil {
-		c.idxVisitFitting(1, r, f)
-		return
-	}
-	for _, n := range c.nodes {
-		if n.down || n.removed {
-			continue
-		}
-		if n.freeCores >= r.Cores && n.freeGPUs >= r.GPUs && n.freeMemGB >= r.MemGB {
-			if !f(n.ID, Request{Cores: n.freeCores, GPUs: n.freeGPUs, MemGB: n.freeMemGB}) {
-				return
-			}
-		}
-	}
+	c.idxVisitFitting(1, r, f)
 }
 
 // Release returns an allocation's resources to its node. Releasing twice
@@ -453,34 +431,21 @@ func (c *Cluster) Release(a *Alloc) {
 	c.freeCores += a.Cores
 	c.freeGPUs += a.GPUs
 	c.freeMemGB += a.MemGB
-	if c.idx != nil {
-		c.updateLeaf(a.Node.ID)
-	}
+	c.updateLeaf(a.Node.ID)
 }
 
-// NodeFree returns each node's free counters as requests, in node order —
-// the per-node ledger snapshot scheduling policies rank placements
-// against. Crashed nodes report zero free capacity so no policy ranks a
-// placement onto hardware that cannot take it.
+// NodeFree returns each node's free counters as requests, in node order.
+// Crashed and removed (transferred-away) nodes report zero free capacity,
+// so node indices stay aligned with IDs and nothing ranks a placement
+// onto hardware that cannot take it.
 func (c *Cluster) NodeFree() []Request {
-	return c.NodeFreeInto(nil)
-}
-
-// NodeFreeInto is NodeFree filling a caller-provided buffer (reused from
-// length zero; grown only when too small), so per-pass ledger snapshots
-// allocate nothing in steady state. Removed (transferred-away) nodes
-// report zero free capacity, exactly like down nodes, so node indices
-// stay aligned with IDs.
-func (c *Cluster) NodeFreeInto(buf []Request) []Request {
-	buf = buf[:0]
-	for _, n := range c.nodes {
-		if n.down || n.removed {
-			buf = append(buf, Request{})
-			continue
+	out := make([]Request, len(c.nodes))
+	for i, n := range c.nodes {
+		if !n.down && !n.removed {
+			out[i] = Request{Cores: n.freeCores, GPUs: n.freeGPUs, MemGB: n.freeMemGB}
 		}
-		buf = append(buf, Request{Cores: n.freeCores, GPUs: n.freeGPUs, MemGB: n.freeMemGB})
 	}
-	return buf
+	return out
 }
 
 // FreedStamp returns the freed-capacity watermark. The stamp is opaque:
@@ -505,9 +470,7 @@ func (c *Cluster) SetNodeDown(id int) {
 	}
 	n.down = true
 	c.upNodes--
-	if c.idx != nil {
-		c.updateLeaf(id)
-	}
+	c.updateLeaf(id)
 }
 
 // SetNodeUp returns a repaired node to allocation.
@@ -516,9 +479,7 @@ func (c *Cluster) SetNodeUp(id int) {
 	if n.down {
 		n.down = false
 		c.upNodes++
-		if c.idx != nil {
-			c.updateLeaf(id)
-		}
+		c.updateLeaf(id)
 	}
 	c.freed++
 }
@@ -553,16 +514,7 @@ func (c *Cluster) NodeDomain(id int) string {
 // ActiveNodeCount returns the number of nodes currently part of the
 // cluster (not transferred away). Down nodes count: they come back.
 func (c *Cluster) ActiveNodeCount() int {
-	if c.idx != nil {
-		return c.activeNodes
-	}
-	t := 0
-	for _, n := range c.nodes {
-		if !n.removed {
-			t++
-		}
-	}
-	return t
+	return c.activeNodes
 }
 
 // UpNodeCount returns the number of operational nodes: part of the
@@ -571,36 +523,18 @@ func (c *Cluster) ActiveNodeCount() int {
 // capacity for a whole repair window, even though a down node still
 // "belongs" to it.
 func (c *Cluster) UpNodeCount() int {
-	if c.idx != nil {
-		return c.upNodes
-	}
-	t := 0
-	for _, n := range c.nodes {
-		if !n.removed && !n.down {
-			t++
-		}
-	}
-	return t
+	return c.upNodes
 }
 
 // TransferableNodes returns the IDs of nodes eligible for an elastic
 // transfer out, ascending: up, still part of the cluster, and holding no
 // in-flight allocations.
 func (c *Cluster) TransferableNodes() []int {
-	if c.idx != nil {
-		total := c.idx.idle[1]
-		if total == 0 {
-			return nil
-		}
-		return c.idxAppendIdle(1, make([]int, 0, total))
+	total := c.idx.idle[1]
+	if total == 0 {
+		return nil
 	}
-	var out []int
-	for _, n := range c.nodes {
-		if n.idle() {
-			out = append(out, n.ID)
-		}
-	}
-	return out
+	return c.idxAppendIdle(1, make([]int, 0, total))
 }
 
 // RemoveNode transfers a node out of the cluster, returning its capacity
@@ -632,9 +566,7 @@ func (c *Cluster) RemoveNode(id int) (NodeCapacity, error) {
 	c.freeMemGB -= nc.MemGB
 	c.activeNodes--
 	c.upNodes--
-	if c.idx != nil {
-		c.updateLeaf(id)
-	}
+	c.updateLeaf(id)
 	return nc, nil
 }
 
@@ -664,12 +596,10 @@ func (c *Cluster) AddNode(nc NodeCapacity) int {
 	c.activeNodes++
 	c.upNodes++
 	c.freed++
-	if c.idx != nil {
-		if len(c.nodes) > c.idx.size {
-			c.rebuildIndex()
-		} else {
-			c.updateLeaf(n.ID)
-		}
+	if len(c.nodes) > c.idx.size {
+		c.rebuildIndex()
+	} else {
+		c.updateLeaf(n.ID)
 	}
 	return n.ID
 }
@@ -678,38 +608,17 @@ func (c *Cluster) AddNode(nc NodeCapacity) int {
 // active (non-removed) nodes — Spec().TotalCores() until steering moves
 // a node.
 func (c *Cluster) CapCores() int {
-	if c.idx != nil {
-		return c.capCores
-	}
-	t := 0
-	for _, n := range c.nodes {
-		t += n.cap.Cores
-	}
-	return t
+	return c.capCores
 }
 
 // CapGPUs returns the current total GPU capacity across active nodes.
 func (c *Cluster) CapGPUs() int {
-	if c.idx != nil {
-		return c.capGPUs
-	}
-	t := 0
-	for _, n := range c.nodes {
-		t += n.cap.GPUs
-	}
-	return t
+	return c.capGPUs
 }
 
 // CapMemGB returns the current total memory capacity across active nodes.
 func (c *Cluster) CapMemGB() int {
-	if c.idx != nil {
-		return c.capMemGB
-	}
-	t := 0
-	for _, n := range c.nodes {
-		t += n.cap.MemGB
-	}
-	return t
+	return c.capMemGB
 }
 
 // DownNodes returns the IDs of currently crashed nodes, ascending.
@@ -732,38 +641,17 @@ func (c *Cluster) node(id int) *Node {
 
 // FreeCores returns the total free cores across nodes.
 func (c *Cluster) FreeCores() int {
-	if c.idx != nil {
-		return c.freeCores
-	}
-	t := 0
-	for _, n := range c.nodes {
-		t += n.freeCores
-	}
-	return t
+	return c.freeCores
 }
 
 // FreeGPUs returns the total free GPUs across nodes.
 func (c *Cluster) FreeGPUs() int {
-	if c.idx != nil {
-		return c.freeGPUs
-	}
-	t := 0
-	for _, n := range c.nodes {
-		t += n.freeGPUs
-	}
-	return t
+	return c.freeGPUs
 }
 
 // FreeMemGB returns the total free memory across nodes.
 func (c *Cluster) FreeMemGB() int {
-	if c.idx != nil {
-		return c.freeMemGB
-	}
-	t := 0
-	for _, n := range c.nodes {
-		t += n.freeMemGB
-	}
-	return t
+	return c.freeMemGB
 }
 
 // AllocatedCores returns currently reserved cores.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"impress/internal/xrand"
@@ -26,39 +27,39 @@ func differentialCaps(rng *xrand.RNG, n int) []NodeCapacity {
 	return caps
 }
 
-// pair is the differential harness: the indexed cluster under test and
-// the retained linear-scan cluster as the behavioral oracle, driven
-// through identical operation sequences.
-type pair struct {
-	t        *testing.T
-	idx, lin *Cluster
-	// outstanding allocations, index-aligned across the two clusters
-	idxAllocs, linAllocs []*Alloc
+// hosts reports whether free counters (or a capacity) can host r.
+func hosts(cores, gpus, mem int, r Request) bool {
+	return cores >= r.Cores && gpus >= r.GPUs && mem >= r.MemGB
 }
 
-func (p *pair) check(step int) {
-	p.t.Helper()
-	type agg struct {
-		FreeCores, FreeGPUs, FreeMemGB int
-		CapCores, CapGPUs, CapMemGB    int
-		Active, Up                     int
+// scanFirstFit is the linear first-fit scan the segment tree replaces:
+// the lowest-ID up, non-removed, non-avoided node whose free counters can
+// host r, or -1. Out-of-range avoid IDs match no node.
+func scanFirstFit(c *Cluster, r Request, avoid []int) int {
+	if !c.Fits(r) {
+		return -1
 	}
-	a := agg{p.idx.FreeCores(), p.idx.FreeGPUs(), p.idx.FreeMemGB(),
-		p.idx.CapCores(), p.idx.CapGPUs(), p.idx.CapMemGB(),
-		p.idx.ActiveNodeCount(), p.idx.UpNodeCount()}
-	b := agg{p.lin.FreeCores(), p.lin.FreeGPUs(), p.lin.FreeMemGB(),
-		p.lin.CapCores(), p.lin.CapGPUs(), p.lin.CapMemGB(),
-		p.lin.ActiveNodeCount(), p.lin.UpNodeCount()}
-	if a != b {
-		p.t.Fatalf("step %d: aggregates diverged\nindexed %+v\nlinear  %+v", step, a, b)
+	for _, n := range c.nodes {
+		if n.down || n.removed || slices.Contains(avoid, n.ID) {
+			continue
+		}
+		if hosts(n.freeCores, n.freeGPUs, n.freeMemGB, r) {
+			return n.ID
+		}
 	}
-	if !reflect.DeepEqual(p.idx.NodeFree(), p.lin.NodeFree()) {
-		p.t.Fatalf("step %d: per-node free counters diverged", step)
+	return -1
+}
+
+// scanFitting is VisitFitting's reference: the (id, free) sequence of
+// every up, non-removed node that can host r, ascending.
+func scanFitting(c *Cluster, r Request) []string {
+	var out []string
+	for _, n := range c.nodes {
+		if !n.down && !n.removed && hosts(n.freeCores, n.freeGPUs, n.freeMemGB, r) {
+			out = append(out, fmt.Sprintf("%d:%v", n.ID, Request{Cores: n.freeCores, GPUs: n.freeGPUs, MemGB: n.freeMemGB}))
+		}
 	}
-	if !reflect.DeepEqual(p.idx.TransferableNodes(), p.lin.TransferableNodes()) {
-		p.t.Fatalf("step %d: transferable sets diverged: %v vs %v",
-			step, p.idx.TransferableNodes(), p.lin.TransferableNodes())
-	}
+	return out
 }
 
 // visit collects VisitFitting's (id, free) sequence for comparison.
@@ -71,6 +72,50 @@ func visit(c *Cluster, r Request) []string {
 	return out
 }
 
+// checkAgainstScans compares every O(1) aggregate, the transferable set
+// and the full VisitFitting walk with scans of the node slice.
+func checkAgainstScans(t *testing.T, c *Cluster, step int) {
+	t.Helper()
+	type agg struct {
+		FreeCores, FreeGPUs, FreeMemGB int
+		CapCores, CapGPUs, CapMemGB    int
+		Active, Up                     int
+	}
+	got := agg{c.FreeCores(), c.FreeGPUs(), c.FreeMemGB(),
+		c.CapCores(), c.CapGPUs(), c.CapMemGB(),
+		c.ActiveNodeCount(), c.UpNodeCount()}
+	var want agg
+	var idle []int
+	for _, n := range c.nodes {
+		want.FreeCores += n.freeCores
+		want.FreeGPUs += n.freeGPUs
+		want.FreeMemGB += n.freeMemGB
+		want.CapCores += n.cap.Cores
+		want.CapGPUs += n.cap.GPUs
+		want.CapMemGB += n.cap.MemGB
+		if !n.removed {
+			want.Active++
+			if !n.down {
+				want.Up++
+			}
+		}
+		if n.idle() {
+			idle = append(idle, n.ID)
+		}
+	}
+	if got != want {
+		t.Fatalf("step %d: aggregates diverged\nindexed %+v\nscan    %+v", step, got, want)
+	}
+	if tr := c.TransferableNodes(); !reflect.DeepEqual(tr, idle) {
+		t.Fatalf("step %d: transferable sets diverged: %v vs %v", step, tr, idle)
+	}
+	// The empty request fits every allocatable leaf, so this walk checks
+	// the whole index against the node slice.
+	if vi, vs := visit(c, Request{}), scanFitting(c, Request{}); !reflect.DeepEqual(vi, vs) {
+		t.Fatalf("step %d: index leaves diverged:\nindexed %v\nscan    %v", step, vi, vs)
+	}
+}
+
 func randomRequest(rng *xrand.RNG) Request {
 	r := Request{Cores: rng.Intn(20), GPUs: rng.Intn(4), MemGB: rng.Intn(96)}
 	if r.Cores == 0 && r.GPUs == 0 {
@@ -79,12 +124,13 @@ func randomRequest(rng *xrand.RNG) Request {
 	return r
 }
 
-// TestDifferentialIndexedVsLinear drives the indexed ledger and the
-// linear-scan reference through identical randomized operation sequences
-// — allocate, exclusion-list allocate, release, crash, repair, transfer
-// out, transfer in — asserting after every step that both pick the same
-// nodes and report the same counters. This is the byte-identity argument
-// for the segment tree, made executable.
+// TestDifferentialIndexedVsLinear drives the indexed ledger through
+// randomized operation sequences — allocate, exclusion-list allocate,
+// release, crash, repair, transfer out, transfer in — with a linear scan
+// of its own node slice as the oracle: before every allocation the scan
+// predicts the first-fit node, and after every step the aggregates, the
+// transferable set and the VisitFitting walk must match scans. This is
+// the byte-identity argument for the segment tree, made executable.
 func TestDifferentialIndexedVsLinear(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 17, 33, 64} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -104,18 +150,11 @@ func runDifferential(t *testing.T, n int, seed uint64) {
 		spec.GPUsPerNode = max(spec.GPUsPerNode, nc.GPUs)
 		spec.MemGBPerNode = max(spec.MemGBPerNode, nc.MemGB)
 	}
-	idx, err := NewWithNodes(spec, caps)
+	c, err := NewWithNodes(spec, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin, err := NewLinearWithNodes(spec, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !idx.Indexed() || lin.Indexed() {
-		t.Fatal("constructor mode mixed up")
-	}
-	p := &pair{t: t, idx: idx, lin: lin}
+	var allocs []*Alloc
 
 	for step := 0; step < 400; step++ {
 		switch op := rng.Intn(10); {
@@ -124,70 +163,72 @@ func runDifferential(t *testing.T, n int, seed uint64) {
 			var avoid []int
 			if rng.Bool(0.3) {
 				for k := rng.Intn(4); k >= 0; k-- {
-					// Out-of-range IDs deliberately included: both paths
+					// Out-of-range IDs deliberately included: the ledger
 					// must ignore them.
-					avoid = append(avoid, rng.Intn(idx.NodeCount()+2)-1)
+					avoid = append(avoid, rng.Intn(c.NodeCount()+2)-1)
 				}
 			}
-			ai := idx.AllocateExcluding(r, avoid)
-			al := lin.AllocateExcluding(r, avoid)
-			if (ai == nil) != (al == nil) {
-				t.Fatalf("step %d: placement diverged for %+v avoid %v: indexed %v linear %v",
-					step, r, avoid, ai, al)
+			want := scanFirstFit(c, r, avoid)
+			a := c.AllocateExcluding(r, avoid)
+			got := -1
+			if a != nil {
+				got = a.Node.ID
+				allocs = append(allocs, a)
 			}
-			if ai != nil {
-				if ai.Node.ID != al.Node.ID {
-					t.Fatalf("step %d: chose node %d, linear chose %d (req %+v avoid %v)",
-						step, ai.Node.ID, al.Node.ID, r, avoid)
+			if got != want {
+				t.Fatalf("step %d: chose node %d, linear scan chose %d (req %+v avoid %v)",
+					step, got, want, r, avoid)
+			}
+			fits := false
+			for _, n := range c.nodes {
+				if !n.removed && !slices.Contains(avoid, n.ID) && hosts(n.cap.Cores, n.cap.GPUs, n.cap.MemGB, r) {
+					fits = c.Fits(r)
+					break
 				}
-				p.idxAllocs = append(p.idxAllocs, ai)
-				p.linAllocs = append(p.linAllocs, al)
+			}
+			if got := c.FitsOutside(r, avoid); got != fits {
+				t.Fatalf("step %d: FitsOutside(%+v, %v) = %v, scan says %v", step, r, avoid, got, fits)
 			}
 		case op < 6: // release a random outstanding allocation
-			if len(p.idxAllocs) == 0 {
+			if len(allocs) == 0 {
 				continue
 			}
-			k := rng.Intn(len(p.idxAllocs))
-			idx.Release(p.idxAllocs[k])
-			lin.Release(p.linAllocs[k])
-			last := len(p.idxAllocs) - 1
-			p.idxAllocs[k], p.idxAllocs = p.idxAllocs[last], p.idxAllocs[:last]
-			p.linAllocs[k], p.linAllocs = p.linAllocs[last], p.linAllocs[:last]
+			k := rng.Intn(len(allocs))
+			c.Release(allocs[k])
+			last := len(allocs) - 1
+			allocs[k], allocs = allocs[last], allocs[:last]
 		case op < 7: // crash or repair a random non-removed node
-			id := rng.Intn(idx.NodeCount())
-			if idx.NodeIsRemoved(id) {
+			id := rng.Intn(c.NodeCount())
+			if c.NodeIsRemoved(id) {
 				continue
 			}
 			if rng.Bool(0.5) {
-				idx.SetNodeDown(id)
-				lin.SetNodeDown(id)
+				c.SetNodeDown(id)
 			} else {
-				idx.SetNodeUp(id)
-				lin.SetNodeUp(id)
+				c.SetNodeUp(id)
 			}
-		case op < 8: // transfer a node out (refusals must agree too)
-			id := rng.Intn(idx.NodeCount())
-			ci, ei := idx.RemoveNode(id)
-			cl, el := lin.RemoveNode(id)
-			if (ei == nil) != (el == nil) || ci != cl {
-				t.Fatalf("step %d: RemoveNode(%d) diverged: (%v,%v) vs (%v,%v)",
-					step, id, ci, ei, cl, el)
+		case op < 8: // transfer a node out (refusals must match too)
+			id := rng.Intn(c.NodeCount())
+			n := c.nodes[id]
+			wantCap, refuse := n.cap, !n.idle()
+			got, err := c.RemoveNode(id)
+			if (err != nil) != refuse || (err == nil && got != wantCap) {
+				t.Fatalf("step %d: RemoveNode(%d) = (%v,%v), want capacity %v refused=%v",
+					step, id, got, err, wantCap, refuse)
 			}
 		case op < 9: // transfer a node in
 			nc := NodeCapacity{Cores: 1 + rng.Intn(16), GPUs: rng.Intn(3), MemGB: 4 + rng.Intn(64)}
-			ii := idx.AddNode(nc)
-			il := lin.AddNode(nc)
-			if ii != il {
-				t.Fatalf("step %d: AddNode IDs diverged: %d vs %d", step, ii, il)
+			want := len(c.nodes)
+			if id := c.AddNode(nc); id != want {
+				t.Fatalf("step %d: AddNode ID %d, want %d", step, id, want)
 			}
 		default: // probe: VisitFitting order and contents must match
 			r := randomRequest(rng)
-			vi, vl := visit(idx, r), visit(lin, r)
-			if !reflect.DeepEqual(vi, vl) {
-				t.Fatalf("step %d: VisitFitting diverged for %+v:\nindexed %v\nlinear  %v", step, r, vi, vl)
+			if vi, vs := visit(c, r), scanFitting(c, r); !reflect.DeepEqual(vi, vs) {
+				t.Fatalf("step %d: VisitFitting diverged for %+v:\nindexed %v\nscan    %v", step, r, vi, vs)
 			}
 		}
-		p.check(step)
+		checkAgainstScans(t, c, step)
 	}
 }
 
@@ -195,33 +236,76 @@ func runDifferential(t *testing.T, n int, seed uint64) {
 // one *Alloc per placement, nothing else — epoch-stamped exclusion and
 // the segment-tree descent are both allocation-free.
 func TestAllocationHotPathAllocates(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		mk   func(Spec) (*Cluster, error)
-	}{{"indexed", New}, {"linear", NewLinear}} {
-		c, err := mode.mk(AmarelCluster(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := Request{Cores: 4, GPUs: 1, MemGB: 8}
-		avoid := []int{0, 1, 2}
+	c, err := New(AmarelCluster(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Request{Cores: 4, GPUs: 1, MemGB: 8}
+	avoid := []int{0, 1, 2}
 
-		if got := testing.AllocsPerRun(100, func() {
-			a := c.Allocate(r)
-			c.Release(a)
-		}); got > 1 {
-			t.Errorf("%s Allocate+Release: %.1f allocs/op, want <= 1", mode.name, got)
-		}
-		if got := testing.AllocsPerRun(100, func() {
-			a := c.AllocateExcluding(r, avoid)
-			c.Release(a)
-		}); got > 1 {
-			t.Errorf("%s AllocateExcluding: %.1f allocs/op, want <= 1", mode.name, got)
-		}
-		if got := testing.AllocsPerRun(100, func() {
-			c.VisitFitting(r, func(int, Request) bool { return true })
-		}); got > 0 {
-			t.Errorf("%s VisitFitting: %.1f allocs/op, want 0", mode.name, got)
+	if got := testing.AllocsPerRun(100, func() {
+		a := c.Allocate(r)
+		c.Release(a)
+	}); got > 1 {
+		t.Errorf("Allocate+Release: %.1f allocs/op, want <= 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		a := c.AllocateExcluding(r, avoid)
+		c.Release(a)
+	}); got > 1 {
+		t.Errorf("AllocateExcluding: %.1f allocs/op, want <= 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		c.VisitFitting(r, func(int, Request) bool { return true })
+	}); got > 0 {
+		t.Errorf("VisitFitting: %.1f allocs/op, want 0", got)
+	}
+}
+
+// BenchmarkAllocScaling measures a single allocate/release round trip
+// against cluster size, the indexed ledger against the linear first-fit
+// scan it replaced. The cluster is driven to the scan's worst case:
+// every node but the last is completely full, so first-fit must reject
+// n-1 nodes before placing. The scan pays O(n) per placement; the
+// segment tree prunes full subtrees and pays O(log n). The differential
+// suite pins both to the same node, so this is a pure mechanism A/B.
+func BenchmarkAllocScaling(b *testing.B) {
+	for _, n := range []int{64, 512, 4096} {
+		for _, mode := range []struct {
+			name  string
+			alloc func(c *Cluster, r Request) *Alloc
+		}{
+			{"indexed", (*Cluster).Allocate},
+			{"linear", func(c *Cluster, r Request) *Alloc {
+				if id := scanFirstFit(c, r, nil); id >= 0 {
+					return c.take(c.nodes[id], r)
+				}
+				return nil
+			}},
+		} {
+			b.Run(fmt.Sprintf("nodes=%d/%s", n, mode.name), func(b *testing.B) {
+				spec := AmarelCluster(n)
+				c, err := New(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				full := Request{Cores: spec.CoresPerNode, GPUs: spec.GPUsPerNode, MemGB: spec.MemGBPerNode}
+				for i := 0; i < n-1; i++ {
+					if c.Allocate(full) == nil {
+						b.Fatalf("fill allocation %d failed", i)
+					}
+				}
+				r := Request{Cores: 4, GPUs: 1, MemGB: 8}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					a := mode.alloc(c, r)
+					if a == nil {
+						b.Fatal("steady-state allocation failed")
+					}
+					c.Release(a)
+				}
+			})
 		}
 	}
 }

@@ -79,8 +79,8 @@ func (backoffPolicy) Decide(a Attempt) Decision {
 
 // elsewherePolicy resubmits immediately while excluding the failed node,
 // so repeated node-local faults (bad DIMM, flaky accelerator) cannot eat
-// the whole attempt budget. When exclusion would leave no node, the task
-// manager drops it rather than starving the task.
+// the whole attempt budget. When exclusion would leave no node able to
+// host the task, the task manager drops it rather than starving the task.
 type elsewherePolicy struct{}
 
 func (elsewherePolicy) Name() string { return "elsewhere" }

@@ -64,11 +64,9 @@ type agent struct {
 	holes []int
 
 	// Scratch buffers reused across policy-path passes (queue view, offer
-	// marks, ledger snapshot) so the steady-state hot path allocates
-	// nothing.
+	// marks) so the steady-state hot path allocates nothing.
 	scratchItems   []sched.Task
 	scratchOffered []bool
-	scratchNodes   []cluster.Request
 
 	// Telemetry gauge names, concatenated once at construction so the
 	// per-event gauge updates allocate nothing.
@@ -248,18 +246,13 @@ func (a *agent) schedulePass() {
 		items = append(items, sched.Task{UID: a.queue[i].UID, Req: requestOf(a.queue[i])})
 	}
 	a.scratchItems = items
-	var free sched.Capacity
-	if a.cluster.Indexed() {
-		// Indexed ledger: policies rank only the nodes that can host each
-		// request, straight off the segment tree — no per-pass snapshot.
-		free.Ledger = a.cluster
-	} else {
-		a.scratchNodes = a.cluster.NodeFreeInto(a.scratchNodes)
-		free.Nodes = a.scratchNodes
-	}
-	order := a.policy.Order(items, free)
+	order := a.policy.Order(items, a.cluster)
 
-	offered := resetBools(&a.scratchOffered, n)
+	if cap(a.scratchOffered) < n {
+		a.scratchOffered = make([]bool, n)
+	}
+	offered := a.scratchOffered[:n]
+	clear(offered)
 	blocked := false
 	for _, idx := range order {
 		if idx < 0 || idx >= n || offered[idx] {
@@ -403,23 +396,6 @@ func (a *agent) finishPass(n int, holes []int) {
 		a.blockedStamp = a.cluster.FreedStamp()
 	}
 	a.noteQueueDepth()
-}
-
-// resetBools returns a zeroed length-n bool slice, reusing *buf's backing
-// when it is large enough.
-func resetBools(buf *[]bool, n int) []bool {
-	b := *buf
-	if cap(b) < n {
-		b = make([]bool, n)
-		*buf = b
-		return b
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
-	*buf = b
-	return b
 }
 
 func requestOf(t *Task) cluster.Request {

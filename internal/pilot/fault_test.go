@@ -5,6 +5,7 @@ package pilot
 // expiry, and the recovery policies' resubmission mechanics.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"impress/internal/cluster"
 	"impress/internal/fault"
+	"impress/internal/fleet"
 	"impress/internal/simclock"
 	"impress/internal/trace"
 )
@@ -269,6 +271,54 @@ func TestElsewhereAvoidsFailedNode(t *testing.T) {
 	h.engine.Run()
 	if len(lastCrashNode) == 0 {
 		t.Fatal("no crash ever killed a retryable task")
+	}
+}
+
+// TestElsewhereDropsStarvingExclusion: on a heterogeneous pilot whose
+// only GPU node killed an attempt, "elsewhere" must not exclude that node
+// forever. No other node can ever host the retry, so the exclusion is
+// dropped and the retry runs on the node the first attempt failed on;
+// under fifo, the CPU task queued behind it runs too.
+func TestElsewhereDropsStarvingExclusion(t *testing.T) {
+	caps := []cluster.NodeCapacity{{Cores: 8, GPUs: 1, MemGB: 32}, {Cores: 8, MemGB: 32}}
+	h := newHarness(t, PilotDescription{
+		Machine:  fleet.SpecFor("hetero", caps),
+		Nodes:    caps,
+		Cost:     testCost(),
+		Recovery: "elsewhere",
+		Seed:     7,
+	})
+	runs := 0
+	gpu := h.tm.MustSubmit(TaskDescription{
+		Name: "gpu", Cores: 2, GPUs: 1, MemGB: 8,
+		Work: WorkFunc(func(ctx *ExecContext) (Result, error) {
+			if runs++; runs == 1 {
+				return Result{}, errors.New("payload crashed")
+			}
+			return sleepWork("gpu", time.Hour, 2, 1).Run(ctx)
+		}),
+	})
+	var cpu *Task
+	h.engine.After(30*time.Minute, func() {
+		cpu = h.tm.MustSubmit(TaskDescription{Name: "cpu", Cores: 4, Work: sleepWork("cpu", time.Hour, 4, 0)})
+	})
+	var done []*Task
+	var doneIDs []string
+	h.tm.OnState(func(task *Task, s TaskState) {
+		if s == StateDone {
+			done = append(done, task)
+			doneIDs = append(doneIDs, task.ID)
+		}
+	})
+	h.engine.Run()
+
+	if gpu.State() != StateFailed || !gpu.WillRetry() || gpu.Node() != 0 {
+		t.Fatalf("first attempt: state %v, will retry %v, node %d; want a retried failure on node 0",
+			gpu.State(), gpu.WillRetry(), gpu.Node())
+	}
+	if len(done) != 2 || done[0].Origin != gpu.Origin || done[0].Attempt != 2 || done[0].Node() != 0 ||
+		done[1] != cpu {
+		t.Fatalf("want the GPU retry done on node 0, then the CPU task; done = %v", doneIDs)
 	}
 }
 

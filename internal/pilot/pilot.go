@@ -815,10 +815,11 @@ func (tm *TaskManager) resubmit(orig *Task, plan *requeuePlan) {
 		// fail-fast path, terminally.
 		p = orig.pilot
 	}
-	// Dropping an exclusion that covers the whole cluster beats starving
-	// the attempt in the queue forever (single-node machines make
-	// "elsewhere" degrade to plain retry).
-	if len(avoid) >= p.agent.cluster.NodeCount() {
+	// Dropping exclusions that leave no node able to host the request
+	// beats starving the attempt in the queue forever: single-node
+	// machines make "elsewhere" degrade to plain retry, and so does a
+	// heterogeneous pilot whose only fitting node killed the attempt.
+	if len(avoid) > 0 && !p.agent.cluster.FitsOutside(req, avoid) {
 		avoid = nil
 	}
 	t.avoidNodes = avoid

@@ -1,0 +1,65 @@
+package protein
+
+import (
+	"math"
+	"strings"
+	"testing"
+)
+
+// FuzzParsePDB asserts ParsePDB never panics, and that every structure it
+// accepts is usable downstream: finite coordinates and B-factors, one
+// B-factor per residue, and a coordinate per residue on each chain. The
+// seed corpus (testdata/fuzz/FuzzParsePDB) holds WritePDB output plus the
+// non-finite and malformed records the parser once accepted or must
+// refuse.
+func FuzzParsePDB(f *testing.F) {
+	var sb strings.Builder
+	if err := WritePDB(&sb, pdbTestStructure(3, 12, 4), nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sb.String())
+	f.Fuzz(func(t *testing.T, in string) {
+		st, bfactors, err := ParsePDB(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if len(bfactors) != st.Len() {
+			t.Fatalf("%d B-factors for %d residues", len(bfactors), st.Len())
+		}
+		if len(st.RecXYZ) != len(st.Receptor.Seq) || len(st.PepXYZ) != len(st.Peptide.Seq) {
+			t.Fatalf("coordinates do not match residues: %d/%d receptor, %d/%d peptide",
+				len(st.RecXYZ), len(st.Receptor.Seq), len(st.PepXYZ), len(st.Peptide.Seq))
+		}
+		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+		for _, xyz := range [][]Coord{st.RecXYZ, st.PepXYZ} {
+			for _, c := range xyz {
+				if !finite(c.X) || !finite(c.Y) || !finite(c.Z) {
+					t.Fatalf("accepted non-finite coordinate %+v", c)
+				}
+			}
+		}
+		for _, b := range bfactors {
+			if !finite(b) {
+				t.Fatalf("accepted non-finite B-factor %v", b)
+			}
+		}
+	})
+}
+
+// FuzzParseFasta asserts ParseFasta never panics, and that every record
+// it accepts has a single-line header and a non-empty sequence. The seed
+// corpus (testdata/fuzz/FuzzParseFasta) holds wrapped, multi-chain,
+// headerless, empty and CRLF inputs.
+func FuzzParseFasta(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		recs, err := ParseFasta(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, r := range recs {
+			if r.Seq == "" || strings.ContainsAny(r.Header, "\n") {
+				t.Fatalf("record %d accepted malformed: %+v", i, r)
+			}
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -74,6 +75,13 @@ func WritePDB(w io.Writer, st *Structure, bfactors []float64) error {
 	return bw.Flush()
 }
 
+// parseFinite parses one fixed-width numeric column. NaN and ±Inf, which
+// strconv accepts, are rejected: no structure has them.
+func parseFinite(field string) (float64, bool) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
 // ParsePDB reads a Cα-trace PDB written by WritePDB (or any PDB whose CA
 // records follow the standard columns) back into a Structure. Chain A
 // becomes the receptor; chain B, when present, the peptide. B-factors are
@@ -105,12 +113,12 @@ func ParsePDB(r io.Reader) (*Structure, []float64, error) {
 			if !ok {
 				return nil, nil, fmt.Errorf("protein: line %d: unknown residue %q", line, resName)
 			}
-			x, err1 := strconv.ParseFloat(strings.TrimSpace(text[30:38]), 64)
-			y, err2 := strconv.ParseFloat(strings.TrimSpace(text[38:46]), 64)
-			z, err3 := strconv.ParseFloat(strings.TrimSpace(text[46:54]), 64)
-			b, err4 := strconv.ParseFloat(strings.TrimSpace(text[60:66]), 64)
-			if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-				return nil, nil, fmt.Errorf("protein: line %d: bad coordinates", line)
+			x, ok1 := parseFinite(text[30:38])
+			y, ok2 := parseFinite(text[38:46])
+			z, ok3 := parseFinite(text[46:54])
+			b, ok4 := parseFinite(text[60:66])
+			if !ok1 || !ok2 || !ok3 || !ok4 {
+				return nil, nil, fmt.Errorf("protein: line %d: bad or non-finite coordinates or B-factor", line)
 			}
 			c := Coord{X: x, Y: y, Z: z}
 			switch chain {

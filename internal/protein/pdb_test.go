@@ -1,6 +1,7 @@
 package protein
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -163,5 +164,30 @@ func TestParsePDBErrors(t *testing.T) {
 	bad := "ATOM      1  CA  XXX A   1       0.000   0.000   0.000  1.00  0.00           C\n"
 	if _, _, err := ParsePDB(strings.NewReader(bad)); err == nil {
 		t.Fatal("unknown residue accepted")
+	}
+}
+
+// TestParsePDBRejectsNonFinite: strconv.ParseFloat accepts "NaN" and
+// "Inf", so a coordinate or B-factor column holding one must be refused
+// explicitly, with the offending line number.
+func TestParsePDBRejectsNonFinite(t *testing.T) {
+	atom := func(x, y, z, b string) string {
+		return fmt.Sprintf("ATOM      1  CA  ALA A   1    %8s%8s%8s  1.00%6s           C\n", x, y, z, b)
+	}
+	if _, _, err := ParsePDB(strings.NewReader(atom("1.000", "2.000", "3.000", "90.00"))); err != nil {
+		t.Fatalf("finite record rejected: %v", err)
+	}
+	for _, rec := range []string{
+		atom("NaN", "0.000", "+Inf", "NaN"),
+		atom("NaN", "0.000", "0.000", "0.00"),
+		atom("0.000", "-Inf", "0.000", "0.00"),
+		atom("0.000", "0.000", "+Inf", "0.00"),
+		atom("0.000", "0.000", "0.000", "NaN"),
+		atom("0.000", "0.000", "0.000", "Inf"),
+	} {
+		_, _, err := ParsePDB(strings.NewReader("HEADER\n" + rec))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("non-finite record %q: err = %v, want a line 2 error", rec, err)
+		}
 	}
 }

@@ -43,12 +43,33 @@ func randomCluster(t *testing.T, rng *xrand.RNG, n int) *cluster.Cluster {
 	return c
 }
 
-// TestOrderEquivalentUnderLedger pins the contract of Capacity's two
-// forms: every policy must produce the same order whether it scores fits
-// against the full node snapshot (the debug/reference mode) or through
-// the cluster's indexed ledger. Random queues over random mid-campaign
-// cluster states, all registered policies.
+// amarel6 walks a six-node Amarel cluster into a fixed partly allocated
+// state.
+func amarel6(t *testing.T) *cluster.Cluster {
+	t.Helper()
+	c, err := cluster.New(cluster.AmarelCluster(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(xrand.Derive(7, "sched-ledger-linear"))
+	for i := 0; i < 40; i++ {
+		c.Allocate(cluster.Request{Cores: 1 + rng.Intn(10), GPUs: rng.Intn(2), MemGB: rng.Intn(32)})
+	}
+	return c
+}
+
+// TestOrderEquivalentUnderLedger pins the ledger contract: every policy
+// must produce the same order whether it scores fits through the
+// cluster's indexed ledger or through a linear scan over the same
+// cluster's per-node free counters (nodes). Random queues over random
+// mid-campaign cluster states, plus a fixed Amarel-6 state with a fixed
+// seven-task queue, all registered policies.
 func TestOrderEquivalentUnderLedger(t *testing.T) {
+	fixed := amarel6(t)
+	fixedQueue := queueOf(
+		req(4, 1, 8), req(28, 0, 64), req(1, 0, 1), req(8, 4, 32),
+		req(2, 0, 16), req(14, 2, 48), req(1, 1, 4),
+	)
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			p, err := New(name)
@@ -65,51 +86,18 @@ func TestOrderEquivalentUnderLedger(t *testing.T) {
 						Req: cluster.Request{Cores: 1 + rng.Intn(16), GPUs: rng.Intn(4), MemGB: rng.Intn(64)},
 					}
 				}
-				snapshot := p.Order(queue, Capacity{Nodes: c.NodeFree()})
-				indexed := p.Order(queue, Capacity{Ledger: c})
+				snapshot := p.Order(queue, nodes(c.NodeFree()))
+				indexed := p.Order(queue, c)
 				if !reflect.DeepEqual(snapshot, indexed) {
 					t.Fatalf("seed %d: order diverged\nqueue    %+v\nsnapshot %v\nindexed  %v",
 						seed, queue, snapshot, indexed)
 				}
 			}
+			a := p.Order(fixedQueue, fixed)
+			b := p.Order(fixedQueue, nodes(fixed.NodeFree()))
+			if fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Errorf("%s: indexed-ledger order %v != linear-snapshot order %v", name, a, b)
+			}
 		})
-	}
-}
-
-// TestLedgerFormMatchesLinearCluster crosses the two equivalences: a
-// linear-mode cluster feeding the snapshot form must order identically
-// to an indexed cluster (same state) feeding the Ledger form.
-func TestLedgerFormMatchesLinearCluster(t *testing.T) {
-	spec := cluster.AmarelCluster(6)
-	idx, err := cluster.New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lin, err := cluster.NewLinear(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(xrand.Derive(7, "sched-ledger-linear"))
-	for i := 0; i < 40; i++ {
-		r := cluster.Request{Cores: 1 + rng.Intn(10), GPUs: rng.Intn(2), MemGB: rng.Intn(32)}
-		ai, al := idx.Allocate(r), lin.Allocate(r)
-		if (ai == nil) != (al == nil) {
-			t.Fatalf("state setup diverged at step %d", i)
-		}
-	}
-	queue := queueOf(
-		req(4, 1, 8), req(28, 0, 64), req(1, 0, 1), req(8, 4, 32),
-		req(2, 0, 16), req(14, 2, 48), req(1, 1, 4),
-	)
-	for _, name := range Names() {
-		p, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := p.Order(queue, Capacity{Ledger: idx})
-		b := p.Order(queue, Capacity{Nodes: lin.NodeFree()})
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Errorf("%s: indexed-ledger order %v != linear-snapshot order %v", name, a, b)
-		}
 	}
 }

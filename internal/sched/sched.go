@@ -38,39 +38,25 @@ type Task struct {
 // only the nodes that can host a given request, ascending by node ID.
 // *cluster.Cluster implements it (via its segment-tree index), keeping
 // this package below internal/cluster's consumers in the dependency
-// order.
+// order. Tests implement it with a linear scan over per-node free
+// counters, the reference the indexed ledger is checked against.
 type Ledger interface {
 	// VisitFitting calls f for every node whose free counters can host r,
 	// in ascending node ID order; f returning false stops the walk.
 	VisitFitting(r cluster.Request, f func(id int, free cluster.Request) bool)
 }
 
-// Capacity is a snapshot of the pilot's free-capacity ledger at the start
-// of a scheduling pass.
-type Capacity struct {
-	// Nodes holds each node's free counters in node order. Tasks never
-	// span nodes, so fit decisions are per-node; aggregate free capacity
-	// is the sum over Nodes.
-	Nodes []cluster.Request
-	// Ledger, when non-nil, replaces Nodes for fit scoring: policies
-	// query only the nodes that can actually host each request instead of
-	// rescanning the full snapshot. The two forms are equivalent (the
-	// equivalence suite pins it); Nodes stays as the debug/reference mode
-	// and the form linear-mode clusters feed.
-	Ledger Ledger
-}
-
 // Policy decides the order in which the agent offers resources to queued
 // tasks. Implementations must be deterministic (same queue and capacity
 // in, same order out) and stateless across passes: every scheduling pass
-// sees a fresh snapshot.
+// reads the ledger as it stands.
 type Policy interface {
 	// Name returns the registry name of the policy.
 	Name() string
 	// Order returns the order in which to attempt placements, as indices
 	// into queue. Indices must be unique and in range; indices absent
 	// from the result are not offered resources this pass.
-	Order(queue []Task, free Capacity) []int
+	Order(queue []Task, free Ledger) []int
 	// ContinueOnBlock reports whether a task that does not currently fit
 	// is skipped (backfill-style) or stalls the rest of the pass
 	// (FIFO-style, protecting the queue head from starvation).
@@ -103,26 +89,18 @@ func slack(node, req cluster.Request) (score int, ok bool) {
 }
 
 // minSlack returns the tightest fit of req across the free nodes; ok is
-// false when no node currently fits. With an indexed Ledger only fitting
-// nodes are visited — the minimum is identical to the full scan because
-// non-fitting nodes never contribute a score, and both walks ascend node
-// IDs with a strict < comparison.
-func minSlack(free Capacity, req cluster.Request) (score int, ok bool) {
+// false when no node currently fits. Only fitting nodes are visited —
+// the minimum equals that of a scan over every node because non-fitting
+// nodes never contribute a score, and the walk ascends node IDs with a
+// strict < comparison.
+func minSlack(free Ledger, req cluster.Request) (score int, ok bool) {
 	best, found := 0, false
-	if free.Ledger != nil {
-		free.Ledger.VisitFitting(req, func(_ int, n cluster.Request) bool {
-			if s, fits := slack(n, req); fits && (!found || s < best) {
-				best, found = s, true
-			}
-			return true
-		})
-		return best, found
-	}
-	for _, n := range free.Nodes {
+	free.VisitFitting(req, func(_ int, n cluster.Request) bool {
 		if s, fits := slack(n, req); fits && (!found || s < best) {
 			best, found = s, true
 		}
-	}
+		return true
+	})
 	return best, found
 }
 
@@ -140,9 +118,9 @@ func identity(n int) []int {
 // agent's pre-policy-layer behaviour with backfill off.
 type fifoPolicy struct{}
 
-func (fifoPolicy) Name() string                     { return "fifo" }
-func (fifoPolicy) Order(q []Task, _ Capacity) []int { return identity(len(q)) }
-func (fifoPolicy) ContinueOnBlock() bool            { return false }
+func (fifoPolicy) Name() string                   { return "fifo" }
+func (fifoPolicy) Order(q []Task, _ Ledger) []int { return identity(len(q)) }
+func (fifoPolicy) ContinueOnBlock() bool          { return false }
 
 // backfillPolicy is FIFO with backfill: submission order, but later tasks
 // may jump a blocked head — how adaptive sub-pipelines soak up idle
@@ -150,9 +128,9 @@ func (fifoPolicy) ContinueOnBlock() bool            { return false }
 // pre-policy-layer behaviour with backfill on.
 type backfillPolicy struct{}
 
-func (backfillPolicy) Name() string                     { return "backfill" }
-func (backfillPolicy) Order(q []Task, _ Capacity) []int { return identity(len(q)) }
-func (backfillPolicy) ContinueOnBlock() bool            { return true }
+func (backfillPolicy) Name() string                   { return "backfill" }
+func (backfillPolicy) Order(q []Task, _ Ledger) []int { return identity(len(q)) }
+func (backfillPolicy) ContinueOnBlock() bool          { return true }
 
 // bestFitPolicy offers resources tightest-fit first: the task whose
 // request leaves the least weighted slack on its best node goes first,
@@ -164,7 +142,7 @@ type bestFitPolicy struct{}
 func (bestFitPolicy) Name() string          { return "bestfit" }
 func (bestFitPolicy) ContinueOnBlock() bool { return true }
 
-func (bestFitPolicy) Order(q []Task, free Capacity) []int {
+func (bestFitPolicy) Order(q []Task, free Ledger) []int {
 	return orderBySlack(q, free, false)
 }
 
@@ -177,14 +155,14 @@ type worstFitPolicy struct{}
 func (worstFitPolicy) Name() string          { return "worstfit" }
 func (worstFitPolicy) ContinueOnBlock() bool { return true }
 
-func (worstFitPolicy) Order(q []Task, free Capacity) []int {
+func (worstFitPolicy) Order(q []Task, free Ledger) []int {
 	return orderBySlack(q, free, true)
 }
 
 // orderBySlack ranks queue indices by their tightest per-node fit,
 // ascending (best-fit) or descending (worst-fit). Unfitting tasks keep
 // FIFO order after every fitting one.
-func orderBySlack(q []Task, free Capacity, loosestFirst bool) []int {
+func orderBySlack(q []Task, free Ledger, loosestFirst bool) []int {
 	type scored struct {
 		idx, score int
 		fits       bool
@@ -224,7 +202,7 @@ type largestPolicy struct{}
 func (largestPolicy) Name() string          { return "largest" }
 func (largestPolicy) ContinueOnBlock() bool { return true }
 
-func (largestPolicy) Order(q []Task, _ Capacity) []int {
+func (largestPolicy) Order(q []Task, _ Ledger) []int {
 	idx := identity(len(q))
 	sort.SliceStable(idx, func(a, b int) bool {
 		da, db := demand(q[idx[a]].Req), demand(q[idx[b]].Req)
@@ -249,7 +227,7 @@ var policies = map[string]Policy{
 // SubmissionOrder reports whether p always visits the queue in
 // submission order without inspecting requests or capacity — true for
 // fifo and backfill. The agent uses this to skip building the queue view
-// and ledger snapshot on its hottest path.
+// on its hottest path.
 func SubmissionOrder(p Policy) bool {
 	switch p.(type) {
 	case fifoPolicy, backfillPolicy:

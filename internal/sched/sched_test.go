@@ -19,7 +19,20 @@ func queueOf(reqs ...cluster.Request) []Task {
 	return q
 }
 
-func orderOf(t *testing.T, name string, q []Task, free Capacity) []int {
+// nodes is the scan form of the ledger: each node's free counters in
+// node order, visited linearly. It is the reference the indexed cluster
+// ledger is checked against, and the fixture the unit tests rank on.
+type nodes []cluster.Request
+
+func (ns nodes) VisitFitting(r cluster.Request, f func(id int, free cluster.Request) bool) {
+	for id, n := range ns {
+		if n.Cores >= r.Cores && n.GPUs >= r.GPUs && n.MemGB >= r.MemGB && !f(id, n) {
+			return
+		}
+	}
+}
+
+func orderOf(t *testing.T, name string, q []Task, free Ledger) []int {
 	t.Helper()
 	p, err := New(name)
 	if err != nil {
@@ -61,7 +74,7 @@ func TestRegistry(t *testing.T) {
 
 func TestFIFOAndBackfillAreSubmissionOrder(t *testing.T) {
 	q := queueOf(req(8, 0, 16), req(1, 1, 4), req(28, 4, 128))
-	free := Capacity{Nodes: []cluster.Request{req(28, 4, 128)}}
+	free := nodes{req(28, 4, 128)}
 	for _, name := range []string{"fifo", "backfill"} {
 		if got := orderOf(t, name, q, free); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 			t.Errorf("%s order = %v, want identity", name, got)
@@ -81,7 +94,7 @@ func TestBestFitPicksTightest(t *testing.T) {
 	// One node with 8 cores free: the 8-core request is the perfect fit,
 	// the 1-core one the loosest, the 28-core one fits nowhere.
 	q := queueOf(req(1, 0, 4), req(28, 0, 64), req(8, 0, 8))
-	free := Capacity{Nodes: []cluster.Request{req(8, 0, 16)}}
+	free := nodes{req(8, 0, 16)}
 	if got := orderOf(t, "bestfit", q, free); !reflect.DeepEqual(got, []int{2, 0, 1}) {
 		t.Fatalf("bestfit order = %v, want [2 0 1]", got)
 	}
@@ -94,7 +107,7 @@ func TestBestFitUsesPerNodeFit(t *testing.T) {
 	// Two nodes: 4 and 10 cores free. A 4-core request fits node A
 	// exactly (slack 0); a 9-core request only fits node B (slack 4+mem).
 	q := queueOf(req(9, 0, 1), req(4, 0, 1))
-	free := Capacity{Nodes: []cluster.Request{req(4, 0, 16), req(10, 0, 16)}}
+	free := nodes{req(4, 0, 16), req(10, 0, 16)}
 	if got := orderOf(t, "bestfit", q, free); !reflect.DeepEqual(got, []int{1, 0}) {
 		t.Fatalf("bestfit order = %v, want [1 0]", got)
 	}
@@ -104,7 +117,7 @@ func TestLargestFirstRanksByWeightedDemand(t *testing.T) {
 	// One GPU outweighs several cores (28:4 node shape), so a 1-GPU task
 	// beats a 6-core task; the 20-core task beats both.
 	q := queueOf(req(6, 0, 1), req(2, 1, 1), req(20, 0, 1))
-	free := Capacity{Nodes: []cluster.Request{req(28, 4, 128)}}
+	free := nodes{req(28, 4, 128)}
 	if got := orderOf(t, "largest", q, free); !reflect.DeepEqual(got, []int{2, 1, 0}) {
 		t.Fatalf("largest order = %v, want [2 1 0]", got)
 	}
@@ -112,7 +125,7 @@ func TestLargestFirstRanksByWeightedDemand(t *testing.T) {
 
 func TestTiesBreakBySubmissionOrder(t *testing.T) {
 	q := queueOf(req(4, 0, 8), req(4, 0, 8), req(4, 0, 8))
-	free := Capacity{Nodes: []cluster.Request{req(28, 4, 128)}}
+	free := nodes{req(28, 4, 128)}
 	for _, name := range Names() {
 		if got := orderOf(t, name, q, free); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 			t.Errorf("%s breaks ties away from submission order: %v", name, got)
@@ -124,7 +137,7 @@ func TestOrderIsAPermutation(t *testing.T) {
 	// Randomized-ish shapes; every policy must return each index exactly
 	// once regardless of fit.
 	q := queueOf(req(1, 0, 1), req(30, 4, 200), req(8, 2, 32), req(28, 0, 128), req(2, 1, 8))
-	free := Capacity{Nodes: []cluster.Request{req(12, 1, 32), req(8, 1, 32)}}
+	free := nodes{req(12, 1, 32), req(8, 1, 32)}
 	for _, name := range Names() {
 		got := orderOf(t, name, q, free)
 		if len(got) != len(q) {
@@ -142,7 +155,7 @@ func TestOrderIsAPermutation(t *testing.T) {
 
 func TestOrderDeterministic(t *testing.T) {
 	q := queueOf(req(3, 1, 8), req(3, 1, 8), req(12, 0, 16), req(1, 0, 2))
-	free := Capacity{Nodes: []cluster.Request{req(16, 2, 64)}}
+	free := nodes{req(16, 2, 64)}
 	for _, name := range Names() {
 		a := orderOf(t, name, q, free)
 		b := orderOf(t, name, q, free)
