@@ -43,33 +43,12 @@ func randomCluster(t *testing.T, rng *xrand.RNG, n int) *cluster.Cluster {
 	return c
 }
 
-// amarel6 walks a six-node Amarel cluster into a fixed partly allocated
-// state.
-func amarel6(t *testing.T) *cluster.Cluster {
-	t.Helper()
-	c, err := cluster.New(cluster.AmarelCluster(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(xrand.Derive(7, "sched-ledger-linear"))
-	for i := 0; i < 40; i++ {
-		c.Allocate(cluster.Request{Cores: 1 + rng.Intn(10), GPUs: rng.Intn(2), MemGB: rng.Intn(32)})
-	}
-	return c
-}
-
 // TestOrderEquivalentUnderLedger pins the ledger contract: every policy
 // must produce the same order whether it scores fits through the
 // cluster's indexed ledger or through a linear scan over the same
 // cluster's per-node free counters (nodes). Random queues over random
-// mid-campaign cluster states, plus a fixed Amarel-6 state with a fixed
-// seven-task queue, all registered policies.
+// mid-campaign cluster states, all registered policies.
 func TestOrderEquivalentUnderLedger(t *testing.T) {
-	fixed := amarel6(t)
-	fixedQueue := queueOf(
-		req(4, 1, 8), req(28, 0, 64), req(1, 0, 1), req(8, 4, 32),
-		req(2, 0, 16), req(14, 2, 48), req(1, 1, 4),
-	)
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			p, err := New(name)
@@ -93,11 +72,36 @@ func TestOrderEquivalentUnderLedger(t *testing.T) {
 						seed, queue, snapshot, indexed)
 				}
 			}
-			a := p.Order(fixedQueue, fixed)
-			b := p.Order(fixedQueue, nodes(fixed.NodeFree()))
-			if fmt.Sprint(a) != fmt.Sprint(b) {
-				t.Errorf("%s: indexed-ledger order %v != linear-snapshot order %v", name, a, b)
-			}
 		})
+	}
+}
+
+// TestLedgerFormMatchesLinearCluster walks a six-node Amarel cluster into
+// a fixed partly allocated state: a linear first-fit scan over its
+// per-node free counters must order a fixed seven-task queue identically
+// to the cluster's indexed ledger, for every registered policy.
+func TestLedgerFormMatchesLinearCluster(t *testing.T) {
+	c, err := cluster.New(cluster.AmarelCluster(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(xrand.Derive(7, "sched-ledger-linear"))
+	for i := 0; i < 40; i++ {
+		c.Allocate(cluster.Request{Cores: 1 + rng.Intn(10), GPUs: rng.Intn(2), MemGB: rng.Intn(32)})
+	}
+	queue := queueOf(
+		req(4, 1, 8), req(28, 0, 64), req(1, 0, 1), req(8, 4, 32),
+		req(2, 0, 16), req(14, 2, 48), req(1, 1, 4),
+	)
+	for _, name := range Names() {
+		p, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := p.Order(queue, c)
+		b := p.Order(queue, nodes(c.NodeFree()))
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Errorf("%s: indexed-ledger order %v != linear-snapshot order %v", name, a, b)
+		}
 	}
 }
