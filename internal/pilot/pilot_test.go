@@ -2,6 +2,7 @@ package pilot
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -426,6 +427,37 @@ func TestStateStringAndFinal(t *testing.T) {
 	}
 	if PilotActive.String() != "ACTIVE" || PilotState(9).String() == "" {
 		t.Fatal("pilot state names wrong")
+	}
+}
+
+// TestStateTables pins the array-indexed lookups: every name, the
+// fallback for out-of-range values, and exactly the state machine's
+// edges (checked over a range wider than the defined states).
+func TestStateTables(t *testing.T) {
+	names := []string{"NEW", "SUBMITTED", "SCHEDULING", "EXEC_SETUP", "RUNNING", "DONE", "FAILED", "CANCELED"}
+	for i, want := range names {
+		if got := TaskState(i).String(); got != want {
+			t.Fatalf("TaskState(%d).String() = %q, want %q", i, got, want)
+		}
+	}
+	for _, s := range []TaskState{-1, 8, 99} {
+		if got, want := s.String(), fmt.Sprintf("TaskState(%d)", int(s)); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+	}
+	edges := map[[2]TaskState]bool{
+		{StateNew, StateSubmitted}:        true,
+		{StateSubmitted, StateScheduling}: true, {StateSubmitted, StateCanceled}: true, {StateSubmitted, StateFailed}: true,
+		{StateScheduling, StateExecSetup}: true, {StateScheduling, StateCanceled}: true, {StateScheduling, StateFailed}: true,
+		{StateExecSetup, StateRunning}: true, {StateExecSetup, StateCanceled}: true, {StateExecSetup, StateFailed}: true,
+		{StateRunning, StateDone}: true, {StateRunning, StateFailed}: true, {StateRunning, StateCanceled}: true,
+	}
+	for from := TaskState(-2); from < 10; from++ {
+		for to := TaskState(-2); to < 10; to++ {
+			if got, want := legalTransition(from, to), edges[[2]TaskState{from, to}]; got != want {
+				t.Fatalf("legalTransition(%v, %v) = %v, want %v", from, to, got, want)
+			}
+		}
 	}
 }
 

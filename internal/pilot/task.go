@@ -49,7 +49,10 @@ const (
 	StateCanceled
 )
 
-var stateNames = map[TaskState]string{
+// numStates bounds the TaskState values the lookup tables cover.
+const numStates = StateCanceled + 1
+
+var stateNames = [numStates]string{
 	StateNew:        "NEW",
 	StateSubmitted:  "SUBMITTED",
 	StateScheduling: "SCHEDULING",
@@ -61,8 +64,8 @@ var stateNames = map[TaskState]string{
 }
 
 func (s TaskState) String() string {
-	if n, ok := stateNames[s]; ok {
-		return n
+	if s >= 0 && s < numStates {
+		return stateNames[s]
 	}
 	return fmt.Sprintf("TaskState(%d)", int(s))
 }
@@ -72,22 +75,17 @@ func (s TaskState) Final() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// legalNext enumerates the permitted state machine edges.
-var legalNext = map[TaskState][]TaskState{
-	StateNew:        {StateSubmitted},
-	StateSubmitted:  {StateScheduling, StateCanceled, StateFailed},
-	StateScheduling: {StateExecSetup, StateCanceled, StateFailed},
-	StateExecSetup:  {StateRunning, StateCanceled, StateFailed},
-	StateRunning:    {StateDone, StateFailed, StateCanceled},
+// legalNext marks the permitted state machine edges: legalNext[from][to].
+var legalNext = [numStates][numStates]bool{
+	StateNew:        {StateSubmitted: true},
+	StateSubmitted:  {StateScheduling: true, StateCanceled: true, StateFailed: true},
+	StateScheduling: {StateExecSetup: true, StateCanceled: true, StateFailed: true},
+	StateExecSetup:  {StateRunning: true, StateCanceled: true, StateFailed: true},
+	StateRunning:    {StateDone: true, StateFailed: true, StateCanceled: true},
 }
 
 func legalTransition(from, to TaskState) bool {
-	for _, s := range legalNext[from] {
-		if s == to {
-			return true
-		}
-	}
-	return false
+	return from >= 0 && from < numStates && to >= 0 && to < numStates && legalNext[from][to]
 }
 
 // Phase is one segment of a task's resource usage profile: for Duration,

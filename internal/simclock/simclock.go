@@ -10,16 +10,19 @@
 // makes the whole middleware stack — scheduler, executor, coordinator —
 // bit-for-bit reproducible.
 //
-// The engine's scheduling hot path is allocation-free in steady state:
-// fired and cancelled event structs return to a free list and are reused by
-// later schedules, and debug names are stored as up-to-three string parts
-// that are only concatenated when Name is actually called (debug paths),
-// never when an event is scheduled.
+// The engine's scheduling hot path is allocation-free in steady state.
+// Event structs live in an append-only slab and are addressed by slot;
+// fired and cancelled slots return to a free list and are reused by later
+// schedules. The priority queue is an inlined binary heap of pointer-free
+// (when, seq, slot) entries, so sifting moves plain words with no
+// interface calls and no GC write barriers. Debug names are stored as
+// up-to-three string parts that are only concatenated when Name is
+// actually called (debug paths), never when an event is scheduled.
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -49,14 +52,13 @@ func (t Time) String() string { return time.Duration(t).String() }
 // FromHours converts floating-point hours to a Time offset.
 func FromHours(h float64) Time { return Time(h * float64(time.Hour)) }
 
-// event is the pooled scheduling record. Callers never see it directly:
-// they hold Event handles, which pair the struct pointer with the
-// generation it was scheduled under, so a handle kept past its event's
-// firing (or cancellation, or the struct's reuse for a later event) is
-// detectably stale and every operation on it is a safe no-op.
+// event is the pooled scheduling record, one per slab slot. Callers never
+// see it directly: they hold Event handles, which pair the struct pointer
+// with the generation it was scheduled under, so a handle kept past its
+// event's firing (or cancellation, or the slot's reuse for a later event)
+// is detectably stale and every operation on it is a safe no-op.
 type event struct {
 	when  Time
-	seq   uint64
 	index int    // heap index, -1 once popped or cancelled
 	gen   uint64 // bumped on every retire; live handles must match
 	fn    func()
@@ -102,44 +104,32 @@ func (ev Event) Name() string {
 // cancelled).
 func (ev Event) Pending() bool { return ev.live() }
 
-type eventHeap []*event
+// entry is one heap element. It holds no pointers: the slot indexes the
+// engine's event slab. (when, seq) is a total order — seq is unique per
+// schedule — so events sharing a timestamp fire in submission order.
+type entry struct {
+	when Time
+	seq  uint64
+	slot int32
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+func (a entry) before(b entry) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine is a single-threaded discrete-event executor. It is not safe for
 // concurrent use; all middleware components in this repository are driven
 // from within engine events, which serializes them by construction.
 type Engine struct {
-	now    Time
-	events eventHeap
-	seq    uint64
-	fired  uint64
-	free   []*event // retired event structs awaiting reuse
+	now   Time
+	heap  []entry  // binary min-heap ordered by entry.before
+	slab  []*event // append-only; slot i's event struct
+	free  []int32  // retired slots awaiting reuse
+	seq   uint64
+	fired uint64
 }
 
 // New returns an engine positioned at virtual time zero.
@@ -154,10 +144,69 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.heap) }
 
-// alloc takes an event struct from the free list (or the heap allocator
-// when the list is empty) and schedules it.
+// place puts x at heap index i and records i in x's event.
+func (e *Engine) place(i int, x entry) {
+	e.heap[i] = x
+	e.slab[x.slot].index = i
+}
+
+// up sifts the entry at i toward the root.
+func (e *Engine) up(i int) {
+	x := e.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(e.heap[p]) {
+			break
+		}
+		e.place(i, e.heap[p])
+		i = p
+	}
+	e.place(i, x)
+}
+
+// down sifts the entry at i0 toward the leaves and reports whether it
+// moved.
+func (e *Engine) down(i0 int) bool {
+	n := len(e.heap)
+	x := e.heap[i0]
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && e.heap[r].before(e.heap[c]) {
+			c = r
+		}
+		if !e.heap[c].before(x) {
+			break
+		}
+		e.place(i, e.heap[c])
+		i = c
+	}
+	e.place(i, x)
+	return i > i0
+}
+
+// remove deletes the heap entry at i and returns its slot.
+func (e *Engine) remove(i int) int32 {
+	slot := e.heap[i].slot
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i < n {
+		e.place(i, last)
+		if !e.down(i) {
+			e.up(i)
+		}
+	}
+	return slot
+}
+
+// alloc takes a slot from the free list (or appends a new event struct
+// to the slab when the list is empty) and schedules it.
 func (e *Engine) alloc(t Time, name0, name1, name2 string, fn func()) Event {
 	if fn == nil {
 		panic("simclock: nil event function")
@@ -165,30 +214,36 @@ func (e *Engine) alloc(t Time, name0, name1, name2 string, fn func()) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("simclock: scheduling event %q at %v before now %v", name0+name1+name2, t, e.now))
 	}
-	var ev *event
+	var slot int32
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
+		slot = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		ev = &event{}
+		if len(e.slab) == math.MaxInt32 {
+			panic("simclock: event slab full")
+		}
+		slot = int32(len(e.slab))
+		e.slab = append(e.slab, &event{})
 	}
+	ev := e.slab[slot]
 	ev.when = t
-	ev.seq = e.seq
 	ev.fn = fn
 	ev.name0, ev.name1, ev.name2 = name0, name1, name2
+	e.heap = append(e.heap, entry{when: t, seq: e.seq, slot: slot})
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.up(len(e.heap) - 1)
 	return Event{e: ev, gen: ev.gen}
 }
 
-// retire returns a popped or removed event struct to the free list,
-// invalidating every outstanding handle to it.
-func (e *Engine) retire(ev *event) {
+// retire returns a popped or removed slot to the free list, invalidating
+// every outstanding handle to its event.
+func (e *Engine) retire(slot int32) {
+	ev := e.slab[slot]
+	ev.index = -1
 	ev.gen++
 	ev.fn = nil
 	ev.name0, ev.name1, ev.name2 = "", "", ""
-	e.free = append(e.free, ev)
+	e.free = append(e.free, slot)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -245,20 +300,20 @@ func (e *Engine) Cancel(ev Event) {
 	if !ev.live() {
 		return
 	}
-	heap.Remove(&e.events, ev.e.index)
-	e.retire(ev.e)
+	e.retire(e.remove(ev.e.index))
 }
 
 // Step fires the earliest pending event, advancing the clock to its
 // timestamp. It returns false if no events remain.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if len(e.heap) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	slot := e.remove(0)
+	ev := e.slab[slot]
 	e.now = ev.when
 	fn := ev.fn
-	e.retire(ev)
+	e.retire(slot)
 	e.fired++
 	fn()
 	return true
@@ -286,7 +341,7 @@ func (e *Engine) RunUntil(t Time) uint64 {
 		panic(fmt.Sprintf("simclock: RunUntil(%v) is before now %v", t, e.now))
 	}
 	start := e.fired
-	for len(e.events) > 0 && e.events[0].when <= t {
+	for len(e.heap) > 0 && e.heap[0].when <= t {
 		e.Step()
 	}
 	e.now = t

@@ -317,7 +317,14 @@ func ValidateChromeTrace(data []byte) error {
 		name string
 		ts   float64
 	}
-	stacks := make(map[string][]frame)
+	// An async track is identified by all three fields, kept apart: a
+	// joined string would merge cat "a/b" + id "c" with cat "a" + id "b/c".
+	type track struct {
+		pid     int
+		cat, id string
+	}
+	stacks := make(map[track][]frame)
+	var opened []track // tracks in first-seen order, for a stable report
 	for i, ev := range f.TraceEvents {
 		if ev.Ph == "" || ev.Pid == nil {
 			return fmt.Errorf("chrome trace: event %d missing ph/pid", i)
@@ -331,11 +338,14 @@ func ValidateChromeTrace(data []byte) error {
 				return fmt.Errorf("chrome trace: event %d (%s) bad dur", i, ev.Name)
 			}
 		case "b", "e":
-			key := fmt.Sprintf("%d/%s/%s", *ev.Pid, ev.Cat, ev.ID)
-			st := stacks[key]
+			key := track{*ev.Pid, ev.Cat, ev.ID}
+			st, seen := stacks[key]
 			if ev.Ph == "b" {
 				if len(st) > 0 && *ev.Ts < st[len(st)-1].ts {
 					return fmt.Errorf("chrome trace: event %d (%s) opens before parent", i, ev.Name)
+				}
+				if !seen {
+					opened = append(opened, key)
 				}
 				stacks[key] = append(st, frame{ev.Name, *ev.Ts})
 				continue
@@ -353,9 +363,10 @@ func ValidateChromeTrace(data []byte) error {
 			stacks[key] = st[:len(st)-1]
 		}
 	}
-	for key, st := range stacks {
-		if len(st) > 0 {
-			return fmt.Errorf("chrome trace: span %q on %s never closed", st[len(st)-1].name, key)
+	for _, key := range opened {
+		if st := stacks[key]; len(st) > 0 {
+			return fmt.Errorf("chrome trace: span %q on pid %d cat %q id %q never closed",
+				st[len(st)-1].name, key.pid, key.cat, key.id)
 		}
 	}
 	return nil

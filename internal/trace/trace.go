@@ -98,16 +98,16 @@ type Recorder struct {
 	cpuBusy int
 	gpuBusy int
 
-	cpuSeries []Point
-	gpuSeries []Point
+	cpuSeries pagedLog[Point]
+	gpuSeries pagedLog[Point]
 
 	// queueSeries holds one step series per pilot ordinal: the pilot's
 	// queue depth over virtual time. Grown lazily the first time a pilot
 	// reports; same coalescing discipline as the busy-series.
-	queueSeries [][]Point
+	queueSeries []pagedLog[Point]
 
 	phases map[string]time.Duration
-	tasks  []TaskRecord
+	tasks  pagedLog[TaskRecord]
 
 	// sortedTasks caches the submission-sorted view Tasks returns; it is
 	// invalidated (nilled) by AddTask and rebuilt at most once per burst
@@ -127,22 +127,21 @@ func NewRecorder(totalCores, totalGPUs int, start simclock.Time) *Recorder {
 	if totalCores <= 0 || totalGPUs < 0 {
 		panic("trace: invalid capacity")
 	}
-	// Capacity hints: a busy campaign emits thousands of series points
-	// and hundreds of task records; starting with room for a burst keeps
-	// early growth off the reallocation staircase.
-	const seriesHint, taskHint = 256, 64
-	return &Recorder{
+	// The series and the task log are paged (see pagedLog): a small
+	// campaign pays for one 64-entry page per log, a 40k-task run never
+	// re-copies what it already recorded.
+	r := &Recorder{
 		totalCores: totalCores,
 		totalGPUs:  totalGPUs,
 		heldCores:  totalCores,
 		heldGPUs:   totalGPUs,
-		cpuSeries:  append(make([]Point, 0, seriesHint), Point{T: start, Value: 0}),
-		gpuSeries:  append(make([]Point, 0, seriesHint), Point{T: start, Value: 0}),
 		phases:     make(map[string]time.Duration),
-		tasks:      make([]TaskRecord, 0, taskHint),
 		start:      start,
 		end:        start,
 	}
+	r.cpuSeries.push(Point{T: start, Value: 0})
+	r.gpuSeries.push(Point{T: start, Value: 0})
+	return r
 }
 
 // TotalCores returns the tracked core capacity: the most ever held.
@@ -203,13 +202,13 @@ func (r *Recorder) SetQueueDepth(pilot int, t simclock.Time, depth int) {
 		panic("trace: SetQueueDepth after Close")
 	}
 	for len(r.queueSeries) <= pilot {
-		r.queueSeries = append(r.queueSeries, nil)
+		r.queueSeries = append(r.queueSeries, pagedLog[Point]{})
 	}
-	s := r.queueSeries[pilot]
-	if len(s) > 0 && s[len(s)-1].Value == depth {
+	s := &r.queueSeries[pilot]
+	if last := s.last(); last != nil && last.Value == depth {
 		return
 	}
-	r.appendPoint(&r.queueSeries[pilot], t, depth)
+	r.appendPoint(s, t, depth)
 	if t > r.end {
 		r.end = t
 	}
@@ -221,23 +220,26 @@ func (r *Recorder) QueueSeries(pilot int) []Point {
 	if pilot < 0 || pilot >= len(r.queueSeries) {
 		return nil
 	}
-	return append([]Point(nil), r.queueSeries[pilot]...)
+	return r.queueSeries[pilot].flat()
 }
 
 // QueuePilots returns how many pilot queue series have been started.
 func (r *Recorder) QueuePilots() int { return len(r.queueSeries) }
 
-func (r *Recorder) appendPoint(series *[]Point, t simclock.Time, v int) {
-	s := *series
-	if len(s) > 0 && s[len(s)-1].T == t {
-		s[len(s)-1].Value = v
-		*series = s
-		return
+// appendPoint extends a step series: a point at the last point's time
+// overwrites its value (same-instant deltas coalesce), an earlier time
+// panics.
+func (r *Recorder) appendPoint(series *pagedLog[Point], t simclock.Time, v int) {
+	if last := series.last(); last != nil {
+		if last.T == t {
+			last.Value = v
+			return
+		}
+		if t < last.T {
+			panic("trace: timestamps must be monotone")
+		}
 	}
-	if len(s) > 0 && t < s[len(s)-1].T {
-		panic("trace: timestamps must be monotone")
-	}
-	*series = append(s, Point{T: t, Value: v})
+	series.push(Point{T: t, Value: v})
 }
 
 // AddPhase accumulates d into the named phase bucket.
@@ -250,7 +252,7 @@ func (r *Recorder) AddPhase(name string, d time.Duration) {
 
 // AddTask appends a completed task's timeline record.
 func (r *Recorder) AddTask(rec TaskRecord) {
-	r.tasks = append(r.tasks, rec)
+	r.tasks.push(rec)
 	r.sortedTasks = nil
 	r.aggRun += rec.Run()
 	if rec.EndedAt > r.end {
@@ -274,30 +276,31 @@ func (r *Recorder) Span() (start, end simclock.Time) { return r.start, r.end }
 func (r *Recorder) Makespan() time.Duration { return r.end.Sub(r.start) }
 
 // integrate returns the time integral of a step series over [start, end],
-// in resource-nanoseconds.
-func integrate(series []Point, start, end simclock.Time) float64 {
-	if end <= start || len(series) == 0 {
+// in resource-nanoseconds. It walks the pages in place, adding each
+// step's area in series order.
+func integrate(series *pagedLog[Point], start, end simclock.Time) float64 {
+	if end <= start || series.n == 0 {
 		return 0
 	}
 	var acc float64
-	for i := 0; i < len(series); i++ {
-		t0 := series[i].T
-		var t1 simclock.Time
-		if i+1 < len(series) {
-			t1 = series[i+1].T
-		} else {
-			t1 = end
-		}
-		if t0 < start {
-			t0 = start
-		}
-		if t1 > end {
-			t1 = end
-		}
+	step := func(p Point, t1 simclock.Time) {
+		t0 := max(p.T, start)
+		t1 = min(t1, end)
 		if t1 > t0 {
-			acc += float64(series[i].Value) * float64(t1-t0)
+			acc += float64(p.Value) * float64(t1-t0)
 		}
 	}
+	var prev Point
+	seen := false
+	for i := range series.pages {
+		for _, p := range series.page(i) {
+			if seen {
+				step(prev, p.T)
+			}
+			prev, seen = p, true
+		}
+	}
+	step(prev, end)
 	return acc
 }
 
@@ -308,7 +311,7 @@ func (r *Recorder) CPUUtilization() float64 {
 	if span <= 0 {
 		return 0
 	}
-	return integrate(r.cpuSeries, r.start, r.end) / (span * float64(r.totalCores))
+	return integrate(&r.cpuSeries, r.start, r.end) / (span * float64(r.totalCores))
 }
 
 // GPUUtilization returns average busy-GPU fraction (0..1).
@@ -320,24 +323,24 @@ func (r *Recorder) GPUUtilization() float64 {
 	if span <= 0 {
 		return 0
 	}
-	return integrate(r.gpuSeries, r.start, r.end) / (span * float64(r.totalGPUs))
+	return integrate(&r.gpuSeries, r.start, r.end) / (span * float64(r.totalGPUs))
 }
 
 // BusyCoreHours returns the integral of busy cores, in core-hours.
 func (r *Recorder) BusyCoreHours() float64 {
-	return integrate(r.cpuSeries, r.start, r.end) / float64(time.Hour)
+	return integrate(&r.cpuSeries, r.start, r.end) / float64(time.Hour)
 }
 
 // BusyGPUHours returns the integral of busy GPUs, in GPU-hours.
 func (r *Recorder) BusyGPUHours() float64 {
-	return integrate(r.gpuSeries, r.start, r.end) / float64(time.Hour)
+	return integrate(&r.gpuSeries, r.start, r.end) / float64(time.Hour)
 }
 
 // CPUSeries returns a copy of the busy-core step series.
-func (r *Recorder) CPUSeries() []Point { return append([]Point(nil), r.cpuSeries...) }
+func (r *Recorder) CPUSeries() []Point { return r.cpuSeries.flat() }
 
 // GPUSeries returns a copy of the busy-GPU step series.
-func (r *Recorder) GPUSeries() []Point { return append([]Point(nil), r.gpuSeries...) }
+func (r *Recorder) GPUSeries() []Point { return r.gpuSeries.flat() }
 
 // Phases returns a copy of the phase-duration buckets.
 func (r *Recorder) Phases() map[string]time.Duration {
@@ -353,8 +356,8 @@ func (r *Recorder) Phases() map[string]time.Duration {
 // callers must treat it as read-only. Every cache rebuild sorts a fresh
 // copy, so snapshots handed out earlier are never mutated.
 func (r *Recorder) Tasks() []TaskRecord {
-	if r.sortedTasks == nil && len(r.tasks) > 0 {
-		out := append([]TaskRecord(nil), r.tasks...)
+	if r.sortedTasks == nil && r.tasks.n > 0 {
+		out := r.tasks.flat()
 		sort.Slice(out, func(i, j int) bool {
 			if out[i].Submitted != out[j].Submitted {
 				return out[i].Submitted < out[j].Submitted
