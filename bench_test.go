@@ -74,13 +74,9 @@ func BenchmarkTableI_IMRP(b *testing.B) {
 // BenchmarkFig2 regenerates Figure 2: the CONT-V vs IM-RP per-iteration
 // metric comparison over the four PDZ-peptide structures.
 func BenchmarkFig2(b *testing.B) {
-	var out *impress.ExperimentOutput
+	var out paperRun
 	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = impress.Fig2Experiment(42)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out = runPaper(b, "fig2", impress.ScenarioParams{Seed: 42})
 	}
 	reportCampaign(b, out.Results["IM-RP"])
 }
@@ -88,13 +84,9 @@ func BenchmarkFig2(b *testing.B) {
 // BenchmarkFig3 regenerates Figure 3: the expanded IM-RP workflow over 70
 // PDB-mined complexes with adaptivity disabled in the final cycle.
 func BenchmarkFig3(b *testing.B) {
-	var out *impress.ExperimentOutput
+	var out paperRun
 	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = impress.Fig3Experiment(44, 70)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out = runPaper(b, "fig3", impress.ScenarioParams{Seed: 44, Targets: 70})
 	}
 	res := out.Results["IM-RP"]
 	reportCampaign(b, res)
@@ -106,13 +98,9 @@ func BenchmarkFig3(b *testing.B) {
 
 // BenchmarkFig4 regenerates Figure 4: CONT-V's CPU/GPU utilization trace.
 func BenchmarkFig4(b *testing.B) {
-	var out *impress.ExperimentOutput
+	var out paperRun
 	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = impress.Fig4Experiment(42)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out = runPaper(b, "fig4", impress.ScenarioParams{Seed: 42})
 	}
 	reportCampaign(b, out.Results["CONT-V"])
 }
@@ -120,13 +108,9 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkFig5 regenerates Figure 5: IM-RP's CPU/GPU utilization trace
 // and runtime phase breakdown.
 func BenchmarkFig5(b *testing.B) {
-	var out *impress.ExperimentOutput
+	var out paperRun
 	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = impress.Fig5Experiment(42)
-		if err != nil {
-			b.Fatal(err)
-		}
+		out = runPaper(b, "fig5", impress.ScenarioParams{Seed: 42})
 	}
 	reportCampaign(b, out.Results["IM-RP"])
 }

@@ -11,7 +11,7 @@
 //
 //	-seed N       campaign seed (default 42)
 //	-screen N     Fig. 3 screen size (default 70, the paper's)
-//	-parallel N   run experiments concurrently (default 1; 0 = GOMAXPROCS)
+//	-parallel N   run campaigns concurrently (default 1; 0 = GOMAXPROCS)
 //	-policy P     scheduling-policy ablation (fifo, backfill, bestfit, worstfit, largest)
 //	-fault P      resilience ablation: per-task failure probability
 //	-mtbf D       resilience ablation: node crash MTBF (with -repair)
@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"impress"
@@ -97,51 +98,62 @@ func run() int {
 		return 2
 	}
 
-	selected := flag.Args()
-	if len(selected) == 0 {
-		selected = []string{"all"}
-	}
 	want := make(map[string]bool)
-	for _, s := range selected {
+	for _, s := range flag.Args() {
 		want[strings.ToLower(s)] = true
 	}
-
-	experiments := impress.ExperimentsWith(p)
-	known := make(map[string]bool)
-	for _, e := range experiments {
-		known[e.ID] = true
+	if len(want) == 0 {
+		want["all"] = true
 	}
 	for id := range want {
-		if id != "all" && !known[id] {
+		if id != "all" && !slices.Contains(paperScenarios, id) {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (known: table1 fig2 fig3 fig4 fig5 all)\n", id)
 			return 2
 		}
 	}
 
-	var selectedExps []impress.Experiment
-	for _, exp := range experiments {
-		if !want["all"] && !want[exp.ID] {
+	// Every selected scenario's campaigns run as one batch on -parallel
+	// engine workers; the reports print in selection order.
+	type experiment struct {
+		sc     impress.Scenario
+		lo, hi int // the scenario's campaigns in the batch
+		err    error
+	}
+	var (
+		exps  []experiment
+		batch []impress.Campaign
+	)
+	for _, id := range paperScenarios {
+		if !want["all"] && !want[id] {
 			continue
 		}
-		selectedExps = append(selectedExps, exp)
+		sc, _ := impress.LookupScenario(id)
+		cs, err := sc.Build(p)
+		exps = append(exps, experiment{sc: sc, lo: len(batch), hi: len(batch) + len(cs), err: err})
+		batch = append(batch, cs...)
 	}
-
-	// Experiments run concurrently on the library's bounded worker pool;
-	// buffered outputs print in selection order.
-	outs, errs := impress.RunExperiments(selectedExps, p.Seed, common.Parallel)
+	outs := impress.RunCampaigns(batch, common.Parallel)
 
 	failed := false
-	for i, exp := range selectedExps {
-		fmt.Printf("### %s — %s (seed %d)\n\n", exp.ID, exp.Title, p.Seed)
-		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", exp.ID, errs[i])
+	for _, e := range exps {
+		fmt.Printf("### %s — %s (seed %d)\n\n", e.sc.Name, e.sc.Description, p.Seed)
+		var results []*impress.Result
+		for _, o := range outs[e.lo:e.hi] {
+			if e.err == nil {
+				e.err = o.Err
+			}
+			results = append(results, o.Result)
+		}
+		if e.err != nil {
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.sc.Name, e.err)
 			failed = true
 			continue
 		}
-		fmt.Println(outs[i].Text)
+		text := e.sc.Report(results)
+		fmt.Println(text)
 		if *outDir != "" {
-			if err := writeOutputs(*outDir, outs[i]); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s outputs: %v\n", exp.ID, err)
+			if err := writeOutputs(*outDir, e.sc, text, results); err != nil {
+				fmt.Fprintf(os.Stderr, "writing %s outputs: %v\n", e.sc.Name, err)
 				failed = true
 			}
 		}
@@ -152,6 +164,10 @@ func run() int {
 	return 0
 }
 
+// paperScenarios are the registered scenarios behind the paper's
+// evaluation, in the order "all" runs them.
+var paperScenarios = []string{"table1", "fig2", "fig3", "fig4", "fig5"}
+
 // paperFlags are the flags the paper experiments honour.
 var paperFlags = map[string]bool{
 	"seed": true, "parallel": true, "screen": true, "out": true,
@@ -160,15 +176,17 @@ var paperFlags = map[string]bool{
 	"outage-dur": true, "cascade": true, "cascade-window": true, "maintenance": true,
 }
 
-func writeOutputs(dir string, out *impress.ExperimentOutput) error {
+func writeOutputs(dir string, sc impress.Scenario, text string, results []*impress.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := impress.WriteArtifact(filepath.Join(dir, out.ID+".txt"), func(w io.Writer) error {
-		_, err := io.WriteString(w, out.Text)
+	if err := impress.WriteArtifact(filepath.Join(dir, sc.Name+".txt"), func(w io.Writer) error {
+		_, err := io.WriteString(w, text)
 		return err
 	}); err != nil {
 		return err
 	}
-	return impress.WriteArtifact(filepath.Join(dir, out.ID+".csv"), out.WriteCSV)
+	return impress.WriteArtifact(filepath.Join(dir, sc.Name+".csv"), func(w io.Writer) error {
+		return sc.ReportCSV(w, results)
+	})
 }

@@ -32,6 +32,7 @@ import (
 	"impress"
 	"impress/internal/campaign"
 	"impress/internal/cliflags"
+	"impress/internal/report"
 	"impress/internal/scenariorun"
 )
 
@@ -282,8 +283,7 @@ func run() int {
 	}
 	if *csvPath != "" {
 		err := impress.WriteArtifact(*csvPath, func(w io.Writer) error {
-			out := &impress.ExperimentOutput{ID: "run", Results: map[string]*impress.Result{res.Approach: res}}
-			return out.WriteCSV(w)
+			return report.IterationCSV(w, res.Iterations(), res)
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

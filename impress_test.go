@@ -1,11 +1,49 @@
 package impress_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	"impress"
 )
+
+// paperRun is one completed run of a paper scenario: its results keyed
+// by approach, and its report renderers over them.
+type paperRun struct {
+	impress.Scenario
+	Results map[string]*impress.Result
+	results []*impress.Result
+}
+
+// Text renders the scenario's report.
+func (r paperRun) Text() string { return r.Report(r.results) }
+
+// WriteCSV writes the scenario's CSV report.
+func (r paperRun) WriteCSV(w io.Writer) error { return r.ReportCSV(w, r.results) }
+
+// runPaper builds a paper scenario and runs its campaigns, failing the
+// test on any error.
+func runPaper(tb testing.TB, name string, p impress.ScenarioParams) paperRun {
+	tb.Helper()
+	sc, ok := impress.LookupScenario(name)
+	if !ok {
+		tb.Fatalf("scenario %q not registered", name)
+	}
+	campaigns, err := impress.BuildScenario(name, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run := paperRun{Scenario: sc, Results: map[string]*impress.Result{}}
+	for _, o := range impress.RunCampaigns(campaigns, 2) {
+		if o.Err != nil {
+			tb.Fatal(o.Err)
+		}
+		run.results = append(run.results, o.Result)
+		run.Results[o.Result.Approach] = o.Result
+	}
+	return run
+}
 
 func TestPublicAPITargets(t *testing.T) {
 	targets, err := impress.NamedPDZTargets(1)
@@ -96,27 +134,21 @@ func TestSchedulingPolicyAPI(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	exps := impress.Experiments()
-	if len(exps) != 5 {
-		t.Fatalf("got %d experiments, want 5 (Table I + Figs 2-5)", len(exps))
-	}
-	want := map[string]bool{"table1": true, "fig2": true, "fig3": true, "fig4": true, "fig5": true}
-	for _, e := range exps {
-		if !want[e.ID] {
-			t.Errorf("unexpected experiment %q", e.ID)
+	for _, id := range []string{"table1", "fig2", "fig3", "fig4", "fig5"} {
+		sc, ok := impress.LookupScenario(id)
+		if !ok {
+			t.Errorf("paper scenario %q not registered", id)
+			continue
 		}
-		if e.Run == nil || e.Title == "" {
-			t.Errorf("experiment %q incomplete", e.ID)
+		if sc.Build == nil || sc.Report == nil || sc.ReportCSV == nil || sc.Description == "" {
+			t.Errorf("paper scenario %q incomplete", id)
 		}
 	}
 }
 
 func TestTableIExperimentShape(t *testing.T) {
-	out, err := impress.TableIExperiment(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.Text, "CONT-V") || !strings.Contains(out.Text, "IM-RP") {
+	out := runPaper(t, "table1", impress.ScenarioParams{Seed: 42})
+	if !strings.Contains(out.Text(), "CONT-V") || !strings.Contains(out.Text(), "IM-RP") {
 		t.Fatal("Table I missing approaches")
 	}
 	ctrl := out.Results["CONT-V"]
@@ -166,10 +198,7 @@ func TestFig3ExperimentDrop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full screen in -short mode")
 	}
-	out, err := impress.Fig3Experiment(44, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runPaper(t, "fig3", impress.ScenarioParams{Seed: 44, Targets: 40})
 	res := out.Results["IM-RP"]
 	it3, _ := res.IterationSummary(3, impress.PLDDT)
 	it4, _ := res.IterationSummary(4, impress.PLDDT)
@@ -181,20 +210,14 @@ func TestFig3ExperimentDrop(t *testing.T) {
 	if !(it1 < it2 && it2 < it3) {
 		t.Fatalf("iterations 1-3 not improving: %.2f %.2f %.2f", it1, it2, it3)
 	}
-	if !strings.Contains(out.Text, "adaptivity disabled in the final cycle") {
+	if !strings.Contains(out.Text(), "adaptivity disabled in the final cycle") {
 		t.Error("Fig. 3 text missing configuration note")
 	}
 }
 
 func TestFig4AndFig5Experiments(t *testing.T) {
-	f4, err := impress.Fig4Experiment(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f5, err := impress.Fig5Experiment(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f4 := runPaper(t, "fig4", impress.ScenarioParams{Seed: 42})
+	f5 := runPaper(t, "fig5", impress.ScenarioParams{Seed: 42})
 	ctrl := f4.Results["CONT-V"]
 	adpt := f5.Results["IM-RP"]
 	// The paper's headline utilization contrast.
@@ -204,25 +227,22 @@ func TestFig4AndFig5Experiments(t *testing.T) {
 	if adpt.GPUUtilization < 2*ctrl.GPUUtilization {
 		t.Errorf("GPU utilization contrast too weak: %.2f vs %.2f", adpt.GPUUtilization, ctrl.GPUUtilization)
 	}
-	for _, out := range []*impress.ExperimentOutput{f4, f5} {
-		if !strings.Contains(out.Text, "Busy CPU cores") || !strings.Contains(out.Text, "Runtime phases") {
-			t.Errorf("%s output incomplete", out.ID)
+	for _, out := range []paperRun{f4, f5} {
+		if !strings.Contains(out.Text(), "Busy CPU cores") || !strings.Contains(out.Text(), "Runtime phases") {
+			t.Errorf("%s output incomplete", out.Name)
 		}
 		var sb strings.Builder
 		if err := out.WriteCSV(&sb); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.HasPrefix(sb.String(), "approach,resource") {
-			t.Errorf("%s CSV wrong", out.ID)
+			t.Errorf("%s CSV wrong", out.Name)
 		}
 	}
 }
 
 func TestFig2ExperimentShape(t *testing.T) {
-	out, err := impress.Fig2Experiment(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runPaper(t, "fig2", impress.ScenarioParams{Seed: 42})
 	ctrl := out.Results["CONT-V"]
 	adpt := out.Results["IM-RP"]
 	// Fig. 2's claim: IM-RP attains better medians than CONT-V in the

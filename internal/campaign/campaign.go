@@ -105,18 +105,17 @@ func (e *Engine) WorkersFor(n int) int {
 // per-campaign and never discard completed work.
 func (e *Engine) Run(campaigns []Campaign) []Outcome {
 	outcomes := make([]Outcome, len(campaigns))
-	RunIndexed(len(campaigns), e.workers, func(i int) {
+	runIndexed(len(campaigns), e.workers, func(i int) {
 		outcomes[i] = runOne(campaigns[i])
 	})
 	return outcomes
 }
 
-// RunIndexed executes fn(i) for every i in [0, n) on a bounded pool of
+// runIndexed executes fn(i) for every i in [0, n) on a bounded pool of
 // goroutines (workers <= 0 uses GOMAXPROCS; the pool never exceeds n)
-// and returns once every call has completed. It is the one worker-pool
-// shape shared by the campaign engine and the experiment harness; fn is
-// responsible for its own panic safety.
-func RunIndexed(n, workers int, fn func(int)) {
+// and returns once every call has completed; fn is responsible for its
+// own panic safety.
+func runIndexed(n, workers int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
@@ -157,12 +156,12 @@ var activeCampaigns atomic.Int64
 // withInnerParallelism divides the machine between concurrent campaigns:
 // the MPNN sampler defaults to GOMAXPROCS goroutines per Stage-1 task,
 // which is right for a lone campaign but oversubscribes every core when
-// several campaigns run at once — including via nested pools (an
-// experiment harness running engines of its own). Each campaign gets a
-// share proportional to the live campaign count. Designs are computed
-// into per-candidate slots from per-candidate seeds, so sampler
-// parallelism never changes results — this is pure execution policy. An
-// explicit Parallelism is left alone.
+// several campaigns run at once — including via nested pools (a caller
+// running engines of its own). Each campaign gets a share proportional
+// to the live campaign count. Designs are computed into per-candidate
+// slots from per-candidate seeds, so sampler parallelism never changes
+// results — this is pure execution policy. An explicit Parallelism is
+// left alone.
 func withInnerParallelism(c Campaign, active int) Campaign {
 	if c.Config.Pipeline.MPNN.Parallelism != 0 || active <= 1 {
 		return c

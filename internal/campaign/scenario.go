@@ -195,9 +195,10 @@ func Build(name string, p Params) ([]Campaign, error) {
 // Configure applies the execution knobs of p to a protocol config: the
 // machine size and split CPU/GPU pilot pair, the scheduling policy, the
 // fault/recovery configuration, steering, telemetry and checkpointed
-// preemption. Zero-valued knobs keep cfg's own setting. Every scenario,
-// the paper experiments and impress-run's single campaign configure
-// through it, so a new core.Config knob needs one line here.
+// preemption. Zero-valued knobs keep cfg's own setting. Every scenario
+// (the paper's Table I and Figs. 2-5 among them) and impress-run's single
+// campaign configure through it, so a new core.Config knob needs one line
+// here.
 func Configure(cfg core.Config, p Params) (core.Config, error) {
 	if p.Nodes > 1 {
 		// Scale the machine before any split derives partitions from it.
@@ -788,13 +789,72 @@ func init() {
 			panic(err)
 		}
 	}
+	pair := func(p Params) ([]Campaign, error) {
+		p = p.withDefaults(defaultSeeds, defaultTargets)
+		return pairAt(p.Seed, p)
+	}
+	// pairCell builds one protocol of the pair: 0 is CONT-V, 1 is IM-RP.
+	pairCell := func(i int) func(Params) ([]Campaign, error) {
+		return func(p Params) ([]Campaign, error) {
+			cs, err := pair(p)
+			if err != nil {
+				return nil, err
+			}
+			return cs[i : i+1], nil
+		}
+	}
 	must(Register(Scenario{
 		Name:        "pair",
 		Description: "CONT-V vs IM-RP over the paper's four PDZ domains (Table I workload)",
+		Build:       pair,
+	}))
+	// The paper's evaluation (Section III): Table I and Figs. 2-5, each
+	// the pair or the screen as the paper ran it plus the report that
+	// regenerates the table or figure.
+	must(Register(Scenario{
+		Name:        "table1",
+		Description: "Table I: experimental setup and results for CONT-V and IM-RP",
+		Build:       pair,
+		Report:      tableIReport,
+		ReportCSV:   iterationCSV,
+	}))
+	must(Register(Scenario{
+		Name:        "fig2",
+		Description: "Fig. 2: per-iteration AlphaFold metrics, CONT-V vs IM-RP (4 PDZ-peptide structures)",
+		Build:       pair,
+		Report:      fig2Report,
+		ReportCSV:   iterationCSV,
+	}))
+	must(Register(Scenario{
+		Name:        "fig3",
+		Description: "Fig. 3: per-iteration AlphaFold metrics for the expanded IM-RP workflow (70 structures)",
 		Build: func(p Params) ([]Campaign, error) {
 			p = p.withDefaults(defaultSeeds, defaultTargets)
-			return pairAt(p.Seed, p)
+			cs, err := screenAt(p.Seed, p.Targets, p)
+			if err != nil {
+				return nil, err
+			}
+			// Without adaptivity in the final cycle the screen shows the
+			// paper's final-iteration quality drop.
+			cs[0].Config.Pipeline.FinalCycleAdaptive = false
+			return cs, nil
 		},
+		Report:    fig3Report,
+		ReportCSV: iterationCSV,
+	}))
+	must(Register(Scenario{
+		Name:        "fig4",
+		Description: "Fig. 4: CONT-V total GPU/CPU resource utilization and execution time",
+		Build:       pairCell(0),
+		Report:      utilizationReport("Fig. 4", "Fig. 4: CONT-V total GPU/CPU resource utilization and execution time"),
+		ReportCSV:   seriesCSV,
+	}))
+	must(Register(Scenario{
+		Name:        "fig5",
+		Description: "Fig. 5: IM-RP total GPU/CPU utilization, execution time and phase breakdown",
+		Build:       pairCell(1),
+		Report:      utilizationReport("Fig. 5", "Fig. 5: IM-RP total GPU/CPU utilization and execution time"),
+		ReportCSV:   seriesCSV,
 	}))
 	must(Register(Scenario{
 		Name:        "sweep",
