@@ -17,110 +17,114 @@ import (
 )
 
 // Result is a completed campaign's full record: everything the paper's
-// Table I and Figures 2–5 are derived from.
+// Table I and Figures 2–5 are derived from. Its JSON form, framed by
+// WriteJSON, is the schema-1 result file; durations encode as integer
+// nanoseconds.
 type Result struct {
 	// Approach labels the protocol ("IM-RP" or "CONT-V").
-	Approach string
+	Approach string `json:"approach"`
 	// Seed is the campaign's root seed (Config.Seed) — the key resilience
 	// reports use to pair fault-injected runs with their fault-free
 	// baselines.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Targets lists the campaign's target names in submission order.
-	Targets []string
+	Targets []string `json:"targets"`
 
 	// Trajectories are all concluded design cycles, in conclusion order.
-	Trajectories []pipeline.Trajectory
+	Trajectories []pipeline.Trajectory `json:"trajectories"`
 	// Pool is the coordinator's global result pool (per-iteration
 	// metric buckets for Figs. 2 and 3).
-	Pool *ga.Pool
+	Pool *ga.Pool `json:"pool_entries"`
 
 	// BasePipelines and SubPipelines count pipeline instances; Table I's
 	// "# PL" and "# Sub-PL".
-	BasePipelines int
-	SubPipelines  int
+	BasePipelines int `json:"base_pipelines"`
+	SubPipelines  int `json:"sub_pipelines"`
 	// EarlyTerminated counts pipelines that died of retry exhaustion.
-	EarlyTerminated int
+	EarlyTerminated int `json:"early_terminated"`
 	// Evaluations counts AlphaFold predictions (Stage 4 executions).
-	Evaluations int
+	Evaluations int `json:"evaluations"`
 	// TaskCount is the number of pilot tasks submitted.
-	TaskCount int
+	TaskCount int `json:"task_count"`
 	// FailedTasks counts runtime failures (0 in healthy campaigns).
-	FailedTasks int
+	FailedTasks int `json:"failed_tasks"`
 
 	// CPUUtilization and GPUUtilization are busy-resource fractions
 	// (0..1) over the makespan — Figs. 4 and 5.
-	CPUUtilization float64
-	GPUUtilization float64
+	CPUUtilization float64 `json:"cpu_utilization"`
+	GPUUtilization float64 `json:"gpu_utilization"`
 	// Makespan is the campaign's wall-clock span in virtual time.
-	Makespan time.Duration
+	Makespan time.Duration `json:"makespan_ns"`
 	// AggregateTaskTime is the sum of all task running phases — the
 	// quantity the paper reports as "Time (h)".
-	AggregateTaskTime time.Duration
+	AggregateTaskTime time.Duration `json:"aggregate_task_time_ns"`
 	// Phases breaks runtime overhead down as in Fig. 5's legend
 	// (bootstrap / exec_setup / running).
-	Phases map[string]time.Duration
+	Phases map[string]time.Duration `json:"phases"`
 	// CPUSeries and GPUSeries are the busy-resource step functions.
-	CPUSeries, GPUSeries []trace.Point
+	CPUSeries []trace.Point `json:"cpu_series"`
+	GPUSeries []trace.Point `json:"gpu_series"`
 	// TotalCores and TotalGPUs record the aggregate capacity across the
 	// campaign's pilots.
-	TotalCores, TotalGPUs int
+	TotalCores int `json:"total_cores"`
+	TotalGPUs  int `json:"total_gpus"`
 	// Pilots names the campaign's pilot partitions in submission order
 	// (a single "pilot" for classic campaigns).
-	Pilots []string
+	Pilots []string `json:"pilots,omitempty"`
 	// Policies records each pilot's resolved scheduling policy, parallel
 	// to Pilots.
-	Policies []string
+	Policies []string `json:"policies,omitempty"`
 	// Recoveries records each pilot's resolved fault-recovery policy,
 	// parallel to Pilots.
-	Recoveries []string
+	Recoveries []string `json:"recoveries,omitempty"`
 	// Steerings records each pilot's resolved elastic-steering
 	// participation, parallel to Pilots ("none" on frozen partitions).
-	Steerings []string
+	Steerings []string `json:"steerings,omitempty"`
 	// Steer is the campaign's elastic-steering policy ("none" when the
 	// partitions stayed frozen).
-	Steer string
+	Steer string `json:"steer,omitempty"`
 	// NodeTransfers counts the nodes the steering controller moved
 	// between pilots mid-campaign (0 with steering off).
-	NodeTransfers int
+	NodeTransfers int `json:"node_transfers,omitempty"`
 	// SteerVetoes counts the transfer proposals the controller rejected,
 	// and SteerVetoReasons breaks them down by veto reason (nil when
 	// nothing was vetoed).
-	SteerVetoes      int
-	SteerVetoReasons map[string]int
+	SteerVetoes      int            `json:"steer_vetoes,omitempty"`
+	SteerVetoReasons map[string]int `json:"steer_veto_reasons,omitempty"`
 	// CheckpointInterval echoes Config.CheckpointInterval so reports can
 	// group preemption cells by checkpoint cadence (0 = checkpointing
 	// off).
-	CheckpointInterval time.Duration
+	CheckpointInterval time.Duration `json:"checkpoint_interval_ns,omitempty"`
 	// WalltimeGrace echoes Config.WalltimeGrace: nonzero means walltime
 	// expiry drained gracefully instead of killing outright.
-	WalltimeGrace time.Duration
+	WalltimeGrace time.Duration `json:"walltime_grace_ns,omitempty"`
 	// Faults carries the fault-injection accounting; nil when the
 	// campaign ran without failure models.
-	Faults *FaultStats
+	Faults *FaultStats `json:"faults,omitempty"`
 
 	// Starting maps target → native (generation 0) metrics.
-	Starting map[string]landscape.Metrics
+	Starting map[string]landscape.Metrics `json:"starting"`
 	// FinalBest maps target → best accepted metrics over the campaign.
-	FinalBest map[string]landscape.Metrics
+	FinalBest map[string]landscape.Metrics `json:"final_best"`
 	// FinalDesigns maps target → the best accepted design's structure.
-	FinalDesigns map[string]*protein.Structure
+	FinalDesigns map[string]*protein.Structure `json:"final_designs"`
 	// TaskRecords holds the per-task timeline (sorted by submission),
 	// for Gantt-style inspection.
-	TaskRecords []trace.TaskRecord
+	TaskRecords []trace.TaskRecord `json:"task_records,omitempty"`
 	// QueueSeries holds each pilot's queue-depth step function, parallel
 	// to Pilots (nil entries for pilots that never queued).
-	QueueSeries [][]trace.Point
+	QueueSeries [][]trace.Point `json:"queue_series,omitempty"`
 	// Telemetry carries the campaign's observability record — instants,
 	// steering ticks, counters, and gauge series. Nil unless the campaign
 	// ran with Config.Telemetry set.
-	Telemetry *telemetry.Data
+	Telemetry *telemetry.Data `json:"telemetry,omitempty"`
 
 	// Admission names the admission-control policy when this result is a
 	// multi-tenant service run; empty for private-cluster campaigns.
-	Admission string
+	Admission string `json:"admission,omitempty"`
 	// Tenants holds the per-tenant wait/slowdown record of a multi-tenant
 	// service run, in arrival order. Nil for private-cluster campaigns.
-	Tenants []TenantStat
+	Tenants []TenantStat `json:"tenants,omitempty"`
 }
 
 // TenantStat is one tenant's service record on a shared cluster: when it
@@ -129,31 +133,31 @@ type Result struct {
 // rows behind Jain's fairness index.
 type TenantStat struct {
 	// Name is the tenant's campaign name.
-	Name string
+	Name string `json:"name"`
 	// Weight is the tenant's share weight under weighted-fair admission.
-	Weight float64
+	Weight float64 `json:"weight,omitempty"`
 	// Nodes is the node grant the tenant was admitted with.
-	Nodes int
+	Nodes int `json:"nodes,omitempty"`
 	// Arrived/Admitted/Finished are virtual-time offsets from service
 	// start: when the tenant showed up, when admission control let it in,
 	// and when its last pipeline drained.
-	Arrived  time.Duration
-	Admitted time.Duration
-	Finished time.Duration
+	Arrived  time.Duration `json:"arrived_ns"`
+	Admitted time.Duration `json:"admitted_ns"`
+	Finished time.Duration `json:"finished_ns"`
 	// Wait is Admitted − Arrived: the admission queue time.
-	Wait time.Duration
+	Wait time.Duration `json:"wait_ns"`
 	// Runtime is Finished − Admitted: the tenant's own makespan.
-	Runtime time.Duration
+	Runtime time.Duration `json:"runtime_ns"`
 	// Slowdown is (Wait + Runtime) / Runtime ≥ 1 — the classic bounded
 	// slowdown numerator over the tenant's own runtime.
-	Slowdown float64
+	Slowdown float64 `json:"slowdown"`
 	// Trajectories and Tasks summarize the tenant's scientific output.
-	Trajectories int
-	Tasks        int
+	Trajectories int `json:"trajectories,omitempty"`
+	Tasks        int `json:"tasks,omitempty"`
 	// Reclaimed counts nodes the inter-campaign steering tick took from
 	// this tenant; Granted counts nodes it gained after admission.
-	Reclaimed int
-	Granted   int
+	Reclaimed int `json:"reclaimed,omitempty"`
+	Granted   int `json:"granted,omitempty"`
 }
 
 // FaultStats is a campaign's fault-injection and recovery record — the

@@ -156,32 +156,34 @@ func (p Params) Validate() error {
 // counts in Table I ("CONT-V only examined 16 trajectories ... IM-RP
 // evaluated 23 unique trajectories").
 type Trajectory struct {
-	PipelineID string
-	Target     string
+	PipelineID string `json:"pipeline_id"`
+	Target     string `json:"target"`
 	// Cycle is the 1-based design cycle within this pipeline.
-	Cycle int
+	Cycle int `json:"cycle"`
 	// Generation is the structure generation the cycle produced; Fig. 2
 	// and Fig. 3 bucket metrics by it.
-	Generation int
+	Generation int `json:"generation"`
 	// CandidateRank is the rank of the finally chosen candidate within
 	// the cycle's try order (0 = first choice).
-	CandidateRank int
+	CandidateRank int `json:"candidate_rank"`
 	// Evaluations counts AlphaFold predictions spent on the cycle
 	// (1 + retries).
-	Evaluations int
+	Evaluations int `json:"evaluations"`
 	// Metrics are the accepted (or final declined) design's metrics.
-	Metrics landscape.Metrics
+	Metrics landscape.Metrics `json:"metrics"`
 	// Accepted reports whether Stage 6 accepted the design.
-	Accepted bool
+	Accepted bool `json:"accepted"`
 	// Sub marks trajectories produced by coordinator-spawned
 	// sub-pipelines.
-	Sub bool
+	Sub bool `json:"sub"`
 	// Input is the backbone the cycle designed on; the coordinator's
 	// decision step hands it to refinement sub-pipelines so they
 	// re-process the low-quality cycle rather than extend past it.
-	Input *protein.Structure
+	Input *protein.Structure `json:"-"`
 	// Result is the accepted design's structure (nil when declined).
-	Result *protein.Structure
+	// Input and Result stay out of result files, which keep each
+	// target's best design in the campaign's FinalDesigns.
+	Result *protein.Structure `json:"-"`
 }
 
 // Step is a task the coordinator must submit next.
