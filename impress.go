@@ -14,8 +14,10 @@
 //	result, _ := impress.RunAdaptive(targets, impress.AdaptiveConfig(42))
 //	fmt.Println(impress.Summary(result))
 //
-// See the examples directory for complete programs, and the Experiments
-// function for the paper's evaluation harness.
+// See the examples directory for complete programs. The paper's
+// evaluation is a set of registered scenarios, table1 and fig2 to fig5:
+// build one with BuildScenario, run it with RunCampaigns, and render it
+// with the scenario's Report and ReportCSV.
 package impress
 
 import (
@@ -26,13 +28,13 @@ import (
 	"impress/internal/core"
 	"impress/internal/costmodel"
 	"impress/internal/fault"
+	"impress/internal/fleet"
 	"impress/internal/fold"
 	"impress/internal/ga"
 	"impress/internal/landscape"
 	"impress/internal/mpnn"
 	"impress/internal/pipeline"
 	"impress/internal/report"
-	"impress/internal/fleet"
 	"impress/internal/sched"
 	"impress/internal/steer"
 	"impress/internal/telemetry"
@@ -252,8 +254,9 @@ func RunCampaigns(campaigns []Campaign, workers int) []CampaignOutcome {
 }
 
 // Scenarios returns the registered campaign scenarios (sorted by name):
-// the declarative workload catalogue, including the paper's pair, sweep,
-// screen, and stress workloads.
+// the declarative workload catalogue, including the paper's Table I and
+// Figs. 2-5 (table1, fig2 ... fig5) and its pair, sweep, screen, and
+// stress workloads.
 func Scenarios() []Scenario { return campaign.Scenarios() }
 
 // BuildScenario constructs the campaigns of a named scenario.

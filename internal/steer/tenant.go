@@ -48,7 +48,7 @@ type TenantPolicy interface {
 // tenantNone never reclaims: tenants keep their admission grant for life.
 type tenantNone struct{}
 
-func (tenantNone) Name() string                  { return "none" }
+func (tenantNone) Name() string                   { return "none" }
 func (tenantNone) Decide([]TenantStat) []Transfer { return nil }
 
 // tenantFairshare moves one node per observation from the tenant most
