@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"impress/internal/ga"
-	"impress/internal/protein"
 )
 
 // The JSON schema version; bump on breaking changes.
@@ -46,12 +45,9 @@ func ReadResultJSON(rd io.Reader) (*Result, error) {
 	if file.Schema != resultSchemaVersion {
 		return nil, fmt.Errorf("core: result schema %d, want %d", file.Schema, resultSchemaVersion)
 	}
-	res := file.Result
-	if res.Pool == nil {
-		res.Pool = ga.NewPool()
+	if file.Pool == nil {
+		// The pool accessors need a pool, even for a file without entries.
+		file.Pool = ga.NewPool()
 	}
-	if res.FinalDesigns == nil {
-		res.FinalDesigns = make(map[string]*protein.Structure)
-	}
-	return res, nil
+	return file.Result, nil
 }
