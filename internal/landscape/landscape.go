@@ -18,6 +18,14 @@
 // pLDDT/pTM/ipAE with observation noise. Epistasis (the coupling terms)
 // makes greedy single-shot design suboptimal, which is exactly why the
 // paper's iterative genetic protocol helps.
+//
+// Bulk draws — a model's fields and coupling tables, and a surrogate's
+// noise — are ziggurat normals taken from one sequential stream in
+// row-major order: the fields, then each edge's W. Each 20-value row is
+// one xrand.FillZiggurat or AddZiggurat call, which draws exactly what one
+// Ziggurat call per cell would; tests compare both against that per-draw
+// loop bit for bit. The sparse draws elsewhere (calibration samples,
+// Gibbs picks) take one value at a time.
 package landscape
 
 import (
@@ -107,10 +115,12 @@ type Model struct {
 }
 
 // New builds the landscape for a structure. The same (structure geometry,
-// peptide sequence, seed) always yields an identical model.
+// peptide sequence, seed) always yields an identical model. Its fields and
+// coupling tables are ziggurat normals drawn a row at a time with
+// xrand.FillZiggurat, bit-identical to one Ziggurat call per cell.
 func New(st *protein.Structure, seed uint64, cfg Config) *Model {
-	if cfg.ContactCutoff <= 0 {
-		panic("landscape: non-positive contact cutoff")
+	if !(cfg.ContactCutoff > 0) || math.IsInf(cfg.ContactCutoff, 1) {
+		panic(fmt.Sprintf("landscape: contact cutoff must be positive and finite, got %v", cfg.ContactCutoff))
 	}
 	n := st.Len()
 	m := &Model{
@@ -122,12 +132,10 @@ func New(st *protein.Structure, seed uint64, cfg Config) *Model {
 		cfg:    cfg,
 	}
 	// Bulk draws take ziggurat normals, one per cell in row-major order:
-	// fields, then each edge's W.
+	// fields, then each edge's W, a whole row per FillZiggurat call.
 	rng := xrand.New(xrand.Derive(seed, "landscape:"+st.Name))
 	for i := range m.Fields {
-		for a := range m.Fields[i] {
-			m.Fields[i][a] = rng.Ziggurat() * cfg.FieldStd
-		}
+		rng.FillZiggurat(m.Fields[i][:], cfg.FieldStd)
 	}
 	contacts := st.Contacts(cfg.ContactCutoff)
 	m.Edges = make([]Edge, len(contacts))
@@ -138,10 +146,8 @@ func New(st *protein.Structure, seed uint64, cfg Config) *Model {
 		if c.Interchain {
 			std = cfg.InterCouplingStd
 		}
-		for a := 0; a < protein.NumAA; a++ {
-			for b := 0; b < protein.NumAA; b++ {
-				e.W[a][b] = rng.Ziggurat() * std
-			}
+		for a := range e.W {
+			rng.FillZiggurat(e.W[a][:], std)
 		}
 	}
 	m.buildAdjacency()
@@ -340,9 +346,45 @@ func (m *Model) ConditionalEnergies(full protein.Sequence, pos int, out []float6
 	}
 	// Fixed-size array views eliminate per-iteration bounds checks in the
 	// kernel; every half-edge contributes one 20-float row or column.
+	// Half-edges are added two at a time, o[a] + x0[a] + x1[a]: Go adds
+	// left to right, so the sums keep the bits of adding them one by one
+	// while each o[a] is loaded and stored once per pair.
 	o := (*[protein.NumAA]float64)(out)
 	*o = m.Fields[pos]
-	for _, he := range m.adj[pos] {
+	adj := m.adj[pos]
+	for len(adj) >= 2 {
+		h0, h1 := &adj[0], &adj[1]
+		adj = adj[2:]
+		w0, b0 := h0.w, protein.Index(full[h0.other])
+		w1, b1 := h1.w, protein.Index(full[h1.other])
+		// New's edges are sorted by (I, J), so a position lists its row
+		// views before its column views: row–row pairs, at most one
+		// row–column pair, then column–column pairs, the block that takes
+		// most of the kernel's time.
+		switch {
+		case h0.col && h1.col:
+			for a := range o {
+				o[a] = o[a] + w0[a][b0] + w1[a][b1]
+			}
+		case h0.col:
+			r1 := &w1[b1]
+			for a := range o {
+				o[a] = o[a] + w0[a][b0] + r1[a]
+			}
+		case h1.col:
+			r0 := &w0[b0]
+			for a := range o {
+				o[a] = o[a] + r0[a] + w1[a][b1]
+			}
+		default:
+			r0, r1 := &w0[b0], &w1[b1]
+			for a := range o {
+				o[a] = o[a] + r0[a] + r1[a]
+			}
+		}
+	}
+	// An odd degree leaves one half-edge.
+	for _, he := range adj {
 		b := protein.Index(full[he.other])
 		if he.col {
 			for a := range o {
@@ -550,10 +592,12 @@ func (m *Model) Recycle(c *Model) {
 // by one of exactly the needed length. Capacity therefore only grows.
 // Every cell is rewritten from the truth model and the seed's noise
 // stream, so the result is bit-identical to a fresh corruption; only the
-// allocator traffic differs. A nil reuse allocates a fresh surrogate.
+// allocator traffic differs. A nil reuse allocates a fresh surrogate. The
+// noise is added a row at a time with xrand.AddZiggurat, bit-identical to
+// one Ziggurat call per cell.
 func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
-	if level < 0 {
-		panic("landscape: negative corruption level")
+	if !(level >= 0) || math.IsInf(level, 1) {
+		panic(fmt.Sprintf("landscape: corruption level must be non-negative and finite, got %v", level))
 	}
 	c := reuse
 	if c == nil {
@@ -571,13 +615,12 @@ func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
 	c.EnergyOpt, c.InterOpt = m.EnergyOpt, m.InterOpt
 	c.seed, c.cfg = seed, m.cfg
 
-	// The noise takes ziggurat normals in New's cell order.
+	// The noise takes ziggurat normals in New's cell order, one
+	// AddZiggurat call per row.
 	rng := xrand.Seeded(xrand.Derive(seed, "corrupt:"+m.Name))
 	fStd := m.cfg.FieldStd * level
 	for i := range m.Fields {
-		for a, f := range &m.Fields[i] {
-			c.Fields[i][a] = f + rng.Ziggurat()*fStd
-		}
+		rng.AddZiggurat(c.Fields[i][:], m.Fields[i][:], fStd)
 	}
 	for k := range m.Edges {
 		src := &m.Edges[k]
@@ -590,12 +633,8 @@ func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
 		if src.Interchain {
 			std = m.cfg.InterCouplingStd * level
 		}
-		for a := 0; a < protein.NumAA; a++ {
-			srcRow := &src.W[a]
-			dstRow := &dst.W[a]
-			for b, w := range srcRow {
-				dstRow[b] = w + rng.Ziggurat()*std
-			}
+		for a := range src.W {
+			rng.AddZiggurat(dst.W[a][:], src.W[a][:], std)
 		}
 	}
 	// A reused model with unchanged topology keeps its adjacency lists:

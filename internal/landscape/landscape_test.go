@@ -1,6 +1,7 @@
 package landscape
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -393,21 +394,55 @@ func recycledSurrogates(t *testing.T, m, big, small *Model, level float64, seed 
 	// A target of exactly m's size whose edges come in reverse order: the
 	// lengths match, so only the endpoint check can catch the stale
 	// adjacency.
+	out["same-size target"] = m.CorruptInto(reversedTwin(m).CorruptInto(nil, 0.3, 4), level, seed)
+	return out
+}
+
+// reversedTwin returns a model with m's fields and copies of its edges in
+// reverse order. Each position then lists its column views before its row
+// views, the opposite of every model New builds.
+func reversedTwin(m *Model) *Model {
 	twin := &Model{Name: "twin", RecLen: m.RecLen, PepLen: m.PepLen, Fields: m.Fields, Edges: slices.Clone(m.Edges), cfg: m.cfg}
 	slices.Reverse(twin.Edges)
 	twin.buildAdjacency()
-	out["same-size target"] = m.CorruptInto(twin.CorruptInto(nil, 0.3, 4), level, seed)
-	return out
+	return twin
 }
 
 // TestConditionalEnergiesMatchReference pins the Gibbs kernel's column
 // and row reads bit for bit against refConditional, on every position of
-// a fresh model and of surrogates written into recycled buffers.
+// a fresh model, of surrogates written into recycled buffers and of a
+// model whose edges come in reverse order. The kernel adds half-edges two
+// at a time, so the models must between them pair every combination of
+// row and column views — New's own models straddle the row→column
+// boundary — and leave a trailing single half-edge at an odd degree.
 func TestConditionalEnergiesMatchReference(t *testing.T) {
 	m, big, small := shapedTruths()
 	models := recycledSurrogates(t, m, big, small, 0.7, 5)
 	models["New"] = m
 	models["fresh surrogate"] = m.CorruptInto(nil, 0.7, 5)
+	models["reversed edges"] = reversedTwin(m)
+	pairs := make(map[string]map[[2]bool]bool)
+	odd := false
+	for name, x := range models {
+		pairs[name] = make(map[[2]bool]bool)
+		for _, l := range x.adj {
+			for k := 0; k+1 < len(l); k += 2 {
+				pairs[name][[2]bool{l[k].col, l[k+1].col}] = true
+			}
+			odd = odd || len(l)%2 == 1
+		}
+	}
+	if !pairs["New"][[2]bool{false, true}] {
+		t.Fatal("no position of New's model pairs a row view with a column view")
+	}
+	for _, kind := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+		if !pairs["New"][kind] && !pairs["reversed edges"][kind] {
+			t.Fatalf("no model pairs half-edges with col = %v", kind)
+		}
+	}
+	if !odd {
+		t.Fatal("no model has an odd-degree position")
+	}
 	rng := xrand.New(31)
 	seqs := []protein.Sequence{testStructure(22, 60, 8).FullSequence()}
 	for i := 0; i < 3; i++ {
@@ -484,6 +519,112 @@ func TestCorruptIntoMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameTables fails t unless got's fields and coupling tables equal
+// fields and ws bit for bit.
+func sameTables(t *testing.T, name string, got *Model, fields [][protein.NumAA]float64, ws [][protein.NumAA][protein.NumAA]float64) {
+	t.Helper()
+	if len(got.Fields) != len(fields) || len(got.Edges) != len(ws) {
+		t.Fatalf("%s: %d fields, %d edges; reference has %d, %d", name, len(got.Fields), len(got.Edges), len(fields), len(ws))
+	}
+	for i := range fields {
+		if !sameBits(got.Fields[i][:], fields[i][:]) {
+			t.Fatalf("%s: field %d differs from the per-draw reference", name, i)
+		}
+	}
+	for k := range ws {
+		for a := range ws[k] {
+			if !sameBits(got.Edges[k].W[a][:], ws[k][a][:]) {
+				t.Fatalf("%s: edge %d row %d differs from the per-draw reference", name, k, a)
+			}
+		}
+	}
+}
+
+// TestNewMatchesPerDrawReference: New's row fills give the fields and
+// coupling tables that one Ziggurat call per cell gives, bit for bit.
+func TestNewMatchesPerDrawReference(t *testing.T) {
+	for _, st := range []*protein.Structure{testStructure(27, 70, 9), testStructure(28, 50, 0)} {
+		cfg := DefaultConfig()
+		rng := xrand.New(xrand.Derive(27, "landscape:"+st.Name))
+		fields := make([][protein.NumAA]float64, st.Len())
+		for i := range fields {
+			for a := range fields[i] {
+				fields[i][a] = rng.Ziggurat() * cfg.FieldStd
+			}
+		}
+		contacts := st.Contacts(cfg.ContactCutoff)
+		ws := make([][protein.NumAA][protein.NumAA]float64, len(contacts))
+		for k, c := range contacts {
+			std := cfg.CouplingStd
+			if c.Interchain {
+				std = cfg.InterCouplingStd
+			}
+			for a := range ws[k] {
+				for b := range ws[k][a] {
+					ws[k][a][b] = rng.Ziggurat() * std
+				}
+			}
+		}
+		sameTables(t, fmt.Sprintf("PepLen %d", len(st.Peptide.Seq)), New(st, 27, cfg), fields, ws)
+	}
+}
+
+// TestCorruptMatchesPerDrawReference: CorruptInto's row fills add the
+// noise that one Ziggurat call per cell adds, bit for bit, into a fresh
+// buffer and into a recycled one.
+func TestCorruptMatchesPerDrawReference(t *testing.T) {
+	m, _ := testModel(29)
+	for _, level := range []float64{0, 0.35, 1.2} {
+		const seed = 9
+		rng := xrand.New(xrand.Derive(seed, "corrupt:"+m.Name))
+		fStd := m.cfg.FieldStd * level
+		fields := make([][protein.NumAA]float64, len(m.Fields))
+		for i := range fields {
+			for a, f := range &m.Fields[i] {
+				fields[i][a] = f + rng.Ziggurat()*fStd
+			}
+		}
+		ws := make([][protein.NumAA][protein.NumAA]float64, len(m.Edges))
+		for k := range m.Edges {
+			e := &m.Edges[k]
+			std := m.cfg.CouplingStd * level
+			if e.Interchain {
+				std = m.cfg.InterCouplingStd * level
+			}
+			for a := range e.W {
+				for b, w := range &e.W[a] {
+					ws[k][a][b] = w + rng.Ziggurat()*std
+				}
+			}
+		}
+		sameTables(t, fmt.Sprintf("level %v, fresh", level), m.CorruptInto(nil, level, seed), fields, ws)
+		sameTables(t, fmt.Sprintf("level %v, recycled", level), m.CorruptInto(m.CorruptInto(nil, 0.5, 1), level, seed), fields, ws)
+	}
+}
+
+// TestRejectsNonFinite: New refuses a NaN or infinite contact cutoff and
+// CorruptInto a NaN or infinite corruption level, values an ordered
+// comparison alone lets through.
+func TestRejectsNonFinite(t *testing.T) {
+	m, st := testModel(30)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := DefaultConfig()
+		cfg.ContactCutoff = v
+		if !panics(func() { New(st, 30, cfg) }) {
+			t.Errorf("New accepted ContactCutoff = %v", v)
+		}
+		if !panics(func() { m.CorruptInto(nil, v, 1) }) {
+			t.Errorf("CorruptInto accepted level = %v", v)
+		}
+	}
+}
+
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
 }
 
 // TestCalibrationMatchesPerSampleEnergies: the edge-major calibration

@@ -24,6 +24,7 @@ package mpnn
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -73,24 +74,26 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate rejects unusable configurations.
+// Validate rejects unusable configurations, NaN and ±Inf included.
 func (c Config) Validate() error {
 	switch {
 	case c.NumSequences <= 0:
 		return fmt.Errorf("mpnn: NumSequences must be positive, got %d", c.NumSequences)
-	case c.Temperature <= 0:
-		return fmt.Errorf("mpnn: Temperature must be positive, got %v", c.Temperature)
+	case !finite(c.Temperature) || c.Temperature <= 0:
+		return fmt.Errorf("mpnn: Temperature must be positive and finite, got %v", c.Temperature)
 	case c.Sweeps <= 0:
 		return fmt.Errorf("mpnn: Sweeps must be positive, got %d", c.Sweeps)
-	case c.CorruptionBase < 0:
-		return fmt.Errorf("mpnn: negative CorruptionBase")
-	case c.CorruptionDecay <= 0 || c.CorruptionDecay > 1:
+	case !finite(c.CorruptionBase) || c.CorruptionBase < 0:
+		return fmt.Errorf("mpnn: CorruptionBase must be non-negative and finite, got %v", c.CorruptionBase)
+	case !finite(c.CorruptionDecay) || c.CorruptionDecay <= 0 || c.CorruptionDecay > 1:
 		return fmt.Errorf("mpnn: CorruptionDecay must be in (0,1], got %v", c.CorruptionDecay)
-	case c.RedesignFraction <= 0 || c.RedesignFraction > 1:
+	case !finite(c.RedesignFraction) || c.RedesignFraction <= 0 || c.RedesignFraction > 1:
 		return fmt.Errorf("mpnn: RedesignFraction must be in (0,1], got %v", c.RedesignFraction)
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Design is one generated candidate.
 type Design struct {

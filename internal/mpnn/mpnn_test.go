@@ -256,6 +256,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNonFinite: NaN and ±Inf in any float knob fail
+// Validate, including the values an ordered comparison alone lets through.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"Temperature", func(c *Config, v float64) { c.Temperature = v }},
+		{"CorruptionBase", func(c *Config, v float64) { c.CorruptionBase = v }},
+		{"CorruptionDecay", func(c *Config, v float64) { c.CorruptionDecay = v }},
+		{"RedesignFraction", func(c *Config, v float64) { c.RedesignFraction = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			f.set(&cfg, v)
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+		}
+	}
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+}
+
 func TestLengthMismatchPanics(t *testing.T) {
 	_, model := testTarget(9)
 	other, _ := testTarget(10)

@@ -1,6 +1,7 @@
 package protein
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -59,6 +60,49 @@ func FuzzParseFasta(f *testing.F) {
 		for i, r := range recs {
 			if r.Seq == "" || strings.ContainsAny(r.Header, "\n") {
 				t.Fatalf("record %d accepted malformed: %+v", i, r)
+			}
+		}
+	})
+}
+
+// FuzzParseSequence asserts ParseSequence never panics, that an accepted
+// sequence is non-empty, spells the input back and indexes every residue,
+// and that a rejection names the first non-residue byte's position. The
+// seed corpus (testdata/fuzz/FuzzParseSequence) holds the full alphabet,
+// lowercase, gap, stop, whitespace, non-ASCII and empty inputs.
+func FuzzParseSequence(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		seq, err := ParseSequence(in)
+		bad := -1 // byte offset of the first non-residue
+		for i := 0; i < len(in); i++ {
+			if !strings.Contains(Alphabet, in[i:i+1]) {
+				bad = i
+				break
+			}
+		}
+		switch {
+		case in == "":
+			if err == nil {
+				t.Fatal("accepted the empty sequence")
+			}
+		case bad >= 0:
+			if err == nil {
+				t.Fatalf("accepted %q with an invalid residue at %d", in, bad)
+			}
+			if want := fmt.Sprintf("at position %d", bad); !strings.Contains(err.Error(), want) {
+				t.Fatalf("rejection %q of %q does not name position %d", err, in, bad)
+			}
+		default:
+			if err != nil {
+				t.Fatalf("rejected valid %q: %v", in, err)
+			}
+			if len(seq) == 0 || string(seq) != in {
+				t.Fatalf("accepted %q as %q", in, seq)
+			}
+			for i, aa := range seq {
+				if Index(aa) < 0 {
+					t.Fatalf("accepted residue %q at %d has no index", aa, i)
+				}
 			}
 		}
 	})

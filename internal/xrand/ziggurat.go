@@ -49,8 +49,10 @@ const zigR = 3.442619855899
 // are a signed abscissa, the next 7 pick the layer. The rest continue in
 // zigguratSlow. It is several times cheaper than NormFloat64's Box–Muller
 // (a logarithm, a square root and a sine/cosine per pair), which is why
-// the landscape's bulk draws use it. The two methods give different
-// streams from the same seed.
+// the landscape's bulk draws use it, a row at a time through AddZiggurat
+// and FillZiggurat. The two methods give different streams from the same
+// seed. Ziggurat itself stays the reference those row fills are tested
+// against.
 func (r *RNG) Ziggurat() float64 {
 	u := r.Uint64()
 	j := int32(u)
@@ -59,6 +61,51 @@ func (r *RNG) Ziggurat() float64 {
 		return float64(j) * float64(wn[i])
 	}
 	return r.zigguratSlow(u)
+}
+
+// AddZiggurat sets dst[i] = src[i] + z_i*std for every i in order, where
+// z_0, z_1, … are the deviates successive Ziggurat calls would return: the
+// generator ends in the same state and every value has the same bits as
+// the per-call loop. It is the landscape's bulk-noise kernel. The
+// SplitMix64 state stays in a local across the row, so a fast-path draw
+// costs no memory traffic beyond the two table reads; the few draws that
+// leave the fast path store it back for zigguratSlow and reload it after.
+// src must be at least as long as dst; the two may alias.
+func (r *RNG) AddZiggurat(dst, src []float64, std float64) {
+	r.zigguratRow(dst, src[:len(dst)], std)
+}
+
+// FillZiggurat sets dst[i] = z_i*std, the deviates drawn as in
+// AddZiggurat.
+func (r *RNG) FillZiggurat(dst []float64, std float64) {
+	r.zigguratRow(dst, nil, std)
+}
+
+// zigguratRow is the body of AddZiggurat (src of dst's length) and
+// FillZiggurat (src nil). Each value is written as the per-call loop
+// writes it, src[i] + z*std or z*std, so neither form changes a bit.
+func (r *RNG) zigguratRow(dst, src []float64, std float64) {
+	s := r.state
+	for i := range dst {
+		s += 0x9e3779b97f4a7c15
+		u := mix(s)
+		j := int32(u)
+		k := u >> 32 & 0x7F
+		var z float64
+		if sg := j >> 31; uint32(j^sg-sg) < kn[k] {
+			z = float64(j) * float64(wn[k])
+		} else {
+			r.state = s
+			z = r.zigguratSlow(u)
+			s = r.state
+		}
+		if src == nil {
+			dst[i] = z * std
+		} else {
+			dst[i] = src[i] + z*std
+		}
+	}
+	r.state = s
 }
 
 // zigguratSlow finishes a Ziggurat draw whose first word u fell outside

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -119,9 +120,83 @@ func TestZigguratOneWordFastPath(t *testing.T) {
 	}
 }
 
+// TestAddZigguratMatchesZiggurat pins the row fills against the per-draw
+// loop they replace: for every row length, AddZiggurat and FillZiggurat
+// write the bits that src[i] + Ziggurat()*std and Ziggurat()*std write and
+// leave the generator in the same state. Enough rows are drawn that the
+// slow path's wedge and base-layer tail are both taken, classified by each
+// draw's first word.
+func TestAddZigguratMatchesZiggurat(t *testing.T) {
+	const std = 0.45
+	r, oracle := New(17), New(17)
+	src := make([]float64, 21)
+	for i := range src {
+		src[i] = float64(i) - 7.5
+	}
+	got, want := make([]float64, len(src)), make([]float64, len(src))
+	var wedge, tail int
+	for round := 0; round < 3000; round++ {
+		for _, n := range []int{0, 1, 19, 20, 21} {
+			fill := round%2 == 1
+			for i := 0; i < n; i++ {
+				peek := *oracle
+				u := peek.Uint64()
+				if j, k := int32(u), u>>32&0x7F; uint32(max(j, -j)) >= kn[k] {
+					if k == 0 {
+						tail++
+					} else {
+						wedge++
+					}
+				}
+				if fill {
+					want[i] = oracle.Ziggurat() * std
+				} else {
+					want[i] = src[i] + oracle.Ziggurat()*std
+				}
+			}
+			if fill {
+				r.FillZiggurat(got[:n], std)
+			} else {
+				r.AddZiggurat(got[:n], src, std)
+			}
+			for i := 0; i < n; i++ {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("round %d, length %d, fill %v: cell %d = %v, per-draw loop %v", round, n, fill, i, got[i], want[i])
+				}
+			}
+			if *r != *oracle {
+				t.Fatalf("round %d, length %d, fill %v: generator state %+v, per-draw loop %+v", round, n, fill, *r, *oracle)
+			}
+		}
+	}
+	if wedge == 0 || tail == 0 {
+		t.Fatalf("slow path not covered: %d wedge and %d tail draws", wedge, tail)
+	}
+	// src and dst may be the same row.
+	a, b := New(18), New(18)
+	row := slices.Clone(src)
+	a.AddZiggurat(row, row, std)
+	for i, x := range src {
+		if y := x + b.Ziggurat()*std; math.Float64bits(row[i]) != math.Float64bits(y) {
+			t.Fatalf("aliased row: cell %d = %v, per-draw loop %v", i, row[i], y)
+		}
+	}
+}
+
 func BenchmarkZiggurat(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Ziggurat()
+	}
+}
+
+// BenchmarkAddZiggurat adds noise to one 20-cell coupling-table row per
+// iteration, the landscape's unit of bulk draws.
+func BenchmarkAddZiggurat(b *testing.B) {
+	r := New(1)
+	src := make([]float64, 20)
+	dst := make([]float64, 20)
+	for i := 0; i < b.N; i++ {
+		r.AddZiggurat(dst, src, 0.45)
 	}
 }
