@@ -63,6 +63,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	if *screen < 0 {
+		fmt.Fprintf(os.Stderr, "-screen %d: must be 0 or more\n", *screen)
+		return 2
+	}
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

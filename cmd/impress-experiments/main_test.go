@@ -23,5 +23,18 @@ func TestTranscripts(t *testing.T) {
 		{Name: "table1-steer-none", Args: []string{"-steer", "none", "table1"}},
 		{Name: "table1-tenancy", Args: []string{"-tenants", "3", "-arrival", "linear", "-arrival-span", "1h", "-admit", "quota", "-reclaim", "none", "table1"}},
 		{Name: "table1-preempt", Args: []string{"-checkpoint-interval", "30m", "-walltime-grace", "10m", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1", "-chrome-trace", "x.json", "table1"}},
+		// A negative count is a usage error, not a silent default.
+		{Name: "negative-screen", Args: []string{"-screen", "-5"}},
 	})
+}
+
+// TestNegativeCountsAreUsageErrors: a count below its default marker
+// exits 2 with a message naming the flag, before anything runs.
+func TestNegativeCountsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-screen", "-5"},
+		{"-scenario", "fig3", "-screen", "-1"},
+	} {
+		clitest.UsageError(t, args...)
+	}
 }

@@ -1,12 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"impress/internal/clitest"
 )
 
 // TestOutWritesReportFiles pins -out: every selected experiment writes
@@ -14,20 +14,16 @@ import (
 // <id>.csv, whose header names the experiment's CSV kind.
 func TestOutWritesReportFiles(t *testing.T) {
 	dir := t.TempDir()
-	// IMPRESS_CLI_MAIN makes the test binary run the command (clitest.Main).
-	cmd := exec.Command(os.Args[0], "-out", dir, "table1", "fig4")
-	cmd.Env = append(os.Environ(), "IMPRESS_CLI_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\nstderr: %s", err, stderr.String())
+	code, stdout, stderr := clitest.Exec(t, "-out", dir, "table1", "fig4")
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr)
 	}
 
 	// A section is every line from one "### <id> — <title>" header to the
 	// next: a blank line, the experiment's text, and Println's newline.
 	sections := map[string]string{}
 	id := ""
-	for _, line := range strings.SplitAfter(stdout.String(), "\n") {
+	for _, line := range strings.SplitAfter(stdout, "\n") {
 		if rest, ok := strings.CutPrefix(line, "### "); ok {
 			id, _, _ = strings.Cut(rest, " ")
 			continue
@@ -37,7 +33,7 @@ func TestOutWritesReportFiles(t *testing.T) {
 	for id, csvHeader := range map[string]string{"table1": "approach,iteration", "fig4": "approach,resource"} {
 		body, ok := sections[id]
 		if !ok {
-			t.Fatalf("no ### %s section in stdout:\n%s", id, stdout.String())
+			t.Fatalf("no ### %s section in stdout:\n%s", id, stdout)
 		}
 		txt, err := os.ReadFile(filepath.Join(dir, id+".txt"))
 		if err != nil {

@@ -80,6 +80,25 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	// 0 (and -1 for -retries) selects a default; a count below that is a
+	// usage error, not another way to ask for the default.
+	for _, c := range []struct {
+		name       string
+		val, floor int
+	}{
+		{"seeds", *seeds, 0},
+		{"screen-size", *screenSize, 0},
+		{"cycles", *cycles, 0},
+		{"sequences", *sequences, 0},
+		{"retries", *retries, -1},
+		{"max-concurrent", *maxConcurrent, 0},
+		{"gantt", *gantt, 0},
+	} {
+		if c.val < c.floor {
+			fmt.Fprintf(os.Stderr, "-%s %d: must be %d or more\n", c.name, c.val, c.floor)
+			return 2
+		}
+	}
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -31,5 +31,24 @@ func TestTranscripts(t *testing.T) {
 		// error, not an event scheduled before now.
 		{Name: "maintenance-span-ceiling", Args: []string{"-maintenance", "@9223372036854775807ns/1h"}},
 		{Name: "fleet-shape-ceiling", Args: []string{"-scenario", "kilo-screen", "-screen-size", "1", "-parallel", "0", "-fleet", "a:4611686018427387904c0g1m*500+b:1c4g1m*500"}},
+		// A negative count is a usage error, not a silent default.
+		{Name: "negative-cycles", Args: []string{"-cycles", "-1"}},
 	})
+}
+
+// TestNegativeCountsAreUsageErrors: a count below its default marker
+// exits 2 with a message naming the flag, before anything runs.
+func TestNegativeCountsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cycles", "-1"},
+		{"-sequences", "-1"},
+		{"-max-concurrent", "-2"},
+		{"-gantt", "-4"},
+		{"-retries", "-2"},
+		{"-screen-size", "-5"},
+		{"-scenario", "screen", "-screen-size", "-5"},
+		{"-scenario", "sweep", "-seeds", "-1"},
+	} {
+		clitest.UsageError(t, args...)
+	}
 }

@@ -58,6 +58,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	if *nSeeds < 0 {
+		fmt.Fprintf(os.Stderr, "-seeds %d: must be 0 or more\n", *nSeeds)
+		return 2
+	}
 	stopProfiles, err := common.StartProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

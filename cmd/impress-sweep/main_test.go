@@ -18,5 +18,18 @@ func TestTranscripts(t *testing.T) {
 		// The pair sweep rejects the flags only scenarios honour.
 		{Name: "tenants", Args: []string{"-tenants", "4"}},
 		{Name: "fleet", Args: []string{"-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1"}},
+		// A negative count is a usage error, not a silent default.
+		{Name: "negative-seeds", Args: []string{"-seeds", "-2"}},
 	})
+}
+
+// TestNegativeCountsAreUsageErrors: a count below its default marker
+// exits 2 with a message naming the flag, before anything runs.
+func TestNegativeCountsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seeds", "-2"},
+		{"-scenario", "screen", "-seeds", "-1"},
+	} {
+		clitest.UsageError(t, args...)
+	}
 }

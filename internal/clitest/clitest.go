@@ -42,20 +42,9 @@ type Case struct {
 func Run(t *testing.T, cases []Case) {
 	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], c.Args...)
-			cmd.Env = append(os.Environ(), mainEnv+"=1")
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			code := 0
-			if err := cmd.Run(); err != nil {
-				var exit *exec.ExitError
-				if !errors.As(err, &exit) {
-					t.Fatal(err)
-				}
-				code = exit.ExitCode()
-			}
+			code, stdout, stderr := Exec(t, c.Args...)
 			got := fmt.Sprintf("$ %s\nexit %d\n--- stdout\n%s--- stderr\n%s",
-				strings.Join(c.Args, " "), code, stdout.String(), stderr.String())
+				strings.Join(c.Args, " "), code, stdout, stderr)
 			path := filepath.Join("testdata", "cli", c.Name+".golden")
 			if os.Getenv("UPDATE_GOLDEN") != "" {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -74,5 +63,35 @@ func Run(t *testing.T, cases []Case) {
 				t.Errorf("transcript differs from %s (regenerate with UPDATE_GOLDEN=1)\n--- got\n%s\n--- want\n%s", path, got, want)
 			}
 		})
+	}
+}
+
+// Exec runs the command once, as a subprocess of the current test
+// binary, and returns its exit code and output.
+func Exec(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), mainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatal(err)
+		}
+		code = exit.ExitCode()
+	}
+	return code, out.String(), errOut.String()
+}
+
+// UsageError fails t unless the command, run with args, exits 2 with
+// nothing on stdout and an error that starts by naming the flag at
+// args[len(args)-2], the flag whose value is out of range.
+func UsageError(t *testing.T, args ...string) {
+	t.Helper()
+	name := args[len(args)-2]
+	code, stdout, stderr := Exec(t, args...)
+	if code != 2 || stdout != "" || !strings.HasPrefix(stderr, name+" ") {
+		t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and an error naming %s", args, code, stdout, stderr, name)
 	}
 }

@@ -19,6 +19,13 @@
 // makes greedy single-shot design suboptimal, which is exactly why the
 // paper's iterative genetic protocol helps.
 //
+// Fields and coupling tables are stored as float32 and every sum over
+// them is taken in float64: the tables are most of a target's memory and
+// of the Gibbs kernel's reads, while the energies, conditional energies
+// and log-likelihoods built from them keep double precision. Each cell is
+// computed in float64 (z*std for a truth, truth + z*std for a surrogate)
+// and rounded to float32 once, on store.
+//
 // Bulk draws — a model's fields and coupling tables, and a surrogate's
 // noise — are ziggurat normals taken from one sequential stream in
 // row-major order: the fields, then each edge's W. Each 20-value row is
@@ -69,11 +76,12 @@ func DefaultConfig() Config {
 // Edge is one coupled residue pair with its 20×20 coupling table. Indices
 // follow the Structure convention: receptor residues first, then peptide.
 // W[a][b] couples residue a at I with residue b at J; the table is stored
-// once and read from both ends (see halfEdge).
+// once, as float32 (1600 bytes), and read from both ends (see halfEdge).
+// Readers widen each value to float64 before adding it.
 type Edge struct {
 	I, J       int
 	Interchain bool
-	W          [protein.NumAA][protein.NumAA]float64
+	W          [protein.NumAA][protein.NumAA]float32
 }
 
 // halfEdge is one directed view of an edge from the position it is listed
@@ -81,7 +89,7 @@ type Edge struct {
 // far position holds residue other, is the row W[other][a]; on the I side
 // (col set) it is the column W[a][other]. Both sides read the one table.
 type halfEdge struct {
-	w     *[protein.NumAA][protein.NumAA]float64
+	w     *[protein.NumAA][protein.NumAA]float32
 	other int32
 	col   bool
 }
@@ -92,7 +100,7 @@ type Model struct {
 	Name   string
 	RecLen int
 	PepLen int
-	Fields [][protein.NumAA]float64
+	Fields [][protein.NumAA]float32
 	Edges  []Edge
 
 	adj [][]halfEdge
@@ -117,7 +125,8 @@ type Model struct {
 // New builds the landscape for a structure. The same (structure geometry,
 // peptide sequence, seed) always yields an identical model. Its fields and
 // coupling tables are ziggurat normals drawn a row at a time with
-// xrand.FillZiggurat, bit-identical to one Ziggurat call per cell.
+// xrand.FillZiggurat, bit-identical to one Ziggurat call per cell: each
+// cell is z*std computed in float64 and rounded once to float32.
 func New(st *protein.Structure, seed uint64, cfg Config) *Model {
 	if !(cfg.ContactCutoff > 0) || math.IsInf(cfg.ContactCutoff, 1) {
 		panic(fmt.Sprintf("landscape: contact cutoff must be positive and finite, got %v", cfg.ContactCutoff))
@@ -127,7 +136,7 @@ func New(st *protein.Structure, seed uint64, cfg Config) *Model {
 		Name:   st.Name,
 		RecLen: len(st.Receptor.Seq),
 		PepLen: len(st.Peptide.Seq),
-		Fields: make([][protein.NumAA]float64, n),
+		Fields: make([][protein.NumAA]float32, n),
 		seed:   seed,
 		cfg:    cfg,
 	}
@@ -220,21 +229,21 @@ func (m *Model) calibrate(st *protein.Structure) {
 	}
 	// Energies term by term across all samples: each table is loaded once,
 	// and each sample still adds its field terms and then its edge terms in
-	// Energies' order, so the sums are bit-identical to calling it per
-	// sample.
+	// Energies' order, in float64, so the sums are bit-identical to calling
+	// it per sample.
 	totals := make([]float64, k)
 	inters := make([]float64, k)
 	for i := range m.Fields {
 		f := &m.Fields[i]
 		for s, a := range idx[i*k : (i+1)*k] {
-			totals[s] += f[a]
+			totals[s] += float64(f[a])
 		}
 	}
 	for j := range m.Edges {
 		e := &m.Edges[j]
 		as, bs := idx[e.I*k:(e.I+1)*k], idx[e.J*k:(e.J+1)*k]
 		for s, a := range as {
-			w := e.W[a][bs[s]]
+			w := float64(e.W[a][bs[s]])
 			totals[s] += w
 			if e.Interchain {
 				inters[s] += w
@@ -318,15 +327,16 @@ func (m *Model) Energy(full protein.Sequence) float64 {
 	return e
 }
 
-// Energies returns total and inter-chain energy in one pass.
+// Energies returns total and inter-chain energy in one pass, summed in
+// float64.
 func (m *Model) Energies(full protein.Sequence) (total, inter float64) {
 	m.checkLen(full)
 	for i := range full {
-		total += m.Fields[i][protein.Index(full[i])]
+		total += float64(m.Fields[i][protein.Index(full[i])])
 	}
 	for k := range m.Edges {
 		e := &m.Edges[k]
-		w := e.W[protein.Index(full[e.I])][protein.Index(full[e.J])]
+		w := float64(e.W[protein.Index(full[e.I])][protein.Index(full[e.J])])
 		total += w
 		if e.Interchain {
 			inter += w
@@ -345,12 +355,15 @@ func (m *Model) ConditionalEnergies(full protein.Sequence, pos int, out []float6
 		panic("landscape: ConditionalEnergies buffer size")
 	}
 	// Fixed-size array views eliminate per-iteration bounds checks in the
-	// kernel; every half-edge contributes one 20-float row or column.
-	// Half-edges are added two at a time, o[a] + x0[a] + x1[a]: Go adds
-	// left to right, so the sums keep the bits of adding them one by one
-	// while each o[a] is loaded and stored once per pair.
+	// kernel; every half-edge contributes one 20-float row or column, each
+	// float32 widened to float64 before it is added. Half-edges are added
+	// two at a time, o[a] + x0[a] + x1[a]: Go adds left to right, so the
+	// sums keep the bits of adding them one by one while each o[a] is
+	// loaded and stored once per pair.
 	o := (*[protein.NumAA]float64)(out)
-	*o = m.Fields[pos]
+	for a, f := range &m.Fields[pos] {
+		o[a] = float64(f)
+	}
 	adj := m.adj[pos]
 	for len(adj) >= 2 {
 		h0, h1 := &adj[0], &adj[1]
@@ -364,22 +377,22 @@ func (m *Model) ConditionalEnergies(full protein.Sequence, pos int, out []float6
 		switch {
 		case h0.col && h1.col:
 			for a := range o {
-				o[a] = o[a] + w0[a][b0] + w1[a][b1]
+				o[a] = o[a] + float64(w0[a][b0]) + float64(w1[a][b1])
 			}
 		case h0.col:
 			r1 := &w1[b1]
 			for a := range o {
-				o[a] = o[a] + w0[a][b0] + r1[a]
+				o[a] = o[a] + float64(w0[a][b0]) + float64(r1[a])
 			}
 		case h1.col:
 			r0 := &w0[b0]
 			for a := range o {
-				o[a] = o[a] + r0[a] + w1[a][b1]
+				o[a] = o[a] + float64(r0[a]) + float64(w1[a][b1])
 			}
 		default:
 			r0, r1 := &w0[b0], &w1[b1]
 			for a := range o {
-				o[a] = o[a] + r0[a] + r1[a]
+				o[a] = o[a] + float64(r0[a]) + float64(r1[a])
 			}
 		}
 	}
@@ -388,13 +401,13 @@ func (m *Model) ConditionalEnergies(full protein.Sequence, pos int, out []float6
 		b := protein.Index(full[he.other])
 		if he.col {
 			for a := range o {
-				o[a] += he.w[a][b]
+				o[a] += float64(he.w[a][b])
 			}
 			continue
 		}
 		row := &he.w[b]
 		for a := range o {
-			o[a] += row[a]
+			o[a] += float64(row[a])
 		}
 	}
 }
@@ -594,7 +607,8 @@ func (m *Model) Recycle(c *Model) {
 // stream, so the result is bit-identical to a fresh corruption; only the
 // allocator traffic differs. A nil reuse allocates a fresh surrogate. The
 // noise is added a row at a time with xrand.AddZiggurat, bit-identical to
-// one Ziggurat call per cell.
+// one Ziggurat call per cell: each cell is truth + z*std computed in
+// float64 and rounded once to float32.
 func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
 	if !(level >= 0) || math.IsInf(level, 1) {
 		panic(fmt.Sprintf("landscape: corruption level must be non-negative and finite, got %v", level))

@@ -57,11 +57,11 @@ func TestEnergiesDecompose(t *testing.T) {
 	// Recompute by explicit summation.
 	var wantTotal, wantInter float64
 	for i := range full {
-		wantTotal += m.Fields[i][protein.Index(full[i])]
+		wantTotal += float64(m.Fields[i][protein.Index(full[i])])
 	}
 	for k := range m.Edges {
 		e := &m.Edges[k]
-		w := e.W[protein.Index(full[e.I])][protein.Index(full[e.J])]
+		w := float64(e.W[protein.Index(full[e.I])][protein.Index(full[e.J])])
 		wantTotal += w
 		if e.Interchain {
 			wantInter += w
@@ -293,8 +293,9 @@ func TestCorruptNoiseMoments(t *testing.T) {
 	inter := &table{name: "inter-chain edges", std: cfg.InterCouplingStd}
 	for i := range m.Fields {
 		for a := range m.Fields[i] {
-			fields.noise = append(fields.noise, (c.Fields[i][a]-m.Fields[i][a])/(fields.std*level))
-			fields.truth = append(fields.truth, m.Fields[i][a]/fields.std)
+			f := float64(m.Fields[i][a])
+			fields.noise = append(fields.noise, (float64(c.Fields[i][a])-f)/(fields.std*level))
+			fields.truth = append(fields.truth, f/fields.std)
 		}
 	}
 	for k := range m.Edges {
@@ -304,8 +305,8 @@ func TestCorruptNoiseMoments(t *testing.T) {
 		}
 		for a := 0; a < protein.NumAA; a++ {
 			for b := 0; b < protein.NumAA; b++ {
-				w := m.Edges[k].W[a][b]
-				tb.noise = append(tb.noise, (c.Edges[k].W[a][b]-w)/(tb.std*level))
+				w := float64(m.Edges[k].W[a][b])
+				tb.noise = append(tb.noise, (float64(c.Edges[k].W[a][b])-w)/(tb.std*level))
 				tb.truth = append(tb.truth, w/tb.std)
 			}
 		}
@@ -330,34 +331,41 @@ func TestCorruptNoiseMoments(t *testing.T) {
 }
 
 // refConditional is ConditionalEnergies computed straight from the edge
-// list: each edge touching pos adds the column W[·][s_J] when pos is its I
-// end and the row W[s_I][·] when pos is its J end, in edge order.
+// list in float64: each edge touching pos adds the column W[·][s_J] when
+// pos is its I end and the row W[s_I][·] when pos is its J end, in edge
+// order, each float32 cell widened before it is added.
 func refConditional(m *Model, full protein.Sequence, pos int) [protein.NumAA]float64 {
-	out := m.Fields[pos]
+	var out [protein.NumAA]float64
+	for a, f := range &m.Fields[pos] {
+		out[a] = float64(f)
+	}
 	for k := range m.Edges {
 		e := &m.Edges[k]
 		switch pos {
 		case e.I:
 			b := protein.Index(full[e.J])
 			for a := range out {
-				out[a] += e.W[a][b]
+				out[a] += float64(e.W[a][b])
 			}
 		case e.J:
 			row := &e.W[protein.Index(full[e.I])]
 			for a := range out {
-				out[a] += row[a]
+				out[a] += float64(row[a])
 			}
 		}
 	}
 	return out
 }
 
-func sameBits(a, b []float64) bool {
+// sameBits reports whether a and b hold the same bits, element by
+// element. Widening a float32 to float64 is exact, so distinct float32
+// bits stay distinct.
+func sameBits[T float32 | float64](a, b []T) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
 			return false
 		}
 	}
@@ -523,7 +531,7 @@ func TestCorruptIntoMatchesFresh(t *testing.T) {
 
 // sameTables fails t unless got's fields and coupling tables equal
 // fields and ws bit for bit.
-func sameTables(t *testing.T, name string, got *Model, fields [][protein.NumAA]float64, ws [][protein.NumAA][protein.NumAA]float64) {
+func sameTables(t *testing.T, name string, got *Model, fields [][protein.NumAA]float32, ws [][protein.NumAA][protein.NumAA]float32) {
 	t.Helper()
 	if len(got.Fields) != len(fields) || len(got.Edges) != len(ws) {
 		t.Fatalf("%s: %d fields, %d edges; reference has %d, %d", name, len(got.Fields), len(got.Edges), len(fields), len(ws))
@@ -543,19 +551,20 @@ func sameTables(t *testing.T, name string, got *Model, fields [][protein.NumAA]f
 }
 
 // TestNewMatchesPerDrawReference: New's row fills give the fields and
-// coupling tables that one Ziggurat call per cell gives, bit for bit.
+// coupling tables that one Ziggurat call per cell gives, bit for bit:
+// z*std in float64, rounded once to float32.
 func TestNewMatchesPerDrawReference(t *testing.T) {
 	for _, st := range []*protein.Structure{testStructure(27, 70, 9), testStructure(28, 50, 0)} {
 		cfg := DefaultConfig()
 		rng := xrand.New(xrand.Derive(27, "landscape:"+st.Name))
-		fields := make([][protein.NumAA]float64, st.Len())
+		fields := make([][protein.NumAA]float32, st.Len())
 		for i := range fields {
 			for a := range fields[i] {
-				fields[i][a] = rng.Ziggurat() * cfg.FieldStd
+				fields[i][a] = float32(rng.Ziggurat() * cfg.FieldStd)
 			}
 		}
 		contacts := st.Contacts(cfg.ContactCutoff)
-		ws := make([][protein.NumAA][protein.NumAA]float64, len(contacts))
+		ws := make([][protein.NumAA][protein.NumAA]float32, len(contacts))
 		for k, c := range contacts {
 			std := cfg.CouplingStd
 			if c.Interchain {
@@ -563,7 +572,7 @@ func TestNewMatchesPerDrawReference(t *testing.T) {
 			}
 			for a := range ws[k] {
 				for b := range ws[k][a] {
-					ws[k][a][b] = rng.Ziggurat() * std
+					ws[k][a][b] = float32(rng.Ziggurat() * std)
 				}
 			}
 		}
@@ -573,20 +582,21 @@ func TestNewMatchesPerDrawReference(t *testing.T) {
 
 // TestCorruptMatchesPerDrawReference: CorruptInto's row fills add the
 // noise that one Ziggurat call per cell adds, bit for bit, into a fresh
-// buffer and into a recycled one.
+// buffer and into a recycled one: truth + z*std in float64, rounded once
+// to float32.
 func TestCorruptMatchesPerDrawReference(t *testing.T) {
 	m, _ := testModel(29)
 	for _, level := range []float64{0, 0.35, 1.2} {
 		const seed = 9
 		rng := xrand.New(xrand.Derive(seed, "corrupt:"+m.Name))
 		fStd := m.cfg.FieldStd * level
-		fields := make([][protein.NumAA]float64, len(m.Fields))
+		fields := make([][protein.NumAA]float32, len(m.Fields))
 		for i := range fields {
 			for a, f := range &m.Fields[i] {
-				fields[i][a] = f + rng.Ziggurat()*fStd
+				fields[i][a] = float32(float64(f) + rng.Ziggurat()*fStd)
 			}
 		}
-		ws := make([][protein.NumAA][protein.NumAA]float64, len(m.Edges))
+		ws := make([][protein.NumAA][protein.NumAA]float32, len(m.Edges))
 		for k := range m.Edges {
 			e := &m.Edges[k]
 			std := m.cfg.CouplingStd * level
@@ -595,7 +605,7 @@ func TestCorruptMatchesPerDrawReference(t *testing.T) {
 			}
 			for a := range e.W {
 				for b, w := range &e.W[a] {
-					ws[k][a][b] = w + rng.Ziggurat()*std
+					ws[k][a][b] = float32(float64(w) + rng.Ziggurat()*std)
 				}
 			}
 		}

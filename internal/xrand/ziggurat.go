@@ -63,28 +63,31 @@ func (r *RNG) Ziggurat() float64 {
 	return r.zigguratSlow(u)
 }
 
-// AddZiggurat sets dst[i] = src[i] + z_i*std for every i in order, where
-// z_0, z_1, … are the deviates successive Ziggurat calls would return: the
-// generator ends in the same state and every value has the same bits as
-// the per-call loop. It is the landscape's bulk-noise kernel. The
+// AddZiggurat sets dst[i] = float32(float64(src[i]) + z_i*std) for every
+// i in order, where z_0, z_1, … are the deviates successive Ziggurat calls
+// would return: the generator ends in the same state and every value has
+// the bits of the per-call loop, computed in float64 and rounded once to
+// float32 on store. It is the landscape's bulk-noise kernel. The
 // SplitMix64 state stays in a local across the row, so a fast-path draw
 // costs no memory traffic beyond the two table reads; the few draws that
 // leave the fast path store it back for zigguratSlow and reload it after.
 // src must be at least as long as dst; the two may alias.
-func (r *RNG) AddZiggurat(dst, src []float64, std float64) {
+func (r *RNG) AddZiggurat(dst, src []float32, std float64) {
 	r.zigguratRow(dst, src[:len(dst)], std)
 }
 
-// FillZiggurat sets dst[i] = z_i*std, the deviates drawn as in
+// FillZiggurat sets dst[i] = float32(z_i*std), the deviates drawn as in
 // AddZiggurat.
-func (r *RNG) FillZiggurat(dst []float64, std float64) {
+func (r *RNG) FillZiggurat(dst []float32, std float64) {
 	r.zigguratRow(dst, nil, std)
 }
 
 // zigguratRow is the body of AddZiggurat (src of dst's length) and
-// FillZiggurat (src nil). Each value is written as the per-call loop
-// writes it, src[i] + z*std or z*std, so neither form changes a bit.
-func (r *RNG) zigguratRow(dst, src []float64, std float64) {
+// FillZiggurat (src nil). Each value is computed as the per-call loop
+// computes it, float64(src[i]) + z*std or z*std, and rounded once on
+// store, so neither form changes a bit. The row is read and written as
+// float32 in this one pass: no float64 scratch row.
+func (r *RNG) zigguratRow(dst, src []float32, std float64) {
 	s := r.state
 	for i := range dst {
 		s += 0x9e3779b97f4a7c15
@@ -100,9 +103,9 @@ func (r *RNG) zigguratRow(dst, src []float64, std float64) {
 			s = r.state
 		}
 		if src == nil {
-			dst[i] = z * std
+			dst[i] = float32(z * std)
 		} else {
-			dst[i] = src[i] + z*std
+			dst[i] = float32(float64(src[i]) + z*std)
 		}
 	}
 	r.state = s

@@ -122,18 +122,19 @@ func TestZigguratOneWordFastPath(t *testing.T) {
 
 // TestAddZigguratMatchesZiggurat pins the row fills against the per-draw
 // loop they replace: for every row length, AddZiggurat and FillZiggurat
-// write the bits that src[i] + Ziggurat()*std and Ziggurat()*std write and
-// leave the generator in the same state. Enough rows are drawn that the
-// slow path's wedge and base-layer tail are both taken, classified by each
-// draw's first word.
+// write the bits that float32(float64(src[i]) + Ziggurat()*std) and
+// float32(Ziggurat()*std) write — each value computed in float64 and
+// rounded once — and leave the generator in the same state. Enough rows
+// are drawn that the slow path's wedge and base-layer tail are both
+// taken, classified by each draw's first word.
 func TestAddZigguratMatchesZiggurat(t *testing.T) {
 	const std = 0.45
 	r, oracle := New(17), New(17)
-	src := make([]float64, 21)
+	src := make([]float32, 21)
 	for i := range src {
-		src[i] = float64(i) - 7.5
+		src[i] = float32(i)/3 - 2.5
 	}
-	got, want := make([]float64, len(src)), make([]float64, len(src))
+	got, want := make([]float32, len(src)), make([]float32, len(src))
 	var wedge, tail int
 	for round := 0; round < 3000; round++ {
 		for _, n := range []int{0, 1, 19, 20, 21} {
@@ -149,9 +150,9 @@ func TestAddZigguratMatchesZiggurat(t *testing.T) {
 					}
 				}
 				if fill {
-					want[i] = oracle.Ziggurat() * std
+					want[i] = float32(oracle.Ziggurat() * std)
 				} else {
-					want[i] = src[i] + oracle.Ziggurat()*std
+					want[i] = float32(float64(src[i]) + oracle.Ziggurat()*std)
 				}
 			}
 			if fill {
@@ -160,7 +161,7 @@ func TestAddZigguratMatchesZiggurat(t *testing.T) {
 				r.AddZiggurat(got[:n], src, std)
 			}
 			for i := 0; i < n; i++ {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("round %d, length %d, fill %v: cell %d = %v, per-draw loop %v", round, n, fill, i, got[i], want[i])
 				}
 			}
@@ -177,9 +178,12 @@ func TestAddZigguratMatchesZiggurat(t *testing.T) {
 	row := slices.Clone(src)
 	a.AddZiggurat(row, row, std)
 	for i, x := range src {
-		if y := x + b.Ziggurat()*std; math.Float64bits(row[i]) != math.Float64bits(y) {
+		if y := float32(float64(x) + b.Ziggurat()*std); math.Float32bits(row[i]) != math.Float32bits(y) {
 			t.Fatalf("aliased row: cell %d = %v, per-draw loop %v", i, row[i], y)
 		}
+	}
+	if *a != *b {
+		t.Fatalf("aliased row: generator state %+v, per-draw loop %+v", *a, *b)
 	}
 }
 
@@ -194,8 +198,8 @@ func BenchmarkZiggurat(b *testing.B) {
 // iteration, the landscape's unit of bulk draws.
 func BenchmarkAddZiggurat(b *testing.B) {
 	r := New(1)
-	src := make([]float64, 20)
-	dst := make([]float64, 20)
+	src := make([]float32, 20)
+	dst := make([]float32, 20)
 	for i := 0; i < b.N; i++ {
 		r.AddZiggurat(dst, src, 0.45)
 	}
