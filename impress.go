@@ -28,7 +28,6 @@ import (
 	"impress/internal/core"
 	"impress/internal/costmodel"
 	"impress/internal/fault"
-	"impress/internal/fleet"
 	"impress/internal/fold"
 	"impress/internal/ga"
 	"impress/internal/landscape"
@@ -36,7 +35,6 @@ import (
 	"impress/internal/pipeline"
 	"impress/internal/report"
 	"impress/internal/sched"
-	"impress/internal/steer"
 	"impress/internal/telemetry"
 	"impress/internal/tenancy"
 	"impress/internal/workload"
@@ -99,8 +97,7 @@ type (
 	// cascades, and scheduled maintenance windows.
 	DomainSpec = fault.DomainSpec
 	// Maintenance is one scheduled maintenance window over a failure
-	// domain (DomainSpec.Maintenance; parse flag syntax with
-	// ParseMaintenance).
+	// domain (DomainSpec.Maintenance).
 	Maintenance = fault.Maintenance
 	// FaultStats is a campaign's fault-injection and recovery record
 	// (Result.Faults; nil without failure models).
@@ -160,18 +157,6 @@ var (
 	IPAE  = core.IPAEOf
 )
 
-// Amarel returns the paper's evaluation resource: one node with 28 CPU
-// cores, 4 GPUs, and 128 GB of memory.
-func Amarel() MachineSpec { return cluster.AmarelNode() }
-
-// AmarelCluster returns n Amarel nodes as one partition — the multi-node
-// machine elastic steering campaigns run on (split it with SplitPilots
-// and set Config.Steer).
-func AmarelCluster(n int) MachineSpec { return cluster.AmarelCluster(n) }
-
-// DefaultWorkloadConfig returns the standard target-synthesis settings.
-func DefaultWorkloadConfig() WorkloadConfig { return workload.DefaultConfig() }
-
 // NamedPDZTargets builds the paper's four PDZ domains (NHERF3, HTRA1,
 // SCRIB, SHANK1) in complex with the α-synuclein 10-mer.
 func NamedPDZTargets(seed uint64) ([]*Target, error) {
@@ -207,12 +192,6 @@ func AdaptiveConfig(seed uint64) Config { return core.AdaptiveConfig(seed) }
 // AlphaFold tasks, strictly sequential execution.
 func ControlConfig(seed uint64) Config { return core.ControlConfig(seed) }
 
-// IMRPParams returns the adaptive per-pipeline protocol parameters.
-func IMRPParams() PipelineParams { return pipeline.IMRPParams() }
-
-// ControlParams returns the CONT-V per-pipeline protocol parameters.
-func ControlParams() PipelineParams { return pipeline.ControlParams() }
-
 // SplitPilots partitions a machine into the heterogeneous CPU/GPU pilot
 // pair (the paper's ParaFold-style placement): CPU-class stages run on a
 // dedicated CPU pilot while sampling and inference get their own GPU
@@ -239,12 +218,6 @@ func RunControl(targets []*Target, cfg Config) (*Result, error) {
 	return core.RunControl(targets, cfg)
 }
 
-// NewCampaignEngine creates a campaign engine with the given concurrency;
-// workers <= 0 uses GOMAXPROCS.
-func NewCampaignEngine(workers int) *CampaignEngine {
-	return campaign.NewEngine(workers)
-}
-
 // RunCampaigns executes campaigns on a bounded worker pool and returns
 // outcomes in input order. Campaigns are hermetically seeded, so outcomes
 // are bit-identical regardless of worker count; per-campaign failures
@@ -267,15 +240,12 @@ func BuildScenario(name string, p ScenarioParams) ([]Campaign, error) {
 // LookupScenario returns a registered scenario by name.
 func LookupScenario(name string) (Scenario, bool) { return campaign.Lookup(name) }
 
-// RegisterScenario adds a new workload family to the scenario registry.
-func RegisterScenario(s Scenario) error { return campaign.Register(s) }
-
 // Summary renders a one-paragraph textual summary of a campaign result.
 func Summary(r *Result) string { return report.Summary(r) }
 
 // SchedulingPolicies returns the registered pilot-agent scheduling policy
 // names (sorted): the values accepted by Config.Policy, PilotSpec.Policy,
-// and the cmds' -policy flag.
+// and the impress command's -policy flag.
 func SchedulingPolicies() []string { return sched.Names() }
 
 // ValidatePolicy checks a scheduling-policy name; the empty string is
@@ -286,80 +256,6 @@ func ValidatePolicy(name string) error { return sched.Validate(name) }
 // campaign results grouped by their resolved policy — the report behind
 // the policy-compare scenario.
 func PolicyCompare(results []*Result) string { return report.PolicyCompare(results) }
-
-// PolicyCompareCSV writes one policy-comparison CSV row per result.
-func PolicyCompareCSV(w io.Writer, results []*Result) error {
-	return report.PolicyCompareCSV(w, results)
-}
-
-// RecoveryPolicies returns the registered fault-recovery policy names
-// (sorted): the values accepted by Config.Recovery, PilotSpec.Recovery,
-// and the cmds' -recovery flag.
-func RecoveryPolicies() []string { return fault.Names() }
-
-// ValidateRecovery checks a fault-recovery policy name; the empty string
-// is valid and means "none" (failures surface).
-func ValidateRecovery(name string) error { return fault.Validate(name) }
-
-// ParseMaintenance parses a scheduled-maintenance description of the
-// form "rackA@6h/30m/24h,rackB@12h/1h" — comma-separated
-// domain@start/duration[/every] windows — into DomainSpec.Maintenance
-// entries. An empty string yields nil windows.
-func ParseMaintenance(s string) ([]Maintenance, error) { return fault.ParseMaintenance(s) }
-
-// SteeringPolicies returns the registered elastic-steering policy names
-// (sorted): the values accepted by Config.Steer, PilotSpec.Steer,
-// ScenarioParams.Steer, and the cmds' -steer flag.
-func SteeringPolicies() []string { return steer.Names() }
-
-// ValidateSteer checks an elastic-steering policy name; the empty string
-// is valid and means "none" (pilot partitions stay frozen).
-func ValidateSteer(name string) error { return steer.Validate(name) }
-
-// SteerEnabled reports whether a steering-policy name actually steers —
-// false for "" and "none", the frozen defaults.
-func SteerEnabled(name string) bool { return steer.Enabled(name) }
-
-// Elastic renders the steering comparison table over campaign results
-// grouped by their steering policy, against the frozen split — the
-// report behind the elastic-screen scenario.
-func Elastic(results []*Result) string { return report.Elastic(results) }
-
-// ElasticCSV writes one steering-comparison CSV row per result.
-func ElasticCSV(w io.Writer, results []*Result) error {
-	return report.ElasticCSV(w, results)
-}
-
-// Resilience renders the fault-sweep comparison table over campaign
-// results grouped by (recovery policy, failure rate), against their
-// fault-free baselines — the report behind the fault-sweep scenario.
-func Resilience(results []*Result) string { return report.Resilience(results) }
-
-// ResilienceCSV writes one resilience CSV row per result.
-func ResilienceCSV(w io.Writer, results []*Result) error {
-	return report.ResilienceCSV(w, results)
-}
-
-// Chaos renders the correlated-failure comparison table over campaign
-// results grouped by (recovery policy, steering policy), against their
-// fault-free baselines — the report behind the chaos-sweep scenario.
-func Chaos(results []*Result) string { return report.Chaos(results) }
-
-// ChaosCSV writes one chaos CSV row per result.
-func ChaosCSV(w io.Writer, results []*Result) error {
-	return report.ChaosCSV(w, results)
-}
-
-// Preemption renders the checkpointed-preemption comparison table over
-// campaign results grouped by (checkpoint interval, kill-vs-drain,
-// steering policy), against their fault-free baselines — the report
-// behind the preempt-sweep scenario.
-func Preemption(results []*Result) string { return report.Preemption(results) }
-
-// PreemptionCSV writes one preemption CSV row per result.
-func PreemptionCSV(w io.Writer, results []*Result) error {
-	return report.PreemptionCSV(w, results)
-}
 
 // NewTenancyService validates a multi-tenant service spec and prepares
 // it to run: a shared concurrent-safe cluster leased to a deterministic
@@ -372,67 +268,16 @@ func NewTenancyService(spec TenancySpec) (*TenancyService, error) {
 	return tenancy.NewService(spec)
 }
 
-// AdmissionPolicies returns the registered admission-control policy
-// names (sorted): the values accepted by TenancyConfig.Admission,
-// ScenarioParams.Admission, and the cmds' -admit flag.
-func AdmissionPolicies() []string { return tenancy.Names() }
-
-// ValidateAdmission checks an admission-control policy name; the empty
-// string is valid and means the default (fcfs-admit).
-func ValidateAdmission(name string) error {
-	if name == "" {
-		return nil
-	}
-	return tenancy.Validate(name)
-}
-
-// ArrivalKinds returns the supported tenant arrival-process names
-// (sorted): the values accepted by TenancyConfig.Arrival,
-// ScenarioParams.Arrival, and the cmds' -arrival flag.
-func ArrivalKinds() []string { return fleet.ArrivalKinds() }
-
-// TenantSteeringPolicies returns the registered inter-campaign steering
-// policy names (sorted): the values accepted by TenancyConfig.Reclaim,
-// ScenarioParams.Reclaim, and the cmds' -reclaim flag.
-func TenantSteeringPolicies() []string { return steer.TenantNames() }
-
-// ValidateTenantSteer checks an inter-campaign steering policy name;
-// the empty string is valid (the scenario default applies) and "none"
-// freezes every admission grant for life.
-func ValidateTenantSteer(name string) error { return steer.ValidateTenant(name) }
-
 // JainOf returns Jain's fairness index over a service result's
 // per-tenant slowdowns: 1 when the shared cluster stretched every
 // tenant equally, approaching 1/n when admission control sacrificed
 // some tenants to others.
 func JainOf(r *Result) float64 { return report.JainOf(r) }
 
-// Fairness renders the multi-tenant admission comparison table over
-// service results grouped by admission policy — the report behind the
-// tenant-sweep scenario.
-func Fairness(results []*Result) string { return report.Fairness(results) }
-
-// FairnessCSV writes one fairness CSV row per tenant per service run.
-func FairnessCSV(w io.Writer, results []*Result) error {
-	return report.FairnessCSV(w, results)
-}
-
 // CriticalPathReport renders a campaign's critical path — the segment
 // chain accounting for the whole makespan — and its per-stage slack
 // table.
 func CriticalPathReport(r *Result) string { return report.CriticalPath(r) }
-
-// CriticalPathCSV writes one CSV row per critical-path segment for each
-// result.
-func CriticalPathCSV(w io.Writer, results []*Result) error {
-	return report.CriticalPathCSV(w, results)
-}
-
-// StageSlackCSV writes the per-stage slack rows of each result's
-// critical-path analysis.
-func StageSlackCSV(w io.Writer, results []*Result) error {
-	return report.StageSlackCSV(w, results)
-}
 
 // WriteChromeTrace writes the results' timelines in Chrome Trace Event
 // Format (view in Perfetto or chrome://tracing): task spans and per-node
