@@ -1,12 +1,12 @@
-// Package cliflags is the shared flag plumbing of the impress commands.
+// Package cliflags is the shared flag plumbing of the impress command.
 //
-// impress-run, impress-sweep, and impress-experiments all expose the
+// Every mode of cmd/impress (run, sweep and experiments) exposes the
 // same execution knobs — seed, engine parallelism, pilot placement,
 // scheduling policy, the fault/recovery configuration, steering,
-// preemption and tenancy. Here the common set is registered once, with
-// per-command defaults, bound straight into the campaign.Params every
-// mode runs from, validated in one place, and guarded in one place
-// against flags a mode does not honour (Common.Reject).
+// preemption and tenancy. Here they are registered once, with one
+// default each, bound straight into the campaign.Params every mode runs
+// from, validated in one place, and guarded in one place against flags
+// a mode does not honour (Common.Reject).
 package cliflags
 
 import (
@@ -26,24 +26,6 @@ import (
 	"impress/internal/steer"
 	"impress/internal/tenancy"
 )
-
-// Options sets the per-command differences when registering the common
-// flags.
-type Options struct {
-	// SeedName renames the seed flag (impress-sweep calls it
-	// "first-seed"); empty means "seed".
-	SeedName string
-	// SeedDefault is the seed flag's default (0 is taken literally, so
-	// commands wanting the classic 42 must say so).
-	SeedDefault uint64
-	// SeedUsage overrides the seed flag's usage text.
-	SeedUsage string
-	// ParallelDefault is the -parallel default (0 = GOMAXPROCS).
-	ParallelDefault int
-	// WithPilots also registers -pilots (single|split); commands whose
-	// campaigns fix their own placement leave it off.
-	WithPilots bool
-}
 
 // Common holds the parsed values of the shared flags. The execution
 // knobs bind straight into a campaign.Params, the one spec every mode
@@ -70,9 +52,8 @@ type Common struct {
 	// to when profiling stops.
 	MemProfile string
 
-	withPilots bool
-	fs         *flag.FlagSet
-	shared     map[string]bool
+	fs     *flag.FlagSet
+	shared map[string]bool
 }
 
 // placement is the -pilots flag: "single" or "split", bound straight to
@@ -96,23 +77,13 @@ func (v *placement) Set(s string) error {
 }
 
 // Register declares the shared flags on fs and returns the value holder.
-func Register(fs *flag.FlagSet, o Options) *Common {
-	c := &Common{withPilots: o.WithPilots, fs: fs, shared: make(map[string]bool)}
+func Register(fs *flag.FlagSet) *Common {
+	c := &Common{fs: fs, shared: make(map[string]bool)}
 	p := &c.p
-	seedName := o.SeedName
-	if seedName == "" {
-		seedName = "seed"
-	}
-	seedUsage := o.SeedUsage
-	if seedUsage == "" {
-		seedUsage = "campaign seed"
-	}
-	fs.Uint64Var(&p.Seed, seedName, o.SeedDefault, seedUsage)
-	fs.IntVar(&c.Parallel, "parallel", o.ParallelDefault, "campaign engine workers (0 = GOMAXPROCS)")
-	if o.WithPilots {
-		fs.Var((*placement)(&p.SplitPilots), "pilots", "pilot placement: single (one shared pilot, the default) or split (CPU pilot + GPU pilot)")
-		fs.IntVar(&p.Nodes, "nodes", 1, "machine size in Amarel nodes (use >= 2 with -steer so nodes can actually move)")
-	}
+	fs.Uint64Var(&p.Seed, "seed", 42, "campaign seed (the first seed of a multi-seed run)")
+	fs.IntVar(&c.Parallel, "parallel", 1, "campaign engine workers (0 = GOMAXPROCS)")
+	fs.Var((*placement)(&p.SplitPilots), "pilots", "pilot placement: single (one shared pilot, the default) or split (CPU pilot + GPU pilot)")
+	fs.IntVar(&p.Nodes, "nodes", 1, "machine size in Amarel nodes (use >= 2 with -steer so nodes can actually move)")
 	fs.StringVar(&p.Policy, "policy", "",
 		"agent scheduling policy: "+strings.Join(sched.Names(), ", ")+" (empty = protocol default)")
 	fs.Float64Var(&p.Fault.TaskFailProb, "fault", 0, "per-task failure probability injected into every pilot (0 = no task faults)")
@@ -152,8 +123,8 @@ func Register(fs *flag.FlagSet, o Options) *Common {
 	return c
 }
 
-// Params returns the campaign spec the shared flags describe. Commands
-// fill in the workload fields (Seeds, Targets) from their own flags.
+// Params returns the campaign spec the shared flags describe. The
+// command fills in the workload fields (Seeds, Targets) from its own flags.
 func (c *Common) Params() campaign.Params {
 	p := c.p
 	p.Fault = c.Fault()
@@ -178,7 +149,7 @@ func (c *Common) Reject(mode string, honoured func(name string) bool) error {
 }
 
 // Shared reports whether name is one of the flags Register declared, as
-// opposed to one a command registered itself.
+// opposed to one the command registered itself.
 func (c *Common) Shared(name string) bool { return c.shared[name] }
 
 // Tenancy reports whether name is one of the tenancy flags (-tenants,
@@ -234,8 +205,8 @@ func (c *Common) StartProfiles() (stop func(), err error) {
 	}, nil
 }
 
-// Validate checks every shared value; commands call it right after
-// flag.Parse and print the error verbatim.
+// Validate checks every shared value; the command calls it right after
+// parsing and prints the error verbatim.
 func (c *Common) Validate() error {
 	p := &c.p
 	if err := sched.Validate(p.Policy); err != nil {
@@ -257,16 +228,14 @@ func (c *Common) Validate() error {
 	if _, err := fault.ParseMaintenance(c.MaintenanceSpec); err != nil {
 		return fmt.Errorf("-maintenance: %w", err)
 	}
-	if c.withPilots {
-		if p.Nodes < 1 {
-			return fmt.Errorf("-nodes %d: machine needs at least one node", p.Nodes)
-		}
-		if steer.Enabled(p.Steer) && !p.SplitPilots {
-			return fmt.Errorf("-steer %s needs a multi-pilot placement (-pilots split)", p.Steer)
-		}
-		if steer.Enabled(p.Steer) && p.Nodes < 2 {
-			return fmt.Errorf("-steer %s needs a multi-node machine (-nodes >= 2); on one node each split partition holds a single node and the last-node floor vetoes every transfer", p.Steer)
-		}
+	if p.Nodes < 1 {
+		return fmt.Errorf("-nodes %d: machine needs at least one node", p.Nodes)
+	}
+	if steer.Enabled(p.Steer) && !p.SplitPilots {
+		return fmt.Errorf("-steer %s needs a multi-pilot placement (-pilots split)", p.Steer)
+	}
+	if steer.Enabled(p.Steer) && p.Nodes < 2 {
+		return fmt.Errorf("-steer %s needs a multi-node machine (-nodes >= 2); on one node each split partition holds a single node and the last-node floor vetoes every transfer", p.Steer)
 	}
 	if p.CheckpointInterval < 0 {
 		return fmt.Errorf("-checkpoint-interval %v: checkpoint cadence cannot be negative", p.CheckpointInterval)
@@ -298,8 +267,8 @@ func (c *Common) Validate() error {
 
 // Warnings returns advisory messages for flag combinations that parse
 // and validate but do nothing: a dependent flag was set while the
-// mechanism it rides on is off. Commands print them to stderr on direct
-// campaign runs (scenario runs supply their own defaults, so flag-only
+// mechanism it rides on is off. The run and sweep modes print them to
+// stderr on direct campaign runs (scenario runs supply their own defaults, so flag-only
 // analysis would cry wolf there).
 func (c *Common) Warnings() []string {
 	p := &c.p

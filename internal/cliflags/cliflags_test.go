@@ -12,19 +12,19 @@ import (
 	"time"
 )
 
-func parse(t *testing.T, o Options, args ...string) *Common {
+func parse(t *testing.T, args ...string) *Common {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs, o)
+	c := Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-func TestDefaultsAndRenaming(t *testing.T) {
-	c := parse(t, Options{SeedDefault: 42, ParallelDefault: 1, WithPilots: true})
-	if c.p.Seed != 42 || c.Parallel != 1 || c.p.SplitPilots || c.p.Recovery != "" || c.p.Fault.TaskFailProb != 0 {
+func TestDefaults(t *testing.T) {
+	c := parse(t)
+	if c.p.Seed != 42 || c.Parallel != 1 || c.p.Nodes != 1 || c.p.SplitPilots || c.p.Recovery != "" || c.p.Fault.TaskFailProb != 0 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	if err := c.Validate(); err != nil {
@@ -33,15 +33,10 @@ func TestDefaultsAndRenaming(t *testing.T) {
 	if c.Fault().Enabled() {
 		t.Fatal("default fault spec enabled")
 	}
-
-	c = parse(t, Options{SeedName: "first-seed", SeedDefault: 100}, "-first-seed", "7")
-	if c.p.Seed != 7 {
-		t.Fatalf("renamed seed flag not parsed: %+v", c)
-	}
 }
 
 func TestFaultFlags(t *testing.T) {
-	c := parse(t, Options{WithPilots: true},
+	c := parse(t,
 		"-fault", "0.2", "-mtbf", "6h", "-repair", "20m", "-recovery", "elsewhere",
 		"-pilots", "split", "-nodes", "4", "-steer", "hysteresis")
 	if err := c.Validate(); err != nil {
@@ -58,7 +53,7 @@ func TestFaultFlags(t *testing.T) {
 		t.Fatalf("fault spec %+v", s)
 	}
 	// Without -mtbf the repair default must not enable the crash model.
-	c = parse(t, Options{}, "-fault", "0.1")
+	c = parse(t, "-fault", "0.1")
 	if s := c.Fault(); s.NodeMTBF != 0 || s.NodeRepair != 0 {
 		t.Fatalf("crash model leaked into spec: %+v", s)
 	}
@@ -68,7 +63,7 @@ func TestValidateRejects(t *testing.T) {
 	// An unknown placement is refused while parsing.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	Register(fs, Options{WithPilots: true})
+	Register(fs)
 	if err := fs.Parse([]string{"-pilots", "mesh"}); err == nil {
 		t.Fatal("-pilots mesh accepted")
 	}
@@ -82,15 +77,10 @@ func TestValidateRejects(t *testing.T) {
 		{"-nodes", "0"},
 		{"-fault", "1.5"},
 	} {
-		c := parse(t, Options{WithPilots: true}, args...)
+		c := parse(t, args...)
 		if err := c.Validate(); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
-	}
-	// -pilots is only validated when registered.
-	c := parse(t, Options{})
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -119,7 +109,7 @@ func TestWarnings(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := parse(t, Options{WithPilots: true}, tc.args...)
+			c := parse(t, tc.args...)
 			if err := c.Validate(); err != nil {
 				t.Fatalf("args %v rejected: %v", tc.args, err)
 			}
@@ -137,7 +127,7 @@ func TestWarnings(t *testing.T) {
 }
 
 func TestPrintWarnings(t *testing.T) {
-	c := parse(t, Options{}, "-recovery", "elsewhere")
+	c := parse(t, "-recovery", "elsewhere")
 	var sb strings.Builder
 	c.PrintWarnings(&sb)
 	out := sb.String()
@@ -150,7 +140,7 @@ func TestPrintWarnings(t *testing.T) {
 
 	// A clean flag set stays silent.
 	sb.Reset()
-	parse(t, Options{}).PrintWarnings(&sb)
+	parse(t).PrintWarnings(&sb)
 	if sb.Len() != 0 {
 		t.Fatalf("clean flags printed %q", sb.String())
 	}
@@ -162,7 +152,7 @@ func TestProfileFlagsAndLifecycle(t *testing.T) {
 	mem := filepath.Join(dir, "mem.prof")
 
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	c := Register(fs, Options{})
+	c := Register(fs)
 	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +186,7 @@ func TestProfileFlagsAndLifecycle(t *testing.T) {
 
 func TestStartProfilesNoFlagsIsNoop(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	c := Register(fs, Options{})
+	c := Register(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +204,13 @@ func TestStartProfilesNoFlagsIsNoop(t *testing.T) {
 // until it gets one or an exemption.
 func TestEveryParamsFieldHasAFlag(t *testing.T) {
 	exempt := map[string]string{
-		"Seeds":      "workload width, a per-command flag (-seeds)",
-		"Targets":    "workload width, a per-command flag (-screen-size, -screen)",
+		"Seeds":      "workload width, a flag of the impress command (-seeds)",
+		"Targets":    "workload width, a flag of the impress command (-screen-size)",
 		"FaultRates": "fault-sweep grid, set by library callers",
 		"Telemetry":  "derived from -chrome-trace",
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs, Options{WithPilots: true})
+	c := Register(fs)
 	bound := map[uintptr]string{}
 	fs.VisitAll(func(f *flag.Flag) {
 		bound[reflect.ValueOf(f.Value).Pointer()] = f.Name
@@ -250,7 +240,7 @@ func TestEveryParamsFieldHasAFlag(t *testing.T) {
 
 func TestReject(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs, Options{WithPilots: true})
+	c := Register(fs)
 	fs.String("csv", "", "a flag the command registers itself")
 	if err := fs.Parse([]string{"-steer", "none", "-admit", "quota", "-csv", "x", "-seed", "7"}); err != nil {
 		t.Fatal(err)
@@ -268,7 +258,7 @@ func TestReject(t *testing.T) {
 	}
 	// Flags left unset are never judged.
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)
-	c = Register(fs, Options{})
+	c = Register(fs)
 	if err := c.Reject("test mode", func(string) bool { return false }); err != nil {
 		t.Fatalf("unset flags rejected: %v", err)
 	}
@@ -276,7 +266,7 @@ func TestReject(t *testing.T) {
 
 func TestTenancyNamesSharedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs, Options{WithPilots: true})
+	c := Register(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) {
 		if Tenancy(f.Name) {
