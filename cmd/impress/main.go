@@ -52,6 +52,9 @@ import (
 // A mode is one way to drive the campaign engine from the shared flags.
 type mode struct {
 	name, summary string
+	// names is whether the mode takes positional arguments (experiment
+	// names); the other modes reject any.
+	names bool
 	// rule returns the phrase naming what the parsed flags will run
 	// ("flags [...] do not apply to <scope>") and whether that honours
 	// each flag.
@@ -60,9 +63,9 @@ type mode struct {
 }
 
 var modes = []mode{
-	{"run", "one campaign (-protocol imrp or contv), or a registered scenario (-scenario, -list-scenarios)", runRule, runMode},
-	{"sweep", "the CONT-V vs IM-RP pair across -seeds consecutive seeds from -seed", sweepRule, sweepMode},
-	{"experiments", "the paper's Table I and Figures 2–5 (table1 fig2 fig3 fig4 fig5, or all)", experimentsRule, experimentsMode},
+	{"run", "one campaign (-protocol imrp or contv), or a registered scenario (-scenario, -list-scenarios)", false, runRule, runMode},
+	{"sweep", "the CONT-V vs IM-RP pair across -seeds consecutive seeds from -seed", false, sweepRule, sweepMode},
+	{"experiments", "the paper's Table I and Figures 2–5 (table1 fig2 fig3 fig4 fig5, or all)", true, experimentsRule, experimentsMode},
 }
 
 // flags is the one flag set every mode parses.
@@ -121,6 +124,12 @@ func run(args []string) int {
 	}
 	f := newFlags(flag.NewFlagSet("impress "+m.name, flag.ExitOnError))
 	f.fs.Parse(args[1:])
+	if f.fs.NArg() > 0 && !m.names {
+		// Parsing stops at the first positional argument, so any flag
+		// after it would be dropped silently too.
+		fmt.Fprintf(os.Stderr, "unexpected argument %q: impress %s takes flags only\n", f.fs.Arg(0), m.name)
+		return 2
+	}
 	if err := f.Reject(m.rule(f)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -170,6 +179,11 @@ func (f *flags) validate() error {
 		if c.val < c.floor {
 			return fmt.Errorf("-%s %d: must be %d or more", c.name, c.val, c.floor)
 		}
+	}
+	// A scenario reads -screen-size 0 as its default width; a single
+	// screen campaign has none.
+	if f.scenario == "" && f.targets == "screen" && f.screenSize < 1 {
+		return fmt.Errorf("-screen-size %d: a screen campaign needs at least one target", f.screenSize)
 	}
 	return nil
 }

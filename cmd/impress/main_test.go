@@ -39,6 +39,14 @@ func TestTranscripts(t *testing.T) {
 		{Name: "run-maintenance-span-ceiling", Args: []string{"run", "-maintenance", "@9223372036854775807ns/1h"}},
 		// A negative count is a usage error, not a silent default.
 		{Name: "run-negative-cycles", Args: []string{"run", "-cycles", "-1"}},
+		{Name: "run-negative-parallel", Args: []string{"run", "-parallel", "-3", "-scenario", "pair"}},
+		// So is a machine past fleet.MaxNodes, and a screen of no targets.
+		{Name: "run-nodes-ceiling", Args: []string{"run", "-pilots", "split", "-nodes", "100000000"}},
+		{Name: "run-screen-size-zero", Args: []string{"run", "-targets", "screen", "-screen-size", "0"}},
+		// A positional argument is refused wherever it stands, not ignored
+		// along with every flag after it.
+		{Name: "run-positional-last", Args: []string{"run", "-cycles", "1", "table1"}},
+		{Name: "run-positional-first", Args: []string{"run", "table1", "-cycles", "1"}},
 
 		{Name: "sweep-seeds2", Args: []string{"sweep", "-seed", "100", "-seeds", "2"}},
 		{Name: "sweep-seeds2-split-steer", Args: []string{"sweep", "-seed", "100", "-seeds", "2", "-pilots", "split", "-nodes", "4", "-steer", "hysteresis"}},
@@ -46,6 +54,7 @@ func TestTranscripts(t *testing.T) {
 		{Name: "sweep-tenants", Args: []string{"sweep", "-tenants", "4"}},
 		{Name: "sweep-fleet", Args: []string{"sweep", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1"}},
 		{Name: "sweep-negative-seeds", Args: []string{"sweep", "-seeds", "-2"}},
+		{Name: "sweep-positional", Args: []string{"sweep", "-seeds", "1", "fig2"}},
 
 		{Name: "experiments-all-screen8", Args: []string{"experiments", "-screen-size", "8"}},
 		{Name: "experiments-table1-bestfit", Args: []string{"experiments", "-policy", "bestfit", "table1"}},
@@ -58,11 +67,16 @@ func TestTranscripts(t *testing.T) {
 		{Name: "experiments-table1-tenancy", Args: []string{"experiments", "-tenants", "3", "-arrival", "linear", "-arrival-span", "1h", "-admit", "quota", "-reclaim", "none", "table1"}},
 		{Name: "experiments-table1-preempt", Args: []string{"experiments", "-checkpoint-interval", "30m", "-walltime-grace", "10m", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1", "-chrome-trace", "x.json", "table1"}},
 		{Name: "experiments-negative-screen", Args: []string{"experiments", "-screen-size", "-5"}},
+
+		// Without a known mode the binary lists the modes.
+		{Name: "no-mode", Args: nil},
+		{Name: "unknown-mode", Args: []string{"-seed", "7"}},
 	})
 }
 
-// TestNegativeCountsAreUsageErrors: a count below its default marker
-// exits 2 with a message naming the flag, before anything runs.
+// TestNegativeCountsAreUsageErrors: a count below its default marker, or
+// past its ceiling, exits 2 with a message naming the flag before
+// anything runs; so does a positional argument to run or sweep.
 func TestNegativeCountsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"run", "-cycles", "-1"},
@@ -77,8 +91,25 @@ func TestNegativeCountsAreUsageErrors(t *testing.T) {
 		{"run", "-scenario", "fig3", "-screen-size", "-1"},
 		{"sweep", "-seeds", "-2"},
 		{"experiments", "-screen-size", "-5"},
+		{"run", "-parallel", "-3"},
+		{"run", "-scenario", "pair", "-parallel", "-3"},
+		{"sweep", "-parallel", "-1"},
+		{"experiments", "-parallel", "-2"},
+		{"run", "-pilots", "split", "-nodes", "100000000"},
+		{"sweep", "-nodes", "1048577"},
+		{"run", "-targets", "screen", "-screen-size", "0"},
 	} {
 		clitest.UsageError(t, args...)
+	}
+	for _, args := range [][]string{
+		{"run", "-cycles", "1", "table1"},
+		{"run", "table1", "-cycles", "1"},
+		{"sweep", "-seeds", "1", "fig2"},
+	} {
+		code, stdout, stderr := clitest.Exec(t, args...)
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "unexpected argument ") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and an unexpected-argument error", args, code, stdout, stderr)
+		}
 	}
 }
 

@@ -228,8 +228,14 @@ func (c *Common) Validate() error {
 	if _, err := fault.ParseMaintenance(c.MaintenanceSpec); err != nil {
 		return fmt.Errorf("-maintenance: %w", err)
 	}
+	if c.Parallel < 0 {
+		return fmt.Errorf("-parallel %d: must be 0 (GOMAXPROCS) or more", c.Parallel)
+	}
 	if p.Nodes < 1 {
 		return fmt.Errorf("-nodes %d: machine needs at least one node", p.Nodes)
+	}
+	if p.Nodes > fleet.MaxNodes {
+		return fmt.Errorf("-nodes %d: machine cannot exceed %d nodes", p.Nodes, fleet.MaxNodes)
 	}
 	if steer.Enabled(p.Steer) && !p.SplitPilots {
 		return fmt.Errorf("-steer %s needs a multi-pilot placement (-pilots split)", p.Steer)

@@ -75,6 +75,8 @@ func TestValidateRejects(t *testing.T) {
 		{"-steer", "greedy", "-pilots", "split"},                // split, but a single node: nothing can move
 		{"-steer", "greedy", "-pilots", "split", "-nodes", "1"}, // explicit single node
 		{"-nodes", "0"},
+		{"-nodes", "1048577"}, // past fleet.MaxNodes
+		{"-parallel", "-1"},
 		{"-fault", "1.5"},
 	} {
 		c := parse(t, args...)
