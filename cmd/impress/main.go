@@ -5,31 +5,19 @@
 //	impress sweep [flags]                         the CONT-V vs IM-RP pair across seeds
 //	impress experiments [flags] [experiment ...]  the paper's Table I and Figures 2–5
 //
-// Every mode parses the same flag set, validated in one place. A mode
-// rejects any flag it does not honour with exit 2: a single campaign
-// takes neither -seeds nor the tenancy flags, the pair sweep takes
-// neither -fleet nor the tenancy flags, and the paper experiments take
-// only seeding, -parallel, -screen-size, the scheduling-policy and fault
-// ablations, -out and the profiles. Only run takes -scenario.
-//
-// Campaigns are hermetically seeded, so every output is identical at any
-// -parallel setting. Flags go before experiment names.
+// Every mode parses one flag set, validated in one place, and rejects
+// with exit 2 any flag its rule does not honour. Only run takes
+// -scenario, and only experiments takes positional arguments, after the
+// flags. Campaigns are hermetically seeded, so every output is identical
+// at any -parallel setting.
 //
 // Examples:
 //
-//	impress run -protocol imrp
 //	impress run -protocol contv -seed 7
-//	impress run -protocol imrp -targets screen -screen-size 24 -csv iters.csv
-//	impress run -protocol imrp -cycles 6 -sequences 16 -max-concurrent 2
 //	impress run -protocol imrp -pilots split -nodes 4 -steer greedy
-//	impress run -protocol imrp -fault 0.15 -recovery retry
-//	impress run -scenario elastic-screen -seeds 4 -parallel 8 -csv elastic.csv
 //	impress run -scenario fault-sweep -seeds 4 -parallel 8 -mtbf 12h -csv resilience.csv
-//	impress run -scenario mega-screen -cpuprofile cpu.prof -memprofile mem.prof
-//	impress sweep -seed 100 -seeds 20 -parallel 8 -csv sweep.csv
-//	impress sweep -seeds 10 -fault 0.1 -recovery backoff
+//	impress sweep -seeds 20 -parallel 8 -csv sweep.csv
 //	impress experiments -parallel 0 -out results/
-//	impress experiments -screen-size 24 fig3
 package main
 
 import (
@@ -123,22 +111,12 @@ func run(args []string) int {
 		return 2
 	}
 	f := newFlags(flag.NewFlagSet("impress "+m.name, flag.ExitOnError))
-	f.fs.Parse(args[1:])
-	if f.fs.NArg() > 0 && !m.names {
-		// Parsing stops at the first positional argument, so any flag
-		// after it would be dropped silently too.
-		fmt.Fprintf(os.Stderr, "unexpected argument %q: impress %s takes flags only\n", f.fs.Arg(0), m.name)
-		return 2
+	f.fs.Parse(args[1:]) // ExitOnError: a malformed flag exits 2 here
+	err := f.check(m)
+	var stopProfiles func()
+	if err == nil {
+		stopProfiles, err = f.StartProfiles()
 	}
-	if err := f.Reject(m.rule(f)); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if err := f.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	stopProfiles, err := f.StartProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -157,8 +135,17 @@ func lookupMode(name string) *mode {
 	return nil
 }
 
-// validate checks every flag value, whichever mode runs.
-func (f *flags) validate() error {
+// check returns the usage error in the parsed command line of mode m, or
+// nil: a stray argument, a flag m does not honour, or a bad value.
+func (f *flags) check(m *mode) error {
+	if f.fs.NArg() > 0 && !m.names {
+		// Parsing stops at the first positional argument, so every flag
+		// after it would be dropped silently too.
+		return fmt.Errorf("unexpected argument %q: impress %s takes flags only", f.fs.Arg(0), m.name)
+	}
+	if err := f.Reject(m.rule(f)); err != nil {
+		return err
+	}
 	if err := f.Validate(); err != nil {
 		return err
 	}
