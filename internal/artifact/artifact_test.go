@@ -46,7 +46,7 @@ func TestWriteFileCreateError(t *testing.T) {
 }
 
 // TestWriteFileMissingDir: a destination whose directory does not exist
-// errors (the impress-run -json/-csv paths before MkdirAll).
+// errors (the impress run -json/-csv paths before MkdirAll).
 func TestWriteFileMissingDir(t *testing.T) {
 	err := WriteFile(filepath.Join(t.TempDir(), "no", "such", "dir", "x.json"),
 		func(io.Writer) error { return nil })

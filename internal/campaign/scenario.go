@@ -196,7 +196,7 @@ func Build(name string, p Params) ([]Campaign, error) {
 // machine size and split CPU/GPU pilot pair, the scheduling policy, the
 // fault/recovery configuration, steering, telemetry and checkpointed
 // preemption. Zero-valued knobs keep cfg's own setting. Every scenario
-// (the paper's Table I and Figs. 2-5 among them) and impress-run's single
+// (the paper's Table I and Figs. 2-5 among them) and impress run's single
 // campaign configure through it, so a new core.Config knob needs one line
 // here.
 func Configure(cfg core.Config, p Params) (core.Config, error) {

@@ -2,11 +2,10 @@
 // campaign engine and renders the standard CLI output — one summary per
 // campaign, the scenario's cross-campaign report, and its CSV companion.
 //
-// All three impress commands expose the scenario registry through this
-// package, so a workload registered once in internal/campaign (pair,
+// It is the one scenario path of the impress command (impress run
+// -scenario), so a workload registered once in internal/campaign (pair,
 // sweep, screen, stress, policy-compare, fault-sweep, mega-screen…) is
-// reachable from every binary without each main reimplementing the
-// build/run/report loop.
+// reachable from the command line without a new main.
 package scenariorun
 
 import (
