@@ -234,6 +234,8 @@ var paperFlags = map[string]bool{
 	"outage-dur": true, "cascade": true, "cascade-window": true, "maintenance": true,
 }
 
+// runMode lists the scenarios, runs one, or runs a single IM-RP or
+// CONT-V campaign and prints its outcome and the requested artifacts.
 func runMode(f *flags) int {
 	if f.listScenarios {
 		for _, s := range impress.Scenarios() {

@@ -124,7 +124,8 @@ func Register(fs *flag.FlagSet) *Common {
 }
 
 // Params returns the campaign spec the shared flags describe. The
-// command fills in the workload fields (Seeds, Targets) from its own flags.
+// command fills in the workload fields (Seeds, Targets) from its own
+// flags.
 func (c *Common) Params() campaign.Params {
 	p := c.p
 	p.Fault = c.Fault()
@@ -274,8 +275,8 @@ func (c *Common) Validate() error {
 // Warnings returns advisory messages for flag combinations that parse
 // and validate but do nothing: a dependent flag was set while the
 // mechanism it rides on is off. The run and sweep modes print them to
-// stderr on direct campaign runs (scenario runs supply their own defaults, so flag-only
-// analysis would cry wolf there).
+// stderr on direct campaign runs (scenario runs supply their own
+// defaults, so flag-only analysis would cry wolf there).
 func (c *Common) Warnings() []string {
 	p := &c.p
 	var out []string
