@@ -14,61 +14,72 @@ import (
 func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestTranscripts pins stdout, stderr and the exit code of representative
-// invocations (testdata/cli; regenerate with UPDATE_GOLDEN=1).
+// invocations (testdata/cli; regenerate with UPDATE_GOLDEN=1), one
+// subtest per mode.
 func TestTranscripts(t *testing.T) {
+	t.Run("run", func(t *testing.T) {
+		clitest.Run(t, []clitest.Case{
+			{Name: "run-imrp", Args: []string{"run", "-protocol", "imrp"}},
+			{Name: "run-contv-seed7", Args: []string{"run", "-protocol", "contv", "-seed", "7"}},
+			{Name: "run-split-steer", Args: []string{"run", "-pilots", "split", "-nodes", "4", "-steer", "greedy"}},
+			{Name: "run-fault-retry", Args: []string{"run", "-fault", "0.15", "-recovery", "retry"}},
+			{Name: "run-list-scenarios", Args: []string{"run", "-list-scenarios"}},
+			{Name: "run-scenario-pair", Args: []string{"run", "-scenario", "pair"}},
+			{Name: "run-scenario-pair-seed100", Args: []string{"run", "-scenario", "pair", "-seed", "100", "-seeds", "2", "-parallel", "2"}},
+			{Name: "run-scenario-pair-protocol", Args: []string{"run", "-scenario", "pair", "-protocol", "imrp"}},
+			{Name: "run-checkpoint-warning", Args: []string{"run", "-checkpoint-interval", "30m"}},
+			// Single-campaign mode rejects the flags only scenarios honour.
+			{Name: "run-single-tenancy-seeds", Args: []string{"run", "-tenants", "4", "-admit", "quota", "-seeds", "3"}},
+			// A node count past fleet.MaxNodes is a usage error, not a
+			// makeslice panic in fleet generation.
+			{Name: "run-fleet-count-ceiling", Args: []string{"run", "-scenario", "kilo-screen", "-screen-size", "1", "-parallel", "0", "-fleet", "a:28c4g128m*9223372036854775807"}},
+			// So is a node shape past fleet.MaxPerNode, which used to overflow
+			// the capacity sums into NaN campaign metrics.
+			{Name: "run-fleet-shape-ceiling", Args: []string{"run", "-scenario", "kilo-screen", "-screen-size", "1", "-parallel", "0", "-fleet", "a:4611686018427387904c0g1m*500+b:1c4g1m*500"}},
+			// A maintenance window past fault.MaxMaintenanceSpan is a usage
+			// error, not an event scheduled before now.
+			{Name: "run-maintenance-span-ceiling", Args: []string{"run", "-maintenance", "@9223372036854775807ns/1h"}},
+			// A negative count is a usage error, not a silent default.
+			{Name: "run-negative-cycles", Args: []string{"run", "-cycles", "-1"}},
+			{Name: "run-negative-parallel", Args: []string{"run", "-parallel", "-3", "-scenario", "pair"}},
+			// So is a machine past fleet.MaxNodes, and a screen of no targets.
+			{Name: "run-nodes-ceiling", Args: []string{"run", "-pilots", "split", "-nodes", "100000000"}},
+			{Name: "run-screen-size-zero", Args: []string{"run", "-targets", "screen", "-screen-size", "0"}},
+			// A positional argument is refused wherever it stands, not ignored
+			// along with every flag after it.
+			{Name: "run-positional-last", Args: []string{"run", "-cycles", "1", "table1"}},
+			{Name: "run-positional-first", Args: []string{"run", "table1", "-cycles", "1"}},
+		})
+	})
+	t.Run("sweep", func(t *testing.T) {
+		clitest.Run(t, []clitest.Case{
+			{Name: "sweep-seeds2", Args: []string{"sweep", "-seed", "100", "-seeds", "2"}},
+			{Name: "sweep-seeds2-split-steer", Args: []string{"sweep", "-seed", "100", "-seeds", "2", "-pilots", "split", "-nodes", "4", "-steer", "hysteresis"}},
+			// The pair sweep rejects the flags only scenarios honour.
+			{Name: "sweep-tenants", Args: []string{"sweep", "-tenants", "4"}},
+			{Name: "sweep-fleet", Args: []string{"sweep", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1"}},
+			{Name: "sweep-negative-seeds", Args: []string{"sweep", "-seeds", "-2"}},
+			{Name: "sweep-positional", Args: []string{"sweep", "-seeds", "1", "fig2"}},
+		})
+	})
+	t.Run("experiments", func(t *testing.T) {
+		clitest.Run(t, []clitest.Case{
+			{Name: "experiments-all-screen8", Args: []string{"experiments", "-screen-size", "8"}},
+			{Name: "experiments-table1-bestfit", Args: []string{"experiments", "-policy", "bestfit", "table1"}},
+			{Name: "experiments-fig2-fault-retry", Args: []string{"experiments", "-fault", "0.1", "-recovery", "retry", "fig2"}},
+			{Name: "experiments-table1-steer", Args: []string{"experiments", "-steer", "greedy", "table1"}},
+			// Paper mode rejects every explicitly set flag it does not
+			// honour, including an explicit default and each tenancy flag.
+			{Name: "experiments-table1-admit", Args: []string{"experiments", "-admit", "quota", "table1"}},
+			{Name: "experiments-table1-steer-none", Args: []string{"experiments", "-steer", "none", "table1"}},
+			{Name: "experiments-table1-tenancy", Args: []string{"experiments", "-tenants", "3", "-arrival", "linear", "-arrival-span", "1h", "-admit", "quota", "-reclaim", "none", "table1"}},
+			{Name: "experiments-table1-preempt", Args: []string{"experiments", "-checkpoint-interval", "30m", "-walltime-grace", "10m", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1", "-chrome-trace", "x.json", "table1"}},
+			{Name: "experiments-negative-screen", Args: []string{"experiments", "-screen-size", "-5"}},
+		})
+	})
+
+	// Without a known mode the binary lists the modes.
 	clitest.Run(t, []clitest.Case{
-		{Name: "run-imrp", Args: []string{"run", "-protocol", "imrp"}},
-		{Name: "run-contv-seed7", Args: []string{"run", "-protocol", "contv", "-seed", "7"}},
-		{Name: "run-split-steer", Args: []string{"run", "-pilots", "split", "-nodes", "4", "-steer", "greedy"}},
-		{Name: "run-fault-retry", Args: []string{"run", "-fault", "0.15", "-recovery", "retry"}},
-		{Name: "run-list-scenarios", Args: []string{"run", "-list-scenarios"}},
-		{Name: "run-scenario-pair", Args: []string{"run", "-scenario", "pair"}},
-		{Name: "run-scenario-pair-seed100", Args: []string{"run", "-scenario", "pair", "-seed", "100", "-seeds", "2", "-parallel", "2"}},
-		{Name: "run-scenario-pair-protocol", Args: []string{"run", "-scenario", "pair", "-protocol", "imrp"}},
-		{Name: "run-checkpoint-warning", Args: []string{"run", "-checkpoint-interval", "30m"}},
-		// Single-campaign mode rejects the flags only scenarios honour.
-		{Name: "run-single-tenancy-seeds", Args: []string{"run", "-tenants", "4", "-admit", "quota", "-seeds", "3"}},
-		// A node count past fleet.MaxNodes is a usage error, not a
-		// makeslice panic in fleet generation.
-		{Name: "run-fleet-count-ceiling", Args: []string{"run", "-scenario", "kilo-screen", "-screen-size", "1", "-parallel", "0", "-fleet", "a:28c4g128m*9223372036854775807"}},
-		// So is a node shape past fleet.MaxPerNode, which used to overflow
-		// the capacity sums into NaN campaign metrics.
-		{Name: "run-fleet-shape-ceiling", Args: []string{"run", "-scenario", "kilo-screen", "-screen-size", "1", "-parallel", "0", "-fleet", "a:4611686018427387904c0g1m*500+b:1c4g1m*500"}},
-		// A maintenance window past fault.MaxMaintenanceSpan is a usage
-		// error, not an event scheduled before now.
-		{Name: "run-maintenance-span-ceiling", Args: []string{"run", "-maintenance", "@9223372036854775807ns/1h"}},
-		// A negative count is a usage error, not a silent default.
-		{Name: "run-negative-cycles", Args: []string{"run", "-cycles", "-1"}},
-		{Name: "run-negative-parallel", Args: []string{"run", "-parallel", "-3", "-scenario", "pair"}},
-		// So is a machine past fleet.MaxNodes, and a screen of no targets.
-		{Name: "run-nodes-ceiling", Args: []string{"run", "-pilots", "split", "-nodes", "100000000"}},
-		{Name: "run-screen-size-zero", Args: []string{"run", "-targets", "screen", "-screen-size", "0"}},
-		// A positional argument is refused wherever it stands, not ignored
-		// along with every flag after it.
-		{Name: "run-positional-last", Args: []string{"run", "-cycles", "1", "table1"}},
-		{Name: "run-positional-first", Args: []string{"run", "table1", "-cycles", "1"}},
-
-		{Name: "sweep-seeds2", Args: []string{"sweep", "-seed", "100", "-seeds", "2"}},
-		{Name: "sweep-seeds2-split-steer", Args: []string{"sweep", "-seed", "100", "-seeds", "2", "-pilots", "split", "-nodes", "4", "-steer", "hysteresis"}},
-		// The pair sweep rejects the flags only scenarios honour.
-		{Name: "sweep-tenants", Args: []string{"sweep", "-tenants", "4"}},
-		{Name: "sweep-fleet", Args: []string{"sweep", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1"}},
-		{Name: "sweep-negative-seeds", Args: []string{"sweep", "-seeds", "-2"}},
-		{Name: "sweep-positional", Args: []string{"sweep", "-seeds", "1", "fig2"}},
-
-		{Name: "experiments-all-screen8", Args: []string{"experiments", "-screen-size", "8"}},
-		{Name: "experiments-table1-bestfit", Args: []string{"experiments", "-policy", "bestfit", "table1"}},
-		{Name: "experiments-fig2-fault-retry", Args: []string{"experiments", "-fault", "0.1", "-recovery", "retry", "fig2"}},
-		{Name: "experiments-table1-steer", Args: []string{"experiments", "-steer", "greedy", "table1"}},
-		// Paper mode rejects every explicitly set flag it does not
-		// honour, including an explicit default and each tenancy flag.
-		{Name: "experiments-table1-admit", Args: []string{"experiments", "-admit", "quota", "table1"}},
-		{Name: "experiments-table1-steer-none", Args: []string{"experiments", "-steer", "none", "table1"}},
-		{Name: "experiments-table1-tenancy", Args: []string{"experiments", "-tenants", "3", "-arrival", "linear", "-arrival-span", "1h", "-admit", "quota", "-reclaim", "none", "table1"}},
-		{Name: "experiments-table1-preempt", Args: []string{"experiments", "-checkpoint-interval", "30m", "-walltime-grace", "10m", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1", "-chrome-trace", "x.json", "table1"}},
-		{Name: "experiments-negative-screen", Args: []string{"experiments", "-screen-size", "-5"}},
-
-		// Without a known mode the binary lists the modes.
 		{Name: "no-mode", Args: nil},
 		{Name: "unknown-mode", Args: []string{"-seed", "7"}},
 	})
@@ -76,9 +87,10 @@ func TestTranscripts(t *testing.T) {
 
 // TestNegativeCountsAreUsageErrors: a count below its default marker, or
 // past its ceiling, exits 2 with a message naming the flag before
-// anything runs; so does a positional argument to run or sweep.
+// anything runs; so does a positional argument to run or sweep. The
+// rows run in one subtest per mode, named by their first argument.
 func TestNegativeCountsAreUsageErrors(t *testing.T) {
-	for _, args := range [][]string{
+	usage := [][]string{
 		{"run", "-cycles", "-1"},
 		{"run", "-sequences", "-1"},
 		{"run", "-max-concurrent", "-2"},
@@ -98,18 +110,29 @@ func TestNegativeCountsAreUsageErrors(t *testing.T) {
 		{"run", "-pilots", "split", "-nodes", "100000000"},
 		{"sweep", "-nodes", "1048577"},
 		{"run", "-targets", "screen", "-screen-size", "0"},
-	} {
-		clitest.UsageError(t, args...)
 	}
-	for _, args := range [][]string{
+	positional := [][]string{
 		{"run", "-cycles", "1", "table1"},
 		{"run", "table1", "-cycles", "1"},
 		{"sweep", "-seeds", "1", "fig2"},
-	} {
-		code, stdout, stderr := clitest.Exec(t, args...)
-		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "unexpected argument ") {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and an unexpected-argument error", args, code, stdout, stderr)
-		}
+	}
+	for _, mode := range []string{"run", "sweep", "experiments"} {
+		t.Run(mode, func(t *testing.T) {
+			for _, args := range usage {
+				if args[0] == mode {
+					clitest.UsageError(t, args...)
+				}
+			}
+			for _, args := range positional {
+				if args[0] != mode {
+					continue
+				}
+				code, stdout, stderr := clitest.Exec(t, args...)
+				if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "unexpected argument ") {
+					t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and an unexpected-argument error", args, code, stdout, stderr)
+				}
+			}
+		})
 	}
 }
 
