@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
@@ -149,7 +148,7 @@ func TestSplitPilotsRouting(t *testing.T) {
 	cpuID := coord.pilots[0].ID
 	seen := map[string]int{}
 	for i := uint64(1); ; i++ {
-		tsk, ok := coord.tm.Get(fmt.Sprintf("task.%06d", i))
+		tsk, ok := coord.tm.Get(i)
 		if !ok {
 			break
 		}

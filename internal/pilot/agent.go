@@ -1,9 +1,9 @@
 package pilot
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"impress/internal/cluster"
@@ -30,8 +30,14 @@ type agent struct {
 	tm      *TaskManager
 	policy  sched.Policy
 
-	queue   []*Task
-	running map[string]*execution
+	// queue holds the tasks waiting for resources in submission order,
+	// each with its interned shape, so a pass can skip a failed shape
+	// without loading the task.
+	queue []queueEntry
+	// running holds the placed executions in no particular order; each
+	// execution knows its slot, so finish swap-removes it in O(1). Loops
+	// that act on several executions sort them by task UID first.
+	running []*execution
 
 	activeSetups int
 
@@ -46,13 +52,14 @@ type agent struct {
 	blockedStamp uint64
 
 	// Failed-shape memo of the submission-order pass. shapes interns the
-	// distinct requests of enqueued tasks, and covers[s] is the bit set of
-	// interned shapes that Cover shapes[s]: when a task of shape s fits
-	// nowhere, no task of a shape in covers[s] fits for the rest of the
-	// pass either, because placements only shrink free capacity. queued[s]
-	// counts the queued tasks of shape s, and unshaped those that arrived
-	// after the table filled (noShape), so a pass knows when every task it
-	// has yet to visit is of a failed shape.
+	// distinct requests of enqueued tasks, and each queue entry carries its
+	// task's id in that table. covers[s] is the bit set of interned shapes
+	// that Cover shapes[s]: when a task of shape s fits nowhere, no task of
+	// a shape in covers[s] fits for the rest of the pass either, because
+	// placements only shrink free capacity. queued[s] counts the queued
+	// tasks of shape s, and unshaped those that arrived after the table
+	// filled (noShape), so a pass knows when every task it has yet to
+	// visit is of a failed shape.
 	shapes   []cluster.Request
 	covers   []uint64
 	queued   []int
@@ -75,16 +82,31 @@ type agent struct {
 	gaugeFreeGPUs  string
 }
 
+// queueEntry is one queued task and its request's id in the agent's
+// shape table (noShape once the table is full).
+type queueEntry struct {
+	task  *Task
+	shape int8
+}
+
 // execution tracks one placed task: its allocation, its pending timeline
 // events, and the busy-resource deltas currently applied to the recorder
 // (so cancellation can unwind them exactly).
 type execution struct {
-	task      *Task
-	alloc     *cluster.Alloc
+	task  *Task
+	alloc *cluster.Alloc
+	// slot is the execution's index in agent.running.
+	slot int
+	// setup is the sandbox-setup event; events are the run's phase, done
+	// and fault events, sized once when the run starts.
+	setup     simclock.Event
 	events    []simclock.Event
 	busyCores int
 	busyGPUs  int
 	inSetup   bool
+	// ctx is what the payload sees; it lives here so that starting a run
+	// allocates no context of its own.
+	ctx ExecContext
 }
 
 func newAgent(p *Pilot, clu *cluster.Cluster, rec *trace.Recorder, pol sched.Policy) *agent {
@@ -93,7 +115,6 @@ func newAgent(p *Pilot, clu *cluster.Cluster, rec *trace.Recorder, pol sched.Pol
 		cluster:        clu,
 		rec:            rec,
 		policy:         pol,
-		running:        make(map[string]*execution),
 		gaugeRunning:   p.ID + "/running",
 		gaugeFreeCores: p.ID + "/free-cores",
 		gaugeFreeGPUs:  p.ID + "/free-gpus",
@@ -127,9 +148,9 @@ func (a *agent) noteOccupancy() {
 // even if no capacity was freed, because this task was never offered.
 func (a *agent) enqueue(t *Task) {
 	a.tm.transition(t, StateScheduling)
-	t.shape = a.internShape(requestOf(t))
-	a.countQueued(t, 1)
-	a.queue = append(a.queue, t)
+	s := a.internShape(requestOf(t))
+	a.countQueued(s, 1)
+	a.queue = append(a.queue, queueEntry{task: t, shape: s})
 	a.blocked = false
 	a.noteQueueDepth()
 	if a.pilot.state == PilotActive {
@@ -172,23 +193,33 @@ func (a *agent) internShape(r cluster.Request) int8 {
 	return int8(id)
 }
 
-// countQueued adds d to the queued count of t's shape.
-func (a *agent) countQueued(t *Task, d int) {
-	if t.shape == noShape {
+// countQueued adds d to the queued count of shape s.
+func (a *agent) countQueued(s int8, d int) {
+	if s == noShape {
 		a.unshaped += d
 	} else {
-		a.queued[t.shape] += d
+		a.queued[s] += d
 	}
 }
 
 // dequeue removes a queued task that leaves without being placed
 // (cancelled, failed or evicted).
 func (a *agent) dequeue(t *Task) {
-	if i := slices.Index(a.queue, t); i >= 0 {
+	if i := slices.IndexFunc(a.queue, func(q queueEntry) bool { return q.task == t }); i >= 0 {
+		a.countQueued(a.queue[i].shape, -1)
 		a.queue = slices.Delete(a.queue, i, i+1)
-		a.countQueued(t, -1)
 	}
 	a.noteQueueDepth()
+}
+
+// queuedTasks returns a copy of the queued tasks in queue order, for the
+// loops that unwind them one by one while the queue shrinks.
+func (a *agent) queuedTasks() []*Task {
+	out := make([]*Task, len(a.queue))
+	for i, q := range a.queue {
+		out[i] = q.task
+	}
+	return out
 }
 
 // QueueLen returns the number of tasks waiting for resources.
@@ -242,8 +273,8 @@ func (a *agent) schedulePass() {
 	}
 
 	items := a.scratchItems[:0]
-	for i := 0; i < n; i++ {
-		items = append(items, sched.Task{UID: a.queue[i].UID, Req: requestOf(a.queue[i])})
+	for _, q := range a.queue[:n] {
+		items = append(items, sched.Task{UID: q.task.UID, Req: requestOf(q.task)})
 	}
 	a.scratchItems = items
 	order := a.policy.Order(items, a.cluster)
@@ -262,7 +293,7 @@ func (a *agent) schedulePass() {
 		if blocked && !a.policy.ContinueOnBlock() {
 			break
 		}
-		t := a.queue[idx]
+		t := a.queue[idx].task
 		alloc := a.allocate(t)
 		if alloc == nil {
 			blocked = true
@@ -273,8 +304,8 @@ func (a *agent) schedulePass() {
 	// Unstarted tasks stay queued in submission order, whatever order the
 	// policy visited them in.
 	holes := a.holes[:0]
-	for i, t := range a.queue[:n] {
-		if t.state != StateScheduling {
+	for i, q := range a.queue[:n] {
+		if q.task.state != StateScheduling {
 			holes = append(holes, i)
 		}
 	}
@@ -306,15 +337,15 @@ func (a *agent) submissionPass(n int) {
 		}
 	}
 	holes := a.holes[:0]
-	for i := 0; i < n; i++ {
-		t := a.queue[i]
-		s := t.shape
+	for i, q := range a.queue[:n] {
+		s := q.shape
 		if s == noShape {
 			unshaped--
 		} else if left[s]--; left[s] == 0 {
 			live &^= 1 << s
 		}
 		if s == noShape || failed&(1<<s) == 0 {
+			t := q.task
 			if alloc := a.allocate(t); alloc != nil {
 				holes = append(holes, i)
 				a.startSetup(t, alloc)
@@ -341,7 +372,7 @@ func (a *agent) submissionPass(n int) {
 // survivors in the widest gap between holes (or between a hole and an
 // end of the queue) stays in place; the survivors before it shift toward
 // it, and those after it, mid-pass arrivals (queue[n:]) included, shift
-// back, so a pass moves as few pointers as its placements allow.
+// back, so a pass moves as few entries as its placements allow.
 // Mid-pass arrivals suppress the latch — they were never offered
 // resources, so the next pass must run.
 func (a *agent) finishPass(n int, holes []int) {
@@ -368,7 +399,7 @@ func (a *agent) finishPass(n int, holes []int) {
 			}
 		}
 		for _, h := range holes {
-			a.countQueued(q[h], -1)
+			a.countQueued(q[h].shape, -1)
 		}
 		if keep < k {
 			w := holes[keep]
@@ -418,9 +449,9 @@ func (a *agent) allocate(t *Task) *cluster.Alloc {
 func (a *agent) startSetup(t *Task, alloc *cluster.Alloc) {
 	now := a.pilot.engine.Now()
 	t.SetupAt = now
-	ex := &execution{task: t, alloc: alloc, inSetup: true}
+	ex := &execution{task: t, alloc: alloc, slot: len(a.running), inSetup: true}
 	t.exec = ex
-	a.running[t.ID] = ex
+	a.running = append(a.running, ex)
 	a.tm.transition(t, StateExecSetup)
 
 	d := a.pilot.desc.Cost.SetupDuration(a.activeSetups, t.seed)
@@ -429,12 +460,11 @@ func (a *agent) startSetup(t *Task, alloc *cluster.Alloc) {
 		a.rec.AddPhase(trace.PhaseExecSetup, d)
 	}
 	a.noteOccupancy()
-	ev := a.pilot.engine.AfterTagged(d, t.ID, ":setup", "", func() {
+	ex.setup = a.pilot.engine.AfterTagged(d, t.ID, ":setup", "", func() {
 		a.activeSetups--
 		ex.inSetup = false
 		a.startRun(ex)
 	})
-	ex.events = append(ex.events, ev)
 }
 
 // startRun executes the payload eagerly and replays its phase profile.
@@ -444,14 +474,14 @@ func (a *agent) startRun(ex *execution) {
 	t.RunAt = engine.Now()
 	a.tm.transition(t, StateRunning)
 
-	ctx := &ExecContext{
+	ex.ctx = ExecContext{
 		TaskID: t.ID,
 		Now:    t.RunAt,
 		Seed:   t.seed,
 		Cores:  ex.alloc.Cores,
 		GPUs:   ex.alloc.GPUs,
 	}
-	res, err := t.Description.Work.Run(ctx)
+	res, err := t.Description.Work.Run(&ex.ctx)
 	if err != nil {
 		a.failWithFault(t, fault.KindPayload, err)
 		return
@@ -478,6 +508,7 @@ func (a *agent) startRun(ex *execution) {
 		}
 	}
 
+	ex.events = make([]simclock.Event, 0, len(res.Phases)+2)
 	var offset, start simclock.Duration
 	for _, ph := range res.Phases {
 		ph := ph
@@ -548,11 +579,12 @@ func (a *agent) finish(ex *execution, state TaskState, err error) {
 	t := ex.task
 	now := a.pilot.engine.Now()
 	a.setBusy(ex, 0, 0)
+	a.pilot.engine.Cancel(ex.setup)
 	for _, ev := range ex.events {
 		a.pilot.engine.Cancel(ev)
 	}
 	a.cluster.Release(ex.alloc)
-	delete(a.running, t.ID)
+	a.removeRunning(ex)
 	a.noteOccupancy()
 	t.EndedAt = now
 	t.Err = err
@@ -564,6 +596,36 @@ func (a *agent) finish(ex *execution, state TaskState, err error) {
 	}
 	a.tm.transition(t, state)
 	a.schedule()
+}
+
+// removeRunning swap-removes ex from the running slice.
+func (a *agent) removeRunning(ex *execution) {
+	last := len(a.running) - 1
+	moved := a.running[last]
+	a.running[ex.slot] = moved
+	moved.slot = ex.slot
+	a.running[last] = nil
+	a.running = a.running[:last]
+}
+
+// anyExecution and onNode select executions for runningByUID.
+func anyExecution(*execution) bool { return true }
+
+func onNode(id int) func(*execution) bool {
+	return func(ex *execution) bool { return ex.alloc.Node.ID == id }
+}
+
+// runningByUID returns the running executions that keep pred, in task-UID
+// order, so a loop that unwinds several is deterministic.
+func (a *agent) runningByUID(pred func(*execution) bool) []*execution {
+	var out []*execution
+	for _, ex := range a.running {
+		if pred(ex) {
+			out = append(out, ex)
+		}
+	}
+	slices.SortFunc(out, func(x, y *execution) int { return cmp.Compare(x.task.UID, y.task.UID) })
+	return out
 }
 
 func (a *agent) record(t *Task, state TaskState, placed bool) trace.TaskRecord {
@@ -637,14 +699,7 @@ func (a *agent) failWithFault(t *Task, kind fault.Kind, err error) {
 // order for determinism. The node must already be marked down so the
 // rescheduling cascade cannot place new work onto it.
 func (a *agent) failNode(nodeID int) {
-	var victims []*execution
-	for _, ex := range a.running {
-		if ex.alloc.Node.ID == nodeID {
-			victims = append(victims, ex)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].task.UID < victims[j].task.UID })
-	for _, ex := range victims {
+	for _, ex := range a.runningByUID(onNode(nodeID)) {
 		a.failWithFault(ex.task, fault.KindNodeCrash,
 			fmt.Errorf("pilot: node %d crashed under %s", nodeID, ex.task.ID))
 	}
@@ -654,16 +709,10 @@ func (a *agent) failNode(nodeID int) {
 // fault-model walltime expiry, whose victims (unlike legacy cancellation)
 // may be resubmitted on a surviving pilot.
 func (a *agent) failAll(kind fault.Kind, reason string) {
-	queued := append([]*Task(nil), a.queue...)
-	for _, t := range queued {
+	for _, t := range a.queuedTasks() {
 		a.failWithFault(t, kind, fmt.Errorf("pilot: %s", reason))
 	}
-	var execs []*execution
-	for _, ex := range a.running {
-		execs = append(execs, ex)
-	}
-	sort.Slice(execs, func(i, j int) bool { return execs[i].task.UID < execs[j].task.UID })
-	for _, ex := range execs {
+	for _, ex := range a.runningByUID(anyExecution) {
 		a.failWithFault(ex.task, kind, fmt.Errorf("pilot: %s", reason))
 	}
 }
@@ -716,14 +765,7 @@ func (a *agent) evict(t *Task, resumeOn, reason string) {
 // down so the unwind's rescheduling cascade cannot re-place work onto
 // it.
 func (a *agent) evictNode(nodeID int, resumeOn, reason string) {
-	var victims []*execution
-	for _, ex := range a.running {
-		if ex.alloc.Node.ID == nodeID {
-			victims = append(victims, ex)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].task.UID < victims[j].task.UID })
-	for _, ex := range victims {
+	for _, ex := range a.runningByUID(onNode(nodeID)) {
 		a.evict(ex.task, resumeOn, reason)
 	}
 }
@@ -734,17 +776,11 @@ func (a *agent) evictNode(nodeID int, resumeOn, reason string) {
 // keeps its allocation and finishes normally. The pilot must already be
 // marked draining so the eviction cascade places nothing new.
 func (a *agent) drainAll(grace time.Duration) {
-	queued := append([]*Task(nil), a.queue...)
-	for _, t := range queued {
+	for _, t := range a.queuedTasks() {
 		a.evict(t, "", "pilot walltime drain")
 	}
-	var execs []*execution
-	for _, ex := range a.running {
-		execs = append(execs, ex)
-	}
-	sort.Slice(execs, func(i, j int) bool { return execs[i].task.UID < execs[j].task.UID })
 	now := a.pilot.engine.Now()
-	for _, ex := range execs {
+	for _, ex := range a.runningByUID(anyExecution) {
 		t := ex.task
 		if t.state == StateRunning {
 			remaining := t.Result.TotalDuration() - t.ResumeFrom - now.Sub(t.RunAt)
@@ -781,17 +817,10 @@ func (a *agent) cancel(t *Task, reason string) {
 
 // terminateAll cancels everything (pilot cancellation or walltime).
 func (a *agent) terminateAll(reason string) {
-	queued := append([]*Task(nil), a.queue...)
-	for _, t := range queued {
+	for _, t := range a.queuedTasks() {
 		a.cancel(t, reason)
 	}
-	var execs []*execution
-	for _, ex := range a.running {
-		execs = append(execs, ex)
-	}
-	// Deterministic order: by task UID, matching failAll/failNode.
-	sort.Slice(execs, func(i, j int) bool { return execs[i].task.UID < execs[j].task.UID })
-	for _, ex := range execs {
+	for _, ex := range a.runningByUID(anyExecution) {
 		a.cancel(ex.task, reason)
 	}
 }

@@ -67,7 +67,7 @@ func TestBlockedSchedulePassAllocationFree(t *testing.T) {
 			// Exclusions disable the failed-shape memo, so this backfill
 			// pass offers every queued task and compacts the whole queue.
 			for _, q := range a.queue {
-				q.avoidNodes = []int{0}
+				q.task.avoidNodes = []int{0}
 			}
 			if avg := testing.AllocsPerRun(200, func() {
 				a.blocked = false
@@ -78,8 +78,8 @@ func TestBlockedSchedulePassAllocationFree(t *testing.T) {
 			// Compaction after a pass that started every other queued
 			// task. The recorder is detached because a changed queue
 			// depth books a sample.
-			queued := append([]*Task(nil), a.queue...)
-			buf := make([]*Task, len(queued))
+			queued := slices.Clone(a.queue)
+			buf := make([]queueEntry, len(queued))
 			var holes []int
 			for i := 0; i < len(buf); i += 2 {
 				holes = append(holes, i)
@@ -91,7 +91,7 @@ func TestBlockedSchedulePassAllocationFree(t *testing.T) {
 				copy(buf, queued)
 				a.queue = buf
 				for _, h := range holes {
-					a.countQueued(buf[h], 1) // finishPass uncounts them
+					a.countQueued(buf[h].shape, 1) // finishPass uncounts them
 				}
 				a.finishPass(len(buf), holes)
 			}); avg != 0 {
@@ -102,15 +102,15 @@ func TestBlockedSchedulePassAllocationFree(t *testing.T) {
 			}
 			for i, q := range a.queue {
 				if q != queued[2*i+1] {
-					t.Fatalf("compacted queue[%d] = %s, want %s", i, q.ID, queued[2*i+1].ID)
+					t.Fatalf("compacted queue[%d] = %s, want %s", i, q.task.ID, queued[2*i+1].task.ID)
 				}
 			}
 			// The slots of the backing array outside the queue must not
 			// keep started tasks alive.
-			start := slices.IndexFunc(buf, func(q *Task) bool { return q == a.queue[0] })
+			start := slices.IndexFunc(buf, func(q queueEntry) bool { return q == a.queue[0] })
 			for i, q := range buf {
-				if (i < start || i >= start+len(a.queue)) && q != nil {
-					t.Fatalf("dead queue slot %d still holds %s", i, q.ID)
+				if (i < start || i >= start+len(a.queue)) && q.task != nil {
+					t.Fatalf("dead queue slot %d still holds %s", i, q.task.ID)
 				}
 			}
 		})

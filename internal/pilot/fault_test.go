@@ -7,6 +7,7 @@ package pilot
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -374,8 +375,8 @@ func TestFaultWalltimeFailsAndResubmitsElsewhere(t *testing.T) {
 	}
 	// Every logical chain ends on the survivor, successfully.
 	done := 0
-	for _, task := range tm.tasks {
-		if task.State() == StateDone {
+	for _, slot := range tm.tasks {
+		if task := slot.task; task.State() == StateDone {
 			if task.PilotID != survivor.ID {
 				t.Fatalf("task %s completed on expired pilot", task.ID)
 			}
@@ -407,10 +408,60 @@ func TestFaultWalltimeFailsAndResubmitsElsewhere(t *testing.T) {
 	if n := tm2.Count(); n < 2 {
 		t.Fatalf("no resubmission attempted before giving up (%d tasks)", n)
 	}
-	for _, tk := range tm2.tasks {
-		if !tk.State().Final() {
+	for _, slot := range tm2.tasks {
+		if tk := slot.task; !tk.State().Final() {
 			t.Fatalf("task %s not terminal after lone-pilot expiry", tk.ID)
 		}
+	}
+}
+
+// TestUnwindOrderSurvivesSwapRemove: finishing tasks swap-removes them
+// from the agent's running slice, which leaves it out of UID order; a
+// node crash and a pilot cancellation must still unwind their victims in
+// UID order.
+func TestUnwindOrderSurvivesSwapRemove(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		final  TaskState
+		unwind func(*Pilot)
+	}{
+		{"failNode", StateFailed, func(p *Pilot) {
+			p.agent.cluster.SetNodeDown(0)
+			p.agent.failNode(0)
+		}},
+		{"terminateAll", StateCanceled, (*Pilot).Cancel},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, defaultPD())
+			// The two oldest tasks finish first; the youngest take
+			// their slots.
+			for i := 0; i < 6; i++ {
+				d := 10 * time.Hour
+				if i < 2 {
+					d = 10 * time.Minute
+				}
+				h.tm.MustSubmit(TaskDescription{Name: "t", Cores: 1, Work: sleepWork("x", d, 1, 0)})
+			}
+			h.engine.RunUntil(simclock.Time(time.Hour))
+			a := h.pilot.agent
+			var uids []uint64
+			for _, ex := range a.running {
+				uids = append(uids, ex.task.UID)
+			}
+			if len(uids) != 4 || slices.IsSorted(uids) {
+				t.Fatalf("running UIDs %v, want four out of order", uids)
+			}
+			var unwound []uint64
+			h.tm.OnState(func(task *Task, s TaskState) {
+				if s == tc.final {
+					unwound = append(unwound, task.UID)
+				}
+			})
+			tc.unwind(h.pilot)
+			if want := []uint64{3, 4, 5, 6}; !slices.Equal(unwound, want) {
+				t.Fatalf("unwound UIDs %v, want %v", unwound, want)
+			}
+		})
 	}
 }
 

@@ -33,22 +33,22 @@ func referencePass(a *agent) {
 	}
 	a.blocked = false
 	n := len(a.queue)
-	remaining := make([]*Task, 0, n)
+	remaining := make([]queueEntry, 0, n)
 	continueOnBlock := a.policy.ContinueOnBlock()
 	blocked := false
 	for i := 0; i < n; i++ {
-		t := a.queue[i]
+		q := a.queue[i]
 		if blocked && !continueOnBlock {
 			remaining = append(remaining, a.queue[i:n]...)
 			break
 		}
-		alloc := a.allocate(t)
+		alloc := a.allocate(q.task)
 		if alloc == nil {
 			blocked = true
-			remaining = append(remaining, t)
+			remaining = append(remaining, q)
 			continue
 		}
-		a.startSetup(t, alloc)
+		a.startSetup(q.task, alloc)
 	}
 	tail := a.queue[n:]
 	remaining = append(remaining, tail...)
@@ -90,8 +90,8 @@ func (w *passWorld) settle() {
 			a.rerun = false
 			w.pass(a)
 			ids := make([]string, len(a.queue))
-			for i, t := range a.queue {
-				ids[i] = t.ID
+			for i, q := range a.queue {
+				ids[i] = q.task.ID
 			}
 			w.logf("pass %s queue [%s]", p.ID, strings.Join(ids, " "))
 		}
@@ -319,9 +319,9 @@ func comparePasses(t *testing.T, policy string, trial int64, nShapes int) {
 	// backfill every leftover task avoids some node, under fifo at least
 	// the head does.
 	for _, p := range got.pilots {
-		for i, task := range p.agent.queue {
-			if len(task.avoidNodes) == 0 && (policy == "backfill" || i == 0) {
-				t.Fatalf("%s ended with %s queued and no exclusions", p.ID, task.ID)
+		for i, q := range p.agent.queue {
+			if len(q.task.avoidNodes) == 0 && (policy == "backfill" || i == 0) {
+				t.Fatalf("%s ended with %s queued and no exclusions", p.ID, q.task.ID)
 			}
 		}
 	}
@@ -361,7 +361,7 @@ func TestSubmissionPassInternsCoveringShapes(t *testing.T) {
 			t.Fatalf("covers[%+v] = %b, want %b", r, a.covers[s], want)
 		}
 	}
-	before := append([]*Task(nil), a.queue...)
+	before := slices.Clone(a.queue)
 	head := &a.queue[0]
 	a.blocked = false
 	a.schedule()
@@ -392,10 +392,10 @@ func TestFinishPassKeepsWidestGapInPlace(t *testing.T) {
 		{[]int{8}, 0},    // near the tail: only queue[9] shifts
 		{[]int{2, 7}, 3}, // both ends move; queue[3:7] stays
 	} {
-		buf := make([]*Task, 10)
+		buf := make([]queueEntry, 10)
 		for i := range buf {
-			buf[i] = &Task{ID: fmt.Sprint(i), state: StateScheduling, shape: noShape}
-			a.countQueued(buf[i], 1)
+			buf[i] = queueEntry{task: &Task{ID: fmt.Sprint(i), state: StateScheduling}, shape: noShape}
+			a.countQueued(buf[i].shape, 1)
 		}
 		want := slices.Clone(buf)
 		for _, h := range slices.Backward(tc.holes) {

@@ -283,8 +283,8 @@ func (p *Pilot) RunningCount() int { return len(p.agent.running) }
 // against.
 func (p *Pilot) QueuedRequests() []cluster.Request {
 	out := make([]cluster.Request, 0, len(p.agent.queue))
-	for _, t := range p.agent.queue {
-		out = append(out, requestOf(t))
+	for _, q := range p.agent.queue {
+		out = append(out, requestOf(q.task))
 	}
 	return out
 }
@@ -484,11 +484,12 @@ func (p *Pilot) drainWalltime(grace time.Duration) {
 // optional target pilot ID, and untargeted tasks go to the first pilot
 // whose resource ledger could ever fit them.
 type TaskManager struct {
-	engine    *simclock.Engine
-	pilots    []*Pilot
-	byID      map[string]*Pilot
-	nextUID   uint64
-	tasks     map[string]*Task
+	engine  *simclock.Engine
+	pilots  []*Pilot
+	nextUID uint64
+	// tasks holds every attempt ever submitted, indexed by UID−1: UIDs
+	// are dense because nextUID++ is their only source.
+	tasks     []taskSlot
 	callbacks []func(*Task, TaskState)
 
 	// Fault-recovery tallies. They are pure accounting: recording them
@@ -504,11 +505,15 @@ type TaskManager struct {
 	// resource-class-aware routing here. Without one, resubmission falls
 	// back to the first live pilot whose node shape fits.
 	reroute func(td TaskDescription) (*Pilot, bool)
-	// liveAttempt tracks each logical task's current attempt, and
-	// requeueEvents its pending resubmission, so CancelChain can abort a
-	// chain wherever it stands.
-	liveAttempt   map[string]*Task
-	requeueEvents map[string]simclock.Event
+}
+
+// taskSlot is one attempt's entry in the TaskManager's task table. In
+// the slot of a chain's first attempt, live is the chain's current
+// attempt, so CancelChain can abort the chain wherever it stands; later
+// attempts leave it nil.
+type taskSlot struct {
+	task *Task
+	live *Task
 }
 
 // NewTaskManager creates a task manager bound to one or more pilots.
@@ -517,12 +522,8 @@ func NewTaskManager(engine *simclock.Engine, pilots ...*Pilot) *TaskManager {
 		panic("pilot: task manager needs an engine and at least one pilot")
 	}
 	tm := &TaskManager{
-		engine:        engine,
-		tasks:         make(map[string]*Task),
-		byID:          make(map[string]*Pilot),
-		attemptHist:   make(map[int]int),
-		liveAttempt:   make(map[string]*Task),
-		requeueEvents: make(map[string]simclock.Event),
+		engine:      engine,
+		attemptHist: make(map[int]int),
 	}
 	for _, p := range pilots {
 		tm.AddPilot(p)
@@ -535,12 +536,22 @@ func (tm *TaskManager) AddPilot(p *Pilot) {
 	if p == nil {
 		panic("pilot: nil pilot")
 	}
-	if _, dup := tm.byID[p.ID]; dup {
+	if tm.pilot(p.ID) != nil {
 		panic("pilot: pilot " + p.ID + " added twice")
 	}
 	tm.pilots = append(tm.pilots, p)
-	tm.byID[p.ID] = p
 	p.agent.tm = tm
+}
+
+// pilot returns the attached pilot with the given ID, or nil. A task
+// manager serves a handful of pilots, so a scan beats hashing the ID.
+func (tm *TaskManager) pilot(id string) *Pilot {
+	for _, p := range tm.pilots {
+		if p.ID == id {
+			return p
+		}
+	}
+	return nil
 }
 
 // Pilots returns the attached pilots in attachment order.
@@ -552,8 +563,8 @@ func (tm *TaskManager) Pilots() []*Pilot { return append([]*Pilot(nil), tm.pilot
 // fails with a capacity error rather than a routing one).
 func (tm *TaskManager) resolve(td TaskDescription) (*Pilot, error) {
 	if td.Pilot != "" {
-		p, ok := tm.byID[td.Pilot]
-		if !ok {
+		p := tm.pilot(td.Pilot)
+		if p == nil {
 			return nil, fmt.Errorf("pilot: task %q targets unknown pilot %q", td.Name, td.Pilot)
 		}
 		return p, nil
@@ -589,19 +600,19 @@ func (tm *TaskManager) Submit(td TaskDescription) (*Task, error) {
 	}
 	tm.nextUID++
 	t := &Task{
-		ID:          fmt.Sprintf("task.%06d", tm.nextUID),
+		ID:          taskID(tm.nextUID),
 		UID:         tm.nextUID,
 		Description: td,
 		PilotID:     p.ID,
 		Attempt:     1,
+		chain:       tm.nextUID,
 		state:       StateNew,
 		SubmittedAt: tm.engine.Now(),
 	}
 	t.Origin = t.ID
 	t.pilot = p
 	t.seed = deriveTaskSeed(p.desc.Seed, t.ID)
-	tm.tasks[t.ID] = t
-	tm.liveAttempt[t.Origin] = t
+	tm.tasks = append(tm.tasks, taskSlot{task: t, live: t})
 	tm.transition(t, StateSubmitted)
 
 	if p.state == PilotDone {
@@ -635,10 +646,12 @@ func (tm *TaskManager) Cancel(t *Task) {
 	t.pilot.agent.cancel(t, "cancelled by client")
 }
 
-// Get returns a task by ID.
-func (tm *TaskManager) Get(id string) (*Task, bool) {
-	t, ok := tm.tasks[id]
-	return t, ok
+// Get returns a task by UID.
+func (tm *TaskManager) Get(uid uint64) (*Task, bool) {
+	if uid == 0 || uid > uint64(len(tm.tasks)) {
+		return nil, false
+	}
+	return tm.tasks[uid-1].task, true
 }
 
 // Count returns how many tasks were ever submitted.
@@ -726,8 +739,7 @@ func (tm *TaskManager) execRecovery(t *Task) {
 	}
 	tm.resubmitted++
 	plan := t.requeue
-	tm.requeueEvents[t.Origin] = tm.engine.AfterTagged(plan.delay, t.ID, ":requeue", "", func() {
-		delete(tm.requeueEvents, t.Origin)
+	plan.event = tm.engine.AfterTagged(plan.delay, t.ID, ":requeue", "", func() {
 		tm.resubmit(t, plan)
 	})
 }
@@ -743,16 +755,17 @@ func (tm *TaskManager) SetRerouter(fn func(td TaskDescription) (*Pilot, bool)) {
 // CancelChain cancels a logical task wherever its attempt chain
 // currently stands: a pending resubmission is dropped and the live
 // attempt (queued or running) is cancelled. Terminal chains are
-// unaffected.
+// unaffected. A pending resubmission always belongs to the live attempt,
+// because the next attempt does not exist until it fires.
 func (tm *TaskManager) CancelChain(t *Task, reason string) {
 	if t == nil {
 		return
 	}
-	if ev, ok := tm.requeueEvents[t.Origin]; ok {
-		tm.engine.Cancel(ev)
-		delete(tm.requeueEvents, t.Origin)
+	cur := tm.tasks[t.chain-1].live
+	if cur.requeue != nil {
+		tm.engine.Cancel(cur.requeue.event)
 	}
-	if cur := tm.liveAttempt[t.Origin]; cur != nil && !cur.state.Final() {
+	if !cur.state.Final() {
 		cur.pilot.agent.cancel(cur, reason)
 	}
 }
@@ -776,7 +789,7 @@ func (tm *TaskManager) resubmit(orig *Task, plan *requeuePlan) {
 		// when it is still standing and its nodes can actually host the
 		// task (a GPU task evicted off a donated node has no business on
 		// a CPU-only receiver); otherwise the normal routing applies.
-		if np, ok := tm.byID[plan.pilotHint]; ok && !np.unavailable() && np.agent.cluster.Fits(req) {
+		if np := tm.pilot(plan.pilotHint); np != nil && !np.unavailable() && np.agent.cluster.Fits(req) {
 			if np != p {
 				avoid = nil // node IDs are per-cluster; they do not transfer
 			}
@@ -797,11 +810,12 @@ func (tm *TaskManager) resubmit(orig *Task, plan *requeuePlan) {
 	}
 	tm.nextUID++
 	t := &Task{
-		ID:          fmt.Sprintf("task.%06d", tm.nextUID),
+		ID:          taskID(tm.nextUID),
 		UID:         tm.nextUID,
 		Description: td,
 		Attempt:     orig.Attempt + 1,
 		Origin:      orig.Origin,
+		chain:       orig.chain,
 		ResumeFrom:  plan.resumeFrom,
 		state:       StateNew,
 		SubmittedAt: tm.engine.Now(),
@@ -826,8 +840,8 @@ func (tm *TaskManager) resubmit(orig *Task, plan *requeuePlan) {
 	t.pilot = p
 	t.PilotID = p.ID
 	t.seed = deriveTaskSeed(p.desc.Seed, t.ID)
-	tm.tasks[t.ID] = t
-	tm.liveAttempt[t.Origin] = t
+	tm.tasks = append(tm.tasks, taskSlot{task: t})
+	tm.tasks[t.chain-1].live = t
 	tm.transition(t, StateSubmitted)
 
 	if p.state == PilotDone {

@@ -16,6 +16,7 @@ package pilot
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"impress/internal/fault"
@@ -194,6 +195,9 @@ type Task struct {
 	// Origin is the logical task identity shared by every attempt: the
 	// first attempt's ID.
 	Origin string
+	// chain is the first attempt's UID: the TaskManager's key for the
+	// attempt chain.
+	chain uint64
 	// FaultKind records what killed this attempt (fault.KindNone while
 	// healthy).
 	FaultKind fault.Kind
@@ -219,9 +223,20 @@ type Task struct {
 	exec       *execution
 	avoidNodes []int
 	requeue    *requeuePlan
-	// shape is the task's request as interned by its agent at enqueue
-	// (noShape once the agent's shape table is full).
-	shape int8
+}
+
+// taskID formats a task UID as "task.%06d" without fmt: the UID in
+// decimal, zero-padded to six digits. The bytes matter, because
+// deriveTaskSeed hashes the ID.
+func taskID(uid uint64) string {
+	var buf [len("task.") + 20]byte
+	b := append(buf[:0], "task."...)
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], uid, 10)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // requeuePlan is a recovery decision staged on a failing attempt before
@@ -237,6 +252,8 @@ type requeuePlan struct {
 	// (preemptive-shrink transfers resume on the receiver); "" keeps the
 	// original routing.
 	pilotHint string
+	// event is the pending resubmission once recovery schedules it.
+	event simclock.Event
 }
 
 // WillRetry reports whether the recovery policy has scheduled a
