@@ -3,6 +3,7 @@ package pilot
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -506,6 +507,56 @@ func TestExecContextContents(t *testing.T) {
 	h.engine.Run()
 	if got.Cores != 3 || got.GPUs != 2 || got.TaskID == "" || got.Now == 0 {
 		t.Fatalf("ExecContext = %+v", got)
+	}
+}
+
+// TestTaskIDsMatchSprintf pins the fmt-free ID formatter to the
+// "task.%06d" bytes that deriveTaskSeed hashes, across the padding
+// boundary and up to the widest UID.
+func TestTaskIDsMatchSprintf(t *testing.T) {
+	for _, uid := range []uint64{1, 999999, 1000000, 1 << 32, math.MaxUint64} {
+		if got, want := taskID(uid), fmt.Sprintf("task.%06d", uid); got != want {
+			t.Errorf("taskID(%d) = %q, want %q", uid, got, want)
+		}
+	}
+}
+
+// TestTaskManagerGetByUID checks that every submitted attempt is found
+// by its UID, and that UIDs outside the table are not.
+func TestTaskManagerGetByUID(t *testing.T) {
+	h := newHarness(t, defaultPD())
+	var tasks []*Task
+	for i := 0; i < 3; i++ {
+		tasks = append(tasks, h.tm.MustSubmit(TaskDescription{Name: "t", Cores: 1, Work: sleepWork("x", time.Minute, 1, 0)}))
+	}
+	for _, task := range tasks {
+		if got, ok := h.tm.Get(task.UID); !ok || got != task {
+			t.Fatalf("Get(%d) = %v, %v; want %s", task.UID, got, ok, task.ID)
+		}
+	}
+	for _, uid := range []uint64{0, 4} {
+		if got, ok := h.tm.Get(uid); ok {
+			t.Fatalf("Get(%d) found %s", uid, got.ID)
+		}
+	}
+}
+
+// TestSubmitPlaceFinishAllocations fences the runtime's per-task cost: one
+// task submitted, placed, run and finished allocates the task, its ID, its
+// ledger allocation, its execution, its events slice, and one engine
+// closure each for setup, phase and done. A payload that allocates nothing
+// keeps the count to the runtime's own.
+func TestSubmitPlaceFinishAllocations(t *testing.T) {
+	h := newHarness(t, defaultPD())
+	h.engine.Run() // bootstrap the pilot
+	res := Result{Phases: []Phase{{Name: "compute", Duration: time.Minute, BusyCores: 4}}}
+	td := TaskDescription{Name: "t", Cores: 4, Work: WorkFunc(func(*ExecContext) (Result, error) { return res, nil })}
+	const bound = 8
+	if avg := testing.AllocsPerRun(500, func() {
+		h.tm.MustSubmit(td)
+		h.engine.Run()
+	}); avg > bound {
+		t.Fatalf("submit, place and finish allocate %.0f objects per task, want at most %d", avg, bound)
 	}
 }
 
