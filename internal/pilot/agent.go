@@ -3,7 +3,9 @@ package pilot
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sort"
 	"time"
 
 	"impress/internal/cluster"
@@ -30,10 +32,16 @@ type agent struct {
 	tm      *TaskManager
 	policy  sched.Policy
 
-	// queue holds the tasks waiting for resources in submission order,
-	// each with its interned shape, so a pass can skip a failed shape
-	// without loading the task.
-	queue []queueEntry
+	// lanes hold the tasks waiting for resources: lanes[s] those of
+	// shapes[s] and overflow those whose request arrived after the shape
+	// table filled, each lane in submission order. seq numbers the
+	// enqueues, so submission order across lanes is the order of the
+	// entries' seq. depth counts the queued tasks, started tasks included
+	// until their pass ends.
+	lanes    []lane
+	overflow lane
+	seq      uint64
+	depth    int
 	// running holds the placed executions in no particular order; each
 	// execution knows its slot, so finish swap-removes it in O(1). Loops
 	// that act on several executions sort them by task UID first.
@@ -52,26 +60,17 @@ type agent struct {
 	blockedStamp uint64
 
 	// Failed-shape memo of the submission-order pass. shapes interns the
-	// distinct requests of enqueued tasks, and each queue entry carries its
-	// task's id in that table. covers[s] is the bit set of interned shapes
-	// that Cover shapes[s]: when a task of shape s fits nowhere, no task of
-	// a shape in covers[s] fits for the rest of the pass either, because
-	// placements only shrink free capacity. queued[s] counts the queued
-	// tasks of shape s, and unshaped those that arrived after the table
-	// filled (noShape), so a pass knows when every task it has yet to
-	// visit is of a failed shape.
-	shapes   []cluster.Request
-	covers   []uint64
-	queued   []int
-	unshaped int
+	// distinct requests of enqueued tasks, one lane each. covers[s] is the
+	// bit set of interned shapes that Cover shapes[s]: when a task of shape
+	// s fits nowhere, no task of a shape in covers[s] fits for the rest of
+	// the pass either, because placements only shrink free capacity.
+	shapes []cluster.Request
+	covers []uint64
 
-	// Scratch of the submission-order pass: per-shape counts of the tasks
-	// it has yet to visit, and the queue indices of the tasks it started.
-	left  []int
-	holes []int
-
-	// Scratch buffers reused across policy-path passes (queue view, offer
-	// marks) so the steady-state hot path allocates nothing.
+	// Scratch buffers reused across passes (the lanes merged by seq, the
+	// policy's queue view, offer marks) so the steady-state hot path
+	// allocates nothing.
+	scratchMerged  []laneEntry
 	scratchItems   []sched.Task
 	scratchOffered []bool
 
@@ -82,11 +81,107 @@ type agent struct {
 	gaugeFreeGPUs  string
 }
 
-// queueEntry is one queued task and its request's id in the agent's
-// shape table (noShape once the table is full).
-type queueEntry struct {
-	task  *Task
-	shape int8
+// laneEntry is one queued task and its enqueue sequence number.
+type laneEntry struct {
+	task *Task
+	seq  uint64
+}
+
+// lane is one shape's queued tasks in submission order: buf[head:]. A
+// pass that starts tasks near the front of a lane may leave it resliced
+// from the front (head > 0); push slides it back to the start of its
+// array before the array would grow, and an emptied lane resets to it.
+type lane struct {
+	buf  []laneEntry
+	head int
+	// Pass state, as indices into queued(): cur is the next entry the
+	// submission-order pass offers capacity, holes the ascending indices
+	// of the entries the pass started.
+	cur   int
+	holes []int32
+}
+
+// queued returns the lane's entries.
+func (l *lane) queued() []laneEntry { return l.buf[l.head:] }
+
+// push appends e to the lane.
+func (l *lane) push(e laneEntry) {
+	if len(l.buf) == cap(l.buf) && l.head > 0 {
+		n := copy(l.buf, l.buf[l.head:])
+		clear(l.buf[n:])
+		l.buf, l.head = l.buf[:n], 0
+	}
+	l.buf = append(l.buf, e)
+}
+
+// remove deletes the entry at index i of queued().
+func (l *lane) remove(i int) {
+	l.buf = slices.Delete(l.buf, l.head+i, l.head+i+1)
+	if len(l.buf) == l.head {
+		l.buf, l.head = l.buf[:0], 0
+	}
+}
+
+// drop removes the entries at the indices holes of queued(), clears
+// holes, and returns how many it removed. Survivors keep their order.
+// The run of survivors in the widest gap between holes (or between a
+// hole and an end of the lane) stays in place; the survivors before it
+// shift toward it, and those after it, mid-pass arrivals included, shift
+// back, so a pass moves as few entries as its placements allow.
+func (l *lane) drop() int {
+	holes := l.holes
+	k := len(holes)
+	if k == 0 {
+		return 0
+	}
+	q := l.queued()
+	// Gap j runs from holes[j-1] to holes[j], with the ends of the lane
+	// as holes -1 and len(q).
+	gap := func(j int) (lo, hi int) {
+		lo, hi = -1, len(q)
+		if j > 0 {
+			lo = int(holes[j-1])
+		}
+		if j < k {
+			hi = int(holes[j])
+		}
+		return lo, hi
+	}
+	keep := 0
+	for j := 1; j <= k; j++ {
+		lo, hi := gap(j)
+		if klo, khi := gap(keep); hi-lo > khi-klo {
+			keep = j
+		}
+	}
+	first, last := 0, len(q)
+	if keep < k {
+		w := int(holes[keep])
+		for j := keep + 1; j <= k; j++ {
+			lo, hi := gap(j)
+			w += copy(q[w:], q[lo+1:hi])
+		}
+		clear(q[w:])
+		last = w
+	}
+	if keep > 0 {
+		w := int(holes[keep-1]) + 1
+		for j := keep - 1; j >= 0; j-- {
+			lo, hi := gap(j)
+			w -= hi - lo - 1
+			copy(q[w:], q[lo+1:hi])
+		}
+		clear(q[:w])
+		first = w
+	}
+	l.holes = holes[:0]
+	if first == last {
+		l.buf, l.head = l.buf[:0], 0
+	} else {
+		l.buf = l.buf[:l.head+last]
+		l.head += first
+	}
+	return k
 }
 
 // execution tracks one placed task: its allocation, its pending timeline
@@ -126,7 +221,7 @@ func newAgent(p *Pilot, clu *cluster.Cluster, rec *trace.Recorder, pol sched.Pol
 // recorder state, so blocked scheduling passes stay allocation-free.
 func (a *agent) noteQueueDepth() {
 	if a.rec != nil {
-		a.rec.SetQueueDepth(a.pilot.ordinal, a.pilot.engine.Now(), len(a.queue))
+		a.rec.SetQueueDepth(a.pilot.ordinal, a.pilot.engine.Now(), a.depth)
 	}
 }
 
@@ -148,9 +243,9 @@ func (a *agent) noteOccupancy() {
 // even if no capacity was freed, because this task was never offered.
 func (a *agent) enqueue(t *Task) {
 	a.tm.transition(t, StateScheduling)
-	s := a.internShape(requestOf(t))
-	a.countQueued(s, 1)
-	a.queue = append(a.queue, queueEntry{task: t, shape: s})
+	a.lane(a.internShape(requestOf(t))).push(laneEntry{task: t, seq: a.seq})
+	a.seq++
+	a.depth++
 	a.blocked = false
 	a.noteQueueDepth()
 	if a.pilot.state == PilotActive {
@@ -159,23 +254,29 @@ func (a *agent) enqueue(t *Task) {
 }
 
 // noShape is the shape of a task whose request arrived after the agent's
-// shape table filled: the pass offers it capacity every time.
+// shape table filled: it waits in the overflow lane, which the pass
+// offers capacity every time.
 const noShape = -1
 
 // maxShapes bounds the shape table, so that a pass's failed shapes fit in
 // one machine word.
 const maxShapes = 64
 
-// internShape returns r's id in the agent's shape table, adding it, and
-// extending the covers sets both ways, when it is new.
-func (a *agent) internShape(r cluster.Request) int8 {
+// shapeOf returns r's id in the agent's shape table, or noShape.
+func (a *agent) shapeOf(r cluster.Request) int8 {
 	for i, s := range a.shapes {
 		if s == r {
 			return int8(i)
 		}
 	}
-	if len(a.shapes) == maxShapes {
-		return noShape
+	return noShape
+}
+
+// internShape returns r's id in the agent's shape table, adding it, its
+// lane, and extending the covers sets both ways, when it is new.
+func (a *agent) internShape(r cluster.Request) int8 {
+	if s := a.shapeOf(r); s != noShape || len(a.shapes) == maxShapes {
+		return s
 	}
 	id := len(a.shapes)
 	covers := uint64(1) << id
@@ -189,41 +290,65 @@ func (a *agent) internShape(r cluster.Request) int8 {
 	}
 	a.shapes = append(a.shapes, r)
 	a.covers = append(a.covers, covers)
-	a.queued = append(a.queued, 0)
+	a.lanes = append(a.lanes, lane{})
 	return int8(id)
 }
 
-// countQueued adds d to the queued count of shape s.
-func (a *agent) countQueued(s int8, d int) {
+// lane returns the lane of shape s.
+func (a *agent) lane(s int8) *lane {
 	if s == noShape {
-		a.unshaped += d
-	} else {
-		a.queued[s] += d
+		return &a.overflow
 	}
+	return &a.lanes[s]
+}
+
+// allLanes yields every lane, the overflow lane last.
+func (a *agent) allLanes(yield func(*lane) bool) {
+	for s := range a.lanes {
+		if !yield(&a.lanes[s]) {
+			return
+		}
+	}
+	yield(&a.overflow)
 }
 
 // dequeue removes a queued task that leaves without being placed
-// (cancelled, failed or evicted).
+// (cancelled, failed or evicted). Only the lane of the task's shape is
+// searched.
 func (a *agent) dequeue(t *Task) {
-	if i := slices.IndexFunc(a.queue, func(q queueEntry) bool { return q.task == t }); i >= 0 {
-		a.countQueued(a.queue[i].shape, -1)
-		a.queue = slices.Delete(a.queue, i, i+1)
+	l := a.lane(a.shapeOf(requestOf(t)))
+	if i := slices.IndexFunc(l.queued(), func(e laneEntry) bool { return e.task == t }); i >= 0 {
+		l.remove(i)
+		a.depth--
 	}
 	a.noteQueueDepth()
 }
 
-// queuedTasks returns a copy of the queued tasks in queue order, for the
-// loops that unwind them one by one while the queue shrinks.
+// mergedQueue returns the entries of every lane merged into submission
+// order, in a scratch buffer that the next call reuses.
+func (a *agent) mergedQueue() []laneEntry {
+	m := a.scratchMerged[:0]
+	for l := range a.allLanes {
+		m = append(m, l.queued()...)
+	}
+	slices.SortFunc(m, func(x, y laneEntry) int { return cmp.Compare(x.seq, y.seq) })
+	a.scratchMerged = m
+	return m
+}
+
+// queuedTasks returns a copy of the queued tasks in submission order, for
+// the loops that unwind them one by one while the queue shrinks.
 func (a *agent) queuedTasks() []*Task {
-	out := make([]*Task, len(a.queue))
-	for i, q := range a.queue {
-		out[i] = q.task
+	m := a.mergedQueue()
+	out := make([]*Task, len(m))
+	for i, e := range m {
+		out[i] = e.task
 	}
 	return out
 }
 
 // QueueLen returns the number of tasks waiting for resources.
-func (a *agent) QueueLen() int { return len(a.queue) }
+func (a *agent) QueueLen() int { return a.depth }
 
 // schedule is the continuous scheduling pass: offer free capacity to
 // queued tasks in the order the pilot's scheduling policy picks, starting
@@ -250,7 +375,7 @@ func (a *agent) schedule() {
 }
 
 func (a *agent) schedulePass() {
-	if !a.pilot.Active() || len(a.queue) == 0 {
+	if !a.pilot.Active() || a.depth == 0 {
 		return
 	}
 	// Incremental skip: the last pass left this queue blocked, and since
@@ -264,17 +389,21 @@ func (a *agent) schedulePass() {
 	}
 	a.blocked = false
 
-	// The pass offers capacity to queue[:n]; transition callbacks may
-	// append new arrivals to queue mid-pass, which wait for the next pass.
-	n := len(a.queue)
+	// The pass offers capacity to the tasks queued now; transition
+	// callbacks may enqueue new arrivals mid-pass, which wait for the next
+	// pass.
+	depth := a.depth
 	if sched.SubmissionOrder(a.policy) {
-		a.submissionPass(n)
+		a.submissionPass()
+		a.finishPass(depth)
 		return
 	}
 
+	queue := a.mergedQueue()
+	n := len(queue)
 	items := a.scratchItems[:0]
-	for _, q := range a.queue[:n] {
-		items = append(items, sched.Task{UID: q.task.UID, Req: requestOf(q.task)})
+	for _, e := range queue {
+		items = append(items, sched.Task{UID: e.task.UID, Req: requestOf(e.task)})
 	}
 	a.scratchItems = items
 	order := a.policy.Order(items, a.cluster)
@@ -293,7 +422,7 @@ func (a *agent) schedulePass() {
 		if blocked && !a.policy.ContinueOnBlock() {
 			break
 		}
-		t := a.queue[idx].task
+		t := queue[idx].task
 		alloc := a.allocate(t)
 		if alloc == nil {
 			blocked = true
@@ -303,126 +432,100 @@ func (a *agent) schedulePass() {
 	}
 	// Unstarted tasks stay queued in submission order, whatever order the
 	// policy visited them in.
-	holes := a.holes[:0]
-	for i, q := range a.queue[:n] {
-		if q.task.state != StateScheduling {
-			holes = append(holes, i)
+	for l := range a.allLanes {
+		for i, e := range l.queued() {
+			if e.task.state != StateScheduling {
+				l.holes = append(l.holes, int32(i))
+			}
 		}
 	}
-	a.holes = holes
-	a.finishPass(n, holes)
+	a.finishPass(depth)
 }
 
-// submissionPass is the fifo/backfill pass: offer capacity to queue[:n]
-// in submission order, starting every task that fits. Fifo stops at the
-// first task that does not fit. Backfill goes on, but a miss by a task
-// without node exclusions marks its shape, and every shape covering it,
-// as failed for the rest of the pass: later tasks of a marked shape stay
-// queued without asking the ledger (an Allocate that fails changes
-// nothing), and once every task left to visit is of a marked shape the
-// pass stops. A release by a transition callback clears the marks.
+// submissionPass is the fifo/backfill pass: offer capacity to the queued
+// tasks in submission order, starting every task that fits. It takes,
+// again and again, the lane head of smallest seq among the lanes it still
+// visits. Fifo stops at the first task that does not fit. Backfill goes
+// on, but a miss by a task without node exclusions marks its shape, and
+// every shape covering it, as failed for the rest of the pass: the pass
+// stops visiting their lanes (an Allocate that fails changes nothing),
+// and it ends once every lane left to visit is marked. A release by a
+// transition callback clears the marks; the cursor of each marked lane
+// then skips the entries a pass over one queue would have walked past.
 // Placements are exactly those of offering every task in turn.
-func (a *agent) submissionPass(n int) {
+func (a *agent) submissionPass() {
 	continueOnBlock := a.policy.ContinueOnBlock()
 	stamp := a.cluster.FreedStamp()
-	// left and unshaped count the tasks of queue[i:n] by shape; live marks
-	// the shapes with any.
-	left := append(a.left[:0], a.queued...)
-	a.left = left
-	unshaped := a.unshaped
+	// Entries from end on arrived mid-pass. live marks the shape lanes
+	// with entries left to visit.
+	end := a.seq
 	var live, failed uint64
-	for s, c := range left {
-		if c > 0 {
+	for s := range a.lanes {
+		if l := &a.lanes[s]; len(l.queued()) > 0 {
 			live |= 1 << s
+			l.cur = 0
 		}
 	}
-	holes := a.holes[:0]
-	for i, q := range a.queue[:n] {
-		s := q.shape
-		if s == noShape {
-			unshaped--
-		} else if left[s]--; left[s] == 0 {
-			live &^= 1 << s
+	a.overflow.cur = 0
+	for {
+		s, next := int8(noShape), end
+		if q, i := a.overflow.queued(), a.overflow.cur; i < len(q) {
+			next = min(next, q[i].seq)
 		}
-		if s == noShape || failed&(1<<s) == 0 {
-			t := q.task
-			if alloc := a.allocate(t); alloc != nil {
-				holes = append(holes, i)
-				a.startSetup(t, alloc)
-				if fs := a.cluster.FreedStamp(); fs != stamp {
-					stamp, failed = fs, 0
-				}
-			} else if !continueOnBlock {
-				break
-			} else if s != noShape && len(t.avoidNodes) == 0 {
-				failed |= a.covers[s]
+		for m := live &^ failed; m != 0; m &= m - 1 {
+			id := bits.TrailingZeros64(m)
+			l := &a.lanes[id]
+			q := l.queued()
+			if l.cur == len(q) || q[l.cur].seq >= end {
+				live &^= 1 << id
+			} else if q[l.cur].seq < next {
+				s, next = int8(id), q[l.cur].seq
 			}
 		}
-		if live&^failed == 0 && unshaped == 0 {
+		if next == end {
 			break
 		}
+		l := a.lane(s)
+		i := l.cur
+		l.cur++
+		t := l.queued()[i].task
+		if alloc := a.allocate(t); alloc != nil {
+			l.holes = append(l.holes, int32(i))
+			a.startSetup(t, alloc)
+			if fs := a.cluster.FreedStamp(); fs != stamp {
+				stamp = fs
+				a.skipPast(live&failed, next)
+				failed = 0
+			}
+		} else if !continueOnBlock {
+			break
+		} else if s != noShape && len(t.avoidNodes) == 0 {
+			failed |= a.covers[s]
+		}
 	}
-	a.holes = holes
-	a.finishPass(n, holes)
 }
 
-// finishPass removes the tasks a pass started, at the ascending indices
-// holes of queue[:n], and latches the blocked watermark when the pass
-// ends with work still waiting. Survivors keep their order. The run of
-// survivors in the widest gap between holes (or between a hole and an
-// end of the queue) stays in place; the survivors before it shift toward
-// it, and those after it, mid-pass arrivals (queue[n:]) included, shift
-// back, so a pass moves as few entries as its placements allow.
-// Mid-pass arrivals suppress the latch — they were never offered
-// resources, so the next pass must run.
-func (a *agent) finishPass(n int, holes []int) {
-	q := a.queue
-	arrivals := len(q) > n
-	if k := len(holes); k > 0 {
-		// Gap j runs from holes[j-1] to holes[j], with the ends of the
-		// queue as holes -1 and len(q).
-		gap := func(j int) (lo, hi int) {
-			lo, hi = -1, len(q)
-			if j > 0 {
-				lo = holes[j-1]
-			}
-			if j < k {
-				hi = holes[j]
-			}
-			return lo, hi
-		}
-		keep := 0
-		for j := 1; j <= k; j++ {
-			lo, hi := gap(j)
-			if klo, khi := gap(keep); hi-lo > khi-klo {
-				keep = j
-			}
-		}
-		for _, h := range holes {
-			a.countQueued(q[h].shape, -1)
-		}
-		if keep < k {
-			w := holes[keep]
-			for j := keep + 1; j <= k; j++ {
-				lo, hi := gap(j)
-				w += copy(q[w:], q[lo+1:hi])
-			}
-			clear(q[w:])
-			q = q[:w]
-		}
-		if keep > 0 {
-			w := holes[keep-1] + 1
-			for j := keep - 1; j >= 0; j-- {
-				lo, hi := gap(j)
-				w -= hi - lo - 1
-				copy(q[w:], q[lo+1:hi])
-			}
-			clear(q[:w])
-			q = q[w:]
-		}
-		a.queue = q
+// skipPast moves the cursor of each shape lane in m past its entries of
+// seq at most seq.
+func (a *agent) skipPast(m, seq uint64) {
+	for ; m != 0; m &= m - 1 {
+		l := &a.lanes[bits.TrailingZeros64(m)]
+		q := l.queued()[l.cur:]
+		l.cur += sort.Search(len(q), func(j int) bool { return q[j].seq > seq })
 	}
-	if !arrivals && len(q) > 0 {
+}
+
+// finishPass drops the tasks the pass started from their lanes, and
+// latches the blocked watermark when the pass ends with work still
+// waiting. depth is the queue depth when the pass began: mid-pass
+// arrivals, which raise it, suppress the latch — they were never offered
+// resources, so the next pass must run.
+func (a *agent) finishPass(depth int) {
+	arrivals := a.depth > depth
+	for l := range a.allLanes {
+		a.depth -= l.drop()
+	}
+	if !arrivals && a.depth > 0 {
 		a.blocked = true
 		a.blockedStamp = a.cluster.FreedStamp()
 	}

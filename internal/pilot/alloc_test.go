@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"impress/internal/cluster"
 	"impress/internal/simclock"
 )
 
@@ -34,7 +35,7 @@ func TestBlockedSchedulePassAllocationFree(t *testing.T) {
 			// Which tasks block depends on the policy (worstfit places the
 			// small ones and blocks the wide one); all that matters here is
 			// that something is queued against a saturated ledger.
-			if len(a.queue) == 0 {
+			if a.depth == 0 {
 				t.Fatal("queue drained; expected blocked tasks against a saturated ledger")
 			}
 
@@ -65,9 +66,9 @@ func TestBlockedSchedulePassAllocationFree(t *testing.T) {
 				return
 			}
 			// Exclusions disable the failed-shape memo, so this backfill
-			// pass offers every queued task and compacts the whole queue.
-			for _, q := range a.queue {
-				q.task.avoidNodes = []int{0}
+			// pass offers every queued task and compacts every lane.
+			for _, e := range a.mergedQueue() {
+				e.task.avoidNodes = []int{0}
 			}
 			if avg := testing.AllocsPerRun(200, func() {
 				a.blocked = false
@@ -75,42 +76,45 @@ func TestBlockedSchedulePassAllocationFree(t *testing.T) {
 			}); avg != 0 {
 				t.Fatalf("backfill pass offering every task allocates %.1f objects, want 0", avg)
 			}
-			// Compaction after a pass that started every other queued
-			// task. The recorder is detached because a changed queue
-			// depth books a sample.
-			queued := slices.Clone(a.queue)
-			buf := make([]queueEntry, len(queued))
-			var holes []int
+			// Compaction of a lane after a pass that started every other
+			// queued task. The recorder is detached because a changed
+			// queue depth books a sample.
+			l := &a.lanes[a.shapeOf(cluster.Request{Cores: 4})]
+			queued := slices.Clone(l.queued())
+			if len(queued) != 8 {
+				t.Fatalf("lane of the blocked shape holds %d tasks, want 8", len(queued))
+			}
+			buf := make([]laneEntry, len(queued))
+			var holes []int32
 			for i := 0; i < len(buf); i += 2 {
-				holes = append(holes, i)
+				holes = append(holes, int32(i))
 			}
 			rec := a.rec
 			a.rec = nil
 			defer func() { a.rec = rec }()
 			if avg := testing.AllocsPerRun(200, func() {
 				copy(buf, queued)
-				a.queue = buf
-				for _, h := range holes {
-					a.countQueued(buf[h].shape, 1) // finishPass uncounts them
-				}
-				a.finishPass(len(buf), holes)
+				l.buf, l.head = buf, 0
+				l.holes = append(l.holes[:0], holes...)
+				a.depth = len(buf) // finishPass uncounts the holes
+				a.finishPass(a.depth)
 			}); avg != 0 {
 				t.Fatalf("compaction allocates %.1f objects, want 0", avg)
 			}
-			if len(a.queue) != len(queued)/2 {
-				t.Fatalf("compaction kept %d of %d tasks, want %d", len(a.queue), len(queued), len(queued)/2)
+			got := l.queued()
+			if len(got) != len(queued)/2 || a.depth != len(got) {
+				t.Fatalf("compaction kept %d of %d tasks (depth %d), want %d", len(got), len(queued), a.depth, len(queued)/2)
 			}
-			for i, q := range a.queue {
-				if q != queued[2*i+1] {
-					t.Fatalf("compacted queue[%d] = %s, want %s", i, q.task.ID, queued[2*i+1].task.ID)
+			for i, e := range got {
+				if e != queued[2*i+1] {
+					t.Fatalf("compacted lane[%d] = %s, want %s", i, e.task.ID, queued[2*i+1].task.ID)
 				}
 			}
-			// The slots of the backing array outside the queue must not
+			// The slots of the backing array outside the lane must not
 			// keep started tasks alive.
-			start := slices.IndexFunc(buf, func(q queueEntry) bool { return q == a.queue[0] })
-			for i, q := range buf {
-				if (i < start || i >= start+len(a.queue)) && q.task != nil {
-					t.Fatalf("dead queue slot %d still holds %s", i, q.task.ID)
+			for i, e := range buf {
+				if (i < l.head || i >= len(l.buf)) && e.task != nil {
+					t.Fatalf("dead lane slot %d still holds %s", i, e.task.ID)
 				}
 			}
 		})

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"impress/internal/cluster"
 	"impress/internal/fault"
@@ -22,42 +23,50 @@ import (
 
 // referencePass is the naive submission-order pass: it offers every
 // queued task capacity in submission order (stopping at the first miss
-// under fifo), copies the survivors into a fresh queue and appends the
-// mid-pass arrivals, with the same blocked-latch rules as the agent.
+// under fifo), rebuilds each lane from its unstarted tasks, and applies
+// the same blocked-latch rules as the agent.
 func referencePass(a *agent) {
-	if !a.pilot.Active() || len(a.queue) == 0 {
+	if !a.pilot.Active() || a.depth == 0 {
 		return
 	}
 	if a.blocked && a.cluster.FreedStamp() == a.blockedStamp {
 		return
 	}
 	a.blocked = false
-	n := len(a.queue)
-	remaining := make([]queueEntry, 0, n)
+	end := a.seq
 	continueOnBlock := a.policy.ContinueOnBlock()
-	blocked := false
-	for i := 0; i < n; i++ {
-		q := a.queue[i]
-		if blocked && !continueOnBlock {
-			remaining = append(remaining, a.queue[i:n]...)
-			break
-		}
-		alloc := a.allocate(q.task)
+	for _, e := range slices.Clone(a.mergedQueue()) {
+		alloc := a.allocate(e.task)
 		if alloc == nil {
-			blocked = true
-			remaining = append(remaining, q)
+			if !continueOnBlock {
+				break
+			}
 			continue
 		}
-		a.startSetup(q.task, alloc)
+		a.startSetup(e.task, alloc)
 	}
-	tail := a.queue[n:]
-	remaining = append(remaining, tail...)
-	a.queue = remaining
-	if len(tail) == 0 && len(remaining) > 0 {
+	a.depth = 0
+	arrivals := false
+	for l := range a.allLanes {
+		kept := slices.DeleteFunc(slices.Clone(l.queued()), func(e laneEntry) bool { return e.task.state != StateScheduling })
+		*l = lane{buf: kept}
+		a.depth += len(kept)
+		arrivals = arrivals || slices.ContainsFunc(kept, func(e laneEntry) bool { return e.seq >= end })
+	}
+	if !arrivals && a.depth > 0 {
 		a.blocked = true
 		a.blockedStamp = a.cluster.FreedStamp()
 	}
 	a.noteQueueDepth()
+}
+
+// queuedIDs lists a's queued task IDs in submission order.
+func queuedIDs(a *agent) []string {
+	var ids []string
+	for _, e := range a.mergedQueue() {
+		ids = append(ids, e.task.ID)
+	}
+	return ids
 }
 
 // passWorld is one randomized simulation whose scheduling passes are run
@@ -89,11 +98,7 @@ func (w *passWorld) settle() {
 			again = true
 			a.rerun = false
 			w.pass(a)
-			ids := make([]string, len(a.queue))
-			for i, q := range a.queue {
-				ids[i] = q.task.ID
-			}
-			w.logf("pass %s queue [%s]", p.ID, strings.Join(ids, " "))
+			w.logf("pass %s queue [%s]", p.ID, strings.Join(queuedIDs(a), " "))
 		}
 	}
 }
@@ -319,17 +324,17 @@ func comparePasses(t *testing.T, policy string, trial int64, nShapes int) {
 	// backfill every leftover task avoids some node, under fifo at least
 	// the head does.
 	for _, p := range got.pilots {
-		for i, q := range p.agent.queue {
-			if len(q.task.avoidNodes) == 0 && (policy == "backfill" || i == 0) {
-				t.Fatalf("%s ended with %s queued and no exclusions", p.ID, q.task.ID)
+		for i, e := range p.agent.mergedQueue() {
+			if len(e.task.avoidNodes) == 0 && (policy == "backfill" || i == 0) {
+				t.Fatalf("%s ended with %s queued and no exclusions", p.ID, e.task.ID)
 			}
 		}
 	}
 }
 
 // TestSubmissionPassInternsCoveringShapes pins the memo's bookkeeping on
-// the stage mix's shapes and the in-place queue: a pass over a blocked
-// queue leaves every task, and the queue's backing array, where it was.
+// the stage mix's shapes and the lanes: a pass over a blocked queue
+// leaves every lane, its entries and its backing array where they were.
 func TestSubmissionPassInternsCoveringShapes(t *testing.T) {
 	pd := defaultPD()
 	pd.Policy = "backfill"
@@ -342,16 +347,25 @@ func TestSubmissionPassInternsCoveringShapes(t *testing.T) {
 	}
 	h.engine.RunUntil(simclock.Time(30 * time.Minute))
 	a := h.pilot.agent
-	if len(a.shapes) != 4 {
-		t.Fatalf("interned %d shapes, want 4", len(a.shapes))
+	if len(a.shapes) != 4 || len(a.lanes) != 4 {
+		t.Fatalf("interned %d shapes in %d lanes, want 4", len(a.shapes), len(a.lanes))
 	}
 	// Every shape covers 1c, so a 1c miss marks them all, including the
 	// shapes interned after 1c; 8c and 2c+1g are covered only by
 	// themselves and the wide 28c+4g shape.
-	for i, r := range mix {
-		s := a.queue[i].shape
-		if a.shapes[s] != r {
-			t.Fatalf("queue[%d] interned as %+v, want %+v", i, a.shapes[s], r)
+	for _, r := range mix {
+		s := a.shapeOf(r)
+		if s == noShape {
+			t.Fatalf("%+v not interned", r)
+		}
+		q := a.lanes[s].queued()
+		if len(q) != 100 {
+			t.Fatalf("lane of %+v holds %d tasks, want 100", r, len(q))
+		}
+		for _, e := range q {
+			if requestOf(e.task) != r {
+				t.Fatalf("lane of %+v holds a task of %+v", r, requestOf(e.task))
+			}
 		}
 		want := 1<<s | 1<<0
 		if r == (cluster.Request{Cores: 1}) {
@@ -361,57 +375,87 @@ func TestSubmissionPassInternsCoveringShapes(t *testing.T) {
 			t.Fatalf("covers[%+v] = %b, want %b", r, a.covers[s], want)
 		}
 	}
-	before := slices.Clone(a.queue)
-	head := &a.queue[0]
+	type snapshot struct {
+		entries []laneEntry
+		array   *laneEntry
+		head    int
+	}
+	var before []snapshot
+	for l := range a.allLanes {
+		before = append(before, snapshot{slices.Clone(l.queued()), unsafe.SliceData(l.buf), l.head})
+	}
 	a.blocked = false
 	a.schedule()
-	if len(a.queue) != len(before) || &a.queue[0] != head {
-		t.Fatal("a pass that placed nothing moved the queue")
-	}
-	for i := range before {
-		if a.queue[i] != before[i] {
-			t.Fatalf("queue[%d] changed by a pass that placed nothing", i)
+	i := 0
+	for l := range a.allLanes {
+		b := before[i]
+		if unsafe.SliceData(l.buf) != b.array || l.head != b.head {
+			t.Fatalf("a pass that placed nothing moved lane %d", i)
 		}
+		if !slices.Equal(l.queued(), b.entries) {
+			t.Fatalf("lane %d changed by a pass that placed nothing", i)
+		}
+		i++
+	}
+	if a.depth != 300 {
+		t.Fatalf("queue depth %d, want 300", a.depth)
 	}
 	if !a.blocked {
 		t.Fatal("blocked pass did not latch the watermark")
 	}
 }
 
-// TestFinishPassKeepsWidestGapInPlace pins the compaction's cost rule:
-// the survivors in the widest gap between started tasks stay in place
-// and only the shorter runs around it move.
+// TestFinishPassKeepsWidestGapInPlace pins the per-lane compaction's cost
+// rule: the survivors in the widest gap between started tasks stay in
+// place and only the shorter runs around it move. A lane whose front
+// moves is resliced, and slides back to the start of its array before it
+// grows.
 func TestFinishPassKeepsWidestGapInPlace(t *testing.T) {
-	a := newHarness(t, defaultPD()).pilot.agent
-	a.rec = nil
 	for _, tc := range []struct {
-		holes []int
-		still int // a queue index whose slot must not move
+		holes []int32
+		still int // a lane index whose slot must not move
 	}{
-		{[]int{1}, 9},    // near the head: only queue[0] shifts
-		{[]int{8}, 0},    // near the tail: only queue[9] shifts
-		{[]int{2, 7}, 3}, // both ends move; queue[3:7] stays
+		{[]int32{1}, 9},    // near the head: only entry 0 shifts
+		{[]int32{8}, 0},    // near the tail: only entry 9 shifts
+		{[]int32{2, 7}, 3}, // both ends move; entries 3–6 stay
 	} {
-		buf := make([]queueEntry, 10)
+		buf := make([]laneEntry, 10)
 		for i := range buf {
-			buf[i] = queueEntry{task: &Task{ID: fmt.Sprint(i), state: StateScheduling}, shape: noShape}
-			a.countQueued(buf[i].shape, 1)
+			buf[i] = laneEntry{task: &Task{ID: fmt.Sprint(i), state: StateScheduling}, seq: uint64(i)}
 		}
 		want := slices.Clone(buf)
 		for _, h := range slices.Backward(tc.holes) {
-			want = slices.Delete(want, h, h+1)
+			want = slices.Delete(want, int(h), int(h)+1)
 		}
 		stay := buf[tc.still]
-		a.queue = buf
-		a.finishPass(len(buf), tc.holes)
-		if !slices.Equal(a.queue, want) {
-			t.Fatalf("holes %v: queue %v, want %v", tc.holes, a.queue, want)
+		l := lane{buf: buf, holes: slices.Clone(tc.holes)}
+		if got := l.drop(); got != len(tc.holes) {
+			t.Fatalf("holes %v: dropped %d", tc.holes, got)
+		}
+		if !slices.Equal(l.queued(), want) {
+			t.Fatalf("holes %v: lane %v, want %v", tc.holes, l.queued(), want)
 		}
 		if buf[tc.still] != stay {
-			t.Fatalf("holes %v: queue[%d] moved", tc.holes, tc.still)
+			t.Fatalf("holes %v: entry %d moved", tc.holes, tc.still)
 		}
-		a.queue = nil
-		a.unshaped = 0
+		if len(l.holes) != 0 {
+			t.Fatalf("holes %v: drop left holes %v", tc.holes, l.holes)
+		}
+		if l.head == 0 {
+			continue
+		}
+		// The lane was resliced from the front: once its array is full,
+		// the next push slides it back instead of growing the array.
+		for len(l.buf) < cap(l.buf) {
+			l.push(laneEntry{task: &Task{ID: "pad"}, seq: 100})
+		}
+		l.push(laneEntry{task: &Task{ID: "last"}, seq: 101})
+		if unsafe.SliceData(l.buf) != unsafe.SliceData(buf) {
+			t.Fatalf("holes %v: push grew a lane with room at its front", tc.holes)
+		}
+		if l.head != 0 || !slices.Equal(l.queued()[:len(want)], want) {
+			t.Fatalf("holes %v: push did not slide the lane back in order", tc.holes)
+		}
 	}
 }
 
@@ -437,14 +481,106 @@ func BenchmarkBlockedBackfillPass(b *testing.B) {
 			}
 			h.engine.RunUntil(simclock.Time(30 * time.Minute))
 			a := h.pilot.agent
-			if len(a.queue) != depth {
-				b.Fatalf("queue depth %d, want %d", len(a.queue), depth)
+			if a.depth != depth {
+				b.Fatalf("queue depth %d, want %d", a.depth, depth)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a.blocked = false
 				a.schedule()
+			}
+		})
+	}
+}
+
+// TestQueuedOrderAcrossLanes interleaves three shapes in the queue and
+// cancels a task from the middle of one lane; every reader of the whole
+// queue must still see submission order: QueuedRequests, the fit-ranking
+// policies' queue view, and the unwind order of failAll and terminateAll.
+func TestQueuedOrderAcrossLanes(t *testing.T) {
+	mix := []cluster.Request{{Cores: 1}, {Cores: 8}, {Cores: 2, GPUs: 1}}
+	// setup places a wide task that fills the node, then queues twelve
+	// tasks cycling through mix and cancels the second 8-core one. It
+	// returns the wide task and the queued tasks in submission order.
+	setup := func(t *testing.T, policy string) (*harness, *Task, []*Task) {
+		pd := defaultPD()
+		pd.Policy = policy
+		h := newHarness(t, pd)
+		wide := h.tm.MustSubmit(TaskDescription{Name: "wide", Cores: 28, GPUs: 4, Work: sleepWork("w", 100*time.Hour, 28, 4)})
+		h.engine.RunUntil(simclock.Time(30 * time.Minute))
+		if wide.State() != StateRunning {
+			t.Fatalf("wide task %v, want RUNNING", wide.State())
+		}
+		var queued []*Task
+		for i := 0; i < 12; i++ {
+			r := mix[i%3]
+			queued = append(queued, h.tm.MustSubmit(TaskDescription{Name: "q", Cores: r.Cores, GPUs: r.GPUs, Work: sleepWork("q", time.Hour, r.Cores, r.GPUs)}))
+		}
+		h.tm.Cancel(queued[4])
+		queued = slices.Delete(queued, 4, 5)
+		a := h.pilot.agent
+		if n := len(a.lanes[a.shapeOf(mix[1])].queued()); n != 3 {
+			t.Fatalf("8-core lane holds %d tasks after the cancel, want 3", n)
+		}
+		if a.QueueLen() != len(queued) {
+			t.Fatalf("QueueLen %d, want %d", a.QueueLen(), len(queued))
+		}
+		return h, wide, queued
+	}
+	uids := func(tasks []*Task) []uint64 {
+		var out []uint64
+		for _, task := range tasks {
+			out = append(out, task.UID)
+		}
+		return out
+	}
+
+	t.Run("QueuedRequests", func(t *testing.T) {
+		h, _, queued := setup(t, "backfill")
+		var want []cluster.Request
+		for _, task := range queued {
+			want = append(want, requestOf(task))
+		}
+		if got := h.pilot.QueuedRequests(); !slices.Equal(got, want) {
+			t.Fatalf("QueuedRequests %v, want %v", got, want)
+		}
+	})
+	for _, policy := range []string{"bestfit", "worstfit", "largest"} {
+		t.Run(policy, func(t *testing.T) {
+			h, _, queued := setup(t, policy)
+			a := h.pilot.agent
+			a.blocked = false
+			a.schedule()
+			var got []uint64
+			for _, item := range a.scratchItems {
+				got = append(got, item.UID)
+			}
+			if want := uids(queued); !slices.Equal(got, want) {
+				t.Fatalf("policy saw the queue as UIDs %v, want %v", got, want)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name   string
+		final  TaskState
+		unwind func(*Pilot)
+	}{
+		{"failAll", StateFailed, (*Pilot).expire},
+		{"terminateAll", StateCanceled, (*Pilot).Cancel},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, wide, queued := setup(t, "backfill")
+			last := queued[len(queued)-1].UID
+			var unwound []uint64
+			h.tm.OnState(func(task *Task, s TaskState) {
+				if s == tc.final && task.UID <= last {
+					unwound = append(unwound, task.UID)
+				}
+			})
+			tc.unwind(h.pilot)
+			if want := append(uids(queued), wide.UID); !slices.Equal(unwound, want) {
+				t.Fatalf("unwound UIDs %v, want %v", unwound, want)
 			}
 		})
 	}

@@ -279,12 +279,13 @@ func (p *Pilot) QueueLen() int { return p.agent.QueueLen() }
 func (p *Pilot) RunningCount() int { return len(p.agent.running) }
 
 // QueuedRequests returns the allocation requests of the queued tasks in
-// queue order — what the steering controller matches donor node shapes
-// against.
+// submission order — what the steering controller matches donor node
+// shapes against.
 func (p *Pilot) QueuedRequests() []cluster.Request {
-	out := make([]cluster.Request, 0, len(p.agent.queue))
-	for _, q := range p.agent.queue {
-		out = append(out, requestOf(q.task))
+	queue := p.agent.mergedQueue()
+	out := make([]cluster.Request, len(queue))
+	for i, e := range queue {
+		out[i] = requestOf(e.task)
 	}
 	return out
 }
