@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -294,5 +295,87 @@ func BenchmarkRecorderAddTask(b *testing.B) {
 		for j := 0; j < n; j++ {
 			r.AddTask(rec)
 		}
+	}
+}
+
+// sortSliceTasks is the snapshot Tasks built before it sorted pointers:
+// the records in append order, sorted in place by sort.Slice.
+func sortSliceTasks(recs []TaskRecord) []TaskRecord {
+	out := slices.Clone(recs)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Submitted != out[j].Submitted {
+			return out[i].Submitted < out[j].Submitted
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// shuffledTaskRecords returns n records with unique IDs in a seeded
+// random order. Their submission times take n/64 values, so about 64
+// records share each one and, once added, straddle page boundaries.
+func shuffledTaskRecords(n int) []TaskRecord {
+	rng := xrand.New(42)
+	recs := make([]TaskRecord, n)
+	for i := range recs {
+		recs[i] = taskRecord(i, simclock.Time(rng.Intn(n/64))*simclock.Time(time.Minute))
+	}
+	for i := n - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		recs[i], recs[j] = recs[j], recs[i]
+	}
+	return recs
+}
+
+// TestTasksMatchesSortSlice checks the pointer-sorted snapshot against
+// sort.Slice on 40k shuffled records, and that a snapshot handed out
+// before a later AddTask keeps its contents.
+func TestTasksMatchesSortSlice(t *testing.T) {
+	recs := shuffledTaskRecords(40_000)
+	r := NewRecorder(8, 1, 0)
+	for _, rec := range recs {
+		r.AddTask(rec)
+	}
+	got := r.Tasks()
+	if want := sortSliceTasks(recs); !slices.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("Tasks() differs from sort.Slice at record %d of %d/%d", i, len(got), len(want))
+	}
+	shared := 0
+	for i := 1; i < len(got); i++ {
+		if got[i].Submitted == got[i-1].Submitted {
+			shared++
+		}
+	}
+	if shared < len(got)/2 {
+		t.Fatalf("only %d records share a submission time with their predecessor", shared)
+	}
+
+	snap := slices.Clone(got)
+	early := taskRecord(len(recs), 0)
+	early.ID = "task.early"
+	r.AddTask(early)
+	if !slices.Equal(got, snap) {
+		t.Fatal("AddTask mutated an earlier Tasks() snapshot")
+	}
+	if again := r.Tasks(); len(again) != len(recs)+1 || !slices.Equal(again, sortSliceTasks(append(recs, early))) {
+		t.Fatal("Tasks() after AddTask differs from sort.Slice")
+	}
+}
+
+// BenchmarkRecorderTasks times rebuilding the sorted snapshot of a 40k
+// record log, the size of a taskbag run.
+func BenchmarkRecorderTasks(b *testing.B) {
+	r := NewRecorder(8, 1, 0)
+	for _, rec := range shuffledTaskRecords(40_000) {
+		r.AddTask(rec)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		r.sortedTasks = nil
+		r.Tasks()
 	}
 }
