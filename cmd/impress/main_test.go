@@ -73,7 +73,7 @@ func TestTranscripts(t *testing.T) {
 			{Name: "experiments-table1-admit", Args: []string{"experiments", "-admit", "quota", "table1"}},
 			{Name: "experiments-table1-steer-none", Args: []string{"experiments", "-steer", "none", "table1"}},
 			{Name: "experiments-table1-tenancy", Args: []string{"experiments", "-tenants", "3", "-arrival", "linear", "-arrival-span", "1h", "-admit", "quota", "-reclaim", "none", "table1"}},
-			{Name: "experiments-table1-preempt", Args: []string{"experiments", "-checkpoint-interval", "30m", "-walltime-grace", "10m", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1", "-chrome-trace", "x.json", "table1"}},
+			{Name: "experiments-table1-preempt", Args: []string{"experiments", "-checkpoint-interval", "30m", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1", "-chrome-trace", "x.json", "table1"}},
 			{Name: "experiments-negative-screen", Args: []string{"experiments", "-screen-size", "-5"}},
 		})
 	})
