@@ -148,7 +148,7 @@ func TestModeRules(t *testing.T) {
 		"cpuprofile": all, "memprofile": all,
 
 		"pilots": execution, "nodes": execution, "steer": execution,
-		"checkpoint-interval": execution, "walltime-grace": execution, "chrome-trace": execution,
+		"checkpoint-interval": execution, "chrome-trace": execution,
 
 		"fleet":   "run pair table1",
 		"tenants": "pair table1", "arrival": "pair table1", "arrival-span": "pair table1",

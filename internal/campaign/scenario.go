@@ -77,9 +77,6 @@ type Params struct {
 	// in every campaign (0 keeps checkpointing off). The preempt-sweep
 	// scenario rejects it — racing checkpoint intervals is its point.
 	CheckpointInterval time.Duration
-	// WalltimeGrace sets the graceful drain window at fault-model
-	// walltime expiry in every campaign (0 keeps the hard kill).
-	WalltimeGrace time.Duration
 	// Tenants is the number of arriving campaigns in the tenant-sweep
 	// scenario (default 8). Other scenarios ignore it.
 	Tenants int
@@ -240,9 +237,6 @@ func Configure(cfg core.Config, p Params) (core.Config, error) {
 	}
 	if p.CheckpointInterval > 0 {
 		cfg.CheckpointInterval = p.CheckpointInterval
-	}
-	if p.WalltimeGrace > 0 {
-		cfg.WalltimeGrace = p.WalltimeGrace
 	}
 	return cfg, nil
 }
@@ -695,9 +689,10 @@ func preemptSweepAt(seed uint64, n int, p Params) ([]Campaign, error) {
 	if rec == "" {
 		rec = "elsewhere"
 	}
-	mkConfig := func(cell Params, wall *fault.Spec) (core.Config, error) {
+	mkConfig := func(cell Params, wall *fault.Spec, grace time.Duration) (core.Config, error) {
 		cfg := core.AdaptiveConfig(seed)
 		cfg.Machine = machine
+		cfg.WalltimeGrace = grace
 		ps := append([]core.PilotSpec(nil), pilots...)
 		ps[0].Fault = wall
 		return configureOn(cfg, cell, ps)
@@ -707,8 +702,7 @@ func preemptSweepAt(seed uint64, n int, p Params) ([]Campaign, error) {
 	base.Recovery = ""
 	base.Steer = "none"
 	base.CheckpointInterval = 0
-	base.WalltimeGrace = 0
-	baseCfg, err := mkConfig(base, nil)
+	baseCfg, err := mkConfig(base, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -725,11 +719,11 @@ func preemptSweepAt(seed uint64, n int, p Params) ([]Campaign, error) {
 				cell.Recovery = rec
 				cell.Steer = st
 				cell.CheckpointInterval = iv
-				cell.WalltimeGrace = 0
+				grace := time.Duration(0)
 				if mode == "drain" {
-					cell.WalltimeGrace = preemptGrace
+					grace = preemptGrace
 				}
-				cfg, err := mkConfig(cell, &fault.Spec{Walltime: preemptWalltime})
+				cfg, err := mkConfig(cell, &fault.Spec{Walltime: preemptWalltime}, grace)
 				if err != nil {
 					return nil, err
 				}
@@ -1007,9 +1001,6 @@ func init() {
 		Build: func(p Params) ([]Campaign, error) {
 			if p.CheckpointInterval > 0 {
 				return nil, fmt.Errorf("campaign: preempt-sweep races checkpoint intervals; a fixed interval %v does not apply", p.CheckpointInterval)
-			}
-			if p.WalltimeGrace > 0 {
-				return nil, fmt.Errorf("campaign: preempt-sweep races hard kill against graceful drain; a fixed grace %v does not apply", p.WalltimeGrace)
 			}
 			// An explicit "none" is the frozen default (and a cell of the
 			// race anyway); only an actual steering policy is a conflict.

@@ -101,8 +101,6 @@ func Register(fs *flag.FlagSet) *Common {
 		"elastic steering policy for multi-pilot campaigns: "+strings.Join(steer.Names(), ", ")+" (empty = none: partitions stay frozen)")
 	fs.DurationVar(&p.CheckpointInterval, "checkpoint-interval", 0,
 		"checkpoint cadence in virtual time for evict-and-resume, e.g. 30m (0 = off: interrupted attempts restart from zero)")
-	fs.DurationVar(&p.WalltimeGrace, "walltime-grace", 0,
-		"graceful drain window at fault-model walltime expiry: running work that cannot finish is checkpointed and requeued (0 = hard kill)")
 	fs.StringVar(&p.Fleet, "fleet", "",
 		"fleet template spec for fleet-driven scenarios, e.g. cpu:28c0g128m*900+gpu:8c4g32m*100 (empty = scenario default)")
 	fs.IntVar(&p.Tenants, "tenants", 0,
@@ -266,9 +264,6 @@ func (c *Common) Validate() error {
 	if err := steer.ValidateTenant(p.Reclaim); err != nil {
 		return fmt.Errorf("-reclaim: %w", err)
 	}
-	if p.WalltimeGrace < 0 {
-		return fmt.Errorf("-walltime-grace %v: drain window cannot be negative", p.WalltimeGrace)
-	}
 	return c.Fault().Validate()
 }
 
@@ -287,10 +282,6 @@ func (c *Common) Warnings() []string {
 	if p.CheckpointInterval > 0 && !c.Fault().Enabled() && p.Steer != "preempt" {
 		out = append(out, fmt.Sprintf(
 			"-checkpoint-interval %v has no effect: nothing evicts running work without a failure model or -steer preempt", p.CheckpointInterval))
-	}
-	if p.WalltimeGrace > 0 && c.Fault().Walltime == 0 {
-		out = append(out, fmt.Sprintf(
-			"-walltime-grace %v has no effect without a fault-model walltime bounding a pilot", p.WalltimeGrace))
 	}
 	if p.Steer == "preempt" && p.CheckpointInterval == 0 {
 		out = append(out,

@@ -101,13 +101,11 @@ func TestWarnings(t *testing.T) {
 		{"checkpoint with fault model", []string{"-checkpoint-interval", "30m", "-mtbf", "6h"}, nil},
 		{"checkpoint with preempt steering",
 			[]string{"-checkpoint-interval", "30m", "-steer", "preempt", "-pilots", "split", "-nodes", "4"}, nil},
-		{"grace without walltime", []string{"-walltime-grace", "45m"},
-			[]string{"-walltime-grace 45m0s has no effect"}},
 		{"preempt steering without checkpointing",
 			[]string{"-steer", "preempt", "-pilots", "split", "-nodes", "4"},
 			[]string{"-steer preempt without -checkpoint-interval"}},
-		{"stacked warnings", []string{"-recovery", "elsewhere", "-walltime-grace", "45m"},
-			[]string{"-recovery", "-walltime-grace"}},
+		{"stacked warnings", []string{"-recovery", "elsewhere", "-checkpoint-interval", "30m"},
+			[]string{"-recovery", "-checkpoint-interval"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
