@@ -208,7 +208,7 @@ func runRule(f *flags) (string, func(string) bool) {
 // sweepRule: the pair sweep runs on each protocol's own machine, so
 // neither -fleet nor the tenancy flags reach its campaigns.
 func sweepRule(f *flags) (string, func(string) bool) {
-	return "the pair sweep (use -scenario)", func(name string) bool {
+	return "the pair sweep (use impress run -scenario)", func(name string) bool {
 		switch name {
 		case "seeds", "csv":
 			return true
@@ -223,7 +223,7 @@ func sweepRule(f *flags) (string, func(string) bool) {
 // single-pilot machine and execution model, so only the flags in
 // paperFlags apply.
 func experimentsRule(*flags) (string, func(string) bool) {
-	return "the paper experiments (use -scenario)", func(name string) bool { return paperFlags[name] }
+	return "the paper experiments (use impress run -scenario)", func(name string) bool { return paperFlags[name] }
 }
 
 // paperFlags are the flags the paper experiments honour.
