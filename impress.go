@@ -244,12 +244,12 @@ func LookupScenario(name string) (Scenario, bool) { return campaign.Lookup(name)
 func Summary(r *Result) string { return report.Summary(r) }
 
 // SchedulingPolicies returns the registered pilot-agent scheduling policy
-// names (sorted): the values accepted by Config.Policy, PilotSpec.Policy,
-// and the impress command's -policy flag.
+// names (sorted): the values accepted by Config.Policy and the impress
+// command's -policy flag.
 func SchedulingPolicies() []string { return sched.Names() }
 
 // ValidatePolicy checks a scheduling-policy name; the empty string is
-// valid (it derives the classic behaviour from Config.Backfill).
+// valid and means fifo.
 func ValidatePolicy(name string) error { return sched.Validate(name) }
 
 // PolicyCompare renders the scheduling-policy comparison table over

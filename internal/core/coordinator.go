@@ -94,26 +94,22 @@ type Config struct {
 	// pilots with task routing by resource class — e.g. SplitPilots'
 	// CPU/GPU partition pair. Machine is ignored when Pilots is non-empty.
 	Pilots []PilotSpec
-	// Walltime bounds each pilot (0 = unbounded).
-	Walltime time.Duration
 	// Sub is the sub-pipeline generation policy.
 	Sub SubPolicy
 	// MaxConcurrent caps concurrently active pipelines (0 = unlimited;
 	// the control runner forces 1).
 	MaxConcurrent int
-	// Backfill enables the agent scheduler's backfill pass. It is
-	// consulted only when Policy is empty.
-	Backfill bool
 	// Policy names the agent scheduling policy for every pilot of the
 	// campaign (internal/sched: fifo, backfill, bestfit, worstfit,
-	// largest). Empty derives the classic behaviour from Backfill.
-	// Individual PilotSpec entries may override it per pilot.
+	// largest). Empty means fifo; AdaptiveConfig picks backfill and
+	// ControlConfig fifo.
 	Policy string
 	// Fault declares the failure models injected into every pilot
 	// (internal/fault). The zero value is inert: the campaign is
 	// bit-identical to one run without the fault subsystem. With faults
 	// enabled, a pipeline whose task fails terminally is killed and
-	// counted instead of failing the campaign.
+	// counted instead of failing the campaign. Fault.Walltime is the one
+	// bound on a pilot's lifetime.
 	Fault fault.Spec
 	// Recovery names the fault-recovery policy for every pilot
 	// (internal/fault: none, retry, backoff, elsewhere). Empty means
@@ -141,9 +137,8 @@ type Config struct {
 	// (internal/steer: none, greedy, hysteresis). Empty means "none":
 	// pilot partitions stay frozen at campaign start, bit-identical to
 	// the pre-steering runtime. With steering on, a controller watches
-	// per-pilot queue pressure and transfers idle nodes between pilots
-	// mid-campaign; individual PilotSpec entries may opt single pilots
-	// out (Steer "none" freezes that pilot's partition).
+	// per-pilot queue pressure and transfers idle nodes between every
+	// pilot of the campaign.
 	Steer string
 	// Seed is the campaign's root seed.
 	Seed uint64
@@ -158,7 +153,7 @@ func AdaptiveConfig(seed uint64) Config {
 		Pipeline: p,
 		Machine:  cluster.AmarelNode(),
 		Sub:      DefaultSubPolicy(),
-		Backfill: true,
+		Policy:   "backfill",
 		Seed:     seed,
 	}
 }
@@ -173,7 +168,7 @@ func ControlConfig(seed uint64) Config {
 		Machine:       cluster.AmarelNode(),
 		Sub:           SubPolicy{},
 		MaxConcurrent: 1,
-		Backfill:      false,
+		Policy:        "fifo",
 		Seed:          seed,
 	}
 }
@@ -244,13 +239,7 @@ func NewCoordinator(targets []*workload.Target, cfg Config) (*Coordinator, error
 		return nil, err
 	}
 	for _, ps := range cfg.pilotSpecs() {
-		if err := sched.Validate(ps.Policy); err != nil {
-			return nil, fmt.Errorf("core: pilot %q: %w", ps.Name, err)
-		}
 		if err := fault.Validate(ps.Recovery); err != nil {
-			return nil, fmt.Errorf("core: pilot %q: %w", ps.Name, err)
-		}
-		if err := steer.Validate(ps.Steer); err != nil {
 			return nil, fmt.Errorf("core: pilot %q: %w", ps.Name, err)
 		}
 		if ps.Fault != nil {
@@ -336,12 +325,10 @@ func (c *Coordinator) StartOn(engine *simclock.Engine, onDone func()) error {
 			Machine:            ps.Machine,
 			Nodes:              ps.Nodes,
 			Cost:               c.cfg.Pipeline.Cost,
-			Backfill:           c.cfg.Backfill,
-			Policy:             ps.policyFor(c.cfg),
-			Walltime:           c.cfg.Walltime,
+			Policy:             c.cfg.Policy,
 			Fault:              ps.faultFor(c.cfg),
 			Recovery:           ps.recoveryFor(c.cfg),
-			Steer:              ps.steerFor(c.cfg),
+			Steer:              c.cfg.Steer,
 			CheckpointInterval: c.cfg.CheckpointInterval,
 			WalltimeGrace:      c.cfg.WalltimeGrace,
 			Seed:               xrand.Derive(c.cfg.Seed, ps.Name),
@@ -573,12 +560,10 @@ func (c *Coordinator) startSteering() {
 		panic(err)
 	}
 	elastics := make([]steer.Elastic, len(c.pilots))
-	frozen := make([]bool, len(c.pilots))
 	for i, p := range c.pilots {
 		elastics[i] = p
-		frozen[i] = !steer.Enabled(p.Steer())
 	}
-	c.steerer = steer.NewController(c.engine, elastics, frozen, pol, steer.DefaultPeriod, c.onNodeTransfer)
+	c.steerer = steer.NewController(c.engine, elastics, pol, steer.DefaultPeriod, c.onNodeTransfer)
 	c.steerer.SetTelemetry(c.tel)
 	c.steerer.Start()
 }
@@ -693,19 +678,19 @@ func RunAdaptive(targets []*workload.Target, cfg Config) (*Result, error) {
 }
 
 // ForControl returns the configuration with the control protocol's
-// execution policy forced: sequential pipelines, no sub-pipeline
-// generation, no backfill. Pipeline parameters are left as configured.
+// execution policy forced: sequential pipelines and no sub-pipeline
+// generation. Pipeline parameters and the scheduling policy are left as
+// configured; ControlConfig picks fifo.
 func (cfg Config) ForControl() Config {
 	cfg.MaxConcurrent = 1
 	cfg.Sub.Enabled = false
-	cfg.Backfill = false
 	return cfg
 }
 
 // RunControl executes a CONT-V campaign: it forces sequential execution,
 // disables adaptivity-dependent coordinator features, and leaves the
-// pipeline parameters as configured (callers normally pass
-// ControlConfig).
+// pipeline parameters and the scheduling policy as configured (callers
+// normally pass ControlConfig, which picks fifo).
 func RunControl(targets []*workload.Target, cfg Config) (*Result, error) {
 	coord, err := NewCoordinator(targets, cfg.ForControl())
 	if err != nil {

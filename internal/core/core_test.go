@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -327,16 +326,40 @@ func TestRunTwiceFails(t *testing.T) {
 	}
 }
 
+// TestWalltimeExpiryReportsError: a pilot walltime far too short for any
+// cycle kills every pipeline, and the campaign reports the loss in its
+// fault accounting rather than as an error.
 func TestWalltimeExpiryReportsError(t *testing.T) {
 	targets := smallTargets(t, 2, 12)
 	cfg := fastAdaptive(12)
-	cfg.Walltime = 30 * time.Minute // far too short for any cycle
-	_, err := RunAdaptive(targets, cfg)
-	if err == nil {
-		t.Fatal("walltime-killed campaign reported success")
+	cfg.Fault.Walltime = 30 * time.Minute
+	res, err := RunAdaptive(targets, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "errors") {
-		t.Fatalf("unexpected error: %v", err)
+	if res.Faults == nil || res.Faults.KilledPipelines != len(targets) || res.Faults.WalltimeKills == 0 {
+		t.Fatalf("fault stats %+v, want %d killed pipelines and walltime kills", res.Faults, len(targets))
+	}
+}
+
+// TestWalltimeOutlastingWorkIsInert: a pilot walltime that outlasts the
+// campaign's work ends nothing early; the campaign finishes with the
+// makespan and task count of the same campaign without one.
+func TestWalltimeOutlastingWorkIsInert(t *testing.T) {
+	targets := smallTargets(t, 2, 12)
+	free, err := RunAdaptive(targets, fastAdaptive(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastAdaptive(12)
+	cfg.Fault.Walltime = 1000 * time.Hour
+	bounded, err := RunAdaptive(smallTargets(t, 2, 12), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bounded.Makespan != free.Makespan || bounded.TaskCount != free.TaskCount {
+		t.Fatalf("walltime 1000h: makespan %v, %d tasks; without walltime %v, %d tasks",
+			bounded.Makespan, bounded.TaskCount, free.Makespan, free.TaskCount)
 	}
 }
 

@@ -57,9 +57,6 @@ type PilotSpec struct {
 	Nodes []cluster.NodeCapacity
 	// Serves restricts the task classes routed here; empty serves all.
 	Serves []ResourceClass
-	// Policy overrides the campaign's scheduling policy for this pilot
-	// (internal/sched name); empty inherits Config.Policy.
-	Policy string
 	// Recovery overrides the campaign's fault-recovery policy for this
 	// pilot (internal/fault name); empty inherits Config.Recovery.
 	Recovery string
@@ -68,26 +65,11 @@ type PilotSpec struct {
 	// bound a single pilot's walltime while the rest of the fleet
 	// survives to absorb its drained work.
 	Fault *fault.Spec
-	// Steer overrides the campaign's elastic-steering participation for
-	// this pilot (internal/steer name); empty inherits Config.Steer. A
-	// pilot resolved to "none" is frozen: it neither donates nor
-	// receives nodes while the rest of the campaign steers.
-	Steer string
 }
 
-// policyFor resolves the scheduling policy this pilot runs under: its own
-// override, else the campaign-wide policy, else empty (the pilot layer
-// then derives fifo/backfill from the legacy Backfill flag).
-func (ps PilotSpec) policyFor(cfg Config) string {
-	if ps.Policy != "" {
-		return ps.Policy
-	}
-	return cfg.Policy
-}
-
-// recoveryFor resolves the fault-recovery policy this pilot runs under,
-// mirroring policyFor: per-pilot override, else campaign-wide, else
-// empty (the pilot layer defaults to "none").
+// recoveryFor resolves the fault-recovery policy this pilot runs under:
+// per-pilot override, else campaign-wide, else empty (the pilot layer
+// defaults to "none").
 func (ps PilotSpec) recoveryFor(cfg Config) string {
 	if ps.Recovery != "" {
 		return ps.Recovery
@@ -116,16 +98,6 @@ func (cfg Config) faultEnabled() bool {
 		}
 	}
 	return false
-}
-
-// steerFor resolves the elastic-steering participation this pilot runs
-// under, mirroring policyFor: per-pilot override, else campaign-wide,
-// else empty (the pilot layer defaults to "none" — frozen).
-func (ps PilotSpec) steerFor(cfg Config) string {
-	if ps.Steer != "" {
-		return ps.Steer
-	}
-	return cfg.Steer
 }
 
 // TotalCores returns the pilot's aggregate core capacity: the sum over

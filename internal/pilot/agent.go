@@ -766,35 +766,42 @@ func (a *agent) record(t *Task, state TaskState, placed bool) trace.TaskRecord {
 	}
 }
 
-// failWithFault fails one attempt through the fault subsystem. The
-// recovery decision is staged *before* the FAILED transition so
-// observers (the coordinator, the trace) can tell a to-be-resubmitted
-// attempt from a terminal failure; the attempt then unwinds the ledger
-// and busy counters exactly as the cancel path does, and any planned
-// resubmission is scheduled last.
-func (a *agent) failWithFault(t *Task, kind fault.Kind, err error) {
-	if t.state.Final() {
-		return
-	}
-	t.FaultKind = kind
-	a.tm.planRecovery(t, kind)
+// unwind ends an attempt wherever it lives, in the given final state: a
+// queued task leaves its lane, a placed one releases its allocation and
+// busy counters through finish. Cancellation, faults and evictions all
+// end an attempt through here.
+func (a *agent) unwind(t *Task, state TaskState, err error) {
 	switch t.state {
 	case StateSubmitted, StateScheduling:
 		a.dequeue(t)
 		t.EndedAt = a.pilot.engine.Now()
 		t.Err = err
 		if a.rec != nil {
-			a.rec.AddTask(a.record(t, StateFailed, false))
+			a.rec.AddTask(a.record(t, state, false))
 		}
-		a.tm.transition(t, StateFailed)
+		a.tm.transition(t, state)
 	case StateExecSetup, StateRunning:
 		ex := t.exec
 		if ex.inSetup {
 			a.activeSetups--
 			ex.inSetup = false
 		}
-		a.finish(ex, StateFailed, err)
+		a.finish(ex, state, err)
 	}
+}
+
+// failWithFault fails one attempt through the fault subsystem. The
+// recovery decision is staged *before* the FAILED transition so
+// observers (the coordinator, the trace) can tell a to-be-resubmitted
+// attempt from a terminal failure; the attempt then unwinds, and any
+// planned resubmission is scheduled last.
+func (a *agent) failWithFault(t *Task, kind fault.Kind, err error) {
+	if t.state.Final() {
+		return
+	}
+	t.FaultKind = kind
+	a.tm.planRecovery(t, kind)
+	a.unwind(t, StateFailed, err)
 	a.tm.execRecovery(t)
 }
 
@@ -809,8 +816,8 @@ func (a *agent) failNode(nodeID int) {
 }
 
 // failAll fails everything on the pilot with the given fault kind — the
-// fault-model walltime expiry, whose victims (unlike legacy cancellation)
-// may be resubmitted on a surviving pilot.
+// fault-model walltime expiry, whose victims may be resubmitted on a
+// surviving pilot.
 func (a *agent) failAll(kind fault.Kind, reason string) {
 	for _, t := range a.queuedTasks() {
 		a.failWithFault(t, kind, fmt.Errorf("pilot: %s", reason))
@@ -842,24 +849,7 @@ func (a *agent) evict(t *Task, resumeOn, reason string) {
 		}
 		tel.Instant(now, telemetry.KindTaskEvict, a.pilot.ordinal, t.Node(), t.ID)
 	}
-	err := fmt.Errorf("pilot: %s", reason)
-	switch t.state {
-	case StateSubmitted, StateScheduling:
-		a.dequeue(t)
-		t.EndedAt = now
-		t.Err = err
-		if a.rec != nil {
-			a.rec.AddTask(a.record(t, StateFailed, false))
-		}
-		a.tm.transition(t, StateFailed)
-	case StateExecSetup, StateRunning:
-		ex := t.exec
-		if ex.inSetup {
-			a.activeSetups--
-			ex.inSetup = false
-		}
-		a.finish(ex, StateFailed, err)
-	}
+	a.unwind(t, StateFailed, fmt.Errorf("pilot: %s", reason))
 	a.tm.execRecovery(t)
 }
 
@@ -894,36 +884,5 @@ func (a *agent) drainAll(grace time.Duration) {
 		// Attempts still in setup have unknowable completion; evict them
 		// along with every run that overshoots the window.
 		a.evict(t, "", "pilot walltime drain")
-	}
-}
-
-// cancel removes a task wherever it currently lives.
-func (a *agent) cancel(t *Task, reason string) {
-	switch t.state {
-	case StateSubmitted, StateScheduling:
-		a.dequeue(t)
-		t.EndedAt = a.pilot.engine.Now()
-		t.Err = fmt.Errorf("pilot: %s", reason)
-		if a.rec != nil {
-			a.rec.AddTask(a.record(t, StateCanceled, false))
-		}
-		a.tm.transition(t, StateCanceled)
-	case StateExecSetup, StateRunning:
-		ex := t.exec
-		if ex.inSetup {
-			a.activeSetups--
-			ex.inSetup = false
-		}
-		a.finish(ex, StateCanceled, fmt.Errorf("pilot: %s", reason))
-	}
-}
-
-// terminateAll cancels everything (pilot cancellation or walltime).
-func (a *agent) terminateAll(reason string) {
-	for _, t := range a.queuedTasks() {
-		a.cancel(t, reason)
-	}
-	for _, ex := range a.runningByUID(anyExecution) {
-		a.cancel(ex.task, reason)
 	}
 }

@@ -26,7 +26,7 @@ func faultHarness(t *testing.T, spec fault.Spec, recovery string, nodes int) *ha
 	pd := PilotDescription{
 		Machine:  cluster.Spec{Name: "faulty", Nodes: nodes, CoresPerNode: 8, GPUsPerNode: 2, MemGBPerNode: 32},
 		Cost:     testCost(),
-		Backfill: true,
+		Policy:   "backfill",
 		Fault:    spec,
 		Recovery: recovery,
 		Seed:     7,
@@ -417,7 +417,7 @@ func TestFaultWalltimeFailsAndResubmitsElsewhere(t *testing.T) {
 
 // TestUnwindOrderSurvivesSwapRemove: finishing tasks swap-removes them
 // from the agent's running slice, which leaves it out of UID order; a
-// node crash and a pilot cancellation must still unwind their victims in
+// node crash and a walltime expiry must still unwind their victims in
 // UID order.
 func TestUnwindOrderSurvivesSwapRemove(t *testing.T) {
 	for _, tc := range []struct {
@@ -429,7 +429,7 @@ func TestUnwindOrderSurvivesSwapRemove(t *testing.T) {
 			p.agent.cluster.SetNodeDown(0)
 			p.agent.failNode(0)
 		}},
-		{"terminateAll", StateCanceled, (*Pilot).Cancel},
+		{"expire", StateFailed, (*Pilot).expire},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t, defaultPD())

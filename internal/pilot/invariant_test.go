@@ -59,7 +59,7 @@ func runInvariantTrial(t *testing.T, polName string, trial int64) {
 	pd.Cost.JitterFrac = 0.2
 	pd.Cost.SetupPerConcur = 5 * time.Second
 	if rng.Intn(3) == 0 {
-		pd.Walltime = time.Duration(2+rng.Intn(6)) * time.Hour
+		pd.Fault.Walltime = time.Duration(2+rng.Intn(6)) * time.Hour
 	}
 
 	engine := simclock.New()
@@ -187,54 +187,6 @@ func runInvariantTrial(t *testing.T, polName string, trial int64) {
 	}
 }
 
-// TestPolicyMatchesLegacyBackfillFlag proves the tentpole's compatibility
-// claim: the explicit "fifo" and "backfill" policies are bit-identical to
-// the legacy Backfill flag off/on.
-func TestPolicyMatchesLegacyBackfillFlag(t *testing.T) {
-	timeline := func(pd PilotDescription) []simclock.Time {
-		engine := simclock.New()
-		pm := NewPilotManager(engine, nil)
-		p, err := pm.Submit(pd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tm := NewTaskManager(engine, p)
-		var tasks []*Task
-		for i := 0; i < 40; i++ {
-			tasks = append(tasks, tm.MustSubmit(TaskDescription{
-				Name: "t", Cores: 3 + i%20, GPUs: i % 3,
-				Work: sleepWork("x", time.Duration(i%17+1)*11*time.Minute, 3, i%3),
-			}))
-		}
-		engine.Run()
-		var out []simclock.Time
-		for _, task := range tasks {
-			out = append(out, task.SetupAt, task.EndedAt)
-		}
-		return out
-	}
-	for _, tc := range []struct {
-		backfill bool
-		policy   string
-	}{
-		{false, "fifo"},
-		{true, "backfill"},
-	} {
-		legacy := defaultPD()
-		legacy.Backfill = tc.backfill
-		legacy.Cost.JitterFrac = 0.15
-		explicit := legacy
-		explicit.Policy = tc.policy
-		a, b := timeline(legacy), timeline(explicit)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("policy %q diverges from Backfill=%v at point %d: %v vs %v",
-					tc.policy, tc.backfill, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // TestUnknownPolicyRejected closes the configuration loop: a bad policy
 // name fails at pilot submission, not mid-campaign.
 func TestUnknownPolicyRejected(t *testing.T) {
@@ -290,7 +242,7 @@ func runFaultInvariantTrial(t *testing.T, recName string, trial int64) {
 	pd := PilotDescription{
 		Machine:  spec,
 		Cost:     testCost(),
-		Backfill: rng.Intn(2) == 0,
+		Policy:   [2]string{"backfill", "fifo"}[rng.Intn(2)],
 		Fault:    fs,
 		Recovery: recName,
 		Seed:     uint64(trial*13 + 1),

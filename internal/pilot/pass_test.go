@@ -497,7 +497,7 @@ func BenchmarkBlockedBackfillPass(b *testing.B) {
 // TestQueuedOrderAcrossLanes interleaves three shapes in the queue and
 // cancels a task from the middle of one lane; every reader of the whole
 // queue must still see submission order: QueuedRequests, the fit-ranking
-// policies' queue view, and the unwind order of failAll and terminateAll.
+// policies' queue view, and the unwind order of failAll.
 func TestQueuedOrderAcrossLanes(t *testing.T) {
 	mix := []cluster.Request{{Cores: 1}, {Cores: 8}, {Cores: 2, GPUs: 1}}
 	// setup places a wide task that fills the node, then queues twelve
@@ -561,27 +561,18 @@ func TestQueuedOrderAcrossLanes(t *testing.T) {
 			}
 		})
 	}
-	for _, tc := range []struct {
-		name   string
-		final  TaskState
-		unwind func(*Pilot)
-	}{
-		{"failAll", StateFailed, (*Pilot).expire},
-		{"terminateAll", StateCanceled, (*Pilot).Cancel},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h, wide, queued := setup(t, "backfill")
-			last := queued[len(queued)-1].UID
-			var unwound []uint64
-			h.tm.OnState(func(task *Task, s TaskState) {
-				if s == tc.final && task.UID <= last {
-					unwound = append(unwound, task.UID)
-				}
-			})
-			tc.unwind(h.pilot)
-			if want := append(uids(queued), wide.UID); !slices.Equal(unwound, want) {
-				t.Fatalf("unwound UIDs %v, want %v", unwound, want)
+	t.Run("failAll", func(t *testing.T) {
+		h, wide, queued := setup(t, "backfill")
+		last := queued[len(queued)-1].UID
+		var unwound []uint64
+		h.tm.OnState(func(task *Task, s TaskState) {
+			if s == StateFailed && task.UID <= last {
+				unwound = append(unwound, task.UID)
 			}
 		})
-	}
+		h.pilot.expire()
+		if want := append(uids(queued), wide.UID); !slices.Equal(unwound, want) {
+			t.Fatalf("unwound UIDs %v, want %v", unwound, want)
+		}
+	})
 }

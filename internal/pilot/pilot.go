@@ -1,6 +1,7 @@
 package pilot
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -24,8 +25,9 @@ const (
 	PilotLaunching PilotState = iota
 	// PilotActive means the agent schedules and executes tasks.
 	PilotActive
-	// PilotDone means the pilot ended (cancelled or walltime expired);
-	// remaining tasks were cancelled.
+	// PilotDone means the pilot's fault-model walltime expired, at the
+	// deadline or when its graceful drain window closed; the tasks it
+	// still held failed with fault.KindWalltime.
 	PilotDone
 )
 
@@ -53,22 +55,16 @@ type PilotDescription struct {
 	Nodes []cluster.NodeCapacity
 	// Cost supplies runtime overhead models (bootstrap, exec setup).
 	Cost costmodel.Params
-	// Backfill lets the agent scheduler start later queued tasks when
-	// the queue head does not fit — the mechanism that lets IM-RP
-	// "offload newly created pipelines to idle resources". It is
-	// consulted only when Policy is empty.
-	Backfill bool
 	// Policy names the agent's scheduling policy (internal/sched): fifo,
-	// backfill, bestfit, worstfit, largest. Empty derives the classic
-	// behaviour from Backfill ("backfill" when set, "fifo" otherwise).
+	// backfill, bestfit, worstfit, largest. Empty means strict fifo;
+	// "backfill" lets later queued tasks start when the queue head does
+	// not fit — the mechanism that lets IM-RP "offload newly created
+	// pipelines to idle resources".
 	Policy string
-	// Walltime bounds the pilot lifetime from activation; zero means
-	// unbounded. Expiry cancels remaining work (legacy behaviour). For
-	// the recoverable fault-model walltime, set Fault.Walltime instead.
-	Walltime time.Duration
 	// Fault declares the pilot's failure models (internal/fault). The
 	// zero value injects nothing and is bit-identical to a runtime
-	// without the fault subsystem.
+	// without the fault subsystem. Fault.Walltime is the only bound on
+	// the pilot's lifetime.
 	Fault fault.Spec
 	// Recovery names the fault-recovery policy (internal/fault): none,
 	// retry, backoff, elsewhere. Empty means "none" — failures surface.
@@ -90,7 +86,7 @@ type PilotDescription struct {
 	// into a graceful drain: instead of failing everything at expiry, the
 	// pilot stops placing work, checkpoints and requeues whatever cannot
 	// finish within the grace window, lets the rest run to completion,
-	// and ends when the window closes. Zero keeps the legacy
+	// and ends when the window closes. Zero keeps the hard
 	// kill-everything expiry.
 	WalltimeGrace time.Duration
 	// Seed derives all task jitter streams for this pilot.
@@ -130,11 +126,7 @@ func (pm *PilotManager) Submit(pd PilotDescription) (*Pilot, error) {
 	if err := pd.Cost.Validate(); err != nil {
 		return nil, err
 	}
-	polName := pd.Policy
-	if polName == "" {
-		polName = sched.Default(pd.Backfill)
-	}
-	pol, err := sched.New(polName)
+	pol, err := sched.New(pd.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -191,11 +183,6 @@ func (pm *PilotManager) Submit(pd PilotDescription) (*Pilot, error) {
 		}
 		p.state = PilotActive
 		p.activeAt = pm.engine.Now()
-		if pd.Walltime > 0 {
-			p.wallEvent = pm.engine.AfterNamed(pd.Walltime, p.ID+":walltime", func() {
-				p.terminate("walltime expired")
-			})
-		}
 		if p.injector != nil {
 			p.injector.start()
 		}
@@ -215,9 +202,8 @@ type Pilot struct {
 	engine  *simclock.Engine
 	agent   *agent
 
-	state     PilotState
-	activeAt  simclock.Time
-	wallEvent simclock.Event
+	state    PilotState
+	activeAt simclock.Time
 	// draining marks the graceful walltime window: the pilot still runs
 	// work that fits before expiry but places nothing new and is skipped
 	// by routing and steering.
@@ -422,31 +408,14 @@ func (p *Pilot) StopFaultInjection() {
 // adaptive clients to inspect idle capacity during decision-making).
 func (p *Pilot) Cluster() *cluster.Cluster { return p.agent.cluster }
 
-// Cancel terminates the pilot: queued tasks are cancelled, running tasks
-// are interrupted and their resources unwound.
-func (p *Pilot) Cancel() { p.terminate("pilot cancelled") }
-
-func (p *Pilot) terminate(reason string) {
-	if p.state == PilotDone {
-		return
-	}
-	p.state = PilotDone
-	p.engine.Cancel(p.wallEvent)
-	if p.injector != nil {
-		p.injector.stop()
-	}
-	p.agent.terminateAll(reason)
-}
-
-// expire is the fault-model walltime: the pilot ends, but its victims
+// expire is the fault-model walltime: the pilot ends, and its victims
 // fail with fault.KindWalltime so recovery policies may resubmit them on
-// a surviving pilot (terminate's cancellations are always terminal).
+// a surviving pilot.
 func (p *Pilot) expire() {
 	if p.state == PilotDone {
 		return
 	}
 	p.state = PilotDone
-	p.engine.Cancel(p.wallEvent)
 	if p.injector != nil {
 		p.injector.stop()
 	}
@@ -454,7 +423,7 @@ func (p *Pilot) expire() {
 }
 
 // expireOrDrain is what fault-model walltime expiry actually invokes:
-// with no grace window it is the legacy kill-everything expire; with one
+// with no grace window it is the hard kill-everything expire; with one
 // it opens the graceful drain instead.
 func (p *Pilot) expireOrDrain() {
 	if g := p.desc.WalltimeGrace; g > 0 {
@@ -644,7 +613,7 @@ func (tm *TaskManager) Cancel(t *Task) {
 	if t == nil || t.state.Final() {
 		return
 	}
-	t.pilot.agent.cancel(t, "cancelled by client")
+	t.pilot.agent.unwind(t, StateCanceled, errors.New("pilot: cancelled by client"))
 }
 
 // Get returns a task by UID.
@@ -767,7 +736,7 @@ func (tm *TaskManager) CancelChain(t *Task, reason string) {
 		tm.engine.Cancel(cur.requeue.event)
 	}
 	if !cur.state.Final() {
-		cur.pilot.agent.cancel(cur, reason)
+		cur.pilot.agent.unwind(cur, StateCanceled, fmt.Errorf("pilot: %s", reason))
 	}
 }
 

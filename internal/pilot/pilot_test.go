@@ -9,6 +9,7 @@ import (
 
 	"impress/internal/cluster"
 	"impress/internal/costmodel"
+	"impress/internal/fault"
 	"impress/internal/simclock"
 	"impress/internal/trace"
 )
@@ -105,7 +106,7 @@ func TestResourcesReleasedAfterCompletion(t *testing.T) {
 
 func TestFIFOBlocksWithoutBackfill(t *testing.T) {
 	pd := defaultPD()
-	pd.Backfill = false
+	pd.Policy = "fifo"
 	h := newHarness(t, pd)
 	// Big task first (fills the node), then a huge task that can never
 	// run concurrently, then a tiny task that *could* run but must wait
@@ -124,7 +125,7 @@ func TestFIFOBlocksWithoutBackfill(t *testing.T) {
 
 func TestBackfillLetsSmallTasksJump(t *testing.T) {
 	pd := defaultPD()
-	pd.Backfill = true
+	pd.Policy = "backfill"
 	h := newHarness(t, pd)
 	big := h.tm.MustSubmit(TaskDescription{Name: "big", Cores: 20, Work: sleepWork("b", time.Hour, 20, 0)})
 	huge := h.tm.MustSubmit(TaskDescription{Name: "huge", Cores: 28, Work: sleepWork("h", time.Hour, 28, 0)})
@@ -287,13 +288,15 @@ func TestCancelDuringSetup(t *testing.T) {
 
 func TestWalltimeTerminatesPilot(t *testing.T) {
 	pd := defaultPD()
-	pd.Walltime = 2 * time.Hour
+	pd.Fault.Walltime = 2 * time.Hour
 	h := newHarness(t, pd)
 	long := h.tm.MustSubmit(TaskDescription{Name: "long", Cores: 28, Work: sleepWork("l", 10*time.Hour, 28, 0)})
 	queued := h.tm.MustSubmit(TaskDescription{Name: "waiting", Cores: 28, Work: sleepWork("w", time.Hour, 28, 0)})
 	h.engine.Run()
-	if long.State() != StateCanceled || queued.State() != StateCanceled {
-		t.Fatalf("states: long %v queued %v", long.State(), queued.State())
+	for _, task := range []*Task{long, queued} {
+		if task.State() != StateFailed || task.FaultKind != fault.KindWalltime {
+			t.Fatalf("states: long %v/%v queued %v/%v", long.State(), long.FaultKind, queued.State(), queued.FaultKind)
+		}
 	}
 	if h.pilot.State() != PilotDone {
 		t.Fatalf("pilot state %v", h.pilot.State())
@@ -302,19 +305,6 @@ func TestWalltimeTerminatesPilot(t *testing.T) {
 	late := h.tm.MustSubmit(TaskDescription{Name: "late", Cores: 1, Work: sleepWork("x", time.Minute, 1, 0)})
 	if late.State() != StateFailed {
 		t.Fatalf("late submission state %v", late.State())
-	}
-}
-
-func TestPilotCancelBeforeActive(t *testing.T) {
-	h := newHarness(t, defaultPD())
-	task := h.tm.MustSubmit(TaskDescription{Name: "t", Cores: 1, Work: sleepWork("x", time.Minute, 1, 0)})
-	h.pilot.Cancel()
-	h.engine.Run()
-	if h.pilot.State() != PilotDone {
-		t.Fatalf("pilot state %v", h.pilot.State())
-	}
-	if task.State() != StateCanceled {
-		t.Fatalf("task state %v", task.State())
 	}
 }
 

@@ -246,9 +246,11 @@ func Names() []string {
 	return out
 }
 
-// New returns the named policy. The empty name is an error; callers that
-// want the classic default should resolve it through Default first.
+// New returns the named policy; the empty name is strict fifo.
 func New(name string) (Policy, error) {
+	if name == "" {
+		name = "fifo"
+	}
 	p, ok := policies[name]
 	if !ok {
 		return nil, fmt.Errorf("sched: unknown policy %q (known: %v)", name, Names())
@@ -256,21 +258,9 @@ func New(name string) (Policy, error) {
 	return p, nil
 }
 
-// Default maps the legacy Backfill flag to its policy name: the flag on
-// is the "backfill" policy, off is strict "fifo".
-func Default(backfill bool) string {
-	if backfill {
-		return "backfill"
-	}
-	return "fifo"
-}
-
 // Validate checks a policy name from configuration; the empty string is
-// valid and means "derive from the Backfill flag".
+// valid and means fifo.
 func Validate(name string) error {
-	if name == "" {
-		return nil
-	}
 	_, err := New(name)
 	return err
 }

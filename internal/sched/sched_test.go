@@ -58,17 +58,14 @@ func TestRegistry(t *testing.T) {
 	if _, err := New("priority"); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := New(""); err == nil {
-		t.Error("empty policy name accepted by New")
+	if p, err := New(""); err != nil || p.Name() != "fifo" {
+		t.Errorf("New(\"\") = %v, %v; want fifo", p, err)
 	}
 	if err := Validate(""); err != nil {
 		t.Errorf("empty name should validate: %v", err)
 	}
 	if err := Validate("bogus"); err == nil {
 		t.Error("bogus name validated")
-	}
-	if Default(true) != "backfill" || Default(false) != "fifo" {
-		t.Error("Default mapping wrong")
 	}
 }
 

@@ -62,7 +62,6 @@ type Move struct {
 // transfer. Stable strings — they appear in reports and telemetry.
 const (
 	VetoBadProposal = "bad-proposal"
-	VetoFrozen      = "frozen"
 	VetoInactive    = "inactive"
 	VetoLastNode    = "last-node"
 	VetoNoCapacity  = "no-fitting-capacity"
@@ -89,11 +88,10 @@ type Veto struct {
 //   - a donor never gives up its last operational (up) node,
 //   - a node moves only if the receiver has a queued task its capacity
 //     could actually host (no stranding a 0-GPU node on a GPU queue),
-//   - frozen or inactive pilots neither donate nor receive.
+//   - inactive pilots neither donate nor receive.
 type Controller struct {
 	engine *simclock.Engine
 	pilots []Elastic
-	frozen []bool
 	pol    Policy
 	period time.Duration
 
@@ -122,21 +120,14 @@ type Controller struct {
 // its observed stats, applied moves, and vetoes into it.
 func (c *Controller) SetTelemetry(tel *telemetry.Recorder) { c.tel = tel }
 
-// NewController builds a controller over the pilots. frozen marks
-// pilots that opted out of steering (nil means all participate); onMove
-// (optional) observes every applied transfer.
-func NewController(engine *simclock.Engine, pilots []Elastic, frozen []bool, pol Policy, period time.Duration, onMove func(Move)) *Controller {
+// NewController builds a controller over the pilots; onMove (optional)
+// observes every applied transfer.
+func NewController(engine *simclock.Engine, pilots []Elastic, pol Policy, period time.Duration, onMove func(Move)) *Controller {
 	if engine == nil || pol == nil {
 		panic("steer: controller needs an engine and a policy")
 	}
 	if len(pilots) < 2 {
 		panic("steer: steering needs at least two pilots")
-	}
-	if frozen == nil {
-		frozen = make([]bool, len(pilots))
-	}
-	if len(frozen) != len(pilots) {
-		panic("steer: frozen mask length mismatch")
 	}
 	if period <= 0 {
 		period = DefaultPeriod
@@ -144,7 +135,6 @@ func NewController(engine *simclock.Engine, pilots []Elastic, frozen []bool, pol
 	return &Controller{
 		engine:    engine,
 		pilots:    pilots,
-		frozen:    frozen,
 		pol:       pol,
 		period:    period,
 		onMove:    onMove,
@@ -194,7 +184,7 @@ func (c *Controller) observe() {
 		return
 	}
 	for i, p := range c.pilots {
-		st := Stat{Frozen: c.frozen[i] || !p.Active()}
+		st := Stat{Frozen: !p.Active()}
 		if p.Active() {
 			clu := p.Cluster()
 			st.Queue = p.QueueLen()
@@ -252,10 +242,6 @@ func (c *Controller) observe() {
 func (c *Controller) apply(tr Transfer) {
 	if tr.From < 0 || tr.From >= len(c.pilots) || tr.To < 0 || tr.To >= len(c.pilots) || tr.From == tr.To {
 		c.veto(tr, VetoBadProposal)
-		return
-	}
-	if c.frozen[tr.From] || c.frozen[tr.To] {
-		c.veto(tr, VetoFrozen)
 		return
 	}
 	from, to := c.pilots[tr.From], c.pilots[tr.To]

@@ -44,7 +44,7 @@ func newRig(t *testing.T, nodes int) *rig {
 	var pilots []*pilot.Pilot
 	for i, spec := range []cluster.Spec{cpu, gpu} {
 		p, err := pm.Submit(pilot.PilotDescription{
-			Machine: spec, Cost: testCost(), Backfill: true, Steer: "greedy", Seed: uint64(i + 1),
+			Machine: spec, Cost: testCost(), Policy: "backfill", Steer: "greedy", Seed: uint64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +81,7 @@ func TestControllerSteersCapacityTowardPressure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctl = steer.NewController(r.engine, elastics(r.pilots), nil, pol, steer.DefaultPeriod, nil)
+			ctl = steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
 			ctl.Start()
 		}
 		// 24 MSA-shaped CPU tasks (8 cores, the paper's MSA width) over 3
@@ -133,7 +133,7 @@ func TestControllerSteersCapacityTowardPressure(t *testing.T) {
 func TestControllerSkipsUselessDonations(t *testing.T) {
 	r := newRig(t, 2)
 	pol, _ := steer.New("greedy")
-	ctl := steer.NewController(r.engine, elastics(r.pilots), nil, pol, steer.DefaultPeriod, nil)
+	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
 	ctl.Start()
 	// Flood the GPU pilot with GPU tasks; the CPU pilot idles. Its
 	// 0-GPU nodes are useless to that queue and must stay home.
@@ -156,36 +156,13 @@ func TestControllerSkipsUselessDonations(t *testing.T) {
 	}
 }
 
-// TestControllerHonoursFrozenMask: a pilot whose Steer resolved to
-// "none" keeps its partition whatever the pressure elsewhere.
-func TestControllerHonoursFrozenMask(t *testing.T) {
-	r := newRig(t, 2)
-	pol, _ := steer.New("greedy")
-	ctl := steer.NewController(r.engine, elastics(r.pilots), []bool{false, true}, pol, steer.DefaultPeriod, nil)
-	ctl.Start()
-	for i := 0; i < 16; i++ {
-		r.tm.MustSubmit(pilot.TaskDescription{
-			Name: "cpu", Cores: 8, Pilot: r.pilots[0].ID, Work: cpuWork(2*time.Hour, 8),
-		})
-	}
-	r.engine.RunUntil(simclock.FromHours(24 * 7))
-	ctl.Stop()
-	r.engine.Run()
-	if n := ctl.Transfers(); n != 0 {
-		t.Fatalf("frozen pilot donated %d nodes", n)
-	}
-	if got := r.pilots[1].Cluster().ActiveNodeCount(); got != 2 {
-		t.Fatalf("frozen pilot has %d nodes", got)
-	}
-}
-
 // TestControllerKeepsLastOperationalNode pins the down-node-aware floor:
 // a donor whose other node is crashed must not ship its only live node,
 // however hard the receiver starves.
 func TestControllerKeepsLastOperationalNode(t *testing.T) {
 	r := newRig(t, 2)
 	pol, _ := steer.New("greedy")
-	ctl := steer.NewController(r.engine, elastics(r.pilots), nil, pol, steer.DefaultPeriod, nil)
+	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
 	ctl.Start()
 	for i := 0; i < 16; i++ {
 		r.tm.MustSubmit(pilot.TaskDescription{
@@ -231,7 +208,7 @@ func TestControllerRecordsVetoes(t *testing.T) {
 		{From: 1, To: 1}, // self-transfer
 		{From: 1, To: 0}, // no queued CPU work fits nothing -> no-fitting-capacity
 	}}
-	ctl := steer.NewController(r.engine, elastics(r.pilots), nil, pol, steer.DefaultPeriod, nil)
+	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
 	ctl.Start()
 	// One short task keeps the engine alive past a few observations.
 	r.tm.MustSubmit(pilot.TaskDescription{
@@ -272,7 +249,7 @@ func TestControllerRecordsVetoes(t *testing.T) {
 func TestControllerStatDerivatives(t *testing.T) {
 	r := newRig(t, 2)
 	pol := &capturePolicy{}
-	ctl := steer.NewController(r.engine, elastics(r.pilots), nil, pol, steer.DefaultPeriod, nil)
+	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
 	ctl.Start()
 	for i := 0; i < 16; i++ {
 		r.tm.MustSubmit(pilot.TaskDescription{
@@ -310,7 +287,7 @@ func TestControllerStatDerivatives(t *testing.T) {
 func TestControllerTelemetryLog(t *testing.T) {
 	r := newRig(t, 2)
 	pol := &capturePolicy{proposal: []steer.Transfer{{From: 9, To: 9}}}
-	ctl := steer.NewController(r.engine, elastics(r.pilots), nil, pol, steer.DefaultPeriod, nil)
+	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
 	tel := telemetry.NewRecorder()
 	ctl.SetTelemetry(tel)
 	ctl.Start()

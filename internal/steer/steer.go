@@ -44,8 +44,9 @@ type Stat struct {
 	// Idle is the number of transferable nodes: up, fully free, holding
 	// no in-flight allocations.
 	Idle int
-	// Frozen marks a pilot that opted out of steering; it neither
-	// donates nor receives nodes, whatever the policy proposes.
+	// Frozen marks an inactive pilot (still launching, draining toward
+	// walltime expiry, or ended); it neither donates nor receives
+	// nodes, whatever the policy proposes.
 	Frozen bool
 
 	// Derivative signals, maintained incrementally by the controller
