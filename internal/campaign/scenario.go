@@ -719,7 +719,7 @@ func preemptSweepAt(seed uint64, n int, p Params) ([]Campaign, error) {
 				cell.Recovery = rec
 				cell.Steer = st
 				cell.CheckpointInterval = iv
-				grace := time.Duration(0)
+				var grace time.Duration
 				if mode == "drain" {
 					grace = preemptGrace
 				}
