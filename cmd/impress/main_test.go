@@ -23,6 +23,7 @@ func TestTranscripts(t *testing.T) {
 			{Name: "run-contv-seed7", Args: []string{"run", "-protocol", "contv", "-seed", "7"}},
 			{Name: "run-split-steer", Args: []string{"run", "-pilots", "split", "-nodes", "4", "-steer", "greedy"}},
 			{Name: "run-fault-retry", Args: []string{"run", "-fault", "0.15", "-recovery", "retry"}},
+			{Name: "run-events", Args: []string{"run", "-fault", "0.3", "-recovery", "retry", "-events"}},
 			{Name: "run-list-scenarios", Args: []string{"run", "-list-scenarios"}},
 			{Name: "run-scenario-pair", Args: []string{"run", "-scenario", "pair"}},
 			{Name: "run-scenario-pair-seed100", Args: []string{"run", "-scenario", "pair", "-seed", "100", "-seeds", "2", "-parallel", "2"}},
