@@ -318,9 +318,6 @@ func runMode(f *flags) int {
 		Targets: targets,
 		Config:  cfg,
 	}
-	if f.events {
-		c.EventCapacity = 16384
-	}
 	out := impress.RunCampaigns([]impress.Campaign{c}, 1)[0]
 	if out.Err != nil {
 		fmt.Fprintln(os.Stderr, out.Err)
@@ -359,13 +356,10 @@ func runMode(f *flags) int {
 				tr.Metrics.PLDDT, tr.Metrics.PTM, tr.Metrics.IPAE, kind, status)
 		}
 	}
-	if out.Events != nil {
+	if f.events {
 		fmt.Println("\nevent log:")
-		for _, e := range out.Events.Drain() {
+		for _, e := range res.Events {
 			fmt.Println(" ", e)
-		}
-		if n := out.Events.Dropped(); n > 0 {
-			fmt.Printf("  (%d events dropped)\n", n)
 		}
 	}
 	if f.gantt > 0 {

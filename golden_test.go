@@ -37,9 +37,6 @@ func renderPairTrace(t *testing.T, p impress.ScenarioParams) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range campaigns {
-		campaigns[i].EventCapacity = 1 << 15
-	}
 	return renderPairOutcomes(t, impress.RunCampaigns(campaigns, 1))
 }
 
@@ -56,12 +53,9 @@ func renderPairOutcomes(t *testing.T, outs []impress.CampaignOutcome) string {
 		fmt.Fprintf(&sb, "== %s\n", o.Name)
 		fmt.Fprintf(&sb, "%s\n", impress.Summary(o.Result))
 		sb.WriteString("-- events\n")
-		for _, e := range o.Events.Drain() {
+		for _, e := range o.Result.Events {
 			sb.WriteString(e.String())
 			sb.WriteByte('\n')
-		}
-		if d := o.Events.Dropped(); d > 0 {
-			t.Fatalf("campaign %s dropped %d events; raise EventCapacity", o.Name, d)
 		}
 		sb.WriteString("-- tasks\n")
 		for _, tr := range o.Result.TaskRecords {
@@ -227,12 +221,11 @@ func TestGoldenPairTraceSingleTenantService(t *testing.T) {
 		}
 		svc, err := impress.NewTenancyService(impress.TenancySpec{
 			Config: impress.TenancyConfig{
-				Machine:       cfg.Machine,
-				Seed:          c.Seed,
-				Arrival:       "instant",
-				Admission:     "fcfs-admit",
-				Reclaim:       "none",
-				EventCapacity: 1 << 15,
+				Machine:   cfg.Machine,
+				Seed:      c.Seed,
+				Arrival:   "instant",
+				Admission: "fcfs-admit",
+				Reclaim:   "none",
 			},
 			Tenants: []impress.TenantSpec{{
 				Name:    c.Name,
@@ -253,7 +246,7 @@ func TestGoldenPairTraceSingleTenantService(t *testing.T) {
 			res.Approach = "CONT-V" // the engine relabels the baseline the same way
 		}
 		outs = append(outs, impress.CampaignOutcome{
-			Name: c.Name, Seed: c.Seed, Result: res, Events: svc.TenantEvents()[0],
+			Name: c.Name, Seed: c.Seed, Result: res,
 		})
 	}
 	got := renderPairOutcomes(t, outs)

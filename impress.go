@@ -263,7 +263,7 @@ func PolicyCompare(results []*Result) string { return report.PolicyCompare(resul
 // fairness-aware inter-campaign steering reclaiming nodes between them.
 // Campaigns with Campaign.Tenancy set run through the same service on
 // the campaign engine; use this direct form to reach the per-tenant
-// results and event streams.
+// results, each with its own event log in Result.Events.
 func NewTenancyService(spec TenancySpec) (*TenancyService, error) {
 	return tenancy.NewService(spec)
 }

@@ -44,9 +44,6 @@ type Campaign struct {
 	// Control runs the campaign as the CONT-V baseline (sequential,
 	// non-adaptive); false runs the adaptive IM-RP protocol.
 	Control bool
-	// EventCapacity, when positive, attaches an event stream of that
-	// buffer size to the campaign; the stream is returned in the Outcome.
-	EventCapacity int
 	// Tenancy, when set, runs this campaign as a multi-tenant service —
 	// the spec's arriving tenant campaigns contend for one shared
 	// cluster under admission control — instead of a single coordinator.
@@ -62,8 +59,6 @@ type Outcome struct {
 	Seed uint64
 	// Result is the completed campaign record (nil on error).
 	Result *core.Result
-	// Events is the attached event stream (nil unless requested).
-	Events *core.EventStream
 	// Err is the campaign's failure, if any. One failed campaign never
 	// aborts the rest of a batch.
 	Err error
@@ -231,9 +226,6 @@ func runOne(c Campaign) (out Outcome) {
 	if err != nil {
 		out.Err = fmt.Errorf("campaign %s: %w", c.Name, err)
 		return out
-	}
-	if c.EventCapacity > 0 {
-		out.Events = coord.Events(c.EventCapacity)
 	}
 	res, err := coord.Run()
 	if err != nil {

@@ -137,25 +137,22 @@ func TestPartialFailure(t *testing.T) {
 	}
 }
 
-// TestEngineEvents: a campaign with EventCapacity returns a drainable
-// stream.
+// TestEngineEvents: every engine campaign carries its event log on the
+// Result, ending with the campaign-done marker.
 func TestEngineEvents(t *testing.T) {
-	campaigns := fastCampaigns(t, 1)
-	campaigns[1].EventCapacity = 1024
-	outs := NewEngine(2).Run(campaigns)
-	if outs[0].Events != nil {
-		t.Fatal("unrequested event stream attached")
-	}
-	if outs[1].Events == nil {
-		t.Fatal("requested event stream missing")
-	}
-	events := outs[1].Events.Drain()
-	if len(events) == 0 {
-		t.Fatal("event stream empty")
-	}
-	last := events[len(events)-1]
-	if !strings.Contains(last.String(), "campaign-done") {
-		t.Fatalf("last event = %s", last)
+	outs := NewEngine(2).Run(fastCampaigns(t, 1))
+	for _, o := range outs {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		events := o.Result.Events
+		if len(events) == 0 {
+			t.Fatalf("campaign %s logged no events", o.Name)
+		}
+		last := events[len(events)-1]
+		if !strings.Contains(last.String(), "campaign-done") {
+			t.Fatalf("campaign %s: last event = %s", o.Name, last)
+		}
 	}
 }
 

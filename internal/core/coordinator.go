@@ -113,7 +113,7 @@ type Config struct {
 	Fault fault.Spec
 	// Recovery names the fault-recovery policy for every pilot
 	// (internal/fault: none, retry, backoff, elsewhere). Empty means
-	// "none". Individual PilotSpec entries may override it per pilot.
+	// "none".
 	Recovery string
 	// CheckpointInterval enables checkpointed preemption: every running
 	// task banks recoverable progress at this virtual-time cadence, so
@@ -192,7 +192,7 @@ type Coordinator struct {
 	active       int
 	pool         *ga.Pool
 	trajectories []pipeline.Trajectory
-	events       *EventStream
+	events       []Event
 	bestDesign   map[string]*protein.Structure
 
 	basePipelines int
@@ -239,9 +239,6 @@ func NewCoordinator(targets []*workload.Target, cfg Config) (*Coordinator, error
 		return nil, err
 	}
 	for _, ps := range cfg.pilotSpecs() {
-		if err := fault.Validate(ps.Recovery); err != nil {
-			return nil, fmt.Errorf("core: pilot %q: %w", ps.Name, err)
-		}
 		if ps.Fault != nil {
 			if err := ps.Fault.Validate(); err != nil {
 				return nil, fmt.Errorf("core: pilot %q: %w", ps.Name, err)
@@ -327,8 +324,7 @@ func (c *Coordinator) StartOn(engine *simclock.Engine, onDone func()) error {
 			Cost:               c.cfg.Pipeline.Cost,
 			Policy:             c.cfg.Policy,
 			Fault:              ps.faultFor(c.cfg),
-			Recovery:           ps.recoveryFor(c.cfg),
-			Steer:              c.cfg.Steer,
+			Recovery:           c.cfg.Recovery,
 			CheckpointInterval: c.cfg.CheckpointInterval,
 			WalltimeGrace:      c.cfg.WalltimeGrace,
 			Seed:               xrand.Derive(c.cfg.Seed, ps.Name),
@@ -370,9 +366,6 @@ func (c *Coordinator) StartOn(engine *simclock.Engine, onDone func()) error {
 func (c *Coordinator) Finish(at simclock.Time) (*Result, error) {
 	c.rec.Close(at)
 	c.publish(EventCampaignDone, nil, nil, fmt.Sprintf("%d trajectories", len(c.trajectories)))
-	if c.events != nil {
-		c.events.q.Close()
-	}
 	if len(c.errs) > 0 {
 		return nil, fmt.Errorf("core: campaign had %d errors; first: %w", len(c.errs), c.errs[0])
 	}
@@ -568,8 +561,8 @@ func (c *Coordinator) startSteering() {
 	c.steerer.Start()
 }
 
-// onNodeTransfer publishes one applied node transfer on the event
-// stream — the steering analogue of the pipeline lifecycle events.
+// onNodeTransfer logs one applied node transfer as an event — the
+// steering analogue of the pipeline lifecycle events.
 func (c *Coordinator) onNodeTransfer(mv steer.Move) {
 	c.publish(EventNodeTransferred, nil, nil,
 		fmt.Sprintf("%s -> %s (%dc/%dg/%dGB)",

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"impress/internal/pipeline"
-	"impress/internal/queue"
 )
 
 // EventKind classifies campaign events.
@@ -55,9 +54,10 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one entry of the campaign event stream — the coordinator's
-// second communication channel in the paper's design ("one … for
-// completed tasks from each pipeline"), lifted to protocol-level events.
+// Event is one entry of the campaign's event log, Result.Events — the
+// coordinator's second communication channel in the paper's design ("one
+// … for completed tasks from each pipeline"), lifted to protocol-level
+// events.
 type Event struct {
 	// At is the virtual time of the event.
 	At time.Duration
@@ -90,77 +90,17 @@ func (e Event) String() string {
 	return s
 }
 
-// EventStream exposes a campaign's event flow over a bounded queue. The
-// queue is safe for concurrent consumption: a goroutine may drain it while
-// the campaign runs, or the caller may Drain after Run returns. When the
-// buffer fills, the oldest unread events are dropped (and counted) rather
-// than stalling the campaign.
-type EventStream struct {
-	q       *queue.Queue[Event]
-	dropped int
-}
-
-// newEventStream creates a stream with the given buffer capacity.
-func newEventStream(capacity int) *EventStream {
-	return &EventStream{q: queue.New[Event](capacity)}
-}
-
-// Queue returns the underlying queue for live consumption.
-func (s *EventStream) Queue() *queue.Queue[Event] { return s.q }
-
-// Drain returns all currently buffered events.
-func (s *EventStream) Drain() []Event { return s.q.Drain() }
-
-// Dropped reports how many events were discarded due to a full buffer.
-func (s *EventStream) Dropped() int { return s.dropped }
-
-// publish enqueues an event, evicting the oldest on overflow.
-func (s *EventStream) publish(e Event) {
-	if s == nil {
-		return
-	}
-	for {
-		ok, err := s.q.TryPut(e)
-		if err != nil || ok {
-			return
-		}
-		if _, got := s.q.TryGet(); got {
-			s.dropped++
-			continue
-		}
-		return
-	}
-}
-
-// Events attaches (and returns) the coordinator's event stream. Must be
-// called before Run. capacity bounds the buffer; 4096 suits full
-// campaigns.
-func (c *Coordinator) Events(capacity int) *EventStream {
-	if c.engine != nil {
-		panic("core: Events must be attached before Run")
-	}
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	c.events = newEventStream(capacity)
-	return c.events
-}
-
+// publish appends one event to the campaign's log, Result.Events.
 func (c *Coordinator) publish(kind EventKind, pl *pipeline.Pipeline, traj *pipeline.Trajectory, note string) {
-	if c.events == nil {
-		return
-	}
 	e := Event{
-		Kind: kind,
-		Note: note,
-	}
-	if c.engine != nil {
-		e.At = c.engine.Now().Duration()
+		At:         c.engine.Now().Duration(),
+		Kind:       kind,
+		Note:       note,
+		Trajectory: traj,
 	}
 	if pl != nil {
 		e.Pipeline = pl.ID
 		e.Target = pl.Target()
 	}
-	e.Trajectory = traj
-	c.events.publish(e)
+	c.events = append(c.events, e)
 }

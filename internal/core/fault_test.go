@@ -159,28 +159,3 @@ func TestFaultCampaignDeterminism(t *testing.T) {
 		t.Fatal("fault-injected campaign is not deterministic")
 	}
 }
-
-// TestPerPilotRecoveryOverride: PilotSpec.Recovery overrides the
-// campaign-wide policy, mirroring the scheduling-policy plumbing.
-func TestPerPilotRecoveryOverride(t *testing.T) {
-	cfg := faultyConfig(5, 0.3, "retry")
-	pilots, err := SplitPilots(cfg.Machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pilots[1].Recovery = "backoff"
-	cfg.Pilots = pilots
-	res, err := RunAdaptive(smallTargets(t, 2, 5), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.RecoveryLabel(); got != "retry+backoff" {
-		t.Fatalf("recovery label %q, want retry+backoff", got)
-	}
-	bad := cfg
-	bad.Pilots = append([]PilotSpec(nil), pilots...)
-	bad.Pilots[0].Recovery = "wish"
-	if _, err := NewCoordinator(smallTargets(t, 1, 5), bad); err == nil {
-		t.Fatal("unknown per-pilot recovery accepted")
-	}
-}

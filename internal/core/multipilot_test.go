@@ -199,3 +199,13 @@ func TestPilotValidation(t *testing.T) {
 		t.Error("GPU-serving pilot without GPUs accepted")
 	}
 }
+
+// TestUnknownSteerRejected closes the configuration loop: a bad steering
+// name fails when the campaign is built, not mid-campaign.
+func TestUnknownSteerRejected(t *testing.T) {
+	cfg := splitConfig(t, fastAdaptive(25))
+	cfg.Steer = "round-robin"
+	if _, err := NewCoordinator(smallTargets(t, 1, 25), cfg); err == nil {
+		t.Fatal("unknown steering policy accepted")
+	}
+}

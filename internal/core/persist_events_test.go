@@ -8,6 +8,7 @@ import (
 
 	"impress/internal/cluster"
 	"impress/internal/fault"
+	"impress/internal/workload"
 )
 
 func TestResultJSONRoundTrip(t *testing.T) {
@@ -154,23 +155,17 @@ func TestReadResultJSONRejectsBadSchema(t *testing.T) {
 
 func TestEventStream(t *testing.T) {
 	targets := smallTargets(t, 3, 23)
-	coord, err := NewCoordinator(targets, fastAdaptive(23))
+	res, err := RunAdaptive(targets, fastAdaptive(23))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := coord.Events(1024)
-	res, err := coord.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := stream.Drain()
+	events := res.Events
 	if len(events) == 0 {
-		t.Fatal("no events published")
+		t.Fatal("no events recorded")
 	}
-	counts := map[EventKind]int{}
+	counts := countEvents(events)
 	var lastAt int64 = -1
 	for _, e := range events {
-		counts[e.Kind]++
 		if int64(e.At) < lastAt {
 			t.Fatal("events out of time order")
 		}
@@ -188,8 +183,8 @@ func TestEventStream(t *testing.T) {
 	if counts[EventSubPipelineSpawned] != res.SubPipelines {
 		t.Errorf("spawn events %d != sub-pipelines %d", counts[EventSubPipelineSpawned], res.SubPipelines)
 	}
-	if counts[EventCampaignDone] != 1 {
-		t.Errorf("campaign-done events: %d", counts[EventCampaignDone])
+	if counts[EventCampaignDone] != 1 || events[len(events)-1].Kind != EventCampaignDone {
+		t.Errorf("campaign-done events: %d, last event %v", counts[EventCampaignDone], events[len(events)-1].Kind)
 	}
 	// Event rendering includes trajectory detail.
 	sawDetail := false
@@ -202,53 +197,58 @@ func TestEventStream(t *testing.T) {
 	if !sawDetail {
 		t.Error("cycle events carry no metric detail")
 	}
-	if stream.Dropped() != 0 {
-		t.Errorf("events dropped with ample buffer: %d", stream.Dropped())
-	}
 }
 
-func TestEventStreamOverflowDropsOldest(t *testing.T) {
-	targets := smallTargets(t, 3, 24)
-	coord, err := NewCoordinator(targets, fastAdaptive(24))
+// countEvents tallies an event log by kind.
+func countEvents(events []Event) map[EventKind]int {
+	counts := map[EventKind]int{}
+	for _, e := range events {
+		counts[e.Kind]++
+	}
+	return counts
+}
+
+// TestPipelineKilledEvents: a faulty campaign logs one pipeline-killed
+// event per pipeline its fault accounting counts as killed.
+func TestPipelineKilledEvents(t *testing.T) {
+	res, err := RunAdaptive(smallTargets(t, 4, 27), faultyConfig(27, 0.3, "none"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := coord.Events(4) // tiny buffer forces eviction
-	if _, err := coord.Run(); err != nil {
-		t.Fatal(err)
+	if res.Faults == nil || res.Faults.KilledPipelines == 0 {
+		t.Fatal("faulty campaign killed no pipeline; the check below would be vacuous")
 	}
-	events := stream.Drain()
-	if len(events) != 4 {
-		t.Fatalf("buffer held %d events, want 4", len(events))
-	}
-	if stream.Dropped() == 0 {
-		t.Fatal("no drops recorded despite tiny buffer")
-	}
-	// The final event must be the campaign-done marker (newest kept).
-	if events[len(events)-1].Kind != EventCampaignDone {
-		t.Fatalf("last event is %v", events[len(events)-1].Kind)
+	if got := countEvents(res.Events)[EventPipelineKilled]; got != res.Faults.KilledPipelines {
+		t.Fatalf("pipeline-killed events %d != killed pipelines %d", got, res.Faults.KilledPipelines)
 	}
 }
 
-func TestEventsAfterRunPanics(t *testing.T) {
-	targets := smallTargets(t, 1, 25)
-	coord, err := NewCoordinator(targets, fastControl(25))
+// TestNodeTransferredEvents: a steered split campaign logs one
+// node-transferred event per node its controller moved.
+func TestNodeTransferredEvents(t *testing.T) {
+	targets, err := workload.MinedScreen(7, 4, workload.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Run(); err != nil {
+	cfg := fastAdaptive(7)
+	cfg.Machine = cluster.AmarelCluster(2)
+	cfg = splitConfig(t, cfg)
+	cfg.Steer = "greedy"
+	res, err := RunAdaptive(targets, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Events after Run did not panic")
-		}
-	}()
-	coord.Events(16)
+	if res.NodeTransfers == 0 {
+		t.Fatal("steered campaign moved no node; the check below would be vacuous")
+	}
+	if got := countEvents(res.Events)[EventNodeTransferred]; got != res.NodeTransfers {
+		t.Fatalf("node-transferred events %d != node transfers %d", got, res.NodeTransfers)
+	}
 }
 
 func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{EventPipelineStarted, EventCycleConcluded, EventSubPipelineSpawned, EventPipelineFinished, EventCampaignDone}
+	kinds := []EventKind{EventPipelineStarted, EventCycleConcluded, EventSubPipelineSpawned, EventPipelineFinished,
+		EventCampaignDone, EventPipelineKilled, EventNodeTransferred}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -57,24 +57,11 @@ type PilotSpec struct {
 	Nodes []cluster.NodeCapacity
 	// Serves restricts the task classes routed here; empty serves all.
 	Serves []ResourceClass
-	// Recovery overrides the campaign's fault-recovery policy for this
-	// pilot (internal/fault name); empty inherits Config.Recovery.
-	Recovery string
 	// Fault overrides the campaign's failure models for this pilot; nil
 	// inherits Config.Fault. The preempt-sweep scenario uses this to
 	// bound a single pilot's walltime while the rest of the fleet
 	// survives to absorb its drained work.
 	Fault *fault.Spec
-}
-
-// recoveryFor resolves the fault-recovery policy this pilot runs under:
-// per-pilot override, else campaign-wide, else empty (the pilot layer
-// defaults to "none").
-func (ps PilotSpec) recoveryFor(cfg Config) string {
-	if ps.Recovery != "" {
-		return ps.Recovery
-	}
-	return cfg.Recovery
 }
 
 // faultFor resolves the failure models this pilot runs under: its own

@@ -32,6 +32,11 @@ type Result struct {
 
 	// Trajectories are all concluded design cycles, in conclusion order.
 	Trajectories []pipeline.Trajectory `json:"trajectories"`
+	// Events is the campaign's protocol-level event log (pipeline
+	// starts, concluded cycles, spawns, kills, node transfers), in
+	// virtual-time order and ending with EventCampaignDone. It is not
+	// part of the result file.
+	Events []Event `json:"-"`
 	// Pool is the coordinator's global result pool (per-iteration
 	// metric buckets for Figs. 2 and 3).
 	Pool *ga.Pool `json:"pool_entries"`
@@ -77,8 +82,8 @@ type Result struct {
 	// Recoveries records each pilot's resolved fault-recovery policy,
 	// parallel to Pilots.
 	Recoveries []string `json:"recoveries,omitempty"`
-	// Steerings records each pilot's resolved elastic-steering
-	// participation, parallel to Pilots ("none" on frozen partitions).
+	// Steerings repeats Steer once per pilot, parallel to Pilots: every
+	// pilot of a campaign runs under the campaign's steering policy.
 	Steerings []string `json:"steerings,omitempty"`
 	// Steer is the campaign's elastic-steering policy ("none" when the
 	// partitions stayed frozen).
@@ -247,6 +252,7 @@ func (c *Coordinator) buildResult() *Result {
 		Approach:          approach,
 		Seed:              c.cfg.Seed,
 		Trajectories:      c.trajectories,
+		Events:            c.events,
 		Pool:              c.pool,
 		BasePipelines:     c.basePipelines,
 		SubPipelines:      c.subPipelines,
@@ -268,15 +274,15 @@ func (c *Coordinator) buildResult() *Result {
 		FinalDesigns:      c.bestDesign,
 		TaskRecords:       c.rec.Tasks(),
 	}
+	res.Steer = steer.Default()
+	if steer.Enabled(c.cfg.Steer) {
+		res.Steer = c.cfg.Steer
+	}
 	for i, ps := range c.specs {
 		res.Pilots = append(res.Pilots, ps.Name)
 		res.Policies = append(res.Policies, c.pilots[i].Policy())
 		res.Recoveries = append(res.Recoveries, c.pilots[i].Recovery())
-		res.Steerings = append(res.Steerings, c.pilots[i].Steer())
-	}
-	res.Steer = steer.Default()
-	if steer.Enabled(c.cfg.Steer) {
-		res.Steer = c.cfg.Steer
+		res.Steerings = append(res.Steerings, res.Steer)
 	}
 	res.CheckpointInterval = c.cfg.CheckpointInterval
 	res.WalltimeGrace = c.cfg.WalltimeGrace

@@ -147,7 +147,6 @@ func runElasticInvariantTrial(t *testing.T, polName string, trial int64) {
 			Policy:   polName,
 			Fault:    fs,
 			Recovery: "retry",
-			Steer:    "greedy",
 			Seed:     seed,
 		})
 		if err != nil {
@@ -277,17 +276,5 @@ func runElasticInvariantTrial(t *testing.T, polName string, trial int64) {
 	end := engine.Now().Add(time.Minute)
 	if trace.Sample(rec.CPUSeries(), end) != 0 || trace.Sample(rec.GPUSeries(), end) != 0 {
 		t.Fatal("busy counters not unwound to zero")
-	}
-}
-
-// TestUnknownSteerRejected closes the configuration loop: a bad steering
-// name fails at pilot submission, not mid-campaign.
-func TestUnknownSteerRejected(t *testing.T) {
-	engine := simclock.New()
-	pm := NewPilotManager(engine, nil)
-	pd := defaultPD()
-	pd.Steer = "round-robin"
-	if _, err := pm.Submit(pd); err == nil {
-		t.Fatal("unknown steering policy accepted")
 	}
 }

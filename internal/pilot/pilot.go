@@ -11,7 +11,6 @@ import (
 	"impress/internal/preempt"
 	"impress/internal/sched"
 	"impress/internal/simclock"
-	"impress/internal/steer"
 	"impress/internal/telemetry"
 	"impress/internal/trace"
 )
@@ -69,12 +68,6 @@ type PilotDescription struct {
 	// Recovery names the fault-recovery policy (internal/fault): none,
 	// retry, backoff, elsewhere. Empty means "none" — failures surface.
 	Recovery string
-	// Steer names the pilot's elastic-steering participation
-	// (internal/steer): "none" freezes the pilot's partition (it neither
-	// donates nor receives nodes), any steering policy name opts it into
-	// the campaign's node transfers. Empty means "none" — the pilot
-	// behaves exactly like the pre-steering runtime.
-	Steer string
 	// CheckpointInterval enables lazy checkpointing: a running attempt's
 	// progress counts as durably saved at every multiple of this virtual
 	// interval, so an evicted or fault-killed attempt resumes from its
@@ -141,13 +134,6 @@ func (pm *PilotManager) Submit(pd PilotDescription) (*Pilot, error) {
 	if err != nil {
 		return nil, err
 	}
-	steerName := pd.Steer
-	if steerName == "" {
-		steerName = steer.Default()
-	}
-	if err := steer.Validate(steerName); err != nil {
-		return nil, err
-	}
 	var clu *cluster.Cluster
 	if len(pd.Nodes) > 0 {
 		clu, err = cluster.NewWithNodes(pd.Machine, pd.Nodes)
@@ -165,7 +151,6 @@ func (pm *PilotManager) Submit(pd PilotDescription) (*Pilot, error) {
 		engine:   pm.engine,
 		state:    PilotLaunching,
 		recovery: rec,
-		steer:    steerName,
 		tel:      pm.tel,
 	}
 	p.agent = newAgent(p, clu, pm.rec, pol)
@@ -210,7 +195,6 @@ type Pilot struct {
 	draining bool
 
 	recovery fault.Policy
-	steer    string
 	injector *injector
 	// tel is the campaign's telemetry recorder; nil (the default)
 	// disables instant events and gauges for this pilot.
@@ -235,10 +219,6 @@ func (p *Pilot) Policy() string { return p.agent.policy.Name() }
 // Recovery returns the resolved name of the pilot's fault-recovery
 // policy ("none" when unset).
 func (p *Pilot) Recovery() string { return p.recovery.Name() }
-
-// Steer returns the resolved name of the pilot's elastic-steering
-// participation ("none" when unset: the partition is frozen).
-func (p *Pilot) Steer() string { return p.steer }
 
 // Active reports whether the pilot currently schedules tasks. A pilot
 // draining toward walltime expiry is not active: it finishes what fits

@@ -44,7 +44,7 @@ func newRig(t *testing.T, nodes int) *rig {
 	var pilots []*pilot.Pilot
 	for i, spec := range []cluster.Spec{cpu, gpu} {
 		p, err := pm.Submit(pilot.PilotDescription{
-			Machine: spec, Cost: testCost(), Policy: "backfill", Steer: "greedy", Seed: uint64(i + 1),
+			Machine: spec, Cost: testCost(), Policy: "backfill", Seed: uint64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -95,9 +95,6 @@ type Config struct {
 	// Workers bounds the worker pool that pre-builds tenant workloads;
 	// ≤ 1 builds serially. Changing it never changes results.
 	Workers int
-	// EventCapacity, when positive, attaches an event stream of that
-	// buffer size to every tenant's coordinator.
-	EventCapacity int
 }
 
 // Spec bundles a service configuration with its tenant stream — the
@@ -123,9 +120,8 @@ type tenant struct {
 	targets  []*workload.Target
 	buildErr error
 
-	coord  *core.Coordinator
-	events *core.EventStream
-	pilot  *pilot.Pilot
+	coord *core.Coordinator
+	pilot *pilot.Pilot
 
 	state     tenantState
 	here      bool // arrival event fired (distinguishes "arrived at t=0" from "not yet")
@@ -325,16 +321,6 @@ func (s *Service) TenantResults() []*core.Result {
 	return out
 }
 
-// TenantEvents returns the per-tenant event streams in tenant order (nil
-// entries unless Config.EventCapacity was set). Valid after Run.
-func (s *Service) TenantEvents() []*core.EventStream {
-	out := make([]*core.EventStream, len(s.tenants))
-	for i, t := range s.tenants {
-		out[i] = t.events
-	}
-	return out
-}
-
 // views builds the admission snapshot: every arrived, unfinished tenant
 // in arrival order. Arrival offsets are sorted by construction and
 // same-instant events fire in insertion order, so arrival order is
@@ -410,9 +396,6 @@ func (s *Service) admitTenant(t *tenant, nodes int) {
 		t.err = err
 		s.finishTenant(t)
 		return
-	}
-	if s.cfg.EventCapacity > 0 {
-		t.events = coord.Events(s.cfg.EventCapacity)
 	}
 	t.coord = coord
 	if err := coord.StartOn(s.engine, func() { s.onTenantDone(t) }); err != nil {

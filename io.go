@@ -16,15 +16,12 @@ import (
 // backbone coordinates.
 type Structure = protein.Structure
 
-// EventStream carries a campaign's protocol-level events (pipeline
-// starts, concluded cycles, sub-pipeline spawns) over a bounded,
-// thread-safe queue; see Coordinator.Events.
-type EventStream = core.EventStream
-
-// Event is one campaign event.
+// Event is one entry of a campaign's protocol-level event log
+// (pipeline starts, concluded cycles, sub-pipeline spawns), read from
+// Result.Events once the campaign has run.
 type Event = core.Event
 
-// Event kinds published on the stream.
+// Event kinds recorded in Result.Events.
 const (
 	EventPipelineStarted    = core.EventPipelineStarted
 	EventCycleConcluded     = core.EventCycleConcluded
@@ -32,17 +29,6 @@ const (
 	EventPipelineFinished   = core.EventPipelineFinished
 	EventCampaignDone       = core.EventCampaignDone
 )
-
-// Coordinator drives one campaign and exposes its event stream; most
-// callers use RunAdaptive/RunControl instead and only reach for this when
-// they want live events.
-type Coordinator = core.Coordinator
-
-// NewCoordinator prepares a campaign without running it, so an event
-// stream can be attached via (*Coordinator).Events before Run.
-func NewCoordinator(targets []*Target, cfg Config) (*Coordinator, error) {
-	return core.NewCoordinator(targets, cfg)
-}
 
 // WriteResultJSON serializes a campaign result; includeTasks adds the
 // per-task timeline records.

@@ -70,32 +70,12 @@ func TestPublicEventStream(t *testing.T) {
 	cfg.Pipeline.Cycles = 2
 	cfg.Pipeline.MPNN.NumSequences = 4
 	cfg.Pipeline.MPNN.Sweeps = 2
-	coord, err := impress.NewCoordinator([]*impress.Target{target}, cfg)
+	res, err := impress.RunAdaptive([]*impress.Target{target}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := coord.Events(256)
-
-	// Consume live from a goroutine while the campaign runs — the
-	// concurrent-consumption mode the queue package exists for.
-	collected := make(chan int, 1)
-	go func() {
-		n := 0
-		for {
-			if _, ok := stream.Queue().Get(); !ok {
-				break
-			}
-			n++
-		}
-		collected <- n
-	}()
-	res, err := coord.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := <-collected
-	if n < res.TrajectoryCount()+2 {
-		t.Fatalf("live consumer saw %d events", n)
+	if n := len(res.Events); n < res.TrajectoryCount()+2 {
+		t.Fatalf("event log holds %d events", n)
 	}
 }
 
