@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -656,18 +655,6 @@ func preemptPilots(machine cluster.Spec) ([]core.PilotSpec, error) {
 	}, nil
 }
 
-// durLabel renders a duration compactly for campaign names: "15m", "1h",
-// "0".
-func durLabel(d time.Duration) string {
-	s := d.String()
-	s = strings.TrimSuffix(s, "0s")
-	s = strings.TrimSuffix(s, "0m")
-	if s == "" {
-		s = "0"
-	}
-	return s
-}
-
 // preemptSweepAt builds one seed's slice of the preemption grid: a
 // fault-free baseline plus one campaign per (checkpoint interval,
 // kill-vs-drain, steering mode) cell, all over the identical screen
@@ -728,7 +715,7 @@ func preemptSweepAt(seed uint64, n int, p Params) ([]Campaign, error) {
 					return nil, err
 				}
 				all = append(all, Campaign{
-					Name:    fmt.Sprintf("preempt/%s+%s/ck%s/seed%d", mode, st, durLabel(iv), seed),
+					Name:    fmt.Sprintf("preempt/%s+%s/ck%s/seed%d", mode, st, report.DurationLabel(iv, "0"), seed),
 					Seed:    seed,
 					Targets: targets,
 					Config:  cfg,

@@ -73,7 +73,9 @@ type ModelOut struct {
 	// Metrics are the model's confidence/error scores.
 	Metrics landscape.Metrics
 	// PerResiduePLDDT holds per-position confidence for the full
-	// complex; its mean tracks Metrics.PLDDT.
+	// complex; its mean tracks Metrics.PLDDT. No pipeline stage reads
+	// it, but drawing it advances the prediction's noise stream, so
+	// dropping it would shift every later draw and every golden.
 	PerResiduePLDDT []float64
 }
 

@@ -9,7 +9,6 @@ import (
 	"impress/internal/mpnn"
 	"impress/internal/pilot"
 	"impress/internal/protein"
-	"impress/internal/stats"
 	"impress/internal/xrand"
 )
 
@@ -200,12 +199,8 @@ func (p *Pipeline) foldStep() Step {
 func (p *Pipeline) metricsStep(pred fold.Prediction) Step {
 	cost := p.params.Cost
 	work := pilot.WorkFunc(func(ctx *pilot.ExecContext) (pilot.Result, error) {
-		best := pred.Best()
-		// Gathering includes a per-residue confidence summary, as a real
-		// S5 would parse from AlphaFold's output files.
-		_ = stats.Describe(best.PerResiduePLDDT)
 		return pilot.Result{
-			Value: best.Metrics,
+			Value: pred.Best().Metrics,
 			Phases: []pilot.Phase{{
 				Name: "scoring", Duration: cost.MetricsDuration,
 				BusyCores: cost.SmallTaskCores,

@@ -1,13 +1,13 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 
 	"impress/internal/core"
-	"impress/internal/stats"
 )
 
 // chaosKey identifies one cell of the chaos grid: a recovery policy
@@ -27,29 +27,20 @@ type chaosKey struct {
 // correlated failures: how tasks recover and whether capacity is
 // steered around the holes.
 func Chaos(results []*core.Result) string {
-	baselines, groups, keys := groupChaos(results)
+	base := baselinesOf(results, faultFree, false)
+	cells := groupBy(results, func(r *core.Result) (chaosKey, bool) {
+		if r.Faults == nil {
+			return chaosKey{}, false
+		}
+		return chaosKey{r.Faults.Recovery, r.SteerLabel()}, true
+	}, func(a, b chaosKey) int {
+		return cmp.Or(cmp.Compare(a.recovery, b.recovery), cmp.Compare(a.steer, b.steer))
+	})
 
 	t := NewTable("Recovery", "Steer", "Runs", "Goodput %", "Makespan (h)", "Inflation ×",
 		"Crashes", "Outages", "Maint", "Downtime node-h", "Transfers", "Killed PL")
-	for _, k := range keys {
-		rs := groups[k]
-		collect := func(f func(*core.Result) float64) []float64 {
-			out := make([]float64, len(rs))
-			for i, r := range rs {
-				out[i] = f(r)
-			}
-			return out
-		}
-		var inflations []float64
-		for _, r := range rs {
-			if base, ok := baselines[r.Seed]; ok && base > 0 {
-				inflations = append(inflations, r.Makespan.Hours()/base)
-			}
-		}
-		inflation := "n/a"
-		if len(inflations) > 0 {
-			inflation = fmt.Sprintf("%.2f", stats.Median(inflations))
-		}
+	for _, c := range cells {
+		rs := c.runs
 		crashes, outages, maints, transfers, killed := 0, 0, 0, 0, 0
 		var downtime float64
 		for _, r := range rs {
@@ -61,12 +52,12 @@ func Chaos(results []*core.Result) string {
 			killed += r.Faults.KilledPipelines
 		}
 		t.AddRow(
-			k.recovery,
-			k.steer,
+			c.key.recovery,
+			c.key.steer,
 			fmt.Sprintf("%d", len(rs)),
-			fmt.Sprintf("%.1f", 100*stats.Median(collect((*core.Result).Goodput))),
-			fmt.Sprintf("%.2f", stats.Median(collect(func(r *core.Result) float64 { return r.Makespan.Hours() }))),
-			inflation,
+			fmt.Sprintf("%.1f", 100*median(rs, (*core.Result).Goodput)),
+			fmt.Sprintf("%.2f", median(rs, makespanHours)),
+			base.cell(rs, "%.2f"),
 			fmt.Sprintf("%d", crashes),
 			fmt.Sprintf("%d", outages),
 			fmt.Sprintf("%d", maints),
@@ -78,7 +69,7 @@ func Chaos(results []*core.Result) string {
 
 	var sb strings.Builder
 	sb.WriteString("Chaos comparison: recovery × steering under correlated failures (medians over seeds; counts summed)\n")
-	if len(baselines) == 0 {
+	if len(base.hours) == 0 {
 		sb.WriteString("(no fault-free baseline runs: makespan inflation unavailable)\n")
 	}
 	sb.WriteString(t.String())
@@ -86,36 +77,6 @@ func Chaos(results []*core.Result) string {
 		sb.WriteString("Crashes by domain (all cells): " + domains + "\n")
 	}
 	return sb.String()
-}
-
-// groupChaos splits results into per-seed fault-free baselines and
-// fault-injected groups keyed by (recovery, steer), with keys sorted by
-// recovery then steering name.
-func groupChaos(results []*core.Result) (map[uint64]float64, map[chaosKey][]*core.Result, []chaosKey) {
-	baselines := make(map[uint64]float64)
-	groups := make(map[chaosKey][]*core.Result)
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		if r.Faults == nil {
-			baselines[r.Seed] = r.Makespan.Hours()
-			continue
-		}
-		k := chaosKey{recovery: r.Faults.Recovery, steer: r.SteerLabel()}
-		groups[k] = append(groups[k], r)
-	}
-	keys := make([]chaosKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].recovery != keys[j].recovery {
-			return keys[i].recovery < keys[j].recovery
-		}
-		return keys[i].steer < keys[j].steer
-	})
-	return baselines, groups, keys
 }
 
 // domainCrashLabel sums per-domain crash counts across all fault runs
@@ -157,7 +118,7 @@ func ChaosCSV(w io.Writer, results []*core.Result) error {
 		"killed_pipelines,resubmissions,terminal_failures"); err != nil {
 		return err
 	}
-	baselines, _, _ := groupChaos(results)
+	base := baselinesOf(results, faultFree, false)
 	for _, r := range results {
 		if r == nil {
 			continue
@@ -169,14 +130,10 @@ func ChaosCSV(w io.Writer, results []*core.Result) error {
 			}
 			continue
 		}
-		inflation := ""
-		if base, ok := baselines[r.Seed]; ok && base > 0 {
-			inflation = fmt.Sprintf("%.4f", r.Makespan.Hours()/base)
-		}
 		f := r.Faults
 		if _, err := fmt.Fprintf(w, "%s,%s,%d,%s,%.4f,%.4f,%s,%d,%d,%d,%.1f,%d,%d,%d,%d\n",
 			f.Recovery, r.SteerLabel(), r.Seed, r.Approach, r.Goodput(), r.Makespan.Hours(),
-			inflation, f.NodeCrashes, f.DomainOutages, f.MaintenanceWindows,
+			base.csv(r), f.NodeCrashes, f.DomainOutages, f.MaintenanceWindows,
 			f.DowntimeNodeSeconds, r.NodeTransfers, f.KilledPipelines,
 			f.Resubmissions, f.TerminalFailures); err != nil {
 			return err

@@ -3,12 +3,9 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"time"
 
 	"impress/internal/core"
-	"impress/internal/stats"
 )
 
 // Elastic renders the steering comparison: one row per steering policy,
@@ -18,90 +15,48 @@ import (
 // plus the science outcome (trajectories, net pLDDT) so a policy that
 // goes fast by starving the protocol shows up immediately.
 func Elastic(results []*core.Result) string {
-	baselines, groups, names := groupElastic(results)
+	base := baselinesOf(results, isFrozen, true)
+	cells := groupBy(results, func(r *core.Result) (string, bool) { return r.SteerLabel(), true }, strings.Compare)
 
 	t := NewTable("Steer", "Runs", "Makespan (h)", "Speedup ×", "Queue wait", "Max wait",
 		"CPU %", "GPU %", "Transfers", "Vetoes", "Traj", "ΔpLDDT")
-	for _, name := range names {
-		rs := groups[name]
-		collect := func(f func(*core.Result) float64) []float64 {
-			out := make([]float64, len(rs))
-			for i, r := range rs {
-				out[i] = f(r)
-			}
-			return out
-		}
-		var speedups []float64
-		for _, r := range rs {
-			if base, ok := baselines[r.Seed]; ok && r.Makespan.Hours() > 0 {
-				speedups = append(speedups, base/r.Makespan.Hours())
-			}
-		}
-		speedup := "n/a"
-		if len(speedups) > 0 {
-			speedup = fmt.Sprintf("%.3f", stats.Median(speedups))
-		}
-		var meanWait, maxWait time.Duration
+	for _, c := range cells {
+		rs := c.runs
+		meanWait, maxWait := queueWaits(rs)
 		transfers, vetoes := 0, 0
 		for _, r := range rs {
-			m, x := r.QueueWait()
-			meanWait += m
-			if x > maxWait {
-				maxWait = x
-			}
 			transfers += r.NodeTransfers
 			vetoes += r.SteerVetoes
 		}
-		meanWait /= time.Duration(len(rs))
 		t.AddRow(
-			name,
+			c.key,
 			fmt.Sprintf("%d", len(rs)),
-			fmt.Sprintf("%.2f", stats.Median(collect(func(r *core.Result) float64 { return r.Makespan.Hours() }))),
-			speedup,
-			fmtWait(meanWait),
-			fmtWait(maxWait),
-			fmt.Sprintf("%.1f", 100*stats.Median(collect(func(r *core.Result) float64 { return r.CPUUtilization }))),
-			fmt.Sprintf("%.1f", 100*stats.Median(collect(func(r *core.Result) float64 { return r.GPUUtilization }))),
+			fmt.Sprintf("%.2f", median(rs, makespanHours)),
+			base.cell(rs, "%.3f"),
+			meanWait,
+			maxWait,
+			fmt.Sprintf("%.1f", 100*median(rs, func(r *core.Result) float64 { return r.CPUUtilization })),
+			fmt.Sprintf("%.1f", 100*median(rs, func(r *core.Result) float64 { return r.GPUUtilization })),
 			fmt.Sprintf("%d", transfers),
 			fmt.Sprintf("%d", vetoes),
-			fmt.Sprintf("%.1f", stats.Median(collect(func(r *core.Result) float64 { return float64(r.TrajectoryCount()) }))),
-			fmt.Sprintf("%+.2f", stats.Median(collect(func(r *core.Result) float64 { return r.NetDelta(core.PLDDTOf) }))),
+			fmt.Sprintf("%.1f", median(rs, func(r *core.Result) float64 { return float64(r.TrajectoryCount()) })),
+			fmt.Sprintf("%+.2f", median(rs, func(r *core.Result) float64 { return r.NetDelta(core.PLDDTOf) })),
 		)
 	}
 	var sb strings.Builder
 	sb.WriteString("Elastic steering comparison (medians over seeds; waits averaged, transfers summed;\n")
 	sb.WriteString("speedup = frozen-split makespan / policy makespan, per seed)\n")
-	if len(baselines) == 0 {
+	if len(base.hours) == 0 {
 		sb.WriteString("(no frozen-split runs: speedup unavailable)\n")
 	}
 	sb.WriteString(t.String())
 	return sb.String()
 }
 
-// groupElastic splits results into per-seed frozen-split baselines
-// (steer "none", by makespan hours) and groups keyed by steering policy,
-// with group names sorted. The frozen split itself also forms a group,
-// so its row shows speedup 1.
-func groupElastic(results []*core.Result) (map[uint64]float64, map[string][]*core.Result, []string) {
-	baselines := make(map[uint64]float64)
-	groups := make(map[string][]*core.Result)
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		label := r.SteerLabel()
-		if label == "none" {
-			baselines[r.Seed] = r.Makespan.Hours()
-		}
-		groups[label] = append(groups[label], r)
-	}
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return baselines, groups, names
-}
+// isFrozen is the elastic report's baseline rule: the frozen split
+// (steer "none"), which also forms a cell of its own, so its row shows
+// speedup 1.
+func isFrozen(r *core.Result) bool { return r.SteerLabel() == "none" }
 
 // ElasticCSV writes one steering-comparison row per campaign — the
 // machine-readable companion of Elastic.
@@ -110,18 +65,14 @@ func ElasticCSV(w io.Writer, results []*core.Result) error {
 		"cpu_util,gpu_util,node_transfers,steer_vetoes,trajectories,dplddt"); err != nil {
 		return err
 	}
-	baselines, _, _ := groupElastic(results)
+	base := baselinesOf(results, isFrozen, true)
 	for _, r := range results {
 		if r == nil {
 			continue
 		}
-		speedup := ""
-		if base, ok := baselines[r.Seed]; ok && r.Makespan.Hours() > 0 {
-			speedup = fmt.Sprintf("%.4f", base/r.Makespan.Hours())
-		}
 		mean, max := r.QueueWait()
 		if _, err := fmt.Fprintf(w, "%s,%d,%s,%.4f,%s,%.4f,%.4f,%.4f,%.4f,%d,%d,%d,%.4f\n",
-			r.SteerLabel(), r.Seed, r.Approach, r.Makespan.Hours(), speedup,
+			r.SteerLabel(), r.Seed, r.Approach, r.Makespan.Hours(), base.csv(r),
 			mean.Minutes(), max.Minutes(), r.CPUUtilization, r.GPUUtilization,
 			r.NodeTransfers, r.SteerVetoes, r.TrajectoryCount(), r.NetDelta(core.PLDDTOf)); err != nil {
 			return err

@@ -1,9 +1,9 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"impress/internal/core"
@@ -35,18 +35,18 @@ func JainOf(r *core.Result) float64 {
 // reclaim traffic — plus aggregate makespan, so a policy that buys
 // fairness by stalling the whole fleet shows up immediately.
 func Fairness(results []*core.Result) string {
-	groups, names := groupFairness(results)
+	// Plain campaigns carry no tenant records and form no cell.
+	cells := groupBy(results, func(r *core.Result) (string, bool) {
+		return cmp.Or(r.Admission, "fcfs-admit"), len(r.Tenants) > 0
+	}, strings.Compare)
 
 	t := NewTable("Admission", "Runs", "Tenants", "Jain", "Slowdown p50", "p90", "max",
 		"Wait (h)", "Makespan (h)", "Reclaims")
-	for _, name := range names {
-		rs := groups[name]
-		var jains, makespans []float64
+	for _, c := range cells {
+		rs := c.runs
 		var slowdowns, waits []float64
 		tenants, reclaims := 0, 0
 		for _, r := range rs {
-			jains = append(jains, JainOf(r))
-			makespans = append(makespans, r.Makespan.Hours())
 			tenants += len(r.Tenants)
 			for _, ts := range r.Tenants {
 				slowdowns = append(slowdowns, ts.Slowdown)
@@ -55,15 +55,15 @@ func Fairness(results []*core.Result) string {
 			}
 		}
 		t.AddRow(
-			name,
+			c.key,
 			fmt.Sprintf("%d", len(rs)),
 			fmt.Sprintf("%d", tenants),
-			fmt.Sprintf("%.3f", stats.Median(jains)),
+			fmt.Sprintf("%.3f", median(rs, JainOf)),
 			fmt.Sprintf("%.2f", stats.Quantile(slowdowns, 0.5)),
 			fmt.Sprintf("%.2f", stats.Quantile(slowdowns, 0.9)),
 			fmt.Sprintf("%.2f", stats.Max(slowdowns)),
 			fmt.Sprintf("%.2f", stats.Mean(waits)),
-			fmt.Sprintf("%.2f", stats.Median(makespans)),
+			fmt.Sprintf("%.2f", median(rs, makespanHours)),
 			fmt.Sprintf("%d", reclaims),
 		)
 	}
@@ -72,29 +72,6 @@ func Fairness(results []*core.Result) string {
 	sb.WriteString("medians over seeds, waits averaged over tenants, reclaims summed)\n")
 	sb.WriteString(t.String())
 	return sb.String()
-}
-
-// groupFairness groups multi-tenant service results by admission policy,
-// with group names sorted. Results without tenant records (plain
-// campaigns) are skipped.
-func groupFairness(results []*core.Result) (map[string][]*core.Result, []string) {
-	groups := make(map[string][]*core.Result)
-	for _, r := range results {
-		if r == nil || len(r.Tenants) == 0 {
-			continue
-		}
-		label := r.Admission
-		if label == "" {
-			label = "fcfs-admit"
-		}
-		groups[label] = append(groups[label], r)
-	}
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return groups, names
 }
 
 // FairnessCSV writes one row per tenant per service run — the

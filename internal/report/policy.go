@@ -3,12 +3,9 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"time"
 
 	"impress/internal/core"
-	"impress/internal/stats"
 )
 
 // PolicyCompare renders the scheduling-policy comparison: one row per
@@ -18,60 +15,29 @@ import (
 // science outcome (trajectories, net pLDDT) so a policy that goes fast by
 // starving the protocol shows up immediately.
 func PolicyCompare(results []*core.Result) string {
-	groups := make(map[string][]*core.Result)
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		groups[r.PolicyLabel()] = append(groups[r.PolicyLabel()], r)
-	}
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	cells := groupBy(results, func(r *core.Result) (string, bool) { return r.PolicyLabel(), true }, strings.Compare)
 
 	t := NewTable("Policy", "Campaigns", "Makespan (h)", "Queue wait", "Max wait",
 		"CPU %", "GPU %", "Traj", "ΔpLDDT")
-	for _, name := range names {
-		rs := groups[name]
-		collect := func(f func(*core.Result) float64) []float64 {
-			out := make([]float64, len(rs))
-			for i, r := range rs {
-				out[i] = f(r)
-			}
-			return out
-		}
-		var meanWait, maxWait time.Duration
-		for _, r := range rs {
-			m, x := r.QueueWait()
-			meanWait += m
-			if x > maxWait {
-				maxWait = x
-			}
-		}
-		meanWait /= time.Duration(len(rs))
+	for _, c := range cells {
+		rs := c.runs
+		meanWait, maxWait := queueWaits(rs)
 		t.AddRow(
-			name,
+			c.key,
 			fmt.Sprintf("%d", len(rs)),
-			fmt.Sprintf("%.2f", stats.Median(collect(func(r *core.Result) float64 { return r.Makespan.Hours() }))),
-			fmtWait(meanWait),
-			fmtWait(maxWait),
-			fmt.Sprintf("%.1f", 100*stats.Median(collect(func(r *core.Result) float64 { return r.CPUUtilization }))),
-			fmt.Sprintf("%.1f", 100*stats.Median(collect(func(r *core.Result) float64 { return r.GPUUtilization }))),
-			fmt.Sprintf("%.1f", stats.Median(collect(func(r *core.Result) float64 { return float64(r.TrajectoryCount()) }))),
-			fmt.Sprintf("%+.2f", stats.Median(collect(func(r *core.Result) float64 { return r.NetDelta(core.PLDDTOf) }))),
+			fmt.Sprintf("%.2f", median(rs, makespanHours)),
+			meanWait,
+			maxWait,
+			fmt.Sprintf("%.1f", 100*median(rs, func(r *core.Result) float64 { return r.CPUUtilization })),
+			fmt.Sprintf("%.1f", 100*median(rs, func(r *core.Result) float64 { return r.GPUUtilization })),
+			fmt.Sprintf("%.1f", median(rs, func(r *core.Result) float64 { return float64(r.TrajectoryCount()) })),
+			fmt.Sprintf("%+.2f", median(rs, func(r *core.Result) float64 { return r.NetDelta(core.PLDDTOf) })),
 		)
 	}
 	var sb strings.Builder
 	sb.WriteString("Scheduling-policy comparison (medians over campaigns; waits averaged)\n")
 	sb.WriteString(t.String())
 	return sb.String()
-}
-
-// fmtWait renders a queue-wait duration at minute precision.
-func fmtWait(d time.Duration) string {
-	return fmt.Sprintf("%.1fm", d.Minutes())
 }
 
 // PolicyCompareCSV writes the per-campaign policy comparison rows.

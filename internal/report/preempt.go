@@ -1,14 +1,13 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
 	"impress/internal/core"
-	"impress/internal/stats"
 )
 
 // preemptKey identifies one cell of the preemption grid: a checkpoint
@@ -16,26 +15,31 @@ import (
 // steering policy, all racing the same interruption schedule.
 type preemptKey struct {
 	interval time.Duration
-	drain    bool
+	mode     string
 	steer    string
 }
 
-func (k preemptKey) mode() string {
-	if k.drain {
+// walltimeMode names a run's walltime-expiry mode: "drain" when its
+// walltime drains gracefully, else a hard "kill".
+func walltimeMode(r *core.Result) string {
+	if r.WalltimeGrace > 0 {
 		return "drain"
 	}
 	return "kill"
 }
 
-// ckLabel renders a checkpoint cadence compactly: "15m", "1h", "off".
-func ckLabel(d time.Duration) string {
+// DurationLabel renders a positive duration compactly, without zero
+// trailing units ("15m", "1h30m", "10h", "45s"), and any other as none.
+func DurationLabel(d time.Duration, none string) string {
 	if d <= 0 {
-		return "off"
+		return none
 	}
-	s := strings.TrimSuffix(d.String(), "0s")
-	s = strings.TrimSuffix(s, "0m")
-	if s == "" {
-		s = d.String()
+	s := d.String()
+	if strings.HasSuffix(s, "m0s") {
+		s = strings.TrimSuffix(s, "0s")
+	}
+	if strings.HasSuffix(s, "h0m") {
+		s = strings.TrimSuffix(s, "0m")
 	}
 	return s
 }
@@ -48,29 +52,22 @@ func ckLabel(d time.Duration) string {
 // (wasted core-hours), while evict-and-resume forfeits only the slice
 // past the last checkpoint (preempted core-hours).
 func Preemption(results []*core.Result) string {
-	baselines, groups, keys := groupPreempt(results)
+	base := baselinesOf(results, faultFree, false)
+	cells := groupBy(results, func(r *core.Result) (preemptKey, bool) {
+		if r.Faults == nil {
+			return preemptKey{}, false
+		}
+		return preemptKey{r.CheckpointInterval, walltimeMode(r), r.SteerLabel()}, true
+	}, func(a, b preemptKey) int {
+		return cmp.Or(cmp.Compare(a.interval, b.interval),
+			cmp.Compare(b.mode, a.mode), // kill before drain
+			cmp.Compare(a.steer, b.steer))
+	})
 
 	t := NewTable("Ckpt", "Mode", "Steer", "Runs", "Goodput %", "Makespan (h)", "Inflation ×",
 		"Wasted core-h", "Preempted core-h", "Evictions", "Resumes", "WT kills", "Transfers", "Killed PL")
-	for _, k := range keys {
-		rs := groups[k]
-		collect := func(f func(*core.Result) float64) []float64 {
-			out := make([]float64, len(rs))
-			for i, r := range rs {
-				out[i] = f(r)
-			}
-			return out
-		}
-		var inflations []float64
-		for _, r := range rs {
-			if base, ok := baselines[r.Seed]; ok && base > 0 {
-				inflations = append(inflations, r.Makespan.Hours()/base)
-			}
-		}
-		inflation := "n/a"
-		if len(inflations) > 0 {
-			inflation = fmt.Sprintf("%.2f", stats.Median(inflations))
-		}
+	for _, c := range cells {
+		rs := c.runs
 		evictions, resumes, wtKills, transfers, killed := 0, 0, 0, 0, 0
 		var wasted, preempted float64
 		for _, r := range rs {
@@ -83,13 +80,13 @@ func Preemption(results []*core.Result) string {
 			preempted += r.Faults.PreemptedCoreHours
 		}
 		t.AddRow(
-			ckLabel(k.interval),
-			k.mode(),
-			k.steer,
+			DurationLabel(c.key.interval, "off"),
+			c.key.mode,
+			c.key.steer,
 			fmt.Sprintf("%d", len(rs)),
-			fmt.Sprintf("%.1f", 100*stats.Median(collect((*core.Result).Goodput))),
-			fmt.Sprintf("%.2f", stats.Median(collect(func(r *core.Result) float64 { return r.Makespan.Hours() }))),
-			inflation,
+			fmt.Sprintf("%.1f", 100*median(rs, (*core.Result).Goodput)),
+			fmt.Sprintf("%.2f", median(rs, makespanHours)),
+			base.cell(rs, "%.2f"),
 			fmt.Sprintf("%.2f", wasted),
 			fmt.Sprintf("%.2f", preempted),
 			fmt.Sprintf("%d", evictions),
@@ -102,44 +99,11 @@ func Preemption(results []*core.Result) string {
 
 	var sb strings.Builder
 	sb.WriteString("Preemption comparison: checkpoint cadence × walltime mode × steering (medians over seeds; counts and core-hours summed)\n")
-	if len(baselines) == 0 {
+	if len(base.hours) == 0 {
 		sb.WriteString("(no fault-free baseline runs: makespan inflation unavailable)\n")
 	}
 	sb.WriteString(t.String())
 	return sb.String()
-}
-
-// groupPreempt splits results into per-seed fault-free baselines and
-// preemption cells keyed by (interval, drain, steer), with keys sorted
-// by interval, then mode, then steering name.
-func groupPreempt(results []*core.Result) (map[uint64]float64, map[preemptKey][]*core.Result, []preemptKey) {
-	baselines := make(map[uint64]float64)
-	groups := make(map[preemptKey][]*core.Result)
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		if r.Faults == nil {
-			baselines[r.Seed] = r.Makespan.Hours()
-			continue
-		}
-		k := preemptKey{interval: r.CheckpointInterval, drain: r.WalltimeGrace > 0, steer: r.SteerLabel()}
-		groups[k] = append(groups[k], r)
-	}
-	keys := make([]preemptKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].interval != keys[j].interval {
-			return keys[i].interval < keys[j].interval
-		}
-		if keys[i].drain != keys[j].drain {
-			return !keys[i].drain
-		}
-		return keys[i].steer < keys[j].steer
-	})
-	return baselines, groups, keys
 }
 
 // PreemptionCSV writes one row per campaign (baselines with empty fault
@@ -150,7 +114,7 @@ func PreemptionCSV(w io.Writer, results []*core.Result) error {
 		"killed_pipelines,resubmissions,terminal_failures"); err != nil {
 		return err
 	}
-	baselines, _, _ := groupPreempt(results)
+	base := baselinesOf(results, faultFree, false)
 	for _, r := range results {
 		if r == nil {
 			continue
@@ -162,18 +126,10 @@ func PreemptionCSV(w io.Writer, results []*core.Result) error {
 			}
 			continue
 		}
-		inflation := ""
-		if base, ok := baselines[r.Seed]; ok && base > 0 {
-			inflation = fmt.Sprintf("%.4f", r.Makespan.Hours()/base)
-		}
 		f := r.Faults
-		mode := "kill"
-		if r.WalltimeGrace > 0 {
-			mode = "drain"
-		}
 		if _, err := fmt.Fprintf(w, "%.0f,%s,%s,%d,%s,%.4f,%.4f,%s,%.4f,%.4f,%d,%d,%d,%d,%d,%d,%d\n",
-			r.CheckpointInterval.Seconds(), mode, r.SteerLabel(), r.Seed, r.Approach,
-			r.Goodput(), r.Makespan.Hours(), inflation,
+			r.CheckpointInterval.Seconds(), walltimeMode(r), r.SteerLabel(), r.Seed, r.Approach,
+			r.Goodput(), r.Makespan.Hours(), base.csv(r),
 			f.WastedCoreHours, f.PreemptedCoreHours, f.Evictions, f.Resumes,
 			f.WalltimeKills, r.NodeTransfers, f.KilledPipelines, f.Resubmissions, f.TerminalFailures); err != nil {
 			return err

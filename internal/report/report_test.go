@@ -3,6 +3,7 @@ package report
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"impress/internal/core"
 	"impress/internal/pipeline"
@@ -143,6 +144,26 @@ func TestSummary(t *testing.T) {
 	for _, want := range []string{"CONT-V", "trajectories", "CPU", "GPU", "net Δ pLDDT"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q: %s", want, s)
+		}
+	}
+}
+
+func TestDurationLabel(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{0, "off"},
+		{15 * time.Minute, "15m"},
+		{30 * time.Minute, "30m"},
+		{time.Hour, "1h"},
+		{90 * time.Minute, "1h30m"},
+		{10 * time.Hour, "10h"},
+		{20 * time.Second, "20s"},
+		{45 * time.Second, "45s"},
+	} {
+		if got := DurationLabel(tc.d, "off"); got != tc.want {
+			t.Errorf("DurationLabel(%v) = %q, want %q", tc.d, got, tc.want)
 		}
 	}
 }

@@ -1,13 +1,13 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 
 	"impress/internal/core"
-	"impress/internal/stats"
 )
 
 // resilienceKey identifies one cell of the fault-sweep grid: a recovery
@@ -24,29 +24,20 @@ type resilienceKey struct {
 // survival — plus the attempts histogram that shows how hard recovery
 // had to work.
 func Resilience(results []*core.Result) string {
-	baselines, groups, keys := groupResilience(results)
+	base := baselinesOf(results, faultFree, false)
+	cells := groupBy(results, func(r *core.Result) (resilienceKey, bool) {
+		if r.Faults == nil {
+			return resilienceKey{}, false
+		}
+		return resilienceKey{r.Faults.Recovery, r.Faults.Spec.TaskFailProb}, true
+	}, func(a, b resilienceKey) int {
+		return cmp.Or(cmp.Compare(a.recovery, b.recovery), cmp.Compare(a.rate, b.rate))
+	})
 
 	t := NewTable("Recovery", "Fail rate", "Runs", "Goodput %", "Makespan (h)", "Inflation ×",
 		"Killed PL", "Resub", "Term", "Wasted core-h", "Downtime node-h", "Attempts")
-	for _, k := range keys {
-		rs := groups[k]
-		collect := func(f func(*core.Result) float64) []float64 {
-			out := make([]float64, len(rs))
-			for i, r := range rs {
-				out[i] = f(r)
-			}
-			return out
-		}
-		var inflations []float64
-		for _, r := range rs {
-			if base, ok := baselines[r.Seed]; ok && base > 0 {
-				inflations = append(inflations, r.Makespan.Hours()/base)
-			}
-		}
-		inflation := "n/a"
-		if len(inflations) > 0 {
-			inflation = fmt.Sprintf("%.2f", stats.Median(inflations))
-		}
+	for _, c := range cells {
+		rs := c.runs
 		killed, resub, term := 0, 0, 0
 		hist := make(map[int]int)
 		var downtime float64
@@ -60,16 +51,16 @@ func Resilience(results []*core.Result) string {
 			}
 		}
 		t.AddRow(
-			k.recovery,
-			fmt.Sprintf("%.2f", k.rate),
+			c.key.recovery,
+			fmt.Sprintf("%.2f", c.key.rate),
 			fmt.Sprintf("%d", len(rs)),
-			fmt.Sprintf("%.1f", 100*stats.Median(collect((*core.Result).Goodput))),
-			fmt.Sprintf("%.2f", stats.Median(collect(func(r *core.Result) float64 { return r.Makespan.Hours() }))),
-			inflation,
+			fmt.Sprintf("%.1f", 100*median(rs, (*core.Result).Goodput)),
+			fmt.Sprintf("%.2f", median(rs, makespanHours)),
+			base.cell(rs, "%.2f"),
 			fmt.Sprintf("%d", killed),
 			fmt.Sprintf("%d", resub),
 			fmt.Sprintf("%d", term),
-			fmt.Sprintf("%.1f", stats.Median(collect(func(r *core.Result) float64 { return r.Faults.WastedCoreHours }))),
+			fmt.Sprintf("%.1f", median(rs, func(r *core.Result) float64 { return r.Faults.WastedCoreHours })),
 			fmt.Sprintf("%.2f", downtime/3600),
 			attemptsLabel(hist),
 		)
@@ -77,41 +68,11 @@ func Resilience(results []*core.Result) string {
 
 	var sb strings.Builder
 	sb.WriteString("Resilience comparison (medians over seeds; counts summed)\n")
-	if len(baselines) == 0 {
+	if len(base.hours) == 0 {
 		sb.WriteString("(no fault-free baseline runs: makespan inflation unavailable)\n")
 	}
 	sb.WriteString(t.String())
 	return sb.String()
-}
-
-// groupResilience splits results into per-seed fault-free baselines and
-// fault-injected groups keyed by (recovery, rate), with keys sorted by
-// recovery name then rate.
-func groupResilience(results []*core.Result) (map[uint64]float64, map[resilienceKey][]*core.Result, []resilienceKey) {
-	baselines := make(map[uint64]float64)
-	groups := make(map[resilienceKey][]*core.Result)
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		if r.Faults == nil {
-			baselines[r.Seed] = r.Makespan.Hours()
-			continue
-		}
-		k := resilienceKey{recovery: r.Faults.Recovery, rate: r.Faults.Spec.TaskFailProb}
-		groups[k] = append(groups[k], r)
-	}
-	keys := make([]resilienceKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].recovery != keys[j].recovery {
-			return keys[i].recovery < keys[j].recovery
-		}
-		return keys[i].rate < keys[j].rate
-	})
-	return baselines, groups, keys
 }
 
 // attemptsLabel renders an attempts histogram compactly: "1×37 2×5 3×1".
@@ -140,7 +101,7 @@ func ResilienceCSV(w io.Writer, results []*core.Result) error {
 		"wasted_core_h,downtime_node_s,max_attempts"); err != nil {
 		return err
 	}
-	baselines, _, _ := groupResilience(results)
+	base := baselinesOf(results, faultFree, false)
 	for _, r := range results {
 		if r == nil {
 			continue
@@ -152,14 +113,10 @@ func ResilienceCSV(w io.Writer, results []*core.Result) error {
 			}
 			continue
 		}
-		inflation := ""
-		if base, ok := baselines[r.Seed]; ok && base > 0 {
-			inflation = fmt.Sprintf("%.4f", r.Makespan.Hours()/base)
-		}
 		f := r.Faults
 		if _, err := fmt.Fprintf(w, "%s,%.4f,%d,%s,%.4f,%.4f,%s,%d,%d,%d,%d,%d,%.4f,%.1f,%d\n",
 			f.Recovery, f.Spec.TaskFailProb, r.Seed, r.Approach, r.Goodput(), r.Makespan.Hours(),
-			inflation, f.KilledPipelines, f.Resubmissions, f.TerminalFailures, f.TaskFaults,
+			base.csv(r), f.KilledPipelines, f.Resubmissions, f.TerminalFailures, f.TaskFaults,
 			f.NodeCrashes, f.WastedCoreHours, f.DowntimeNodeSeconds, f.MaxAttempts()); err != nil {
 			return err
 		}

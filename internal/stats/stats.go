@@ -1,15 +1,13 @@
 // Package stats provides the descriptive statistics used by the IMPRESS
 // evaluation: medians and standard deviations for the figure error bars,
-// net-delta computations for Table I, bootstrap confidence intervals, and
-// the rank correlations used to validate the MPNN/AlphaFold simulators
+// the percent improvements of Table I, Jain's fairness index, and the
+// rank correlations used to validate the MPNN/AlphaFold simulators
 // against each other.
 package stats
 
 import (
 	"math"
 	"sort"
-
-	"impress/internal/xrand"
 )
 
 // Sum returns the sum of xs (0 for empty input).
@@ -159,13 +157,6 @@ func JainIndex(xs []float64) float64 {
 	return sum * sum / (float64(n) * sumSq)
 }
 
-// NetDelta returns final - initial, the paper's "Net Δ" metric for Table I
-// (e.g. pLDDT Net Δ = median pLDDT after the last cycle minus median pLDDT
-// of the starting designs).
-func NetDelta(initial, final float64) float64 {
-	return final - initial
-}
-
 // PercentImprovement returns the relative improvement of b over a in
 // percent, as used for the parenthesised values in Table I. For metrics
 // where lower is better, negate the inputs before calling.
@@ -174,26 +165,6 @@ func PercentImprovement(a, b float64) float64 {
 		return math.NaN()
 	}
 	return (b - a) / math.Abs(a) * 100
-}
-
-// BootstrapMedianCI returns a percentile bootstrap confidence interval for
-// the median of xs at the given confidence level (e.g. 0.95), using resamples
-// drawn from the deterministic generator seeded with seed.
-func BootstrapMedianCI(xs []float64, level float64, resamples int, seed uint64) (lo, hi float64) {
-	if len(xs) == 0 || resamples <= 0 {
-		return math.NaN(), math.NaN()
-	}
-	rng := xrand.New(seed)
-	meds := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for i := 0; i < resamples; i++ {
-		for j := range buf {
-			buf[j] = xs[rng.Intn(len(xs))]
-		}
-		meds[i] = Median(buf)
-	}
-	alpha := (1 - level) / 2
-	return Quantile(meds, alpha), Quantile(meds, 1-alpha)
 }
 
 // Pearson returns the Pearson correlation coefficient of paired samples.
@@ -253,37 +224,4 @@ func Ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// Histogram bins xs into nbins equal-width bins over [min, max] and
-// returns the bin counts plus the bin edges (nbins+1 values). Values equal
-// to max land in the last bin.
-func Histogram(xs []float64, nbins int) (counts []int, edges []float64) {
-	if nbins <= 0 {
-		panic("stats: non-positive bin count")
-	}
-	counts = make([]int, nbins)
-	edges = make([]float64, nbins+1)
-	if len(xs) == 0 {
-		return counts, edges
-	}
-	lo, hi := Min(xs), Max(xs)
-	if lo == hi {
-		hi = lo + 1
-	}
-	w := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*w
-	}
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return counts, edges
 }

@@ -128,40 +128,13 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-func TestNetDeltaAndPercent(t *testing.T) {
-	if NetDelta(80, 87.7) != 7.699999999999989 && !almost(NetDelta(80, 87.7), 7.7, 1e-9) {
-		t.Errorf("NetDelta = %v", NetDelta(80, 87.7))
-	}
+func TestPercentImprovement(t *testing.T) {
 	// Table I: IM-RP pLDDT Net Δ 7.7 vs CONT-V 5.8 → +32.8%.
 	if p := PercentImprovement(5.8, 7.7); !almost(p, 32.758, 0.01) {
 		t.Errorf("PercentImprovement = %v, want ~32.76", p)
 	}
 	if !math.IsNaN(PercentImprovement(0, 1)) {
 		t.Error("PercentImprovement(0, ·) should be NaN")
-	}
-}
-
-func TestBootstrapMedianCI(t *testing.T) {
-	rng := xrand.New(17)
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 50 + rng.NormFloat64()*5
-	}
-	lo, hi := BootstrapMedianCI(xs, 0.95, 500, 1)
-	if !(lo < hi) {
-		t.Fatalf("CI degenerate: [%v, %v]", lo, hi)
-	}
-	med := Median(xs)
-	if med < lo || med > hi {
-		t.Fatalf("sample median %v outside CI [%v, %v]", med, lo, hi)
-	}
-	if hi-lo > 3 {
-		t.Fatalf("CI implausibly wide: [%v, %v]", lo, hi)
-	}
-	// Deterministic under same seed.
-	lo2, hi2 := BootstrapMedianCI(xs, 0.95, 500, 1)
-	if lo != lo2 || hi != hi2 {
-		t.Fatal("bootstrap not deterministic for fixed seed")
 	}
 }
 
@@ -209,37 +182,6 @@ func TestRanksWithTies(t *testing.T) {
 			t.Fatalf("Ranks = %v, want %v", r, want)
 		}
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, edges := Histogram([]float64{0, 0.5, 1, 1.5, 2}, 2)
-	if len(edges) != 3 {
-		t.Fatalf("edges = %v", edges)
-	}
-	if counts[0]+counts[1] != 5 {
-		t.Fatalf("counts = %v, want total 5", counts)
-	}
-	if counts[0] != 2 || counts[1] != 3 {
-		t.Fatalf("counts = %v, want [2 3]", counts)
-	}
-	// Degenerate all-equal input must not divide by zero.
-	c2, _ := Histogram([]float64{3, 3, 3}, 4)
-	total := 0
-	for _, c := range c2 {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("degenerate histogram lost values: %v", c2)
-	}
-}
-
-func TestHistogramPanicsOnBadBins(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for nbins=0")
-		}
-	}()
-	Histogram([]float64{1}, 0)
 }
 
 func TestSumEmptyAndKnown(t *testing.T) {
