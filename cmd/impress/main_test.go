@@ -137,6 +137,27 @@ func TestNegativeCountsAreUsageErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteProbabilitiesAreUsageErrors: -fault and -cascade, the
+// two float flags, reject NaN and ±Inf with exit 2 in every mode instead
+// of running fault-free.
+func TestNonFiniteProbabilitiesAreUsageErrors(t *testing.T) {
+	for _, mode := range []string{"run", "sweep", "experiments"} {
+		t.Run(mode, func(t *testing.T) {
+			for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+				for _, args := range [][]string{
+					{mode, "-fault", v},
+					{mode, "-mtbf", "12h", "-cascade", v},
+				} {
+					code, stdout, stderr := clitest.Exec(t, args...)
+					if code != 2 || stdout != "" || !strings.Contains(stderr, "probability "+v) {
+						t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and an error naming the probability", args, code, stdout, stderr)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestModeRules pins which flags each mode honours: every registered
 // flag must be in the table, and each mode's rule must agree with it.
 func TestModeRules(t *testing.T) {

@@ -339,22 +339,19 @@ func hostsCap(nc NodeCapacity, r Request) bool {
 	return r.Cores <= nc.Cores && r.GPUs <= nc.GPUs && r.MemGB <= nc.MemGB
 }
 
-// Allocate reserves resources on the first node that fits (first-fit
-// packing). It returns nil when nothing fits right now. Crashed (down)
-// nodes never receive allocations.
-func (c *Cluster) Allocate(r Request) *Alloc {
-	return c.AllocateExcluding(r, nil)
-}
-
-// AllocateExcluding is Allocate with a per-request node exclusion list —
-// the mechanism behind the "resubmit-elsewhere" recovery policy, which
-// retries a failed task away from the node that killed it. A nil or
-// empty list is exactly Allocate. Exclusion is O(1) per node visit: the
-// avoided IDs are stamped into a reusable epoch array up front instead of
-// being rescanned for every candidate.
-func (c *Cluster) AllocateExcluding(r Request, avoid []int) *Alloc {
+// Place reserves resources for r on the first node that fits (first-fit
+// packing), skipping the nodes named in avoid, and returns the grant by
+// value; ok is false when nothing fits right now. Crashed (down) nodes
+// never receive allocations. avoid is the mechanism behind the
+// "resubmit-elsewhere" recovery policy, which retries a failed task away
+// from the node that killed it; a nil or empty list excludes nothing.
+// Exclusion is O(1) per node visit: the avoided IDs are stamped into a
+// reusable epoch array up front instead of being rescanned for every
+// candidate. Allocate and AllocateExcluding are the pointer-returning
+// forms of the same placement.
+func (c *Cluster) Place(r Request, avoid []int) (a Alloc, ok bool) {
 	if !c.Fits(r) {
-		return nil
+		return Alloc{}, false
 	}
 	excluding := len(avoid) > 0
 	if excluding {
@@ -362,9 +359,25 @@ func (c *Cluster) AllocateExcluding(r Request, avoid []int) *Alloc {
 	}
 	id := c.idxFirstFit(1, r, excluding)
 	if id < 0 {
+		return Alloc{}, false
+	}
+	return c.take(c.nodes[id], r), true
+}
+
+// Allocate is Place without exclusions, returning the grant by pointer or
+// nil when nothing fits right now.
+func (c *Cluster) Allocate(r Request) *Alloc {
+	return c.AllocateExcluding(r, nil)
+}
+
+// AllocateExcluding is Place returning the grant by pointer, or nil when
+// nothing outside avoid fits right now.
+func (c *Cluster) AllocateExcluding(r Request, avoid []int) *Alloc {
+	a, ok := c.Place(r, avoid)
+	if !ok {
 		return nil
 	}
-	return c.take(c.nodes[id], r)
+	return &a
 }
 
 // AllocateOn reserves resources on one specific node, bypassing first-fit
@@ -386,11 +399,12 @@ func (c *Cluster) AllocateOn(id int, r Request) *Alloc {
 	if n.freeCores < r.Cores || n.freeGPUs < r.GPUs || n.freeMemGB < r.MemGB {
 		return nil
 	}
-	return c.take(n, r)
+	a := c.take(n, r)
+	return &a
 }
 
 // take commits a placement decision on node n.
-func (c *Cluster) take(n *Node, r Request) *Alloc {
+func (c *Cluster) take(n *Node, r Request) Alloc {
 	n.freeCores -= r.Cores
 	n.freeGPUs -= r.GPUs
 	n.freeMemGB -= r.MemGB
@@ -398,7 +412,7 @@ func (c *Cluster) take(n *Node, r Request) *Alloc {
 	c.freeGPUs -= r.GPUs
 	c.freeMemGB -= r.MemGB
 	c.updateLeaf(n.ID)
-	return &Alloc{Node: n, Cores: r.Cores, GPUs: r.GPUs, MemGB: r.MemGB}
+	return Alloc{Node: n, Cores: r.Cores, GPUs: r.GPUs, MemGB: r.MemGB}
 }
 
 // VisitFitting calls f for every allocatable node whose free counters can

@@ -233,8 +233,9 @@ func runDifferential(t *testing.T, n int, seed uint64) {
 }
 
 // TestAllocationHotPathAllocates pins the hot path's allocation budget:
-// one *Alloc per placement, nothing else — epoch-stamped exclusion and
-// the segment-tree descent are both allocation-free.
+// Place allocates nothing, and the pointer-returning wrappers one *Alloc
+// per placement — epoch-stamped exclusion and the segment-tree descent
+// are both allocation-free.
 func TestAllocationHotPathAllocates(t *testing.T) {
 	c, err := New(AmarelCluster(8))
 	if err != nil {
@@ -243,6 +244,17 @@ func TestAllocationHotPathAllocates(t *testing.T) {
 	r := Request{Cores: 4, GPUs: 1, MemGB: 8}
 	avoid := []int{0, 1, 2}
 
+	for _, av := range [][]int{nil, avoid} {
+		if got := testing.AllocsPerRun(100, func() {
+			a, ok := c.Place(r, av)
+			if !ok {
+				t.Fatal("placement failed on an empty cluster")
+			}
+			c.Release(&a)
+		}); got != 0 {
+			t.Errorf("Place(avoid=%v)+Release: %.1f allocs/op, want 0", av, got)
+		}
+	}
 	if got := testing.AllocsPerRun(100, func() {
 		a := c.Allocate(r)
 		c.Release(a)
@@ -278,7 +290,8 @@ func BenchmarkAllocScaling(b *testing.B) {
 			{"indexed", (*Cluster).Allocate},
 			{"linear", func(c *Cluster, r Request) *Alloc {
 				if id := scanFirstFit(c, r, nil); id >= 0 {
-					return c.take(c.nodes[id], r)
+					a := c.take(c.nodes[id], r)
+					return &a
 				}
 				return nil
 			}},

@@ -5,6 +5,7 @@ package fault
 // of the cascade draw.
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,9 @@ func TestDomainSpecEnabledAndValidate(t *testing.T) {
 		{OutageMTBF: time.Hour, OutageDuration: -time.Minute},
 		{CascadeProb: -0.1},
 		{CascadeProb: 1},
+		{CascadeProb: math.NaN()},
+		{CascadeProb: math.Inf(1)},
+		{CascadeProb: math.Inf(-1)},
 		{CascadeProb: 0.5, CascadeWindow: -time.Minute},
 		{Maintenance: []Maintenance{{Domain: "r", Start: -time.Hour, Duration: time.Hour}}},
 		{Maintenance: []Maintenance{{Domain: "r"}}}, // zero duration

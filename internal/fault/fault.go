@@ -38,6 +38,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -147,6 +148,10 @@ func (d DomainSpec) Enabled() bool {
 	return d.OutageMTBF > 0 || d.CascadeProb > 0 || len(d.Maintenance) > 0
 }
 
+// isProb reports whether p is a failure probability in [0, 1). The test
+// is written so that NaN fails it; ±Inf lie outside the range.
+func isProb(p float64) bool { return p >= 0 && p < 1 }
+
 // Validate rejects domain specs that cannot be sampled or scheduled.
 func (d DomainSpec) Validate() error {
 	if d.OutageMTBF < 0 {
@@ -155,7 +160,7 @@ func (d DomainSpec) Validate() error {
 	if d.OutageDuration < 0 {
 		return fmt.Errorf("fault: negative domain outage duration %v", d.OutageDuration)
 	}
-	if d.CascadeProb < 0 || d.CascadeProb >= 1 {
+	if !isProb(d.CascadeProb) {
 		return fmt.Errorf("fault: cascade probability %v outside [0, 1)", d.CascadeProb)
 	}
 	if d.CascadeWindow < 0 {
@@ -315,7 +320,7 @@ func (s Spec) Enabled() bool {
 
 // Validate rejects specs that cannot be sampled.
 func (s Spec) Validate() error {
-	if s.TaskFailProb < 0 || s.TaskFailProb >= 1 {
+	if !isProb(s.TaskFailProb) {
 		return fmt.Errorf("fault: task failure probability %v outside [0, 1)", s.TaskFailProb)
 	}
 	keys := make([]string, 0, len(s.StageFailProb))
@@ -324,12 +329,12 @@ func (s Spec) Validate() error {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if p := s.StageFailProb[k]; p < 0 || p >= 1 {
+		if p := s.StageFailProb[k]; !isProb(p) {
 			return fmt.Errorf("fault: stage %q failure probability %v outside [0, 1)", k, p)
 		}
 	}
-	if s.GPUFailFactor < 0 {
-		return fmt.Errorf("fault: negative GPU failure factor %v", s.GPUFailFactor)
+	if !(s.GPUFailFactor >= 0) || math.IsInf(s.GPUFailFactor, 1) {
+		return fmt.Errorf("fault: GPU failure factor %v is negative or not finite", s.GPUFailFactor)
 	}
 	if s.NodeMTBF < 0 {
 		return fmt.Errorf("fault: negative node MTBF %v", s.NodeMTBF)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -34,8 +35,16 @@ func TestSpecValidate(t *testing.T) {
 	bad := []Spec{
 		{TaskFailProb: -0.1},
 		{TaskFailProb: 1.0},
+		{TaskFailProb: math.NaN()},
+		{TaskFailProb: math.Inf(1)},
+		{TaskFailProb: math.Inf(-1)},
 		{StageFailProb: map[string]float64{"x": 1.5}},
+		{StageFailProb: map[string]float64{"x": math.NaN()}},
+		{StageFailProb: map[string]float64{"x": math.Inf(-1)}},
 		{GPUFailFactor: -1},
+		{GPUFailFactor: math.NaN()},
+		{GPUFailFactor: math.Inf(1)},
+		{GPUFailFactor: math.Inf(-1)},
 		{NodeMTBF: -time.Hour},
 		{NodeRepair: -time.Minute},
 		{Walltime: -time.Second},

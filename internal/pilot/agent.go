@@ -44,8 +44,10 @@ type agent struct {
 	depth    int
 	// running holds the placed executions in no particular order; each
 	// execution knows its slot, so finish swap-removes it in O(1). Loops
-	// that act on several executions sort them by task UID first.
+	// that unwind several placed tasks sort them by UID first.
 	running []*execution
+	// spare holds finished executions for reuse by later placements.
+	spare []*execution
 
 	activeSetups int
 
@@ -186,22 +188,65 @@ func (l *lane) drop() int {
 
 // execution tracks one placed task: its allocation, its pending timeline
 // events, and the busy-resource deltas currently applied to the recorder
-// (so cancellation can unwind them exactly).
+// (so cancellation can unwind them exactly). Finished executions go back
+// to their agent's spare list and carry later attempts, so a placement
+// allocates nothing: the callbacks the engine fires are bound to the
+// execution once, and the events slice keeps its capacity.
 type execution struct {
+	agent *agent
 	task  *Task
-	alloc *cluster.Alloc
+	alloc cluster.Alloc
 	// slot is the execution's index in agent.running.
 	slot int
 	// setup is the sandbox-setup event; events are the run's phase, done
-	// and fault events, sized once when the run starts.
+	// and fault events.
 	setup     simclock.Event
 	events    []simclock.Event
 	busyCores int
 	busyGPUs  int
 	inSetup   bool
+	// phase is the index in task.Result.Phases of the next phase event to
+	// fire. The scheduled phases are a suffix of the profile and fire in
+	// the order they were scheduled, so one cursor serves them all.
+	phase int
 	// ctx is what the payload sees; it lives here so that starting a run
 	// allocates no context of its own.
 	ctx ExecContext
+	// The engine callbacks, bound to this execution when it is built.
+	onSetup, onPhase, onDone, onFault func()
+}
+
+// newExecution builds an execution for a and binds its callbacks.
+func newExecution(a *agent) *execution {
+	ex := &execution{agent: a}
+	ex.onSetup = ex.setupDone
+	ex.onPhase = ex.nextPhase
+	ex.onDone = ex.done
+	ex.onFault = ex.fault
+	return ex
+}
+
+// setupDone ends the sandbox setup and starts the run.
+func (ex *execution) setupDone() {
+	ex.agent.activeSetups--
+	ex.inSetup = false
+	ex.agent.startRun(ex)
+}
+
+// nextPhase applies the busy profile of the phase under the cursor.
+func (ex *execution) nextPhase() {
+	ph := &ex.task.Result.Phases[ex.phase]
+	ex.phase++
+	ex.agent.setBusy(ex, ph.BusyCores, ph.BusyGPUs)
+}
+
+// done completes the run.
+func (ex *execution) done() { ex.agent.finish(ex, StateDone, nil) }
+
+// fault kills the run with an injected task fault.
+func (ex *execution) fault() {
+	t := ex.task
+	ex.agent.failWithFault(t, fault.KindTask, fmt.Errorf("pilot: injected fault killed %s", t.ID))
 }
 
 func newAgent(p *Pilot, clu *cluster.Cluster, rec *trace.Recorder, pol sched.Policy) *agent {
@@ -423,8 +468,8 @@ func (a *agent) schedulePass() {
 			break
 		}
 		t := queue[idx].task
-		alloc := a.allocate(t)
-		if alloc == nil {
+		alloc, ok := a.cluster.Place(requestOf(t), t.avoidNodes)
+		if !ok {
 			blocked = true
 			continue
 		}
@@ -489,7 +534,7 @@ func (a *agent) submissionPass() {
 		i := l.cur
 		l.cur++
 		t := l.queued()[i].task
-		if alloc := a.allocate(t); alloc != nil {
+		if alloc, ok := a.cluster.Place(requestOf(t), t.avoidNodes); ok {
 			l.holes = append(l.holes, int32(i))
 			a.startSetup(t, alloc)
 			if fs := a.cluster.FreedStamp(); fs != stamp {
@@ -536,24 +581,24 @@ func requestOf(t *Task) cluster.Request {
 	return cluster.Request{Cores: t.Description.Cores, GPUs: t.Description.GPUs, MemGB: t.Description.MemGB}
 }
 
-// allocate reserves resources for a task, honouring any node exclusions
-// its recovery history imposed (resubmit-elsewhere). The common no-fault
-// path is exactly the classic first-fit Allocate.
-func (a *agent) allocate(t *Task) *cluster.Alloc {
-	if len(t.avoidNodes) == 0 {
-		return a.cluster.Allocate(requestOf(t))
-	}
-	return a.cluster.AllocateExcluding(requestOf(t), t.avoidNodes)
-}
-
-// startSetup begins the sandbox preparation phase. Setup time grows with
-// the number of concurrent setups (shared-filesystem contention, Fig. 5
+// startSetup places t on alloc and begins the sandbox preparation phase,
+// in a spare execution when there is one. Setup time grows with the
+// number of concurrent setups (shared-filesystem contention, Fig. 5
 // caption).
-func (a *agent) startSetup(t *Task, alloc *cluster.Alloc) {
+func (a *agent) startSetup(t *Task, alloc cluster.Alloc) {
 	now := a.pilot.engine.Now()
 	t.SetupAt = now
-	ex := &execution{task: t, alloc: alloc, slot: len(a.running), inSetup: true}
+	var ex *execution
+	if n := len(a.spare); n > 0 {
+		ex = a.spare[n-1]
+		a.spare[n-1] = nil
+		a.spare = a.spare[:n-1]
+	} else {
+		ex = newExecution(a)
+	}
+	ex.task, ex.alloc, ex.slot, ex.inSetup = t, alloc, len(a.running), true
 	t.exec = ex
+	t.node = int32(alloc.Node.ID)
 	a.running = append(a.running, ex)
 	a.tm.transition(t, StateExecSetup)
 
@@ -563,11 +608,7 @@ func (a *agent) startSetup(t *Task, alloc *cluster.Alloc) {
 		a.rec.AddPhase(trace.PhaseExecSetup, d)
 	}
 	a.noteOccupancy()
-	ex.setup = a.pilot.engine.AfterTagged(d, t.ID, ":setup", "", func() {
-		a.activeSetups--
-		ex.inSetup = false
-		a.startRun(ex)
-	})
+	ex.setup = a.pilot.engine.AfterTagged(d, t.ID, ":setup", "", ex.onSetup)
 }
 
 // startRun executes the payload eagerly and replays its phase profile.
@@ -589,7 +630,7 @@ func (a *agent) startRun(ex *execution) {
 		a.failWithFault(t, fault.KindPayload, err)
 		return
 	}
-	if verr := validatePhases(res.Phases, ex.alloc); verr != nil {
+	if verr := validatePhases(res.Phases, &ex.alloc); verr != nil {
 		a.failWithFault(t, fault.KindPayload, verr)
 		return
 	}
@@ -611,20 +652,19 @@ func (a *agent) startRun(ex *execution) {
 		}
 	}
 
-	ex.events = make([]simclock.Event, 0, len(res.Phases)+2)
+	// The phases that end after the resume point are a suffix of the
+	// profile: ex.phase starts at its first.
+	ex.phase = len(res.Phases)
 	var offset, start simclock.Duration
-	for _, ph := range res.Phases {
-		ph := ph
+	for i, ph := range res.Phases {
 		end := start + ph.Duration
 		if end > resume {
 			at := start - resume
 			if at < 0 {
 				at = 0
 			}
-			ev := engine.AfterTagged(at, t.ID, ":phase:", ph.Name, func() {
-				a.setBusy(ex, ph.BusyCores, ph.BusyGPUs)
-			})
-			ex.events = append(ex.events, ev)
+			ex.phase = min(ex.phase, i)
+			ex.events = append(ex.events, engine.AfterTagged(at, t.ID, ":phase:", ph.Name, ex.onPhase))
 		}
 		start = end
 		offset = end - resume
@@ -632,10 +672,7 @@ func (a *agent) startRun(ex *execution) {
 	if offset < 0 {
 		offset = 0
 	}
-	done := engine.AfterTagged(offset, t.ID, ":done", "", func() {
-		a.finish(ex, StateDone, nil)
-	})
-	ex.events = append(ex.events, done)
+	ex.events = append(ex.events, engine.AfterTagged(offset, t.ID, ":done", "", ex.onDone))
 
 	// Fault injection: the per-task failure model decides — purely from
 	// the attempt's seed — whether this attempt dies mid-run. The fault
@@ -645,10 +682,7 @@ func (a *agent) startRun(ex *execution) {
 	// remaining duration only.
 	if inj := a.pilot.injector; inj != nil {
 		if at, ok := inj.taskFault(t, offset); ok {
-			ev := engine.AfterTagged(at, t.ID, ":fault", "", func() {
-				a.failWithFault(t, fault.KindTask, fmt.Errorf("pilot: injected fault killed %s", t.ID))
-			})
-			ex.events = append(ex.events, ev)
+			ex.events = append(ex.events, engine.AfterTagged(at, t.ID, ":fault", "", ex.onFault))
 		}
 	}
 }
@@ -677,7 +711,9 @@ func (a *agent) setBusy(ex *execution, cores, gpus int) {
 }
 
 // finish retires an execution: unwind busy counters, release the
-// allocation, record the task timeline, notify, and reschedule.
+// allocation, record the task timeline, notify, and reschedule. The
+// execution goes back to the spare list before the notification, so the
+// rescheduling cascade may place another attempt in it.
 func (a *agent) finish(ex *execution, state TaskState, err error) {
 	t := ex.task
 	now := a.pilot.engine.Now()
@@ -686,8 +722,10 @@ func (a *agent) finish(ex *execution, state TaskState, err error) {
 	for _, ev := range ex.events {
 		a.pilot.engine.Cancel(ev)
 	}
-	a.cluster.Release(ex.alloc)
+	a.cluster.Release(&ex.alloc)
 	a.removeRunning(ex)
+	a.recycle(ex)
+	t.exec = nil
 	a.noteOccupancy()
 	t.EndedAt = now
 	t.Err = err
@@ -711,23 +749,29 @@ func (a *agent) removeRunning(ex *execution) {
 	a.running = a.running[:last]
 }
 
-// anyExecution and onNode select executions for runningByUID.
-func anyExecution(*execution) bool { return true }
-
-func onNode(id int) func(*execution) bool {
-	return func(ex *execution) bool { return ex.alloc.Node.ID == id }
+// recycle clears a finished execution and puts it on the spare list.
+func (a *agent) recycle(ex *execution) {
+	ex.task = nil
+	ex.events = ex.events[:0]
+	ex.ctx = ExecContext{}
+	a.spare = append(a.spare, ex)
 }
 
-// runningByUID returns the running executions that keep pred, in task-UID
-// order, so a loop that unwinds several is deterministic.
-func (a *agent) runningByUID(pred func(*execution) bool) []*execution {
-	var out []*execution
+// anyNode marks runningByUID's selection of every placed task.
+const anyNode = -1
+
+// runningByUID returns the placed tasks on node (every placed task for
+// anyNode), in UID order. Loops that unwind several act on these tasks,
+// not on their executions: an unwind's rescheduling cascade reuses the
+// execution it frees for another attempt.
+func (a *agent) runningByUID(node int) []*Task {
+	var out []*Task
 	for _, ex := range a.running {
-		if pred(ex) {
-			out = append(out, ex)
+		if node == anyNode || ex.alloc.Node.ID == node {
+			out = append(out, ex.task)
 		}
 	}
-	slices.SortFunc(out, func(x, y *execution) int { return cmp.Compare(x.task.UID, y.task.UID) })
+	slices.SortFunc(out, func(x, y *Task) int { return cmp.Compare(x.UID, y.UID) })
 	return out
 }
 
@@ -809,9 +853,9 @@ func (a *agent) failWithFault(t *Task, kind fault.Kind, err error) {
 // order for determinism. The node must already be marked down so the
 // rescheduling cascade cannot place new work onto it.
 func (a *agent) failNode(nodeID int) {
-	for _, ex := range a.runningByUID(onNode(nodeID)) {
-		a.failWithFault(ex.task, fault.KindNodeCrash,
-			fmt.Errorf("pilot: node %d crashed under %s", nodeID, ex.task.ID))
+	for _, t := range a.runningByUID(nodeID) {
+		a.failWithFault(t, fault.KindNodeCrash,
+			fmt.Errorf("pilot: node %d crashed under %s", nodeID, t.ID))
 	}
 }
 
@@ -822,8 +866,8 @@ func (a *agent) failAll(kind fault.Kind, reason string) {
 	for _, t := range a.queuedTasks() {
 		a.failWithFault(t, kind, fmt.Errorf("pilot: %s", reason))
 	}
-	for _, ex := range a.runningByUID(anyExecution) {
-		a.failWithFault(ex.task, kind, fmt.Errorf("pilot: %s", reason))
+	for _, t := range a.runningByUID(anyNode) {
+		a.failWithFault(t, kind, fmt.Errorf("pilot: %s", reason))
 	}
 }
 
@@ -858,8 +902,8 @@ func (a *agent) evict(t *Task, resumeOn, reason string) {
 // down so the unwind's rescheduling cascade cannot re-place work onto
 // it.
 func (a *agent) evictNode(nodeID int, resumeOn, reason string) {
-	for _, ex := range a.runningByUID(onNode(nodeID)) {
-		a.evict(ex.task, resumeOn, reason)
+	for _, t := range a.runningByUID(nodeID) {
+		a.evict(t, resumeOn, reason)
 	}
 }
 
@@ -873,8 +917,7 @@ func (a *agent) drainAll(grace time.Duration) {
 		a.evict(t, "", "pilot walltime drain")
 	}
 	now := a.pilot.engine.Now()
-	for _, ex := range a.runningByUID(anyExecution) {
-		t := ex.task
+	for _, t := range a.runningByUID(anyNode) {
 		if t.state == StateRunning {
 			remaining := t.Result.TotalDuration() - t.ResumeFrom - now.Sub(t.RunAt)
 			if preempt.FinishesWithin(remaining, grace) {

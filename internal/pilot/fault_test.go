@@ -375,8 +375,8 @@ func TestFaultWalltimeFailsAndResubmitsElsewhere(t *testing.T) {
 	}
 	// Every logical chain ends on the survivor, successfully.
 	done := 0
-	for _, slot := range tm.tasks {
-		if task := slot.task; task.State() == StateDone {
+	for uid := range uint64(tm.Count()) {
+		if task, _ := tm.Get(uid + 1); task.State() == StateDone {
 			if task.PilotID != survivor.ID {
 				t.Fatalf("task %s completed on expired pilot", task.ID)
 			}
@@ -408,8 +408,8 @@ func TestFaultWalltimeFailsAndResubmitsElsewhere(t *testing.T) {
 	if n := tm2.Count(); n < 2 {
 		t.Fatalf("no resubmission attempted before giving up (%d tasks)", n)
 	}
-	for _, slot := range tm2.tasks {
-		if tk := slot.task; !tk.State().Final() {
+	for uid := range uint64(tm2.Count()) {
+		if tk, _ := tm2.Get(uid + 1); !tk.State().Final() {
 			t.Fatalf("task %s not terminal after lone-pilot expiry", tk.ID)
 		}
 	}
@@ -463,6 +463,88 @@ func TestUnwindOrderSurvivesSwapRemove(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNodeUnwindSkipsRecycledExecutions: a node crash or a node eviction
+// unwinds several co-resident attempts, and the unwind of the first one
+// frees executions that its cascade immediately reuses. Here the client
+// reacts to the first victim by cancelling the second and submitting two
+// tasks, which land on the healthy node in the executions both victims
+// just left. The rest of the node's unwind must not touch them: only the
+// attempts that were on the node fail.
+func TestNodeUnwindSkipsRecycledExecutions(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		unwind func(*Pilot)
+	}{
+		{"failNode", func(p *Pilot) {
+			p.agent.cluster.SetNodeDown(0)
+			p.agent.failNode(0)
+		}},
+		{"evictNode", func(p *Pilot) {
+			if _, _, err := p.EvictNode(0, ""); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pd := defaultPD()
+			pd.Machine = cluster.Spec{Name: "m", Nodes: 2, CoresPerNode: 4, MemGBPerNode: 32}
+			h := newHarness(t, pd)
+			long := TaskDescription{Name: "long", Cores: 2, Work: sleepWork("x", 10*time.Hour, 2, 0)}
+			a, b, c := h.tm.MustSubmit(long), h.tm.MustSubmit(long), h.tm.MustSubmit(long)
+			h.engine.RunUntil(simclock.Time(time.Hour))
+			if a.Node() != 0 || b.Node() != 0 || c.Node() != 1 {
+				t.Fatalf("placed on nodes %d %d %d, want 0 0 1", a.Node(), b.Node(), c.Node())
+			}
+			left := []*execution{a.exec, b.exec}
+
+			var failed []*Task
+			var added []*Task
+			h.tm.OnState(func(task *Task, s TaskState) {
+				if s != StateFailed {
+					return
+				}
+				failed = append(failed, task)
+				if task == a {
+					h.tm.Cancel(b)
+					short := TaskDescription{Name: "short", Cores: 1, Work: sleepWork("y", time.Hour, 1, 0)}
+					added = append(added, h.tm.MustSubmit(short), h.tm.MustSubmit(short))
+				}
+			})
+			tc.unwind(h.pilot)
+
+			if len(failed) != 1 || failed[0] != a {
+				t.Fatalf("failed attempts %v, want only %s", taskIDs(failed), a.ID)
+			}
+			if b.State() != StateCanceled {
+				t.Fatalf("%s ended %v, want CANCELED", b.ID, b.State())
+			}
+			for _, task := range added {
+				if task.State() != StateExecSetup || task.Node() != 1 {
+					t.Fatalf("%s is %v on node %d, want EXEC_SETUP on node 1", task.ID, task.State(), task.Node())
+				}
+				if !slices.Contains(left, task.exec) {
+					t.Fatalf("%s was not placed in an execution the victims left", task.ID)
+				}
+			}
+			h.engine.Run()
+			for _, task := range append(added, c) {
+				if task.State() != StateDone {
+					t.Fatalf("%s ended %v, want DONE", task.ID, task.State())
+				}
+			}
+		})
+	}
+}
+
+// taskIDs lists the IDs of tasks.
+func taskIDs(tasks []*Task) []string {
+	ids := make([]string, len(tasks))
+	for i, t := range tasks {
+		ids[i] = t.ID
+	}
+	return ids
 }
 
 // TestCancelChainAbortsRetries: cancelling a logical task mid-chain

@@ -36,8 +36,8 @@ func referencePass(a *agent) {
 	end := a.seq
 	continueOnBlock := a.policy.ContinueOnBlock()
 	for _, e := range slices.Clone(a.mergedQueue()) {
-		alloc := a.allocate(e.task)
-		if alloc == nil {
+		alloc, ok := a.cluster.Place(requestOf(e.task), e.task.avoidNodes)
+		if !ok {
 			if !continueOnBlock {
 				break
 			}

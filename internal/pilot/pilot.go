@@ -437,9 +437,9 @@ type TaskManager struct {
 	engine  *simclock.Engine
 	pilots  []*Pilot
 	nextUID uint64
-	// tasks holds every attempt ever submitted, indexed by UID−1: UIDs
-	// are dense because nextUID++ is their only source.
-	tasks     []taskSlot
+	// tasks holds every attempt ever submitted, by UID: UIDs are dense
+	// because nextUID++ is their only source.
+	tasks     taskTable
 	callbacks []func(*Task, TaskState)
 
 	// Fault-recovery tallies. They are pure accounting: recording them
@@ -464,6 +464,33 @@ type TaskManager struct {
 type taskSlot struct {
 	task *Task
 	live *Task
+}
+
+// taskPage is the number of slots in one page of a taskTable.
+const taskPage = 256
+
+// taskTable is the TaskManager's task table: the slot of UID u at index
+// u−1, in fixed-size pages that are never copied once allocated. A flat
+// slice grown by append re-copies every slot each time it outgrows its
+// array.
+type taskTable struct {
+	pages []*[taskPage]taskSlot
+	n     int
+}
+
+// push appends the slot of the next UID.
+func (tt *taskTable) push(s taskSlot) {
+	if tt.n%taskPage == 0 {
+		tt.pages = append(tt.pages, new([taskPage]taskSlot))
+	}
+	tt.pages[tt.n/taskPage][tt.n%taskPage] = s
+	tt.n++
+}
+
+// at returns the slot of UID uid, which must be in [1, n].
+func (tt *taskTable) at(uid uint64) *taskSlot {
+	i := uid - 1
+	return &tt.pages[i/taskPage][i%taskPage]
 }
 
 // NewTaskManager creates a task manager bound to one or more pilots.
@@ -556,13 +583,14 @@ func (tm *TaskManager) Submit(td TaskDescription) (*Task, error) {
 		PilotID:     p.ID,
 		Attempt:     1,
 		chain:       tm.nextUID,
+		node:        -1,
 		state:       StateNew,
 		SubmittedAt: tm.engine.Now(),
 	}
 	t.Origin = t.ID
 	t.pilot = p
 	t.seed = deriveTaskSeed(p.desc.Seed, t.ID)
-	tm.tasks = append(tm.tasks, taskSlot{task: t, live: t})
+	tm.tasks.push(taskSlot{task: t, live: t})
 	tm.transition(t, StateSubmitted)
 
 	if p.state == PilotDone {
@@ -598,14 +626,14 @@ func (tm *TaskManager) Cancel(t *Task) {
 
 // Get returns a task by UID.
 func (tm *TaskManager) Get(uid uint64) (*Task, bool) {
-	if uid == 0 || uid > uint64(len(tm.tasks)) {
+	if uid == 0 || uid > uint64(tm.tasks.n) {
 		return nil, false
 	}
-	return tm.tasks[uid-1].task, true
+	return tm.tasks.at(uid).task, true
 }
 
 // Count returns how many tasks were ever submitted.
-func (tm *TaskManager) Count() int { return len(tm.tasks) }
+func (tm *TaskManager) Count() int { return tm.tasks.n }
 
 func (tm *TaskManager) transition(t *Task, to TaskState) {
 	if !legalTransition(t.state, to) {
@@ -711,7 +739,7 @@ func (tm *TaskManager) CancelChain(t *Task, reason string) {
 	if t == nil {
 		return
 	}
-	cur := tm.tasks[t.chain-1].live
+	cur := tm.tasks.at(t.chain).live
 	if cur.requeue != nil {
 		tm.engine.Cancel(cur.requeue.event)
 	}
@@ -766,6 +794,7 @@ func (tm *TaskManager) resubmit(orig *Task, plan *requeuePlan) {
 		Attempt:     orig.Attempt + 1,
 		Origin:      orig.Origin,
 		chain:       orig.chain,
+		node:        -1,
 		ResumeFrom:  plan.resumeFrom,
 		state:       StateNew,
 		SubmittedAt: tm.engine.Now(),
@@ -790,8 +819,8 @@ func (tm *TaskManager) resubmit(orig *Task, plan *requeuePlan) {
 	t.pilot = p
 	t.PilotID = p.ID
 	t.seed = deriveTaskSeed(p.desc.Seed, t.ID)
-	tm.tasks = append(tm.tasks, taskSlot{task: t})
-	tm.tasks[t.chain-1].live = t
+	tm.tasks.push(taskSlot{task: t})
+	tm.tasks.at(t.chain).live = t
 	tm.transition(t, StateSubmitted)
 
 	if p.state == PilotDone {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"impress/internal/cluster"
 	"impress/internal/costmodel"
@@ -532,21 +533,31 @@ func TestTaskManagerGetByUID(t *testing.T) {
 }
 
 // TestSubmitPlaceFinishAllocations fences the runtime's per-task cost: one
-// task submitted, placed, run and finished allocates the task, its ID, its
-// ledger allocation, its execution, its events slice, and one engine
-// closure each for setup, phase and done. A payload that allocates nothing
-// keeps the count to the runtime's own.
+// task submitted, placed, run and finished allocates the task and its ID,
+// nothing else. The ledger grant is a value, the execution and its events
+// slice are reused from the last finished attempt, the engine callbacks
+// are bound to the execution once, and the task table grows by pages. A
+// payload that allocates nothing keeps the count to the runtime's own.
 func TestSubmitPlaceFinishAllocations(t *testing.T) {
 	h := newHarness(t, defaultPD())
 	h.engine.Run() // bootstrap the pilot
 	res := Result{Phases: []Phase{{Name: "compute", Duration: time.Minute, BusyCores: 4}}}
 	td := TaskDescription{Name: "t", Cores: 4, Work: WorkFunc(func(*ExecContext) (Result, error) { return res, nil })}
-	const bound = 8
+	const bound = 2
 	if avg := testing.AllocsPerRun(500, func() {
 		h.tm.MustSubmit(td)
 		h.engine.Run()
 	}); avg > bound {
 		t.Fatalf("submit, place and finish allocate %.0f objects per task, want at most %d", avg, bound)
+	}
+}
+
+// TestTaskFitsItsSizeClass: every attempt allocates one Task, and 320
+// bytes is a malloc size class whose next step up is 352, so one more
+// word on Task costs each attempt 32 bytes.
+func TestTaskFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Task{}); n > 320 {
+		t.Fatalf("Task is %d bytes, want at most 320", n)
 	}
 }
 

@@ -24,8 +24,9 @@ import (
 )
 
 // TaskState is the lifecycle state of a task, following RP's state model
-// collapsed to the states that matter for scheduling research.
-type TaskState int
+// collapsed to the states that matter for scheduling research. It is 32
+// bits wide so that it shares a word with Task's node ID.
+type TaskState int32
 
 const (
 	// StateNew is a described but unsubmitted task.
@@ -118,7 +119,9 @@ func (r Result) TotalDuration() time.Duration {
 	return d
 }
 
-// ExecContext is what a payload sees when it runs.
+// ExecContext is what a payload sees when it runs. It is valid only
+// during Run: the runtime reuses it for later attempts, so a payload that
+// needs a field afterwards copies it.
 type ExecContext struct {
 	// TaskID identifies the running task.
 	TaskID string
@@ -207,6 +210,9 @@ type Task struct {
 	ResumeFrom time.Duration
 
 	state TaskState
+	// node is the ID of the node the attempt is or was last placed on,
+	// -1 until then.
+	node int32
 
 	// Timeline (virtual time).
 	SubmittedAt simclock.Time
@@ -220,7 +226,7 @@ type Task struct {
 
 	seed       uint64
 	pilot      *Pilot
-	exec       *execution
+	exec       *execution // the attempt's execution while it is placed
 	avoidNodes []int
 	requeue    *requeuePlan
 }
@@ -262,12 +268,7 @@ func (t *Task) WillRetry() bool { return t.requeue != nil }
 
 // Node returns the ID of the node the attempt is (or was last) placed
 // on, or -1 if it never held an allocation.
-func (t *Task) Node() int {
-	if t.exec != nil && t.exec.alloc != nil {
-		return t.exec.alloc.Node.ID
-	}
-	return -1
-}
+func (t *Task) Node() int { return int(t.node) }
 
 // State returns the task's current lifecycle state.
 func (t *Task) State() TaskState { return t.state }

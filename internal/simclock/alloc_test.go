@@ -3,6 +3,7 @@ package simclock
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestSteadyStateSchedulingAllocationFree guards the engine's event pool:
@@ -67,6 +68,58 @@ func TestPoolReuseInvalidatesStaleHandles(t *testing.T) {
 	e.Run()
 	if !fired {
 		t.Fatal("innocent event did not fire")
+	}
+}
+
+// TestReusedSlotLeavesStaleHandleInert pins the handle contract on slot
+// reuse, for both ways a slot retires (firing and cancellation): once
+// the slot carries a new event, the old handle reads not pending with an
+// empty name, and cancelling it leaves the new event pending. The slab
+// then grows, moving every record, and the handles keep their meaning.
+func TestReusedSlotLeavesStaleHandleInert(t *testing.T) {
+	for _, retire := range []struct {
+		name string
+		do   func(*Engine, Event)
+	}{
+		{"fired", func(e *Engine, _ Event) { e.Step() }},
+		{"cancelled", func(e *Engine, ev Event) { e.Cancel(ev) }},
+	} {
+		t.Run(retire.name, func(t *testing.T) {
+			e := New()
+			stale := e.AfterTagged(time.Second, "task.000001", ":done", "", func() {})
+			retire.do(e, stale)
+			fresh := e.AfterTagged(time.Minute, "task.000002", ":done", "", func() {})
+			if fresh.slot != stale.slot {
+				t.Fatalf("new event took slot %d, want the retired slot %d", fresh.slot, stale.slot)
+			}
+			check := func(when string) {
+				t.Helper()
+				if stale.Pending() || stale.Name() != "" || stale.When() != 0 {
+					t.Fatalf("%s: stale handle reads pending=%v name=%q when=%v", when, stale.Pending(), stale.Name(), stale.When())
+				}
+				e.Cancel(stale)
+				if !fresh.Pending() || fresh.Name() != "task.000002:done" {
+					t.Fatalf("%s: cancelling the stale handle disturbed the new event (pending=%v name=%q)", when, fresh.Pending(), fresh.Name())
+				}
+			}
+			check("after reuse")
+			for i := 0; i < 1000; i++ {
+				e.After(time.Hour, func() {})
+			}
+			check("after the slab grew")
+			if e.Pending() != 1001 {
+				t.Fatalf("%d events pending, want 1001", e.Pending())
+			}
+		})
+	}
+}
+
+// TestEventHandleIsSixteenBytes: a handle is an engine pointer, a slot and
+// a generation, small enough to copy freely and to keep by value in
+// callers' records.
+func TestEventHandleIsSixteenBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 16 {
+		t.Fatalf("Event is %d bytes, want 16", n)
 	}
 }
 

@@ -11,11 +11,12 @@
 // bit-for-bit reproducible.
 //
 // The engine's scheduling hot path is allocation-free in steady state.
-// Event structs live in an append-only slab and are addressed by slot;
-// fired and cancelled slots return to a free list and are reused by later
-// schedules. The priority queue is an inlined binary heap of pointer-free
-// (when, seq, slot) entries, so sifting moves plain words with no
-// interface calls and no GC write barriers. Debug names are stored as
+// Event records live by value in an append-only slab and are addressed by
+// slot; fired and cancelled slots return to a free list and are reused by
+// later schedules. The priority queue is an inlined binary heap of
+// pointer-free (when, seq, slot) entries, so sifting moves plain words with
+// no interface calls and no GC write barriers, and records each entry's
+// heap index into the one contiguous slab. Debug names are stored as
 // up-to-three string parts that are only concatenated when Name is
 // actually called (debug paths), never when an event is scheduled.
 package simclock
@@ -53,14 +54,14 @@ func (t Time) String() string { return time.Duration(t).String() }
 func FromHours(h float64) Time { return Time(h * float64(time.Hour)) }
 
 // event is the pooled scheduling record, one per slab slot. Callers never
-// see it directly: they hold Event handles, which pair the struct pointer
-// with the generation it was scheduled under, so a handle kept past its
-// event's firing (or cancellation, or the slot's reuse for a later event)
-// is detectably stale and every operation on it is a safe no-op.
+// see it directly: they hold Event handles, which pair the slot with the
+// generation it was scheduled under, so a handle kept past its event's
+// firing (or cancellation, or the slot's reuse for a later event) is
+// detectably stale and every operation on it is a safe no-op.
 type event struct {
 	when  Time
-	index int    // heap index, -1 once popped or cancelled
-	gen   uint64 // bumped on every retire; live handles must match
+	index int32  // heap index, -1 once popped or cancelled
+	gen   uint32 // bumped on every retire; live handles must match
 	fn    func()
 	// Debug name parts, concatenated lazily by Event.Name. Hot call sites
 	// pass pre-existing strings (task ID, a constant kind, a phase name)
@@ -72,37 +73,53 @@ type event struct {
 // and their named variants. The zero value is a null handle: not pending,
 // and cancelling it is a no-op. Handles stay valid (as inert stale
 // handles) after their event fires or is cancelled, so teardown paths can
-// cancel unconditionally.
+// cancel unconditionally. A handle names its engine and slot, not the
+// record itself, so it stays 16 bytes and the slab may move when it grows.
+// The generation wraps after 2^32 reuses of one slot; a handle kept that
+// long would alias a later event.
 type Event struct {
-	e   *event
-	gen uint64
+	eng  *Engine
+	slot int32
+	gen  uint32
 }
 
-// live reports whether the handle still refers to its queued event.
-func (ev Event) live() bool { return ev.e != nil && ev.e.gen == ev.gen && ev.e.index >= 0 }
+// event returns the record the handle refers to while it is still
+// queued, or nil when the handle is stale (fired, cancelled, or null).
+func (ev Event) event() *event {
+	if ev.eng == nil {
+		return nil
+	}
+	e := &ev.eng.slab[ev.slot]
+	if e.gen != ev.gen || e.index < 0 {
+		return nil
+	}
+	return e
+}
 
 // When returns the virtual time at which the event is scheduled, or zero
 // when the handle is stale (fired, cancelled, or null).
 func (ev Event) When() Time {
-	if !ev.live() {
+	e := ev.event()
+	if e == nil {
 		return 0
 	}
-	return ev.e.when
+	return e.when
 }
 
 // Name returns the debug label attached at scheduling time, or "" when
 // the handle is stale. The label is assembled on demand — scheduling only
 // stores its parts.
 func (ev Event) Name() string {
-	if !ev.live() {
+	e := ev.event()
+	if e == nil {
 		return ""
 	}
-	return ev.e.name0 + ev.e.name1 + ev.e.name2
+	return e.name0 + e.name1 + e.name2
 }
 
 // Pending reports whether the event is still queued (not fired, not
 // cancelled).
-func (ev Event) Pending() bool { return ev.live() }
+func (ev Event) Pending() bool { return ev.event() != nil }
 
 // entry is one heap element. It holds no pointers: the slot indexes the
 // engine's event slab. (when, seq) is a total order — seq is unique per
@@ -125,9 +142,9 @@ func (a entry) before(b entry) bool {
 // from within engine events, which serializes them by construction.
 type Engine struct {
 	now   Time
-	heap  []entry  // binary min-heap ordered by entry.before
-	slab  []*event // append-only; slot i's event struct
-	free  []int32  // retired slots awaiting reuse
+	heap  []entry // binary min-heap ordered by entry.before
+	slab  []event // append-only; slot i's event record
+	free  []int32 // retired slots awaiting reuse
 	seq   uint64
 	fired uint64
 }
@@ -149,7 +166,7 @@ func (e *Engine) Pending() int { return len(e.heap) }
 // place puts x at heap index i and records i in x's event.
 func (e *Engine) place(i int, x entry) {
 	e.heap[i] = x
-	e.slab[x.slot].index = i
+	e.slab[x.slot].index = int32(i)
 }
 
 // up sifts the entry at i toward the root.
@@ -205,7 +222,7 @@ func (e *Engine) remove(i int) int32 {
 	return slot
 }
 
-// alloc takes a slot from the free list (or appends a new event struct
+// alloc takes a slot from the free list (or appends a new event record
 // to the slab when the list is empty) and schedules it.
 func (e *Engine) alloc(t Time, name0, name1, name2 string, fn func()) Event {
 	if fn == nil {
@@ -223,22 +240,22 @@ func (e *Engine) alloc(t Time, name0, name1, name2 string, fn func()) Event {
 			panic("simclock: event slab full")
 		}
 		slot = int32(len(e.slab))
-		e.slab = append(e.slab, &event{})
+		e.slab = append(e.slab, event{})
 	}
-	ev := e.slab[slot]
+	ev := &e.slab[slot]
 	ev.when = t
 	ev.fn = fn
 	ev.name0, ev.name1, ev.name2 = name0, name1, name2
 	e.heap = append(e.heap, entry{when: t, seq: e.seq, slot: slot})
 	e.seq++
 	e.up(len(e.heap) - 1)
-	return Event{e: ev, gen: ev.gen}
+	return Event{eng: e, slot: slot, gen: ev.gen}
 }
 
 // retire returns a popped or removed slot to the free list, invalidating
 // every outstanding handle to its event.
 func (e *Engine) retire(slot int32) {
-	ev := e.slab[slot]
+	ev := &e.slab[slot]
 	ev.index = -1
 	ev.gen++
 	ev.fn = nil
@@ -297,10 +314,11 @@ func (e *Engine) Defer(fn func()) Event {
 // fired, already cancelled, or the zero Event — is a no-op, so callers can
 // cancel unconditionally on teardown paths.
 func (e *Engine) Cancel(ev Event) {
-	if !ev.live() {
+	rec := ev.event()
+	if rec == nil {
 		return
 	}
-	e.retire(e.remove(ev.e.index))
+	e.retire(e.remove(int(rec.index)))
 }
 
 // Step fires the earliest pending event, advancing the clock to its
@@ -310,7 +328,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	slot := e.remove(0)
-	ev := e.slab[slot]
+	ev := &e.slab[slot]
 	e.now = ev.when
 	fn := ev.fn
 	e.retire(slot)
