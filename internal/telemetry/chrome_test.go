@@ -3,8 +3,12 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"os"
 	"strings"
 	"testing"
+
+	"impress/internal/trace"
 )
 
 // TestValidateChromeTraceKeepsTracksApart: async tracks are (pid, cat,
@@ -90,4 +94,129 @@ func FuzzValidateChromeTrace(f *testing.F) {
 			t.Fatalf("accepted trace has %d more span opens than closes", open)
 		}
 	})
+}
+
+// goldenChromePath pins the exporter's bytes. Regenerate with
+//
+//	UPDATE_GOLDEN=1 go test -run TestChromeTraceGolden ./internal/telemetry
+const goldenChromePath = "testdata/chrome.golden"
+
+// hostile is text the JSON writer must escape: quotes, backslashes,
+// every control-character escape, U+2028/U+2029, invalid UTF-8, and the
+// HTML characters encoding/json leaves alone with SetEscapeHTML(false).
+const hostile = "q\"b\\s/\x00\x01\b\f\n\r\t\x1f\x7f \u2028\u2029 \xff\xc3 <&> é 😀"
+
+// hostileTraces is two campaigns that reach every branch of the writer:
+// unsorted tasks (the sort path), every span shape, escaped names in
+// every string field, timestamps at both ends of the int64 nanosecond
+// range, an instant without detail, instants and series routed off the
+// pilot list, frozen pilots in a steering tick, and a campaign without
+// telemetry data.
+func hostileTraces() []CampaignTrace {
+	pilots := []string{"p\"0\\" + hostile, "p1\u2028\xfe"}
+	tasks := []trace.TaskRecord{
+		// Submitted last, listed first: the writer must sort.
+		{ID: "t3" + hostile, Name: "fold" + hostile, Stage: "fold\n" + hostile, Pipeline: "pl\t" + hostile,
+			Origin: "t1", Attempt: 2, Submitted: hour(3), SetupAt: hour(3.5), RunAt: hour(4), EndedAt: hour(5),
+			Placed: true, GPUs: 2, Cores: 1, State: "DONE", Pilot: pilots[1], Node: 7, Fault: "node\x00" + hostile},
+		// Placed, but setup ran past the end: setup closes at EndedAt.
+		{ID: "t2", Name: "mpnn", Submitted: hour(1), SetupAt: hour(1.5), RunAt: hour(1), EndedAt: hour(2),
+			Placed: true, Cores: 4, State: "FAILED", Pilot: pilots[0], Node: 0, Fault: "task"},
+		// Never placed: one queued span; an unknown pilot maps to ordinal 0.
+		{ID: "t1", Name: "", Origin: "t1", Submitted: -1, EndedAt: 1, State: "CANCELED", Pilot: "nobody", Node: -1},
+		// Placed at time zero on no node: no run slice.
+		{ID: "t0", Name: "metrics", Origin: "t0", Attempt: 1, Submitted: 0, SetupAt: 0, RunAt: 0, EndedAt: 0,
+			Placed: true, Cores: 1, State: "DONE", Pilot: pilots[1], Node: -1},
+		// The extremes of the nanosecond clock.
+		{ID: "t9", Name: "edge", Submitted: math.MinInt64, SetupAt: math.MinInt64 + 1, RunAt: math.MaxInt64 - 1,
+			EndedAt: math.MaxInt64, Placed: true, Cores: 1, State: "DONE", Pilot: pilots[0], Node: 3},
+	}
+	data := &Data{
+		Instants: []Instant{
+			{T: hour(0.5), Kind: KindNodeCrash + hostile, Pilot: 1, Node: 7, Detail: "rack\"A\\" + hostile},
+			{T: 1, Kind: KindTransfer, Pilot: 0, Node: -1},               // empty detail: no args
+			{T: math.MaxInt64, Kind: KindOutage, Pilot: 5, Node: 11},     // off the pilot list
+			{T: math.MinInt64, Kind: KindSteerVeto, Pilot: -1, Node: -1}, // campaign-level
+		},
+		Ticks: []Tick{
+			{T: hour(1.5), Pilots: []PilotSample{
+				{Queue: 2, Running: 1, Nodes: 3, Idle: 1, UtilWindow: 0.125, QueueDelta: -4, Frozen: true},
+				{Queue: 0, Nodes: 1, UtilWindow: 1, QueueDelta: 0},
+			}, Actions: []string{"veto 0->1: " + hostile, "move"}},
+			{T: hour(2.5), Pilots: nil},
+		},
+		Series: map[string][]trace.Point{
+			pilots[0] + "/running":        {{T: 0, Value: 1}, {T: hour(1), Value: -2}},
+			pilots[1] + "/free" + hostile: {{T: hour(2), Value: 1 << 40}},
+			"unknown/gauge":               {{T: -1000, Value: 3}},
+			"/leading-slash":              {{T: 1, Value: 0}},
+			hostile:                       {{T: 2, Value: 9}},
+		},
+	}
+	return []CampaignTrace{
+		{
+			Label:  "hostile/" + hostile,
+			Pilots: pilots,
+			Tasks:  tasks,
+			QueueSeries: [][]trace.Point{
+				{{T: 0, Value: 0}, {T: hour(1), Value: 2}},
+				nil,
+				{{T: 5, Value: 1}}, // more series than pilots: the campaign track
+			},
+			Data: data,
+		},
+		{
+			Label:  "bare",
+			Pilots: []string{"solo"},
+			Tasks: []trace.TaskRecord{
+				{ID: "b1", Name: "run", Submitted: 1500, SetupAt: 2500, RunAt: 3499, EndedAt: 123456789,
+					Placed: true, Cores: 1, State: "DONE", Pilot: "solo", Node: 0},
+			},
+		},
+	}
+}
+
+// TestChromeTraceGolden pins the exported bytes of the unit campaign, the
+// hostile campaigns and an empty export.
+func TestChromeTraceGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, c := range []struct {
+		name      string
+		campaigns []CampaignTrace
+	}{
+		{"campaign", []CampaignTrace{campaignTrace()}},
+		{"hostile", hostileTraces()},
+		{"empty", nil},
+	} {
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, c.campaigns); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(c.campaigns) > 0 {
+			if err := ValidateChromeTrace(buf.Bytes()); err != nil {
+				t.Fatalf("%s: export fails validation: %v", c.name, err)
+			}
+		}
+		sb.WriteString("-- " + c.name + " --\n")
+		sb.Write(buf.Bytes())
+	}
+	got := sb.String()
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(goldenChromePath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenChromePath)
+	if err != nil {
+		t.Fatalf("reading golden file: %v (regenerate with UPDATE_GOLDEN=1)", err)
+	}
+	if got != string(want) {
+		i := 0
+		for i < min(len(got), len(want)) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("export diverges from %s at byte %d:\n got: %q\nwant: %q", goldenChromePath, i,
+			got[max(0, i-40):min(len(got), i+40)], want[max(0, i-40):min(len(want), i+40)])
+	}
 }

@@ -7,6 +7,8 @@ package impress_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -74,6 +76,13 @@ func TestChromeTraceEndToEnd(t *testing.T) {
 	}
 	if err := impress.ValidateChromeTrace(a); err != nil {
 		t.Fatalf("exported chrome trace is malformed: %v", err)
+	}
+	// The export's bytes are pinned by digest: a writer change that
+	// alters one byte of pair@42's trace fails here.
+	const wantLen, wantSum = 350745, "8e82fe0a8c9ed274a5e596998312418fbb137c2fed4805dc852216f46ad13e1f"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(a)); len(a) != wantLen || sum != wantSum {
+		t.Fatalf("pair@42 chrome trace is %d bytes with sha256 %s, want %d bytes with sha256 %s",
+			len(a), sum, wantLen, wantSum)
 	}
 }
 
