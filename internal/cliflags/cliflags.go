@@ -264,6 +264,16 @@ func (c *Common) Validate() error {
 	if err := steer.ValidateTenant(p.Reclaim); err != nil {
 		return fmt.Errorf("-reclaim: %w", err)
 	}
+	// fault.Spec.Validate checks these too, but names the package, not
+	// the flag. Written so that NaN fails.
+	for _, f := range []struct {
+		name string
+		p    float64
+	}{{"fault", p.Fault.TaskFailProb}, {"cascade", p.Fault.Domains.CascadeProb}} {
+		if !(f.p >= 0 && f.p < 1) {
+			return fmt.Errorf("-%s %v: must be in [0, 1)", f.name, f.p)
+		}
+	}
 	return c.Fault().Validate()
 }
 

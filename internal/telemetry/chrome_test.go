@@ -3,11 +3,15 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
 	"testing"
 
+	"impress/internal/simclock"
 	"impress/internal/trace"
 )
 
@@ -57,8 +61,10 @@ func TestValidateChromeTraceReportsFirstUnclosedSpan(t *testing.T) {
 }
 
 // FuzzValidateChromeTrace: the validator never panics, its verdict is
-// the same on a second call, and a trace it accepts has as many span
-// closes as span opens.
+// the same on a second call and the same as the reference validator's,
+// its message is the reference's whenever the reference rejects a
+// well-formed document for a structural reason, and a trace it accepts
+// has as many span closes as span opens.
 func FuzzValidateChromeTrace(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, []CampaignTrace{campaignTrace()}); err != nil {
@@ -69,6 +75,15 @@ func FuzzValidateChromeTrace(f *testing.F) {
 		err := ValidateChromeTrace(data)
 		if again := ValidateChromeTrace(data); (err == nil) != (again == nil) || (err != nil && err.Error() != again.Error()) {
 			t.Fatalf("verdict changed between calls: %v, then %v", err, again)
+		}
+		ref := referenceValidateChromeTrace(data)
+		if (err == nil) != (ref == nil) {
+			t.Fatalf("verdict %v, reference verdict %v", err, ref)
+		}
+		// The reference wraps JSON errors; its structural errors wrap
+		// nothing.
+		if ref != nil && errors.Unwrap(ref) == nil && err.Error() != ref.Error() {
+			t.Fatalf("message %q, reference message %q", err, ref)
 		}
 		if err != nil {
 			return
@@ -94,6 +109,152 @@ func FuzzValidateChromeTrace(f *testing.F) {
 			t.Fatalf("accepted trace has %d more span opens than closes", open)
 		}
 	})
+}
+
+// FuzzChromeTraceEncoding: the streaming writer's bytes are the
+// reference encoder's for campaigns built from fuzzed text, timestamps
+// and floats (or both fail), both validators agree on them, and
+// appendFloat writes any float64 as encoding/json does.
+func FuzzChromeTraceEncoding(f *testing.F) {
+	f.Add("unit/seed1", "pilot.0001", "mpnn", "fold", "rackA", "veto 0->1", int64(0), int64(3600e9), 0.4, 1e-7)
+	f.Add(hostile, "p\"0\\", "\xff\xfe", "\u2028", "", "; ", int64(math.MinInt64), int64(math.MaxInt64), math.Inf(1), 1e21)
+	f.Add("a/b", "a", "b/c", "", "\x00", "x", int64(-1), int64(1), -0.005, math.NaN())
+	f.Fuzz(func(t *testing.T, label, pilot, name, stage, detail, action string, t0, t1 int64, util, x float64) {
+		want, wantErr := json.Marshal(x)
+		got, gotErr := appendFloat(nil, x)
+		if (wantErr != nil) != (gotErr != nil) || (wantErr == nil && !bytes.Equal(got, want)) {
+			t.Fatalf("appendFloat(%v) = %q, %v; encoding/json gives %q, %v", x, got, gotErr, want, wantErr)
+		}
+		ts := []simclock.Time{simclock.Time(t0), simclock.Time(t1), simclock.Time(t0 + t1), simclock.Time(t1 - t0)}
+		node := int(uint64(t0)%4) - 1
+		tasks := []trace.TaskRecord{
+			{ID: name, Name: name, Stage: stage, Pipeline: detail, Origin: action, Fault: detail, Attempt: 1,
+				Submitted: ts[0], SetupAt: ts[1], RunAt: ts[2], EndedAt: ts[3], Placed: t0%2 == 0,
+				Cores: int(t1 % 7), GPUs: int(t0 % 3), State: stage, Pilot: pilot, Node: node},
+			{ID: action, Name: stage, Origin: name, Submitted: ts[3], SetupAt: ts[2], RunAt: ts[1], EndedAt: ts[0],
+				Placed: true, State: "DONE", Pilot: name, Node: node + 1},
+			{ID: pilot, Name: label, Submitted: ts[1], SetupAt: ts[1], RunAt: ts[1], EndedAt: ts[1],
+				Placed: true, State: detail, Pilot: pilot, Node: 2},
+		}
+		data := &Data{
+			Instants: []Instant{
+				{T: ts[0], Kind: action, Pilot: node, Node: node, Detail: detail},
+				{T: ts[1], Kind: stage, Pilot: 1, Node: -1},
+			},
+			Ticks: []Tick{{T: ts[2], Pilots: []PilotSample{
+				{Queue: int(t0), Running: 1, Nodes: int(t1), Idle: -1, UtilWindow: util, QueueDelta: int(t1 - t0), Frozen: t1%2 == 0},
+				{UtilWindow: -util},
+			}, Actions: []string{action, detail}}},
+			Series: map[string][]trace.Point{
+				pilot + "/" + stage: {{T: ts[0], Value: int(t1)}},
+				detail:              {{T: ts[3], Value: -1}},
+			},
+		}
+		campaigns := []CampaignTrace{
+			{Label: label, Pilots: []string{pilot, name}, Tasks: tasks,
+				QueueSeries: [][]trace.Point{{{T: ts[1], Value: node}}, nil, {{T: ts[2], Value: 3}}}, Data: data},
+			{Label: action, Pilots: []string{stage}, Tasks: tasks[2:]},
+		}
+		var ref, out bytes.Buffer
+		refErr := referenceChromeTrace(&ref, campaigns)
+		outErr := WriteChromeTrace(&out, campaigns)
+		if (refErr != nil) != (outErr != nil) {
+			t.Fatalf("error %v, reference error %v", outErr, refErr)
+		}
+		if refErr != nil {
+			return
+		}
+		if !bytes.Equal(out.Bytes(), ref.Bytes()) {
+			i := 0
+			for i < min(out.Len(), ref.Len()) && out.Bytes()[i] == ref.Bytes()[i] {
+				i++
+			}
+			t.Fatalf("export differs from the reference at byte %d:\n got: %q\nwant: %q", i,
+				out.Bytes()[i:min(out.Len(), i+80)], ref.Bytes()[i:min(ref.Len(), i+80)])
+		}
+		err, refVerdict := ValidateChromeTrace(out.Bytes()), referenceValidateChromeTrace(out.Bytes())
+		if (err == nil) != (refVerdict == nil) || (err != nil && err.Error() != refVerdict.Error()) {
+			t.Fatalf("verdict %v, reference verdict %v", err, refVerdict)
+		}
+	})
+}
+
+// replicated is campaignTrace with every task copied n times under
+// distinct IDs, still in (Submitted, ID) order.
+func replicated(n int) CampaignTrace {
+	c := campaignTrace()
+	var tasks []trace.TaskRecord
+	for _, tr := range c.Tasks {
+		for k := 0; k < n; k++ {
+			cp := tr
+			cp.ID = fmt.Sprintf("%s#%03d", tr.ID, k)
+			tasks = append(tasks, cp)
+		}
+	}
+	c.Tasks = tasks
+	return c
+}
+
+// TestChromeTraceAllocations: the writer's allocations do not grow with
+// the number of events, and the validator allocates a fixed number of
+// objects plus at most validatePerEvent per event (the slice-based
+// validator it replaced allocated ~4.6 per event).
+func TestChromeTraceAllocations(t *testing.T) {
+	const writeAllocs, validateFixed, validatePerEvent = 16, 64, 0.35
+	var prev float64
+	for _, n := range []int{1, 20} {
+		traces := []CampaignTrace{replicated(n)}
+		write := testing.AllocsPerRun(20, func() {
+			if err := WriteChromeTrace(io.Discard, traces); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if write > writeAllocs || (prev != 0 && write > prev) {
+			t.Errorf("%dx tasks: WriteChromeTrace allocates %.0f objects, want at most %d and no more than at 1x (%.0f)",
+				n, write, writeAllocs, prev)
+		}
+		prev = write
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, traces); err != nil {
+			t.Fatal(err)
+		}
+		events := bytes.Count(buf.Bytes(), []byte(`{"name":`))
+		validate := testing.AllocsPerRun(20, func() {
+			if err := ValidateChromeTrace(buf.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if validate > validateFixed+validatePerEvent*float64(events) {
+			t.Errorf("%dx tasks: ValidateChromeTrace allocates %.0f objects for %d events, want at most %d + %.2f per event",
+				n, validate, events, validateFixed, validatePerEvent)
+		}
+		t.Logf("%dx tasks, %d events: write %.0f allocs, validate %.0f allocs", n, events, write, validate)
+	}
+}
+
+func BenchmarkWriteChromeTrace(b *testing.B) {
+	traces := []CampaignTrace{replicated(200)}
+	var buf bytes.Buffer
+	for b.Loop() {
+		buf.Reset()
+		if err := WriteChromeTrace(&buf, traces); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}
+
+func BenchmarkValidateChromeTrace(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, []CampaignTrace{replicated(200)}); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	for b.Loop() {
+		if err := ValidateChromeTrace(buf.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // goldenChromePath pins the exporter's bytes. Regenerate with
