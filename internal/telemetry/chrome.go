@@ -108,11 +108,14 @@ func (tw *traceWriter) begin(e event) {
 	b = strconv.AppendInt(b, int64(e.pid), 10)
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(e.tid), 10)
-	for _, f := range [...]struct{ key, val string }{{`,"cat":`, e.cat}, {`,"id":`, e.id}, {`,"s":`, e.s}} {
-		if f.val != "" {
-			b = append(b, f.key...)
-			b = appendString(b, f.val)
-		}
+	if e.cat != "" {
+		b = appendString(append(b, `,"cat":`...), e.cat)
+	}
+	if e.id != "" {
+		b = appendString(append(b, `,"id":`...), e.id)
+	}
+	if e.s != "" {
+		b = appendString(append(b, `,"s":`...), e.s)
 	}
 	tw.b = b
 	tw.args = false
@@ -509,10 +512,10 @@ func ValidateChromeTrace(data []byte) error {
 	}
 	s := &doc.TraceEvents
 	if s.arrays > 1 {
-		// encoding/json decodes a repeated traceEvents array over the
-		// elements the earlier one left in the slice, field by field, so
-		// its events are only known from a decode of the whole document
-		// into the same slice.
+		// encoding/json decodes a repeated traceEvents array field by
+		// field over the elements already in the slice, and in its spare
+		// capacity, which depends on the element size. Only a whole
+		// decode into a slice of this element type knows the events.
 		var whole struct {
 			TraceEvents []struct {
 				Name string   `json:"name"`
@@ -530,13 +533,11 @@ func ValidateChromeTrace(data []byte) error {
 		s.v = validator{}
 		for _, e := range whole.TraceEvents {
 			ev := traceEvent{Name: jsonText(e.Name), Ph: jsonText(e.Ph), Cat: jsonText(e.Cat), ID: jsonText(e.ID)}
-			for _, f := range []struct {
-				p   *float64
-				dst *jsonFloat
-			}{{e.Ts, &ev.Ts}, {e.Dur, &ev.Dur}} {
-				if f.p != nil {
-					*f.dst = jsonFloat{*f.p, true}
-				}
+			if e.Ts != nil {
+				ev.Ts = jsonFloat{*e.Ts, true}
+			}
+			if e.Dur != nil {
+				ev.Dur = jsonFloat{*e.Dur, true}
 			}
 			if e.Pid != nil {
 				ev.Pid = jsonInt{*e.Pid, true}
