@@ -37,10 +37,9 @@ func durUsec(from, to simclock.Time) *float64 {
 	return &d
 }
 
-// referenceChromeTrace is the reflection encoder WriteChromeTrace
-// replaced: it builds every event, each with a map of boxed args, and
-// hands the whole document to encoding/json. The differential tests
-// hold the streaming writer to its bytes.
+// referenceChromeTrace builds every event, each with a map of boxed
+// args, and hands the whole document to encoding/json. The differential
+// tests hold the streaming WriteChromeTrace to its bytes.
 func referenceChromeTrace(w io.Writer, campaigns []CampaignTrace) error {
 	var events []chromeEvent
 	nextPid := 1
@@ -269,10 +268,10 @@ func referenceChromeTrace(w io.Writer, campaigns []CampaignTrace) error {
 	return enc.Encode(chromeFile{TraceEvents: events, DisplayTimeUnit: "ms"})
 }
 
-// referenceValidateChromeTrace is the validator ValidateChromeTrace
-// replaced: one json.Unmarshal into a slice of every event, then the
-// checks in file order. The differential tests hold the streaming
-// validator to its verdicts and messages.
+// referenceValidateChromeTrace decodes every event with one
+// json.Unmarshal into a slice, then checks them in file order. The
+// differential tests hold the streaming ValidateChromeTrace to its
+// verdicts and messages.
 func referenceValidateChromeTrace(data []byte) error {
 	var f struct {
 		TraceEvents []struct {
