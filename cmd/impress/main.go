@@ -248,10 +248,9 @@ func runMode(f *flags) int {
 		return scenariorun.Run(os.Stdout, os.Stderr, f.scenario, p, f.Parallel, f.csv, f.ChromeTrace)
 	}
 
-	// The protocol config fully encodes the execution policy here
+	// The protocol config fully encodes the execution policy
 	// (ControlConfig is already sequential and non-adaptive), and flags
-	// may override any part of it — so the campaign is submitted without
-	// Control, which would re-force the control policy over the overrides.
+	// may override any part of it.
 	var cfg impress.Config
 	switch f.protocol {
 	case "imrp":
@@ -434,8 +433,9 @@ func sweepMode(f *flags) int {
 	outs := impress.RunCampaigns(campaigns, f.Parallel)
 
 	// Collect per-seed rows, keeping every completed pair even when other
-	// seeds failed.
+	// seeds failed, and the pairs' campaign names as Chrome-trace labels.
 	var rows []row
+	var labels []string
 	failures := 0
 	for i := 0; i < len(outs); i += 2 {
 		seed, ctrl, adpt := campaigns[i].Seed, outs[i], outs[i+1]
@@ -450,6 +450,7 @@ func sweepMode(f *flags) int {
 		}
 		r := row{seed, ctrl.Result, adpt.Result}
 		rows = append(rows, r)
+		labels = append(labels, ctrl.Name, adpt.Name)
 		fmt.Printf("seed %d: Δ pLDDT CONT-V %+.2f vs IM-RP %+.2f; GPU %.1f%% vs %.1f%%; traj %d vs %d; sub-PL %d\n",
 			seed, r.ctrl.NetDelta(impress.PLDDT), r.adpt.NetDelta(impress.PLDDT),
 			r.ctrl.GPUUtilization*100, r.adpt.GPUUtilization*100,
@@ -524,11 +525,8 @@ func sweepMode(f *flags) int {
 
 	if f.ChromeTrace != "" {
 		var results []*impress.Result
-		var labels []string
 		for _, r := range rows {
 			results = append(results, r.ctrl, r.adpt)
-			labels = append(labels,
-				fmt.Sprintf("contv/seed%d", r.seed), fmt.Sprintf("imrp/seed%d", r.seed))
 		}
 		err := impress.WriteArtifact(f.ChromeTrace, func(w io.Writer) error {
 			return impress.WriteChromeTrace(w, results, labels)

@@ -215,13 +215,9 @@ func TestGoldenPairTraceSingleTenantService(t *testing.T) {
 	}
 	var outs []impress.CampaignOutcome
 	for _, c := range campaigns {
-		cfg := c.Config
-		if c.Control {
-			cfg = cfg.ForControl() // mirror the campaign engine's control path
-		}
 		svc, err := impress.NewTenancyService(impress.TenancySpec{
 			Config: impress.TenancyConfig{
-				Machine:   cfg.Machine,
+				Machine:   c.Config.Machine,
 				Seed:      c.Seed,
 				Arrival:   "instant",
 				Admission: "fcfs-admit",
@@ -230,9 +226,9 @@ func TestGoldenPairTraceSingleTenantService(t *testing.T) {
 			Tenants: []impress.TenantSpec{{
 				Name:    c.Name,
 				Seed:    c.Seed,
-				Nodes:   cfg.Machine.Nodes,
+				Nodes:   c.Config.Machine.Nodes,
 				Targets: c.Targets,
-				Config:  cfg,
+				Config:  c.Config,
 			}},
 		})
 		if err != nil {
@@ -242,9 +238,6 @@ func TestGoldenPairTraceSingleTenantService(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := svc.TenantResults()[0]
-		if c.Control {
-			res.Approach = "CONT-V" // the engine relabels the baseline the same way
-		}
 		outs = append(outs, impress.CampaignOutcome{
 			Name: c.Name, Seed: c.Seed, Result: res,
 		})

@@ -41,13 +41,10 @@ type Campaign struct {
 	// Config is the full campaign configuration (protocol, machine or
 	// pilot set, sub-pipeline policy).
 	Config core.Config
-	// Control runs the campaign as the CONT-V baseline (sequential,
-	// non-adaptive); false runs the adaptive IM-RP protocol.
-	Control bool
 	// Tenancy, when set, runs this campaign as a multi-tenant service —
 	// the spec's arriving tenant campaigns contend for one shared
 	// cluster under admission control — instead of a single coordinator.
-	// Targets, Config, and Control are ignored; the Outcome's Result is
+	// Targets and Config are ignored; the Outcome's Result is
 	// the aggregate service record (per-tenant stats in Result.Tenants).
 	Tenancy *tenancy.Spec
 }
@@ -148,46 +145,29 @@ func runIndexed(n, workers int, fn func(int)) {
 // process, across every engine and nested worker pool.
 var activeCampaigns atomic.Int64
 
-// withInnerParallelism divides the machine between concurrent campaigns:
-// the MPNN sampler defaults to GOMAXPROCS goroutines per Stage-1 task,
-// which is right for a lone campaign but oversubscribes every core when
-// several campaigns run at once — including via nested pools (a caller
-// running engines of its own). Each campaign gets a share proportional
-// to the live campaign count. Designs are computed into per-candidate
-// slots from per-candidate seeds, so sampler parallelism never changes
-// results — this is pure execution policy. An explicit Parallelism is
-// left alone.
-func withInnerParallelism(c Campaign, active int) Campaign {
-	if c.Config.Pipeline.MPNN.Parallelism != 0 || active <= 1 {
-		return c
+// mpnnShare divides the machine between concurrent campaigns: the MPNN
+// sampler defaults to GOMAXPROCS goroutines per Stage-1 task, which is
+// right for a lone campaign but oversubscribes every core when several
+// campaigns run at once — including via nested pools (a caller running
+// engines of its own). Each campaign gets a share proportional to the
+// live campaign count, floored at 1; 0 (a lone campaign) keeps the
+// default. Designs are computed into per-candidate slots from
+// per-candidate seeds, so sampler parallelism never changes results —
+// this is pure execution policy.
+func mpnnShare(active int) int {
+	if active <= 1 {
+		return 0
 	}
-	share := runtime.GOMAXPROCS(0) / active
-	if share < 1 {
-		share = 1
-	}
-	c.Config.Pipeline.MPNN.Parallelism = share
-	return c
+	return max(runtime.GOMAXPROCS(0)/active, 1)
 }
 
-// withTenantParallelism applies the same machine-sharing rule to every
-// tenant of a multi-tenant service campaign: each tenant config without
-// an explicit MPNN sampler parallelism gets the campaign's share.
-func withTenantParallelism(spec tenancy.Spec, active int) tenancy.Spec {
-	if active <= 1 {
-		return spec
+// withParallelism gives cfg the MPNN share unless it sets an explicit
+// sampler parallelism.
+func withParallelism(cfg core.Config, share int) core.Config {
+	if cfg.Pipeline.MPNN.Parallelism == 0 {
+		cfg.Pipeline.MPNN.Parallelism = share
 	}
-	share := runtime.GOMAXPROCS(0) / active
-	if share < 1 {
-		share = 1
-	}
-	tenants := append([]tenancy.TenantSpec(nil), spec.Tenants...)
-	for i := range tenants {
-		if tenants[i].Config.Pipeline.MPNN.Parallelism == 0 {
-			tenants[i].Config.Pipeline.MPNN.Parallelism = share
-		}
-	}
-	spec.Tenants = tenants
-	return spec
+	return cfg
 }
 
 // runOne executes a single campaign to completion, converting panics from
@@ -203,9 +183,16 @@ func runOne(c Campaign) (out Outcome) {
 			out.Err = fmt.Errorf("campaign %s panicked: %v", c.Name, r)
 		}
 	}()
-	c = withInnerParallelism(c, int(active))
+	share := mpnnShare(int(active))
+	c.Config = withParallelism(c.Config, share)
 	if c.Tenancy != nil {
-		svc, err := tenancy.NewService(withTenantParallelism(*c.Tenancy, int(active)))
+		// Every tenant of a service campaign gets the campaign's share.
+		spec := *c.Tenancy
+		spec.Tenants = append([]tenancy.TenantSpec(nil), spec.Tenants...)
+		for i := range spec.Tenants {
+			spec.Tenants[i].Config = withParallelism(spec.Tenants[i].Config, share)
+		}
+		svc, err := tenancy.NewService(spec)
 		if err != nil {
 			out.Err = fmt.Errorf("campaign %s: %w", c.Name, err)
 			return out
@@ -218,11 +205,7 @@ func runOne(c Campaign) (out Outcome) {
 		out.Result = res
 		return out
 	}
-	cfg := c.Config
-	if c.Control {
-		cfg = cfg.ForControl()
-	}
-	coord, err := core.NewCoordinator(c.Targets, cfg)
+	coord, err := core.NewCoordinator(c.Targets, c.Config)
 	if err != nil {
 		out.Err = fmt.Errorf("campaign %s: %w", c.Name, err)
 		return out
@@ -231,9 +214,6 @@ func runOne(c Campaign) (out Outcome) {
 	if err != nil {
 		out.Err = fmt.Errorf("campaign %s: %w", c.Name, err)
 		return out
-	}
-	if c.Control {
-		res.Approach = "CONT-V"
 	}
 	out.Result = res
 	return out

@@ -33,7 +33,7 @@ func fastCampaigns(t *testing.T, seeds int) []Campaign {
 		}
 		all = append(all,
 			Campaign{Name: fmt.Sprintf("contv/seed%d", seed), Seed: seed, Targets: targets,
-				Config: shrink(core.ControlConfig(seed)), Control: true},
+				Config: shrink(core.ControlConfig(seed))},
 			Campaign{Name: fmt.Sprintf("imrp/seed%d", seed), Seed: seed, Targets: targets,
 				Config: shrink(core.AdaptiveConfig(seed))},
 		)
@@ -185,7 +185,7 @@ func TestScenarioRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pair) != 2 || !pair[0].Control || pair[1].Control {
+	if len(pair) != 2 || pair[0].Config.Pipeline.Adaptive || !pair[1].Config.Pipeline.Adaptive {
 		t.Fatalf("pair scenario shape wrong: %+v", pair)
 	}
 	if pair[0].Seed != 7 || pair[0].Config.Seed != 7 {

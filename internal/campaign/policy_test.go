@@ -120,7 +120,7 @@ func TestPolicyCompareScenario(t *testing.T) {
 			t.Fatalf("campaign %q has no policy", c.Name)
 		}
 		policies[c.Config.Policy] = true
-		if c.Control {
+		if !c.Config.Pipeline.Adaptive {
 			t.Fatalf("campaign %q is a control; policy-compare races IM-RP", c.Name)
 		}
 	}

@@ -51,9 +51,6 @@ type Params struct {
 	// (internal/fault name; empty keeps "none"). The fault-sweep
 	// scenario rejects it — racing all recovery policies is its point.
 	Recovery string
-	// FaultRates is the failure-rate grid for the fault-sweep scenario
-	// (default 0.05, 0.15, 0.30).
-	FaultRates []float64
 	// Steer sets the elastic-steering policy for every campaign
 	// (internal/steer name; empty keeps partitions frozen). Steering
 	// needs a multi-pilot placement, so it is normally combined with
@@ -240,94 +237,138 @@ func Configure(cfg core.Config, p Params) (core.Config, error) {
 	return cfg, nil
 }
 
-// configureOn is Configure for scenarios that own their machine and
-// pilot placement: the Nodes and SplitPilots knobs do not apply, and the
-// scenario's pilots replace the config's.
-func configureOn(cfg core.Config, p Params, pilots []core.PilotSpec) (core.Config, error) {
-	p.Nodes, p.SplitPilots = 0, false
-	cfg, err := Configure(cfg, p)
-	cfg.Pilots = pilots
-	return cfg, err
+// grid declares a sweep as data: the workload every cell shares, the
+// starting config, an optional baseline cell, and ordered treatment
+// axes. expand is the one mechanism that turns a grid into campaigns, so
+// a new axis over a Params field is one axis value in a declaration.
+type grid struct {
+	// mined selects the workload built once per seed: Targets PDB-mined
+	// complexes, or the paper's four named PDZ domains.
+	mined bool
+	// start, when set, edits the seed's starting core.AdaptiveConfig.
+	// Scenarios that own their machine preset it or their Pilots here,
+	// and clear the Nodes and SplitPilots knobs before expanding, since
+	// Configure would apply them over the placement.
+	start func(seed uint64, cfg *core.Config) error
+	// baseline names the cell emitted before the axes at each seed, and
+	// rebase edits it; an empty baseline emits none.
+	baseline string
+	rebase   func(p *Params, cfg *core.Config)
+	// axes are the treatments, outermost first.
+	axes []axis
+	// name formats a cell's name from its axis labels (explicit argument
+	// indexes may reorder them); expand appends the seed.
+	name string
 }
 
-// pairAt builds the paper's CONT-V + IM-RP pair over the four named PDZ
-// domains at one seed.
-func pairAt(seed uint64, p Params) ([]Campaign, error) {
-	targets, err := workload.NamedTargets(seed, workload.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	ctrlCfg, err := Configure(core.ControlConfig(seed), p)
-	if err != nil {
-		return nil, err
-	}
-	adptCfg, err := Configure(core.AdaptiveConfig(seed), p)
-	if err != nil {
-		return nil, err
-	}
-	return []Campaign{
-		{Name: fmt.Sprintf("contv/seed%d", seed), Seed: seed, Targets: targets, Config: ctrlCfg, Control: true},
-		{Name: fmt.Sprintf("imrp/seed%d", seed), Seed: seed, Targets: targets, Config: adptCfg},
-	}, nil
+// axis is one treatment dimension: its value labels in expansion order
+// and a setter applying the i-th value to a cell.
+type axis struct {
+	labels []string
+	set    func(p *Params, cfg *core.Config, i int)
 }
 
-// screenAt builds one IM-RP campaign over n PDB-mined complexes.
-func screenAt(seed uint64, n int, p Params) ([]Campaign, error) {
-	targets, err := workload.MinedScreen(seed, n, workload.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := Configure(core.AdaptiveConfig(seed), p)
-	if err != nil {
-		return nil, err
-	}
-	return []Campaign{{
-		Name:    fmt.Sprintf("screen%d/seed%d", n, seed),
-		Seed:    seed,
-		Targets: targets,
-		Config:  cfg,
-	}}, nil
+// over is the axis of one cell per name, each setting the string Params
+// field field points at.
+func over(names []string, field func(*Params) *string) axis {
+	return axis{names, func(p *Params, _ *core.Config, i int) { *field(p) = names[i] }}
 }
 
-// perSeed concatenates the campaigns build returns for each of the
-// p.Seeds consecutive seeds starting at p.Seed.
-func perSeed(p Params, build func(seed uint64) ([]Campaign, error)) ([]Campaign, error) {
+// expand walks p.Seeds consecutive seeds from p.Seed. At each it builds
+// the workload and starting config once, then emits the baseline and the
+// cross product of the axes, outermost first, each configured by
+// Configure with the cell's Params.
+func (g grid) expand(p Params) ([]Campaign, error) {
+	cells := 1
+	for _, ax := range g.axes {
+		cells *= len(ax.labels)
+	}
 	var all []Campaign
-	for i := 0; i < p.Seeds; i++ {
-		cs, err := build(p.Seed + uint64(i))
+	for s := 0; s < p.Seeds; s++ {
+		seed := p.Seed + uint64(s)
+		var targets []*workload.Target
+		var err error
+		if g.mined {
+			targets, err = workload.MinedScreen(seed, p.Targets, workload.DefaultConfig())
+		} else {
+			targets, err = workload.NamedTargets(seed, workload.DefaultConfig())
+		}
 		if err != nil {
 			return nil, err
 		}
-		all = append(all, cs...)
+		base := core.AdaptiveConfig(seed)
+		if g.start != nil {
+			if err := g.start(seed, &base); err != nil {
+				return nil, err
+			}
+		}
+		emit := func(name string, edit func(*Params, *core.Config)) error {
+			cell, cfg := p, base
+			edit(&cell, &cfg)
+			cfg, err := Configure(cfg, cell)
+			if err != nil {
+				return err
+			}
+			all = append(all, Campaign{Name: fmt.Sprintf("%s/seed%d", name, seed), Seed: seed, Targets: targets, Config: cfg})
+			return nil
+		}
+		if g.baseline != "" {
+			if err := emit(g.baseline, g.rebase); err != nil {
+				return nil, err
+			}
+		}
+		for k := 0; k < cells; k++ {
+			// Decode k into one value index per axis, the last axis
+			// varying fastest.
+			idx, labels := make([]int, len(g.axes)), make([]any, len(g.axes))
+			for a, rest := len(g.axes)-1, k; a >= 0; a-- {
+				n := len(g.axes[a].labels)
+				idx[a], labels[a] = rest%n, g.axes[a].labels[rest%n]
+				rest /= n
+			}
+			err := emit(fmt.Sprintf(g.name, labels...), func(cell *Params, cfg *core.Config) {
+				for a, ax := range g.axes {
+					ax.set(cell, cfg, idx[a])
+				}
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
 	}
 	return all, nil
 }
 
-// tenantSweepAt builds one multi-tenant service campaign per admission
-// policy at one seed: Tenants arriving screen campaigns contending for
-// one shared pool. The tenant stream is the control variable, admission
-// control is the treatment — every cell sees the identical arrivals,
-// demands, weights, and workload seeds.
-func tenantSweepAt(seed uint64, admissions []string, p Params) ([]Campaign, error) {
+// pairGrid is the paper's CONT-V + IM-RP pair over the four named PDZ
+// domains: one protocol axis whose first value swaps in the control
+// config.
+var pairGrid = grid{
+	axes: []axis{{[]string{"contv", "imrp"}, func(_ *Params, cfg *core.Config, i int) {
+		if i == 0 {
+			*cfg = core.ControlConfig(cfg.Seed)
+		}
+	}}},
+	name: "%s",
+}
+
+// screenGrid is one IM-RP campaign per seed over n PDB-mined complexes.
+func screenGrid(n int) grid {
+	return grid{mined: true, name: fmt.Sprintf("screen%d", n)}
+}
+
+// tenantSweep builds, at each of p.Seeds seeds, one multi-tenant service
+// campaign per admission policy: Tenants arriving screen campaigns
+// contending for one shared pool. The tenant stream is the control
+// variable, admission control is the treatment — every cell sees the
+// identical arrivals, demands, weights, and workload seeds. Its cells
+// are services, not configured campaigns, so it is no grid.
+func tenantSweep(admissions []string, p Params) ([]Campaign, error) {
 	if p.SplitPilots {
 		return nil, fmt.Errorf("campaign: tenant-sweep places each tenant on a single leased pilot; the split placement does not apply")
 	}
 	poolNodes := p.Nodes
 	if poolNodes <= 1 {
 		poolNodes = 12
-	}
-	machine := cluster.AmarelCluster(poolNodes)
-	var caps []cluster.NodeCapacity
-	if p.Fleet != "" {
-		ts, err := fleet.ParseSpec(p.Fleet)
-		if err != nil {
-			return nil, err
-		}
-		caps, err = fleet.Generate(seed, ts)
-		if err != nil {
-			return nil, err
-		}
-		machine = fleet.SpecFor(fmt.Sprintf("fleet%d", seed), caps)
 	}
 	arrival := p.Arrival
 	if arrival == "" {
@@ -343,108 +384,55 @@ func tenantSweepAt(seed uint64, admissions []string, p Params) ([]Campaign, erro
 	}
 	perTenant := (p.Targets + p.Tenants - 1) / p.Tenants
 	var all []Campaign
-	for _, adm := range admissions {
-		spec := tenancy.Spec{Config: tenancy.Config{
-			Machine:   machine,
-			Nodes:     caps,
-			Seed:      seed,
-			Arrival:   arrival,
-			Span:      span,
-			Admission: adm,
-			Reclaim:   reclaim,
-		}}
-		for i := 0; i < p.Tenants; i++ {
-			tseed := seed + uint64(i)
-			cfg, err := Configure(core.AdaptiveConfig(tseed), p)
+	for s := 0; s < p.Seeds; s++ {
+		seed := p.Seed + uint64(s)
+		machine := cluster.AmarelCluster(poolNodes)
+		var caps []cluster.NodeCapacity
+		if p.Fleet != "" {
+			ts, err := fleet.ParseSpec(p.Fleet)
 			if err != nil {
 				return nil, err
 			}
-			if cfg.CheckpointInterval == 0 {
-				// Reclaim drains nodes through checkpoint/evict/resume;
-				// a default cadence keeps the preempted remainder small.
-				cfg.CheckpointInterval = 30 * time.Minute
-			}
-			spec.Tenants = append(spec.Tenants, tenancy.TenantSpec{
-				Name:        fmt.Sprintf("t%d", i),
-				Seed:        tseed,
-				Weight:      float64(1 + i%3),
-				Nodes:       2 + i%3,
-				TargetCount: perTenant,
-				Config:      cfg,
-			})
-		}
-		all = append(all, Campaign{
-			Name:    fmt.Sprintf("tenants/%s/seed%d", adm, seed),
-			Seed:    seed,
-			Tenancy: &spec,
-		})
-	}
-	return all, nil
-}
-
-// policyCompareAt builds one IM-RP campaign per registered scheduling
-// policy at one seed, all over the identical named-PDZ workload — the
-// cluster-simulator experiment shape: the workload is the control
-// variable, the scheduler is the treatment.
-func policyCompareAt(seed uint64, p Params) ([]Campaign, error) {
-	targets, err := workload.NamedTargets(seed, workload.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	var all []Campaign
-	for _, pol := range sched.Names() {
-		cell := p
-		cell.Policy = pol
-		cfg, err := Configure(core.AdaptiveConfig(seed), cell)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, Campaign{
-			Name:    fmt.Sprintf("policy/%s/seed%d", pol, seed),
-			Seed:    seed,
-			Targets: targets,
-			Config:  cfg,
-		})
-	}
-	return all, nil
-}
-
-// faultSweepAt builds one seed's slice of the resilience sweep: a
-// fault-free IM-RP baseline plus one campaign per (recovery policy,
-// failure rate) cell, all over the identical named-PDZ workload — the
-// workload is the control variable, the failure model and the recovery
-// policy are the treatments.
-func faultSweepAt(seed uint64, rates []float64, p Params) ([]Campaign, error) {
-	targets, err := workload.NamedTargets(seed, workload.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	base := p
-	base.Fault = fault.Spec{}
-	baseCfg, err := Configure(core.AdaptiveConfig(seed), base)
-	if err != nil {
-		return nil, err
-	}
-	all := []Campaign{{
-		Name:    fmt.Sprintf("fault/baseline/seed%d", seed),
-		Seed:    seed,
-		Targets: targets,
-		Config:  baseCfg,
-	}}
-	for _, rate := range rates {
-		for _, rec := range fault.Names() {
-			cell := p
-			cell.Fault.TaskFailProb = rate
-			cell.Recovery = rec
-			cfg, err := Configure(core.AdaptiveConfig(seed), cell)
+			caps, err = fleet.Generate(seed, ts)
 			if err != nil {
 				return nil, err
+			}
+			machine = fleet.SpecFor(fmt.Sprintf("fleet%d", seed), caps)
+		}
+		for _, adm := range admissions {
+			spec := tenancy.Spec{Config: tenancy.Config{
+				Machine:   machine,
+				Nodes:     caps,
+				Seed:      seed,
+				Arrival:   arrival,
+				Span:      span,
+				Admission: adm,
+				Reclaim:   reclaim,
+			}}
+			for i := 0; i < p.Tenants; i++ {
+				tseed := seed + uint64(i)
+				cfg, err := Configure(core.AdaptiveConfig(tseed), p)
+				if err != nil {
+					return nil, err
+				}
+				if cfg.CheckpointInterval == 0 {
+					// Reclaim drains nodes through checkpoint/evict/resume;
+					// a default cadence keeps the preempted remainder small.
+					cfg.CheckpointInterval = 30 * time.Minute
+				}
+				spec.Tenants = append(spec.Tenants, tenancy.TenantSpec{
+					Name:        fmt.Sprintf("t%d", i),
+					Seed:        tseed,
+					Weight:      float64(1 + i%3),
+					Nodes:       2 + i%3,
+					TargetCount: perTenant,
+					Config:      cfg,
+				})
 			}
 			all = append(all, Campaign{
-				Name:    fmt.Sprintf("fault/%s/p%.2f/seed%d", rec, rate, seed),
+				Name:    fmt.Sprintf("tenants/%s/seed%d", adm, seed),
 				Seed:    seed,
-				Targets: targets,
-				Config:  cfg,
+				Tenancy: &spec,
 			})
 		}
 	}
@@ -495,40 +483,6 @@ const (
 	kiloTargets   = 128
 )
 
-// kiloScreenAt builds one IM-RP screen campaign on a generated kilo-node
-// fleet.
-func kiloScreenAt(seed uint64, n int, p Params) ([]Campaign, error) {
-	targets, err := workload.MinedScreen(seed, n, workload.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	spec := p.Fleet
-	if spec == "" {
-		spec = kiloFleetSpec
-	}
-	pilots, err := FleetPilots(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, ps := range pilots {
-		total += len(ps.Nodes)
-	}
-	if total < kiloMinNodes {
-		return nil, fmt.Errorf("campaign: kilo-screen needs a fleet of >= %d nodes, got %d from %q", kiloMinNodes, total, spec)
-	}
-	cfg, err := configureOn(core.AdaptiveConfig(seed), p, pilots)
-	if err != nil {
-		return nil, err
-	}
-	return []Campaign{{
-		Name:    fmt.Sprintf("kilo%d/seed%d", total, seed),
-		Seed:    seed,
-		Targets: targets,
-		Config:  cfg,
-	}}, nil
-}
-
 // The chaos-sweep defaults: a small labeled fleet spread over four
 // failure domains (two CPU racks, two GPU racks) and a correlated
 // failure mix that exercises every domain model at once — per-node
@@ -554,66 +508,6 @@ func chaosFaultSpec() fault.Spec {
 			},
 		},
 	}
-}
-
-// chaosSweepAt builds one seed's slice of the chaos grid: a fault-free
-// frozen baseline plus one campaign per (recovery policy, steering
-// policy) cell, all over the identical screen workload on the identical
-// labeled fleet — the workload and the failure schedule are the control
-// variables, recovery and steering are the treatments.
-func chaosSweepAt(seed uint64, n int, p Params) ([]Campaign, error) {
-	targets, err := workload.MinedScreen(seed, n, workload.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	spec := p.Fleet
-	if spec == "" {
-		spec = chaosFleetSpec
-	}
-	pilots, err := FleetPilots(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	mkConfig := func(cell Params) (core.Config, error) {
-		return configureOn(core.AdaptiveConfig(seed), cell, pilots)
-	}
-	base := p
-	base.Fault = fault.Spec{}
-	base.Recovery = ""
-	base.Steer = "none"
-	baseCfg, err := mkConfig(base)
-	if err != nil {
-		return nil, err
-	}
-	all := []Campaign{{
-		Name:    fmt.Sprintf("chaos/baseline/seed%d", seed),
-		Seed:    seed,
-		Targets: targets,
-		Config:  baseCfg,
-	}}
-	fs := p.Fault
-	if !fs.Enabled() {
-		fs = chaosFaultSpec()
-	}
-	for _, rec := range fault.Names() {
-		for _, st := range steer.Names() {
-			cell := p
-			cell.Fault = fs
-			cell.Recovery = rec
-			cell.Steer = st
-			cfg, err := mkConfig(cell)
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, Campaign{
-				Name:    fmt.Sprintf("chaos/%s+%s/seed%d", rec, st, seed),
-				Seed:    seed,
-				Targets: targets,
-				Config:  cfg,
-			})
-		}
-	}
-	return all, nil
 }
 
 // The preempt-sweep defaults: a 4-node Amarel machine split into two
@@ -655,114 +549,11 @@ func preemptPilots(machine cluster.Spec) ([]core.PilotSpec, error) {
 	}, nil
 }
 
-// preemptSweepAt builds one seed's slice of the preemption grid: a
-// fault-free baseline plus one campaign per (checkpoint interval,
-// kill-vs-drain, steering mode) cell, all over the identical screen
-// workload on the identical three-pilot machine with the identical
-// walltime bounding pilot-cpu-a. The workload and the interruption
-// schedule are the control variables; what happens to interrupted work
-// is the treatment.
-func preemptSweepAt(seed uint64, n int, p Params) ([]Campaign, error) {
-	targets, err := workload.MinedScreen(seed, n, workload.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	machine := cluster.AmarelCluster(preemptNodes)
-	pilots, err := preemptPilots(machine)
-	if err != nil {
-		return nil, err
-	}
-	rec := p.Recovery
-	if rec == "" {
-		rec = "elsewhere"
-	}
-	mkConfig := func(cell Params, wall *fault.Spec, grace time.Duration) (core.Config, error) {
-		cfg := core.AdaptiveConfig(seed)
-		cfg.Machine = machine
-		cfg.WalltimeGrace = grace
-		ps := append([]core.PilotSpec(nil), pilots...)
-		ps[0].Fault = wall
-		return configureOn(cfg, cell, ps)
-	}
-	base := p
-	base.Fault = fault.Spec{}
-	base.Recovery = ""
-	base.Steer = "none"
-	base.CheckpointInterval = 0
-	baseCfg, err := mkConfig(base, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	all := []Campaign{{
-		Name:    fmt.Sprintf("preempt/baseline/seed%d", seed),
-		Seed:    seed,
-		Targets: targets,
-		Config:  baseCfg,
-	}}
-	for _, iv := range preemptIntervals {
-		for _, mode := range []string{"kill", "drain"} {
-			for _, st := range []string{"none", "preempt"} {
-				cell := p
-				cell.Recovery = rec
-				cell.Steer = st
-				cell.CheckpointInterval = iv
-				var grace time.Duration
-				if mode == "drain" {
-					grace = preemptGrace
-				}
-				cfg, err := mkConfig(cell, &fault.Spec{Walltime: preemptWalltime}, grace)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, Campaign{
-					Name:    fmt.Sprintf("preempt/%s+%s/ck%s/seed%d", mode, st, report.DurationLabel(iv, "0"), seed),
-					Seed:    seed,
-					Targets: targets,
-					Config:  cfg,
-				})
-			}
-		}
-	}
-	return all, nil
-}
-
 // elasticNodes is the elastic-screen machine size: four Amarel nodes,
 // split into a 4-node CPU partition and a 4-node GPU partition, so the
 // steering layer has room to move nodes (a single-node split leaves
 // nothing transferable once each pilot keeps its floor of one).
 const elasticNodes = 4
-
-// elasticScreenAt builds one seed's slice of the steering race: one
-// IM-RP screen campaign per registered steering policy — including
-// "none", the frozen split every other cell is measured against — all
-// over the identical workload on the identical split-pilot machine. The
-// workload is the control variable, the steering policy is the
-// treatment.
-func elasticScreenAt(seed uint64, n int, p Params) ([]Campaign, error) {
-	targets, err := workload.MinedScreen(seed, n, workload.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	var all []Campaign
-	for _, st := range steer.Names() {
-		cell := p
-		cell.SplitPilots = true
-		cell.Steer = st
-		cfg := core.AdaptiveConfig(seed)
-		cfg.Machine = cluster.AmarelCluster(elasticNodes)
-		cfg, err := Configure(cfg, cell)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, Campaign{
-			Name:    fmt.Sprintf("elastic/%s/seed%d", st, seed),
-			Seed:    seed,
-			Targets: targets,
-			Config:  cfg,
-		})
-	}
-	return all, nil
-}
 
 func init() {
 	must := func(err error) {
@@ -771,8 +562,8 @@ func init() {
 		}
 	}
 	pair := func(p Params) ([]Campaign, error) {
-		p = p.withDefaults(defaultSeeds, defaultTargets)
-		return pairAt(p.Seed, p)
+		p.Seeds = 1
+		return pairGrid.expand(p)
 	}
 	// pairCell builds one protocol of the pair: 0 is CONT-V, 1 is IM-RP.
 	pairCell := func(i int) func(Params) ([]Campaign, error) {
@@ -784,6 +575,14 @@ func init() {
 			return cs[i : i+1], nil
 		}
 	}
+	// screen builds one screen campaign at p.Seed.
+	screen := func(p Params) ([]Campaign, error) {
+		p = p.withDefaults(1, defaultTargets)
+		p.Seeds = 1
+		return screenGrid(p.Targets).expand(p)
+	}
+	steerAxis := func(names []string) axis { return over(names, func(p *Params) *string { return &p.Steer }) }
+	recoveryAxis := over(fault.Names(), func(p *Params) *string { return &p.Recovery })
 	must(Register(Scenario{
 		Name:        "pair",
 		Description: "CONT-V vs IM-RP over the paper's four PDZ domains (Table I workload)",
@@ -810,8 +609,7 @@ func init() {
 		Name:        "fig3",
 		Description: "Fig. 3: per-iteration AlphaFold metrics for the expanded IM-RP workflow (70 structures)",
 		Build: func(p Params) ([]Campaign, error) {
-			p = p.withDefaults(defaultSeeds, defaultTargets)
-			cs, err := screenAt(p.Seed, p.Targets, p)
+			cs, err := screen(p)
 			if err != nil {
 				return nil, err
 			}
@@ -841,24 +639,20 @@ func init() {
 		Name:        "sweep",
 		Description: "the pair comparison replicated across Seeds consecutive seeds",
 		Build: func(p Params) ([]Campaign, error) {
-			p = p.withDefaults(defaultSeeds, defaultTargets)
-			return perSeed(p, func(seed uint64) ([]Campaign, error) { return pairAt(seed, p) })
+			return pairGrid.expand(p.withDefaults(defaultSeeds, defaultTargets))
 		},
 	}))
 	must(Register(Scenario{
 		Name:        "screen",
 		Description: "one IM-RP campaign over Targets PDB-mined PDZ-peptide complexes (Fig. 3 workload)",
-		Build: func(p Params) ([]Campaign, error) {
-			p = p.withDefaults(defaultSeeds, defaultTargets)
-			return screenAt(p.Seed, p.Targets, p)
-		},
+		Build:       screen,
 	}))
 	must(Register(Scenario{
 		Name:        "stress",
 		Description: "multi-target stress test: Seeds independent screen campaigns of Targets complexes each",
 		Build: func(p Params) ([]Campaign, error) {
 			p = p.withDefaults(defaultSeeds, defaultTargets)
-			return perSeed(p, func(seed uint64) ([]Campaign, error) { return screenAt(seed, p.Targets, p) })
+			return screenGrid(p.Targets).expand(p)
 		},
 	}))
 	must(Register(Scenario{
@@ -873,8 +667,7 @@ func init() {
 				p.Targets = 128
 			}
 			p.SplitPilots = true
-			p = p.withDefaults(defaultSeeds, defaultTargets)
-			return screenAt(p.Seed, p.Targets, p)
+			return screen(p)
 		},
 	}))
 	must(Register(Scenario{
@@ -884,9 +677,10 @@ func init() {
 			"the kilo-node workload behind BenchmarkKiloScreen",
 		Build: func(p Params) ([]Campaign, error) {
 			// "Kilo" is about the fleet, not the screen: the node floor is
-			// enforced in kiloScreenAt, while Targets stays tunable so CI
-			// race smokes can run a reduced screen on the full fleet.
-			p = p.withDefaults(defaultSeeds, kiloTargets)
+			// enforced here, while Targets stays tunable so CI race smokes
+			// can run a reduced screen on the full fleet.
+			p = p.withDefaults(1, kiloTargets)
+			p.Seeds = 1
 			// Faults and steering default on — the scenario exists to drive
 			// every ledger mutation path (allocate/release/crash/repair/
 			// transfer) at scale. Explicit settings pass through.
@@ -899,7 +693,25 @@ func init() {
 			if p.Steer == "" {
 				p.Steer = "greedy"
 			}
-			return kiloScreenAt(p.Seed, p.Targets, p)
+			spec := p.Fleet
+			if spec == "" {
+				spec = kiloFleetSpec
+			}
+			pilots, err := FleetPilots(spec, p.Seed)
+			if err != nil {
+				return nil, err
+			}
+			total := len(pilots[0].Nodes) + len(pilots[1].Nodes)
+			if total < kiloMinNodes {
+				return nil, fmt.Errorf("campaign: kilo-screen needs a fleet of >= %d nodes, got %d from %q", kiloMinNodes, total, spec)
+			}
+			// The fleet is the placement: Nodes and SplitPilots do not apply.
+			p.Nodes, p.SplitPilots = 0, false
+			return grid{
+				mined: true,
+				start: func(_ uint64, cfg *core.Config) error { cfg.Pilots = pilots; return nil },
+				name:  fmt.Sprintf("kilo%d", total),
+			}.expand(p)
 		},
 	}))
 	must(Register(Scenario{
@@ -910,7 +722,12 @@ func init() {
 			if p.Policy != "" {
 				return nil, fmt.Errorf("campaign: policy-compare races every policy; a fixed policy %q does not apply", p.Policy)
 			}
-			return perSeed(p, func(seed uint64) ([]Campaign, error) { return policyCompareAt(seed, p) })
+			// The workload is the control variable, the scheduler the
+			// treatment: the cluster-simulator experiment shape.
+			return grid{
+				axes: []axis{over(sched.Names(), func(p *Params) *string { return &p.Policy })},
+				name: "policy/%s",
+			}.expand(p)
 		},
 		Report:    report.PolicyCompare,
 		ReportCSV: report.PolicyCompareCSV,
@@ -931,7 +748,18 @@ func init() {
 			// grid half the usual sweep, because every seed runs once per
 			// steering policy on a 4× machine. Explicit values pass through.
 			p = p.withDefaults(4, 18)
-			return perSeed(p, func(seed uint64) ([]Campaign, error) { return elasticScreenAt(seed, p.Targets, p) })
+			p.SplitPilots = true
+			// "none" is a cell too: the frozen split every other cell is
+			// measured against.
+			return grid{
+				mined: true,
+				start: func(_ uint64, cfg *core.Config) error {
+					cfg.Machine = cluster.AmarelCluster(elasticNodes)
+					return nil
+				},
+				axes: []axis{steerAxis(steer.Names())},
+				name: "elastic/%s",
+			}.expand(p)
 		},
 		Report:    report.Elastic,
 		ReportCSV: report.ElasticCSV,
@@ -945,14 +773,23 @@ func init() {
 			if p.Recovery != "" {
 				return nil, fmt.Errorf("campaign: fault-sweep races every recovery policy; a fixed policy %q does not apply", p.Recovery)
 			}
-			rates := p.FaultRates
+			rates := []float64{0.05, 0.15, 0.30}
 			if p.Fault.TaskFailProb > 0 {
 				rates = []float64{p.Fault.TaskFailProb}
 			}
-			if len(rates) == 0 {
-				rates = []float64{0.05, 0.15, 0.30}
+			rate := axis{set: func(p *Params, _ *core.Config, i int) { p.Fault.TaskFailProb = rates[i] }}
+			for _, r := range rates {
+				rate.labels = append(rate.labels, fmt.Sprintf("p%.2f", r))
 			}
-			return perSeed(p, func(seed uint64) ([]Campaign, error) { return faultSweepAt(seed, rates, p) })
+			// The workload is the control variable; the failure rate and
+			// the recovery policy are the treatments, and the fault-free
+			// baseline keeps the other failure models off too.
+			return grid{
+				baseline: "fault/baseline",
+				rebase:   func(p *Params, _ *core.Config) { p.Fault = fault.Spec{} },
+				axes:     []axis{rate, recoveryAxis},
+				name:     "fault/%[2]s/%[1]s",
+			}.expand(p)
 		},
 		Report:    report.Resilience,
 		ReportCSV: report.ResilienceCSV,
@@ -975,7 +812,30 @@ func init() {
 			// each cell small: a short screen and a narrow seed sweep.
 			// Explicit values pass through.
 			p = p.withDefaults(2, 8)
-			return perSeed(p, func(seed uint64) ([]Campaign, error) { return chaosSweepAt(seed, p.Targets, p) })
+			spec := p.Fleet
+			if spec == "" {
+				spec = chaosFleetSpec
+			}
+			if !p.Fault.Enabled() {
+				p.Fault = chaosFaultSpec()
+			}
+			// The fleet is the placement: Nodes and SplitPilots do not apply.
+			p.Nodes, p.SplitPilots = 0, false
+			// The workload, fleet and failure schedule are the control
+			// variables; recovery and steering are the treatments, raced
+			// against a fault-free frozen baseline.
+			return grid{
+				mined: true,
+				start: func(seed uint64, cfg *core.Config) error {
+					pilots, err := FleetPilots(spec, seed)
+					cfg.Pilots = pilots
+					return err
+				},
+				baseline: "chaos/baseline",
+				rebase:   func(p *Params, _ *core.Config) { p.Fault, p.Steer = fault.Spec{}, "none" },
+				axes:     []axis{recoveryAxis, steerAxis(steer.Names())},
+				name:     "chaos/%s+%s",
+			}.expand(p)
 		},
 		Report:    report.Chaos,
 		ReportCSV: report.ChaosCSV,
@@ -998,7 +858,44 @@ func init() {
 			// keep each cell small: a short screen and a narrow seed sweep.
 			// Explicit values pass through.
 			p = p.withDefaults(2, 8)
-			return perSeed(p, func(seed uint64) ([]Campaign, error) { return preemptSweepAt(seed, p.Targets, p) })
+			if p.Recovery == "" {
+				p.Recovery = "elsewhere"
+			}
+			machine := cluster.AmarelCluster(preemptNodes)
+			pilots, err := preemptPilots(machine)
+			if err != nil {
+				return nil, err
+			}
+			pilots[0].Fault = &fault.Spec{Walltime: preemptWalltime}
+			// The machine is the placement: Nodes and SplitPilots do not apply.
+			p.Nodes, p.SplitPilots = 0, false
+			interval := axis{set: func(p *Params, _ *core.Config, i int) { p.CheckpointInterval = preemptIntervals[i] }}
+			for _, iv := range preemptIntervals {
+				interval.labels = append(interval.labels, report.DurationLabel(iv, "0"))
+			}
+			// The workload and the interruption schedule are the control
+			// variables; what happens to interrupted work is the treatment.
+			// The fault-free baseline runs on a copy of the pilots without
+			// the walltime.
+			return grid{
+				mined: true,
+				start: func(_ uint64, cfg *core.Config) error {
+					cfg.Machine, cfg.Pilots = machine, pilots
+					return nil
+				},
+				baseline: "preempt/baseline",
+				rebase: func(p *Params, cfg *core.Config) {
+					p.Fault, p.Recovery, p.Steer = fault.Spec{}, "", "none"
+					cfg.Pilots = append([]core.PilotSpec(nil), pilots...)
+					cfg.Pilots[0].Fault = nil
+				},
+				axes: []axis{interval, {[]string{"kill", "drain"}, func(_ *Params, cfg *core.Config, i int) {
+					if i == 1 {
+						cfg.WalltimeGrace = preemptGrace
+					}
+				}}, steerAxis([]string{"none", "preempt"})},
+				name: "preempt/%[2]s+%[3]s/ck%[1]s",
+			}.expand(p)
 		},
 		Report:    report.Preemption,
 		ReportCSV: report.PreemptionCSV,
@@ -1032,7 +929,7 @@ func init() {
 			if p.Tenants <= 0 {
 				p.Tenants = 8
 			}
-			return perSeed(p, func(seed uint64) ([]Campaign, error) { return tenantSweepAt(seed, admissions, p) })
+			return tenantSweep(admissions, p)
 		},
 		Report:    report.Fairness,
 		ReportCSV: report.FairnessCSV,

@@ -204,10 +204,9 @@ func TestStartProfilesNoFlagsIsNoop(t *testing.T) {
 // until it gets one or an exemption.
 func TestEveryParamsFieldHasAFlag(t *testing.T) {
 	exempt := map[string]string{
-		"Seeds":      "workload width, a flag of the impress command (-seeds)",
-		"Targets":    "workload width, a flag of the impress command (-screen-size)",
-		"FaultRates": "fault-sweep grid, set by library callers",
-		"Telemetry":  "derived from -chrome-trace",
+		"Seeds":     "workload width, a flag of the impress command (-seeds)",
+		"Targets":   "workload width, a flag of the impress command (-screen-size)",
+		"Telemetry": "derived from -chrome-trace",
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := Register(fs)
