@@ -60,8 +60,8 @@ type Result struct {
 	GPUUtilization float64 `json:"gpu_utilization"`
 	// Makespan is the campaign's wall-clock span in virtual time.
 	Makespan time.Duration `json:"makespan_ns"`
-	// AggregateTaskTime is the sum of all task running phases — the
-	// quantity the paper reports as "Time (h)".
+	// AggregateTaskTime is the sum of the running phases of every attempt
+	// that reached one — the quantity the paper reports as "Time (h)".
 	AggregateTaskTime time.Duration `json:"aggregate_task_time_ns"`
 	// Phases breaks runtime overhead down as in Fig. 5's legend
 	// (bootstrap / exec_setup / running).

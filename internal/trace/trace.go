@@ -84,7 +84,10 @@ func (t TaskRecord) Wait() time.Duration { return t.SetupAt.Sub(t.Submitted) }
 // Setup returns the exec-setup duration.
 func (t TaskRecord) Setup() time.Duration { return t.RunAt.Sub(t.SetupAt) }
 
-// Run returns the running-phase duration.
+// Run returns the running-phase duration. An attempt that never reached
+// its run phase (failed or cancelled while queued or in exec setup) has
+// RunAt 0, and Run then returns its absolute end time, not a duration:
+// callers summing run time skip records with RunAt 0.
 func (t TaskRecord) Run() time.Duration { return t.EndedAt.Sub(t.RunAt) }
 
 // Recorder accumulates busy-resource deltas and phase durations. All
@@ -253,11 +256,14 @@ func (r *Recorder) AddPhase(name string, d time.Duration) {
 	r.phases[name] += d
 }
 
-// AddTask appends a completed task's timeline record.
+// AddTask appends a completed task's timeline record. Only attempts that
+// reached their run phase (RunAt > 0) count toward AggregateTaskTime.
 func (r *Recorder) AddTask(rec TaskRecord) {
 	r.tasks.push(rec)
 	r.sortedTasks = nil
-	r.aggRun += rec.Run()
+	if rec.RunAt > 0 {
+		r.aggRun += rec.Run()
+	}
 	if rec.EndedAt > r.end {
 		r.end = rec.EndedAt
 	}
@@ -384,10 +390,11 @@ func (r *Recorder) Tasks() []TaskRecord {
 	return r.sortedTasks
 }
 
-// AggregateTaskTime returns the sum of all tasks' running-phase durations —
-// the quantity the paper reports as "Time (h)": "the total time taken by
-// all tasks to finish the execution on the compute resources". The sum is
-// maintained incrementally by AddTask.
+// AggregateTaskTime returns the sum of the running-phase durations of
+// every attempt that reached its run phase — the quantity the paper
+// reports as "Time (h)": "the total time taken by all tasks to finish the
+// execution on the compute resources". The sum is maintained
+// incrementally by AddTask.
 func (r *Recorder) AggregateTaskTime() time.Duration {
 	return r.aggRun
 }

@@ -162,6 +162,22 @@ func TestTaskRecordsAndAggregateTime(t *testing.T) {
 	}
 }
 
+// TestAggregateSkipsAttemptsThatNeverRan: an attempt failed while queued
+// or in exec setup has RunAt 0, so its Run() is an end time, not run
+// time. It still ends the campaign window no earlier than its end.
+func TestAggregateSkipsAttemptsThatNeverRan(t *testing.T) {
+	r := NewRecorder(4, 1, 0)
+	r.AddTask(TaskRecord{ID: "ran", Submitted: hour(0), SetupAt: hour(0.5), RunAt: hour(1), EndedAt: hour(3)})
+	r.AddTask(TaskRecord{ID: "queued", Submitted: hour(0), EndedAt: hour(4)})
+	r.AddTask(TaskRecord{ID: "setup", Submitted: hour(1), SetupAt: hour(2), EndedAt: hour(5)})
+	if got := r.AggregateTaskTime(); got != 2*time.Hour {
+		t.Fatalf("AggregateTaskTime = %v, want 2h (only the attempt that ran)", got)
+	}
+	if got := r.Makespan(); got != 5*time.Hour {
+		t.Fatalf("Makespan = %v, want 5h", got)
+	}
+}
+
 func TestMakespanTracksEnd(t *testing.T) {
 	r := NewRecorder(4, 1, 0)
 	r.AddBusy(hour(1), 1, 0)

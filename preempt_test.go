@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"impress"
 	"impress/internal/stats"
@@ -237,5 +239,41 @@ func TestPreemptInvariantsRandomSeeds(t *testing.T) {
 		if evictions == 0 {
 			t.Errorf("seed %d: no grid cell evicted anything; the invariant pass was vacuous", seed)
 		}
+	}
+}
+
+// TestAggregateTaskTimeCountsOnlyRunAttempts pins "Time (h)" to the
+// attempts that reached their run phase. The kill+none/ck0 cell fails
+// attempts while they are queued or in exec setup (RunAt 0); their
+// records' Run() is an absolute end time, which must not leak into
+// AggregateTaskTime.
+func TestAggregateTaskTimeCountsOnlyRunAttempts(t *testing.T) {
+	campaigns, err := impress.BuildScenario("preempt-sweep", impress.ScenarioParams{Seed: 42, Seeds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "preempt/kill+none/ck0/seed42"
+	i := slices.IndexFunc(campaigns, func(c impress.Campaign) bool { return c.Name == name })
+	if i < 0 {
+		t.Fatalf("scenario has no cell %s", name)
+	}
+	out := impress.RunCampaigns(campaigns[i:i+1], 1)[0]
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	var ran time.Duration
+	unran := 0
+	for _, tr := range out.Result.TaskRecords {
+		if tr.RunAt > 0 {
+			ran += tr.Run()
+		} else {
+			unran++
+		}
+	}
+	if unran == 0 {
+		t.Fatalf("%s: every attempt reached its run phase; the cell no longer covers the case", name)
+	}
+	if got := out.Result.AggregateTaskTime; got != ran {
+		t.Fatalf("%s: AggregateTaskTime %v, want %v (the run time of the attempts that ran; %d did not)", name, got, ran, unran)
 	}
 }
