@@ -733,7 +733,7 @@ func (a *agent) finish(ex *execution, state TaskState, err error) {
 		if t.RunAt > 0 || state == StateDone {
 			a.rec.AddPhase(trace.PhaseRunning, t.EndedAt.Sub(t.RunAt))
 		}
-		a.rec.AddTask(a.record(t, state, true))
+		a.rec.AddTask(t, t.RunAt, t.EndedAt)
 	}
 	a.tm.transition(t, state)
 	a.schedule()
@@ -775,41 +775,6 @@ func (a *agent) runningByUID(node int) []*Task {
 	return out
 }
 
-func (a *agent) record(t *Task, state TaskState, placed bool) trace.TaskRecord {
-	faultName := ""
-	if state == StateFailed && t.FaultKind != fault.KindNone {
-		faultName = t.FaultKind.String()
-	}
-	// Saved is the checkpointed progress this attempt banked for its
-	// successor — the slice of its run the preemption accounting credits
-	// as useful rather than wasted.
-	var saved time.Duration
-	if t.requeue != nil && t.requeue.resumeFrom > t.ResumeFrom {
-		saved = t.requeue.resumeFrom - t.ResumeFrom
-	}
-	return trace.TaskRecord{
-		ID:        t.ID,
-		Name:      t.Description.Name,
-		Submitted: t.SubmittedAt,
-		SetupAt:   t.SetupAt,
-		RunAt:     t.RunAt,
-		EndedAt:   t.EndedAt,
-		Cores:     t.Description.Cores,
-		GPUs:      t.Description.GPUs,
-		State:     state.String(),
-		Placed:    placed,
-		Attempt:   t.Attempt,
-		Node:      t.Node(),
-		Fault:     faultName,
-		Pilot:     t.PilotID,
-		Pipeline:  t.Tag("pipeline"),
-		Stage:     t.Tag("stage"),
-		Origin:    t.Origin,
-		Resumed:   t.ResumeFrom,
-		Saved:     saved,
-	}
-}
-
 // unwind ends an attempt wherever it lives, in the given final state: a
 // queued task leaves its lane, a placed one releases its allocation and
 // busy counters through finish. Cancellation, faults and evictions all
@@ -821,7 +786,7 @@ func (a *agent) unwind(t *Task, state TaskState, err error) {
 		t.EndedAt = a.pilot.engine.Now()
 		t.Err = err
 		if a.rec != nil {
-			a.rec.AddTask(a.record(t, state, false))
+			a.rec.AddTask(t, t.RunAt, t.EndedAt)
 		}
 		a.tm.transition(t, state)
 	case StateExecSetup, StateRunning:

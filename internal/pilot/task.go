@@ -21,6 +21,7 @@ import (
 
 	"impress/internal/fault"
 	"impress/internal/simclock"
+	"impress/internal/trace"
 )
 
 // TaskState is the lifecycle state of a task, following RP's state model
@@ -279,3 +280,42 @@ func (t *Task) Tag(key string) string { return t.Description.Tags[key] }
 // Seed returns the task's deterministic seed, also exposed to the payload
 // through ExecContext.
 func (t *Task) Seed() uint64 { return t.seed }
+
+// Record returns the attempt's timeline record. The trace recorder logs
+// the final attempt itself and calls Record when it builds a snapshot;
+// every field it reads is fixed once the attempt is final (its recovery
+// plan is staged before the final transition).
+func (t *Task) Record() trace.TaskRecord {
+	faultName := ""
+	if t.state == StateFailed && t.FaultKind != fault.KindNone {
+		faultName = t.FaultKind.String()
+	}
+	// Saved is the checkpointed progress this attempt banked for its
+	// successor — the slice of its run the preemption accounting credits
+	// as useful rather than wasted.
+	var saved time.Duration
+	if t.requeue != nil && t.requeue.resumeFrom > t.ResumeFrom {
+		saved = t.requeue.resumeFrom - t.ResumeFrom
+	}
+	return trace.TaskRecord{
+		ID:        t.ID,
+		Name:      t.Description.Name,
+		Submitted: t.SubmittedAt,
+		SetupAt:   t.SetupAt,
+		RunAt:     t.RunAt,
+		EndedAt:   t.EndedAt,
+		Cores:     t.Description.Cores,
+		GPUs:      t.Description.GPUs,
+		State:     t.state.String(),
+		Placed:    t.node >= 0,
+		Attempt:   t.Attempt,
+		Node:      t.Node(),
+		Fault:     faultName,
+		Pilot:     t.PilotID,
+		Pipeline:  t.Tag("pipeline"),
+		Stage:     t.Tag("stage"),
+		Origin:    t.Origin,
+		Resumed:   t.ResumeFrom,
+		Saved:     saved,
+	}
+}

@@ -123,7 +123,7 @@ func TestTasksCacheInvalidation(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		// Descending submission times force real re-sorts.
 		sub := simclock.Time(20-i) * simclock.Time(time.Minute)
-		r.AddTask(TaskRecord{
+		addRecord(r, TaskRecord{
 			ID:        fmt.Sprintf("task.%06d", i),
 			Submitted: sub,
 			RunAt:     sub,

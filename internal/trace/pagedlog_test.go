@@ -210,7 +210,7 @@ func TestPagedRecorderMatchesFlatAtPageBoundaries(t *testing.T) {
 			r.SetQueueDepth(1, at, i)
 			f.SetQueueDepth(1, at, i)
 			rec := taskRecord(i, simclock.Time(n-i)*simclock.Time(time.Second))
-			r.AddTask(rec)
+			addRecord(r, rec)
 			f.AddTask(rec)
 		}
 		end := simclock.Time(n+120) * simclock.Time(time.Second)
@@ -249,7 +249,7 @@ func TestPagedRecorderMatchesFlatRandomized(t *testing.T) {
 				f.SetQueueDepth(p, now, d)
 			case op < 99:
 				rec := taskRecord(i, simclock.Time(rng.Intn(int(now)+1)))
-				r.AddTask(rec)
+				addRecord(r, rec)
 				f.AddTask(rec)
 			default:
 				if rng.Intn(8) == 0 { // each compare flattens and sorts everything
@@ -265,22 +265,24 @@ func TestPagedRecorderMatchesFlatRandomized(t *testing.T) {
 }
 
 // TestAddTaskAllocatesEachRecordOnce is the allocation fence for the
-// task log: N records cost one copy each plus page slack, not the ~5
-// copies an append-grown slice pays while it regrows.
+// task log: N sources cost one log entry each (an interface value, 16
+// bytes) plus page slack and headers — not a copy of the 216-byte
+// record, and not the ~5 copies an append-grown slice pays while it
+// regrows.
 func TestAddTaskAllocatesEachRecordOnce(t *testing.T) {
 	const n = 40_000
 	r := NewRecorder(8, 1, 0)
-	rec := taskRecord(1, 0)
+	src := recordSource(taskRecord(1, 0))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		r.AddTask(rec)
+		r.AddTask(&src, src.RunAt, src.EndedAt)
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	// Page headers: the pages slice itself, regrown by append.
-	headers := 4 * (n/maxPage + 8) * unsafe.Sizeof([]TaskRecord(nil))
-	limit := uint64(1.2*n*float64(unsafe.Sizeof(TaskRecord{}))) + uint64(headers)
+	headers := 4 * (n/maxPage + 8) * unsafe.Sizeof([]TaskSource(nil))
+	limit := uint64(1.2*n*float64(unsafe.Sizeof(TaskSource(nil)))) + uint64(headers)
 	if got >= limit {
 		t.Fatalf("%d AddTask calls allocated %d bytes, want < %d", n, got, limit)
 	}
@@ -288,17 +290,17 @@ func TestAddTaskAllocatesEachRecordOnce(t *testing.T) {
 
 func BenchmarkRecorderAddTask(b *testing.B) {
 	const n = 20_000 // crosses every page size up to the cap
-	rec := taskRecord(1, 0)
+	src := recordSource(taskRecord(1, 0))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := NewRecorder(8, 1, 0)
 		for j := 0; j < n; j++ {
-			r.AddTask(rec)
+			r.AddTask(&src, src.RunAt, src.EndedAt)
 		}
 	}
 }
 
-// sortSliceTasks is the snapshot Tasks built before it sorted pointers:
+// sortSliceTasks is the snapshot Tasks built before it sorted an index:
 // the records in append order, sorted in place by sort.Slice.
 func sortSliceTasks(recs []TaskRecord) []TaskRecord {
 	out := slices.Clone(recs)
@@ -327,14 +329,14 @@ func shuffledTaskRecords(n int) []TaskRecord {
 	return recs
 }
 
-// TestTasksMatchesSortSlice checks the pointer-sorted snapshot against
+// TestTasksMatchesSortSlice checks the index-sorted snapshot against
 // sort.Slice on 40k shuffled records, and that a snapshot handed out
 // before a later AddTask keeps its contents.
 func TestTasksMatchesSortSlice(t *testing.T) {
 	recs := shuffledTaskRecords(40_000)
 	r := NewRecorder(8, 1, 0)
 	for _, rec := range recs {
-		r.AddTask(rec)
+		addRecord(r, rec)
 	}
 	got := r.Tasks()
 	if want := sortSliceTasks(recs); !slices.Equal(got, want) {
@@ -357,7 +359,7 @@ func TestTasksMatchesSortSlice(t *testing.T) {
 	snap := slices.Clone(got)
 	early := taskRecord(len(recs), 0)
 	early.ID = "task.early"
-	r.AddTask(early)
+	addRecord(r, early)
 	if !slices.Equal(got, snap) {
 		t.Fatal("AddTask mutated an earlier Tasks() snapshot")
 	}
@@ -366,12 +368,70 @@ func TestTasksMatchesSortSlice(t *testing.T) {
 	}
 }
 
+// TestTasksAllocatesSnapshotAndIndexOnly is the allocation fence for
+// building the snapshot: one []TaskRecord and one 4-byte index entry per
+// record, plus slack for size-class rounding. A second record-sized copy
+// (a sort buffer, a flat copy of the log) breaks it.
+func TestTasksAllocatesSnapshotAndIndexOnly(t *testing.T) {
+	const n = 40_000
+	r := NewRecorder(8, 1, 0)
+	for _, rec := range shuffledTaskRecords(n) {
+		addRecord(r, rec)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := r.Tasks()
+	runtime.ReadMemStats(&after)
+	if len(got) != n {
+		t.Fatalf("Tasks() holds %d records, want %d", len(got), n)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(n*(unsafe.Sizeof(TaskRecord{})+4)) + 64<<10
+	if alloc >= limit {
+		t.Fatalf("Tasks() allocated %d bytes for %d records, want < %d", alloc, n, limit)
+	}
+}
+
+// TestPermuteAppliesOrder checks permute against building the permuted
+// slice directly, for every permutation of five records.
+func TestPermuteAppliesOrder(t *testing.T) {
+	const n = 5
+	var perms func(prefix []int32, rest []int32)
+	count := 0
+	perms = func(prefix, rest []int32) {
+		if len(rest) == 0 {
+			recs := make([]TaskRecord, n)
+			for i := range recs {
+				recs[i] = taskRecord(i, 0)
+			}
+			want := make([]TaskRecord, n)
+			for i, k := range prefix {
+				want[i] = recs[k]
+			}
+			permute(recs, slices.Clone(prefix))
+			if !slices.Equal(recs, want) {
+				t.Fatalf("permute(%v) misplaced records", prefix)
+			}
+			count++
+			return
+		}
+		for i := range rest {
+			next := append(slices.Clone(rest[:i]), rest[i+1:]...)
+			perms(append(slices.Clone(prefix), rest[i]), next)
+		}
+	}
+	perms(nil, []int32{0, 1, 2, 3, 4})
+	if count != 120 {
+		t.Fatalf("checked %d permutations, want 120", count)
+	}
+}
+
 // BenchmarkRecorderTasks times rebuilding the sorted snapshot of a 40k
 // record log, the size of a taskbag run.
 func BenchmarkRecorderTasks(b *testing.B) {
 	r := NewRecorder(8, 1, 0)
 	for _, rec := range shuffledTaskRecords(40_000) {
-		r.AddTask(rec)
+		addRecord(r, rec)
 	}
 	b.ReportAllocs()
 	for b.Loop() {

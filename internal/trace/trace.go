@@ -90,8 +90,19 @@ func (t TaskRecord) Setup() time.Duration { return t.RunAt.Sub(t.SetupAt) }
 // callers summing run time skip records with RunAt 0.
 func (t TaskRecord) Run() time.Duration { return t.EndedAt.Sub(t.RunAt) }
 
+// TaskSource yields one final attempt's timeline record. The recorder
+// logs sources rather than records, and calls Record only when Tasks
+// builds a snapshot, so a source must be final when it is added: every
+// later call returns the same record.
+type TaskSource interface {
+	Record() TaskRecord
+}
+
 // Recorder accumulates busy-resource deltas and phase durations. All
 // methods take explicit timestamps so the recorder works under any clock.
+// Its task log holds one TaskSource per final attempt (the runtime's own
+// task, which its task table keeps alive anyway), not a copy of the
+// record.
 type Recorder struct {
 	// totalCores and totalGPUs are the peak capacity held (the
 	// utilization denominators and AddBusy's bound); heldCores and
@@ -113,7 +124,7 @@ type Recorder struct {
 	queueSeries []pagedLog[Point]
 
 	phases map[string]time.Duration
-	tasks  pagedLog[TaskRecord]
+	tasks  pagedLog[TaskSource]
 
 	// sortedTasks caches the submission-sorted view Tasks returns; it is
 	// invalidated (nilled) by AddTask and rebuilt at most once per burst
@@ -135,7 +146,7 @@ func NewRecorder(totalCores, totalGPUs int, start simclock.Time) *Recorder {
 	}
 	// The series and the task log are paged (see pagedLog): a small
 	// campaign pays for one 64-entry page per log, a 40k-task run never
-	// re-copies what it already recorded.
+	// re-copies what it already logged.
 	r := &Recorder{
 		totalCores: totalCores,
 		totalGPUs:  totalGPUs,
@@ -256,16 +267,19 @@ func (r *Recorder) AddPhase(name string, d time.Duration) {
 	r.phases[name] += d
 }
 
-// AddTask appends a completed task's timeline record. Only attempts that
-// reached their run phase (RunAt > 0) count toward AggregateTaskTime.
-func (r *Recorder) AddTask(rec TaskRecord) {
-	r.tasks.push(rec)
+// AddTask logs a final attempt's source. runAt and endedAt are the
+// attempt's RunAt and EndedAt: they move the campaign end and the running
+// aggregate now, while the record itself is built only when Tasks needs
+// it. Only attempts that reached their run phase (runAt > 0) count toward
+// AggregateTaskTime.
+func (r *Recorder) AddTask(src TaskSource, runAt, endedAt simclock.Time) {
+	r.tasks.push(src)
 	r.sortedTasks = nil
-	if rec.RunAt > 0 {
-		r.aggRun += rec.Run()
+	if runAt > 0 {
+		r.aggRun += endedAt.Sub(runAt)
 	}
-	if rec.EndedAt > r.end {
-		r.end = rec.EndedAt
+	if endedAt > r.end {
+		r.end = endedAt
 	}
 }
 
@@ -360,34 +374,62 @@ func (r *Recorder) Phases() map[string]time.Duration {
 	return out
 }
 
-// Tasks returns the task records sorted by (Submitted, ID). The returned
-// slice is a cached snapshot shared between calls until the next AddTask;
-// callers must treat it as read-only. Every cache rebuild fills a fresh
-// slice, so snapshots handed out earlier are never mutated.
+// Tasks returns the task records sorted by (Submitted, ID), built from
+// the logged sources. The returned slice is a cached snapshot shared
+// between calls until the next AddTask; callers must treat it as
+// read-only. Every cache rebuild fills a fresh slice, so snapshots handed
+// out earlier are never mutated.
 func (r *Recorder) Tasks() []TaskRecord {
 	if r.sortedTasks == nil && r.tasks.n > 0 {
-		// Sort pointers into the log's pages, then copy each record once:
-		// swapping the records themselves moves ~200 bytes per swap.
-		ptrs := make([]*TaskRecord, 0, r.tasks.n)
+		// Build each record once, in log order, then sort a 4-byte index
+		// and apply it in place: swapping the records themselves moves
+		// ~200 bytes per swap, and a sorted copy would double the
+		// snapshot.
+		out := make([]TaskRecord, 0, r.tasks.n)
 		for i := range r.tasks.pages {
-			page := r.tasks.page(i)
-			for j := range page {
-				ptrs = append(ptrs, &page[j])
+			for _, src := range r.tasks.page(i) {
+				out = append(out, src.Record())
 			}
 		}
-		slices.SortFunc(ptrs, func(x, y *TaskRecord) int {
-			if c := cmp.Compare(x.Submitted, y.Submitted); c != 0 {
+		order := make([]int32, len(out))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(x, y int32) int {
+			a, b := &out[x], &out[y]
+			if c := cmp.Compare(a.Submitted, b.Submitted); c != 0 {
 				return c
 			}
-			return strings.Compare(x.ID, y.ID)
+			return strings.Compare(a.ID, b.ID)
 		})
-		out := make([]TaskRecord, len(ptrs))
-		for i, p := range ptrs {
-			out[i] = *p
-		}
+		permute(out, order)
 		r.sortedTasks = out
 	}
 	return r.sortedTasks
+}
+
+// permute reorders recs in place so that recs[i] becomes the old
+// recs[order[i]]. It walks each cycle of the permutation holding one
+// record, so every record moves once; order is consumed (left as the
+// identity).
+func permute(recs []TaskRecord, order []int32) {
+	for i := range order {
+		if int(order[i]) == i {
+			continue
+		}
+		held := recs[i]
+		j := i
+		for {
+			k := int(order[j])
+			order[j] = int32(j)
+			if k == i {
+				recs[j] = held
+				break
+			}
+			recs[j] = recs[k]
+			j = k
+		}
+	}
 }
 
 // AggregateTaskTime returns the sum of the running-phase durations of

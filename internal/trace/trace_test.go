@@ -10,6 +10,17 @@ import (
 
 func hour(h float64) simclock.Time { return simclock.FromHours(h) }
 
+// recordSource is a hand-made TaskSource: a record that yields itself.
+type recordSource TaskRecord
+
+func (s *recordSource) Record() TaskRecord { return TaskRecord(*s) }
+
+// addRecord logs rec on r through a source of its own.
+func addRecord(r *Recorder, rec TaskRecord) {
+	src := recordSource(rec)
+	r.AddTask(&src, rec.RunAt, rec.EndedAt)
+}
+
 func TestUtilizationIntegral(t *testing.T) {
 	// 28 cores: 8 busy for the first hour, 16 busy for the second,
 	// idle for the third. Average = (8 + 16 + 0) / (3 * 28).
@@ -142,8 +153,8 @@ func TestNegativePhasePanics(t *testing.T) {
 
 func TestTaskRecordsAndAggregateTime(t *testing.T) {
 	r := NewRecorder(4, 1, 0)
-	r.AddTask(TaskRecord{ID: "b", Submitted: hour(0.5), SetupAt: hour(0.6), RunAt: hour(0.7), EndedAt: hour(1.7)})
-	r.AddTask(TaskRecord{ID: "a", Submitted: hour(0), SetupAt: hour(0.1), RunAt: hour(0.2), EndedAt: hour(1.2)})
+	addRecord(r, TaskRecord{ID: "b", Submitted: hour(0.5), SetupAt: hour(0.6), RunAt: hour(0.7), EndedAt: hour(1.7)})
+	addRecord(r, TaskRecord{ID: "a", Submitted: hour(0), SetupAt: hour(0.1), RunAt: hour(0.2), EndedAt: hour(1.2)})
 	tasks := r.Tasks()
 	if tasks[0].ID != "a" || tasks[1].ID != "b" {
 		t.Fatal("tasks not sorted by submission")
@@ -167,9 +178,9 @@ func TestTaskRecordsAndAggregateTime(t *testing.T) {
 // time. It still ends the campaign window no earlier than its end.
 func TestAggregateSkipsAttemptsThatNeverRan(t *testing.T) {
 	r := NewRecorder(4, 1, 0)
-	r.AddTask(TaskRecord{ID: "ran", Submitted: hour(0), SetupAt: hour(0.5), RunAt: hour(1), EndedAt: hour(3)})
-	r.AddTask(TaskRecord{ID: "queued", Submitted: hour(0), EndedAt: hour(4)})
-	r.AddTask(TaskRecord{ID: "setup", Submitted: hour(1), SetupAt: hour(2), EndedAt: hour(5)})
+	addRecord(r, TaskRecord{ID: "ran", Submitted: hour(0), SetupAt: hour(0.5), RunAt: hour(1), EndedAt: hour(3)})
+	addRecord(r, TaskRecord{ID: "queued", Submitted: hour(0), EndedAt: hour(4)})
+	addRecord(r, TaskRecord{ID: "setup", Submitted: hour(1), SetupAt: hour(2), EndedAt: hour(5)})
 	if got := r.AggregateTaskTime(); got != 2*time.Hour {
 		t.Fatalf("AggregateTaskTime = %v, want 2h (only the attempt that ran)", got)
 	}
