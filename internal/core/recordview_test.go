@@ -8,6 +8,7 @@ package core_test
 // for field.
 
 import (
+	"cmp"
 	"reflect"
 	"slices"
 	"strings"
@@ -105,8 +106,8 @@ func runWithEagerLog(t *testing.T, c campaign.Campaign) (*core.Result, []trace.T
 		t.Fatalf("%s: %v", c.Name, err)
 	}
 	slices.SortFunc(l.recs, func(x, y trace.TaskRecord) int {
-		if x.Submitted != y.Submitted {
-			return int(x.Submitted - y.Submitted)
+		if c := cmp.Compare(x.Submitted, y.Submitted); c != 0 {
+			return c
 		}
 		return strings.Compare(x.ID, y.ID)
 	})

@@ -392,40 +392,6 @@ func TestTasksAllocatesSnapshotAndIndexOnly(t *testing.T) {
 	}
 }
 
-// TestPermuteAppliesOrder checks permute against building the permuted
-// slice directly, for every permutation of five records.
-func TestPermuteAppliesOrder(t *testing.T) {
-	const n = 5
-	var perms func(prefix []int32, rest []int32)
-	count := 0
-	perms = func(prefix, rest []int32) {
-		if len(rest) == 0 {
-			recs := make([]TaskRecord, n)
-			for i := range recs {
-				recs[i] = taskRecord(i, 0)
-			}
-			want := make([]TaskRecord, n)
-			for i, k := range prefix {
-				want[i] = recs[k]
-			}
-			permute(recs, slices.Clone(prefix))
-			if !slices.Equal(recs, want) {
-				t.Fatalf("permute(%v) misplaced records", prefix)
-			}
-			count++
-			return
-		}
-		for i := range rest {
-			next := append(slices.Clone(rest[:i]), rest[i+1:]...)
-			perms(append(slices.Clone(prefix), rest[i]), next)
-		}
-	}
-	perms(nil, []int32{0, 1, 2, 3, 4})
-	if count != 120 {
-		t.Fatalf("checked %d permutations, want 120", count)
-	}
-}
-
 // BenchmarkRecorderTasks times rebuilding the sorted snapshot of a 40k
 // record log, the size of a taskbag run.
 func BenchmarkRecorderTasks(b *testing.B) {

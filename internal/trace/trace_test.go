@@ -155,12 +155,14 @@ func TestTaskRecordsAndAggregateTime(t *testing.T) {
 	r := NewRecorder(4, 1, 0)
 	addRecord(r, TaskRecord{ID: "b", Submitted: hour(0.5), SetupAt: hour(0.6), RunAt: hour(0.7), EndedAt: hour(1.7)})
 	addRecord(r, TaskRecord{ID: "a", Submitted: hour(0), SetupAt: hour(0.1), RunAt: hour(0.2), EndedAt: hour(1.2)})
+	// Failed in exec setup: RunAt 0, so Run() is an end time, not run time.
+	addRecord(r, TaskRecord{ID: "c", Submitted: hour(1), SetupAt: hour(1.5), EndedAt: hour(3)})
 	tasks := r.Tasks()
-	if tasks[0].ID != "a" || tasks[1].ID != "b" {
+	if tasks[0].ID != "a" || tasks[1].ID != "b" || tasks[2].ID != "c" {
 		t.Fatal("tasks not sorted by submission")
 	}
 	if got := r.AggregateTaskTime(); got != 2*time.Hour {
-		t.Fatalf("AggregateTaskTime = %v, want 2h", got)
+		t.Fatalf("AggregateTaskTime = %v, want 2h (the attempts that ran)", got)
 	}
 	if tasks[0].Wait() != 6*time.Minute {
 		t.Fatalf("Wait = %v", tasks[0].Wait())
@@ -170,22 +172,6 @@ func TestTaskRecordsAndAggregateTime(t *testing.T) {
 	}
 	if tasks[0].Run() != time.Hour {
 		t.Fatalf("Run = %v", tasks[0].Run())
-	}
-}
-
-// TestAggregateSkipsAttemptsThatNeverRan: an attempt failed while queued
-// or in exec setup has RunAt 0, so its Run() is an end time, not run
-// time. It still ends the campaign window no earlier than its end.
-func TestAggregateSkipsAttemptsThatNeverRan(t *testing.T) {
-	r := NewRecorder(4, 1, 0)
-	addRecord(r, TaskRecord{ID: "ran", Submitted: hour(0), SetupAt: hour(0.5), RunAt: hour(1), EndedAt: hour(3)})
-	addRecord(r, TaskRecord{ID: "queued", Submitted: hour(0), EndedAt: hour(4)})
-	addRecord(r, TaskRecord{ID: "setup", Submitted: hour(1), SetupAt: hour(2), EndedAt: hour(5)})
-	if got := r.AggregateTaskTime(); got != 2*time.Hour {
-		t.Fatalf("AggregateTaskTime = %v, want 2h (only the attempt that ran)", got)
-	}
-	if got := r.Makespan(); got != 5*time.Hour {
-		t.Fatalf("Makespan = %v, want 5h", got)
 	}
 }
 
