@@ -1,11 +1,61 @@
 package xrand
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"slices"
 	"sort"
 	"testing"
 )
+
+// referenceZigguratSlow is zigguratSlow as the standard library's
+// algorithm states it, with math.Exp evaluated on every wedge draw. It is
+// the oracle the shipped slow path is held to, value and generator state.
+func (r *RNG) referenceZigguratSlow(u uint64) float64 {
+	for {
+		j := int32(u)
+		i := u >> 32 & 0x7F
+		x := float64(j) * float64(wn[i])
+		a := uint32(j)
+		if j < 0 {
+			a = -a
+		}
+		if a < kn[i] {
+			return x
+		}
+		if i == 0 {
+			for {
+				x = -math.Log(r.Float64()) * (1.0 / zigR)
+				y := -math.Log(r.Float64())
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return zigR + x
+			}
+			return -zigR - x
+		}
+		if fn[i]+float32(r.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x
+		}
+		u = r.Uint64()
+	}
+}
+
+// referenceZiggurat is Ziggurat with its slow draws finished by
+// referenceZigguratSlow.
+func (r *RNG) referenceZiggurat() float64 {
+	u := r.Uint64()
+	j := int32(u)
+	i := u >> 32 & 0x7F
+	if s := j >> 31; uint32(j^s-s) < kn[i] {
+		return float64(j) * float64(wn[i])
+	}
+	return r.referenceZigguratSlow(u)
+}
 
 // zigguratSample draws n deviates from a fresh generator at seed.
 func zigguratSample(seed uint64, n int) []float64 {
@@ -124,8 +174,10 @@ func TestZigguratOneWordFastPath(t *testing.T) {
 // loop they replace: for every row length, AddZiggurat and FillZiggurat
 // write the bits that float32(float64(src[i]) + Ziggurat()*std) and
 // float32(Ziggurat()*std) write — each value computed in float64 and
-// rounded once — and leave the generator in the same state. Enough rows
-// are drawn that the slow path's wedge and base-layer tail are both
+// rounded once — and leave the generator in the same state. The per-draw
+// oracle finishes its slow draws in referenceZigguratSlow, so the row
+// fills and the shipped slow path are both checked against it. Enough
+// rows are drawn that the slow path's wedge and base-layer tail are both
 // taken, classified by each draw's first word.
 func TestAddZigguratMatchesZiggurat(t *testing.T) {
 	const std = 0.45
@@ -150,9 +202,9 @@ func TestAddZigguratMatchesZiggurat(t *testing.T) {
 					}
 				}
 				if fill {
-					want[i] = float32(oracle.Ziggurat() * std)
+					want[i] = float32(oracle.referenceZiggurat() * std)
 				} else {
-					want[i] = float32(float64(src[i]) + oracle.Ziggurat()*std)
+					want[i] = float32(float64(src[i]) + oracle.referenceZiggurat()*std)
 				}
 			}
 			if fill {
@@ -178,12 +230,70 @@ func TestAddZigguratMatchesZiggurat(t *testing.T) {
 	row := slices.Clone(src)
 	a.AddZiggurat(row, row, std)
 	for i, x := range src {
-		if y := float32(float64(x) + b.Ziggurat()*std); math.Float32bits(row[i]) != math.Float32bits(y) {
+		if y := float32(float64(x) + b.referenceZiggurat()*std); math.Float32bits(row[i]) != math.Float32bits(y) {
 			t.Fatalf("aliased row: cell %d = %v, per-draw loop %v", i, row[i], y)
 		}
 	}
 	if *a != *b {
 		t.Fatalf("aliased row: generator state %+v, per-draw loop %+v", *a, *b)
+	}
+}
+
+// zigguratDigest returns the sha256 of 2²⁰ Ziggurat draws from a fresh
+// generator at seed, each as its float64 bits, followed by the
+// generator's end state.
+func zigguratDigest(seed uint64) string {
+	r := New(seed)
+	buf := make([]byte, 0, 8<<20+8)
+	for i := 0; i < 1<<20; i++ {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Ziggurat()))
+	}
+	sum := sha256.Sum256(binary.LittleEndian.AppendUint64(buf, r.state))
+	return hex.EncodeToString(sum[:])
+}
+
+// zigguratRowDigest returns the sha256 of 10⁴ 20-cell rows from a fresh
+// generator at seed, FillZiggurat and AddZiggurat in turn, each cell as
+// its float32 bits, followed by the generator's end state.
+func zigguratRowDigest(seed uint64) string {
+	r := New(seed)
+	src := make([]float32, 20)
+	for i := range src {
+		src[i] = float32(i)/3 - 2.5
+	}
+	row := make([]float32, len(src))
+	var buf []byte
+	for k := 0; k < 10_000; k++ {
+		if k%2 == 0 {
+			r.FillZiggurat(row, 0.45)
+		} else {
+			r.AddZiggurat(row, src, 0.9)
+		}
+		for _, v := range row {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		}
+	}
+	sum := sha256.Sum256(binary.LittleEndian.AppendUint64(buf, r.state))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestZigguratStreamDigests pins the streams every seeded model and
+// surrogate is drawn from: a change to any draw, to the words a draw
+// consumes or to a row fill's rounding changes a digest.
+func TestZigguratStreamDigests(t *testing.T) {
+	for _, c := range []struct {
+		seed        uint64
+		draws, rows string
+	}{
+		{42, "4d90962885ccef9ac2339d2378a382d82b04784aad7d823082b983696c7de7cf", "721fdd524dd07ebf65891cede9ae7044f1ddab31e437379abef70f84fd68d1e8"},
+		{7, "5fb1fc5520fe6b2bd47881eaf80a514a079cf82012521ef034249c1930128e6b", "350e4c26ff07bd597cdac48c86ce8b4cc886fdc8643e832711b29111e21d9f04"},
+	} {
+		if got := zigguratDigest(c.seed); got != c.draws {
+			t.Errorf("seed %d: Ziggurat stream digest %s, want %s", c.seed, got, c.draws)
+		}
+		if got := zigguratRowDigest(c.seed); got != c.rows {
+			t.Errorf("seed %d: row fill digest %s, want %s", c.seed, got, c.rows)
+		}
 	}
 }
 
