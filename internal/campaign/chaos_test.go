@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"impress/internal/core"
 	"impress/internal/fault"
@@ -123,7 +124,8 @@ func TestChaosCampaignDeterminism(t *testing.T) {
 
 // TestChaosReportOverSweep: the chaos report renders one row per
 // (recovery, steering) cell with the fault-free baseline feeding
-// inflation, and the CSV carries every campaign.
+// inflation, the CSV carries every campaign, and every cell's aggregate
+// task time is the run phases of the attempts that reached one.
 func TestChaosReportOverSweep(t *testing.T) {
 	sc, ok := Lookup("chaos-sweep")
 	if !ok {
@@ -142,6 +144,17 @@ func TestChaosReportOverSweep(t *testing.T) {
 	for _, o := range outs {
 		if o.Err != nil {
 			t.Fatalf("campaign %s failed: %v", o.Name, o.Err)
+		}
+		// "Time (h)" counts exactly the attempts that reached their run
+		// phase; no golden pins it for a faulty cell.
+		var run time.Duration
+		for _, tr := range o.Result.TaskRecords {
+			if tr.RunAt > 0 {
+				run += tr.Run()
+			}
+		}
+		if o.Result.AggregateTaskTime != run {
+			t.Fatalf("campaign %s: AggregateTaskTime %v, but the records that reached their run phase ran %v", o.Name, o.Result.AggregateTaskTime, run)
 		}
 		results = append(results, o.Result)
 	}

@@ -354,37 +354,63 @@ func (m *Model) ConditionalEnergies(full protein.Sequence, pos int, out []float6
 	if len(out) != protein.NumAA {
 		panic("landscape: ConditionalEnergies buffer size")
 	}
-	// Fixed-size array views eliminate per-iteration bounds checks in the
-	// kernel; every half-edge contributes one 20-float row or column, each
-	// float32 widened to float64 before it is added. Half-edges are added
-	// two at a time, o[a] + x0[a] + x1[a]: Go adds left to right, so the
-	// sums keep the bits of adding them one by one while each o[a] is
-	// loaded and stored once per pair.
+	// Fixed-size array views and one up-front index of each table
+	// (_ = w[0][b]) leave the loops without per-element nil or bounds
+	// checks; every half-edge contributes one 20-float row or column,
+	// each float32 widened to float64 before it is added. Half-edges are
+	// added four at a time when the next four share an orientation,
+	// o[a] + x0[a] + x1[a] + x2[a] + x3[a], else two at a time: Go adds
+	// left to right, so the sums keep the bits of adding them one by one
+	// while each o[a] is loaded and stored once per group. Grouping never
+	// reorders half-edges, so it holds for any edge order.
 	o := (*[protein.NumAA]float64)(out)
 	for a, f := range &m.Fields[pos] {
 		o[a] = float64(f)
 	}
 	adj := m.adj[pos]
 	for len(adj) >= 2 {
+		// New's edges are sorted by (I, J), so a position lists its row
+		// views before its column views: row quads, pairs around the
+		// row→column boundary, then column quads, the block that takes
+		// most of the kernel's time.
+		if len(adj) >= 4 && adj[0].col == adj[1].col && adj[1].col == adj[2].col && adj[2].col == adj[3].col {
+			h := (*[4]halfEdge)(adj)
+			adj = adj[4:]
+			w0, b0 := h[0].w, protein.Index(full[h[0].other])
+			w1, b1 := h[1].w, protein.Index(full[h[1].other])
+			w2, b2 := h[2].w, protein.Index(full[h[2].other])
+			w3, b3 := h[3].w, protein.Index(full[h[3].other])
+			if h[0].col {
+				_, _, _, _ = w0[0][b0], w1[0][b1], w2[0][b2], w3[0][b3]
+				for a := range o {
+					o[a] = o[a] + float64(w0[a][b0]) + float64(w1[a][b1]) + float64(w2[a][b2]) + float64(w3[a][b3])
+				}
+				continue
+			}
+			r0, r1, r2, r3 := &w0[b0], &w1[b1], &w2[b2], &w3[b3]
+			for a := range o {
+				o[a] = o[a] + float64(r0[a]) + float64(r1[a]) + float64(r2[a]) + float64(r3[a])
+			}
+			continue
+		}
 		h0, h1 := &adj[0], &adj[1]
 		adj = adj[2:]
 		w0, b0 := h0.w, protein.Index(full[h0.other])
 		w1, b1 := h1.w, protein.Index(full[h1.other])
-		// New's edges are sorted by (I, J), so a position lists its row
-		// views before its column views: row–row pairs, at most one
-		// row–column pair, then column–column pairs, the block that takes
-		// most of the kernel's time.
 		switch {
 		case h0.col && h1.col:
+			_, _ = w0[0][b0], w1[0][b1]
 			for a := range o {
 				o[a] = o[a] + float64(w0[a][b0]) + float64(w1[a][b1])
 			}
 		case h0.col:
+			_ = w0[0][b0]
 			r1 := &w1[b1]
 			for a := range o {
 				o[a] = o[a] + float64(w0[a][b0]) + float64(r1[a])
 			}
 		case h1.col:
+			_ = w1[0][b1]
 			r0 := &w0[b0]
 			for a := range o {
 				o[a] = o[a] + float64(r0[a]) + float64(w1[a][b1])
@@ -398,14 +424,15 @@ func (m *Model) ConditionalEnergies(full protein.Sequence, pos int, out []float6
 	}
 	// An odd degree leaves one half-edge.
 	for _, he := range adj {
-		b := protein.Index(full[he.other])
+		w, b := he.w, protein.Index(full[he.other])
 		if he.col {
+			_ = w[0][b]
 			for a := range o {
-				o[a] += float64(he.w[a][b])
+				o[a] += float64(w[a][b])
 			}
 			continue
 		}
-		row := &he.w[b]
+		row := &w[b]
 		for a := range o {
 			o[a] += float64(row[a])
 		}

@@ -416,40 +416,57 @@ func reversedTwin(m *Model) *Model {
 	return twin
 }
 
+// kernelGroups returns the kinds of half-edge group ConditionalEnergies
+// adds for one position's adjacency list: runs of four of one
+// orientation, pairs named by their two orientations, and an odd tail.
+func kernelGroups(l []halfEdge) []string {
+	side := map[bool]string{false: "row", true: "column"}
+	var kinds []string
+	for len(l) >= 2 {
+		if len(l) >= 4 && l[0].col == l[1].col && l[1].col == l[2].col && l[2].col == l[3].col {
+			kinds = append(kinds, side[l[0].col]+" quad")
+			l = l[4:]
+			continue
+		}
+		kinds = append(kinds, side[l[0].col]+"–"+side[l[1].col]+" pair")
+		l = l[2:]
+	}
+	if len(l) == 1 {
+		kinds = append(kinds, "odd tail")
+	}
+	return kinds
+}
+
 // TestConditionalEnergiesMatchReference pins the Gibbs kernel's column
 // and row reads bit for bit against refConditional, on every position of
 // a fresh model, of surrogates written into recycled buffers and of a
-// model whose edges come in reverse order. The kernel adds half-edges two
-// at a time, so the models must between them pair every combination of
-// row and column views — New's own models straddle the row→column
-// boundary — and leave a trailing single half-edge at an odd degree.
+// model whose edges come in reverse order. The kernel adds half-edges in
+// runs of four of one orientation, else in pairs, so New's model and its
+// reversed twin must between them take a row quad, a column quad, every
+// combination of row and column views in a pair — New's own models
+// straddle the row→column boundary — and a trailing single half-edge.
 func TestConditionalEnergiesMatchReference(t *testing.T) {
 	m, big, small := shapedTruths()
 	models := recycledSurrogates(t, m, big, small, 0.7, 5)
 	models["New"] = m
 	models["fresh surrogate"] = m.CorruptInto(nil, 0.7, 5)
 	models["reversed edges"] = reversedTwin(m)
-	pairs := make(map[string]map[[2]bool]bool)
-	odd := false
-	for name, x := range models {
-		pairs[name] = make(map[[2]bool]bool)
-		for _, l := range x.adj {
-			for k := 0; k+1 < len(l); k += 2 {
-				pairs[name][[2]bool{l[k].col, l[k+1].col}] = true
+	taken := make(map[string]map[string]bool)
+	for _, name := range []string{"New", "reversed edges"} {
+		taken[name] = make(map[string]bool)
+		for _, l := range models[name].adj {
+			for _, kind := range kernelGroups(l) {
+				taken[name][kind] = true
 			}
-			odd = odd || len(l)%2 == 1
 		}
 	}
-	if !pairs["New"][[2]bool{false, true}] {
+	if !taken["New"]["row–column pair"] {
 		t.Fatal("no position of New's model pairs a row view with a column view")
 	}
-	for _, kind := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
-		if !pairs["New"][kind] && !pairs["reversed edges"][kind] {
-			t.Fatalf("no model pairs half-edges with col = %v", kind)
+	for _, kind := range []string{"row quad", "column quad", "row–row pair", "row–column pair", "column–row pair", "column–column pair", "odd tail"} {
+		if !taken["New"][kind] && !taken["reversed edges"][kind] {
+			t.Fatalf("no position of New's model or its reversed twin takes a %s", kind)
 		}
-	}
-	if !odd {
-		t.Fatal("no model has an odd-degree position")
 	}
 	rng := xrand.New(31)
 	seqs := []protein.Sequence{testStructure(22, 60, 8).FullSequence()}
@@ -812,6 +829,21 @@ func BenchmarkSampleSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Sample(full, SampleOptions{Sweeps: 1, Temperature: 1, Seed: uint64(i)})
+	}
+}
+
+// BenchmarkConditionalEnergies times one Gibbs-kernel call on a model of
+// a mined screen target's size (receptor 82–105, peptide 4), cycling
+// through every receptor position.
+func BenchmarkConditionalEnergies(b *testing.B) {
+	st := testStructure(1, 94, 4)
+	m := New(st, 1, DefaultConfig())
+	full := st.FullSequence()
+	out := make([]float64, protein.NumAA)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ConditionalEnergies(full, i%m.RecLen, out)
 	}
 }
 

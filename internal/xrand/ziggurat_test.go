@@ -297,6 +297,140 @@ func TestZigguratStreamDigests(t *testing.T) {
 	}
 }
 
+// TestZigguratSqueezeBrackets checks the literal squeeze band of every
+// wedge layer on 2¹⁴ + 2 points of |j| from kn[i] to 2³¹ − 1, both ends
+// included, and at 2³¹ (j = math.MinInt32): the band must hold
+// exp(-x²/2), and its float32 rounding the wedge test compares against,
+// with at least half the 1e-6 margin the tables were built with to
+// spare. Between two grid points the chord's error moves by at most
+// h²/8 for a step h (|d²/dx² exp(-x²/2)| ≤ 1), under 1e-9 here, so the
+// band then holds on every |j| the wedge can draw. A failure logs the
+// layer's band as the tables' derivation gives it.
+func TestZigguratSqueezeBrackets(t *testing.T) {
+	const margin, steps = 5e-7, 1 << 14
+	for i := 1; i < len(kn); i++ {
+		width := uint64(1<<31 - 1 - kn[i])
+		for k := uint64(0); k <= steps+1; k++ {
+			a := uint64(kn[i]) + min(k, steps)*width/steps + k/(steps+1)
+			x := float64(a) * float64(wn[i])
+			e := math.Exp(-.5 * x * x)
+			e32 := float64(float32(e))
+			c := zc0[i] + zm[i]*x
+			if c-zlo[i] > min(e, e32)-margin || c+zhi[i] < max(e, e32)+margin {
+				c0, m, lo, hi := deriveSqueeze(i)
+				t.Fatalf("layer %d, |j| = %d: exp(-x²/2) = %v outside [%v, %v] with margin %v; derived band c0 %v, m %v, lo %v, hi %v",
+					i, a, e, c-zlo[i], c+zhi[i], margin, c0, m, lo, hi)
+			}
+		}
+	}
+}
+
+// deriveSqueeze returns layer i's squeeze band as the literal tables were
+// built: the chord through the wedge's ends and the largest deviation of
+// exp(-x²/2) below and above it over 20001 evenly spaced |j|, each plus
+// 1e-6. Deviations under 1e-12 are the chord's own rounding at its ends
+// and count as none. The tables hold lo and hi rounded up to three
+// significant digits.
+func deriveSqueeze(i int) (c0, m, lo, hi float64) {
+	x0, x1 := float64(kn[i])*float64(wn[i]), (1<<31)*float64(wn[i])
+	f0, f1 := math.Exp(-.5*x0*x0), math.Exp(-.5*x1*x1)
+	m = (f1 - f0) / (x1 - x0)
+	c0 = f0 - m*x0
+	const n = 20000
+	for k := uint64(0); k <= n; k++ {
+		x := float64(uint64(kn[i])+k*(1<<31-uint64(kn[i]))/n) * float64(wn[i])
+		d := math.Exp(-.5*x*x) - (c0 + m*x)
+		lo, hi = max(lo, -d), max(hi, d)
+	}
+	if lo < 1e-12 {
+		lo = 0
+	}
+	if hi < 1e-12 {
+		hi = 0
+	}
+	return c0, m, lo + 1e-6, hi + 1e-6
+}
+
+// squeezeClass classifies a wedge draw the way zigguratSlow's squeeze
+// does, from the generator r the draw would take its uniform from:
+// -1 accepted below the band, +1 rejected above it, 0 decided by
+// math.Exp.
+func squeezeClass(r RNG, u uint64) int {
+	i := u >> 32 & 0x7F
+	x := float64(int32(u)) * float64(wn[i])
+	y := float64(fn[i] + float32(r.Float64())*(fn[i-1]-fn[i]))
+	c := zc0[i] + zm[i]*math.Abs(x)
+	switch {
+	case y < c-zlo[i]:
+		return -1
+	case y > c+zhi[i]:
+		return 1
+	}
+	return 0
+}
+
+// TestZigguratSlowMatchesReference runs the slow path against
+// referenceZigguratSlow on every first word of a 10⁸-word stream that
+// misses its layer's core: both start from the same generator state and
+// must return the same bits and end in the same state. It counts how the
+// squeeze decides the wedge draws and requires all three outcomes, with
+// math.Exp called on under a tenth of them.
+func TestZigguratSlowMatchesReference(t *testing.T) {
+	const words = 100_000_000
+	r := New(19)
+	var below, above, exact, tail int
+	for n := 0; n < words; n++ {
+		u := r.Uint64()
+		j, i := int32(u), u>>32&0x7F
+		if uint32(max(j, -j)) < kn[i] {
+			continue
+		}
+		got, want := *r, *r
+		if i == 0 {
+			tail++
+		} else {
+			switch squeezeClass(got, u) {
+			case -1:
+				below++
+			case 1:
+				above++
+			default:
+				exact++
+			}
+		}
+		x, y := got.zigguratSlow(u), want.referenceZigguratSlow(u)
+		if math.Float64bits(x) != math.Float64bits(y) || got != want {
+			t.Fatalf("word %d (%#x): slow path %v, state %+v; reference %v, state %+v", n, u, x, got, y, want)
+		}
+	}
+	wedge := below + above + exact
+	t.Logf("%d words: %d wedge draws (%d accepted below the band, %d rejected above, %d exact: %.2f%%), %d tail draws",
+		words, wedge, below, above, exact, 100*float64(exact)/float64(wedge), tail)
+	if below == 0 || above == 0 || exact == 0 || tail == 0 {
+		t.Fatalf("squeeze outcomes not all covered: %d below, %d above, %d exact, %d tail", below, above, exact, tail)
+	}
+	if share := float64(exact) / float64(wedge); share >= 0.1 {
+		t.Errorf("math.Exp decided %.2f%% of wedge draws, want under 10%%", 100*share)
+	}
+}
+
+// FuzzZigguratSlow checks the slow path against referenceZigguratSlow
+// for any first word and generator state: the same value bits and the
+// same end state.
+func FuzzZigguratSlow(f *testing.F) {
+	f.Add(uint64(0x0000_0001_8000_0000), uint64(1)) // layer 1, j = math.MinInt32
+	f.Add(uint64(0x0000_007f_7fff_ffff), uint64(2)) // layer 127, edge of the wedge
+	f.Add(uint64(0x0000_0000_ffff_ffff), uint64(3)) // base layer, tail
+	f.Add(uint64(0x0123_4567_89ab_cdef), uint64(4))
+	f.Fuzz(func(t *testing.T, u, state uint64) {
+		got, want := RNG{state: state}, RNG{state: state}
+		x, y := got.zigguratSlow(u), want.referenceZigguratSlow(u)
+		if math.Float64bits(x) != math.Float64bits(y) || got != want {
+			t.Fatalf("u %#x, state %#x: slow path %v, end state %#x; reference %v, end state %#x", u, state, x, got.state, y, want.state)
+		}
+	})
+}
+
 func BenchmarkZiggurat(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

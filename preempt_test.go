@@ -6,8 +6,9 @@ package impress_test
 // on eight seeds,
 // plus a randomized invariant suite over the full grid — whatever the
 // seed, attempt chains stay gapless, checkpointed progress is resumed
-// exactly once, an eviction loses at most one checkpoint interval, and
-// the waste ledger stays within its bounds.
+// exactly once, an eviction loses at most one checkpoint interval, the
+// waste ledger stays within its bounds, and the aggregate task time is
+// the run phases of the attempts that reached one.
 
 import (
 	"fmt"
@@ -56,6 +57,18 @@ func checkPreemptInvariants(t *testing.T, name string, res *impress.Result) {
 			origin = tr.ID
 		}
 		chains[origin] = append(chains[origin], i)
+	}
+
+	// "Time (h)": the aggregate is the run phases of exactly the attempts
+	// that reached one. No golden pins it for a faulty cell.
+	var run time.Duration
+	for _, tr := range recs {
+		if tr.RunAt > 0 {
+			run += tr.Run()
+		}
+	}
+	if res.AggregateTaskTime != run {
+		t.Fatalf("%s: AggregateTaskTime %v, but the records that reached their run phase ran %v", name, res.AggregateTaskTime, run)
 	}
 
 	resumedRecords, evictedRecords := 0, 0
