@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -259,4 +261,38 @@ func TestOutWritesReportFiles(t *testing.T) {
 	if len(sections) != 2 {
 		t.Errorf("stdout has %d sections, want 2", len(sections))
 	}
+}
+
+// sweepArtifacts are the sha256 digests of the files a seed-100, two-seed
+// sweep writes with -csv and -chrome-trace.
+var sweepArtifacts = map[string]string{
+	"sweep.csv":        "ee5ddc69bfa33ca496ef129cc981d9f2e0fb2c27433df70d4e2fcf994ff146e0",
+	"sweep.trace.json": "ac7f5d3239ce0623d3aefb8943e99da05e124ccab24650a9055f67f216c97089",
+}
+
+// TestArtifactFiles pins the files the sweep and the paper figures write:
+// the digests of a sweep's CSV and Chrome trace, and the bytes of every
+// -out file of a -screen-size 8 paper run, kept in testdata/out
+// (regenerate those with UPDATE_GOLDEN=1).
+func TestArtifactFiles(t *testing.T) {
+	dir := t.TempDir()
+	csv, trace := filepath.Join(dir, "sweep.csv"), filepath.Join(dir, "sweep.trace.json")
+	if code, _, stderr := clitest.Exec(t, "sweep", "-seed", "100", "-seeds", "2", "-csv", csv, "-chrome-trace", trace); code != 0 {
+		t.Fatalf("sweep: exit %d\nstderr: %s", code, stderr)
+	}
+	for name, want := range sweepArtifacts {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%s: sha256 %s, want %s", name, got, want)
+		}
+	}
+
+	out := filepath.Join(dir, "out")
+	if code, _, stderr := clitest.Exec(t, "experiments", "-screen-size", "8", "-out", out, "table1", "fig3", "fig4"); code != 0 {
+		t.Fatalf("paper figures: exit %d\nstderr: %s", code, stderr)
+	}
+	clitest.SameFiles(t, out, filepath.Join("testdata", "out"))
 }

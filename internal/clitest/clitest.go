@@ -95,3 +95,50 @@ func UsageError(t *testing.T, args ...string) {
 		t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and an error naming %s", args, code, stdout, stderr, name)
 	}
 }
+
+// SameFiles fails t unless directory got holds exactly the files of
+// directory want, byte for byte. With UPDATE_GOLDEN set it copies got's
+// files over want instead.
+func SameFiles(t *testing.T, got, want string) {
+	t.Helper()
+	files, err := os.ReadDir(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.RemoveAll(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.CopyFS(want, os.DirFS(got)); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	wantFiles, err := os.ReadDir(want)
+	if err != nil {
+		t.Fatalf("reading golden directory: %v (regenerate with UPDATE_GOLDEN=1)", err)
+	}
+	names := func(es []os.DirEntry) []string {
+		var out []string
+		for _, e := range es {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	if g, w := strings.Join(names(files), " "), strings.Join(names(wantFiles), " "); g != w {
+		t.Fatalf("%s holds [%s], want [%s]", got, g, w)
+	}
+	for _, f := range files {
+		g, err := os.ReadFile(filepath.Join(got, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := os.ReadFile(filepath.Join(want, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s differs from %s (regenerate with UPDATE_GOLDEN=1)\n--- got\n%s\n--- want\n%s", f.Name(), want, g, w)
+		}
+	}
+}
