@@ -16,8 +16,8 @@ import (
 func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestTranscripts pins stdout, stderr and the exit code of representative
-// invocations (testdata/cli; regenerate with UPDATE_GOLDEN=1), one
-// subtest per mode.
+// invocations (testdata/cli; regenerate with UPDATE_GOLDEN=1): single
+// campaigns and scenarios, the pair sweep, and the paper's figures.
 func TestTranscripts(t *testing.T) {
 	t.Run("run", func(t *testing.T) {
 		clitest.Run(t, []clitest.Case{
@@ -28,8 +28,11 @@ func TestTranscripts(t *testing.T) {
 			{Name: "run-events", Args: []string{"run", "-fault", "0.3", "-recovery", "retry", "-events"}},
 			{Name: "run-list-scenarios", Args: []string{"run", "-list-scenarios"}},
 			{Name: "run-scenario-pair", Args: []string{"run", "-scenario", "pair"}},
-			{Name: "run-scenario-pair-seed100", Args: []string{"run", "-scenario", "pair", "-seed", "100", "-seeds", "2", "-parallel", "2"}},
+			{Name: "run-scenario-pair-seed100", Args: []string{"run", "-scenario", "pair", "-seed", "100", "-parallel", "2"}},
 			{Name: "run-scenario-pair-protocol", Args: []string{"run", "-scenario", "pair", "-protocol", "imrp"}},
+			// A scenario rejects the workload flags it does not declare it
+			// reads, all of them by name.
+			{Name: "run-scenario-pair-workload", Args: []string{"run", "-scenario", "pair", "-tenants", "4", "-admit", "quota", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1", "-seeds", "3"}},
 			{Name: "run-checkpoint-warning", Args: []string{"run", "-checkpoint-interval", "30m"}},
 			// Single-campaign mode rejects the flags only scenarios honour.
 			{Name: "run-single-tenancy-seeds", Args: []string{"run", "-tenants", "4", "-admit", "quota", "-seeds", "3"}},
@@ -54,34 +57,39 @@ func TestTranscripts(t *testing.T) {
 			{Name: "run-positional-first", Args: []string{"run", "table1", "-cycles", "1"}},
 		})
 	})
+	// The CONT-V vs IM-RP pair across seeds: the sweep scenario.
 	t.Run("sweep", func(t *testing.T) {
 		clitest.Run(t, []clitest.Case{
-			{Name: "sweep-seeds2", Args: []string{"sweep", "-seed", "100", "-seeds", "2"}},
-			{Name: "sweep-seeds2-split-steer", Args: []string{"sweep", "-seed", "100", "-seeds", "2", "-pilots", "split", "-nodes", "4", "-steer", "hysteresis"}},
-			// The pair sweep rejects the flags only scenarios honour.
-			{Name: "sweep-tenants", Args: []string{"sweep", "-tenants", "4"}},
-			{Name: "sweep-fleet", Args: []string{"sweep", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1"}},
-			{Name: "sweep-negative-seeds", Args: []string{"sweep", "-seeds", "-2"}},
-			{Name: "sweep-positional", Args: []string{"sweep", "-seeds", "1", "fig2"}},
+			{Name: "sweep-seeds2", Args: []string{"run", "-scenario", "sweep", "-seed", "100", "-seeds", "2"}},
+			{Name: "sweep-seeds2-split-steer", Args: []string{"run", "-scenario", "sweep", "-seed", "100", "-seeds", "2", "-pilots", "split", "-nodes", "4", "-steer", "hysteresis"}},
+			// The pair sweep runs on each protocol's own machine, so it
+			// declares neither the fleet nor the tenant stream.
+			{Name: "sweep-tenants", Args: []string{"run", "-scenario", "sweep", "-tenants", "4"}},
+			{Name: "sweep-fleet", Args: []string{"run", "-scenario", "sweep", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1"}},
+			{Name: "sweep-negative-seeds", Args: []string{"run", "-scenario", "sweep", "-seeds", "-2"}},
+			{Name: "sweep-positional", Args: []string{"run", "-scenario", "sweep", "-seeds", "1", "fig2"}},
 		})
 	})
+	// The paper's evaluation: Table I and Figs. 2-5.
 	t.Run("experiments", func(t *testing.T) {
 		clitest.Run(t, []clitest.Case{
-			{Name: "experiments-all-screen8", Args: []string{"experiments", "-screen-size", "8"}},
-			{Name: "experiments-table1-bestfit", Args: []string{"experiments", "-policy", "bestfit", "table1"}},
-			{Name: "experiments-fig2-fault-retry", Args: []string{"experiments", "-fault", "0.1", "-recovery", "retry", "fig2"}},
-			{Name: "experiments-table1-steer", Args: []string{"experiments", "-steer", "greedy", "table1"}},
-			// Paper mode rejects every explicitly set flag it does not
-			// honour, including an explicit default and each tenancy flag.
-			{Name: "experiments-table1-admit", Args: []string{"experiments", "-admit", "quota", "table1"}},
-			{Name: "experiments-table1-steer-none", Args: []string{"experiments", "-steer", "none", "table1"}},
-			{Name: "experiments-table1-tenancy", Args: []string{"experiments", "-tenants", "3", "-arrival", "linear", "-arrival-span", "1h", "-admit", "quota", "-reclaim", "none", "table1"}},
-			{Name: "experiments-table1-preempt", Args: []string{"experiments", "-checkpoint-interval", "30m", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1", "-chrome-trace", "x.json", "table1"}},
-			{Name: "experiments-negative-screen", Args: []string{"experiments", "-screen-size", "-5"}},
+			{Name: "experiments-all-screen8", Args: []string{"run", "-scenario", "table1,fig2,fig3,fig4,fig5", "-screen-size", "8"}},
+			{Name: "experiments-table1-bestfit", Args: []string{"run", "-scenario", "table1", "-policy", "bestfit"}},
+			{Name: "experiments-fig2-fault-retry", Args: []string{"run", "-scenario", "fig2", "-fault", "0.1", "-recovery", "retry"}},
+			// Steering needs the split placement; with it the paper
+			// scenarios take the knob like every other scenario.
+			{Name: "experiments-table1-steer", Args: []string{"run", "-scenario", "table1", "-steer", "greedy"}},
+			{Name: "experiments-table1-steer-none", Args: []string{"run", "-scenario", "table1", "-steer", "none"}},
+			// The paper scenarios read neither the tenant stream nor the
+			// fleet, so each of those flags is rejected by name.
+			{Name: "experiments-table1-admit", Args: []string{"run", "-scenario", "table1", "-admit", "quota"}},
+			{Name: "experiments-table1-tenancy", Args: []string{"run", "-scenario", "table1", "-tenants", "3", "-arrival", "linear", "-arrival-span", "1h", "-admit", "quota", "-reclaim", "none"}},
+			{Name: "experiments-table1-preempt", Args: []string{"run", "-scenario", "table1,fig4", "-checkpoint-interval", "30m", "-fleet", "cpu:8c0g32m*2+gpu:8c4g32m*1", "-chrome-trace", "x.json"}},
+			{Name: "experiments-negative-screen", Args: []string{"run", "-scenario", "table1,fig3", "-screen-size", "-5"}},
 		})
 	})
 
-	// Without a known mode the binary lists the modes.
+	// Without the run mode the binary prints its usage.
 	clitest.Run(t, []clitest.Case{
 		{Name: "no-mode", Args: nil},
 		{Name: "unknown-mode", Args: []string{"-seed", "7"}},
@@ -90,46 +98,50 @@ func TestTranscripts(t *testing.T) {
 
 // TestNegativeCountsAreUsageErrors: a count below its default marker, or
 // past its ceiling, exits 2 with a message naming the flag before
-// anything runs; so does a positional argument to run or sweep. The
-// rows run in one subtest per mode, named by their first argument.
+// anything runs; so does a positional argument. The rows run in one
+// subtest per kind of run: single campaigns and scenarios, the pair
+// sweep, and the paper's figures.
 func TestNegativeCountsAreUsageErrors(t *testing.T) {
-	usage := [][]string{
-		{"run", "-cycles", "-1"},
-		{"run", "-sequences", "-1"},
-		{"run", "-max-concurrent", "-2"},
-		{"run", "-gantt", "-4"},
-		{"run", "-retries", "-2"},
-		{"run", "-screen-size", "-5"},
-		{"run", "-scenario", "screen", "-screen-size", "-5"},
-		{"run", "-scenario", "sweep", "-seeds", "-1"},
-		{"run", "-scenario", "screen", "-seeds", "-1"},
-		{"run", "-scenario", "fig3", "-screen-size", "-1"},
-		{"sweep", "-seeds", "-2"},
-		{"experiments", "-screen-size", "-5"},
-		{"run", "-parallel", "-3"},
-		{"run", "-scenario", "pair", "-parallel", "-3"},
-		{"sweep", "-parallel", "-1"},
-		{"experiments", "-parallel", "-2"},
-		{"run", "-pilots", "split", "-nodes", "100000000"},
-		{"sweep", "-nodes", "1048577"},
-		{"run", "-targets", "screen", "-screen-size", "0"},
+	usage := map[string][][]string{
+		"run": {
+			{"run", "-cycles", "-1"},
+			{"run", "-sequences", "-1"},
+			{"run", "-max-concurrent", "-2"},
+			{"run", "-gantt", "-4"},
+			{"run", "-retries", "-2"},
+			{"run", "-screen-size", "-5"},
+			{"run", "-scenario", "screen", "-screen-size", "-5"},
+			{"run", "-scenario", "sweep", "-seeds", "-1"},
+			{"run", "-scenario", "screen", "-seeds", "-1"},
+			{"run", "-scenario", "fig3", "-screen-size", "-1"},
+			{"run", "-parallel", "-3"},
+			{"run", "-scenario", "pair", "-parallel", "-3"},
+			{"run", "-pilots", "split", "-nodes", "100000000"},
+			{"run", "-targets", "screen", "-screen-size", "0"},
+		},
+		"sweep": {
+			{"run", "-scenario", "sweep", "-seeds", "-2"},
+			{"run", "-scenario", "sweep", "-parallel", "-1"},
+			{"run", "-scenario", "sweep", "-nodes", "1048577"},
+		},
+		"experiments": {
+			{"run", "-scenario", "table1,fig2,fig3,fig4,fig5", "-screen-size", "-5"},
+			{"run", "-scenario", "table1,fig2,fig3,fig4,fig5", "-parallel", "-2"},
+		},
 	}
-	positional := [][]string{
-		{"run", "-cycles", "1", "table1"},
-		{"run", "table1", "-cycles", "1"},
-		{"sweep", "-seeds", "1", "fig2"},
+	positional := map[string][][]string{
+		"run": {
+			{"run", "-cycles", "1", "table1"},
+			{"run", "table1", "-cycles", "1"},
+		},
+		"sweep": {{"run", "-scenario", "sweep", "-seeds", "1", "fig2"}},
 	}
-	for _, mode := range []string{"run", "sweep", "experiments"} {
-		t.Run(mode, func(t *testing.T) {
-			for _, args := range usage {
-				if args[0] == mode {
-					clitest.UsageError(t, args...)
-				}
+	for _, kind := range []string{"run", "sweep", "experiments"} {
+		t.Run(kind, func(t *testing.T) {
+			for _, args := range usage[kind] {
+				clitest.UsageError(t, args...)
 			}
-			for _, args := range positional {
-				if args[0] != mode {
-					continue
-				}
+			for _, args := range positional[kind] {
 				code, stdout, stderr := clitest.Exec(t, args...)
 				if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "unexpected argument ") {
 					t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and an unexpected-argument error", args, code, stdout, stderr)
@@ -142,41 +154,46 @@ func TestNegativeCountsAreUsageErrors(t *testing.T) {
 // TestNonFiniteProbabilitiesAreUsageErrors: -fault and -cascade, the
 // two float flags, reject NaN and ±Inf (instead of running fault-free)
 // and values outside [0, 1) with exit 2 and an error naming the flag,
-// in every mode.
+// for single campaigns, the pair sweep and the paper's figures.
 func TestNonFiniteProbabilitiesAreUsageErrors(t *testing.T) {
-	for _, mode := range []string{"run", "sweep", "experiments"} {
-		t.Run(mode, func(t *testing.T) {
+	for kind, prefix := range map[string][]string{
+		"run":         {"run"},
+		"sweep":       {"run", "-scenario", "sweep"},
+		"experiments": {"run", "-scenario", "table1,fig2,fig3,fig4,fig5"},
+	} {
+		t.Run(kind, func(t *testing.T) {
 			for _, v := range []string{"NaN", "+Inf", "-Inf", "1.5", "-0.1"} {
-				clitest.UsageError(t, mode, "-fault", v)
-				clitest.UsageError(t, mode, "-mtbf", "12h", "-cascade", v)
+				clitest.UsageError(t, append(slices.Clone(prefix), "-fault", v)...)
+				clitest.UsageError(t, append(slices.Clone(prefix), "-mtbf", "12h", "-cascade", v)...)
 			}
 		})
 	}
 }
 
-// TestModeRules pins which flags each mode honours: every registered
-// flag must be in the table, and each mode's rule must agree with it.
+// TestModeRules pins which flags each kind of run honours: every
+// registered flag must be in the table, and the rule of each run must
+// agree with it.
 func TestModeRules(t *testing.T) {
-	const all = "run pair table1 sweep experiments"
-	const execution = "run pair table1 sweep"
+	const all = "run pair table1 sweep tenant-sweep paper"
 	honoured := map[string]string{
 		"seed": all, "parallel": all, "policy": all, "recovery": all,
 		"fault": all, "mtbf": all, "repair": all, "outage-mtbf": all,
 		"outage-dur": all, "cascade": all, "cascade-window": all, "maintenance": all,
 		"cpuprofile": all, "memprofile": all,
+		"pilots": all, "nodes": all, "steer": all,
+		"checkpoint-interval": all, "chrome-trace": all,
+		"scenario": all, "list-scenarios": all,
 
-		"pilots": execution, "nodes": execution, "steer": execution,
-		"checkpoint-interval": execution, "chrome-trace": execution,
+		// The workload flags: each scenario declares the ones it reads.
+		"fleet":   "run tenant-sweep",
+		"tenants": "tenant-sweep", "arrival": "tenant-sweep", "arrival-span": "tenant-sweep",
+		"admit": "tenant-sweep", "reclaim": "tenant-sweep",
+		"screen-size": "run tenant-sweep paper", // fig3 reads the screen width
+		"seeds":       "sweep tenant-sweep",
 
-		"fleet":   "run pair table1",
-		"tenants": "pair table1", "arrival": "pair table1", "arrival-span": "pair table1",
-		"admit": "pair table1", "reclaim": "pair table1",
-
-		"scenario": "run pair table1", "list-scenarios": "run pair table1",
-		"screen-size": "run pair table1 experiments",
-		"seeds":       "pair table1 sweep",
-		"csv":         "run table1 sweep", // pair declares no CSV report
-		"out":         "experiments",
+		// pair declares no report; -csv names one file.
+		"csv": "run table1 sweep tenant-sweep",
+		"out": "table1 sweep tenant-sweep paper",
 
 		"protocol": "run", "targets": "run", "cycles": "run", "sequences": "run",
 		"retries": "run", "max-concurrent": "run", "no-subs": "run",
@@ -184,30 +201,34 @@ func TestModeRules(t *testing.T) {
 		"events": "run", "gantt": "run", "v": "run",
 	}
 	for _, c := range []struct {
-		label, mode string
-		args        []string
+		label string
+		args  []string
 	}{
-		{"run", "run", nil},
-		{"pair", "run", []string{"-scenario", "pair"}},
-		{"table1", "run", []string{"-scenario", "table1"}},
-		{"sweep", "sweep", nil},
-		{"experiments", "experiments", nil},
+		{"run", nil},
+		{"pair", []string{"-scenario", "pair"}},
+		{"table1", []string{"-scenario", "table1"}},
+		{"sweep", []string{"-scenario", "sweep"}},
+		{"tenant-sweep", []string{"-scenario", "tenant-sweep"}},
+		{"paper", []string{"-scenario", "table1,fig2,fig3,fig4,fig5"}},
 	} {
-		fs := flag.NewFlagSet(c.mode, flag.ContinueOnError)
+		fs := flag.NewFlagSet("run", flag.ContinueOnError)
 		f := newFlags(fs)
 		if err := fs.Parse(c.args); err != nil {
 			t.Fatal(err)
 		}
-		_, honours := lookupMode(c.mode).rule(f)
+		if err := f.check(); err != nil {
+			t.Fatal(err)
+		}
+		_, honours := f.rule()
 		registered := 0
 		fs.VisitAll(func(fl *flag.Flag) {
 			registered++
-			modes, ok := honoured[fl.Name]
+			kinds, ok := honoured[fl.Name]
 			if !ok {
 				t.Errorf("flag -%s is missing from the table", fl.Name)
 				return
 			}
-			if got, want := honours(fl.Name), slices.Contains(strings.Fields(modes), c.label); got != want {
+			if got, want := honours(fl.Name), slices.Contains(strings.Fields(kinds), c.label); got != want {
 				t.Errorf("%s: honours(-%s) = %v, want %v", c.label, fl.Name, got, want)
 			}
 		})
@@ -217,49 +238,51 @@ func TestModeRules(t *testing.T) {
 	}
 }
 
-// TestOutWritesReportFiles pins -out: every selected experiment writes
-// <id>.txt, equal to its stdout section below the "###" header, and
-// <id>.csv, whose header names the experiment's CSV kind.
+// TestOutWritesReportFiles pins -out: every named scenario writes
+// <name>.txt, equal to the report text of its stdout block, and
+// <name>.csv, whose header names the scenario's CSV kind.
 func TestOutWritesReportFiles(t *testing.T) {
 	dir := t.TempDir()
-	code, stdout, stderr := clitest.Exec(t, "experiments", "-out", dir, "table1", "fig4")
+	code, stdout, stderr := clitest.Exec(t, "run", "-scenario", "table1,fig4", "-out", dir)
 	if code != 0 {
 		t.Fatalf("exit %d\nstderr: %s", code, stderr)
 	}
 
-	// A section is every line from one "### <id> — <title>" header to the
-	// next: a blank line, the experiment's text, and Println's newline.
-	sections := map[string]string{}
-	id := ""
+	// A block is every line from one "scenario <name>: " header to the
+	// next.
+	blocks := map[string]string{}
+	name := ""
 	for _, line := range strings.SplitAfter(stdout, "\n") {
-		if rest, ok := strings.CutPrefix(line, "### "); ok {
-			id, _, _ = strings.Cut(rest, " ")
-			continue
+		if rest, ok := strings.CutPrefix(line, "scenario "); ok {
+			name, _, _ = strings.Cut(rest, ":")
 		}
-		sections[id] += line
+		blocks[name] += line
 	}
-	for id, csvHeader := range map[string]string{"table1": "approach,iteration", "fig4": "approach,resource"} {
-		body, ok := sections[id]
+	for name, csvHeader := range map[string]string{"table1": "approach,iteration", "fig4": "approach,resource"} {
+		block, ok := blocks[name]
 		if !ok {
-			t.Fatalf("no ### %s section in stdout:\n%s", id, stdout)
+			t.Fatalf("no scenario %s block in stdout:\n%s", name, stdout)
 		}
-		txt, err := os.ReadFile(filepath.Join(dir, id+".txt"))
+		txt, err := os.ReadFile(filepath.Join(dir, name+".txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if "\n"+string(txt)+"\n" != body {
-			t.Errorf("%s.txt differs from its stdout section\n--- file\n%s\n--- stdout\n%s", id, txt, body)
+		// The report follows the campaign summaries, each ending in a
+		// blank line, and precedes the lines naming the written files.
+		wrote := fmt.Sprintf("wrote %s\nwrote %s\n", filepath.Join(dir, name+".txt"), filepath.Join(dir, name+".csv"))
+		if !strings.HasSuffix(block, "\n\n"+string(txt)+"\n"+wrote) {
+			t.Errorf("%s.txt is not the report text of its stdout block\n--- file\n%s\n--- stdout\n%s", name, txt, block)
 		}
-		csv, err := os.ReadFile(filepath.Join(dir, id+".csv"))
+		csv, err := os.ReadFile(filepath.Join(dir, name+".csv"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !strings.HasPrefix(string(csv), csvHeader+",") {
-			t.Errorf("%s.csv header %q, want prefix %q", id, strings.SplitN(string(csv), "\n", 2)[0], csvHeader)
+			t.Errorf("%s.csv header %q, want prefix %q", name, strings.SplitN(string(csv), "\n", 2)[0], csvHeader)
 		}
 	}
-	if len(sections) != 2 {
-		t.Errorf("stdout has %d sections, want 2", len(sections))
+	if len(blocks) != 2 {
+		t.Errorf("stdout has %d blocks, want 2", len(blocks))
 	}
 }
 
@@ -277,7 +300,7 @@ var sweepArtifacts = map[string]string{
 func TestArtifactFiles(t *testing.T) {
 	dir := t.TempDir()
 	csv, trace := filepath.Join(dir, "sweep.csv"), filepath.Join(dir, "sweep.trace.json")
-	if code, _, stderr := clitest.Exec(t, "sweep", "-seed", "100", "-seeds", "2", "-csv", csv, "-chrome-trace", trace); code != 0 {
+	if code, _, stderr := clitest.Exec(t, "run", "-scenario", "sweep", "-seed", "100", "-seeds", "2", "-csv", csv, "-chrome-trace", trace); code != 0 {
 		t.Fatalf("sweep: exit %d\nstderr: %s", code, stderr)
 	}
 	for name, want := range sweepArtifacts {
@@ -291,7 +314,7 @@ func TestArtifactFiles(t *testing.T) {
 	}
 
 	out := filepath.Join(dir, "out")
-	if code, _, stderr := clitest.Exec(t, "experiments", "-screen-size", "8", "-out", out, "table1", "fig3", "fig4"); code != 0 {
+	if code, _, stderr := clitest.Exec(t, "run", "-scenario", "table1,fig3,fig4", "-screen-size", "8", "-out", out); code != 0 {
 		t.Fatalf("paper figures: exit %d\nstderr: %s", code, stderr)
 	}
 	clitest.SameFiles(t, out, filepath.Join("testdata", "out"))

@@ -61,8 +61,9 @@ type Params struct {
 	// "cpu:28c0g128m*900+gpu:8c4g32m*100@rackB", with optional @domain
 	// failure-domain labels) for scenarios that run on a generated
 	// heterogeneous fleet; empty keeps each scenario's default. The
-	// kilo-screen and chaos-sweep scenarios consume it — like Targets
-	// for pair, other scenarios ignore it.
+	// kilo-screen, chaos-sweep and tenant-sweep scenarios read it; the
+	// others do not declare it (Scenario.Reads), and the impress command
+	// rejects -fleet for them.
 	Fleet string
 	// Telemetry turns the observability recorder on in every campaign:
 	// instants, steering ticks, and gauge series land in each Result's
@@ -74,7 +75,9 @@ type Params struct {
 	// scenario rejects it — racing checkpoint intervals is its point.
 	CheckpointInterval time.Duration
 	// Tenants is the number of arriving campaigns in the tenant-sweep
-	// scenario (default 8). Other scenarios ignore it.
+	// scenario (default 8). Only tenant-sweep declares it, and the four
+	// tenancy fields below (Scenario.Reads), so the impress command
+	// rejects the tenancy flags for every other scenario.
 	Tenants int
 	// Arrival names the tenant arrival process for tenant-sweep
 	// (internal/fleet kind: instant, linear, exponential, wave; empty
@@ -116,6 +119,11 @@ type Scenario struct {
 	Name        string
 	Description string
 	Build       func(p Params) ([]Campaign, error)
+	// Reads declares the workload parameters Build reads; Build ignores
+	// the others. The impress command rejects the flags of undeclared
+	// parameters. Every builder reads the execution knobs (Seed, Nodes,
+	// Policy, Fault...) through Configure, or rejects them itself.
+	Reads Inputs
 	// Report, when set, renders a scenario-level summary over the
 	// completed results of one run (e.g. the policy-compare table).
 	// Nil means the scenario has no cross-campaign report.
@@ -123,6 +131,17 @@ type Scenario struct {
 	// ReportCSV, when set, writes the scenario's per-campaign report
 	// rows as CSV — the machine-readable companion of Report.
 	ReportCSV func(w io.Writer, results []*core.Result) error
+}
+
+// Inputs names the workload parameters of Params a scenario builder
+// may read.
+type Inputs struct {
+	// Seeds is Params.Seeds, Targets is Params.Targets and Fleet is
+	// Params.Fleet.
+	Seeds, Targets, Fleet bool
+	// Tenancy is the five tenant-stream fields: Tenants, Arrival,
+	// ArrivalSpan, Admission and Reclaim.
+	Tenancy bool
 }
 
 var registry = struct {
@@ -608,6 +627,7 @@ func init() {
 	must(Register(Scenario{
 		Name:        "fig3",
 		Description: "Fig. 3: per-iteration AlphaFold metrics for the expanded IM-RP workflow (70 structures)",
+		Reads:       Inputs{Targets: true},
 		Build: func(p Params) ([]Campaign, error) {
 			cs, err := screen(p)
 			if err != nil {
@@ -638,18 +658,23 @@ func init() {
 	must(Register(Scenario{
 		Name:        "sweep",
 		Description: "the pair comparison replicated across Seeds consecutive seeds",
+		Reads:       Inputs{Seeds: true},
 		Build: func(p Params) ([]Campaign, error) {
 			return pairGrid.expand(p.withDefaults(defaultSeeds, defaultTargets))
 		},
+		Report:    report.Sweep,
+		ReportCSV: report.SweepCSV,
 	}))
 	must(Register(Scenario{
 		Name:        "screen",
 		Description: "one IM-RP campaign over Targets PDB-mined PDZ-peptide complexes (Fig. 3 workload)",
+		Reads:       Inputs{Targets: true},
 		Build:       screen,
 	}))
 	must(Register(Scenario{
 		Name:        "stress",
 		Description: "multi-target stress test: Seeds independent screen campaigns of Targets complexes each",
+		Reads:       Inputs{Seeds: true, Targets: true},
 		Build: func(p Params) ([]Campaign, error) {
 			p = p.withDefaults(defaultSeeds, defaultTargets)
 			return screenGrid(p.Targets).expand(p)
@@ -659,6 +684,7 @@ func init() {
 		Name: "mega-screen",
 		Description: "one IM-RP campaign over at least 128 PDB-mined complexes on the split CPU/GPU pilot pair — " +
 			"the perf-harness workload behind BenchmarkMegaScreen (smaller Targets values are raised to 128)",
+		Reads: Inputs{Targets: true},
 		Build: func(p Params) ([]Campaign, error) {
 			// The floor defines the scenario: "mega" means the simulator
 			// is driven well past the paper's 70-complex screen. Explicit
@@ -675,6 +701,7 @@ func init() {
 		Description: "one IM-RP screen campaign on a generated heterogeneous fleet of at least 1000 nodes " +
 			"(Fleet template spec, default 900 CPU + 100 GPU nodes) with faults and steering on by default — " +
 			"the kilo-node workload behind BenchmarkKiloScreen",
+		Reads: Inputs{Targets: true, Fleet: true},
 		Build: func(p Params) ([]Campaign, error) {
 			// "Kilo" is about the fleet, not the screen: the node floor is
 			// enforced here, while Targets stays tunable so CI race smokes
@@ -717,6 +744,7 @@ func init() {
 	must(Register(Scenario{
 		Name:        "policy-compare",
 		Description: "races every scheduling policy (fifo, backfill, bestfit, worstfit, largest) as IM-RP campaigns over a Seeds-wide seed sweep of the four PDZ domains",
+		Reads:       Inputs{Seeds: true},
 		Build: func(p Params) ([]Campaign, error) {
 			p = p.withDefaults(defaultSeeds, defaultTargets)
 			if p.Policy != "" {
@@ -737,6 +765,7 @@ func init() {
 		Description: "races every elastic steering policy (none, greedy, hysteresis) as IM-RP screen campaigns on a " +
 			"4-node split CPU/GPU placement over a Seeds-wide seed grid, against the frozen split, " +
 			"and reports makespan speedup / utilization / node-transfer counts",
+		Reads: Inputs{Seeds: true, Targets: true},
 		Build: func(p Params) ([]Campaign, error) {
 			// An explicit "none" is the frozen default (and a cell of the
 			// race anyway); only an actual steering policy is a conflict.
@@ -768,6 +797,7 @@ func init() {
 		Name: "fault-sweep",
 		Description: "races every fault-recovery policy (none, retry, backoff, elsewhere) across a failure-rate grid " +
 			"and a Seeds-wide seed sweep, against fault-free baselines, and reports goodput / wasted work / makespan inflation",
+		Reads: Inputs{Seeds: true},
 		Build: func(p Params) ([]Campaign, error) {
 			p = p.withDefaults(defaultSeeds, defaultTargets)
 			if p.Recovery != "" {
@@ -799,6 +829,7 @@ func init() {
 		Description: "races every fault-recovery policy × every steering policy on a small labeled fleet under a fixed " +
 			"correlated-failure mix (node crashes, whole-rack outages, same-rack cascades, a recurring maintenance window), " +
 			"against a fault-free frozen baseline, and reports goodput / makespan inflation / crash+outage counts",
+		Reads: Inputs{Seeds: true, Targets: true, Fleet: true},
 		Build: func(p Params) ([]Campaign, error) {
 			if p.Recovery != "" {
 				return nil, fmt.Errorf("campaign: chaos-sweep races every recovery policy; a fixed policy %q does not apply", p.Recovery)
@@ -845,6 +876,7 @@ func init() {
 		Description: "races checkpoint cadences × (hard kill vs graceful drain) × (frozen vs preemptive steering) on a " +
 			"three-pilot machine whose first CPU pilot hits a fault-model walltime mid-screen, against a fault-free " +
 			"baseline, and reports goodput / makespan inflation / wasted vs preempted core-hours / evictions / resumes",
+		Reads: Inputs{Seeds: true, Targets: true},
 		Build: func(p Params) ([]Campaign, error) {
 			if p.CheckpointInterval > 0 {
 				return nil, fmt.Errorf("campaign: preempt-sweep races checkpoint intervals; a fixed interval %v does not apply", p.CheckpointInterval)
@@ -905,6 +937,7 @@ func init() {
 		Description: "races every admission-control policy (fcfs-admit, quota, weighted-fair) over Tenants arriving " +
 			"screen campaigns contending for one shared pool with fairshare quota reclaim, and reports Jain's " +
 			"fairness index over per-tenant slowdowns against aggregate makespan",
+		Reads: Inputs{Seeds: true, Targets: true, Fleet: true, Tenancy: true},
 		Build: func(p Params) ([]Campaign, error) {
 			admissions := tenancy.Names()
 			if p.Admission != "" {

@@ -29,14 +29,24 @@ type scenarioCase struct {
 // parameter set, then the overrides each sweep honours or rejects.
 func scenarioCases() []scenarioCase {
 	var cases []scenarioCase
-	for _, name := range Names() {
+	for _, sc := range Scenarios() {
+		// Each workload parameter the scenario does not declare it reads
+		// (Scenario.Reads) is set to a value of its own, so the golden
+		// changes if the builder reads it after all.
 		p := Params{Seed: 3, Seeds: 2, Targets: 2}
-		if name == "kilo-screen" || name == "mega-screen" {
-			// Both build a large floor (a kilo-node fleet, 128 targets)
-			// per seed, so one seed pins the expansion.
-			p.Seeds = 1
+		if !sc.Reads.Seeds {
+			p.Seeds = 3
 		}
-		cases = append(cases, scenarioCase{name, "default", p})
+		if !sc.Reads.Targets {
+			p.Targets = 3
+		}
+		if !sc.Reads.Fleet {
+			p.Fleet = "cpu:8c0g32m*2+gpu:8c4g32m*1"
+		}
+		if !sc.Reads.Tenancy {
+			p.Tenants, p.Arrival, p.ArrivalSpan, p.Admission, p.Reclaim = 3, "linear", time.Hour, "quota", "none"
+		}
+		cases = append(cases, scenarioCase{sc.Name, "default", p})
 	}
 	base := Params{Seed: 3, Seeds: 2, Targets: 2}
 	with := func(edit func(*Params)) Params {

@@ -1,12 +1,13 @@
 // Package cliflags is the shared flag plumbing of the impress command.
 //
-// Every mode of cmd/impress (run, sweep and experiments) exposes the
-// same execution knobs — seed, engine parallelism, pilot placement,
-// scheduling policy, the fault/recovery configuration, steering,
-// preemption and tenancy. Here they are registered once, with one
-// default each, bound straight into the campaign.Params every mode runs
-// from, validated in one place, and guarded in one place against flags
-// a mode does not honour (Common.Reject).
+// impress run, the one mode of cmd/impress, exposes the same execution
+// knobs to a single campaign and to every scenario — seed, engine
+// parallelism, pilot placement, scheduling policy, the fault/recovery
+// configuration, steering and preemption — plus the fleet and tenancy
+// workload flags. Here they are registered once, with one default each,
+// bound straight into the campaign.Params every run starts from,
+// validated in one place, and guarded in one place against flags a run
+// does not honour (Common.Reject).
 package cliflags
 
 import (
@@ -28,8 +29,8 @@ import (
 )
 
 // Common holds the parsed values of the shared flags. The execution
-// knobs bind straight into a campaign.Params, the one spec every mode
-// runs from; only the two fault-model inputs that need assembling and
+// knobs bind straight into a campaign.Params, the one spec every run
+// starts from; only the two fault-model inputs that need assembling and
 // the command-level flags live here.
 type Common struct {
 	p campaign.Params
@@ -132,9 +133,9 @@ func (c *Common) Params() campaign.Params {
 }
 
 // Reject returns an error naming every flag set explicitly on the
-// command line that the running mode does not honour, or nil. mode
-// completes the message "flags [...] do not apply to <mode>".
-func (c *Common) Reject(mode string, honoured func(name string) bool) error {
+// command line that the run does not honour, or nil. scope completes
+// the message "flags [...] do not apply to <scope>".
+func (c *Common) Reject(scope string, honoured func(name string) bool) error {
 	var ignored []string
 	c.fs.Visit(func(f *flag.Flag) {
 		if !honoured(f.Name) {
@@ -144,7 +145,7 @@ func (c *Common) Reject(mode string, honoured func(name string) bool) error {
 	if len(ignored) == 0 {
 		return nil
 	}
-	return fmt.Errorf("flags %v do not apply to %s", ignored, mode)
+	return fmt.Errorf("flags %v do not apply to %s", ignored, scope)
 }
 
 // Shared reports whether name is one of the flags Register declared, as
@@ -152,8 +153,8 @@ func (c *Common) Reject(mode string, honoured func(name string) bool) error {
 func (c *Common) Shared(name string) bool { return c.shared[name] }
 
 // Tenancy reports whether name is one of the tenancy flags (-tenants,
-// -arrival, -arrival-span, -admit, -reclaim), which only the tenant-sweep
-// scenario honours.
+// -arrival, -arrival-span, -admit, -reclaim), which only a scenario that
+// reads the tenant stream honours (tenant-sweep).
 func Tenancy(name string) bool {
 	switch name {
 	case "tenants", "arrival", "arrival-span", "admit", "reclaim":
@@ -279,9 +280,9 @@ func (c *Common) Validate() error {
 
 // Warnings returns advisory messages for flag combinations that parse
 // and validate but do nothing: a dependent flag was set while the
-// mechanism it rides on is off. The run and sweep modes print them to
-// stderr on direct campaign runs (scenario runs supply their own
-// defaults, so flag-only analysis would cry wolf there).
+// mechanism it rides on is off. impress run prints them to stderr for a
+// single campaign; scenarios supply their own defaults, so flag-only
+// analysis would cry wolf there, and scenario runs print none.
 func (c *Common) Warnings() []string {
 	p := &c.p
 	var out []string

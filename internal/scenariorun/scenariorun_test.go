@@ -24,6 +24,16 @@ func register(t *testing.T, s campaign.Scenario) {
 	}
 }
 
+// lookup returns the registered scenarios list names.
+func lookup(t *testing.T, list string) []campaign.Scenario {
+	t.Helper()
+	scs, err := Lookup(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scs
+}
+
 // miniCampaign is a small adaptive campaign that completes in well under
 // a second.
 func miniCampaign(t *testing.T, name string) campaign.Campaign {
@@ -46,7 +56,7 @@ func TestRunWarnsWhenScenarioHasNoCSVReport(t *testing.T) {
 	})
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	var stdout, stderr strings.Builder
-	code := Run(&stdout, &stderr, "srun-nocsv", campaign.Params{}, 1, csv, "")
+	code := Run(&stdout, &stderr, lookup(t, "srun-nocsv"), campaign.Params{}, Options{Workers: 1, CSV: csv})
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
@@ -73,7 +83,7 @@ func TestRunWarnsWhenEveryCampaignFailed(t *testing.T) {
 	})
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	var stdout, stderr strings.Builder
-	code := Run(&stdout, &stderr, "srun-allfail", campaign.Params{}, 1, csv, "")
+	code := Run(&stdout, &stderr, lookup(t, "srun-allfail"), campaign.Params{}, Options{Workers: 1, CSV: csv})
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (a campaign failed)", code)
 	}
@@ -98,7 +108,7 @@ func TestRunWritesDeclaredCSV(t *testing.T) {
 	})
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	var stdout, stderr strings.Builder
-	code := Run(&stdout, &stderr, "srun-ok", campaign.Params{}, 1, csv, "")
+	code := Run(&stdout, &stderr, lookup(t, "srun-ok"), campaign.Params{}, Options{Workers: 1, CSV: csv})
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
@@ -129,11 +139,39 @@ func TestRunFailsOnUnwritableCSV(t *testing.T) {
 	})
 	csv := filepath.Join(t.TempDir(), "missing-dir", "out.csv")
 	var stdout, stderr strings.Builder
-	code := Run(&stdout, &stderr, "srun-unwritable", campaign.Params{}, 1, csv, "")
+	code := Run(&stdout, &stderr, lookup(t, "srun-unwritable"), campaign.Params{}, Options{Workers: 1, CSV: csv})
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 for an unwritable CSV", code)
 	}
 	if stderr.Len() == 0 {
 		t.Fatal("no error message for the unwritable CSV")
+	}
+}
+
+// TestListPrintsEachScenarioBlock: a list runs as one batch, and prints
+// for each scenario, in list order, the block a run of it alone prints.
+func TestListPrintsEachScenarioBlock(t *testing.T) {
+	run := func(list string) string {
+		var stdout, stderr strings.Builder
+		if code := Run(&stdout, &stderr, lookup(t, list), campaign.Params{Seed: 5}, Options{Workers: 2}); code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", list, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	if got, want := run("fig5,fig4"), run("fig5")+run("fig4"); got != want {
+		t.Errorf("fig5,fig4 prints\n%s\nwant the fig5 and fig4 blocks\n%s", got, want)
+	}
+}
+
+func TestLookupRejectsUnknownAndRepeatedNames(t *testing.T) {
+	for list, want := range map[string]string{
+		"table1,nope":    `unknown scenario "nope"`,
+		"table1,":        `unknown scenario ""`,
+		"fig4,fig4":      `scenario "fig4" named twice`,
+		"fig2,fig3,fig2": `scenario "fig2" named twice`,
+	} {
+		if _, err := Lookup(list); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Lookup(%q) = %v, want an error containing %q", list, err, want)
+		}
 	}
 }
