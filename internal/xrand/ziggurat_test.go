@@ -277,22 +277,56 @@ func zigguratRowDigest(seed uint64) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// zigguratTableDigest returns the sha256 of one long call from a fresh
+// generator at seed, each cell as its float32 bits, followed by the
+// generator's end state: AddZiggurat over a 400-cell coupling table, or
+// FillZiggurat over the 98×20 cells of a mined target's fields.
+func zigguratTableDigest(seed uint64, add bool) string {
+	r := New(seed)
+	var row []float32
+	if add {
+		src := make([]float32, 400)
+		for i := range src {
+			src[i] = float32(i%23)/7 - 1.5
+		}
+		row = make([]float32, len(src))
+		r.AddZiggurat(row, src, 0.9)
+	} else {
+		row = make([]float32, 98*20)
+		r.FillZiggurat(row, 0.45)
+	}
+	var buf []byte
+	for _, v := range row {
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+	}
+	sum := sha256.Sum256(binary.LittleEndian.AppendUint64(buf, r.state))
+	return hex.EncodeToString(sum[:])
+}
+
 // TestZigguratStreamDigests pins the streams every seeded model and
 // surrogate is drawn from: a change to any draw, to the words a draw
 // consumes or to a row fill's rounding changes a digest.
 func TestZigguratStreamDigests(t *testing.T) {
 	for _, c := range []struct {
-		seed        uint64
-		draws, rows string
+		seed                   uint64
+		draws, rows, add, fill string
 	}{
-		{42, "4d90962885ccef9ac2339d2378a382d82b04784aad7d823082b983696c7de7cf", "721fdd524dd07ebf65891cede9ae7044f1ddab31e437379abef70f84fd68d1e8"},
-		{7, "5fb1fc5520fe6b2bd47881eaf80a514a079cf82012521ef034249c1930128e6b", "350e4c26ff07bd597cdac48c86ce8b4cc886fdc8643e832711b29111e21d9f04"},
+		{42, "4d90962885ccef9ac2339d2378a382d82b04784aad7d823082b983696c7de7cf", "721fdd524dd07ebf65891cede9ae7044f1ddab31e437379abef70f84fd68d1e8",
+			"415ed38b0388bf4bae0e489bc3b01a518b8cc90e4ebdf1dbef503ca1a250862f", "b46737b8c9e9acf1749216ec72efce9a433328ec95cfd7b03b7cab2b7aa44261"},
+		{7, "5fb1fc5520fe6b2bd47881eaf80a514a079cf82012521ef034249c1930128e6b", "350e4c26ff07bd597cdac48c86ce8b4cc886fdc8643e832711b29111e21d9f04",
+			"7951195323bb9608e20171a40678ae790b89449d3131e5e251388df30ef9d6c9", "9bbe02b3e6411fd866b96cfe0a7dd347e19de69b2e31d5590a1a60f06735ff43"},
 	} {
 		if got := zigguratDigest(c.seed); got != c.draws {
 			t.Errorf("seed %d: Ziggurat stream digest %s, want %s", c.seed, got, c.draws)
 		}
 		if got := zigguratRowDigest(c.seed); got != c.rows {
 			t.Errorf("seed %d: row fill digest %s, want %s", c.seed, got, c.rows)
+		}
+		if got := zigguratTableDigest(c.seed, true); got != c.add {
+			t.Errorf("seed %d: 400-cell AddZiggurat digest %s, want %s", c.seed, got, c.add)
+		}
+		if got := zigguratTableDigest(c.seed, false); got != c.fill {
+			t.Errorf("seed %d: 98×20-cell FillZiggurat digest %s, want %s", c.seed, got, c.fill)
 		}
 	}
 }
