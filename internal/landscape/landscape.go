@@ -28,10 +28,10 @@
 //
 // Bulk draws — a model's fields and coupling tables, and a surrogate's
 // noise — are ziggurat normals taken from one sequential stream in
-// row-major order: the fields, then each edge's W. Each 20-value row is
-// one xrand.FillZiggurat or AddZiggurat call, which draws exactly what one
-// Ziggurat call per cell would; tests compare both against that per-draw
-// loop bit for bit. The sparse draws elsewhere (calibration samples,
+// row-major order: the fields, then each edge's W. Each table (all the
+// fields, or one edge's 400 couplings) is one xrand.FillZiggurat or
+// AddZiggurat call, which draws exactly what one Ziggurat call per cell
+// would; tests compare both against that per-draw loop bit for bit. The sparse draws elsewhere (calibration samples,
 // Gibbs picks) take one value at a time.
 package landscape
 
@@ -40,6 +40,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"impress/internal/protein"
 	"impress/internal/xrand"
@@ -124,7 +125,7 @@ type Model struct {
 
 // New builds the landscape for a structure. The same (structure geometry,
 // peptide sequence, seed) always yields an identical model. Its fields and
-// coupling tables are ziggurat normals drawn a row at a time with
+// coupling tables are ziggurat normals drawn a table at a time with
 // xrand.FillZiggurat, bit-identical to one Ziggurat call per cell: each
 // cell is z*std computed in float64 and rounded once to float32.
 func New(st *protein.Structure, seed uint64, cfg Config) *Model {
@@ -141,11 +142,9 @@ func New(st *protein.Structure, seed uint64, cfg Config) *Model {
 		cfg:    cfg,
 	}
 	// Bulk draws take ziggurat normals, one per cell in row-major order:
-	// fields, then each edge's W, a whole row per FillZiggurat call.
+	// fields, then each edge's W, a whole table per FillZiggurat call.
 	rng := xrand.New(xrand.Derive(seed, "landscape:"+st.Name))
-	for i := range m.Fields {
-		rng.FillZiggurat(m.Fields[i][:], cfg.FieldStd)
-	}
+	rng.FillZiggurat(fieldCells(m.Fields), cfg.FieldStd)
 	contacts := st.Contacts(cfg.ContactCutoff)
 	m.Edges = make([]Edge, len(contacts))
 	for k, c := range contacts {
@@ -155,13 +154,23 @@ func New(st *protein.Structure, seed uint64, cfg Config) *Model {
 		if c.Interchain {
 			std = cfg.InterCouplingStd
 		}
-		for a := range e.W {
-			rng.FillZiggurat(e.W[a][:], std)
-		}
+		rng.FillZiggurat(couplingCells(&e.W), std)
 	}
 	m.buildAdjacency()
 	m.calibrate(st)
 	return m
+}
+
+// fieldCells views the field rows as one row-major slice of cells: the
+// rows are contiguous arrays, so the view is exact.
+func fieldCells(f [][protein.NumAA]float32) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(f))), len(f)*protein.NumAA)
+}
+
+// couplingCells views a coupling table as its 400 cells in row-major
+// order.
+func couplingCells(w *[protein.NumAA][protein.NumAA]float32) []float32 {
+	return unsafe.Slice(&w[0][0], protein.NumAA*protein.NumAA)
 }
 
 // buildAdjacency derives the per-position half-edge lists. The lists live
@@ -633,8 +642,8 @@ func (m *Model) Recycle(c *Model) {
 // Every cell is rewritten from the truth model and the seed's noise
 // stream, so the result is bit-identical to a fresh corruption; only the
 // allocator traffic differs. A nil reuse allocates a fresh surrogate. The
-// noise is added a row at a time with xrand.AddZiggurat, bit-identical to
-// one Ziggurat call per cell: each cell is truth + z*std computed in
+// noise is added a table at a time with xrand.AddZiggurat, bit-identical
+// to one Ziggurat call per cell: each cell is truth + z*std computed in
 // float64 and rounded once to float32.
 func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
 	if !(level >= 0) || math.IsInf(level, 1) {
@@ -657,12 +666,9 @@ func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
 	c.seed, c.cfg = seed, m.cfg
 
 	// The noise takes ziggurat normals in New's cell order, one
-	// AddZiggurat call per row.
+	// AddZiggurat call per table.
 	rng := xrand.Seeded(xrand.Derive(seed, "corrupt:"+m.Name))
-	fStd := m.cfg.FieldStd * level
-	for i := range m.Fields {
-		rng.AddZiggurat(c.Fields[i][:], m.Fields[i][:], fStd)
-	}
+	rng.AddZiggurat(fieldCells(c.Fields), fieldCells(m.Fields), m.cfg.FieldStd*level)
 	for k := range m.Edges {
 		src := &m.Edges[k]
 		dst := &c.Edges[k]
@@ -674,9 +680,7 @@ func (m *Model) CorruptInto(reuse *Model, level float64, seed uint64) *Model {
 		if src.Interchain {
 			std = m.cfg.InterCouplingStd * level
 		}
-		for a := range src.W {
-			rng.AddZiggurat(dst.W[a][:], src.W[a][:], std)
-		}
+		rng.AddZiggurat(couplingCells(&dst.W), couplingCells(&src.W), std)
 	}
 	// A reused model with unchanged topology keeps its adjacency lists:
 	// the half-edge table pointers aim into c.Edges, whose backing array

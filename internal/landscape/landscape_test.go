@@ -855,11 +855,17 @@ func BenchmarkModelConstruction(b *testing.B) {
 	}
 }
 
+// BenchmarkCorrupt times one surrogate corruption into a recycled buffer
+// on each row-fill path the CPU has.
 func BenchmarkCorrupt(b *testing.B) {
 	m := New(testStructure(1, 90, 10), 1, DefaultConfig())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Recycle(m.Corrupt(0.5, uint64(i)))
+	for _, name := range xrand.Kernels() {
+		b.Run(name, func(b *testing.B) {
+			defer xrand.UseKernel(name)()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Recycle(m.Corrupt(0.5, uint64(i)))
+			}
+		})
 	}
 }

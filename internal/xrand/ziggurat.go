@@ -32,7 +32,10 @@
 
 package xrand
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Ziggurat normals (Marsaglia & Tsang, "The Ziggurat Method for
 // Generating Random Variables", J. Stat. Softw. 5(8), 2000) over 128
@@ -67,26 +70,67 @@ func (r *RNG) Ziggurat() float64 {
 // i in order, where z_0, z_1, … are the deviates successive Ziggurat calls
 // would return: the generator ends in the same state and every value has
 // the bits of the per-call loop, computed in float64 and rounded once to
-// float32 on store. It is the landscape's bulk-noise kernel. The
-// SplitMix64 state stays in a local across the row, so a fast-path draw
-// costs no memory traffic beyond the two table reads; the few draws that
-// leave the fast path store it back for zigguratSlow and reload it after.
-// src must be at least as long as dst; the two may alias.
+// float32 on store. It is the landscape's bulk-noise kernel; a caller
+// gains most by passing a whole table per call. src must be at least as
+// long as dst; the two may be the same slice but must not otherwise
+// overlap.
 func (r *RNG) AddZiggurat(dst, src []float32, std float64) {
-	r.zigguratRow(dst, src[:len(dst)], std)
+	r.zigguratBulk(dst, src[:len(dst)], std)
 }
 
 // FillZiggurat sets dst[i] = float32(z_i*std), the deviates drawn as in
 // AddZiggurat.
 func (r *RNG) FillZiggurat(dst []float32, std float64) {
-	r.zigguratRow(dst, nil, std)
+	r.zigguratBulk(dst, nil, std)
 }
 
-// zigguratRow is the body of AddZiggurat (src of dst's length) and
-// FillZiggurat (src nil). Each value is computed as the per-call loop
+// avx512 selects the row fills' path: the AVX-512 kernel
+// (zigguratVector) where haveAVX512 finds it, chosen once here from
+// CPUID and XGETBV, else zigguratRow. Both write the same bits and leave
+// the generator in the same state. Only UseKernel changes it.
+var avx512 = haveAVX512()
+
+func (r *RNG) zigguratBulk(dst, src []float32, std float64) {
+	if avx512 {
+		r.zigguratVector(dst, src, std)
+		return
+	}
+	r.zigguratRow(dst, src, std)
+}
+
+// Kernels names the paths AddZiggurat and FillZiggurat can take on this
+// CPU: "generic", then "avx512" where the CPU has AVX-512 F, DQ and VL.
+// The fills take the last one.
+func Kernels() []string {
+	if haveAVX512() {
+		return []string{"generic", "avx512"}
+	}
+	return []string{"generic"}
+}
+
+// UseKernel makes the row fills take the named path, one of Kernels,
+// and returns a function that restores the previous one. It lets tests
+// and benchmarks compare the paths on one machine; no fill may run
+// while it switches.
+func UseKernel(name string) (restore func()) {
+	if !slices.Contains(Kernels(), name) {
+		panic("xrand: no row-fill kernel " + name + " on this CPU")
+	}
+	prev := avx512
+	avx512 = name == "avx512"
+	return func() { avx512 = prev }
+}
+
+// zigguratRow is the generic body of AddZiggurat (src of dst's length)
+// and FillZiggurat (src nil). Each value is computed as the per-call loop
 // computes it, float64(src[i]) + z*std or z*std, and rounded once on
 // store, so neither form changes a bit. The row is read and written as
-// float32 in this one pass: no float64 scratch row.
+// float32 in this one pass: no float64 scratch row. The SplitMix64 state
+// stays in a local across the row, so a fast-path draw costs no memory
+// traffic beyond the two table reads; the few draws that leave the fast
+// path store it back for zigguratSlow and reload it after. It is the only
+// path off amd64 and on CPUs without AVX-512, and the reference the
+// AVX-512 kernel is tested against.
 func (r *RNG) zigguratRow(dst, src []float32, std float64) {
 	s := r.state
 	for i := range dst {

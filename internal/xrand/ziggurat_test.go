@@ -170,6 +170,22 @@ func TestZigguratOneWordFastPath(t *testing.T) {
 	}
 }
 
+// forEachKernel runs f as one subtest per row-fill path, "generic" and
+// "avx512", with AddZiggurat and FillZiggurat switched to that path. The
+// avx512 subtest skips, saying why, on a CPU without the kernel.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, name := range []string{"generic", "avx512"} {
+		t.Run(name, func(t *testing.T) {
+			if !slices.Contains(Kernels(), name) {
+				t.Skip("this CPU lacks AVX-512 F, DQ or VL (or the OS does not save its registers): the fills take the generic path only")
+			}
+			defer UseKernel(name)()
+			t.Logf("row fills on the %s path", name)
+			f(t)
+		})
+	}
+}
+
 // TestAddZigguratMatchesZiggurat pins the row fills against the per-draw
 // loop they replace: for every row length, AddZiggurat and FillZiggurat
 // write the bits that float32(float64(src[i]) + Ziggurat()*std) and
@@ -178,18 +194,25 @@ func TestZigguratOneWordFastPath(t *testing.T) {
 // oracle finishes its slow draws in referenceZigguratSlow, so the row
 // fills and the shipped slow path are both checked against it. Enough
 // rows are drawn that the slow path's wedge and base-layer tail are both
-// taken, classified by each draw's first word.
+// taken, classified by each draw's first word. The lengths cover a
+// partial, a whole and a split eight-lane step of the AVX-512 kernel,
+// the landscape's 20-cell rows and its 400-cell coupling tables; every
+// path the CPU has is checked.
 func TestAddZigguratMatchesZiggurat(t *testing.T) {
+	forEachKernel(t, testAddZigguratMatchesZiggurat)
+}
+
+func testAddZigguratMatchesZiggurat(t *testing.T) {
 	const std = 0.45
 	r, oracle := New(17), New(17)
-	src := make([]float32, 21)
+	src := make([]float32, 400)
 	for i := range src {
-		src[i] = float32(i)/3 - 2.5
+		src[i] = float32(i%21)/3 - 2.5
 	}
 	got, want := make([]float32, len(src)), make([]float32, len(src))
 	var wedge, tail int
 	for round := 0; round < 3000; round++ {
-		for _, n := range []int{0, 1, 19, 20, 21} {
+		for _, n := range []int{0, 1, 7, 8, 9, 19, 20, 21, 400} {
 			fill := round%2 == 1
 			for i := 0; i < n; i++ {
 				peek := *oracle
@@ -227,9 +250,9 @@ func TestAddZigguratMatchesZiggurat(t *testing.T) {
 	}
 	// src and dst may be the same row.
 	a, b := New(18), New(18)
-	row := slices.Clone(src)
+	row := slices.Clone(src[:21])
 	a.AddZiggurat(row, row, std)
-	for i, x := range src {
+	for i, x := range src[:len(row)] {
 		if y := float32(float64(x) + b.referenceZiggurat()*std); math.Float32bits(row[i]) != math.Float32bits(y) {
 			t.Fatalf("aliased row: cell %d = %v, per-draw loop %v", i, row[i], y)
 		}
@@ -304,9 +327,14 @@ func zigguratTableDigest(seed uint64, add bool) string {
 }
 
 // TestZigguratStreamDigests pins the streams every seeded model and
-// surrogate is drawn from: a change to any draw, to the words a draw
-// consumes or to a row fill's rounding changes a digest.
+// surrogate is drawn from, on every row-fill path the CPU has: a change
+// to any draw, to the words a draw consumes or to a row fill's rounding
+// changes a digest.
 func TestZigguratStreamDigests(t *testing.T) {
+	forEachKernel(t, testZigguratStreamDigests)
+}
+
+func testZigguratStreamDigests(t *testing.T) {
 	for _, c := range []struct {
 		seed                   uint64
 		draws, rows, add, fill string
@@ -465,6 +493,124 @@ func FuzzZigguratSlow(f *testing.F) {
 	})
 }
 
+// unmix inverts mix: mix(unmix(u)) == u.
+func unmix(u uint64) uint64 {
+	unshift := func(y uint64, s uint) uint64 {
+		x := y
+		for i := uint(0); i < 64; i += s {
+			x = y ^ x>>s
+		}
+		return x
+	}
+	inverse := func(c uint64) uint64 {
+		inv := c
+		for i := 0; i < 6; i++ {
+			inv *= 2 - c*inv
+		}
+		return inv
+	}
+	z := unshift(u, 31) * inverse(0x94d049bb133111eb)
+	z = unshift(z, 27) * inverse(0xbf58476d1ce4e5b9)
+	return unshift(z, 30)
+}
+
+// TestZigguratKernelEdgeWords holds every row-fill path the CPU has to
+// zigguratRow on the words at the fast path's edges, which a random
+// stream meets about once in 2³¹ draws: in every layer, |j| one below
+// kn (inside), at kn (outside), both signs, and j = math.MinInt32, 0 and
+// math.MaxInt32. Each word is planted, by inverting mix, at every lane
+// of an eight-lane step and in a row's last cell, and the rows are
+// filled and added.
+func TestZigguratKernelEdgeWords(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		src := make([]float32, 17)
+		for i := range src {
+			src[i] = float32(i)/5 - 1.7
+		}
+		got, want := make([]float32, len(src)+8), make([]float32, len(src))
+		const canary = 0x7fc0_dead
+		for k := uint64(0); k < 128; k++ {
+			edge := int64(kn[k])
+			for _, j := range []int64{edge - 1, edge, -(edge - 1), -edge, math.MinInt32, 0, math.MaxInt32} {
+				u := 0x5a5a_5a00_0000_0000 | k<<32 | uint64(uint32(j))
+				if mix(unmix(u)) != u {
+					t.Fatalf("unmix(%#x) does not invert mix", u)
+				}
+				for pos := 0; pos < len(src); pos++ {
+					for _, n := range []int{pos + 1, len(src)} {
+						state := unmix(u) - uint64(pos+1)*0x9e3779b97f4a7c15
+						for _, in := range [][]float32{nil, src[:n]} {
+							for i := range got {
+								got[i] = math.Float32frombits(canary)
+							}
+							r, g := RNG{state: state}, RNG{state: state}
+							if in == nil {
+								r.FillZiggurat(got[:n], 0.7)
+							} else {
+								r.AddZiggurat(got[:n], in, 0.7)
+							}
+							g.zigguratRow(want[:n], in, 0.7)
+							for i := 0; i < n; i++ {
+								if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+									t.Fatalf("layer %d, j %d at cell %d of %d, src %v: cell %d = %v, generic %v", k, j, pos, n, in != nil, i, got[i], want[i])
+								}
+							}
+							for i := n; i < len(got); i++ {
+								if math.Float32bits(got[i]) != canary {
+									t.Fatalf("layer %d, j %d at cell %d of %d, src %v: cell %d past the row written", k, j, pos, n, in != nil, i)
+								}
+							}
+							if r != g {
+								t.Fatalf("layer %d, j %d at cell %d of %d, src %v: end state %#x, generic %#x", k, j, pos, n, in != nil, r.state, g.state)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzZigguratRow holds the AVX-512 kernel to zigguratRow for any
+// generator state, row length up to 64, std and source row: the same
+// bits in every cell and the same end state. A zero srcSeed fills (src
+// nil); any other draws a finite source row from it.
+func FuzzZigguratRow(f *testing.F) {
+	if !haveAVX512() {
+		f.Skip("this CPU lacks AVX-512 F, DQ or VL: only the generic path runs")
+	}
+	f.Add(uint64(1), uint8(64), 0.45, uint64(0))
+	f.Add(uint64(17), uint8(20), 0.9, uint64(3))
+	f.Add(uint64(5), uint8(9), -0.0, uint64(0))
+	f.Add(uint64(6), uint8(7), math.Inf(1), uint64(4))
+	f.Add(uint64(7), uint8(33), math.NaN(), uint64(5))
+	f.Add(uint64(8), uint8(40), 5e-324, uint64(6))
+	f.Fuzz(func(t *testing.T, state uint64, n uint8, std float64, srcSeed uint64) {
+		n %= 65
+		var src []float32
+		if srcSeed != 0 {
+			g := New(srcSeed)
+			src = make([]float32, n)
+			for i := range src {
+				src[i] = float32(g.Ziggurat() * math.Ldexp(1, g.Intn(80)-40))
+			}
+		}
+		got, want := make([]float32, n), make([]float32, n)
+		a, b := RNG{state: state}, RNG{state: state}
+		a.zigguratVector(got, src, std)
+		b.zigguratRow(want, src, std)
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("state %#x, n %d, std %v, srcSeed %d: cell %d = %v (%#x), generic %v (%#x)",
+					state, n, std, srcSeed, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+		if a != b {
+			t.Fatalf("state %#x, n %d, std %v, srcSeed %d: end state %#x, generic %#x", state, n, std, srcSeed, a.state, b.state)
+		}
+	})
+}
+
 func BenchmarkZiggurat(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
@@ -472,13 +618,19 @@ func BenchmarkZiggurat(b *testing.B) {
 	}
 }
 
-// BenchmarkAddZiggurat adds noise to one 20-cell coupling-table row per
-// iteration, the landscape's unit of bulk draws.
+// BenchmarkAddZiggurat adds noise to one 400-cell coupling table per
+// iteration, the landscape's unit of bulk draws, on each row-fill path
+// the CPU has.
 func BenchmarkAddZiggurat(b *testing.B) {
-	r := New(1)
-	src := make([]float32, 20)
-	dst := make([]float32, 20)
-	for i := 0; i < b.N; i++ {
-		r.AddZiggurat(dst, src, 0.45)
+	for _, name := range Kernels() {
+		b.Run(name, func(b *testing.B) {
+			defer UseKernel(name)()
+			r := New(1)
+			src := make([]float32, 400)
+			dst := make([]float32, 400)
+			for i := 0; i < b.N; i++ {
+				r.AddZiggurat(dst, src, 0.45)
+			}
+		})
 	}
 }
