@@ -33,7 +33,8 @@ type Options struct {
 	CSV string
 	// ChromeTrace, when set, switches telemetry on and is the path every
 	// completed campaign's timeline is written to, in Chrome Trace Event
-	// Format (one Perfetto process track per pilot).
+	// Format (one Perfetto process track per pilot). Tracks are labelled
+	// by campaign name, prefixed with the scenario name in a list.
 	ChromeTrace string
 	// Out, when set, is a directory each scenario writes its report to,
 	// as <name>.txt (the report text) and <name>.csv.
@@ -111,7 +112,14 @@ func Run(stdout, stderr io.Writer, scs []campaign.Scenario, p campaign.Params, o
 			}
 			results = append(results, out.Result)
 			if o.ChromeTrace != "" {
-				traces = append(traces, out.Result.CampaignTrace(out.Name))
+				// Scenarios of a list may name campaigns alike (table1
+				// and fig4 both run contv/seed42), so a list's trace
+				// labels each with its scenario too.
+				label := out.Name
+				if len(scs) > 1 {
+					label = sc.Name + "/" + out.Name
+				}
+				traces = append(traces, out.Result.CampaignTrace(label))
 			}
 			fmt.Fprintf(stdout, "%-20s %s\n\n", out.Name, report.Summary(out.Result))
 		}

@@ -6,6 +6,7 @@ package scenariorun
 // artifact had been produced.
 
 import (
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -160,6 +161,48 @@ func TestListPrintsEachScenarioBlock(t *testing.T) {
 	}
 	if got, want := run("fig5,fig4"), run("fig5")+run("fig4"); got != want {
 		t.Errorf("fig5,fig4 prints\n%s\nwant the fig5 and fig4 blocks\n%s", got, want)
+	}
+}
+
+// TestListTraceNamesProcessesApart: table1 and fig4 both run a
+// contv/seed42 campaign, so a list's Chrome trace prefixes each process
+// name with its scenario, and no two processes share a name.
+func TestListTraceNamesProcessesApart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var stdout, stderr strings.Builder
+	p := campaign.Params{Seed: 42}
+	if code := Run(&stdout, &stderr, lookup(t, "table1,fig4"), p, Options{Workers: 2, ChromeTrace: path}); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Pid  int
+			Args struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	pidOf := make(map[string]int)
+	for _, e := range doc.TraceEvents {
+		if e.Name != "process_name" {
+			continue
+		}
+		if pid, ok := pidOf[e.Args.Name]; ok {
+			t.Errorf("process name %q on pids %d and %d", e.Args.Name, pid, e.Pid)
+		}
+		pidOf[e.Args.Name] = e.Pid
+		if !strings.HasPrefix(e.Args.Name, "table1/") && !strings.HasPrefix(e.Args.Name, "fig4/") {
+			t.Errorf("process name %q lacks its scenario prefix", e.Args.Name)
+		}
+	}
+	if len(pidOf) == 0 {
+		t.Fatal("trace names no process")
 	}
 }
 
