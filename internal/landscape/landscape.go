@@ -518,7 +518,10 @@ func (m *Model) gibbsStep(seq protein.Sequence, pos int, temp float64, rng *xran
 	}
 	var total float64
 	for a, e := range &sc.cond {
-		w := math.Exp(-(e - minE) / temp)
+		w := 1.0 // exp(-0): the minimum's weight, exactly
+		if e != minE {
+			w = math.Exp(-(e - minE) / temp)
+		}
 		sc.weights[a] = w
 		total += w
 	}
@@ -555,6 +558,10 @@ func (m *Model) LogLikelihood(full protein.Sequence, temp float64) float64 {
 		}
 		var z float64
 		for _, e := range &sc.cond {
+			if e == minE {
+				z++ // exp(-0), exactly
+				continue
+			}
 			z += math.Exp(-(e - minE) / temp)
 		}
 		self := sc.cond[protein.Index(full[pos])]
