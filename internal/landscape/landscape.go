@@ -31,8 +31,9 @@
 // row-major order: the fields, then each edge's W. Each table (all the
 // fields, or one edge's 400 couplings) is one xrand.FillZiggurat or
 // AddZiggurat call, which draws exactly what one Ziggurat call per cell
-// would; tests compare both against that per-draw loop bit for bit. The sparse draws elsewhere (calibration samples,
-// Gibbs picks) take one value at a time.
+// would; tests compare both against that per-draw loop bit for bit. The
+// sparse draws elsewhere (calibration samples, Gibbs picks) take one
+// value at a time.
 package landscape
 
 import (
