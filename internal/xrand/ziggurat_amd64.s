@@ -34,8 +34,9 @@ GLOBL zigNegZero<>(SB), RODATA|NOPTR, $32
 	VMOVUPS      Y28, mask, (DI)
 
 // ZIGLOOKUP sets out to table[k] for the 128-entry table held 16 entries
-// to a register in t0–t7: VPERMI2D picks from each 32-entry pair by k's
-// low five bits, and K1 (bit 5) and K2 (bit 6) blend the four pairs.
+// to a register in t0–t7: VPERMI2D picks from each register pair (32
+// entries) by k's low five bits, and K1 (k's bit 5) and K2 (bit 6)
+// blend the four picks.
 #define ZIGLOOKUP(t0, t1, t2, t3, t4, t5, t6, t7, out, tmp1, tmp2) \
 	VMOVDQA32  Z25, out; \
 	VPERMI2D   t1, t0, out; \
