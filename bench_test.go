@@ -19,6 +19,9 @@ import (
 	"testing"
 
 	"impress"
+	"impress/internal/core"
+	"impress/internal/report"
+	"impress/internal/sched"
 )
 
 // reportCampaign attaches the scientific metrics of a result to b.
@@ -286,7 +289,7 @@ func BenchmarkSplitPilots(b *testing.B) {
 			targets := namedTargets(b, 42)
 			cfg := impress.AdaptiveConfig(42)
 			if split {
-				pilots, err := impress.SplitPilots(cfg.Machine)
+				pilots, err := core.SplitPilots(cfg.Machine)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -309,7 +312,7 @@ func BenchmarkSplitPilots(b *testing.B) {
 // adaptive 4-PDZ campaign — one sub-benchmark per policy, so the
 // per-policy makespan/utilization deltas print side by side.
 func BenchmarkPolicyCompare(b *testing.B) {
-	for _, pol := range impress.SchedulingPolicies() {
+	for _, pol := range sched.Names() {
 		b.Run(pol, func(b *testing.B) {
 			targets := namedTargets(b, 42)
 			cfg := impress.AdaptiveConfig(42)
@@ -642,7 +645,7 @@ func BenchmarkTenantSweep(b *testing.B) {
 	}
 	bestJain, fcfsJain, reclaims := 0.0, 0.0, 0
 	for _, o := range outs {
-		j := impress.JainOf(o.Result)
+		j := report.JainOf(o.Result)
 		if j > bestJain {
 			bestJain = j
 		}

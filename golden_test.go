@@ -16,11 +16,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"impress"
+	"impress/internal/report"
+	"impress/internal/tenancy"
+	"impress/internal/xrand"
 )
 
 const goldenPairPath = "testdata/golden/pair_seed42.golden"
@@ -65,7 +69,7 @@ func renderPairOutcomes(t *testing.T, outs []impress.CampaignOutcome) string {
 		}
 	}
 	sb.WriteString("== table1\n")
-	sb.WriteString(impress.TableI(outs[0].Result, outs[1].Result))
+	sb.WriteString(report.TableI(outs[0].Result, outs[1].Result))
 	return sb.String()
 }
 
@@ -116,9 +120,13 @@ func checkGoldenInert(t *testing.T, cases ...goldenCase) {
 	}
 }
 
+// TestGoldenPairTrace runs pair@42 once per row-fill path the CPU has
+// (xrand.Kernels), as /generic and /avx512 subtests: both paths must
+// render the committed golden byte for byte. On a CPU without the
+// AVX-512 kernel, /avx512 skips and says why.
 func TestGoldenPairTrace(t *testing.T) {
-	got := renderPairTrace(t, impress.ScenarioParams{})
 	if os.Getenv("UPDATE_GOLDEN") != "" {
+		got := renderPairTrace(t, impress.ScenarioParams{})
 		if err := os.MkdirAll(filepath.Dir(goldenPairPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -129,16 +137,26 @@ func TestGoldenPairTrace(t *testing.T) {
 		return
 	}
 	want := readGolden(t)
-	if got == want {
-		return
+	for _, kernel := range []string{"generic", "avx512"} {
+		t.Run(kernel, func(t *testing.T) {
+			if !slices.Contains(xrand.Kernels(), kernel) {
+				t.Skip("this CPU lacks AVX-512 F, DQ or VL (or the OS does not save its registers): the fills take the generic path only")
+			}
+			defer xrand.UseKernel(kernel)()
+			t.Logf("row fills on the %s path", kernel)
+			got := renderPairTrace(t, impress.ScenarioParams{})
+			if got == want {
+				return
+			}
+			line, g, w, gotLines, wantLines := firstDiff(got, want)
+			if line > 0 {
+				t.Fatalf("golden trace diverged at line %d:\n got: %s\nwant: %s\n"+
+					"(default-policy behaviour must stay bit-identical; regenerate only for intentional changes)",
+					line, g, w)
+			}
+			t.Fatalf("golden trace length changed: got %d lines, want %d", gotLines, wantLines)
+		})
 	}
-	line, g, w, gotLines, wantLines := firstDiff(got, want)
-	if line > 0 {
-		t.Fatalf("golden trace diverged at line %d:\n got: %s\nwant: %s\n"+
-			"(default-policy behaviour must stay bit-identical; regenerate only for intentional changes)",
-			line, g, w)
-	}
-	t.Fatalf("golden trace length changed: got %d lines, want %d", gotLines, wantLines)
 }
 
 // TestGoldenTraceDeterminism guards the golden harness itself: two
@@ -215,7 +233,7 @@ func TestGoldenPairTraceSingleTenantService(t *testing.T) {
 	}
 	var outs []impress.CampaignOutcome
 	for _, c := range campaigns {
-		svc, err := impress.NewTenancyService(impress.TenancySpec{
+		svc, err := tenancy.NewService(impress.TenancySpec{
 			Config: impress.TenancyConfig{
 				Machine:   c.Config.Machine,
 				Seed:      c.Seed,

@@ -34,7 +34,6 @@ import (
 	"impress/internal/mpnn"
 	"impress/internal/pipeline"
 	"impress/internal/report"
-	"impress/internal/sched"
 	"impress/internal/telemetry"
 	"impress/internal/tenancy"
 	"impress/internal/workload"
@@ -111,7 +110,7 @@ type (
 	TelemetryData = telemetry.Data
 	// TenancySpec declares a multi-tenant service: many campaigns
 	// arriving on one shared cluster under admission control. Assign to
-	// Campaign.Tenancy or run directly with NewTenancyService.
+	// Campaign.Tenancy.
 	TenancySpec = tenancy.Spec
 	// TenancyConfig is the service-level half of a TenancySpec (shared
 	// pool, arrival process, admission and reclaim policies).
@@ -119,8 +118,6 @@ type (
 	// TenantSpec declares one arriving tenant campaign of a
 	// multi-tenant service.
 	TenantSpec = tenancy.TenantSpec
-	// TenancyService executes one multi-tenant service spec.
-	TenancyService = tenancy.Service
 	// TenantStat is one tenant's admission and fairness record in a
 	// service result (Result.Tenants).
 	TenantStat = core.TenantStat
@@ -192,14 +189,6 @@ func AdaptiveConfig(seed uint64) Config { return core.AdaptiveConfig(seed) }
 // AlphaFold tasks, strictly sequential execution.
 func ControlConfig(seed uint64) Config { return core.ControlConfig(seed) }
 
-// SplitPilots partitions a machine into the heterogeneous CPU/GPU pilot
-// pair (the paper's ParaFold-style placement): CPU-class stages run on a
-// dedicated CPU pilot while sampling and inference get their own GPU
-// pilot. Assign the result to Config.Pilots.
-func SplitPilots(machine MachineSpec) ([]PilotSpec, error) {
-	return core.SplitPilots(machine)
-}
-
 // FleetPilots generates a seed-deterministic heterogeneous fleet from a
 // node-template spec (e.g. "cpu:28c0g128m*900+gpu:8c4g32m*100") and
 // splits it into a CPU pilot and a GPU pilot with explicit per-node
@@ -232,47 +221,14 @@ func RunCampaigns(campaigns []Campaign, workers int) []CampaignOutcome {
 // stress workloads.
 func Scenarios() []Scenario { return campaign.Scenarios() }
 
-// BuildScenario constructs the campaigns of a named scenario.
+// BuildScenario constructs the campaigns of a named scenario. The
+// README's scenario example calls it; the command and examples do not.
 func BuildScenario(name string, p ScenarioParams) ([]Campaign, error) {
 	return campaign.Build(name, p)
 }
 
-// LookupScenario returns a registered scenario by name.
-func LookupScenario(name string) (Scenario, bool) { return campaign.Lookup(name) }
-
 // Summary renders a one-paragraph textual summary of a campaign result.
 func Summary(r *Result) string { return report.Summary(r) }
-
-// SchedulingPolicies returns the registered pilot-agent scheduling policy
-// names (sorted): the values accepted by Config.Policy and the impress
-// command's -policy flag.
-func SchedulingPolicies() []string { return sched.Names() }
-
-// ValidatePolicy checks a scheduling-policy name; the empty string is
-// valid and means fifo.
-func ValidatePolicy(name string) error { return sched.Validate(name) }
-
-// PolicyCompare renders the scheduling-policy comparison table over
-// campaign results grouped by their resolved policy — the report behind
-// the policy-compare scenario.
-func PolicyCompare(results []*Result) string { return report.PolicyCompare(results) }
-
-// NewTenancyService validates a multi-tenant service spec and prepares
-// it to run: a shared concurrent-safe cluster leased to a deterministic
-// stream of arriving tenant campaigns under admission control, with
-// fairness-aware inter-campaign steering reclaiming nodes between them.
-// Campaigns with Campaign.Tenancy set run through the same service on
-// the campaign engine; use this direct form to reach the per-tenant
-// results, each with its own event log in Result.Events.
-func NewTenancyService(spec TenancySpec) (*TenancyService, error) {
-	return tenancy.NewService(spec)
-}
-
-// JainOf returns Jain's fairness index over a service result's
-// per-tenant slowdowns: 1 when the shared cluster stretched every
-// tenant equally, approaching 1/n when admission control sacrificed
-// some tenants to others.
-func JainOf(r *Result) float64 { return report.JainOf(r) }
 
 // CriticalPathReport renders a campaign's critical path — the segment
 // chain accounting for the whole makespan — and its per-stage slack
@@ -301,6 +257,7 @@ func WriteChromeTrace(w io.Writer, results []*Result, labels []string) error {
 }
 
 // ValidateChromeTrace checks that data parses as Chrome Trace Event
-// Format with balanced, properly nested spans — the validation CI runs
-// on every emitted trace.
+// Format with balanced, properly nested spans. The README names it as
+// the check for an exported trace; the command and examples do not call
+// it.
 func ValidateChromeTrace(data []byte) error { return telemetry.ValidateChromeTrace(data) }

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"impress"
+	"impress/internal/campaign"
+	"impress/internal/report"
+	"impress/internal/sched"
 )
 
 // paperRun is one completed run of a paper scenario: its results keyed
@@ -26,7 +29,7 @@ func (r paperRun) WriteCSV(w io.Writer) error { return r.ReportCSV(w, r.results)
 // test on any error.
 func runPaper(tb testing.TB, name string, p impress.ScenarioParams) paperRun {
 	tb.Helper()
-	sc, ok := impress.LookupScenario(name)
+	sc, ok := campaign.Lookup(name)
 	if !ok {
 		tb.Fatalf("scenario %q not registered", name)
 	}
@@ -96,16 +99,16 @@ func TestPublicAPICampaign(t *testing.T) {
 }
 
 func TestSchedulingPolicyAPI(t *testing.T) {
-	pols := impress.SchedulingPolicies()
+	pols := sched.Names()
 	if len(pols) < 5 {
-		t.Fatalf("SchedulingPolicies = %v, want at least 5", pols)
+		t.Fatalf("sched.Names() = %v, want at least 5", pols)
 	}
 	for _, p := range pols {
-		if err := impress.ValidatePolicy(p); err != nil {
+		if err := sched.Validate(p); err != nil {
 			t.Errorf("policy %q invalid: %v", p, err)
 		}
 	}
-	if err := impress.ValidatePolicy("bogus"); err == nil {
+	if err := sched.Validate("bogus"); err == nil {
 		t.Error("bogus policy validated")
 	}
 
@@ -127,7 +130,7 @@ func TestSchedulingPolicyAPI(t *testing.T) {
 	if got := res.PolicyLabel(); got != "bestfit" {
 		t.Fatalf("PolicyLabel = %q, want bestfit", got)
 	}
-	text := impress.PolicyCompare([]*impress.Result{res})
+	text := report.PolicyCompare([]*impress.Result{res})
 	if !strings.Contains(text, "bestfit") {
 		t.Fatalf("PolicyCompare output missing policy:\n%s", text)
 	}
@@ -135,7 +138,7 @@ func TestSchedulingPolicyAPI(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	for _, id := range []string{"table1", "fig2", "fig3", "fig4", "fig5"} {
-		sc, ok := impress.LookupScenario(id)
+		sc, ok := campaign.Lookup(id)
 		if !ok {
 			t.Errorf("paper scenario %q not registered", id)
 			continue

@@ -75,9 +75,6 @@ func NewEngine(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Workers returns the engine's concurrency bound.
-func (e *Engine) Workers() int { return e.workers }
-
 // WorkersFor returns the worker count Run actually uses for n jobs: the
 // configured bound, never exceeding n.
 func (e *Engine) WorkersFor(n int) int {

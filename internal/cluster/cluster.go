@@ -80,26 +80,11 @@ func SplitCPUGPU(s Spec, gpuCores, gpuMemGB int) (cpu, gpu Spec, err error) {
 	return cpu, gpu, nil
 }
 
-// AmarelSplit returns the paper's evaluation node carved into a CPU
-// partition (20 cores, 96 GB) and a GPU partition (8 cores, 4 GPUs,
-// 32 GB): two host cores per GPU, enough for four concurrent inference
-// or MPNN tasks.
-func AmarelSplit() (cpu, gpu Spec) {
-	cpu, gpu, err := SplitCPUGPU(AmarelNode(), 8, 32)
-	if err != nil {
-		panic(err) // static split of a static spec cannot fail
-	}
-	return cpu, gpu
-}
-
 // TotalCores returns the aggregate core count.
 func (s Spec) TotalCores() int { return s.Nodes * s.CoresPerNode }
 
 // TotalGPUs returns the aggregate GPU count.
 func (s Spec) TotalGPUs() int { return s.Nodes * s.GPUsPerNode }
-
-// TotalMemGB returns the aggregate memory.
-func (s Spec) TotalMemGB() int { return s.Nodes * s.MemGBPerNode }
 
 // Validate rejects degenerate specs.
 func (s Spec) Validate() error {
@@ -526,7 +511,8 @@ func (c *Cluster) NodeDomain(id int) string {
 }
 
 // ActiveNodeCount returns the number of nodes currently part of the
-// cluster (not transferred away). Down nodes count: they come back.
+// cluster (not transferred away). Down nodes count: they come back. The
+// pilot and steer tests check elastic transfers through it.
 func (c *Cluster) ActiveNodeCount() int {
 	return c.activeNodes
 }
@@ -631,6 +617,7 @@ func (c *Cluster) CapGPUs() int {
 }
 
 // CapMemGB returns the current total memory capacity across active nodes.
+// The pilot package's ledger invariant tests read it.
 func (c *Cluster) CapMemGB() int {
 	return c.capMemGB
 }
@@ -663,13 +650,11 @@ func (c *Cluster) FreeGPUs() int {
 	return c.freeGPUs
 }
 
-// FreeMemGB returns the total free memory across nodes.
+// FreeMemGB returns the total free memory across nodes. The pilot
+// package's ledger invariant tests read it.
 func (c *Cluster) FreeMemGB() int {
 	return c.freeMemGB
 }
 
 // AllocatedCores returns currently reserved cores.
 func (c *Cluster) AllocatedCores() int { return c.CapCores() - c.FreeCores() }
-
-// AllocatedGPUs returns currently reserved GPUs.
-func (c *Cluster) AllocatedGPUs() int { return c.CapGPUs() - c.FreeGPUs() }

@@ -9,7 +9,7 @@ import (
 
 func TestAmarelSpec(t *testing.T) {
 	s := AmarelNode()
-	if s.TotalCores() != 28 || s.TotalGPUs() != 4 || s.TotalMemGB() != 128 {
+	if s.TotalCores() != 28 || s.TotalGPUs() != 4 || s.Nodes*s.MemGBPerNode != 128 {
 		t.Fatalf("Amarel spec wrong: %+v", s)
 	}
 	if err := s.Validate(); err != nil {
@@ -46,7 +46,7 @@ func TestAllocateRelease(t *testing.T) {
 	if c.FreeCores() != 20 || c.FreeGPUs() != 3 || c.FreeMemGB() != 112 {
 		t.Fatalf("free after alloc: %d cores %d gpus %d mem", c.FreeCores(), c.FreeGPUs(), c.FreeMemGB())
 	}
-	if c.AllocatedCores() != 8 || c.AllocatedGPUs() != 1 {
+	if c.AllocatedCores() != 8 || c.CapGPUs()-c.FreeGPUs() != 1 {
 		t.Fatal("allocated counters wrong")
 	}
 	c.Release(a)
@@ -152,7 +152,7 @@ func TestPropertyConservation(t *testing.T) {
 		var live []*Alloc
 		ops := int(opsRaw)%200 + 10
 		for i := 0; i < ops; i++ {
-			if rng.Bool(0.6) || len(live) == 0 {
+			if rng.Float64() < 0.6 || len(live) == 0 {
 				r := Request{Cores: rng.Intn(9), GPUs: rng.Intn(3), MemGB: rng.Intn(33)}
 				if a := c.Allocate(r); a != nil {
 					live = append(live, a)
@@ -274,7 +274,10 @@ func TestAllocateExcluding(t *testing.T) {
 }
 
 func TestNodeTransfer(t *testing.T) {
-	cpu, gpu := AmarelSplit()
+	cpu, gpu, err := SplitCPUGPU(AmarelNode(), 8, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cpu.Nodes, gpu.Nodes = 2, 2
 	src, _ := New(gpu)
 	dst, _ := New(cpu)
@@ -360,7 +363,10 @@ func TestRemoveNodeRespectsDownAndBusy(t *testing.T) {
 }
 
 func TestTransferConservesCapacity(t *testing.T) {
-	cpu, gpu := AmarelSplit()
+	cpu, gpu, err := SplitCPUGPU(AmarelNode(), 8, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cpu.Nodes, gpu.Nodes = 3, 3
 	a, _ := New(cpu)
 	b, _ := New(gpu)

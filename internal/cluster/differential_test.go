@@ -161,7 +161,7 @@ func runDifferential(t *testing.T, n int, seed uint64) {
 		case op < 4: // allocate, sometimes with an exclusion list
 			r := randomRequest(rng)
 			var avoid []int
-			if rng.Bool(0.3) {
+			if rng.Float64() < 0.3 {
 				for k := rng.Intn(4); k >= 0; k-- {
 					// Out-of-range IDs deliberately included: the ledger
 					// must ignore them.
@@ -202,7 +202,7 @@ func runDifferential(t *testing.T, n int, seed uint64) {
 			if c.NodeIsRemoved(id) {
 				continue
 			}
-			if rng.Bool(0.5) {
+			if rng.Float64() < 0.5 {
 				c.SetNodeDown(id)
 			} else {
 				c.SetNodeUp(id)

@@ -92,17 +92,6 @@ func (s *Shared) Cap(id int) NodeCapacity {
 	return s.pool.NodeCap(id)
 }
 
-// Owner reports which tenant holds the node's lease, if any.
-func (s *Shared) Owner(id int) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.leases[id]
-	if !ok {
-		return "", false
-	}
-	return l.tenant, true
-}
-
 // Leased returns the tenant's leased node IDs, sorted ascending.
 func (s *Shared) Leased(tenant string) []int {
 	s.mu.Lock()
@@ -118,19 +107,6 @@ func (s *Shared) leasedLocked(tenant string) []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// Usage reports the tenant's leased footprint on the pool ledger.
-func (s *Shared) Usage(tenant string) (nodes, cores, gpus int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id := range s.tenants[tenant] {
-		nc := s.pool.NodeCap(id)
-		nodes++
-		cores += nc.Cores
-		gpus += nc.GPUs
-	}
-	return nodes, cores, gpus
 }
 
 // Lease pins n free nodes to the tenant (lowest node IDs first, for
@@ -241,7 +217,8 @@ func (s *Shared) Transfer(from, to string, id int) error {
 // lease is a live full-capacity allocation on its own node, the tenant
 // index matches the lease table exactly, and the pool's aggregate
 // allocated counters equal the sum of leased capacities. The invariant
-// suites call it after every randomized step.
+// suites call it after every randomized step; it stays outside the test
+// files because the tenancy package's tests audit their pools with it.
 func (s *Shared) Audit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

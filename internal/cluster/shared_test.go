@@ -29,8 +29,8 @@ func TestSharedLeaseLowestIDsFirst(t *testing.T) {
 			t.Fatalf("lease ids %v, want %v", ids, want)
 		}
 	}
-	if owner, ok := s.Owner(1); !ok || owner != "a" {
-		t.Fatalf("node 1 owner = %q ok=%v, want a", owner, ok)
+	if l := s.leases[1]; l == nil || l.tenant != "a" {
+		t.Fatalf("node 1 lease = %+v, want a's", l)
 	}
 	if free := s.FreeNodes(); free != 5 {
 		t.Fatalf("free nodes %d, want 5", free)
@@ -74,7 +74,7 @@ func TestSharedReleaseOwnershipEnforced(t *testing.T) {
 	if err := s.Release("a", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Owner(0); ok {
+	if s.leases[0] != nil {
 		t.Fatal("node 0 still owned after release")
 	}
 	if n := s.ReleaseAll("a"); n != 1 {
@@ -99,8 +99,8 @@ func TestSharedTransferMovesLease(t *testing.T) {
 	if err := s.Transfer("a", "b", 1); err != nil {
 		t.Fatal(err)
 	}
-	if owner, _ := s.Owner(1); owner != "b" {
-		t.Fatalf("node 1 owner %q after transfer, want b", owner)
+	if l := s.leases[1]; l == nil || l.tenant != "b" {
+		t.Fatalf("node 1 lease %+v after transfer, want b's", l)
 	}
 	// The node never touched the free pool.
 	if free := s.FreeNodes(); free != 2 {

@@ -263,7 +263,7 @@ func TestResultAccessors(t *testing.T) {
 	if res.Iterations() != 3 {
 		t.Fatalf("Iterations = %d", res.Iterations())
 	}
-	if res.NetDelta(PLDDTOf) != res.FinalMedian(PLDDTOf)-res.StartingMedian(PLDDTOf) {
+	if res.NetDelta(PLDDTOf) != res.FinalMedian(PLDDTOf)-medianOver(res.Starting, PLDDTOf) {
 		t.Fatal("NetDelta inconsistent with medians")
 	}
 	med, std := res.IterationSummary(1, PTMOf)

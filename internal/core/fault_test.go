@@ -79,8 +79,8 @@ func TestFaultCampaignRecoversWithRetry(t *testing.T) {
 		t.Fatalf("retry killed %d pipelines, none killed %d — recovery bought nothing",
 			fs.KilledPipelines, none.Faults.KilledPipelines)
 	}
-	if retry.RecoveryLabel() != "retry" {
-		t.Fatalf("recovery label %q", retry.RecoveryLabel())
+	if got := labelOf(retry.Recoveries); got != "retry" {
+		t.Fatalf("recovery label %q", got)
 	}
 	// Attempts histogram: some chains took more than one attempt.
 	if fs.MaxAttempts() < 2 {

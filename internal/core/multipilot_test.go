@@ -187,7 +187,10 @@ func TestPilotValidation(t *testing.T) {
 	}
 
 	bad = base
-	cpu, _ := cluster.AmarelSplit()
+	cpu, _, err := cluster.SplitCPUGPU(cluster.AmarelNode(), 8, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad.Pilots = []PilotSpec{{Name: "cpu-only", Machine: cpu, Serves: []ResourceClass{ClassCPU}}}
 	if _, err := NewCoordinator(targets, bad); err == nil {
 		t.Error("pilot set with no GPU service accepted")

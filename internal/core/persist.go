@@ -36,7 +36,9 @@ func (r *Result) WriteJSON(w io.Writer, includeTasks bool) error {
 
 // ReadResultJSON loads a campaign record written by WriteJSON. The
 // reconstructed Result supports all read accessors (iteration summaries,
-// net deltas, series, final designs).
+// net deltas, series, final designs). No command reads results back;
+// TestSchema1FixturesRoundTrip and FuzzReadResultJSON check the writer
+// with it.
 func ReadResultJSON(rd io.Reader) (*Result, error) {
 	file := resultFile{Result: &Result{}}
 	if err := json.NewDecoder(rd).Decode(&file); err != nil {

@@ -51,7 +51,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		if got == nil {
 			t.Fatalf("final design %s lost", name)
 		}
-		if !got.Receptor.Seq.Equal(st.Receptor.Seq) || got.Generation != st.Generation {
+		if !bytes.Equal(got.Receptor.Seq, st.Receptor.Seq) || got.Generation != st.Generation {
 			t.Fatalf("final design %s corrupted", name)
 		}
 		if len(got.RecXYZ) != len(st.RecXYZ) {
@@ -114,7 +114,7 @@ func TestResultJSONRoundTripExecutionRecord(t *testing.T) {
 	}
 	if loaded.SteerLabel() != res.SteerLabel() ||
 		loaded.PolicyLabel() != res.PolicyLabel() ||
-		loaded.RecoveryLabel() != res.RecoveryLabel() {
+		labelOf(loaded.Recoveries) != labelOf(res.Recoveries) {
 		t.Error("derived labels diverged after round trip")
 	}
 	if !reflect.DeepEqual(loaded.Faults, res.Faults) {

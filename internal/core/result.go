@@ -442,10 +442,6 @@ func (r *Result) Goodput() float64 {
 	return useful / (useful + wasted)
 }
 
-// RecoveryLabel summarizes the campaign's fault-recovery policy set,
-// mirroring PolicyLabel.
-func (r *Result) RecoveryLabel() string { return labelOf(r.Recoveries) }
-
 // SteerLabel returns the campaign's elastic-steering policy name — the
 // grouping key of the elastic report ("none" for the frozen split).
 func (r *Result) SteerLabel() string {
@@ -530,11 +526,6 @@ func (r *Result) QueueWait() (mean, max time.Duration) {
 		return 0, 0
 	}
 	return total / time.Duration(n), max
-}
-
-// StartingMedian returns the median starting value of a metric.
-func (r *Result) StartingMedian(f MetricSeries) float64 {
-	return medianOver(r.Starting, f)
 }
 
 // FinalMedian returns the median final-best value of a metric.

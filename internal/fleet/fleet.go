@@ -1,11 +1,11 @@
 // Package fleet generates seed-deterministic heterogeneous node fleets
-// from weighted node templates — the Navarch-style synthetic-cluster
-// generator the kilo-node scenarios run on. A fleet is described as a
-// list of templates (name, node shape, count or weight, optional
-// failure-domain label); Generate expands the
-// templates and shuffles the node order deterministically from a seed, so
-// the same (spec, seed) pair yields the same fleet on every run and every
-// platform — the property the kilo-screen byte-identical trace test pins.
+// from node templates — the Navarch-style synthetic-cluster generator
+// the kilo-node scenarios run on. A fleet is described as a list of
+// templates (name, node shape, count, optional failure-domain label);
+// Generate expands the templates and shuffles the node order
+// deterministically from a seed, so the same (spec, seed) pair yields the
+// same fleet on every run and every platform — the property the
+// kilo-screen byte-identical trace test pins.
 package fleet
 
 import (
@@ -30,18 +30,14 @@ const MaxNodes = 1 << 20
 // the pilot's capacity sums.
 const MaxPerNode = 1 << 20
 
-// Template is one weighted node shape of a fleet description.
+// Template is one node shape of a fleet description.
 type Template struct {
 	// Name labels the template ("cpu", "gpu", "bigmem", …).
 	Name string
 	// Cap is the node shape every expansion of this template gets.
 	Cap cluster.NodeCapacity
-	// Count is the explicit number of nodes; 0 means "derive from
-	// Weight" via Distribute.
+	// Count is the number of nodes the template expands to.
 	Count int
-	// Weight is the template's relative share of the nodes Distribute
-	// hands out. Ignored when Count is set.
-	Weight float64
 	// Domain is the template's failure-domain label. Generate stamps it
 	// on every node the template expands to; the fault layer groups
 	// correlated failures (domain outages, cascades, maintenance) by it.
@@ -62,86 +58,16 @@ func (t Template) Validate() error {
 		return fmt.Errorf("fleet: template %q node shape %dc%dg%dm exceeds the per-node ceiling of %d cores, GPUs and GB",
 			t.Name, nc.Cores, nc.GPUs, nc.MemGB, MaxPerNode)
 	}
-	if t.Count < 0 {
-		return fmt.Errorf("fleet: template %q has negative count %d", t.Name, t.Count)
-	}
-	if t.Count == 0 && t.Weight <= 0 {
-		return fmt.Errorf("fleet: template %q has neither a count nor a positive weight", t.Name)
+	if t.Count <= 0 {
+		return fmt.Errorf("fleet: template %q has non-positive count %d", t.Name, t.Count)
 	}
 	return nil
-}
-
-// Distribute resolves weight-only templates (Count == 0) into explicit
-// counts so the resulting templates sum to total nodes. Explicit counts
-// are kept as-is; the remainder is split across the weighted templates
-// proportionally, largest remainder first with ties broken by template
-// order — fully deterministic.
-func Distribute(ts []Template, total int) ([]Template, error) {
-	out := append([]Template(nil), ts...)
-	explicit, weight := 0, 0.0
-	for _, t := range out {
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-		if t.Count > 0 {
-			explicit += t.Count
-		} else {
-			weight += t.Weight
-		}
-	}
-	rest := total - explicit
-	if rest < 0 {
-		return nil, fmt.Errorf("fleet: explicit counts (%d) exceed the fleet total %d", explicit, total)
-	}
-	if weight == 0 {
-		if rest > 0 {
-			return nil, fmt.Errorf("fleet: %d nodes left over and no weighted template to absorb them", rest)
-		}
-		return out, nil
-	}
-	// Largest-remainder apportionment over the weighted templates.
-	type share struct {
-		idx  int
-		frac float64
-	}
-	var shares []share
-	assigned := 0
-	for i := range out {
-		if out[i].Count > 0 {
-			continue
-		}
-		exact := float64(rest) * out[i].Weight / weight
-		n := int(exact)
-		out[i].Count = n
-		assigned += n
-		shares = append(shares, share{idx: i, frac: exact - float64(n)})
-	}
-	for assigned < rest {
-		// Hand the leftovers to the largest fractional parts, ties by
-		// template order.
-		best := -1
-		for j, s := range shares {
-			if best < 0 || s.frac > shares[best].frac {
-				best = j
-			}
-		}
-		out[shares[best].idx].Count++
-		shares[best].frac = -1
-		assigned++
-	}
-	for i := range out {
-		if out[i].Count == 0 {
-			return nil, fmt.Errorf("fleet: template %q resolved to zero nodes for total %d", out[i].Name, total)
-		}
-	}
-	return out, nil
 }
 
 // Generate expands the templates into a fleet of node capacities and
 // shuffles the node order deterministically from seed, so heterogeneous
 // shapes interleave the way a real, organically grown partition does
-// instead of clustering by template. Every template needs an explicit
-// Count (resolve weights with Distribute first).
+// instead of clustering by template.
 func Generate(seed uint64, ts []Template) ([]cluster.NodeCapacity, error) {
 	if len(ts) == 0 {
 		return nil, fmt.Errorf("fleet: no templates")
@@ -150,9 +76,6 @@ func Generate(seed uint64, ts []Template) ([]cluster.NodeCapacity, error) {
 	for _, t := range ts {
 		if err := t.Validate(); err != nil {
 			return nil, err
-		}
-		if t.Count == 0 {
-			return nil, fmt.Errorf("fleet: template %q has an unresolved weight; call Distribute first", t.Name)
 		}
 		if t.Count > MaxNodes-total {
 			return nil, fmt.Errorf("fleet: templates through %q expand to more than %d nodes", t.Name, MaxNodes)

@@ -115,62 +115,13 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-func TestGenerateRejectsUnresolvedWeight(t *testing.T) {
-	_, err := Generate(1, []Template{{Name: "w", Cap: cluster.NodeCapacity{Cores: 4}, Weight: 1}})
-	if err == nil || !strings.Contains(err.Error(), "Distribute") {
-		t.Fatalf("unresolved weight accepted: %v", err)
+func TestGenerateRejectsZeroCount(t *testing.T) {
+	_, err := Generate(1, []Template{{Name: "w", Cap: cluster.NodeCapacity{Cores: 4}}})
+	if err == nil || !strings.Contains(err.Error(), "non-positive count") {
+		t.Fatalf("template without nodes accepted: %v", err)
 	}
 	if _, err := Generate(1, nil); err == nil {
 		t.Fatal("empty template list accepted")
-	}
-}
-
-func TestDistribute(t *testing.T) {
-	ts := []Template{
-		{Name: "cpu", Cap: cluster.NodeCapacity{Cores: 28, MemGB: 128}, Weight: 3},
-		{Name: "gpu", Cap: cluster.NodeCapacity{Cores: 8, GPUs: 4, MemGB: 32}, Weight: 1},
-		{Name: "big", Cap: cluster.NodeCapacity{Cores: 64, MemGB: 512}, Count: 2},
-	}
-	out, err := Distribute(ts, 102)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 100 weighted nodes split 3:1 → 75/25; explicit count untouched.
-	if out[0].Count != 75 || out[1].Count != 25 || out[2].Count != 2 {
-		t.Fatalf("counts %d/%d/%d, want 75/25/2", out[0].Count, out[1].Count, out[2].Count)
-	}
-	// Largest-remainder: 10 nodes at weights 1:1:1 → 4/3/3 by order.
-	three := []Template{
-		{Name: "a", Cap: cluster.NodeCapacity{Cores: 1}, Weight: 1},
-		{Name: "b", Cap: cluster.NodeCapacity{Cores: 2}, Weight: 1},
-		{Name: "c", Cap: cluster.NodeCapacity{Cores: 3}, Weight: 1},
-	}
-	out, err = Distribute(three, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Count+out[1].Count+out[2].Count != 10 {
-		t.Fatalf("apportionment does not sum: %+v", out)
-	}
-	for _, o := range out {
-		if o.Count < 3 || o.Count > 4 {
-			t.Fatalf("equal weights apportioned unevenly: %+v", out)
-		}
-	}
-	// Error paths: over-committed counts, leftovers with no weights, a
-	// weight starved to zero.
-	if _, err := Distribute([]Template{{Name: "x", Cap: cluster.NodeCapacity{Cores: 1}, Count: 5}}, 3); err == nil {
-		t.Fatal("explicit counts exceeding the total accepted")
-	}
-	if _, err := Distribute([]Template{{Name: "x", Cap: cluster.NodeCapacity{Cores: 1}, Count: 2}}, 3); err == nil {
-		t.Fatal("leftover nodes with no weighted template accepted")
-	}
-	starved := []Template{
-		{Name: "x", Cap: cluster.NodeCapacity{Cores: 1}, Weight: 1000},
-		{Name: "y", Cap: cluster.NodeCapacity{Cores: 1}, Weight: 0.0001},
-	}
-	if _, err := Distribute(starved, 2); err == nil {
-		t.Fatal("template starved to zero nodes accepted")
 	}
 }
 

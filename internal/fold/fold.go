@@ -111,9 +111,6 @@ func New(truth *landscape.Model, cfg Config, seed uint64) (*Predictor, error) {
 	return &Predictor{truth: truth, cfg: cfg, seed: seed}, nil
 }
 
-// Config returns the predictor configuration.
-func (p *Predictor) Config() Config { return p.cfg }
-
 // noiseStd returns the effective observation noise.
 func (p *Predictor) noiseStd() float64 {
 	std := p.cfg.ObservationNoise
@@ -155,12 +152,6 @@ func (p *Predictor) Predict(full protein.Sequence, isComplex bool) Prediction {
 		models[i].Rank = i
 	}
 	return Prediction{Models: models, TrueZ: z, TrueZInter: zi}
-}
-
-// PredictStructure is Predict for a Structure, deriving multimer mode
-// from the presence of a peptide chain.
-func (p *Predictor) PredictStructure(st *protein.Structure) Prediction {
-	return p.Predict(st.FullSequence(), st.IsComplex())
 }
 
 // residueFits scores how well each residue fits its local conditional

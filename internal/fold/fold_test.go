@@ -36,7 +36,7 @@ func newPredictor(t *testing.T, m *landscape.Model, cfg Config, seed uint64) *Pr
 func TestPredictBasics(t *testing.T) {
 	st, model := testTarget(1)
 	p := newPredictor(t, model, DefaultConfig(), 1)
-	pred := p.PredictStructure(st)
+	pred := p.Predict(st.FullSequence(), st.IsComplex())
 	if len(pred.Models) != 5 {
 		t.Fatalf("got %d models, want 5", len(pred.Models))
 	}
@@ -62,14 +62,14 @@ func TestPredictBasics(t *testing.T) {
 func TestPredictionDeterministicPerSequence(t *testing.T) {
 	st, model := testTarget(2)
 	p := newPredictor(t, model, DefaultConfig(), 7)
-	a := p.PredictStructure(st)
-	b := p.PredictStructure(st)
+	a := p.Predict(st.FullSequence(), st.IsComplex())
+	b := p.Predict(st.FullSequence(), st.IsComplex())
 	if a.Best().Metrics != b.Best().Metrics {
 		t.Fatal("prediction not deterministic for same sequence")
 	}
 	// A different sequence must give a different noise stream.
 	st2 := st.WithReceptorSequence(protein.RandomSequence(xrand.New(5), 60))
-	c := p.PredictStructure(st2)
+	c := p.Predict(st2.FullSequence(), st2.IsComplex())
 	if a.Best().Metrics == c.Best().Metrics {
 		t.Fatal("different sequences gave identical predictions")
 	}
@@ -79,7 +79,7 @@ func TestObservationNoiseBounded(t *testing.T) {
 	st, model := testTarget(3)
 	p := newPredictor(t, model, DefaultConfig(), 3)
 	truth := model.TrueMetrics(st.FullSequence())
-	pred := p.PredictStructure(st)
+	pred := p.Predict(st.FullSequence(), st.IsComplex())
 	// Median-of-models metrics should sit near the truth.
 	var plddts []float64
 	for _, m := range pred.Models {
@@ -106,7 +106,7 @@ func TestBetterDesignsScoreBetter(t *testing.T) {
 func TestPerResidueMeanMatchesGlobal(t *testing.T) {
 	st, model := testTarget(5)
 	p := newPredictor(t, model, DefaultConfig(), 5)
-	best := p.PredictStructure(st).Best()
+	best := p.Predict(st.FullSequence(), st.IsComplex()).Best()
 	mean := stats.Mean(best.PerResiduePLDDT)
 	if math.Abs(mean-best.Metrics.PLDDT) > 1.5 {
 		t.Fatalf("per-residue mean %v vs global %v", mean, best.Metrics.PLDDT)
@@ -129,7 +129,7 @@ func TestSingleSequenceModeNoisier(t *testing.T) {
 		var devs []float64
 		for seed := uint64(0); seed < 30; seed++ {
 			p := newPredictor(t, model, cfg, seed)
-			pred := p.PredictStructure(st)
+			pred := p.Predict(st.FullSequence(), st.IsComplex())
 			devs = append(devs, math.Abs(pred.Best().Metrics.PLDDT-truth.PLDDT))
 		}
 		return stats.Mean(devs)
@@ -173,7 +173,7 @@ func TestConfigValidation(t *testing.T) {
 func TestTrueZExposedForOracles(t *testing.T) {
 	st, model := testTarget(9)
 	p := newPredictor(t, model, DefaultConfig(), 9)
-	pred := p.PredictStructure(st)
+	pred := p.Predict(st.FullSequence(), st.IsComplex())
 	z, zi := model.NormScores(model.Energies(st.FullSequence()))
 	if pred.TrueZ != z || pred.TrueZInter != zi {
 		t.Fatal("TrueZ does not match landscape")

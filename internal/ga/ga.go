@@ -112,60 +112,10 @@ func (p *Pool) Add(e Entry) {
 	}
 }
 
-// Len returns the number of registered results.
-func (p *Pool) Len() int { return len(p.entries) }
-
 // Best returns the best metrics seen for a target.
 func (p *Pool) Best(target string) (landscape.Metrics, bool) {
 	m, ok := p.best[target]
 	return m, ok
-}
-
-// Targets returns the distinct target names seen, sorted.
-func (p *Pool) Targets() []string {
-	out := make([]string, 0, len(p.best))
-	for t := range p.best {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// QualityQuantile returns the q-quantile of composite quality across all
-// registered results (NaN-free: returns 0 for an empty pool).
-func (p *Pool) QualityQuantile(q float64) float64 {
-	if len(p.entries) == 0 {
-		return 0
-	}
-	vals := make([]float64, len(p.entries))
-	for i, e := range p.entries {
-		vals[i] = e.Metrics.Quality()
-	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
-	}
-	if q >= 1 {
-		return vals[len(vals)-1]
-	}
-	pos := q * float64(len(vals)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(vals) {
-		return vals[lo]
-	}
-	return vals[lo]*(1-frac) + vals[lo+1]*frac
-}
-
-// IsLowQuality reports whether m falls below the pool's q-quantile —
-// the trigger for spawning a refinement sub-pipeline. A pool smaller than
-// minSamples never flags anything (avoids overreacting to the first few
-// results).
-func (p *Pool) IsLowQuality(m landscape.Metrics, q float64, minSamples int) bool {
-	if len(p.entries) < minSamples {
-		return false
-	}
-	return m.Quality() < p.QualityQuantile(q)
 }
 
 // IsLowQualityAtIteration compares m against its same-iteration peers

@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"sort"
 	"testing"
 
 	"impress/internal/landscape"
@@ -12,7 +13,7 @@ func designs(lls ...float64) []mpnn.Design {
 	out := make([]mpnn.Design, len(lls))
 	for i, ll := range lls {
 		out[i] = mpnn.Design{
-			Full:          protein.MustSequence("ACDEF"),
+			Full:          protein.Sequence("ACDEF"),
 			LogLikelihood: ll,
 			Index:         i,
 		}
@@ -136,8 +137,8 @@ func TestPoolBestAndTargets(t *testing.T) {
 	p.Add(Entry{Target: "A", Iteration: 2, Metrics: m2})
 	p.Add(Entry{Target: "A", Iteration: 3, Metrics: m3}) // worse; must not displace best
 	p.Add(Entry{Target: "B", Iteration: 1, Metrics: m3})
-	if p.Len() != 4 {
-		t.Fatalf("Len = %d", p.Len())
+	if len(p.entries) != 4 {
+		t.Fatalf("Len = %d", len(p.entries))
 	}
 	best, ok := p.Best("A")
 	if !ok || best != m2 {
@@ -205,4 +206,51 @@ func TestIterationMetrics(t *testing.T) {
 	if len(p.Entries()) != 3 {
 		t.Fatal("Entries length wrong")
 	}
+}
+
+// QualityQuantile returns the q-quantile of composite quality across all
+// registered results (NaN-free: returns 0 for an empty pool).
+func (p *Pool) QualityQuantile(q float64) float64 {
+	if len(p.entries) == 0 {
+		return 0
+	}
+	vals := make([]float64, len(p.entries))
+	for i, e := range p.entries {
+		vals[i] = e.Metrics.Quality()
+	}
+	sort.Float64s(vals)
+	if q <= 0 {
+		return vals[0]
+	}
+	if q >= 1 {
+		return vals[len(vals)-1]
+	}
+	pos := q * float64(len(vals)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(vals) {
+		return vals[lo]
+	}
+	return vals[lo]*(1-frac) + vals[lo+1]*frac
+}
+
+// IsLowQuality reports whether m falls below the pool's q-quantile, the
+// whole-pool form of IsLowQualityAtIteration that campaigns use. A pool
+// smaller than minSamples never flags anything (avoids overreacting to
+// the first few results).
+func (p *Pool) IsLowQuality(m landscape.Metrics, q float64, minSamples int) bool {
+	if len(p.entries) < minSamples {
+		return false
+	}
+	return m.Quality() < p.QualityQuantile(q)
+}
+
+// Targets returns the distinct target names seen, sorted.
+func (p *Pool) Targets() []string {
+	out := make([]string, 0, len(p.best))
+	for t := range p.best {
+		out = append(out, t)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -317,6 +317,7 @@ func meanStd(xs []float64) (mean, std float64) {
 }
 
 // Seed returns the construction seed (used to derive corruption streams).
+// The float64 reference in precision_test.go rebuilds a model from it.
 func (m *Model) Seed() uint64 { return m.seed }
 
 // Len returns the total number of positions.
@@ -328,13 +329,6 @@ func (m *Model) checkLen(full protein.Sequence) {
 	if len(full) != m.Len() {
 		panic(fmt.Sprintf("landscape: sequence length %d, model wants %d (receptor+peptide)", len(full), m.Len()))
 	}
-}
-
-// Energy returns the total Potts energy of the full (receptor+peptide)
-// sequence. Lower is better.
-func (m *Model) Energy(full protein.Sequence) float64 {
-	e, _ := m.Energies(full)
-	return e
 }
 
 // Energies returns total and inter-chain energy in one pass, summed in
@@ -447,16 +441,6 @@ func (m *Model) ConditionalEnergies(full protein.Sequence, pos int, out []float6
 			o[a] += float64(row[a])
 		}
 	}
-}
-
-// Degree returns the number of couplings touching position pos.
-func (m *Model) Degree(pos int) int { return len(m.adj[pos]) }
-
-// ZScores converts raw energies to standardized quality scores: z > 0
-// means better (lower energy) than a random sequence, in units of the
-// random-ensemble standard deviation.
-func (m *Model) ZScores(total, inter float64) (z, zInter float64) {
-	return (m.EnergyMean - total) / m.EnergyStd, (m.InterMean - inter) / m.InterStd
 }
 
 // Zero-allocation scratch for samplers: fixed-size arrays a caller keeps

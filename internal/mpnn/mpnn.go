@@ -137,9 +137,6 @@ func New(truth *landscape.Model, cfg Config) (*Sampler, error) {
 	return &Sampler{truth: truth, cfg: cfg}, nil
 }
 
-// Config returns the sampler's configuration.
-func (s *Sampler) Config() Config { return s.cfg }
-
 // CorruptionFor returns the surrogate error level used at a given
 // backbone generation.
 func (s *Sampler) CorruptionFor(generation int) float64 {

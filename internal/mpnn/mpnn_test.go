@@ -1,6 +1,7 @@
 package mpnn
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -58,10 +59,10 @@ func TestDesignBasics(t *testing.T) {
 			t.Fatalf("design lengths wrong: rec %d full %d", len(d.Receptor), len(d.Full))
 		}
 		// Peptide must be the target peptide, untouched.
-		if !d.Full[60:].Equal(st.Peptide.Seq) {
+		if !bytes.Equal(d.Full[60:], st.Peptide.Seq) {
 			t.Fatal("design modified the peptide")
 		}
-		if !d.Full[:60].Equal(d.Receptor) {
+		if !bytes.Equal(d.Full[:60], d.Receptor) {
 			t.Fatal("Receptor field inconsistent with Full")
 		}
 	}
@@ -76,7 +77,7 @@ func TestDesignDeterministicAcrossParallelism(t *testing.T) {
 	a := newSampler(t, model, serial).Design(st, 7)
 	b := newSampler(t, model, parallel).Design(st, 7)
 	for i := range a {
-		if !a[i].Full.Equal(b[i].Full) || a[i].LogLikelihood != b[i].LogLikelihood {
+		if !bytes.Equal(a[i].Full, b[i].Full) || a[i].LogLikelihood != b[i].LogLikelihood {
 			t.Fatalf("design %d differs between serial and parallel sampling", i)
 		}
 	}
@@ -84,7 +85,7 @@ func TestDesignDeterministicAcrossParallelism(t *testing.T) {
 	c := newSampler(t, model, serial).Design(st, 8)
 	same := 0
 	for i := range a {
-		if a[i].Full.Equal(c[i].Full) {
+		if bytes.Equal(a[i].Full, c[i].Full) {
 			same++
 		}
 	}
@@ -135,7 +136,7 @@ func TestConcurrentDesignAcrossTargets(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			for k, d := range got[i][r] {
 				w := want[i][r][k]
-				if !d.Full.Equal(w.Full) || math.Float64bits(d.LogLikelihood) != math.Float64bits(w.LogLikelihood) || d.Index != w.Index {
+				if !bytes.Equal(d.Full, w.Full) || math.Float64bits(d.LogLikelihood) != math.Float64bits(w.LogLikelihood) || d.Index != w.Index {
 					t.Fatalf("target %d round %d design %d: concurrent %+v, sequential %+v", i, r, k, d, w)
 				}
 			}
@@ -149,7 +150,7 @@ func TestDesignsBeatRandomSequences(t *testing.T) {
 	designs := s.Design(st, 1)
 	var designZ []float64
 	for _, d := range designs {
-		z, _ := model.ZScores(model.Energies(d.Full))
+		z := zScore(model, d.Full)
 		designZ = append(designZ, z)
 	}
 	// MPNN proposals must be clearly better than random (z=0) on average.
@@ -176,7 +177,7 @@ func TestCorruptionDecayWithGeneration(t *testing.T) {
 	_, model := testTarget(5)
 	s := newSampler(t, model, DefaultConfig())
 	prev := s.CorruptionFor(0)
-	if prev != s.Config().CorruptionBase {
+	if prev != s.cfg.CorruptionBase {
 		t.Fatalf("gen-0 corruption = %v", prev)
 	}
 	for g := 1; g <= 5; g++ {
@@ -197,7 +198,7 @@ func TestLaterGenerationsProposeBetterDesigns(t *testing.T) {
 		var zs []float64
 		for trial := uint64(0); trial < 6; trial++ {
 			for _, d := range s.Design(stGen, trial) {
-				z, _ := model.ZScores(model.Energies(d.Full))
+				z := zScore(model, d.Full)
 				zs = append(zs, z)
 			}
 		}
@@ -218,7 +219,7 @@ func TestLogLikelihoodImperfectlyTracksTruth(t *testing.T) {
 	for trial := uint64(0); trial < 8; trial++ {
 		for _, d := range s.Design(st, trial) {
 			lls = append(lls, d.LogLikelihood)
-			z, _ := model.ZScores(model.Energies(d.Full))
+			z := zScore(model, d.Full)
 			zs = append(zs, z)
 		}
 	}
@@ -304,4 +305,11 @@ func BenchmarkDesign10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = s.Design(st, uint64(i))
 	}
+}
+
+// zScore standardizes full's total energy against the model's random
+// ensemble: z > 0 is better than a random sequence.
+func zScore(m *landscape.Model, full protein.Sequence) float64 {
+	total, _ := m.Energies(full)
+	return (m.EnergyMean - total) / m.EnergyStd
 }

@@ -81,7 +81,7 @@ func TestSteeredInNodeCrashes(t *testing.T) {
 		}
 		grownID = recv.GrowNode(nc, ch)
 	})
-	engine.RunUntil(simclock.FromHours(24 * 30))
+	engine.RunUntil(simclock.Time(24 * 30 * time.Hour))
 	donor.StopFaultInjection()
 	recv.StopFaultInjection()
 	engine.Run()
@@ -111,7 +111,7 @@ func TestStopAfterGrownNodeCrash(t *testing.T) {
 	h := faultHarness(t, spec, "retry", 1)
 	id := h.pilot.GrowNode(cluster.NodeCapacity{Cores: 8, GPUs: 2, MemGB: 32}, nil)
 	clu := h.pilot.Cluster()
-	if !stepUntilDown(h.engine, clu, id, simclock.FromHours(24*365)) {
+	if !stepUntilDown(h.engine, clu, id, simclock.Time(24*365*time.Hour)) {
 		t.Fatal("grown node never crashed in a year at MTBF 2h")
 	}
 	h.pilot.StopFaultInjection() // pre-fix: index out of range on the grown ID
@@ -130,7 +130,7 @@ func TestStopAfterGrownNodeCrash(t *testing.T) {
 // delay travel with the node.
 func TestMigratedChainKeepsSchedule(t *testing.T) {
 	spec := fault.Spec{NodeMTBF: 8 * time.Hour, NodeRepair: time.Hour}
-	horizon := simclock.FromHours(24 * 365)
+	horizon := simclock.Time(24 * 365 * time.Hour)
 	donorCaps := []cluster.NodeCapacity{
 		{Cores: 8, MemGB: 32},
 		{Cores: 8, MemGB: 32},
@@ -224,7 +224,7 @@ func runChainInvariantTrial(t *testing.T, trial int64) {
 		})
 	}
 
-	horizon := simclock.FromHours(24 * 20)
+	horizon := simclock.Time(24 * 20 * time.Hour)
 	downSince := map[*Pilot]map[int]simclock.Time{pa: {}, pb: {}}
 	var expected time.Duration
 	transitions := 0
@@ -307,7 +307,7 @@ func TestDomainOutageTakesDomainDown(t *testing.T) {
 	domain := func(id int) string { return caps[id].Domain }
 
 	sawDown := false
-	horizon := simclock.FromHours(24 * 30)
+	horizon := simclock.Time(24 * 30 * time.Hour)
 	for engine.Now() < horizon && engine.Step() {
 		down := clu.DownNodes()
 		if len(down) == 0 {
@@ -371,7 +371,7 @@ func TestMaintenanceWindowIsPlannedDowntime(t *testing.T) {
 	clu := p.Cluster()
 
 	var openedAt, closedAt simclock.Time
-	horizon := simclock.FromHours(24)
+	horizon := simclock.Time(24 * time.Hour)
 	for engine.Now() < horizon && engine.Step() {
 		down := len(clu.DownNodes())
 		switch {
@@ -421,7 +421,7 @@ func TestCascadeAmplifiesCrashes(t *testing.T) {
 			caps[i] = cluster.NodeCapacity{Cores: 8, MemGB: 32, Domain: "r"}
 		}
 		p := labeledPilot(t, pm, "cascade", caps, spec, 8)
-		engine.RunUntil(simclock.FromHours(24 * 60))
+		engine.RunUntil(simclock.Time(24 * 60 * time.Hour))
 		p.StopFaultInjection()
 		engine.Run()
 		crashes, _ := p.FaultCounts()
@@ -459,7 +459,7 @@ func TestDomainArrivalViaTransfer(t *testing.T) {
 		}
 		recv.GrowNode(nc, ch)
 	})
-	engine.RunUntil(simclock.FromHours(24 * 60))
+	engine.RunUntil(simclock.Time(24 * 60 * time.Hour))
 	donor.StopFaultInjection()
 	recv.StopFaultInjection()
 	engine.Run()

@@ -63,7 +63,7 @@ func TestShrinkNodeRefusesBusyCapacity(t *testing.T) {
 	task := h.tm.MustSubmit(TaskDescription{
 		Name: "t", Cores: 4, Work: sleepWork("t", time.Hour, 4, 0),
 	})
-	h.engine.RunUntil(simclock.FromHours(0.5))
+	h.engine.RunUntil(simclock.Time(30 * time.Minute))
 	if task.State() != StateRunning {
 		t.Fatalf("task state %v", task.State())
 	}
@@ -160,7 +160,7 @@ func runElasticInvariantTrial(t *testing.T, polName string, trial int64) {
 
 	totCores := specA.TotalCores() + specB.TotalCores()
 	totGPUs := specA.TotalGPUs() + specB.TotalGPUs()
-	totMem := specA.TotalMemGB() + specB.TotalMemGB()
+	totMem := specA.Nodes*specA.MemGBPerNode + specB.Nodes*specB.MemGBPerNode
 	pilots := []*Pilot{pa, pb}
 
 	var tasks []*Task
@@ -247,7 +247,7 @@ func runElasticInvariantTrial(t *testing.T, polName string, trial int64) {
 		})
 	}
 
-	engine.RunUntil(simclock.FromHours(24 * 30))
+	engine.RunUntil(simclock.Time(24 * 30 * time.Hour))
 	pa.StopFaultInjection()
 	pb.StopFaultInjection()
 	engine.Run()

@@ -209,7 +209,7 @@ func TestNodeCrashKillsResidentsAndRepairs(t *testing.T) {
 		}
 	})
 
-	h.engine.RunUntil(simclock.FromHours(24 * 14))
+	h.engine.RunUntil(simclock.Time(24 * 14 * time.Hour))
 	h.pilot.StopFaultInjection()
 	h.engine.Run()
 
@@ -267,7 +267,7 @@ func TestElsewhereAvoidsFailedNode(t *testing.T) {
 			}
 		}
 	})
-	h.engine.RunUntil(simclock.FromHours(24 * 14))
+	h.engine.RunUntil(simclock.Time(24 * 14 * time.Hour))
 	h.pilot.StopFaultInjection()
 	h.engine.Run()
 	if len(lastCrashNode) == 0 {
@@ -596,7 +596,7 @@ func TestFaultDeterminism(t *testing.T) {
 				Work: sleepWork("x", time.Duration(20+i*7)*time.Minute, 2, i%2),
 			})
 		}
-		h.engine.RunUntil(simclock.FromHours(24 * 30))
+		h.engine.RunUntil(simclock.Time(24 * 30 * time.Hour))
 		h.pilot.StopFaultInjection()
 		h.engine.Run()
 		var sb strings.Builder

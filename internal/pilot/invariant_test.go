@@ -71,7 +71,7 @@ func runInvariantTrial(t *testing.T, polName string, trial int64) {
 	}
 	tm := NewTaskManager(engine, p)
 
-	totalCores, totalGPUs, totalMem := spec.TotalCores(), spec.TotalGPUs(), spec.TotalMemGB()
+	totalCores, totalGPUs, totalMem := spec.TotalCores(), spec.TotalGPUs(), spec.Nodes*spec.MemGBPerNode
 	clu := p.Cluster()
 
 	// Ledger bounds and double-placement are checked on every transition,
@@ -258,7 +258,7 @@ func runFaultInvariantTrial(t *testing.T, recName string, trial int64) {
 	}
 	tm := NewTaskManager(engine, p)
 
-	totalCores, totalGPUs, totalMem := spec.TotalCores(), spec.TotalGPUs(), spec.TotalMemGB()
+	totalCores, totalGPUs, totalMem := spec.TotalCores(), spec.TotalGPUs(), spec.Nodes*spec.MemGBPerNode
 	clu := p.Cluster()
 
 	// All attempts ever seen: by task ID, and chained by origin in
@@ -321,7 +321,7 @@ func runFaultInvariantTrial(t *testing.T, recName string, trial int64) {
 		engine.After(time.Duration(rng.Intn(600))*time.Minute, submit)
 	}
 
-	engine.RunUntil(simclock.FromHours(24 * 60))
+	engine.RunUntil(simclock.Time(24 * 60 * time.Hour))
 	p.StopFaultInjection()
 	engine.Run()
 

@@ -247,7 +247,7 @@ func newPassWorld(t *testing.T, policy string, trial int64, nShapes int, pass fu
 			if rng.Intn(2) == 0 {
 				w.tm.Cancel(v)
 			} else if p := v.pilot; !v.State().Final() {
-				p.EvictTask(v, "", "test eviction")
+				p.agent.evict(v, "", "test eviction")
 			}
 		})
 	}
@@ -261,7 +261,7 @@ func newPassWorld(t *testing.T, policy string, trial int64, nShapes int, pass fu
 				p.GrowNode(randCap(), nil)
 				return
 			}
-			home := len(p.Description().Nodes)
+			home := len(p.desc.Nodes)
 			for _, id := range p.Cluster().TransferableNodes() {
 				if id >= home {
 					if _, _, err := p.ShrinkNode(id); err != nil {

@@ -1,7 +1,6 @@
 package pilot
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -167,7 +166,6 @@ func (pm *PilotManager) Submit(pd PilotDescription) (*Pilot, error) {
 			return
 		}
 		p.state = PilotActive
-		p.activeAt = pm.engine.Now()
 		if p.injector != nil {
 			p.injector.start()
 		}
@@ -187,8 +185,7 @@ type Pilot struct {
 	engine  *simclock.Engine
 	agent   *agent
 
-	state    PilotState
-	activeAt simclock.Time
+	state PilotState
 	// draining marks the graceful walltime window: the pilot still runs
 	// work that fits before expiry but places nothing new and is skipped
 	// by routing and steering.
@@ -201,17 +198,8 @@ type Pilot struct {
 	tel *telemetry.Recorder
 }
 
-// Ordinal returns the pilot's zero-based launch index.
-func (p *Pilot) Ordinal() int { return p.ordinal }
-
 // State returns the pilot lifecycle state.
 func (p *Pilot) State() PilotState { return p.state }
-
-// ActiveAt returns when the pilot became active (zero until then).
-func (p *Pilot) ActiveAt() simclock.Time { return p.activeAt }
-
-// Description returns the pilot's submitted description.
-func (p *Pilot) Description() PilotDescription { return p.desc }
 
 // Policy returns the resolved name of the agent's scheduling policy.
 func (p *Pilot) Policy() string { return p.agent.policy.Name() }
@@ -301,19 +289,6 @@ func (p *Pilot) ShrinkNode(id int) (cluster.NodeCapacity, *fault.Chain, error) {
 		ch = p.injector.detach(id)
 	}
 	return nc, ch, nil
-}
-
-// EvictTask checkpoints and evicts one attempt: the task unwinds exactly
-// like a fault-killed attempt (ledger, busy counters, pending events)
-// but is requeued with its checkpointed progress, resuming on resumeOn
-// when given (empty keeps the original routing). Eviction bypasses the
-// recovery policy — it is a scheduling decision, not a failure — and
-// never ends an attempt chain. Terminal tasks are unaffected.
-func (p *Pilot) EvictTask(t *Task, resumeOn, reason string) {
-	if t == nil || t.state.Final() || t.pilot != p {
-		return
-	}
-	p.agent.evict(t, resumeOn, reason)
 }
 
 // EvictNode drains a busy node for an elastic transfer out — the
@@ -531,9 +506,6 @@ func (tm *TaskManager) pilot(id string) *Pilot {
 	return nil
 }
 
-// Pilots returns the attached pilots in attachment order.
-func (tm *TaskManager) Pilots() []*Pilot { return append([]*Pilot(nil), tm.pilots...) }
-
 // resolve picks the pilot a description targets: an explicit ID must
 // exist; otherwise the first pilot whose node shape could ever satisfy
 // the request wins (falling back to the first pilot so the submission
@@ -606,25 +578,8 @@ func (tm *TaskManager) Submit(td TaskDescription) (*Task, error) {
 	return t, nil
 }
 
-// MustSubmit is Submit for callers whose descriptions are statically
-// valid; it panics on error.
-func (tm *TaskManager) MustSubmit(td TaskDescription) *Task {
-	t, err := tm.Submit(td)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// Cancel cancels a queued or running task; terminal tasks are unaffected.
-func (tm *TaskManager) Cancel(t *Task) {
-	if t == nil || t.state.Final() {
-		return
-	}
-	t.pilot.agent.unwind(t, StateCanceled, errors.New("pilot: cancelled by client"))
-}
-
-// Get returns a task by UID.
+// Get returns a task by UID. The core package's tests walk every
+// attempt with it.
 func (tm *TaskManager) Get(uid uint64) (*Task, bool) {
 	if uid == 0 || uid > uint64(tm.tasks.n) {
 		return nil, false

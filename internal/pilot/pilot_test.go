@@ -480,7 +480,7 @@ func TestTaskTagsAndSeeds(t *testing.T) {
 	if a.Tag("pipeline") != "p1" || a.Tag("missing") != "" {
 		t.Fatal("tags broken")
 	}
-	if a.Seed() == b.Seed() {
+	if a.seed == b.seed {
 		t.Fatal("tasks share seeds")
 	}
 }
@@ -572,4 +572,22 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		}
 		engine.Run()
 	}
+}
+
+// MustSubmit is Submit for callers whose descriptions are statically
+// valid; it panics on error.
+func (tm *TaskManager) MustSubmit(td TaskDescription) *Task {
+	t, err := tm.Submit(td)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// Cancel cancels a queued or running task; terminal tasks are unaffected.
+func (tm *TaskManager) Cancel(t *Task) {
+	if t == nil || t.state.Final() {
+		return
+	}
+	t.pilot.agent.unwind(t, StateCanceled, errors.New("pilot: cancelled by client"))
 }

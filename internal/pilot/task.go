@@ -271,15 +271,12 @@ func (t *Task) WillRetry() bool { return t.requeue != nil }
 // on, or -1 if it never held an allocation.
 func (t *Task) Node() int { return int(t.node) }
 
-// State returns the task's current lifecycle state.
+// State returns the task's current lifecycle state. The core and steer
+// tests read it; campaigns observe states through OnState.
 func (t *Task) State() TaskState { return t.state }
 
 // Tag returns the tag value for key ("" when absent).
 func (t *Task) Tag(key string) string { return t.Description.Tags[key] }
-
-// Seed returns the task's deterministic seed, also exposed to the payload
-// through ExecContext.
-func (t *Task) Seed() uint64 { return t.seed }
 
 // Record returns the attempt's timeline record. The trace recorder logs
 // the final attempt itself and calls Record when it builds a snapshot;

@@ -269,35 +269,8 @@ func New(id string, target *workload.Target, start *protein.Structure, params Pa
 // Target returns the pipeline's target name.
 func (p *Pipeline) Target() string { return p.target.Name }
 
-// Params returns the pipeline's configuration.
-func (p *Pipeline) Params() Params { return p.params }
-
-// Structure returns the current (latest accepted) structure.
-func (p *Pipeline) Structure() *protein.Structure { return p.st }
-
-// BestMetrics returns the metrics of the last accepted design (ok=false
-// before the first acceptance).
-func (p *Pipeline) BestMetrics() (landscape.Metrics, bool) {
-	if p.best == nil {
-		return landscape.Metrics{}, false
-	}
-	return *p.best, true
-}
-
-// Trajectories returns the concluded design cycles so far.
-func (p *Pipeline) Trajectories() []Trajectory {
-	return append([]Trajectory(nil), p.trajectories...)
-}
-
 // Finished reports pipeline completion.
 func (p *Pipeline) Finished() bool { return p.finished }
-
-// Terminated reports early termination by retry exhaustion.
-func (p *Pipeline) Terminated() bool { return p.terminated }
-
-// CurrentCycle returns the 1-based cycle in progress (or last, when
-// finished).
-func (p *Pipeline) CurrentCycle() int { return p.cycle + 1 }
 
 // Start emits the first step (Stage 1 of cycle 1). It can be called once.
 func (p *Pipeline) Start() Outcome {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"impress/internal/fold"
 	"impress/internal/ga"
@@ -214,12 +215,11 @@ func TestAdaptiveImprovesOverStart(t *testing.T) {
 		tg := testTarget(t, seed)
 		p, _ := New("pl", tg, nil, imrpTestParams(seed))
 		drive(t, p)
-		best, ok := p.BestMetrics()
-		if !ok {
+		if p.best == nil {
 			continue
 		}
 		total++
-		if best.BetterThan(tg.StartingMetrics()) {
+		if p.best.BetterThan(tg.StartingMetrics()) {
 			wins++
 		}
 	}
@@ -472,14 +472,14 @@ func TestFastaPayloadParses(t *testing.T) {
 	out = p.HandleResult(StageMPNN, runStep(t, out.Steps[0]))
 	out = p.HandleResult(StageRank, runStep(t, out.Steps[0]))
 	fastaText := runStep(t, out.Steps[0]).(string)
-	records, err := protein.ParseFasta(strings.NewReader(fastaText))
-	if err != nil {
-		t.Fatalf("fasta payload unparseable: %v", err)
-	}
-	if len(records) != p.Params().MPNN.NumSequences {
+	records := strings.Split(strings.TrimPrefix(fastaText, ">"), "\n>")
+	if !strings.HasPrefix(fastaText, ">") || len(records) != p.Params().MPNN.NumSequences {
 		t.Fatalf("fasta has %d records, want %d", len(records), p.Params().MPNN.NumSequences)
 	}
-	chains := protein.SplitComplexSeq(records[0].Seq)
+	// A record is its header line, then the sequence wrapped over lines;
+	// AlphaFold-multimer joins the chains with ':'.
+	lines := strings.Split(strings.TrimSpace(records[0]), "\n")
+	chains := strings.Split(strings.Join(lines[1:], ""), ":")
 	if len(chains) != 2 || chains[1] != workload.AlphaSynucleinTail10 {
 		t.Fatalf("fasta record chains wrong: %v", chains)
 	}
@@ -522,3 +522,29 @@ func TestAggregateWorkPositive(t *testing.T) {
 		t.Fatal("AggregateWork not increasing in residues")
 	}
 }
+
+// AggregateWork estimates one cycle's task time from the cost model. No
+// campaign calls it; TestAggregateWorkPositive pins the estimate.
+func (p Params) AggregateWork(residues int) time.Duration {
+	c := p.Cost
+	total := c.MPNNBase + time.Duration(p.MPNN.NumSequences)*c.MPNNPerSeq +
+		c.RankDuration + c.FastaDuration + c.MetricsDuration +
+		c.MSABase + time.Duration(residues)*c.MSAPerResidue +
+		c.InferBase + time.Duration(p.Fold.NumModels)*c.InferPerModel +
+		time.Duration(residues*p.Fold.NumModels)*c.InferPerResidue
+	return total
+}
+
+// Params returns the pipeline's configuration.
+func (p *Pipeline) Params() Params { return p.params }
+
+// Structure returns the current (latest accepted) structure.
+func (p *Pipeline) Structure() *protein.Structure { return p.st }
+
+// Trajectories returns the concluded design cycles so far.
+func (p *Pipeline) Trajectories() []Trajectory {
+	return append([]Trajectory(nil), p.trajectories...)
+}
+
+// Terminated reports early termination by retry exhaustion.
+func (p *Pipeline) Terminated() bool { return p.terminated }

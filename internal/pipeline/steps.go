@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"time"
 
 	"impress/internal/fold"
 	"impress/internal/ga"
@@ -225,16 +224,4 @@ func StageOf(t *pilot.Task) (Stage, error) {
 		}
 	}
 	return 0, fmt.Errorf("pipeline: task %s has unknown stage tag %q", t.ID, name)
-}
-
-// AggregateWork estimates one cycle's task time for capacity planning in
-// the coordinator (not used for scientific results).
-func (p Params) AggregateWork(residues int) time.Duration {
-	c := p.Cost
-	total := c.MPNNBase + time.Duration(p.MPNN.NumSequences)*c.MPNNPerSeq +
-		c.RankDuration + c.FastaDuration + c.MetricsDuration +
-		c.MSABase + time.Duration(residues)*c.MSAPerResidue +
-		c.InferBase + time.Duration(p.Fold.NumModels)*c.InferPerModel +
-		time.Duration(residues*p.Fold.NumModels)*c.InferPerResidue
-	return total
 }

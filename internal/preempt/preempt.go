@@ -32,16 +32,6 @@ func Progress(resumeFrom, elapsed, interval time.Duration) time.Duration {
 	return resumeFrom + elapsed/interval*interval
 }
 
-// Lost returns the work an interruption at elapsed re-executes: the run
-// time past the last checkpoint boundary (all of it when checkpointing
-// is disabled).
-func Lost(resumeFrom, elapsed, interval time.Duration) time.Duration {
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	return resumeFrom + elapsed - Progress(resumeFrom, elapsed, interval)
-}
-
 // FinishesWithin reports whether an attempt with the given remaining
 // work completes inside a drain window — the graceful-walltime test for
 // letting a run finish instead of evicting it.

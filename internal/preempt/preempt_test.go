@@ -36,28 +36,25 @@ func TestZeroIntervalIsInert(t *testing.T) {
 			if got := Progress(42*time.Minute, elapsed, interval); got != 42*time.Minute {
 				t.Fatalf("Progress(42m, %v, %v) = %v, want the inherited 42m", elapsed, interval, got)
 			}
-			if got := Lost(0, elapsed, interval); got != elapsed {
-				t.Fatalf("Lost(0, %v, %v) = %v, want all of it", elapsed, interval, got)
+			if got := Progress(0, elapsed, interval); got != 0 {
+				t.Fatalf("Progress(0, %v, %v) = %v, want nothing banked", elapsed, interval, got)
 			}
 		}
 	}
 }
 
 func TestLostBounds(t *testing.T) {
-	// Lost is the re-executed slice: always in [0, interval) when
-	// checkpointing is on, regardless of inherited progress.
+	// The work an interruption re-executes (the run time past the last
+	// checkpoint) is always in [0, interval) when checkpointing is on,
+	// regardless of inherited progress.
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 1000; i++ {
 		interval := time.Duration(1+rng.Intn(120)) * time.Minute
 		resumeFrom := time.Duration(rng.Intn(600)) * time.Minute
 		elapsed := time.Duration(rng.Intn(100_000)) * time.Second
-		lost := Lost(resumeFrom, elapsed, interval)
+		lost := resumeFrom + elapsed - Progress(resumeFrom, elapsed, interval)
 		if lost < 0 || lost >= interval {
-			t.Fatalf("Lost(%v, %v, %v) = %v, want in [0, %v)", resumeFrom, elapsed, interval, lost, interval)
-		}
-		// Conservation: banked + lost accounts for every second run.
-		if Progress(resumeFrom, elapsed, interval)+lost != resumeFrom+elapsed {
-			t.Fatalf("Progress+Lost != resumeFrom+elapsed for (%v, %v, %v)", resumeFrom, elapsed, interval)
+			t.Fatalf("lost work for (%v, %v, %v) = %v, want in [0, %v)", resumeFrom, elapsed, interval, lost, interval)
 		}
 	}
 }

@@ -57,68 +57,3 @@ func FastaString(records []FastaRecord) string {
 	}
 	return sb.String()
 }
-
-// ParseFasta reads all records from r. It accepts wrapped sequence lines,
-// skips blank lines, and rejects sequence data appearing before the first
-// header.
-func ParseFasta(r io.Reader) ([]FastaRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var records []FastaRecord
-	var cur *FastaRecord
-	var seq strings.Builder
-	flush := func() {
-		if cur != nil {
-			cur.Seq = seq.String()
-			records = append(records, *cur)
-			seq.Reset()
-		}
-	}
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, ">") {
-			flush()
-			cur = &FastaRecord{Header: strings.TrimSpace(text[1:])}
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("protein: line %d: sequence data before FASTA header", line)
-		}
-		seq.WriteString(text)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	flush()
-	for i, rec := range records {
-		if rec.Seq == "" {
-			return nil, fmt.Errorf("protein: record %d (%q) has no sequence", i, rec.Header)
-		}
-	}
-	return records, nil
-}
-
-// ComplexFasta builds the AlphaFold-multimer input record for a structure:
-// receptor and peptide sequences joined with ':'; monomers emit just the
-// receptor.
-func ComplexFasta(st *Structure) FastaRecord {
-	seq := st.Receptor.Seq.String()
-	if st.IsComplex() {
-		seq += ":" + st.Peptide.Seq.String()
-	}
-	return FastaRecord{
-		Header: fmt.Sprintf("%s gen=%d", st.Name, st.Generation),
-		Seq:    seq,
-	}
-}
-
-// SplitComplexSeq splits an AlphaFold-multimer style "REC:PEP" sequence
-// into its chains. A sequence without ':' is returned as a single chain.
-func SplitComplexSeq(s string) []string {
-	return strings.Split(s, ":")
-}

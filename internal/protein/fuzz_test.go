@@ -47,24 +47,6 @@ func FuzzParsePDB(f *testing.F) {
 	})
 }
 
-// FuzzParseFasta asserts ParseFasta never panics, and that every record
-// it accepts has a single-line header and a non-empty sequence. The seed
-// corpus (testdata/fuzz/FuzzParseFasta) holds wrapped, multi-chain,
-// headerless, empty and CRLF inputs.
-func FuzzParseFasta(f *testing.F) {
-	f.Fuzz(func(t *testing.T, in string) {
-		recs, err := ParseFasta(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		for i, r := range recs {
-			if r.Seq == "" || strings.ContainsAny(r.Header, "\n") {
-				t.Fatalf("record %d accepted malformed: %+v", i, r)
-			}
-		}
-	})
-}
-
 // FuzzParseSequence asserts ParseSequence never panics, that an accepted
 // sequence is non-empty, spells the input back and indexes every residue,
 // and that a rejection names the first non-residue byte's position. The

@@ -85,7 +85,8 @@ func parseFinite(field string) (float64, bool) {
 // ParsePDB reads a Cα-trace PDB written by WritePDB (or any PDB whose CA
 // records follow the standard columns) back into a Structure. Chain A
 // becomes the receptor; chain B, when present, the peptide. B-factors are
-// returned in residue order.
+// returned in residue order. No command reads PDBs back; TestPDBRoundTrip
+// and FuzzParsePDB check WritePDB with it.
 func ParsePDB(r io.Reader) (*Structure, []float64, error) {
 	sc := bufio.NewScanner(r)
 	st := &Structure{Receptor: Chain{ID: "A"}, Peptide: Chain{ID: "B"}}

@@ -64,16 +64,6 @@ func ParseSequence(s string) (Sequence, error) {
 	return seq, nil
 }
 
-// MustSequence is ParseSequence that panics on invalid input; for tests
-// and static tables.
-func MustSequence(s string) Sequence {
-	seq, err := ParseSequence(s)
-	if err != nil {
-		panic(err)
-	}
-	return seq
-}
-
 // Validate checks that every residue is a canonical amino-acid code.
 func (s Sequence) Validate() error {
 	if len(s) == 0 {
@@ -96,51 +86,10 @@ func (s Sequence) Clone() Sequence {
 	return c
 }
 
-// Equal reports residue-wise equality.
-func (s Sequence) Equal(o Sequence) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Hash returns a stable 64-bit hash of the sequence, used to derive
 // deterministic per-design substreams (e.g. AlphaFold observation noise).
 func (s Sequence) Hash() uint64 {
 	return xrand.HashBytes(s)
-}
-
-// WithMutation returns a copy with position pos set to aa.
-func (s Sequence) WithMutation(pos int, aa byte) Sequence {
-	if pos < 0 || pos >= len(s) {
-		panic(fmt.Sprintf("protein: mutation position %d out of range [0,%d)", pos, len(s)))
-	}
-	if Index(aa) < 0 {
-		panic(fmt.Sprintf("protein: invalid residue %q", aa))
-	}
-	c := s.Clone()
-	c[pos] = aa
-	return c
-}
-
-// HammingDistance returns the number of differing positions. Panics on
-// length mismatch.
-func (s Sequence) HammingDistance(o Sequence) int {
-	if len(s) != len(o) {
-		panic("protein: HammingDistance length mismatch")
-	}
-	d := 0
-	for i := range s {
-		if s[i] != o[i] {
-			d++
-		}
-	}
-	return d
 }
 
 // RandomSequence draws a uniform random sequence of length n.
@@ -232,15 +181,6 @@ func (st *Structure) WithReceptorSequence(seq Sequence) *Structure {
 	c := st.Clone()
 	c.Receptor.Seq = seq.Clone()
 	c.Generation = st.Generation + 1
-	return c
-}
-
-// Monomer returns a copy with the peptide removed, for the paper's
-// future-work protease mode where designs are predicted in monomeric form.
-func (st *Structure) Monomer() *Structure {
-	c := st.Clone()
-	c.Peptide = Chain{}
-	c.PepXYZ = nil
 	return c
 }
 

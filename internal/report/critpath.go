@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"impress/internal/core"
@@ -59,53 +58,4 @@ func CriticalPath(r *core.Result) string {
 	}
 	sb.WriteString(st.String())
 	return sb.String()
-}
-
-// CriticalPathCSV writes one row per critical-path segment for each
-// campaign — the machine-readable companion of CriticalPath.
-func CriticalPathCSV(w io.Writer, results []*core.Result) error {
-	if _, err := fmt.Fprintln(w, "approach,seed,segment,task,stage,pilot,attempt,"+
-		"gap_m,wait_m,setup_m,run_m,end_h"); err != nil {
-		return err
-	}
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		cp := r.CriticalPath()
-		for i, seg := range cp.Segments {
-			stage := seg.Stage
-			if stage == "" {
-				stage = seg.Name
-			}
-			if _, err := fmt.Fprintf(w, "%s,%d,%d,%s,%s,%s,%d,%.4f,%.4f,%.4f,%.4f,%.4f\n",
-				r.Approach, r.Seed, i+1, seg.ID, stage, seg.Pilot, seg.Attempt,
-				seg.Gap.Minutes(), seg.Wait.Minutes(), seg.Setup.Minutes(),
-				seg.Run.Minutes(), seg.EndedAt.Hours()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// StageSlackCSV writes the per-stage slack rows for each campaign.
-func StageSlackCSV(w io.Writer, results []*core.Result) error {
-	if _, err := fmt.Fprintln(w, "approach,seed,stage,attempts,on_path,busy_h,path_time_m,slack_m"); err != nil {
-		return err
-	}
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		cp := r.CriticalPath()
-		for _, s := range cp.Stages {
-			if _, err := fmt.Fprintf(w, "%s,%d,%s,%d,%d,%.4f,%.4f,%.4f\n",
-				r.Approach, r.Seed, s.Stage, s.Attempts, s.OnPath,
-				s.Busy.Hours(), s.PathTime.Minutes(), s.Slack.Minutes()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -36,7 +36,7 @@ func randomCluster(t *testing.T, rng *xrand.RNG, n int) *cluster.Cluster {
 		c.Allocate(cluster.Request{Cores: 1 + rng.Intn(8), GPUs: rng.Intn(2), MemGB: rng.Intn(32)})
 	}
 	for i := 0; i < n; i++ {
-		if rng.Bool(0.15) {
+		if rng.Float64() < 0.15 {
 			c.SetNodeDown(i)
 		}
 	}

@@ -107,8 +107,8 @@ func TestReusedSlotLeavesStaleHandleInert(t *testing.T) {
 				e.After(time.Hour, func() {})
 			}
 			check("after the slab grew")
-			if e.Pending() != 1001 {
-				t.Fatalf("%d events pending, want 1001", e.Pending())
+			if len(e.heap) != 1001 {
+				t.Fatalf("%d events pending, want 1001", len(e.heap))
 			}
 		})
 	}

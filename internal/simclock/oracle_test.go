@@ -142,9 +142,9 @@ func TestEngineMatchesSortedQueue(t *testing.T) {
 				q.now = until
 			}
 
-			if e.Now() != q.now || e.Fired() != q.fired || e.Pending() != len(q.pending) {
+			if e.Now() != q.now || e.Fired() != q.fired || len(e.heap) != len(q.pending) {
 				t.Fatalf("seed %d op %d: engine now=%v fired=%d pending=%d, oracle now=%v fired=%d pending=%d",
-					seed, op, e.Now(), e.Fired(), e.Pending(), q.now, q.fired, len(q.pending))
+					seed, op, e.Now(), e.Fired(), len(e.heap), q.now, q.fired, len(q.pending))
 			}
 			if len(got) != len(want) {
 				t.Fatalf("seed %d op %d: engine fired %d, oracle %d", seed, op, len(got), len(want))

@@ -33,9 +33,6 @@ type Time int64
 // Duration re-exports time.Duration for call-site brevity.
 type Duration = time.Duration
 
-// Seconds returns the time as floating-point seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
-
 // Hours returns the time as floating-point hours.
 func (t Time) Hours() float64 { return float64(t) / float64(time.Hour) }
 
@@ -49,9 +46,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
 func (t Time) String() string { return time.Duration(t).String() }
-
-// FromHours converts floating-point hours to a Time offset.
-func FromHours(h float64) Time { return Time(h * float64(time.Hour)) }
 
 // event is the pooled scheduling record, one per slab slot. Callers never
 // see it directly: they hold Event handles, which pair the slot with the
@@ -108,7 +102,8 @@ func (ev Event) When() Time {
 
 // Name returns the debug label attached at scheduling time, or "" when
 // the handle is stale. The label is assembled on demand — scheduling only
-// stores its parts.
+// stores its parts. No campaign reads it; the simclock tests check
+// stale handles with it.
 func (ev Event) Name() string {
 	e := ev.event()
 	if e == nil {
@@ -159,9 +154,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return len(e.heap) }
 
 // place puts x at heap index i and records i in x's event.
 func (e *Engine) place(i int, x entry) {
@@ -353,7 +345,8 @@ func (e *Engine) Run() uint64 {
 
 // RunUntil fires events with timestamps <= t, then advances the clock to
 // exactly t (even if no event lies there). It returns how many events
-// fired.
+// fired. Campaigns run to completion with Run; the pilot and steer tests
+// bound their open-ended fault and ticker streams with RunUntil.
 func (e *Engine) RunUntil(t Time) uint64 {
 	if t < e.now {
 		panic(fmt.Sprintf("simclock: RunUntil(%v) is before now %v", t, e.now))

@@ -214,12 +214,12 @@ func TestFiredAndPendingCounters(t *testing.T) {
 	e := New()
 	e.After(time.Second, func() {})
 	e.After(2*time.Second, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
+	if len(e.heap) != 2 {
+		t.Fatalf("Pending = %d, want 2", len(e.heap))
 	}
 	e.Run()
-	if e.Fired() != 2 || e.Pending() != 0 {
-		t.Fatalf("Fired = %d Pending = %d", e.Fired(), e.Pending())
+	if e.Fired() != 2 || len(e.heap) != 0 {
+		t.Fatalf("Fired = %d Pending = %d", e.Fired(), len(e.heap))
 	}
 }
 
@@ -257,24 +257,21 @@ func TestPropertyFireOrderMatchesStableSort(t *testing.T) {
 }
 
 func TestTimeHelpers(t *testing.T) {
-	tm := FromHours(2.5)
+	tm := Time(150 * time.Minute)
 	if tm.Hours() != 2.5 {
 		t.Fatalf("Hours = %v", tm.Hours())
-	}
-	if tm.Seconds() != 9000 {
-		t.Fatalf("Seconds = %v", tm.Seconds())
 	}
 	if tm.Add(30*time.Minute).Hours() != 3 {
 		t.Fatal("Add broken")
 	}
-	if tm.Sub(FromHours(1)) != 90*time.Minute {
+	if tm.Sub(Time(time.Hour)) != 90*time.Minute {
 		t.Fatal("Sub broken")
 	}
 	if tm.Duration() != 150*time.Minute {
 		t.Fatal("Duration broken")
 	}
-	if FromHours(1).String() != "1h0m0s" {
-		t.Fatalf("String = %q", FromHours(1).String())
+	if Time(time.Hour).String() != "1h0m0s" {
+		t.Fatalf("String = %q", Time(time.Hour).String())
 	}
 }
 

@@ -193,7 +193,9 @@ func Pearson(xs, ys []float64) float64 {
 }
 
 // Spearman returns the Spearman rank correlation of paired samples,
-// handling ties by mid-ranking.
+// handling ties by mid-ranking. No campaign computes it; the landscape
+// and mpnn tests check that likelihoods track energies with it, so it
+// and the Pearson and Ranks it builds on stay outside the test files.
 func Spearman(xs, ys []float64) float64 {
 	if len(xs) != len(ys) {
 		panic("stats: Spearman length mismatch")

@@ -87,11 +87,8 @@ func TestMedianProperties(t *testing.T) {
 			return false
 		}
 		// Invariance under permutation.
-		perm := rng.Perm(n)
-		ys := make([]float64, n)
-		for i, p := range perm {
-			ys[i] = xs[p]
-		}
+		ys := append([]float64(nil), xs...)
+		rng.Shuffle(n, func(i, j int) { ys[i], ys[j] = ys[j], ys[i] })
 		if !almost(Median(ys), med, 1e-9) {
 			return false
 		}

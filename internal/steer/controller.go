@@ -168,9 +168,6 @@ func (c *Controller) Stop() {
 // Transfers returns the number of node transfers applied so far.
 func (c *Controller) Transfers() int { return len(c.moves) }
 
-// Moves returns a copy of the applied transfer log.
-func (c *Controller) Moves() []Move { return append([]Move(nil), c.moves...) }
-
 // Vetoes returns a copy of the rejected-proposal log.
 func (c *Controller) Vetoes() []Veto { return append([]Veto(nil), c.vetoes...) }
 

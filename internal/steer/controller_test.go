@@ -36,7 +36,10 @@ type rig struct {
 // newRig builds a CPU pilot and a GPU pilot over n-node split partitions.
 func newRig(t *testing.T, nodes int) *rig {
 	t.Helper()
-	cpu, gpu := cluster.AmarelSplit()
+	cpu, gpu, err := cluster.SplitCPUGPU(cluster.AmarelNode(), 8, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cpu.Nodes, gpu.Nodes = nodes, nodes
 	engine := simclock.New()
 	rec := trace.NewRecorder(cpu.TotalCores()+gpu.TotalCores(), cpu.TotalGPUs()+gpu.TotalGPUs(), 0)
@@ -89,14 +92,14 @@ func TestControllerSteersCapacityTowardPressure(t *testing.T) {
 		// help drain (its floor keeps the last one home).
 		var tasks []*pilot.Task
 		for i := 0; i < 24; i++ {
-			tasks = append(tasks, r.tm.MustSubmit(pilot.TaskDescription{
+			tasks = append(tasks, mustSubmit(r.tm, pilot.TaskDescription{
 				Name: "cpu", Cores: 8, Pilot: r.pilots[0].ID,
 				Work: cpuWork(2*time.Hour, 8),
 			}))
 		}
 		// Drain with a bounded horizon, then stop the ticker so the
 		// engine can run dry.
-		r.engine.RunUntil(simclock.FromHours(24 * 7))
+		r.engine.RunUntil(simclock.Time(24 * 7 * time.Hour))
 		if ctl != nil {
 			ctl.Stop()
 		}
@@ -138,18 +141,18 @@ func TestControllerSkipsUselessDonations(t *testing.T) {
 	// Flood the GPU pilot with GPU tasks; the CPU pilot idles. Its
 	// 0-GPU nodes are useless to that queue and must stay home.
 	for i := 0; i < 12; i++ {
-		r.tm.MustSubmit(pilot.TaskDescription{
+		mustSubmit(r.tm, pilot.TaskDescription{
 			Name: "gpu", Cores: 2, GPUs: 4, Pilot: r.pilots[1].ID,
 			Work: pilot.WorkFunc(func(*pilot.ExecContext) (pilot.Result, error) {
 				return pilot.Result{Phases: []pilot.Phase{{Name: "g", Duration: time.Hour, BusyCores: 2, BusyGPUs: 4}}}, nil
 			}),
 		})
 	}
-	r.engine.RunUntil(simclock.FromHours(24))
+	r.engine.RunUntil(simclock.Time(24 * time.Hour))
 	ctl.Stop()
 	r.engine.Run()
 	if n := ctl.Transfers(); n != 0 {
-		t.Fatalf("%d useless transfers applied: %v", n, ctl.Moves())
+		t.Fatalf("%d useless transfers applied", n)
 	}
 	if got := r.pilots[0].Cluster().ActiveNodeCount(); got != 2 {
 		t.Fatalf("CPU pilot lost nodes to a queue it cannot serve: %d", got)
@@ -165,7 +168,7 @@ func TestControllerKeepsLastOperationalNode(t *testing.T) {
 	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
 	ctl.Start()
 	for i := 0; i < 16; i++ {
-		r.tm.MustSubmit(pilot.TaskDescription{
+		mustSubmit(r.tm, pilot.TaskDescription{
 			Name: "cpu", Cores: 8, Pilot: r.pilots[0].ID, Work: cpuWork(2*time.Hour, 8),
 		})
 	}
@@ -174,11 +177,11 @@ func TestControllerKeepsLastOperationalNode(t *testing.T) {
 	r.engine.After(2*time.Minute, func() {
 		r.pilots[1].Cluster().SetNodeDown(0)
 	})
-	r.engine.RunUntil(simclock.FromHours(24 * 7))
+	r.engine.RunUntil(simclock.Time(24 * 7 * time.Hour))
 	ctl.Stop()
 	r.engine.Run()
 	if n := ctl.Transfers(); n != 0 {
-		t.Fatalf("donor shipped its last operational node (%d transfers): %v", n, ctl.Moves())
+		t.Fatalf("donor shipped its last operational node (%d transfers)", n)
 	}
 	if got := r.pilots[1].Cluster().ActiveNodeCount(); got != 2 {
 		t.Fatalf("GPU pilot has %d nodes", got)
@@ -211,10 +214,10 @@ func TestControllerRecordsVetoes(t *testing.T) {
 	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
 	ctl.Start()
 	// One short task keeps the engine alive past a few observations.
-	r.tm.MustSubmit(pilot.TaskDescription{
+	mustSubmit(r.tm, pilot.TaskDescription{
 		Name: "cpu", Cores: 2, Pilot: r.pilots[0].ID, Work: cpuWork(time.Hour, 2),
 	})
-	r.engine.RunUntil(simclock.FromHours(1))
+	r.engine.RunUntil(simclock.Time(time.Hour))
 	ctl.Stop()
 	r.engine.Run()
 
@@ -252,11 +255,11 @@ func TestControllerStatDerivatives(t *testing.T) {
 	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
 	ctl.Start()
 	for i := 0; i < 16; i++ {
-		r.tm.MustSubmit(pilot.TaskDescription{
+		mustSubmit(r.tm, pilot.TaskDescription{
 			Name: "cpu", Cores: 8, Pilot: r.pilots[0].ID, Work: cpuWork(4*time.Hour, 8),
 		})
 	}
-	r.engine.RunUntil(simclock.FromHours(2))
+	r.engine.RunUntil(simclock.Time(2 * time.Hour))
 	ctl.Stop()
 	r.engine.Run()
 
@@ -291,10 +294,10 @@ func TestControllerTelemetryLog(t *testing.T) {
 	tel := telemetry.NewRecorder()
 	ctl.SetTelemetry(tel)
 	ctl.Start()
-	r.tm.MustSubmit(pilot.TaskDescription{
+	mustSubmit(r.tm, pilot.TaskDescription{
 		Name: "cpu", Cores: 2, Pilot: r.pilots[0].ID, Work: cpuWork(time.Hour, 2),
 	})
-	r.engine.RunUntil(simclock.FromHours(1))
+	r.engine.RunUntil(simclock.Time(time.Hour))
 	ctl.Stop()
 	r.engine.Run()
 
@@ -308,7 +311,16 @@ func TestControllerTelemetryLog(t *testing.T) {
 	if len(d.Ticks[0].Actions) == 0 {
 		t.Fatal("vetoed observation logged no actions")
 	}
-	if tel.Counter(telemetry.KindSteerVeto) == 0 {
+	if d.Counters[telemetry.KindSteerVeto] == 0 {
 		t.Fatal("no steer-veto instants recorded")
 	}
+}
+
+// mustSubmit submits a task the test describes statically valid.
+func mustSubmit(tm *pilot.TaskManager, td pilot.TaskDescription) *pilot.Task {
+	task, err := tm.Submit(td)
+	if err != nil {
+		panic(err)
+	}
+	return task
 }

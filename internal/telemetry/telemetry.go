@@ -13,8 +13,6 @@
 package telemetry
 
 import (
-	"sort"
-
 	"impress/internal/simclock"
 	"impress/internal/trace"
 )
@@ -119,14 +117,6 @@ func (r *Recorder) Tick(t simclock.Time, pilots []PilotSample, actions []string)
 	r.data.Ticks = append(r.data.Ticks, Tick{T: t, Pilots: pilots, Actions: actions})
 }
 
-// Inc adds delta to the named counter.
-func (r *Recorder) Inc(name string, delta int64) {
-	if r == nil {
-		return
-	}
-	r.data.Counters[name] += delta
-}
-
 // SetGauge records the named gauge's value at time t as a step series,
 // with the same same-timestamp coalescing and unchanged-value early
 // return as the trace recorder's series.
@@ -149,35 +139,6 @@ func (r *Recorder) SetGauge(name string, t simclock.Time, v int) {
 		}
 	}
 	r.data.Series[name] = append(s, trace.Point{T: t, Value: v})
-}
-
-// Counter returns the named counter's value (0 when disabled or unset).
-func (r *Recorder) Counter(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.data.Counters[name]
-}
-
-// Series returns a copy of the named gauge series.
-func (r *Recorder) Series(name string) []trace.Point {
-	if r == nil {
-		return nil
-	}
-	return append([]trace.Point(nil), r.data.Series[name]...)
-}
-
-// SeriesNames returns the sorted names of all recorded gauge series.
-func (r *Recorder) SeriesNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.data.Series))
-	for name := range r.data.Series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Data returns a snapshot of everything recorded (nil when disabled).

@@ -140,8 +140,8 @@ func (f *flatRecorder) queries() map[string]float64 {
 
 func recorderQueries(r *Recorder) map[string]float64 {
 	return map[string]float64{
-		"BusyCoreHours":  r.BusyCoreHours(),
-		"BusyGPUHours":   r.BusyGPUHours(),
+		"BusyCoreHours":  integrate(&r.cpuSeries, r.start, r.end) / float64(time.Hour),
+		"BusyGPUHours":   integrate(&r.gpuSeries, r.start, r.end) / float64(time.Hour),
 		"CPUUtilization": r.CPUUtilization(),
 		"GPUUtilization": r.GPUUtilization(),
 	}
@@ -157,8 +157,8 @@ func sameRecorders(t *testing.T, where string, r *Recorder, f *flatRecorder) {
 	if got, want := r.GPUSeries(), f.gpuSeries; !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: GPUSeries differs (%d vs %d points)", where, len(got), len(want))
 	}
-	if r.QueuePilots() != len(f.queueSeries) {
-		t.Fatalf("%s: QueuePilots = %d, want %d", where, r.QueuePilots(), len(f.queueSeries))
+	if len(r.queueSeries) != len(f.queueSeries) {
+		t.Fatalf("%s: QueuePilots = %d, want %d", where, len(r.queueSeries), len(f.queueSeries))
 	}
 	for p := 0; p <= len(f.queueSeries); p++ {
 		if got, want := r.QueueSeries(p), f.QueueSeries(p); !reflect.DeepEqual(got, want) {

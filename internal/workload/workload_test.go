@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
 	"impress/internal/stats"
@@ -44,16 +45,18 @@ func TestTargetsDeterministic(t *testing.T) {
 	a, _ := NamedTargets(7, DefaultConfig())
 	b, _ := NamedTargets(7, DefaultConfig())
 	for i := range a {
-		if !a[i].Structure.Receptor.Seq.Equal(b[i].Structure.Receptor.Seq) {
+		if !bytes.Equal(a[i].Structure.Receptor.Seq, b[i].Structure.Receptor.Seq) {
 			t.Fatal("native sequences not deterministic")
 		}
 		fa := a[i].Structure.FullSequence()
-		if a[i].Truth.Energy(fa) != b[i].Truth.Energy(fa) {
+		ea, _ := a[i].Truth.Energies(fa)
+		eb, _ := b[i].Truth.Energies(fa)
+		if ea != eb {
 			t.Fatal("landscapes not deterministic")
 		}
 	}
 	c, _ := NamedTargets(8, DefaultConfig())
-	if a[0].Structure.Receptor.Seq.Equal(c[0].Structure.Receptor.Seq) {
+	if bytes.Equal(a[0].Structure.Receptor.Seq, c[0].Structure.Receptor.Seq) {
 		t.Fatal("different seeds give identical targets")
 	}
 }

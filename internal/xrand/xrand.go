@@ -51,17 +51,6 @@ func DeriveN(seed uint64, n uint64) uint64 {
 	return mix(seed ^ mix(n+0x632be59bd9b4e019))
 }
 
-// HashString returns a 64-bit FNV-1a hash of s, folded through the
-// SplitMix64 finalizer for better avalanche behaviour.
-func HashString(s string) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return mix(h)
-}
-
 // HashBytes returns a 64-bit FNV-1a hash of b folded through the finalizer.
 func HashBytes(b []byte) uint64 {
 	var h uint64 = 0xcbf29ce484222325
@@ -95,11 +84,6 @@ func (r *RNG) Intn(n int) int {
 		panic("xrand: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63 returns a non-negative 63-bit value.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
 }
 
 // Range returns a uniform value in [lo, hi).
@@ -144,16 +128,6 @@ func (r *RNG) ExpFloat64() float64 {
 	}
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
 // ShuffleInts permutes p in place (Fisher–Yates).
 func (r *RNG) ShuffleInts(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
@@ -168,32 +142,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool {
-	return r.Float64() < p
-}
-
-// Pick returns a random index weighted by the non-negative weights w.
-// It panics if all weights are zero or w is empty.
-func (r *RNG) Pick(w []float64) int {
-	var total float64
-	for _, x := range w {
-		if x < 0 {
-			panic("xrand: negative weight")
-		}
-		total += x
-	}
-	if total <= 0 || len(w) == 0 {
-		panic("xrand: Pick with zero total weight")
-	}
-	t := r.Float64() * total
-	for i, x := range w {
-		t -= x
-		if t < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
 }

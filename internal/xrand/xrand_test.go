@@ -278,3 +278,52 @@ func TestSeededMatchesNew(t *testing.T) {
 		t.Fatal("Seeded normal stream diverges from New")
 	}
 }
+
+// HashString returns a 64-bit FNV-1a hash of s, folded through the
+// SplitMix64 finalizer for better avalanche behaviour.
+func HashString(s string) uint64 {
+	var h uint64 = 0xcbf29ce484222325
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 0x100000001b3
+	}
+	return mix(h)
+}
+
+// Perm returns a random permutation of [0, n).
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.ShuffleInts(p)
+	return p
+}
+
+// Bool returns true with probability p.
+func (r *RNG) Bool(p float64) bool {
+	return r.Float64() < p
+}
+
+// Pick returns a random index weighted by the non-negative weights w.
+// It panics if all weights are zero or w is empty.
+func (r *RNG) Pick(w []float64) int {
+	var total float64
+	for _, x := range w {
+		if x < 0 {
+			panic("xrand: negative weight")
+		}
+		total += x
+	}
+	if total <= 0 || len(w) == 0 {
+		panic("xrand: Pick with zero total weight")
+	}
+	t := r.Float64() * total
+	for i, x := range w {
+		t -= x
+		if t < 0 {
+			return i
+		}
+	}
+	return len(w) - 1
+}

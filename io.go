@@ -36,22 +36,6 @@ func WriteResultJSON(w io.Writer, r *Result, includeTasks bool) error {
 	return r.WriteJSON(w, includeTasks)
 }
 
-// ReadResultJSON loads a campaign result written by WriteResultJSON.
-func ReadResultJSON(r io.Reader) (*Result, error) {
-	return core.ReadResultJSON(r)
-}
-
-// WritePDB emits a Cα-trace PDB model of a structure; bfactors (optional)
-// fills the B-factor column, conventionally with per-residue pLDDT.
-func WritePDB(w io.Writer, st *Structure, bfactors []float64) error {
-	return protein.WritePDB(w, st, bfactors)
-}
-
-// ParsePDB reads a Cα-trace PDB back into a structure plus its B-factors.
-func ParsePDB(r io.Reader) (*Structure, []float64, error) {
-	return protein.ParsePDB(r)
-}
-
 // WriteArtifact creates (or truncates) path, streams the artifact
 // through write, and closes it, propagating write and close errors — the
 // loss-proof write path every command output goes through.
@@ -88,19 +72,5 @@ func WriteDesignPDBs(dir string, r *Result) ([]string, error) {
 	return paths, nil
 }
 
-// TableI renders the paper's Table I for a CONT-V / IM-RP result pair.
-func TableI(ctrl, adpt *Result) string { return report.TableI(ctrl, adpt) }
-
 // Gantt renders the campaign's per-task timeline (maxRows 0 = all).
 func Gantt(r *Result, maxRows int) string { return report.Gantt(r, maxRows) }
-
-// UtilizationFigure renders a Fig. 4 / Fig. 5 style utilization report.
-func UtilizationFigure(title string, r *Result) string {
-	return report.UtilizationFigure(title, r)
-}
-
-// IterationFigure renders a Fig. 2 / Fig. 3 style per-iteration metric
-// report for one or more results.
-func IterationFigure(title string, iterations int, results ...*Result) string {
-	return report.IterationFigure(title, iterations, results...)
-}

@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"impress"
+	"impress/internal/core"
+	"impress/internal/protein"
+	"impress/internal/report"
 )
 
 func smallCampaign(t *testing.T, seed uint64) *impress.Result {
@@ -33,7 +36,7 @@ func TestPublicJSONRoundTrip(t *testing.T) {
 	if err := impress.WriteResultJSON(&buf, res, false); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := impress.ReadResultJSON(&buf)
+	loaded, err := core.ReadResultJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +52,14 @@ func TestPublicPDBFromCampaign(t *testing.T) {
 		t.Fatal("no final design")
 	}
 	var buf bytes.Buffer
-	if err := impress.WritePDB(&buf, st, nil); err != nil {
+	if err := protein.WritePDB(&buf, st, nil); err != nil {
 		t.Fatal(err)
 	}
-	parsed, _, err := impress.ParsePDB(bytes.NewReader(buf.Bytes()))
+	parsed, _, err := protein.ParsePDB(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parsed.Receptor.Seq.Equal(st.Receptor.Seq) {
+	if !bytes.Equal(parsed.Receptor.Seq, st.Receptor.Seq) {
 		t.Fatal("design sequence lost in PDB round trip")
 	}
 }
@@ -84,15 +87,15 @@ func TestPublicRenderers(t *testing.T) {
 	if !strings.Contains(impress.Gantt(res, 5), "Task timeline") {
 		t.Error("Gantt broken")
 	}
-	if !strings.Contains(impress.UtilizationFigure("U", res), "Busy CPU cores") {
+	if !strings.Contains(report.UtilizationFigure("U", res), "Busy CPU cores") {
 		t.Error("UtilizationFigure broken")
 	}
-	if !strings.Contains(impress.IterationFigure("I", 2, res), "pLDDT") {
+	if !strings.Contains(report.IterationFigure("I", 2, res), "pLDDT") {
 		t.Error("IterationFigure broken")
 	}
 	ctrl := smallCampaign(t, 35)
 	ctrl.Approach = "CONT-V" // label for rendering
-	if !strings.Contains(impress.TableI(ctrl, res), "Trajectories") {
+	if !strings.Contains(report.TableI(ctrl, res), "Trajectories") {
 		t.Error("TableI broken")
 	}
 }

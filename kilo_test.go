@@ -9,6 +9,7 @@ package impress_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,15 +50,17 @@ func renderKiloTrace(t *testing.T, p impress.ScenarioParams) string {
 	if res.SteerLabel() == "none" {
 		t.Fatal("kilo-screen ran without steering")
 	}
-	if res.RecoveryLabel() == "none" || res.RecoveryLabel() == "" {
-		t.Fatalf("kilo-screen recovery label %q", res.RecoveryLabel())
+	// Pilots that agree on a recovery policy print its name once.
+	recovery := strings.Join(slices.Compact(slices.Clone(res.Recoveries)), "+")
+	if recovery == "none" || recovery == "" {
+		t.Fatalf("kilo-screen recovery label %q", recovery)
 	}
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s nodes=%d\n", out.Name, nodes)
 	fmt.Fprintf(&sb, "%s\n", impress.Summary(res))
 	fmt.Fprintf(&sb, "steer=%s transfers=%d recovery=%s policies=%s\n",
-		res.SteerLabel(), res.NodeTransfers, res.RecoveryLabel(), res.PolicyLabel())
+		res.SteerLabel(), res.NodeTransfers, recovery, res.PolicyLabel())
 	fmt.Fprintf(&sb, "faults: task=%d crash=%d resub=%d terminal=%d killed=%d\n",
 		res.Faults.TaskFaults, res.Faults.NodeCrashes, res.Faults.Resubmissions,
 		res.Faults.TerminalFailures, res.Faults.KilledPipelines)
