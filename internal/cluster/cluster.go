@@ -156,13 +156,13 @@ type Cluster struct {
 	idx *ledgerIndex
 
 	// Aggregate ledger counters, maintained incrementally on every
-	// mutation path so FreeCores/CapCores/ActiveNodeCount/UpNodeCount-style
-	// queries answer in O(1). Free totals include down nodes (their
-	// ledger stays exact across crash/repair); removed nodes hold zeroed
-	// capacity and contribute nothing.
-	freeCores, freeGPUs, freeMemGB int
-	capCores, capGPUs, capMemGB    int
-	activeNodes, upNodes           int
+	// mutation path so FreeCores/CapCores/UpNodeCount-style queries
+	// answer in O(1). Free totals include down nodes (their ledger stays
+	// exact across crash/repair); removed nodes hold zeroed capacity and
+	// contribute nothing.
+	freeCores, freeGPUs int
+	capCores, capGPUs   int
+	upNodes             int
 
 	// avoidEpoch/epoch implement O(1) per-node exclusion checks for
 	// AllocateExcluding: each call with a non-empty avoid list bumps the
@@ -223,13 +223,10 @@ func newCluster(spec Spec, caps []NodeCapacity) (*Cluster, error) {
 		})
 		c.capCores += nc.Cores
 		c.capGPUs += nc.GPUs
-		c.capMemGB += nc.MemGB
 		c.freeCores += nc.Cores
 		c.freeGPUs += nc.GPUs
-		c.freeMemGB += nc.MemGB
 		c.addHomeShape(nc)
 	}
-	c.activeNodes = len(caps)
 	c.upNodes = len(caps)
 	c.rebuildIndex()
 	return c, nil
@@ -395,7 +392,6 @@ func (c *Cluster) take(n *Node, r Request) Alloc {
 	n.freeMemGB -= r.MemGB
 	c.freeCores -= r.Cores
 	c.freeGPUs -= r.GPUs
-	c.freeMemGB -= r.MemGB
 	c.updateLeaf(n.ID)
 	return Alloc{Node: n, Cores: r.Cores, GPUs: r.GPUs, MemGB: r.MemGB}
 }
@@ -429,7 +425,6 @@ func (c *Cluster) Release(a *Alloc) {
 	}
 	c.freeCores += a.Cores
 	c.freeGPUs += a.GPUs
-	c.freeMemGB += a.MemGB
 	c.updateLeaf(a.Node.ID)
 }
 
@@ -510,13 +505,6 @@ func (c *Cluster) NodeDomain(id int) string {
 	return n.cap.Domain
 }
 
-// ActiveNodeCount returns the number of nodes currently part of the
-// cluster (not transferred away). Down nodes count: they come back. The
-// pilot and steer tests check elastic transfers through it.
-func (c *Cluster) ActiveNodeCount() int {
-	return c.activeNodes
-}
-
 // UpNodeCount returns the number of operational nodes: part of the
 // cluster and not crashed. This is the floor the steering layer guards —
 // donating a pilot's last *up* node would leave it with zero schedulable
@@ -560,11 +548,8 @@ func (c *Cluster) RemoveNode(id int) (NodeCapacity, error) {
 	n.freeCores, n.freeGPUs, n.freeMemGB = 0, 0, 0
 	c.capCores -= nc.Cores
 	c.capGPUs -= nc.GPUs
-	c.capMemGB -= nc.MemGB
 	c.freeCores -= nc.Cores
 	c.freeGPUs -= nc.GPUs
-	c.freeMemGB -= nc.MemGB
-	c.activeNodes--
 	c.upNodes--
 	c.updateLeaf(id)
 	return nc, nil
@@ -589,11 +574,8 @@ func (c *Cluster) AddNode(nc NodeCapacity) int {
 	c.avoidEpoch = append(c.avoidEpoch, 0)
 	c.capCores += nc.Cores
 	c.capGPUs += nc.GPUs
-	c.capMemGB += nc.MemGB
 	c.freeCores += nc.Cores
 	c.freeGPUs += nc.GPUs
-	c.freeMemGB += nc.MemGB
-	c.activeNodes++
 	c.upNodes++
 	c.freed++
 	if len(c.nodes) > c.idx.size {
@@ -614,12 +596,6 @@ func (c *Cluster) CapCores() int {
 // CapGPUs returns the current total GPU capacity across active nodes.
 func (c *Cluster) CapGPUs() int {
 	return c.capGPUs
-}
-
-// CapMemGB returns the current total memory capacity across active nodes.
-// The pilot package's ledger invariant tests read it.
-func (c *Cluster) CapMemGB() int {
-	return c.capMemGB
 }
 
 // DownNodes returns the IDs of currently crashed nodes, ascending.
@@ -648,12 +624,6 @@ func (c *Cluster) FreeCores() int {
 // FreeGPUs returns the total free GPUs across nodes.
 func (c *Cluster) FreeGPUs() int {
 	return c.freeGPUs
-}
-
-// FreeMemGB returns the total free memory across nodes. The pilot
-// package's ledger invariant tests read it.
-func (c *Cluster) FreeMemGB() int {
-	return c.freeMemGB
 }
 
 // AllocatedCores returns currently reserved cores.

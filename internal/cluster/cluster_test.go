@@ -7,6 +7,28 @@ import (
 	"impress/internal/xrand"
 )
 
+// memGB sums the free and total memory over c's nodes. Crashed nodes
+// count with their outstanding allocations; a node transferred away holds
+// zeroed counters and adds nothing.
+func memGB(c *Cluster) (free, total int) {
+	for _, n := range c.nodes {
+		free += n.freeMemGB
+		total += n.cap.MemGB
+	}
+	return free, total
+}
+
+// activeNodes counts the nodes still part of c: not transferred away.
+func activeNodes(c *Cluster) int {
+	n := 0
+	for i := range c.NodeCount() {
+		if !c.NodeIsRemoved(i) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestAmarelSpec(t *testing.T) {
 	s := AmarelNode()
 	if s.TotalCores() != 28 || s.TotalGPUs() != 4 || s.Nodes*s.MemGBPerNode != 128 {
@@ -43,14 +65,14 @@ func TestAllocateRelease(t *testing.T) {
 	if a == nil {
 		t.Fatal("allocation failed on empty cluster")
 	}
-	if c.FreeCores() != 20 || c.FreeGPUs() != 3 || c.FreeMemGB() != 112 {
-		t.Fatalf("free after alloc: %d cores %d gpus %d mem", c.FreeCores(), c.FreeGPUs(), c.FreeMemGB())
+	if mem, _ := memGB(c); c.FreeCores() != 20 || c.FreeGPUs() != 3 || mem != 112 {
+		t.Fatalf("free after alloc: %d cores %d gpus %d mem", c.FreeCores(), c.FreeGPUs(), mem)
 	}
 	if c.AllocatedCores() != 8 || c.CapGPUs()-c.FreeGPUs() != 1 {
 		t.Fatal("allocated counters wrong")
 	}
 	c.Release(a)
-	if c.FreeCores() != 28 || c.FreeGPUs() != 4 || c.FreeMemGB() != 128 {
+	if mem, _ := memGB(c); c.FreeCores() != 28 || c.FreeGPUs() != 4 || mem != 128 {
 		t.Fatal("release did not restore resources")
 	}
 }
@@ -162,9 +184,10 @@ func TestPropertyConservation(t *testing.T) {
 				c.Release(live[k])
 				live = append(live[:k], live[k+1:]...)
 			}
+			mem, _ := memGB(c)
 			if c.FreeCores() < 0 || c.FreeCores() > 16 ||
 				c.FreeGPUs() < 0 || c.FreeGPUs() > 4 ||
-				c.FreeMemGB() < 0 || c.FreeMemGB() > 64 {
+				mem < 0 || mem > 64 {
 				return false
 			}
 			// Conservation: free + live allocations == capacity.
@@ -237,7 +260,7 @@ func TestReleaseToDownNodeKeepsLedgerExact(t *testing.T) {
 	}
 	c.SetNodeDown(0)
 	c.Release(a) // crash kills the resident task; its resources return
-	if c.FreeCores() != 8 || c.FreeMemGB() != 16 {
+	if mem, _ := memGB(c); c.FreeCores() != 8 || mem != 16 {
 		t.Fatal("release to a down node lost resources")
 	}
 	if got := c.Allocate(Request{Cores: 1}); got != nil {
@@ -293,17 +316,17 @@ func TestNodeTransfer(t *testing.T) {
 	if nc != (NodeCapacity{Cores: gpu.CoresPerNode, GPUs: gpu.GPUsPerNode, MemGB: gpu.MemGBPerNode}) {
 		t.Fatalf("transferred capacity %+v", nc)
 	}
-	if src.ActiveNodeCount() != 1 || src.CapCores() != gpu.CoresPerNode || src.CapGPUs() != gpu.GPUsPerNode {
+	if n := activeNodes(src); n != 1 || src.CapCores() != gpu.CoresPerNode || src.CapGPUs() != gpu.GPUsPerNode {
 		t.Fatalf("source after transfer: %d nodes, %d cores, %d gpus",
-			src.ActiveNodeCount(), src.CapCores(), src.CapGPUs())
+			n, src.CapCores(), src.CapGPUs())
 	}
 	before := dst.FreedStamp()
 	id := dst.AddNode(nc)
 	if dst.FreedStamp() == before {
 		t.Fatal("AddNode did not advance the freed watermark")
 	}
-	if dst.ActiveNodeCount() != 3 || dst.CapGPUs() != gpu.GPUsPerNode {
-		t.Fatalf("destination after transfer: %d nodes, %d gpus", dst.ActiveNodeCount(), dst.CapGPUs())
+	if n := activeNodes(dst); n != 3 || dst.CapGPUs() != gpu.GPUsPerNode {
+		t.Fatalf("destination after transfer: %d nodes, %d gpus", n, dst.CapGPUs())
 	}
 	// The borrowed node serves the receiver's own task shapes out of its
 	// transferred capacity (its GPUs ride along idle on a CPU partition —
@@ -372,7 +395,12 @@ func TestTransferConservesCapacity(t *testing.T) {
 	b, _ := New(gpu)
 	totCores := a.CapCores() + b.CapCores()
 	totGPUs := a.CapGPUs() + b.CapGPUs()
-	totMem := a.CapMemGB() + b.CapMemGB()
+	capMem := func() int {
+		_, memA := memGB(a)
+		_, memB := memGB(b)
+		return memA + memB
+	}
+	totMem := capMem()
 	move := func(src, dst *Cluster) {
 		ids := src.TransferableNodes()
 		if len(ids) == 0 {
@@ -389,7 +417,7 @@ func TestTransferConservesCapacity(t *testing.T) {
 	move(a, b) // send a borrowed GPU node home
 	if a.CapCores()+b.CapCores() != totCores ||
 		a.CapGPUs()+b.CapGPUs() != totGPUs ||
-		a.CapMemGB()+b.CapMemGB() != totMem {
+		capMem() != totMem {
 		t.Fatalf("transfers did not conserve capacity: %d/%d cores, %d/%d gpus",
 			a.CapCores()+b.CapCores(), totCores, a.CapGPUs()+b.CapGPUs(), totGPUs)
 	}

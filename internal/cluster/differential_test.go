@@ -77,27 +77,20 @@ func visit(c *Cluster, r Request) []string {
 func checkAgainstScans(t *testing.T, c *Cluster, step int) {
 	t.Helper()
 	type agg struct {
-		FreeCores, FreeGPUs, FreeMemGB int
-		CapCores, CapGPUs, CapMemGB    int
-		Active, Up                     int
+		FreeCores, FreeGPUs int
+		CapCores, CapGPUs   int
+		Up                  int
 	}
-	got := agg{c.FreeCores(), c.FreeGPUs(), c.FreeMemGB(),
-		c.CapCores(), c.CapGPUs(), c.CapMemGB(),
-		c.ActiveNodeCount(), c.UpNodeCount()}
+	got := agg{c.FreeCores(), c.FreeGPUs(), c.CapCores(), c.CapGPUs(), c.UpNodeCount()}
 	var want agg
 	var idle []int
 	for _, n := range c.nodes {
 		want.FreeCores += n.freeCores
 		want.FreeGPUs += n.freeGPUs
-		want.FreeMemGB += n.freeMemGB
 		want.CapCores += n.cap.Cores
 		want.CapGPUs += n.cap.GPUs
-		want.CapMemGB += n.cap.MemGB
-		if !n.removed {
-			want.Active++
-			if !n.down {
-				want.Up++
-			}
+		if !n.removed && !n.down {
+			want.Up++
 		}
 		if n.idle() {
 			idle = append(idle, n.ID)

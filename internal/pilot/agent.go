@@ -608,7 +608,7 @@ func (a *agent) startSetup(t *Task, alloc cluster.Alloc) {
 		a.rec.AddPhase(trace.PhaseExecSetup, d)
 	}
 	a.noteOccupancy()
-	ex.setup = a.pilot.engine.AfterTagged(d, t.ID, ":setup", "", ex.onSetup)
+	ex.setup = a.pilot.engine.After(d, ex.onSetup)
 }
 
 // startRun executes the payload eagerly and replays its phase profile.
@@ -664,7 +664,7 @@ func (a *agent) startRun(ex *execution) {
 				at = 0
 			}
 			ex.phase = min(ex.phase, i)
-			ex.events = append(ex.events, engine.AfterTagged(at, t.ID, ":phase:", ph.Name, ex.onPhase))
+			ex.events = append(ex.events, engine.After(at, ex.onPhase))
 		}
 		start = end
 		offset = end - resume
@@ -672,7 +672,7 @@ func (a *agent) startRun(ex *execution) {
 	if offset < 0 {
 		offset = 0
 	}
-	ex.events = append(ex.events, engine.AfterTagged(offset, t.ID, ":done", "", ex.onDone))
+	ex.events = append(ex.events, engine.After(offset, ex.onDone))
 
 	// Fault injection: the per-task failure model decides — purely from
 	// the attempt's seed — whether this attempt dies mid-run. The fault
@@ -682,7 +682,7 @@ func (a *agent) startRun(ex *execution) {
 	// remaining duration only.
 	if inj := a.pilot.injector; inj != nil {
 		if at, ok := inj.taskFault(t, offset); ok {
-			ex.events = append(ex.events, engine.AfterTagged(at, t.ID, ":fault", "", ex.onFault))
+			ex.events = append(ex.events, engine.After(at, ex.onFault))
 		}
 	}
 }

@@ -80,8 +80,8 @@ func TestShrinkNodeRefusesBusyCapacity(t *testing.T) {
 		t.Fatalf("shrunk capacity %+v", nc)
 	}
 	clu := h.pilot.Cluster()
-	if clu.ActiveNodeCount() != 1 || clu.CapCores() != 28 {
-		t.Fatalf("ledger after shrink: %d nodes, %d cores", clu.ActiveNodeCount(), clu.CapCores())
+	if n := activeNodes(clu); n != 1 || clu.CapCores() != 28 {
+		t.Fatalf("ledger after shrink: %d nodes, %d cores", n, clu.CapCores())
 	}
 	h.engine.Run()
 	if task.State() != StateDone {
@@ -168,15 +168,16 @@ func runElasticInvariantTrial(t *testing.T, polName string, trial int64) {
 		capC, capG, capM := 0, 0, 0
 		for _, p := range pilots {
 			clu := p.Cluster()
+			freeMem, capMem := memGB(clu)
 			if clu.FreeCores() < 0 || clu.FreeCores() > clu.CapCores() ||
 				clu.FreeGPUs() < 0 || clu.FreeGPUs() > clu.CapGPUs() ||
-				clu.FreeMemGB() < 0 || clu.FreeMemGB() > clu.CapMemGB() {
+				freeMem < 0 || freeMem > capMem {
 				t.Fatalf("ledger out of bounds at %v on %s: %d/%d cores, %d/%d GPUs",
 					engine.Now(), p.ID, clu.FreeCores(), clu.CapCores(), clu.FreeGPUs(), clu.CapGPUs())
 			}
 			capC += clu.CapCores()
 			capG += clu.CapGPUs()
-			capM += clu.CapMemGB()
+			capM += capMem
 		}
 		if capC != totCores || capG != totGPUs || capM != totMem {
 			t.Fatalf("transfers leaked capacity at %v: %d/%d cores, %d/%d GPUs, %d/%d GB",
@@ -236,7 +237,7 @@ func runElasticInvariantTrial(t *testing.T, polName string, trial int64) {
 			}
 			clu := from.Cluster()
 			ids := clu.TransferableNodes()
-			if len(ids) == 0 || clu.ActiveNodeCount() <= 1 {
+			if len(ids) == 0 || activeNodes(clu) <= 1 {
 				return
 			}
 			nc, ch, err := from.ShrinkNode(ids[rng.Intn(len(ids))])
@@ -260,12 +261,13 @@ func runElasticInvariantTrial(t *testing.T, polName string, trial int64) {
 	freeC, freeG, freeM, capC, capG, capM := 0, 0, 0, 0, 0, 0
 	for _, p := range pilots {
 		clu := p.Cluster()
+		freeMem, capMem := memGB(clu)
 		freeC += clu.FreeCores()
 		freeG += clu.FreeGPUs()
-		freeM += clu.FreeMemGB()
+		freeM += freeMem
 		capC += clu.CapCores()
 		capG += clu.CapGPUs()
-		capM += clu.CapMemGB()
+		capM += capMem
 	}
 	if capC != totCores || capG != totGPUs || capM != totMem {
 		t.Fatalf("capacity leaked: %d/%d cores, %d/%d GPUs, %d/%d GB", capC, totCores, capG, totGPUs, capM, totMem)

@@ -148,7 +148,7 @@ func (in *injector) start() {
 		in.scheduleMaintOpen(idx, m, m.Start)
 	}
 	if in.spec.Walltime > 0 {
-		in.wallEvent = in.pilot.engine.AfterNamed(in.spec.Walltime, in.pilot.ID+":fault-walltime", func() {
+		in.wallEvent = in.pilot.engine.After(in.spec.Walltime, func() {
 			in.pilot.expireOrDrain()
 		})
 	}
@@ -266,7 +266,7 @@ func (in *injector) armChain(i int) {
 	if s.hasPending {
 		d := s.pendingNext
 		s.hasPending = false
-		s.ev = in.pilot.engine.AfterNamed(d, fmt.Sprintf("%s:node%d:crash", in.pilot.ID, i), func() {
+		s.ev = in.pilot.engine.After(d, func() {
 			in.crash(i)
 		})
 		return
@@ -277,7 +277,7 @@ func (in *injector) armChain(i int) {
 // scheduleCrash arms node i's next crash from its own MTBF stream.
 func (in *injector) scheduleCrash(i int) {
 	d := fault.CrashDelay(in.chains[i].rng, in.spec.NodeMTBF)
-	in.chains[i].ev = in.pilot.engine.AfterNamed(d, fmt.Sprintf("%s:node%d:crash", in.pilot.ID, i), func() {
+	in.chains[i].ev = in.pilot.engine.After(d, func() {
 		in.crash(i)
 	})
 }
@@ -308,7 +308,7 @@ func (in *injector) crash(i int) {
 	in.pilot.tel.Instant(in.pilot.engine.Now(), telemetry.KindNodeCrash, in.pilot.ordinal, i, clu.NodeDomain(i))
 	in.pilot.agent.failNode(i)
 	repair := in.spec.RepairWindow()
-	in.chains[i].ev = in.pilot.engine.AfterNamed(repair, fmt.Sprintf("%s:node%d:repair", in.pilot.ID, i), func() {
+	in.chains[i].ev = in.pilot.engine.After(repair, func() {
 		in.repair(i)
 	})
 	in.cascadeFrom(i)
@@ -347,7 +347,7 @@ func (in *injector) cascadeFrom(i int) {
 			continue
 		}
 		in.pilot.engine.Cancel(s.ev)
-		s.ev = in.pilot.engine.AfterNamed(delay, fmt.Sprintf("%s:node%d:cascade", in.pilot.ID, j), func() {
+		s.ev = in.pilot.engine.After(delay, func() {
 			in.crash(j)
 		})
 	}
@@ -393,7 +393,7 @@ func (in *injector) ensureDomain(name string) {
 // scheduleOutage arms domain d's next whole-domain outage.
 func (in *injector) scheduleOutage(d *domainState) {
 	delay := fault.CrashDelay(d.rng, in.spec.Domains.OutageMTBF)
-	d.ev = in.pilot.engine.AfterNamed(delay, fmt.Sprintf("%s:domain:%s:outage", in.pilot.ID, d.name), func() {
+	d.ev = in.pilot.engine.After(delay, func() {
 		in.outage(d)
 	})
 }
@@ -425,7 +425,7 @@ func (in *injector) outage(d *domainState) {
 	if dur <= 0 {
 		dur = in.spec.RepairWindow()
 	}
-	d.ev = in.pilot.engine.AfterNamed(dur, fmt.Sprintf("%s:domain:%s:restore", in.pilot.ID, d.name), func() {
+	d.ev = in.pilot.engine.After(dur, func() {
 		in.restore(d)
 	})
 }
@@ -460,7 +460,7 @@ func (in *injector) restore(d *domainState) {
 
 // scheduleMaintOpen arms maintenance window idx's next opening.
 func (in *injector) scheduleMaintOpen(idx int, m fault.Maintenance, delay time.Duration) {
-	in.maintEvents[idx] = in.pilot.engine.AfterNamed(delay, fmt.Sprintf("%s:maint:%s:open", in.pilot.ID, m.Domain), func() {
+	in.maintEvents[idx] = in.pilot.engine.After(delay, func() {
 		in.maintOpen(idx, m)
 	})
 }
@@ -496,7 +496,7 @@ func (in *injector) maintOpen(idx int, m fault.Maintenance) {
 	for _, i := range victims {
 		in.pilot.agent.failNode(i)
 	}
-	in.maintEvents[idx] = in.pilot.engine.AfterNamed(m.Duration, fmt.Sprintf("%s:maint:%s:close", in.pilot.ID, m.Domain), func() {
+	in.maintEvents[idx] = in.pilot.engine.After(m.Duration, func() {
 		in.maintClose(idx, m)
 	})
 }

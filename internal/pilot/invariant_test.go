@@ -29,6 +29,29 @@ import (
 	"impress/internal/trace"
 )
 
+// memGB sums a cluster's free and total memory over its nodes: free from
+// NodeFree (zero on a crashed node), total from NodeCap (zero on a node
+// transferred away).
+func memGB(c *cluster.Cluster) (free, total int) {
+	for i, r := range c.NodeFree() {
+		free += r.MemGB
+		total += c.NodeCap(i).MemGB
+	}
+	return free, total
+}
+
+// activeNodes counts the nodes still part of c: not transferred away.
+// Crashed nodes count; they come back.
+func activeNodes(c *cluster.Cluster) int {
+	n := 0
+	for i := range c.NodeCount() {
+		if !c.NodeIsRemoved(i) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestSchedulerInvariants(t *testing.T) {
 	const trials = 6
 	for _, polName := range sched.Names() {
@@ -80,11 +103,12 @@ func runInvariantTrial(t *testing.T, polName string, trial int64) {
 	terminals := make(map[string]int)
 	var setupOrder []uint64
 	tm.OnState(func(task *Task, s TaskState) {
+		freeMem, _ := memGB(clu)
 		if clu.FreeCores() < 0 || clu.FreeCores() > totalCores ||
 			clu.FreeGPUs() < 0 || clu.FreeGPUs() > totalGPUs ||
-			clu.FreeMemGB() < 0 || clu.FreeMemGB() > totalMem {
+			freeMem < 0 || freeMem > totalMem {
 			t.Fatalf("ledger out of bounds at %v: %d cores, %d GPUs, %d GB free",
-				engine.Now(), clu.FreeCores(), clu.FreeGPUs(), clu.FreeMemGB())
+				engine.Now(), clu.FreeCores(), clu.FreeGPUs(), freeMem)
 		}
 		switch {
 		case s == StateExecSetup:
@@ -167,9 +191,9 @@ func runInvariantTrial(t *testing.T, polName string, trial int64) {
 
 	// Cancellation and completion unwound every delta exactly: the
 	// ledger is full again and the busy series has returned to zero.
-	if clu.FreeCores() != totalCores || clu.FreeGPUs() != totalGPUs || clu.FreeMemGB() != totalMem {
+	if freeMem, _ := memGB(clu); clu.FreeCores() != totalCores || clu.FreeGPUs() != totalGPUs || freeMem != totalMem {
 		t.Fatalf("ledger leaked: %d/%d cores, %d/%d GPUs, %d/%d GB free",
-			clu.FreeCores(), totalCores, clu.FreeGPUs(), totalGPUs, clu.FreeMemGB(), totalMem)
+			clu.FreeCores(), totalCores, clu.FreeGPUs(), totalGPUs, freeMem, totalMem)
 	}
 	end := engine.Now().Add(time.Minute)
 	if trace.Sample(rec.CPUSeries(), end) != 0 || trace.Sample(rec.GPUSeries(), end) != 0 {
@@ -266,11 +290,12 @@ func runFaultInvariantTrial(t *testing.T, recName string, trial int64) {
 	seen := make(map[string]*Task)
 	chains := make(map[string][]*Task)
 	tm.OnState(func(task *Task, s TaskState) {
+		freeMem, _ := memGB(clu)
 		if clu.FreeCores() < 0 || clu.FreeCores() > totalCores ||
 			clu.FreeGPUs() < 0 || clu.FreeGPUs() > totalGPUs ||
-			clu.FreeMemGB() < 0 || clu.FreeMemGB() > totalMem {
+			freeMem < 0 || freeMem > totalMem {
 			t.Fatalf("ledger out of bounds at %v: %d cores, %d GPUs, %d GB free",
-				engine.Now(), clu.FreeCores(), clu.FreeGPUs(), clu.FreeMemGB())
+				engine.Now(), clu.FreeCores(), clu.FreeGPUs(), freeMem)
 		}
 		switch {
 		case s == StateSubmitted:
@@ -367,9 +392,9 @@ func runFaultInvariantTrial(t *testing.T, recName string, trial int64) {
 	}
 
 	// The ledger unwound exactly and no node is still down.
-	if clu.FreeCores() != totalCores || clu.FreeGPUs() != totalGPUs || clu.FreeMemGB() != totalMem {
+	if freeMem, _ := memGB(clu); clu.FreeCores() != totalCores || clu.FreeGPUs() != totalGPUs || freeMem != totalMem {
 		t.Fatalf("ledger leaked: %d/%d cores, %d/%d GPUs, %d/%d GB free",
-			clu.FreeCores(), totalCores, clu.FreeGPUs(), totalGPUs, clu.FreeMemGB(), totalMem)
+			clu.FreeCores(), totalCores, clu.FreeGPUs(), totalGPUs, freeMem, totalMem)
 	}
 	if len(clu.DownNodes()) != 0 {
 		t.Fatalf("nodes still down after stop: %v", clu.DownNodes())

@@ -161,7 +161,7 @@ func (pm *PilotManager) Submit(pd PilotDescription) (*Pilot, error) {
 	if pm.rec != nil {
 		pm.rec.AddPhase(trace.PhaseBootstrap, boot)
 	}
-	pm.engine.AfterNamed(boot, p.ID+":bootstrap", func() {
+	pm.engine.After(boot, func() {
 		if p.state != PilotLaunching {
 			return
 		}
@@ -399,7 +399,7 @@ func (p *Pilot) drainWalltime(grace time.Duration) {
 	}
 	p.draining = true
 	p.agent.drainAll(grace)
-	p.engine.AfterNamed(grace, p.ID+":walltime-drain", func() { p.expire() })
+	p.engine.After(grace, func() { p.expire() })
 }
 
 // TaskManager accepts task submissions and routes them to pilot agents,
@@ -672,7 +672,7 @@ func (tm *TaskManager) execRecovery(t *Task) {
 	}
 	tm.resubmitted++
 	plan := t.requeue
-	plan.event = tm.engine.AfterTagged(plan.delay, t.ID, ":requeue", "", func() {
+	plan.event = tm.engine.After(plan.delay, func() {
 		tm.resubmit(t, plan)
 	})
 }

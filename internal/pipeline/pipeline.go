@@ -228,7 +228,6 @@ type Pipeline struct {
 	trajectories []Trajectory
 	started      bool
 	finished     bool
-	terminated   bool
 }
 
 // New builds a pipeline for a target. start overrides the target's
@@ -380,7 +379,6 @@ func (p *Pipeline) decide(met landscape.Metrics) Outcome {
 	// Retries exhausted: record the declined cycle and terminate.
 	traj := p.record(met, false)
 	p.finished = true
-	p.terminated = true
 	return Outcome{Cycle: &traj, Finished: true, Terminated: true}
 }
 

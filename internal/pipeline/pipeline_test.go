@@ -43,7 +43,7 @@ func runStep(t *testing.T, step Step) any {
 
 // drive runs a pipeline to completion, returning the visited stage
 // sequence.
-func drive(t *testing.T, p *Pipeline) []Stage {
+func drive(t *testing.T, p *Pipeline) ([]Stage, Outcome) {
 	t.Helper()
 	var stages []Stage
 	out := p.Start()
@@ -60,7 +60,7 @@ func drive(t *testing.T, p *Pipeline) []Stage {
 	if !p.Finished() {
 		t.Fatal("pipeline stopped emitting steps without finishing")
 	}
-	return stages
+	return stages, out
 }
 
 func imrpTestParams(seed uint64) Params {
@@ -76,7 +76,7 @@ func TestIMRPStageSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := drive(t, p)
+	stages, _ := drive(t, p)
 	// Cycle structure: mpnn, rank, fasta, [msa], fold{1+retries}, metrics...
 	if stages[0] != StageMPNN || stages[1] != StageRank || stages[2] != StageFasta || stages[3] != StageMSA {
 		t.Fatalf("cycle-1 prefix = %v", stages[:4])
@@ -108,7 +108,7 @@ func TestReuseMSARunsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := drive(t, p)
+	stages, _ := drive(t, p)
 	msaCount := 0
 	for _, s := range stages {
 		if s == StageMSA {
@@ -129,7 +129,7 @@ func TestControlRunsAllCyclesMonolithically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := drive(t, p)
+	stages, last := drive(t, p)
 	for _, s := range stages {
 		if s == StageMSA {
 			t.Fatal("control pipeline emitted a split MSA stage")
@@ -150,7 +150,7 @@ func TestControlRunsAllCyclesMonolithically(t *testing.T) {
 			t.Fatalf("trajectory %d cycle/gen = %d/%d", i, tr.Cycle, tr.Generation)
 		}
 	}
-	if p.Terminated() {
+	if last.Terminated {
 		t.Fatal("control pipeline terminated early")
 	}
 }
@@ -343,7 +343,7 @@ func TestRetryThenTerminate(t *testing.T) {
 	if retries != 3 {
 		t.Fatalf("got %d retries, want MaxRetries=3", retries)
 	}
-	if !out.Terminated || !p.Terminated() {
+	if !out.Terminated {
 		t.Fatal("pipeline not terminated after retry exhaustion")
 	}
 	if out.Cycle == nil || out.Cycle.Accepted {
@@ -545,6 +545,3 @@ func (p *Pipeline) Structure() *protein.Structure { return p.st }
 func (p *Pipeline) Trajectories() []Trajectory {
 	return append([]Trajectory(nil), p.trajectories...)
 }
-
-// Terminated reports early termination by retry exhaustion.
-func (p *Pipeline) Terminated() bool { return p.terminated }

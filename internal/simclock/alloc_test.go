@@ -7,24 +7,24 @@ import (
 )
 
 // TestSteadyStateSchedulingAllocationFree guards the engine's event pool:
-// once warm, scheduling and firing events — named or not — must not touch
-// the allocator. This is the regression fence for the simulation hot
-// path; any future change that re-introduces per-event garbage (a name
-// string, a fresh Event struct, a closure in the engine) fails here.
+// once warm, scheduling and firing events must not touch the allocator.
+// This is the regression fence for the simulation hot path; any future
+// change that re-introduces per-event garbage (a fresh Event struct, a
+// closure in the engine) fails here.
 func TestSteadyStateSchedulingAllocationFree(t *testing.T) {
 	e := New()
 	fn := func() {}
 	// Warm the pool and the heap's backing array.
 	for i := 0; i < 64; i++ {
-		e.AfterTagged(time.Second, "task.000001", ":phase:", "msa", fn)
+		e.After(time.Second, fn)
 	}
 	e.Run()
 
 	if avg := testing.AllocsPerRun(1000, func() {
-		e.AfterTagged(time.Millisecond, "task.000001", ":phase:", "msa", fn)
+		e.At(e.Now().Add(time.Millisecond), fn)
 		e.Step()
 	}); avg != 0 {
-		t.Fatalf("steady-state AfterTagged+Step allocates %.1f objects per event, want 0", avg)
+		t.Fatalf("steady-state At+Step allocates %.1f objects per event, want 0", avg)
 	}
 
 	if avg := testing.AllocsPerRun(1000, func() {
@@ -53,14 +53,14 @@ func TestPoolReuseInvalidatesStaleHandles(t *testing.T) {
 	if stale.Pending() {
 		t.Fatal("fired event still pending through its handle")
 	}
-	if stale.Name() != "" || stale.When() != 0 {
+	if stale.When() != 0 {
 		t.Fatal("stale handle leaks recycled event state")
 	}
 
 	// The recycled struct now carries an innocent pending event; the
 	// stale handle must not be able to cancel it.
 	fired := false
-	fresh := e.AfterNamed(time.Second, "innocent", func() { fired = true })
+	fresh := e.After(time.Second, func() { fired = true })
 	e.Cancel(stale)
 	if !fresh.Pending() {
 		t.Fatal("cancelling a stale handle killed the event that reused its struct")
@@ -73,9 +73,10 @@ func TestPoolReuseInvalidatesStaleHandles(t *testing.T) {
 
 // TestReusedSlotLeavesStaleHandleInert pins the handle contract on slot
 // reuse, for both ways a slot retires (firing and cancellation): once
-// the slot carries a new event, the old handle reads not pending with an
-// empty name, and cancelling it leaves the new event pending. The slab
-// then grows, moving every record, and the handles keep their meaning.
+// the slot carries a new event, the old handle reads not pending with a
+// zero time, and cancelling it leaves the new event pending at its own
+// time. The slab then grows, moving every record, and the handles keep
+// their meaning.
 func TestReusedSlotLeavesStaleHandleInert(t *testing.T) {
 	for _, retire := range []struct {
 		name string
@@ -86,20 +87,21 @@ func TestReusedSlotLeavesStaleHandleInert(t *testing.T) {
 	} {
 		t.Run(retire.name, func(t *testing.T) {
 			e := New()
-			stale := e.AfterTagged(time.Second, "task.000001", ":done", "", func() {})
+			stale := e.After(time.Second, func() {})
 			retire.do(e, stale)
-			fresh := e.AfterTagged(time.Minute, "task.000002", ":done", "", func() {})
+			fresh := e.After(time.Minute, func() {})
+			freshWhen := fresh.When()
 			if fresh.slot != stale.slot {
 				t.Fatalf("new event took slot %d, want the retired slot %d", fresh.slot, stale.slot)
 			}
 			check := func(when string) {
 				t.Helper()
-				if stale.Pending() || stale.Name() != "" || stale.When() != 0 {
-					t.Fatalf("%s: stale handle reads pending=%v name=%q when=%v", when, stale.Pending(), stale.Name(), stale.When())
+				if stale.Pending() || stale.When() != 0 {
+					t.Fatalf("%s: stale handle reads pending=%v when=%v", when, stale.Pending(), stale.When())
 				}
 				e.Cancel(stale)
-				if !fresh.Pending() || fresh.Name() != "task.000002:done" {
-					t.Fatalf("%s: cancelling the stale handle disturbed the new event (pending=%v name=%q)", when, fresh.Pending(), fresh.Name())
+				if !fresh.Pending() || fresh.When() != freshWhen {
+					t.Fatalf("%s: cancelling the stale handle disturbed the new event (pending=%v when=%v, want %v)", when, fresh.Pending(), fresh.When(), freshWhen)
 				}
 			}
 			check("after reuse")
@@ -123,20 +125,14 @@ func TestEventHandleIsSixteenBytes(t *testing.T) {
 	}
 }
 
-// TestLazyNameAssembly pins the deferred-name contract: parts given to
-// AfterTagged come back concatenated while the event is pending.
-func TestLazyNameAssembly(t *testing.T) {
-	e := New()
-	ev := e.AfterTagged(time.Second, "task.000042", ":phase:", "inference", func() {})
-	if got := ev.Name(); got != "task.000042:phase:inference" {
-		t.Fatalf("Name() = %q", got)
+// TestEventRecordIsTwentyFourBytes: a slab record is a time, a heap
+// index, a generation and the callback, so a growing slab copies three
+// words per event.
+func TestEventRecordIsTwentyFourBytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("record size pinned on 64-bit platforms")
 	}
-	if got := ev.When(); got != Time(time.Second) {
-		t.Fatalf("When() = %v", got)
+	if n := unsafe.Sizeof(event{}); n != 24 {
+		t.Fatalf("event record is %d bytes, want 24", n)
 	}
-	named := e.AfterNamed(time.Second, "plain", func() {})
-	if got := named.Name(); got != "plain" {
-		t.Fatalf("Name() = %q", got)
-	}
-	e.Run()
 }

@@ -103,12 +103,12 @@ func TestEngineMatchesSortedQueue(t *testing.T) {
 			case k < 5:
 				nextID++
 				at := e.Now() + Time(rng.Intn(4))*Time(time.Minute)
-				handles[nextID] = e.AtNamed(at, fmt.Sprint(nextID), engineFire(nextID))
+				handles[nextID] = e.At(at, engineFire(nextID))
 				q.add(at, nextID)
 			case k < 9:
 				nextID++
 				d := time.Duration(rng.Intn(4)) * time.Minute
-				handles[nextID] = e.AfterTagged(d, "ev", ".", fmt.Sprint(nextID), engineFire(nextID))
+				handles[nextID] = e.After(d, engineFire(nextID))
 				q.add(q.now.Add(d), nextID)
 			case k < 11:
 				nextID++

@@ -16,9 +16,7 @@
 // later schedules. The priority queue is an inlined binary heap of
 // pointer-free (when, seq, slot) entries, so sifting moves plain words with
 // no interface calls and no GC write barriers, and records each entry's
-// heap index into the one contiguous slab. Debug names are stored as
-// up-to-three string parts that are only concatenated when Name is
-// actually called (debug paths), never when an event is scheduled.
+// heap index into the one contiguous slab.
 package simclock
 
 import (
@@ -57,14 +55,10 @@ type event struct {
 	index int32  // heap index, -1 once popped or cancelled
 	gen   uint32 // bumped on every retire; live handles must match
 	fn    func()
-	// Debug name parts, concatenated lazily by Event.Name. Hot call sites
-	// pass pre-existing strings (task ID, a constant kind, a phase name)
-	// so scheduling never builds a name string.
-	name0, name1, name2 string
 }
 
-// Event is a handle to a scheduled callback, created via Engine.At/After
-// and their named variants. The zero value is a null handle: not pending,
+// Event is a handle to a scheduled callback, created by Engine.At, After
+// or Defer. The zero value is a null handle: not pending,
 // and cancelling it is a no-op. Handles stay valid (as inert stale
 // handles) after their event fires or is cancelled, so teardown paths can
 // cancel unconditionally. A handle names its engine and slot, not the
@@ -98,18 +92,6 @@ func (ev Event) When() Time {
 		return 0
 	}
 	return e.when
-}
-
-// Name returns the debug label attached at scheduling time, or "" when
-// the handle is stale. The label is assembled on demand — scheduling only
-// stores its parts. No campaign reads it; the simclock tests check
-// stale handles with it.
-func (ev Event) Name() string {
-	e := ev.event()
-	if e == nil {
-		return ""
-	}
-	return e.name0 + e.name1 + e.name2
 }
 
 // Pending reports whether the event is still queued (not fired, not
@@ -216,12 +198,12 @@ func (e *Engine) remove(i int) int32 {
 
 // alloc takes a slot from the free list (or appends a new event record
 // to the slab when the list is empty) and schedules it.
-func (e *Engine) alloc(t Time, name0, name1, name2 string, fn func()) Event {
+func (e *Engine) alloc(t Time, fn func()) Event {
 	if fn == nil {
 		panic("simclock: nil event function")
 	}
 	if t < e.now {
-		panic(fmt.Sprintf("simclock: scheduling event %q at %v before now %v", name0+name1+name2, t, e.now))
+		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", t, e.now))
 	}
 	var slot int32
 	if n := len(e.free); n > 0 {
@@ -237,7 +219,6 @@ func (e *Engine) alloc(t Time, name0, name1, name2 string, fn func()) Event {
 	ev := &e.slab[slot]
 	ev.when = t
 	ev.fn = fn
-	ev.name0, ev.name1, ev.name2 = name0, name1, name2
 	e.heap = append(e.heap, entry{when: t, seq: e.seq, slot: slot})
 	e.seq++
 	e.up(len(e.heap) - 1)
@@ -251,7 +232,6 @@ func (e *Engine) retire(slot int32) {
 	ev.index = -1
 	ev.gen++
 	ev.fn = nil
-	ev.name0, ev.name1, ev.name2 = "", "", ""
 	e.free = append(e.free, slot)
 }
 
@@ -259,12 +239,7 @@ func (e *Engine) retire(slot int32) {
 // panics: it would silently reorder causality, which in a DES is always a
 // bug in the caller.
 func (e *Engine) At(t Time, fn func()) Event {
-	return e.alloc(t, "", "", "", fn)
-}
-
-// AtNamed is At with a debug label attached to the event.
-func (e *Engine) AtNamed(t Time, name string, fn func()) Event {
-	return e.alloc(t, name, "", "", fn)
+	return e.alloc(t, fn)
 }
 
 // After schedules fn to run d after the current virtual time. Negative d
@@ -273,26 +248,7 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("simclock: negative delay %v", d))
 	}
-	return e.alloc(e.now.Add(d), "", "", "", fn)
-}
-
-// AfterNamed is After with a debug label.
-func (e *Engine) AfterNamed(d time.Duration, name string, fn func()) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("simclock: negative delay %v", d))
-	}
-	return e.alloc(e.now.Add(d), name, "", "", fn)
-}
-
-// AfterTagged is After with a debug label given as three pre-existing
-// parts (typically a task ID, a constant kind like ":phase:", and an
-// optional detail). The parts are stored as-is and only concatenated if
-// Name is called, so hot scheduling paths build no strings.
-func (e *Engine) AfterTagged(d time.Duration, id, kind, detail string, fn func()) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("simclock: negative delay %v", d))
-	}
-	return e.alloc(e.now.Add(d), id, kind, detail, fn)
+	return e.alloc(e.now.Add(d), fn)
 }
 
 // Defer schedules fn at the current time, after all events already queued

@@ -154,7 +154,7 @@ func TestControllerSkipsUselessDonations(t *testing.T) {
 	if n := ctl.Transfers(); n != 0 {
 		t.Fatalf("%d useless transfers applied", n)
 	}
-	if got := r.pilots[0].Cluster().ActiveNodeCount(); got != 2 {
+	if got := activeNodes(r.pilots[0].Cluster()); got != 2 {
 		t.Fatalf("CPU pilot lost nodes to a queue it cannot serve: %d", got)
 	}
 }
@@ -183,7 +183,7 @@ func TestControllerKeepsLastOperationalNode(t *testing.T) {
 	if n := ctl.Transfers(); n != 0 {
 		t.Fatalf("donor shipped its last operational node (%d transfers)", n)
 	}
-	if got := r.pilots[1].Cluster().ActiveNodeCount(); got != 2 {
+	if got := activeNodes(r.pilots[1].Cluster()); got != 2 {
 		t.Fatalf("GPU pilot has %d nodes", got)
 	}
 }
@@ -317,6 +317,17 @@ func TestControllerTelemetryLog(t *testing.T) {
 }
 
 // mustSubmit submits a task the test describes statically valid.
+// activeNodes counts the nodes still part of c: not transferred away.
+func activeNodes(c *cluster.Cluster) int {
+	n := 0
+	for i := range c.NodeCount() {
+		if !c.NodeIsRemoved(i) {
+			n++
+		}
+	}
+	return n
+}
+
 func mustSubmit(tm *pilot.TaskManager, td pilot.TaskDescription) *pilot.Task {
 	task, err := tm.Submit(td)
 	if err != nil {

@@ -30,8 +30,6 @@ type TenantStat struct {
 	// Queue is the number of tasks waiting for resources across the
 	// tenant's pilots.
 	Queue int
-	// Idle is the number of transferable (fully free) leased nodes.
-	Idle int
 }
 
 // TenantPolicy proposes node reclaims between tenants. Decisions must be

@@ -37,8 +37,8 @@ func TestTenantNoneNeverMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := []TenantStat{
-		{Name: "a", Share: 1, Nodes: 5, Queue: 0, Idle: 4},
-		{Name: "b", Share: 5, Nodes: 1, Queue: 9, Idle: 0},
+		{Name: "a", Share: 1, Nodes: 5, Queue: 0},
+		{Name: "b", Share: 5, Nodes: 1, Queue: 9},
 	}
 	if moves := p.Decide(stats); len(moves) != 0 {
 		t.Fatalf("none proposed %v", moves)
@@ -51,9 +51,9 @@ func TestTenantFairshareReclaimsFromOverShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := []TenantStat{
-		{Name: "hog", Share: 2, Nodes: 5, Queue: 0, Idle: 2},
-		{Name: "starved", Share: 4, Nodes: 1, Queue: 7, Idle: 0},
-		{Name: "balanced", Share: 2, Nodes: 2, Queue: 1, Idle: 0},
+		{Name: "hog", Share: 2, Nodes: 5, Queue: 0},
+		{Name: "starved", Share: 4, Nodes: 1, Queue: 7},
+		{Name: "balanced", Share: 2, Nodes: 2, Queue: 1},
 	}
 	moves := p.Decide(stats)
 	if len(moves) != 1 || moves[0].From != 0 || moves[0].To != 1 {
@@ -66,21 +66,21 @@ func TestTenantFairshareNeedsDemandAndMargin(t *testing.T) {
 	// Receiver has no queue pressure: entitlement alone must not move
 	// hardware.
 	if moves := p.Decide([]TenantStat{
-		{Name: "a", Share: 2, Nodes: 5, Idle: 3},
+		{Name: "a", Share: 2, Nodes: 5},
 		{Name: "b", Share: 4, Nodes: 1, Queue: 0},
 	}); len(moves) != 0 {
 		t.Fatalf("moved without demand: %v", moves)
 	}
 	// Donor would drop below its last node.
 	if moves := p.Decide([]TenantStat{
-		{Name: "a", Share: 0.2, Nodes: 1, Idle: 1},
+		{Name: "a", Share: 0.2, Nodes: 1},
 		{Name: "b", Share: 3, Nodes: 1, Queue: 5},
 	}); len(moves) != 0 {
 		t.Fatalf("moved a last node: %v", moves)
 	}
 	// Combined imbalance under one node: moving would ping-pong.
 	if moves := p.Decide([]TenantStat{
-		{Name: "a", Share: 1.6, Nodes: 2, Idle: 1},
+		{Name: "a", Share: 1.6, Nodes: 2},
 		{Name: "b", Share: 2.4, Nodes: 2, Queue: 5},
 	}); len(moves) != 0 {
 		t.Fatalf("moved inside the hysteresis margin: %v", moves)

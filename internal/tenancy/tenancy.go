@@ -268,7 +268,7 @@ func (s *Service) Run() (*core.Result, error) {
 	s.engine = simclock.New()
 	for i, at := range arrivals {
 		t := s.tenants[i]
-		s.engine.AtNamed(simclock.Time(at), "tenant-arrival:"+t.name(), func() {
+		s.engine.At(simclock.Time(at), func() {
 			t.here = true
 			t.arrived = s.engine.Now()
 			// Deferred so that same-instant arrivals (instant/wave
@@ -483,7 +483,6 @@ func (s *Service) reclaimTick() {
 		}
 		if t.state == tenantRunning {
 			st.Queue = t.pilot.QueueLen()
-			st.Idle = len(t.pilot.Cluster().TransferableNodes())
 		} else {
 			st.Queue = t.spec.Nodes
 		}
