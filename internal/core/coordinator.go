@@ -10,6 +10,11 @@
 // results (ga.Pool) and re-processes "low-quality" sequences with
 // dynamically generated sub-pipelines that soak up idle resources.
 //
+// A campaign declares its pilots and the task classes each serves
+// (PilotSpec.Serves); the coordinator submits every task untargeted and
+// the pilot task manager chooses its pilot, for fresh tasks and
+// resubmissions alike.
+//
 // The control runner (CONT-V) exercises the identical stages with
 // adaptivity off and strictly sequential execution — the paper's baseline.
 package core
@@ -321,6 +326,7 @@ func (c *Coordinator) StartOn(engine *simclock.Engine, onDone func()) error {
 		p, err := pm.Submit(pilot.PilotDescription{
 			Machine:            ps.Machine,
 			Nodes:              ps.Nodes,
+			Serves:             ps.Serves,
 			Cost:               c.cfg.Pipeline.Cost,
 			Policy:             c.cfg.Policy,
 			Fault:              ps.faultFor(c.cfg),
@@ -336,7 +342,6 @@ func (c *Coordinator) StartOn(engine *simclock.Engine, onDone func()) error {
 	}
 	c.tm = pilot.NewTaskManager(c.engine, c.pilots...)
 	c.tm.OnState(c.onTaskState)
-	c.tm.SetRerouter(c.rerouteResubmission)
 	c.startSteering()
 
 	// Construct the base pipelines — one per starting structure, as in
@@ -449,7 +454,6 @@ func (c *Coordinator) onTaskState(t *pilot.Task, s pilot.TaskState) {
 // decision step on concluded cycles.
 func (c *Coordinator) apply(pl *pipeline.Pipeline, out pipeline.Outcome) {
 	for _, step := range out.Steps {
-		c.route(&step.Desc)
 		t, err := c.tm.Submit(step.Desc)
 		if err != nil {
 			c.errs = append(c.errs, err)
@@ -519,24 +523,6 @@ func (c *Coordinator) killPipeline(plID string, t *pilot.Task, s pilot.TaskState
 	c.active--
 	c.startWaiting()
 	c.quiesce()
-}
-
-// rerouteResubmission picks a surviving pilot for a resubmitted task,
-// honouring the campaign's resource-class routing (PilotSpec.Serves)
-// exactly as the original placement did.
-func (c *Coordinator) rerouteResubmission(td pilot.TaskDescription) (*pilot.Pilot, bool) {
-	class := ClassOf(td)
-	req := cluster.Request{Cores: td.Cores, GPUs: td.GPUs, MemGB: td.MemGB}
-	for i, ps := range c.specs {
-		p := c.pilots[i]
-		if p.State() == pilot.PilotDone || p.Draining() || !ps.ServesClass(class) {
-			continue
-		}
-		if p.Cluster().Fits(req) {
-			return p, true
-		}
-	}
-	return nil, false
 }
 
 // startSteering arms the elastic steering controller when the campaign

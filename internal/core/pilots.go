@@ -8,37 +8,15 @@ import (
 	"impress/internal/pilot"
 )
 
-// ResourceClass buckets tasks by the hardware they occupy, the unit of
-// placement for heterogeneous multi-pilot campaigns. The paper's ParaFold
-// split is exactly this distinction: MSA/ranking/FASTA/metrics stages are
-// CPU-class, MPNN sampling and AlphaFold inference are GPU-class.
-type ResourceClass int
+// ResourceClass is the pilot runtime's task class (CPU or GPU), the unit
+// a PilotSpec's Serves lists.
+type ResourceClass = pilot.ResourceClass
 
+// The task classes a PilotSpec can serve.
 const (
-	// ClassCPU marks tasks that request no GPUs.
-	ClassCPU ResourceClass = iota
-	// ClassGPU marks tasks that request at least one GPU.
-	ClassGPU
+	ClassCPU = pilot.ClassCPU
+	ClassGPU = pilot.ClassGPU
 )
-
-func (c ResourceClass) String() string {
-	switch c {
-	case ClassCPU:
-		return "cpu"
-	case ClassGPU:
-		return "gpu"
-	default:
-		return fmt.Sprintf("ResourceClass(%d)", int(c))
-	}
-}
-
-// ClassOf derives a task's resource class from its allocation request.
-func ClassOf(td pilot.TaskDescription) ResourceClass {
-	if td.GPUs > 0 {
-		return ClassGPU
-	}
-	return ClassCPU
-}
 
 // PilotSpec declares one pilot of a campaign: a named resource partition
 // plus the task classes it serves. A campaign with an empty Config.Pilots
@@ -55,7 +33,8 @@ type PilotSpec struct {
 	// nominal envelope (fleet.SpecFor). Empty keeps the homogeneous
 	// partition Machine describes.
 	Nodes []cluster.NodeCapacity
-	// Serves restricts the task classes routed here; empty serves all.
+	// Serves restricts the task classes the task manager places here;
+	// empty serves all.
 	Serves []ResourceClass
 	// Fault overrides the campaign's failure models for this pilot; nil
 	// inherits Config.Fault. The preempt-sweep scenario uses this to
@@ -113,19 +92,6 @@ func (ps PilotSpec) TotalGPUs() int {
 	return t
 }
 
-// ServesClass reports whether the spec accepts tasks of class c.
-func (ps PilotSpec) ServesClass(c ResourceClass) bool {
-	if len(ps.Serves) == 0 {
-		return true
-	}
-	for _, s := range ps.Serves {
-		if s == c {
-			return true
-		}
-	}
-	return false
-}
-
 // SplitPilots partitions a machine into the paper's heterogeneous
 // placement: a CPU pilot serving the MSA/rank/fasta/metrics stages and a
 // GPU pilot serving sequence sampling and structure inference. The GPU
@@ -161,11 +127,11 @@ func validatePilots(specs []PilotSpec) error {
 		if len(ps.Nodes) > 0 && len(ps.Nodes) != ps.Machine.Nodes {
 			return fmt.Errorf("core: pilot %q declares %d nodes but %d explicit capacities", ps.Name, ps.Machine.Nodes, len(ps.Nodes))
 		}
-		if ps.ServesClass(ClassGPU) && len(ps.Serves) > 0 && ps.TotalGPUs() == 0 {
+		if pilot.ServesClass(ps.Serves, ClassGPU) && len(ps.Serves) > 0 && ps.TotalGPUs() == 0 {
 			return fmt.Errorf("core: pilot %q serves GPU tasks but has no GPUs", ps.Name)
 		}
 		for _, c := range []ResourceClass{ClassCPU, ClassGPU} {
-			if ps.ServesClass(c) {
+			if pilot.ServesClass(ps.Serves, c) {
 				served[c] = true
 			}
 		}
@@ -184,34 +150,4 @@ func (cfg Config) pilotSpecs() []PilotSpec {
 		return cfg.Pilots
 	}
 	return []PilotSpec{{Name: "pilot", Machine: cfg.Machine}}
-}
-
-// route assigns an unplaced task description to the first live pilot
-// serving its resource class — a pilot that expired (fault-model
-// walltime) or is draining toward expiry takes no new work. When every
-// serving pilot is gone the first one is still targeted so the
-// submission fails through the normal fail-fast path. With a single
-// pilot the description is left untargeted, preserving the classic
-// submission path.
-func (c *Coordinator) route(td *pilot.TaskDescription) {
-	if td.Pilot != "" || len(c.pilots) <= 1 {
-		return
-	}
-	class := ClassOf(*td)
-	fallback := ""
-	for i, ps := range c.specs {
-		if !ps.ServesClass(class) {
-			continue
-		}
-		p := c.pilots[i]
-		if p.State() == pilot.PilotDone || p.Draining() {
-			if fallback == "" {
-				fallback = p.ID
-			}
-			continue
-		}
-		td.Pilot = p.ID
-		return
-	}
-	td.Pilot = fallback
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -194,7 +195,7 @@ func TestNodeCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the largest legal fleet %q rejected: %v", top, err)
 	}
-	if c := ts[0].Cap; c.Cores*ts[0].Count != 1<<40 || float64(c.Cores)*float64(ts[0].Count) != 1<<40 {
+	if c := ts[0].Cap; int64(c.Cores)*int64(ts[0].Count) != 1<<40 || float64(c.Cores)*float64(ts[0].Count) != 1<<40 {
 		t.Fatalf("largest fleet's core total is not exact")
 	}
 	for _, shape := range []string{"%dc0g1m", "1c%dg1m", "1c0g%dm"} {
@@ -203,9 +204,10 @@ func TestNodeCeiling(t *testing.T) {
 			t.Fatalf("%q past MaxPerNode accepted", spec)
 		}
 	}
+	const half = 1 << (bits.UintSize - 2) // 1<<62 on 64-bit ints
 	big := []Template{
-		{Name: "a", Cap: cluster.NodeCapacity{Cores: 1}, Count: 1 << 62},
-		{Name: "b", Cap: cluster.NodeCapacity{Cores: 1}, Count: 1 << 62},
+		{Name: "a", Cap: cluster.NodeCapacity{Cores: 1}, Count: half},
+		{Name: "b", Cap: cluster.NodeCapacity{Cores: 1}, Count: half},
 	}
 	if _, err := Generate(1, big); err == nil || !strings.Contains(err.Error(), `"a"`) {
 		t.Fatalf("Generate over the ceiling: %v", err)

@@ -153,42 +153,6 @@ func TestPoolBestAndTargets(t *testing.T) {
 	}
 }
 
-func TestPoolQuantileAndLowQuality(t *testing.T) {
-	p := NewPool()
-	for i := 0; i < 10; i++ {
-		p.Add(Entry{Target: "T", Iteration: 1, Metrics: landscape.Metrics{
-			PLDDT: float64(50 + 5*i), PTM: 0.3 + 0.05*float64(i), IPAE: 20 - float64(i),
-		}})
-	}
-	q25 := p.QualityQuantile(0.25)
-	q75 := p.QualityQuantile(0.75)
-	if !(q25 < q75) {
-		t.Fatalf("quantiles not ordered: %v %v", q25, q75)
-	}
-	if p.QualityQuantile(0) > p.QualityQuantile(1) {
-		t.Fatal("extreme quantiles inverted")
-	}
-	worst := landscape.Metrics{PLDDT: 40, PTM: 0.1, IPAE: 29}
-	bestM := landscape.Metrics{PLDDT: 99, PTM: 0.95, IPAE: 5}
-	if !p.IsLowQuality(worst, 0.35, 5) {
-		t.Fatal("terrible result not flagged low quality")
-	}
-	if p.IsLowQuality(bestM, 0.35, 5) {
-		t.Fatal("great result flagged low quality")
-	}
-	// Below the minimum sample size nothing is flagged.
-	if p.IsLowQuality(worst, 0.35, 100) {
-		t.Fatal("flagged despite insufficient samples")
-	}
-}
-
-func TestEmptyPoolQuantile(t *testing.T) {
-	p := NewPool()
-	if p.QualityQuantile(0.5) != 0 {
-		t.Fatal("empty pool quantile should be 0")
-	}
-}
-
 func TestIterationMetrics(t *testing.T) {
 	p := NewPool()
 	m1 := landscape.Metrics{PLDDT: 70}
@@ -206,43 +170,6 @@ func TestIterationMetrics(t *testing.T) {
 	if len(p.Entries()) != 3 {
 		t.Fatal("Entries length wrong")
 	}
-}
-
-// QualityQuantile returns the q-quantile of composite quality across all
-// registered results (NaN-free: returns 0 for an empty pool).
-func (p *Pool) QualityQuantile(q float64) float64 {
-	if len(p.entries) == 0 {
-		return 0
-	}
-	vals := make([]float64, len(p.entries))
-	for i, e := range p.entries {
-		vals[i] = e.Metrics.Quality()
-	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
-	}
-	if q >= 1 {
-		return vals[len(vals)-1]
-	}
-	pos := q * float64(len(vals)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(vals) {
-		return vals[lo]
-	}
-	return vals[lo]*(1-frac) + vals[lo+1]*frac
-}
-
-// IsLowQuality reports whether m falls below the pool's q-quantile, the
-// whole-pool form of IsLowQualityAtIteration that campaigns use. A pool
-// smaller than minSamples never flags anything (avoids overreacting to
-// the first few results).
-func (p *Pool) IsLowQuality(m landscape.Metrics, q float64, minSamples int) bool {
-	if len(p.entries) < minSamples {
-		return false
-	}
-	return m.Quality() < p.QualityQuantile(q)
 }
 
 // Targets returns the distinct target names seen, sorted.

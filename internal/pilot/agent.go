@@ -577,9 +577,7 @@ func (a *agent) finishPass(depth int) {
 	a.noteQueueDepth()
 }
 
-func requestOf(t *Task) cluster.Request {
-	return cluster.Request{Cores: t.Description.Cores, GPUs: t.Description.GPUs, MemGB: t.Description.MemGB}
-}
+func requestOf(t *Task) cluster.Request { return t.Description.request() }
 
 // startSetup places t on alloc and begins the sandbox preparation phase,
 // in a spare execution when there is one. Setup time grows with the

@@ -358,7 +358,7 @@ func TestFaultWalltimeFailsAndResubmitsElsewhere(t *testing.T) {
 	}
 	engine.Run()
 
-	if short.State() != PilotDone {
+	if short.state != PilotDone {
 		t.Fatal("short pilot did not expire")
 	}
 	tl := tm.FaultTallies()

@@ -51,6 +51,10 @@ type PilotDescription struct {
 	// equal len(Nodes). Empty acquires the homogeneous partition Machine
 	// describes.
 	Nodes []cluster.NodeCapacity
+	// Serves restricts the task classes the task manager places here;
+	// empty serves all. A task that names this pilot in
+	// TaskDescription.Pilot runs here whatever its class.
+	Serves []ResourceClass
 	// Cost supplies runtime overhead models (bootstrap, exec setup).
 	Cost costmodel.Params
 	// Policy names the agent's scheduling policy (internal/sched): fifo,
@@ -198,9 +202,6 @@ type Pilot struct {
 	tel *telemetry.Recorder
 }
 
-// State returns the pilot lifecycle state.
-func (p *Pilot) State() PilotState { return p.state }
-
 // Policy returns the resolved name of the agent's scheduling policy.
 func (p *Pilot) Policy() string { return p.agent.policy.Name() }
 
@@ -212,10 +213,6 @@ func (p *Pilot) Recovery() string { return p.recovery.Name() }
 // draining toward walltime expiry is not active: it finishes what fits
 // but places nothing new.
 func (p *Pilot) Active() bool { return p.state == PilotActive && !p.draining }
-
-// Draining reports whether the pilot is inside its graceful walltime
-// drain window.
-func (p *Pilot) Draining() bool { return p.draining }
 
 // PilotID returns the pilot's ID — the steering layer's handle for
 // routing resumed work to a transfer's receiver.
@@ -406,8 +403,8 @@ func (p *Pilot) drainWalltime(grace time.Duration) {
 // reporting every state transition to registered callbacks — the "Submit
 // & Monitor Continuously" channel pair of the paper's Fig. 1. Like RP's
 // TaskManager, it can serve several pilots at once: tasks carry an
-// optional target pilot ID, and untargeted tasks go to the first pilot
-// whose resource ledger could ever fit them.
+// optional target pilot ID, and place chooses the pilot for every
+// untargeted task and for every resubmission whose pilot is gone.
 type TaskManager struct {
 	engine  *simclock.Engine
 	pilots  []*Pilot
@@ -424,12 +421,6 @@ type TaskManager struct {
 	terminal     int
 	resumes      int
 	attemptHist  map[int]int
-
-	// reroute, when set, picks the pilot for a resubmission whose
-	// original pilot is gone; the coordinator installs its
-	// resource-class-aware routing here. Without one, resubmission falls
-	// back to the first live pilot whose node shape fits.
-	reroute func(td TaskDescription) (*Pilot, bool)
 }
 
 // taskSlot is one attempt's entry in the TaskManager's task table. In
@@ -506,25 +497,30 @@ func (tm *TaskManager) pilot(id string) *Pilot {
 	return nil
 }
 
-// resolve picks the pilot a description targets: an explicit ID must
-// exist; otherwise the first pilot whose node shape could ever satisfy
-// the request wins (falling back to the first pilot so the submission
-// fails with a capacity error rather than a routing one).
-func (tm *TaskManager) resolve(td TaskDescription) (*Pilot, error) {
-	if td.Pilot != "" {
-		p := tm.pilot(td.Pilot)
-		if p == nil {
-			return nil, fmt.Errorf("pilot: task %q targets unknown pilot %q", td.Name, td.Pilot)
-		}
-		return p, nil
-	}
-	req := cluster.Request{Cores: td.Cores, GPUs: td.GPUs, MemGB: td.MemGB}
+// place is the task manager's one placement rule, for untargeted tasks
+// and for resubmissions whose pilot is gone: fit is the first pilot that
+// is not done or draining, serves the task's class and has a home node
+// shape that fits the request (nil when none qualifies). first is the
+// first pilot serving the class at all (the first pilot when none
+// does), where Submit sends a task no pilot can take so that it fails
+// fast.
+func (tm *TaskManager) place(td TaskDescription) (fit, first *Pilot) {
+	class, req := ClassOf(td), td.request()
 	for _, p := range tm.pilots {
-		if p.agent.cluster.Fits(req) {
-			return p, nil
+		if !ServesClass(p.desc.Serves, class) {
+			continue
+		}
+		if first == nil {
+			first = p
+		}
+		if !p.unavailable() && p.agent.cluster.Fits(req) {
+			return p, first
 		}
 	}
-	return tm.pilots[0], nil
+	if first == nil {
+		first = tm.pilots[0]
+	}
+	return nil, first
 }
 
 // OnState registers a callback invoked on every task state transition.
@@ -536,23 +532,29 @@ func (tm *TaskManager) OnState(fn func(*Task, TaskState)) {
 	tm.callbacks = append(tm.callbacks, fn)
 }
 
-// Submit validates and enqueues a task for execution on its resolved
-// pilot. Impossible resource requests (bigger than any node of that
-// pilot) fail fast instead of wedging the queue.
+// Submit validates and enqueues a task for execution on the pilot it
+// names, or else on the pilot place chooses. Impossible resource
+// requests (bigger than any node of that pilot) fail fast instead of
+// wedging the queue.
 func (tm *TaskManager) Submit(td TaskDescription) (*Task, error) {
 	if err := td.validate(); err != nil {
 		return nil, err
 	}
-	p, err := tm.resolve(td)
-	if err != nil {
-		return nil, err
+	var p *Pilot
+	if td.Pilot != "" {
+		if p = tm.pilot(td.Pilot); p == nil {
+			return nil, fmt.Errorf("pilot: task %q targets unknown pilot %q", td.Name, td.Pilot)
+		}
+	} else if fit, first := tm.place(td); fit != nil {
+		p = fit
+	} else {
+		p = first
 	}
 	tm.nextUID++
 	t := &Task{
 		ID:          taskID(tm.nextUID),
 		UID:         tm.nextUID,
 		Description: td,
-		PilotID:     p.ID,
 		Attempt:     1,
 		chain:       tm.nextUID,
 		node:        -1,
@@ -560,22 +562,33 @@ func (tm *TaskManager) Submit(td TaskDescription) (*Task, error) {
 		SubmittedAt: tm.engine.Now(),
 	}
 	t.Origin = t.ID
-	t.pilot = p
-	t.seed = deriveTaskSeed(p.desc.Seed, t.ID)
 	tm.tasks.push(taskSlot{task: t, live: t})
+	tm.launch(t, p)
+	return t, nil
+}
+
+// launch is the tail Submit and resubmit share: it binds attempt t to
+// pilot p and announces it, then fails it when p is done or no home node
+// shape of p fits the request, and queues it on p's agent otherwise.
+func (tm *TaskManager) launch(t *Task, p *Pilot) {
+	t.pilot = p
+	t.PilotID = p.ID
+	t.seed = deriveTaskSeed(p.desc.Seed, t.ID)
 	tm.transition(t, StateSubmitted)
 
 	if p.state == PilotDone {
-		tm.fail(t, fmt.Errorf("pilot: %s is done", p.ID))
-		return t, nil
+		if t.Attempt > 1 {
+			tm.fail(t, fmt.Errorf("pilot: no pilot available to resubmit %s (attempt %d)", t.Origin, t.Attempt))
+		} else {
+			tm.fail(t, fmt.Errorf("pilot: %s is done", p.ID))
+		}
+		return
 	}
-	req := cluster.Request{Cores: td.Cores, GPUs: td.GPUs, MemGB: td.MemGB}
-	if !p.agent.cluster.Fits(req) {
+	if req := requestOf(t); !p.agent.cluster.Fits(req) {
 		tm.fail(t, fmt.Errorf("pilot: task %s request %+v exceeds %s node capacity", t.ID, req, p.ID))
-		return t, nil
+		return
 	}
 	p.agent.enqueue(t)
-	return t, nil
 }
 
 // Get returns a task by UID. The core package's tests walk every
@@ -677,14 +690,6 @@ func (tm *TaskManager) execRecovery(t *Task) {
 	})
 }
 
-// SetRerouter installs the routing hook resubmission consults when a
-// failed attempt's pilot is gone. The coordinator supplies its
-// resource-class-aware placement here so migrated work lands on a pilot
-// that actually serves it.
-func (tm *TaskManager) SetRerouter(fn func(td TaskDescription) (*Pilot, bool)) {
-	tm.reroute = fn
-}
-
 // CancelChain cancels a logical task wherever its attempt chain
 // currently stands: a pending resubmission is dropped and the live
 // attempt (queued or running) is cancelled. Terminal chains are
@@ -706,12 +711,11 @@ func (tm *TaskManager) CancelChain(t *Task, reason string) {
 // resubmit submits the next attempt of a failed task. The attempt is a
 // fresh Task (new UID, new jitter seed) sharing the original's Origin and
 // description; node exclusions accumulate while the task stays on the
-// same pilot. When the original pilot is gone, the first surviving pilot
-// whose node shape fits takes over; with none left the attempt fails
-// fast and the chain ends.
+// same pilot. When the original pilot is gone, the pilot place chooses
+// takes over; with none left the attempt fails fast and the chain ends.
 func (tm *TaskManager) resubmit(orig *Task, plan *requeuePlan) {
 	td := orig.Description
-	req := cluster.Request{Cores: td.Cores, GPUs: td.GPUs, MemGB: td.MemGB}
+	req := td.request()
 	p := orig.pilot
 	avoid := append([]int(nil), orig.avoidNodes...)
 	if plan.exclude >= 0 {
@@ -730,14 +734,11 @@ func (tm *TaskManager) resubmit(orig *Task, plan *requeuePlan) {
 		}
 	}
 	if p.unavailable() {
-		if tm.reroute != nil {
-			np, ok := tm.reroute(td)
-			if !ok || np == nil || np.unavailable() {
-				np = nil
-			}
-			p = np
-		} else {
-			p = tm.alternativePilot(td, orig.pilot)
+		if p, _ = tm.place(td); p == nil {
+			// No pilot left to host the retry: submit against the dead
+			// original pilot so the failure surfaces through the normal
+			// fail-fast path, terminally.
+			p = orig.pilot
 		}
 		avoid = nil // node IDs are per-cluster; they do not transfer
 	}
@@ -757,12 +758,6 @@ func (tm *TaskManager) resubmit(orig *Task, plan *requeuePlan) {
 	if plan.resumeFrom > 0 {
 		tm.resumes++
 	}
-	if p == nil {
-		// No pilot left to host the retry: submit against the dead
-		// original pilot so the failure surfaces through the normal
-		// fail-fast path, terminally.
-		p = orig.pilot
-	}
 	// Dropping exclusions that leave no node able to host the request
 	// beats starving the attempt in the queue forever: single-node
 	// machines make "elsewhere" degrade to plain retry, and so does a
@@ -771,37 +766,9 @@ func (tm *TaskManager) resubmit(orig *Task, plan *requeuePlan) {
 		avoid = nil
 	}
 	t.avoidNodes = avoid
-	t.pilot = p
-	t.PilotID = p.ID
-	t.seed = deriveTaskSeed(p.desc.Seed, t.ID)
 	tm.tasks.push(taskSlot{task: t})
 	tm.tasks.at(t.chain).live = t
-	tm.transition(t, StateSubmitted)
-
-	if p.state == PilotDone {
-		tm.fail(t, fmt.Errorf("pilot: no pilot available to resubmit %s (attempt %d)", t.Origin, t.Attempt))
-		return
-	}
-	if !p.agent.cluster.Fits(req) {
-		tm.fail(t, fmt.Errorf("pilot: task %s request %+v exceeds %s node capacity", t.ID, req, p.ID))
-		return
-	}
-	p.agent.enqueue(t)
-}
-
-// alternativePilot picks the first live pilot other than exclude whose
-// node shape could fit the request, or nil.
-func (tm *TaskManager) alternativePilot(td TaskDescription, exclude *Pilot) *Pilot {
-	req := cluster.Request{Cores: td.Cores, GPUs: td.GPUs, MemGB: td.MemGB}
-	for _, p := range tm.pilots {
-		if p == exclude || p.unavailable() {
-			continue
-		}
-		if p.agent.cluster.Fits(req) {
-			return p
-		}
-	}
-	return nil
+	tm.launch(t, p)
 }
 
 // FaultTallies is the task manager's fault-recovery accounting.

@@ -299,8 +299,8 @@ func TestWalltimeTerminatesPilot(t *testing.T) {
 			t.Fatalf("states: long %v/%v queued %v/%v", long.State(), long.FaultKind, queued.State(), queued.FaultKind)
 		}
 	}
-	if h.pilot.State() != PilotDone {
-		t.Fatalf("pilot state %v", h.pilot.State())
+	if h.pilot.state != PilotDone {
+		t.Fatalf("pilot state %v", h.pilot.state)
 	}
 	// Submissions after pilot end fail immediately.
 	late := h.tm.MustSubmit(TaskDescription{Name: "late", Cores: 1, Work: sleepWork("x", time.Minute, 1, 0)})

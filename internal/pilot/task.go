@@ -12,13 +12,24 @@
 // virtual timeline. That keeps campaign timelines bit-for-bit reproducible
 // while the busy/idle accounting matches what the paper's monitoring
 // measured (Figs. 4 and 5).
+//
+// Placement over several pilots lives here too. Each pilot declares the
+// resource classes it serves (PilotDescription.Serves), and the
+// TaskManager's one placement rule sends an untargeted task, or a
+// resubmission whose pilot is gone, to the first pilot that is not done
+// or draining, serves the task's class and has a home node shape that
+// fits the request. A task may instead name its pilot
+// (TaskDescription.Pilot), and an eviction may name the pilot its work
+// resumes on, which is checked for fit only.
 package pilot
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
+	"impress/internal/cluster"
 	"impress/internal/fault"
 	"impress/internal/simclock"
 	"impress/internal/trace"
@@ -163,11 +174,18 @@ type TaskDescription struct {
 	// Work is the payload. Required.
 	Work Work
 	// Pilot optionally targets a specific pilot by ID when the task
-	// manager serves several (heterogeneous placement); empty routes to
-	// the first pilot that could fit the request.
+	// manager serves several (heterogeneous placement). Empty leaves the
+	// choice to the task manager: the first pilot that is not done or
+	// draining, serves the task's ResourceClass and has a home node
+	// shape that fits the request.
 	Pilot string
 	// Tags carries opaque metadata for the client (pipeline id, stage).
 	Tags map[string]string
+}
+
+// request is the allocation the description asks for.
+func (td TaskDescription) request() cluster.Request {
+	return cluster.Request{Cores: td.Cores, GPUs: td.GPUs, MemGB: td.MemGB}
 }
 
 func (td TaskDescription) validate() error {
@@ -181,6 +199,44 @@ func (td TaskDescription) validate() error {
 		return fmt.Errorf("pilot: task %q requests no resources", td.Name)
 	}
 	return nil
+}
+
+// ResourceClass buckets tasks by the hardware they occupy, the unit of
+// placement for heterogeneous multi-pilot campaigns. The paper's ParaFold
+// split is exactly this distinction: MSA/ranking/FASTA/metrics stages are
+// CPU-class, MPNN sampling and AlphaFold inference are GPU-class.
+type ResourceClass int
+
+const (
+	// ClassCPU marks tasks that request no GPUs.
+	ClassCPU ResourceClass = iota
+	// ClassGPU marks tasks that request at least one GPU.
+	ClassGPU
+)
+
+func (c ResourceClass) String() string {
+	switch c {
+	case ClassCPU:
+		return "cpu"
+	case ClassGPU:
+		return "gpu"
+	default:
+		return fmt.Sprintf("ResourceClass(%d)", int(c))
+	}
+}
+
+// ClassOf derives a task's resource class from its allocation request.
+func ClassOf(td TaskDescription) ResourceClass {
+	if td.GPUs > 0 {
+		return ClassGPU
+	}
+	return ClassCPU
+}
+
+// ServesClass reports whether a pilot serving the classes in serves
+// accepts tasks of class c; an empty list serves every class.
+func ServesClass(serves []ResourceClass, c ResourceClass) bool {
+	return len(serves) == 0 || slices.Contains(serves, c)
 }
 
 // Task is a submitted task instance — one execution *attempt* of a

@@ -1,7 +1,6 @@
 package protein
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -56,38 +55,6 @@ func TestSequenceCloneIndependence(t *testing.T) {
 	c[0] = 'W'
 	if s[0] != 'A' {
 		t.Fatal("Clone shares storage")
-	}
-}
-
-func TestWithMutation(t *testing.T) {
-	s := Sequence("AAAAA")
-	m := s.WithMutation(2, 'W')
-	if m.String() != "AAWAA" {
-		t.Fatalf("mutated = %q", m)
-	}
-	if s.String() != "AAAAA" {
-		t.Fatal("WithMutation modified original")
-	}
-	if s.HammingDistance(m) != 1 {
-		t.Fatal("HammingDistance wrong")
-	}
-}
-
-func TestWithMutationPanics(t *testing.T) {
-	s := Sequence("AAA")
-	for _, f := range []func(){
-		func() { s.WithMutation(3, 'A') },
-		func() { s.WithMutation(-1, 'A') },
-		func() { s.WithMutation(0, 'X') },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 
@@ -371,15 +338,6 @@ func TestWriteFastaErrors(t *testing.T) {
 	}
 }
 
-func TestHammingDistancePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Sequence("AA").HammingDistance(Sequence("AAA"))
-}
-
 func BenchmarkBackbone90(b *testing.B) {
 	cfg := DefaultBackboneConfig(90, 10)
 	for i := 0; i < b.N; i++ {
@@ -412,34 +370,6 @@ func (s Sequence) Equal(o Sequence) bool {
 		}
 	}
 	return true
-}
-
-// WithMutation returns a copy with position pos set to aa.
-func (s Sequence) WithMutation(pos int, aa byte) Sequence {
-	if pos < 0 || pos >= len(s) {
-		panic(fmt.Sprintf("protein: mutation position %d out of range [0,%d)", pos, len(s)))
-	}
-	if Index(aa) < 0 {
-		panic(fmt.Sprintf("protein: invalid residue %q", aa))
-	}
-	c := s.Clone()
-	c[pos] = aa
-	return c
-}
-
-// HammingDistance returns the number of differing positions. Panics on
-// length mismatch.
-func (s Sequence) HammingDistance(o Sequence) int {
-	if len(s) != len(o) {
-		panic("protein: HammingDistance length mismatch")
-	}
-	d := 0
-	for i := range s {
-		if s[i] != o[i] {
-			d++
-		}
-	}
-	return d
 }
 
 // Monomer returns a copy with the peptide removed, for the paper's

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"strings"
 	"testing"
@@ -308,7 +309,7 @@ func hostileTraces() []CampaignTrace {
 		},
 		Series: map[string][]trace.Point{
 			pilots[0] + "/running":        {{T: 0, Value: 1}, {T: hour(1), Value: -2}},
-			pilots[1] + "/free" + hostile: {{T: hour(2), Value: 1 << 40}},
+			pilots[1] + "/free" + hostile: {{T: hour(2), Value: 1 << (bits.UintSize - 24)}}, // 1<<40 on 64-bit ints
 			"unknown/gauge":               {{T: -1000, Value: 3}},
 			"/leading-slash":              {{T: 1, Value: 0}},
 			hostile:                       {{T: 2, Value: 9}},

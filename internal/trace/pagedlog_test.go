@@ -235,7 +235,7 @@ func TestPagedRecorderMatchesFlatRandomized(t *testing.T) {
 		steps := 2000 + rng.Intn(20000)
 		for i := 0; i < steps; i++ {
 			if rng.Intn(3) > 0 { // else stay on this instant: coalesce
-				now += simclock.Time(1 + rng.Intn(int(time.Minute)))
+				now += simclock.Time(1 + rng.Uint64()%uint64(time.Minute)) // rng.Intn's draw, 32-bit safe
 			}
 			switch op := rng.Intn(100); {
 			case op < 40:

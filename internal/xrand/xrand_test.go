@@ -154,15 +154,12 @@ func TestDeriveNDistinct(t *testing.T) {
 	}
 }
 
-func TestHashStringStable(t *testing.T) {
-	if HashString("impress") != HashString("impress") {
-		t.Fatal("HashString not stable")
-	}
-	if HashString("a") == HashString("b") {
-		t.Fatal("trivial HashString collision")
-	}
+func TestHashBytesStable(t *testing.T) {
 	if HashBytes([]byte("xy")) != HashBytes([]byte("xy")) {
 		t.Fatal("HashBytes not stable")
+	}
+	if HashBytes([]byte("a")) == HashBytes([]byte("b")) {
+		t.Fatal("trivial HashBytes collision")
 	}
 }
 
@@ -277,17 +274,6 @@ func TestSeededMatchesNew(t *testing.T) {
 	if a.NormFloat64() != b.NormFloat64() {
 		t.Fatal("Seeded normal stream diverges from New")
 	}
-}
-
-// HashString returns a 64-bit FNV-1a hash of s, folded through the
-// SplitMix64 finalizer for better avalanche behaviour.
-func HashString(s string) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 0x100000001b3
-	}
-	return mix(h)
 }
 
 // Perm returns a random permutation of [0, n).
