@@ -113,17 +113,35 @@ func checkGoldenInert(t *testing.T, cases ...goldenCase) {
 		t.Skip("golden file is regenerated by TestGoldenPairTrace")
 	}
 	want := readGolden(t)
-	for _, c := range cases {
-		if got := renderPairTrace(t, c.params); got != want {
-			t.Fatal(c.msg)
+	forEachKernel(t, func(t *testing.T) {
+		for _, c := range cases {
+			if got := renderPairTrace(t, c.params); got != want {
+				t.Fatal(c.msg)
+			}
 		}
+	})
+}
+
+// forEachKernel runs f once per kernel path the CPU has (xrand.Kernels),
+// as /generic and /avx512 subtests with the AVX-512 kernels (the
+// ziggurat row fills and ConditionalEnergies) switched to that path. On
+// a CPU without them, /avx512 skips and says why.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, kernel := range []string{"generic", "avx512"} {
+		t.Run(kernel, func(t *testing.T) {
+			if !slices.Contains(xrand.Kernels(), kernel) {
+				t.Skip("this CPU lacks AVX-512 F, DQ or VL (or the OS does not save its registers): the kernels take the generic path only")
+			}
+			defer xrand.UseKernel(kernel)()
+			t.Logf("kernels on the %s path", kernel)
+			f(t)
+		})
 	}
 }
 
-// TestGoldenPairTrace runs pair@42 once per row-fill path the CPU has
-// (xrand.Kernels), as /generic and /avx512 subtests: both paths must
-// render the committed golden byte for byte. On a CPU without the
-// AVX-512 kernel, /avx512 skips and says why.
+// TestGoldenPairTrace runs pair@42 once per kernel path the CPU has
+// (forEachKernel): both paths must render the committed golden byte for
+// byte.
 func TestGoldenPairTrace(t *testing.T) {
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		got := renderPairTrace(t, impress.ScenarioParams{})
@@ -137,26 +155,19 @@ func TestGoldenPairTrace(t *testing.T) {
 		return
 	}
 	want := readGolden(t)
-	for _, kernel := range []string{"generic", "avx512"} {
-		t.Run(kernel, func(t *testing.T) {
-			if !slices.Contains(xrand.Kernels(), kernel) {
-				t.Skip("this CPU lacks AVX-512 F, DQ or VL (or the OS does not save its registers): the fills take the generic path only")
-			}
-			defer xrand.UseKernel(kernel)()
-			t.Logf("row fills on the %s path", kernel)
-			got := renderPairTrace(t, impress.ScenarioParams{})
-			if got == want {
-				return
-			}
-			line, g, w, gotLines, wantLines := firstDiff(got, want)
-			if line > 0 {
-				t.Fatalf("golden trace diverged at line %d:\n got: %s\nwant: %s\n"+
-					"(default-policy behaviour must stay bit-identical; regenerate only for intentional changes)",
-					line, g, w)
-			}
-			t.Fatalf("golden trace length changed: got %d lines, want %d", gotLines, wantLines)
-		})
-	}
+	forEachKernel(t, func(t *testing.T) {
+		got := renderPairTrace(t, impress.ScenarioParams{})
+		if got == want {
+			return
+		}
+		line, g, w, gotLines, wantLines := firstDiff(got, want)
+		if line > 0 {
+			t.Fatalf("golden trace diverged at line %d:\n got: %s\nwant: %s\n"+
+				"(default-policy behaviour must stay bit-identical; regenerate only for intentional changes)",
+				line, g, w)
+		}
+		t.Fatalf("golden trace length changed: got %d lines, want %d", gotLines, wantLines)
+	})
 }
 
 // TestGoldenTraceDeterminism guards the golden harness itself: two
@@ -227,48 +238,50 @@ func TestGoldenPairTraceSingleTenantService(t *testing.T) {
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		t.Skip("golden file is regenerated by TestGoldenPairTrace")
 	}
-	campaigns, err := impress.BuildScenario("pair", impress.ScenarioParams{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var outs []impress.CampaignOutcome
-	for _, c := range campaigns {
-		svc, err := tenancy.NewService(impress.TenancySpec{
-			Config: impress.TenancyConfig{
-				Machine:   c.Config.Machine,
-				Seed:      c.Seed,
-				Arrival:   "instant",
-				Admission: "fcfs-admit",
-				Reclaim:   "none",
-			},
-			Tenants: []impress.TenantSpec{{
-				Name:    c.Name,
-				Seed:    c.Seed,
-				Nodes:   c.Config.Machine.Nodes,
-				Targets: c.Targets,
-				Config:  c.Config,
-			}},
-		})
+	forEachKernel(t, func(t *testing.T) {
+		campaigns, err := impress.BuildScenario("pair", impress.ScenarioParams{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := svc.Run(); err != nil {
-			t.Fatal(err)
+		var outs []impress.CampaignOutcome
+		for _, c := range campaigns {
+			svc, err := tenancy.NewService(impress.TenancySpec{
+				Config: impress.TenancyConfig{
+					Machine:   c.Config.Machine,
+					Seed:      c.Seed,
+					Arrival:   "instant",
+					Admission: "fcfs-admit",
+					Reclaim:   "none",
+				},
+				Tenants: []impress.TenantSpec{{
+					Name:    c.Name,
+					Seed:    c.Seed,
+					Nodes:   c.Config.Machine.Nodes,
+					Targets: c.Targets,
+					Config:  c.Config,
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.Run(); err != nil {
+				t.Fatal(err)
+			}
+			res := svc.TenantResults()[0]
+			outs = append(outs, impress.CampaignOutcome{
+				Name: c.Name, Seed: c.Seed, Result: res,
+			})
 		}
-		res := svc.TenantResults()[0]
-		outs = append(outs, impress.CampaignOutcome{
-			Name: c.Name, Seed: c.Seed, Result: res,
-		})
-	}
-	got := renderPairOutcomes(t, outs)
-	if want := readGolden(t); got != want {
-		line, g, w, gotLines, wantLines := firstDiff(got, want)
-		if line > 0 {
-			t.Fatalf("single-tenant service replay diverged from the golden trace at line %d:\n got: %s\nwant: %s",
-				line, g, w)
+		got := renderPairOutcomes(t, outs)
+		if want := readGolden(t); got != want {
+			line, g, w, gotLines, wantLines := firstDiff(got, want)
+			if line > 0 {
+				t.Fatalf("single-tenant service replay diverged from the golden trace at line %d:\n got: %s\nwant: %s",
+					line, g, w)
+			}
+			t.Fatalf("single-tenant service replay changed the trace length: got %d lines, want %d", gotLines, wantLines)
 		}
-		t.Fatalf("single-tenant service replay changed the trace length: got %d lines, want %d", gotLines, wantLines)
-	}
+	})
 }
 
 // TestGoldenPairTraceFaultDisabled proves the fault subsystem's inertness

@@ -34,6 +34,14 @@
 // would; tests compare both against that per-draw loop bit for bit. The
 // sparse draws elsewhere (calibration samples, Gibbs picks) take one
 // value at a time.
+//
+// ConditionalEnergies, the Gibbs kernel, has an AVX-512 path
+// (conditionalAVX512) that runs when xrand selects its AVX-512 kernels:
+// one CPU check at start-up serves both, and xrand.UseKernel switches
+// both. It holds the 20 sums in float64 lanes and adds each half-edge's
+// row, or its column (80-byte stride), widened from float32, in
+// adjacency order, so every sum has the Go loop's bits. The Boltzmann
+// weights and math.Exp stay in Go.
 package landscape
 
 import (
@@ -352,12 +360,25 @@ func (m *Model) Energies(full protein.Sequence) (total, inter float64) {
 // ConditionalEnergies fills out[a] with the energy contribution of placing
 // amino acid a at position pos, holding the rest of full fixed. This is
 // the Gibbs-sampling kernel shared by the ProteinMPNN simulator and the
-// annealer. out must have length protein.NumAA.
+// annealer. out must have length protein.NumAA. It runs the AVX-512
+// kernel (conditionalAVX512) when xrand selects its AVX-512 kernels,
+// else conditionalGo; both add the same values in the same order.
 func (m *Model) ConditionalEnergies(full protein.Sequence, pos int, out []float64) {
 	m.checkLen(full)
 	if len(out) != protein.NumAA {
 		panic("landscape: ConditionalEnergies buffer size")
 	}
+	o := (*[protein.NumAA]float64)(out)
+	if xrand.AVX512() && conditionalAVX512(o, &m.Fields[pos], m.adj[pos], full) {
+		return
+	}
+	m.conditionalGo(full, pos, o)
+}
+
+// conditionalGo is ConditionalEnergies in Go: the only path off amd64
+// and on CPUs without AVX-512, and the reference the AVX-512 kernel is
+// tested against.
+func (m *Model) conditionalGo(full protein.Sequence, pos int, o *[protein.NumAA]float64) {
 	// Fixed-size array views and one up-front index of each table
 	// (_ = w[0][b]) leave the loops without per-element nil or bounds
 	// checks; every half-edge contributes one 20-float row or column,
@@ -367,7 +388,6 @@ func (m *Model) ConditionalEnergies(full protein.Sequence, pos int, out []float6
 	// left to right, so the sums keep the bits of adding them one by one
 	// while each o[a] is loaded and stored once per group. Grouping never
 	// reorders half-edges, so it holds for any edge order.
-	o := (*[protein.NumAA]float64)(out)
 	for a, f := range &m.Fields[pos] {
 		o[a] = float64(f)
 	}

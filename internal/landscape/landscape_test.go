@@ -824,27 +824,37 @@ func BenchmarkEnergy(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleSweep times one Gibbs sweep over the test model's
+// receptor on each kernel path the CPU has.
 func BenchmarkSampleSweep(b *testing.B) {
 	m, st := testModel(1)
 	full := st.FullSequence()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Sample(full, SampleOptions{Sweeps: 1, Temperature: 1, Seed: uint64(i)})
+	for _, name := range xrand.Kernels() {
+		b.Run(name, func(b *testing.B) {
+			defer xrand.UseKernel(name)()
+			for i := 0; i < b.N; i++ {
+				_ = m.Sample(full, SampleOptions{Sweeps: 1, Temperature: 1, Seed: uint64(i)})
+			}
+		})
 	}
 }
 
 // BenchmarkConditionalEnergies times one Gibbs-kernel call on a model of
 // a mined screen target's size (receptor 82–105, peptide 4), cycling
-// through every receptor position.
+// through every receptor position, on each kernel path the CPU has.
 func BenchmarkConditionalEnergies(b *testing.B) {
 	st := testStructure(1, 94, 4)
 	m := New(st, 1, DefaultConfig())
 	full := st.FullSequence()
 	out := make([]float64, protein.NumAA)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ConditionalEnergies(full, i%m.RecLen, out)
+	for _, name := range xrand.Kernels() {
+		b.Run(name, func(b *testing.B) {
+			defer xrand.UseKernel(name)()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.ConditionalEnergies(full, i%m.RecLen, out)
+			}
+		})
 	}
 }
 

@@ -298,12 +298,18 @@ func TestLengthMismatchPanics(t *testing.T) {
 	s.Design(short, 1)
 }
 
+// BenchmarkDesign10 times one design stage on each kernel path the CPU
+// has (xrand.Kernels): a surrogate corruption and its Gibbs sampling.
 func BenchmarkDesign10(b *testing.B) {
 	st, model := testTarget(1)
 	s, _ := New(model, DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Design(st, uint64(i))
+	for _, name := range xrand.Kernels() {
+		b.Run(name, func(b *testing.B) {
+			defer xrand.UseKernel(name)()
+			for i := 0; i < b.N; i++ {
+				_ = s.Design(st, uint64(i))
+			}
+		})
 	}
 }
 

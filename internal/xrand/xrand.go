@@ -8,6 +8,18 @@
 // generator is SplitMix64 (Steele et al., "Fast Splittable Pseudorandom
 // Number Generators"), which has a one-word state, passes BigCrush, and
 // supports cheap key-derivation for creating independent substreams.
+//
+// Bulk normals come from the ziggurat row fills (AddZiggurat,
+// FillZiggurat). On amd64 CPUs with AVX-512 F, DQ and VL, detected once
+// at start-up, they run an assembly kernel that draws 16 words a step
+// and finishes in scalar code every draw that leaves the fast path
+// except those that need math.Exp or math.Log: a base-layer tail draw
+// or a wedge y inside the squeeze band, about one cell in 400, which
+// zigguratRow finishes in Go. Everywhere else the fills run
+// zigguratRow. Both paths write the same bits and leave the generator
+// in the same state. The same detection selects landscape's AVX-512
+// ConditionalEnergies kernel (see AVX512); UseKernel switches both
+// kernels at once, for tests and benchmarks.
 package xrand
 
 import "math"

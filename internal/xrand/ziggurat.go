@@ -84,11 +84,21 @@ func (r *RNG) FillZiggurat(dst []float32, std float64) {
 	r.zigguratBulk(dst, nil, std)
 }
 
-// avx512 selects the row fills' path: the AVX-512 kernel
-// (zigguratVector) where haveAVX512 finds it, chosen once here from
-// CPUID and XGETBV, else zigguratRow. Both write the same bits and leave
-// the generator in the same state. Only UseKernel changes it.
-var avx512 = haveAVX512()
+// cpuAVX512 records, once at start-up, whether this CPU runs the AVX-512
+// kernels: haveAVX512 reads CPUID and XGETBV.
+var cpuAVX512 = haveAVX512()
+
+// avx512 selects the path of both AVX-512 kernels: the row fills
+// (zigguratVector, else zigguratRow) and the landscape's Gibbs kernel,
+// which reads it through AVX512. Both paths of each kernel write the
+// same bits and leave the generator in the same state. Only UseKernel
+// changes it.
+var avx512 = cpuAVX512
+
+// AVX512 reports whether the AVX-512 kernels are selected: the row
+// fills here and landscape's ConditionalEnergies dispatch on it, so
+// UseKernel switches both at once.
+func AVX512() bool { return avx512 }
 
 func (r *RNG) zigguratBulk(dst, src []float32, std float64) {
 	if avx512 {
@@ -98,23 +108,23 @@ func (r *RNG) zigguratBulk(dst, src []float32, std float64) {
 	r.zigguratRow(dst, src, std)
 }
 
-// Kernels names the paths AddZiggurat and FillZiggurat can take on this
-// CPU: "generic", then "avx512" where the CPU has AVX-512 F, DQ and VL.
-// The fills take the last one.
+// Kernels names the paths the AVX-512 kernels can take on this CPU:
+// "generic", then "avx512" where the CPU has AVX-512 F, DQ and VL. The
+// kernels take the last one.
 func Kernels() []string {
-	if haveAVX512() {
+	if cpuAVX512 {
 		return []string{"generic", "avx512"}
 	}
 	return []string{"generic"}
 }
 
-// UseKernel makes the row fills take the named path, one of Kernels,
-// and returns a function that restores the previous one. It lets tests
-// and benchmarks compare the paths on one machine; no fill may run
-// while it switches.
+// UseKernel makes the AVX-512 kernels take the named path, one of
+// Kernels, and returns a function that restores the previous one. It
+// lets tests and benchmarks compare the paths on one machine; no kernel
+// may run while it switches.
 func UseKernel(name string) (restore func()) {
 	if !slices.Contains(Kernels(), name) {
-		panic("xrand: no row-fill kernel " + name + " on this CPU")
+		panic("xrand: no kernel path " + name + " on this CPU")
 	}
 	prev := avx512
 	avx512 = name == "avx512"

@@ -1,8 +1,10 @@
 package xrand
 
-// haveAVX512 reports whether the CPU runs zigguratAVX512: it has
-// AVX-512 F, DQ and VL, and the operating system saves the opmask and
-// ZMM registers across context switches (XCR0 bits 1, 2 and 5–7).
+// haveAVX512 reports whether the CPU runs the AVX-512 kernels
+// (zigguratAVX512 here, landscape's conditionalAVX512): it has AVX-512
+// F, DQ and VL, and the operating system saves the opmask and ZMM
+// registers across context switches (XCR0 bits 1, 2 and 5–7). It runs
+// once, at start-up (cpuAVX512).
 func haveAVX512() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -22,19 +24,21 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax uint32)
 
-// zigguratAVX512 fills dst from its first cell, eight lanes at a time,
-// for as long as every draw stays on the ziggurat's fast path, as
-// zigguratRow would: src nil for a fill, else src at least as long as
-// dst. It stops before the first cell whose draw leaves the fast path
-// and returns the cells filled and the generator state after them.
+// zigguratAVX512 fills dst from its first cell as zigguratRow would:
+// src nil for a fill, else src at least as long as dst. It draws 16
+// words a step and finishes the draws that leave the fast path itself —
+// wedge draws the squeeze band decides, rejections and restarts
+// included — so it stops only before the first cell whose draw needs
+// math.Log (the base layer's tail) or math.Exp (a wedge y inside the
+// band), about one cell in 400. It returns the cells filled and the
+// generator state after them.
 //
 //go:noescape
 func zigguratAVX512(dst, src []float32, state uint64, std float64) (done int, next uint64)
 
 // zigguratVector is zigguratRow on the AVX-512 kernel. Each cell the
 // kernel stops at is finished by zigguratRow, which draws it exactly as
-// the generic path does, slow path included; the kernel then resumes
-// after it.
+// the generic path does; the kernel then resumes after it.
 func (r *RNG) zigguratVector(dst, src []float32, std float64) {
 	for {
 		n, s := zigguratAVX512(dst, src, r.state, std)

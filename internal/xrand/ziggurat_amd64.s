@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// The SplitMix64 increments of one 8-lane step: lane i draws the word at
-// state + (i+1)·γ, γ = 0x9e3779b97f4a7c15.
+// The SplitMix64 increments of one step's low eight lanes: lane i draws
+// the word at state + (i+1)·γ, γ = 0x9e3779b97f4a7c15; lane i+8 draws
+// the word 8γ after lane i.
 DATA zigLanes<>+0(SB)/8, $0x9e3779b97f4a7c15
 DATA zigLanes<>+8(SB)/8, $0x3c6ef372fe94f82a
 DATA zigLanes<>+16(SB)/8, $0xdaa66d2c7ddf743f
@@ -12,174 +13,373 @@ DATA zigLanes<>+48(SB)/8, $0x538454127b096493
 DATA zigLanes<>+56(SB)/8, $0xf1bbcdcbfa53e0a8
 GLOBL zigLanes<>(SB), RODATA|NOPTR, $64
 
+// The dword indexes that gather the 16 words' low halves (j) and high
+// halves (the layer bits) from the two registers of words.
+DATA zigEven<>+0(SB)/4, $0
+DATA zigEven<>+4(SB)/4, $2
+DATA zigEven<>+8(SB)/4, $4
+DATA zigEven<>+12(SB)/4, $6
+DATA zigEven<>+16(SB)/4, $8
+DATA zigEven<>+20(SB)/4, $10
+DATA zigEven<>+24(SB)/4, $12
+DATA zigEven<>+28(SB)/4, $14
+DATA zigEven<>+32(SB)/4, $16
+DATA zigEven<>+36(SB)/4, $18
+DATA zigEven<>+40(SB)/4, $20
+DATA zigEven<>+44(SB)/4, $22
+DATA zigEven<>+48(SB)/4, $24
+DATA zigEven<>+52(SB)/4, $26
+DATA zigEven<>+56(SB)/4, $28
+DATA zigEven<>+60(SB)/4, $30
+GLOBL zigEven<>(SB), RODATA|NOPTR, $64
+DATA zigOdd<>+0(SB)/4, $1
+DATA zigOdd<>+4(SB)/4, $3
+DATA zigOdd<>+8(SB)/4, $5
+DATA zigOdd<>+12(SB)/4, $7
+DATA zigOdd<>+16(SB)/4, $9
+DATA zigOdd<>+20(SB)/4, $11
+DATA zigOdd<>+24(SB)/4, $13
+DATA zigOdd<>+28(SB)/4, $15
+DATA zigOdd<>+32(SB)/4, $17
+DATA zigOdd<>+36(SB)/4, $19
+DATA zigOdd<>+40(SB)/4, $21
+DATA zigOdd<>+44(SB)/4, $23
+DATA zigOdd<>+48(SB)/4, $25
+DATA zigOdd<>+52(SB)/4, $27
+DATA zigOdd<>+56(SB)/4, $29
+DATA zigOdd<>+60(SB)/4, $31
+GLOBL zigOdd<>(SB), RODATA|NOPTR, $64
+
 // The source row of a fill: -0 is the exact identity of float64
 // addition, so -0 + z*std has the bits of z*std, signed zeros included.
 DATA zigNegZero<>+0(SB)/8, $0x8000000080000000
 DATA zigNegZero<>+8(SB)/8, $0x8000000080000000
 DATA zigNegZero<>+16(SB)/8, $0x8000000080000000
 DATA zigNegZero<>+24(SB)/8, $0x8000000080000000
-GLOBL zigNegZero<>(SB), RODATA|NOPTR, $32
+DATA zigNegZero<>+32(SB)/8, $0x8000000080000000
+DATA zigNegZero<>+40(SB)/8, $0x8000000080000000
+DATA zigNegZero<>+48(SB)/8, $0x8000000080000000
+DATA zigNegZero<>+56(SB)/8, $0x8000000080000000
+GLOBL zigNegZero<>(SB), RODATA|NOPTR, $64
 
-// ZIGVALUES writes the lanes of mask: dst = float32(float64(src) +
-// float64(j)*float64(wn[k])*std), each operation in the Go code's order,
-// rounded once on the store. Y24 holds j, Y27 wn[k].
-#define ZIGVALUES(mask) \
-	VCVTDQ2PD    Y24, Z28; \
-	VCVTPS2PD    Y27, Z29; \
-	VMULPD       Z29, Z28, Z28; \
-	VMULPD       Z20, Z28, Z28; \
-	VCVTPS2PD.Z  (SI), mask, Z29; \
-	VADDPD       Z28, Z29, Z28; \
-	VCVTPD2PS    Z28, Y28; \
-	VMOVUPS      Y28, mask, (DI)
+// 2⁻⁵³: Float64 scales its 53 bits by it, exactly.
+DATA zigTwo53<>+0(SB)/8, $0x3ca0000000000000
+GLOBL zigTwo53<>(SB), RODATA|NOPTR, $8
 
-// ZIGLOOKUP sets out to table[k] for the 128-entry table held 16 entries
-// to a register in t0–t7: VPERMI2D picks from each register pair (32
-// entries) by k's low five bits, and K1 (k's bit 5) and K2 (bit 6)
-// blend the four picks.
-#define ZIGLOOKUP(t0, t1, t2, t3, t4, t5, t6, t7, out, tmp1, tmp2) \
-	VMOVDQA32  Z25, out; \
-	VPERMI2D   t1, t0, out; \
-	VMOVDQA32  Z25, tmp1; \
-	VPERMI2D   t3, t2, tmp1; \
-	VPBLENDMD  tmp1, out, K1, out; \
-	VMOVDQA32  Z25, tmp1; \
-	VPERMI2D   t5, t4, tmp1; \
-	VMOVDQA32  Z25, tmp2; \
-	VPERMI2D   t7, t6, tmp2; \
-	VPBLENDMD  tmp2, tmp1, K1, tmp1; \
-	VPBLENDMD  tmp1, out, K2, out
+// zigTail[n] masks the low n of eight lanes.
+DATA zigTail<>+0(SB)/8, $0x7f3f1f0f07030100
+DATA zigTail<>+8(SB)/1, $0xff
+GLOBL zigTail<>(SB), RODATA|NOPTR, $9
+
+// ZIGMIX sets u to SplitMix64's finalizer of the eight states in s.
+#define ZIGMIX(s, u, t) \
+	VPSRLQ  $30, s, u; \
+	VPXORQ  s, u, u; \
+	VPMULLQ Z19, u, u; \
+	VPSRLQ  $27, u, t; \
+	VPXORQ  t, u, u; \
+	VPMULLQ Z20, u, u; \
+	VPSRLQ  $31, u, t; \
+	VPXORQ  t, u, u
+
+// MIX sets z to SplitMix64's finalizer of z, t a scratch register.
+#define MIX(z, t) \
+	MOVQ  z, t; \
+	SHRQ  $30, t; \
+	XORQ  t, z; \
+	MOVQ  $0xbf58476d1ce4e5b9, t; \
+	IMULQ t, z; \
+	MOVQ  z, t; \
+	SHRQ  $27, t; \
+	XORQ  t, z; \
+	MOVQ  $0x94d049bb133111eb, t; \
+	IMULQ t, z; \
+	MOVQ  z, t; \
+	SHRQ  $31, t; \
+	XORQ  t, z
+
+// ZIGGEN draws 16 words, lane i at Z16/Z17's state, and advances the
+// states to the next 16. It stores each word's z·std =
+// float64(j)·float64(wn[k])·std, in the Go code's order, at off(SP),
+// and ORs its fast-path bit (|j| < kn[k]: the draw ends on this word)
+// into R10 at bit shift + lane. The layer tables are gathered with
+// VPGATHERDD.
+#define ZIGGEN(off, shift) \
+	ZIGMIX(Z16, Z0, Z28); \
+	ZIGMIX(Z17, Z1, Z29); \
+	VMOVDQA32     Z11, Z2; \
+	VPERMI2D      Z1, Z0, Z2; \
+	VMOVDQA32     Z12, Z3; \
+	VPERMI2D      Z1, Z0, Z3; \
+	VPANDD        Z13, Z3, Z3; \
+	LEAQ          ·kn(SB), R11; \
+	KXNORW        K1, K1, K1; \
+	VPGATHERDD    (R11)(Z3*4), K1, Z4; \
+	LEAQ          ·wn(SB), R11; \
+	KXNORW        K2, K2, K2; \
+	VGATHERDPS    (R11)(Z3*4), K2, Z5; \
+	VPABSD        Z2, Z6; \
+	VPCMPUD       $1, Z4, Z6, K3; \
+	VCVTDQ2PD     Y2, Z7; \
+	VCVTPS2PD     Y5, Z8; \
+	VMULPD        Z8, Z7, Z7; \
+	VMULPD        Z21, Z7, Z7; \
+	VMOVUPD       Z7, off(SP); \
+	VEXTRACTI32X8 $1, Z2, Y9; \
+	VCVTDQ2PD     Y9, Z9; \
+	VEXTRACTF32X8 $1, Z5, Y10; \
+	VCVTPS2PD     Y10, Z10; \
+	VMULPD        Z10, Z9, Z9; \
+	VMULPD        Z21, Z9, Z9; \
+	VMOVUPD       Z9, off+64(SP); \
+	KMOVW         K3, R11; \
+	SHLQ          $shift, R11; \
+	ORQ           R11, R10; \
+	VPADDQ        Z18, Z16, Z16; \
+	VPADDQ        Z18, Z17, Z17
+
+// WORD sets R12 to the word drawn at block word CX: mix(BX + (CX+1)·γ).
+#define WORD \
+	LEAQ  1(CX), R12; \
+	MOVQ  $0x9e3779b97f4a7c15, R11; \
+	IMULQ R11, R12; \
+	ADDQ  BX, R12; \
+	MIX(R12, R11)
 
 // func zigguratAVX512(dst, src []float32, state uint64, std float64) (done int, next uint64)
-TEXT ·zigguratAVX512(SB), NOSPLIT, $0-80
+//
+// The kernel draws words 32 at a time, 16 lanes to a step: each word's
+// z·std goes to a stack buffer and its fast-path bit to a mask. Two
+// such blocks are in flight: the kernel walks the current one while the
+// next is drawn, so the walk's branches test a mask drawn a block
+// earlier. A run of fast words fills as many cells, eight to a step; a
+// word off the fast path is finished in scalar code as zigguratSlow
+// finishes it, taking the words after it as it goes, and the walk
+// resumes after the last word it took. A draw that needs math.Log (the
+// base layer's tail) or math.Exp (a wedge y inside the squeeze band) is
+// left to the caller: the kernel stops before that cell.
+//
+// Registers: DI, SI the next cell of dst and src (a fill reads -0 from
+// zigNegZero: -0 + z·std has the bits of z·std); R13 the source bytes
+// per cell, 4 or 0; DX the cells left; AX the cells done; BX the state
+// before the current block's first word; CX the block word the walk is
+// at; R8 the current block's fast mask and R10 the next block's. The
+// current block's buffer is 0–255(SP), the next block's 256–511(SP);
+// 512(SP) keeps the block word a slow draw started at, 520(SP) R10
+// while the draw uses it.
+TEXT ·zigguratAVX512(SB), $528-80
 	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
+	MOVQ dst_len+8(FP), DX
 	MOVQ src_base+24(FP), SI
-	MOVQ state+48(FP), DX
+	MOVQ state+48(FP), BX
 	XORQ AX, AX
-	TESTQ CX, CX
+	XORQ CX, CX
+	TESTQ DX, DX
 	JZ   empty
-	MOVQ $32, R10 // source bytes per step
+	MOVQ $4, R13
 	TESTQ SI, SI
-	JNZ  tables
+	JNZ  consts
 	LEAQ zigNegZero<>(SB), SI
-	XORQ R10, R10
+	XORQ R13, R13
 
-tables:
-	// kn in Z0–Z7 and wn in Z8–Z15, 16 layers to a register.
-	VMOVDQU32 ·kn+0(SB), Z0
-	VMOVDQU32 ·kn+64(SB), Z1
-	VMOVDQU32 ·kn+128(SB), Z2
-	VMOVDQU32 ·kn+192(SB), Z3
-	VMOVDQU32 ·kn+256(SB), Z4
-	VMOVDQU32 ·kn+320(SB), Z5
-	VMOVDQU32 ·kn+384(SB), Z6
-	VMOVDQU32 ·kn+448(SB), Z7
-	VMOVDQU32 ·wn+0(SB), Z8
-	VMOVDQU32 ·wn+64(SB), Z9
-	VMOVDQU32 ·wn+128(SB), Z10
-	VMOVDQU32 ·wn+192(SB), Z11
-	VMOVDQU32 ·wn+256(SB), Z12
-	VMOVDQU32 ·wn+320(SB), Z13
-	VMOVDQU32 ·wn+384(SB), Z14
-	VMOVDQU32 ·wn+448(SB), Z15
+consts:
+	// Z11, Z12 the j and layer indexes; Z13 the layer mask 0x7f; Z14
+	// 8γ; Z18 the step 16γ; Z19, Z20 the finalizer's multipliers; Z21
+	// std.
+	VMOVDQU32    zigEven<>(SB), Z11
+	VMOVDQU32    zigOdd<>(SB), Z12
+	MOVL         $0x7f, R11
+	VPBROADCASTD R11, Z13
+	MOVQ         $0xf1bbcdcbfa53e0a8, R11
+	VPBROADCASTQ R11, Z14
+	MOVQ         $0xe3779b97f4a7c150, R11
+	VPBROADCASTQ R11, Z18
+	MOVQ         $0xbf58476d1ce4e5b9, R11
+	VPBROADCASTQ R11, Z19
+	MOVQ         $0x94d049bb133111eb, R11
+	VPBROADCASTQ R11, Z20
+	VBROADCASTSD std+56(FP), Z21
 
-	// Z16: the eight lanes' SplitMix64 states; Z17 the step 8γ; Z18, Z19
-	// the finalizer's multipliers; Z20 std; Z21, Z22 the layer bits 5
-	// and 6; K5 all eight lanes.
-	VPBROADCASTQ DX, Z16
+start:
+	// Draw both blocks from BX: Z16, Z17 hold the 16 lanes' states,
+	// lane i at BX + (i+1)·γ.
+	VPBROADCASTQ BX, Z16
 	VPADDQ       zigLanes<>(SB), Z16, Z16
-	MOVQ         $0xf1bbcdcbfa53e0a8, BX
-	VPBROADCASTQ BX, Z17
-	MOVQ         $0xbf58476d1ce4e5b9, BX
-	VPBROADCASTQ BX, Z18
-	MOVQ         $0x94d049bb133111eb, BX
-	VPBROADCASTQ BX, Z19
-	VBROADCASTSD std+56(FP), Z20
-	MOVL         $0x20, BX
-	VPBROADCASTD BX, Z21
-	MOVL         $0x40, BX
-	VPBROADCASTD BX, Z22
-	KXNORB       K5, K5, K5
+	VPADDQ       Z14, Z16, Z17
+	XORQ         R10, R10
+	ZIGGEN(0, 0)
+	ZIGGEN(128, 16)
+	MOVQ         R10, R8
+	XORQ         R10, R10
+	ZIGGEN(256, 0)
+	ZIGGEN(384, 16)
+	XORQ         CX, CX
 
-loop:
-	// u = mix(s) in Z23.
-	VPSRLQ  $30, Z16, Z23
-	VPXORQ  Z16, Z23, Z23
-	VPMULLQ Z18, Z23, Z23
-	VPSRLQ  $27, Z23, Z24
-	VPXORQ  Z24, Z23, Z23
-	VPMULLQ Z19, Z23, Z23
-	VPSRLQ  $31, Z23, Z24
-	VPXORQ  Z24, Z23, Z23
+walk:
+	// R9: the fast words from CX on, at most the cells left. The mask's
+	// bits from 32 up read as slow, so the run ends at the block's end.
+	MOVQ    R8, R9
+	NOTQ    R9
+	SHRQ    CX, R9
+	BSFQ    R9, R9
+	CMPQ    R9, DX
+	CMOVQHI DX, R9
+	TESTQ   R9, R9
+	JZ      slow
 
-	// j = int32(u) in Y24; the layer k = u>>32 in Y25, of which the
-	// lookups read bits 0–6.
-	VPMOVQD  Z23, Y24
-	VPSRLQ   $32, Z23, Z23
-	VPMOVQD  Z23, Y25
-	VPTESTMD Z21, Z25, K1
-	VPTESTMD Z22, Z25, K2
-	ZIGLOOKUP(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z26, Z28, Z29)
-	ZIGLOOKUP(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, Z27, Z28, Z29)
-
-	// K3: the lanes inside their layer's core, |j| < kn[k] unsigned.
-	VPABSD  Y24, Y28
-	VPCMPUD $1, Y26, Y28, K3
-
-	CMPQ     CX, $8
-	JB       partial
-	KORTESTB K3, K3
-	JCC      partial // a lane leaves the fast path
-	ZIGVALUES(K5)
-	ADDQ     $8, AX
-	ADDQ     $32, DI
-	ADDQ     R10, SI
-	VPADDQ   Z17, Z16, Z16
-	SUBQ     $8, CX
-	JNZ      loop
-	JMP      done
-
-partial:
-	// BX: the lanes left to fill, all eight or the low CX.
-	MOVL  $0xff, BX
-	CMPQ  CX, $8
-	JAE   last
-	MOVL  $1, BX
-	SHLL  CX, BX
-	DECL  BX
-
-last:
-	KMOVB K3, R8
-	NOTL  R8
-	ANDL  BX, R8
-	JNZ   slow
-	KMOVB BX, K4
-	ZIGVALUES(K4)
-	ADDQ  CX, AX
-	JMP   done
+run:
+	// Fill min(R9, 8) cells from the buffer: float32(float64(src) + z·std).
+	MOVQ        $8, R12
+	CMPQ        R9, R12
+	CMOVQLT     R9, R12
+	LEAQ        zigTail<>(SB), R11
+	MOVBLZX     (R11)(R12*1), R11
+	KMOVB       R11, K4
+	VMOVUPD.Z   (SP)(CX*8), K4, Z28
+	VCVTPS2PD.Z (SI), K4, Z29
+	VADDPD      Z28, Z29, Z28
+	VCVTPD2PS   Z28, Y28
+	VMOVUPS     Y28, K4, (DI)
+	ADDQ        R12, CX
+	ADDQ        R12, AX
+	LEAQ        (DI)(R12*4), DI
+	SUBQ        R12, DX
+	IMULQ       R13, R12
+	ADDQ        R12, SI
+	SUBQ        $8, R9
+	JG          run
+	TESTQ       DX, DX
+	JZ          finish
+	CMPQ        CX, $32
+	JAE         rotate
 
 slow:
-	// Fill the lanes before the first one that leaves the fast path and
-	// stop there; the caller finishes that draw.
-	BSFL  R8, CX
-	MOVL  $1, BX
-	SHLL  CX, BX
-	DECL  BX
-	KMOVB BX, K4
-	ZIGVALUES(K4)
-	ADDQ  CX, AX
+	// Block word CX leaves the fast path. Finish its draw as
+	// zigguratSlow does: the core returns x, a wedge word draws y and
+	// the squeeze band accepts or rejects it, a rejection starts over
+	// with a fresh word.
+	MOVQ CX, 512(SP)
+	MOVQ R10, 520(SP)
+	WORD
 
-done:
+draw:
+	MOVQ       R12, R10
+	SHRQ       $32, R10
+	ANDL       $0x7f, R10 // i, the layer
+	MOVLQSX    R12, R11   // j
+	VCVTSI2SDQ R11, X24, X24
+	LEAQ       ·wn(SB), R9
+	VCVTSS2SD  (R9)(R10*4), X25, X25
+	VMULSD     X25, X24, X24 // x = float64(j) * float64(wn[i])
+	MOVL       R12, R9
+	TESTL      R9, R9
+	JNS        abs
+	NEGL       R9
+
+abs:
+	LEAQ  ·kn(SB), R11
+	CMPL  R9, (R11)(R10*4)
+	JCS   accept // |j| < kn[i]: inside the layer's core
+	TESTL R10, R10
+	JZ    back   // the base layer's tail
+
+	// y = float64(fn[i] + float32(Float64())*(fn[i-1]-fn[i])).
+	INCQ       CX
+	WORD
+	SHRQ       $11, R12
+	VCVTSI2SDQ R12, X25, X25
+	VMULSD     zigTwo53<>(SB), X25, X25
+	VCVTSD2SS  X25, X25, X25
+	LEAQ       ·fn(SB), R11
+	VMOVSS     -4(R11)(R10*4), X26
+	VSUBSS     (R11)(R10*4), X26, X26
+	VMULSS     X26, X25, X25
+	VADDSS     (R11)(R10*4), X25, X25
+	VCVTSS2SD  X25, X25, X25
+
+	// c = zc0[i] + zm[i]*|x|; accept below c − zlo[i], leave to Go
+	// up to c + zhi[i], reject above.
+	VMOVQ    X24, R9
+	BTRQ     $63, R9
+	VMOVQ    R9, X26
+	LEAQ     ·zm(SB), R11
+	VMULSD   (R11)(R10*8), X26, X26
+	LEAQ     ·zc0(SB), R11
+	VADDSD   (R11)(R10*8), X26, X26
+	LEAQ     ·zlo(SB), R11
+	VSUBSD   (R11)(R10*8), X26, X27
+	VUCOMISD X27, X25
+	JCS      accept
+	LEAQ     ·zhi(SB), R11
+	VADDSD   (R11)(R10*8), X26, X27
+	VUCOMISD X27, X25
+	JLS      back
+
+	// Rejected: start over with a fresh word.
+	INCQ CX
+	WORD
+	JMP  draw
+
+accept:
+	// The cell: float32(float64(src) + x·std), as the lanes compute it.
+	VMULSD    X21, X24, X24
+	VCVTSS2SD (SI), X25, X25
+	VADDSD    X24, X25, X25
+	VCVTSD2SS X25, X25, X25
+	VMOVSS    X25, (DI)
+	MOVQ      520(SP), R10
+	INCQ      CX
+	INCQ      AX
+	ADDQ      $4, DI
+	ADDQ      R13, SI
+	DECQ      DX
+	JZ        finish
+	CMPQ      CX, $32
+	JB        walk
+	JMP       rotate
+
+rotate:
+	// The walk left the current block at word CX. Within the next one,
+	// it becomes current and a new next block is drawn; past it, both
+	// are drawn afresh from the state after word CX−1.
+	MOVQ  $0x9e3779b97f4a7c15, R11
+	CMPQ  CX, $64
+	JAE   restart
+	VMOVUPD 256(SP), Z28
+	VMOVUPD Z28, (SP)
+	VMOVUPD 320(SP), Z28
+	VMOVUPD Z28, 64(SP)
+	VMOVUPD 384(SP), Z28
+	VMOVUPD Z28, 128(SP)
+	VMOVUPD 448(SP), Z28
+	VMOVUPD Z28, 192(SP)
+	MOVQ  R10, R8
+	SUBQ  $32, CX
+	SHLQ  $5, R11
+	ADDQ  R11, BX
+	XORQ  R10, R10
+	ZIGGEN(256, 0)
+	ZIGGEN(384, 16)
+	JMP   walk
+
+restart:
+	IMULQ CX, R11
+	ADDQ  R11, BX
+	JMP   start
+
+back:
+	// Hand the cell back with the state before its first word.
+	MOVQ 512(SP), CX
+
+finish:
+	MOVQ  $0x9e3779b97f4a7c15, R11
+	IMULQ CX, R11
+	ADDQ  R11, BX
 	VZEROUPPER
 
 empty:
-	// next = state + done·γ
-	MOVQ  $0x9e3779b97f4a7c15, BX
-	IMULQ AX, BX
-	ADDQ  DX, BX
-	MOVQ  AX, done+64(FP)
-	MOVQ  BX, next+72(FP)
+	MOVQ AX, done+64(FP)
+	MOVQ BX, next+72(FP)
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

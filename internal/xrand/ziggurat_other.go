@@ -2,7 +2,8 @@
 
 package xrand
 
-// haveAVX512 is false off amd64: the row fills take zigguratRow.
+// haveAVX512 is false off amd64: the row fills take zigguratRow and
+// landscape's ConditionalEnergies its Go loop.
 func haveAVX512() bool { return false }
 
 // zigguratVector is zigguratRow where no vector kernel is built.

@@ -634,3 +634,95 @@ func BenchmarkAddZiggurat(b *testing.B) {
 		})
 	}
 }
+
+// The ways a cell's draw can leave the fast path, by its first word and
+// the words after it.
+const (
+	exitWedgeAccepted = iota // a wedge y below the squeeze band
+	exitWedgeRejected        // a wedge y above it: the draw starts over
+	exitBand                 // a wedge y inside it: math.Exp decides
+	exitTail                 // the base layer's tail: math.Log
+	exitCases
+)
+
+// exitCase classifies the draw whose first word the generator r draws
+// next: -1 when the word is on the fast path.
+func exitCase(r RNG) int {
+	u := r.Uint64()
+	j, k := int32(u), u>>32&0x7F
+	switch {
+	case uint32(max(j, -j)) < kn[k]:
+		return -1
+	case k == 0:
+		return exitTail
+	}
+	switch squeezeClass(r, u) {
+	case -1:
+		return exitWedgeAccepted
+	case 1:
+		return exitWedgeRejected
+	}
+	return exitBand
+}
+
+// exitState returns a generator state whose first pos words are on the
+// fast path and whose draw at cell pos is of the given exit case.
+func exitState(t *testing.T, pos, kind int) uint64 {
+	t.Helper()
+	for seed := uint64(1); seed < 1<<24; seed++ {
+		state := mix(seed ^ uint64(pos)<<40 ^ uint64(kind)<<48)
+		r := RNG{state: state}
+		fast := true
+		for i := 0; i < pos && fast; i++ {
+			fast = exitCase(r) < 0
+			r.Uint64()
+		}
+		if fast && exitCase(r) == kind {
+			return state
+		}
+	}
+	t.Fatalf("no state puts exit case %d at cell %d", kind, pos)
+	return 0
+}
+
+// TestZigguratKernelExitPaths plants each way a draw can leave the fast
+// path — a wedge accepted, a wedge rejected and restarted with a fresh
+// word, a y inside the squeeze band, and the base layer's tail — at the
+// first cell of a row, in the middle and at the end of the kernel's
+// 8-cell runs and 16-lane steps, at the edges of its 32-word blocks and
+// in a row's partial last step, and holds every row-fill path the CPU
+// has to zigguratRow: the same bits in every cell and the same end
+// state, for fills and adds.
+func TestZigguratKernelExitPaths(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		src := make([]float32, 80)
+		for i := range src {
+			src[i] = float32(i%13)/3 - 2
+		}
+		got, want := make([]float32, len(src)), make([]float32, len(src))
+		for kind := 0; kind < exitCases; kind++ {
+			for _, pos := range []int{0, 1, 4, 7, 8, 15, 16, 30, 31, 32, 33, 47, 63} {
+				state := exitState(t, pos, kind)
+				for _, n := range []int{pos + 1, pos + 2, pos + 9, len(src)} {
+					for _, in := range [][]float32{nil, src[:n]} {
+						r, g := RNG{state: state}, RNG{state: state}
+						if in == nil {
+							r.FillZiggurat(got[:n], 0.7)
+						} else {
+							r.AddZiggurat(got[:n], in, 0.7)
+						}
+						g.zigguratRow(want[:n], in, 0.7)
+						for i := 0; i < n; i++ {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("exit case %d at cell %d of %d, src %v: cell %d = %v, generic %v", kind, pos, n, in != nil, i, got[i], want[i])
+							}
+						}
+						if r != g {
+							t.Fatalf("exit case %d at cell %d of %d, src %v: end state %#x, generic %#x", kind, pos, n, in != nil, r.state, g.state)
+						}
+					}
+				}
+			}
+		}
+	})
+}
