@@ -31,7 +31,9 @@ func xgetbv() (eax uint32)
 // included — so it stops only before the first cell whose draw needs
 // math.Log (the base layer's tail) or math.Exp (a wedge y inside the
 // band), about one cell in 400. It returns the cells filled and the
-// generator state after them.
+// generator state to go on from: after them, or, for a stopped cell
+// whose draw was rejected and restarted, at its fresh word, from which
+// zigguratRow draws it as it would have after the rejection.
 //
 //go:noescape
 func zigguratAVX512(dst, src []float32, state uint64, std float64) (done int, next uint64)

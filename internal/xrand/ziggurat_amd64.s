@@ -56,11 +56,7 @@ DATA zigNegZero<>+0(SB)/8, $0x8000000080000000
 DATA zigNegZero<>+8(SB)/8, $0x8000000080000000
 DATA zigNegZero<>+16(SB)/8, $0x8000000080000000
 DATA zigNegZero<>+24(SB)/8, $0x8000000080000000
-DATA zigNegZero<>+32(SB)/8, $0x8000000080000000
-DATA zigNegZero<>+40(SB)/8, $0x8000000080000000
-DATA zigNegZero<>+48(SB)/8, $0x8000000080000000
-DATA zigNegZero<>+56(SB)/8, $0x8000000080000000
-GLOBL zigNegZero<>(SB), RODATA|NOPTR, $64
+GLOBL zigNegZero<>(SB), RODATA|NOPTR, $32
 
 // 2⁻⁵³: Float64 scales its 53 bits by it, exactly.
 DATA zigTwo53<>+0(SB)/8, $0x3ca0000000000000
@@ -82,31 +78,17 @@ GLOBL zigTail<>(SB), RODATA|NOPTR, $9
 	VPSRLQ  $31, u, t; \
 	VPXORQ  t, u, u
 
-// MIX sets z to SplitMix64's finalizer of z, t a scratch register.
-#define MIX(z, t) \
-	MOVQ  z, t; \
-	SHRQ  $30, t; \
-	XORQ  t, z; \
-	MOVQ  $0xbf58476d1ce4e5b9, t; \
-	IMULQ t, z; \
-	MOVQ  z, t; \
-	SHRQ  $27, t; \
-	XORQ  t, z; \
-	MOVQ  $0x94d049bb133111eb, t; \
-	IMULQ t, z; \
-	MOVQ  z, t; \
-	SHRQ  $31, t; \
-	XORQ  t, z
-
 // ZIGGEN draws 16 words, lane i at Z16/Z17's state, and advances the
-// states to the next 16. It stores each word's z·std =
-// float64(j)·float64(wn[k])·std, in the Go code's order, at off(SP),
-// and ORs its fast-path bit (|j| < kn[k]: the draw ends on this word)
-// into R10 at bit shift + lane. The layer tables are gathered with
-// VPGATHERDD.
+// states to the next 16. It stores each word at 512+off(SP) and its
+// z·std = float64(j)·float64(wn[k])·std, in the Go code's order, at
+// off(SP), and ORs its fast-path bit (|j| < kn[k]: the draw ends on
+// this word) into R10 at bit shift + lane. The layer tables are
+// gathered with VPGATHERDD.
 #define ZIGGEN(off, shift) \
 	ZIGMIX(Z16, Z0, Z28); \
 	ZIGMIX(Z17, Z1, Z29); \
+	VMOVDQU64     Z0, 512+off(SP); \
+	VMOVDQU64     Z1, 576+off(SP); \
 	VMOVDQA32     Z11, Z2; \
 	VPERMI2D      Z1, Z0, Z2; \
 	VMOVDQA32     Z12, Z3; \
@@ -138,36 +120,40 @@ GLOBL zigTail<>(SB), RODATA|NOPTR, $9
 	VPADDQ        Z18, Z16, Z16; \
 	VPADDQ        Z18, Z17, Z17
 
-// WORD sets R12 to the word drawn at block word CX: mix(BX + (CX+1)·γ).
-#define WORD \
-	LEAQ  1(CX), R12; \
-	MOVQ  $0x9e3779b97f4a7c15, R11; \
-	IMULQ R11, R12; \
-	ADDQ  BX, R12; \
-	MIX(R12, R11)
+// NEXTBLOCK draws the next block, the 32 words after the current one,
+// from Z16 and Z17 into 256–511(SP) and 768–1023(SP), its fast mask in
+// R10, and marks it drawn.
+#define NEXTBLOCK \
+	XORQ R10, R10; \
+	ZIGGEN(256, 0); \
+	ZIGGEN(384, 16); \
+	MOVB $1, 1024(SP)
 
 // func zigguratAVX512(dst, src []float32, state uint64, std float64) (done int, next uint64)
 //
-// The kernel draws words 32 at a time, 16 lanes to a step: each word's
-// z·std goes to a stack buffer and its fast-path bit to a mask. Two
+// The kernel draws words 32 at a time, 16 lanes to a step: each word,
+// its z·std and its fast-path bit go to stack buffers and a mask. Two
 // such blocks are in flight: the kernel walks the current one while the
 // next is drawn, so the walk's branches test a mask drawn a block
-// earlier. A run of fast words fills as many cells, eight to a step; a
-// word off the fast path is finished in scalar code as zigguratSlow
-// finishes it, taking the words after it as it goes, and the walk
-// resumes after the last word it took. A draw that needs math.Log (the
-// base layer's tail) or math.Exp (a wedge y inside the squeeze band) is
-// left to the caller: the kernel stops before that cell.
+// earlier. A run of fast words fills as many cells, eight to a step. A
+// word off the fast path is decided in scalar code as zigguratSlow
+// decides it: a wedge draws y from the next word and the squeeze band
+// accepts it (the cell is the word's z·std) or rejects it (the draw
+// starts over at the word after y, which the walk takes as it takes
+// any first word). A draw that needs math.Log (the base layer's tail)
+// or math.Exp (a y inside the band) is left to the caller: the kernel
+// stops before that cell.
 //
 // Registers: DI, SI the next cell of dst and src (a fill reads -0 from
 // zigNegZero: -0 + z·std has the bits of z·std); R13 the source bytes
 // per cell, 4 or 0; DX the cells left; AX the cells done; BX the state
 // before the current block's first word; CX the block word the walk is
 // at; R8 the current block's fast mask and R10 the next block's. The
-// current block's buffer is 0–255(SP), the next block's 256–511(SP);
-// 512(SP) keeps the block word a slow draw started at, 520(SP) R10
-// while the draw uses it.
-TEXT ·zigguratAVX512(SB), $528-80
+// z·std buffer is 0–511(SP) and the word buffer 512–1023(SP), the
+// current block in the first half of each; 1024(SP) is 1 while the next
+// block is drawn. The next block is drawn only when the walk may reach
+// it, so a call draws few words past its last cell.
+TEXT ·zigguratAVX512(SB), $1032-80
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVQ src_base+24(FP), SI
@@ -200,9 +186,10 @@ consts:
 	VPBROADCASTQ R11, Z20
 	VBROADCASTSD std+56(FP), Z21
 
-start:
-	// Draw both blocks from BX: Z16, Z17 hold the 16 lanes' states,
-	// lane i at BX + (i+1)·γ.
+draw:
+	// Draw the current block from BX, Z16 and Z17 holding the 16 lanes'
+	// states, lane i at BX + (i+1)·γ; then the next block if more cells
+	// are left than words in the current one.
 	VPBROADCASTQ BX, Z16
 	VPADDQ       zigLanes<>(SB), Z16, Z16
 	VPADDQ       Z14, Z16, Z17
@@ -210,10 +197,11 @@ start:
 	ZIGGEN(0, 0)
 	ZIGGEN(128, 16)
 	MOVQ         R10, R8
-	XORQ         R10, R10
-	ZIGGEN(256, 0)
-	ZIGGEN(384, 16)
 	XORQ         CX, CX
+	MOVB         $0, 1024(SP)
+	CMPQ         DX, $32
+	JLS          walk
+	NEXTBLOCK
 
 walk:
 	// R9: the fast words from CX on, at most the cells left. The mask's
@@ -228,123 +216,132 @@ walk:
 	JZ      slow
 
 run:
-	// Fill min(R9, 8) cells from the buffer: float32(float64(src) + z·std).
-	MOVQ        $8, R12
-	CMPQ        R9, R12
-	CMOVQLT     R9, R12
+	// Fill the run's cells from the buffer, eight to a step:
+	// float32(float64(src) + z·std).
+	CMPQ      R9, $8
+	JB        tail
+	VMOVUPD   (SP)(CX*8), Z28
+	VCVTPS2PD (SI), Z29
+	VADDPD    Z28, Z29, Z28
+	VCVTPD2PS Z28, Y28
+	VMOVUPS   Y28, (DI)
+	ADDQ      $8, CX
+	ADDQ      $8, AX
+	ADDQ      $32, DI
+	SUBQ      $8, DX
+	LEAQ      (SI)(R13*8), SI
+	SUBQ      $8, R9
+	JNZ       run
+	JMP       ran
+
+tail:
 	LEAQ        zigTail<>(SB), R11
-	MOVBLZX     (R11)(R12*1), R11
+	MOVBLZX     (R11)(R9*1), R11
 	KMOVB       R11, K4
 	VMOVUPD.Z   (SP)(CX*8), K4, Z28
 	VCVTPS2PD.Z (SI), K4, Z29
 	VADDPD      Z28, Z29, Z28
 	VCVTPD2PS   Z28, Y28
 	VMOVUPS     Y28, K4, (DI)
-	ADDQ        R12, CX
-	ADDQ        R12, AX
-	LEAQ        (DI)(R12*4), DI
-	SUBQ        R12, DX
-	IMULQ       R13, R12
-	ADDQ        R12, SI
-	SUBQ        $8, R9
-	JG          run
-	TESTQ       DX, DX
-	JZ          finish
-	CMPQ        CX, $32
-	JAE         rotate
+	ADDQ        R9, CX
+	ADDQ        R9, AX
+	LEAQ        (DI)(R9*4), DI
+	SUBQ        R9, DX
+	IMULQ       R13, R9
+	ADDQ        R9, SI
+
+ran:
+	TESTQ DX, DX
+	JZ    finish
+	CMPQ  CX, $32
+	JAE   rotate
 
 slow:
-	// Block word CX leaves the fast path. Finish its draw as
-	// zigguratSlow does: the core returns x, a wedge word draws y and
-	// the squeeze band accepts or rejects it, a rejection starts over
-	// with a fresh word.
-	MOVQ CX, 512(SP)
-	MOVQ R10, 520(SP)
-	WORD
+	// Block word CX, u, leaves the fast path: R9 its layer i. The last
+	// word's y lies in the next block, which must be drawn.
+	CMPQ  CX, $31
+	JNE   word
+	CMPB  1024(SP), $0
+	JNE   word
+	NEXTBLOCK
 
-draw:
-	MOVQ       R12, R10
-	SHRQ       $32, R10
-	ANDL       $0x7f, R10 // i, the layer
-	MOVLQSX    R12, R11   // j
+word:
+	MOVQ  512(SP)(CX*8), R12
+	MOVQ  R12, R9
+	SHRQ  $32, R9
+	ANDL  $0x7f, R9
+	JZ    finish // the base layer's tail: leave the cell to Go
+
+	// |x| = |float64(j) * float64(wn[i])|.
+	MOVLQSX    R12, R11
 	VCVTSI2SDQ R11, X24, X24
-	LEAQ       ·wn(SB), R9
-	VCVTSS2SD  (R9)(R10*4), X25, X25
-	VMULSD     X25, X24, X24 // x = float64(j) * float64(wn[i])
-	MOVL       R12, R9
-	TESTL      R9, R9
-	JNS        abs
-	NEGL       R9
+	LEAQ       ·wn(SB), R11
+	VCVTSS2SD  (R11)(R9*4), X25, X25
+	VMULSD     X25, X24, X24
+	VMOVQ      X24, R11
+	BTRQ       $63, R11
+	VMOVQ      R11, X26
 
-abs:
-	LEAQ  ·kn(SB), R11
-	CMPL  R9, (R11)(R10*4)
-	JCS   accept // |j| < kn[i]: inside the layer's core
-	TESTL R10, R10
-	JZ    back   // the base layer's tail
-
-	// y = float64(fn[i] + float32(Float64())*(fn[i-1]-fn[i])).
-	INCQ       CX
-	WORD
+	// y = float64(fn[i] + float32(Float64())*(fn[i-1]-fn[i])), Float64
+	// taking the next word.
+	MOVQ       520(SP)(CX*8), R12
 	SHRQ       $11, R12
 	VCVTSI2SDQ R12, X25, X25
 	VMULSD     zigTwo53<>(SB), X25, X25
 	VCVTSD2SS  X25, X25, X25
 	LEAQ       ·fn(SB), R11
-	VMOVSS     -4(R11)(R10*4), X26
-	VSUBSS     (R11)(R10*4), X26, X26
-	VMULSS     X26, X25, X25
-	VADDSS     (R11)(R10*4), X25, X25
+	VMOVSS     -4(R11)(R9*4), X27
+	VSUBSS     (R11)(R9*4), X27, X27
+	VMULSS     X27, X25, X25
+	VADDSS     (R11)(R9*4), X25, X25
 	VCVTSS2SD  X25, X25, X25
 
-	// c = zc0[i] + zm[i]*|x|; accept below c − zlo[i], leave to Go
-	// up to c + zhi[i], reject above.
-	VMOVQ    X24, R9
-	BTRQ     $63, R9
-	VMOVQ    R9, X26
+	// c = zc0[i] + zm[i]*|x|; accept below c − zlo[i], leave to Go up
+	// to c + zhi[i], reject above.
 	LEAQ     ·zm(SB), R11
-	VMULSD   (R11)(R10*8), X26, X26
+	VMULSD   (R11)(R9*8), X26, X26
 	LEAQ     ·zc0(SB), R11
-	VADDSD   (R11)(R10*8), X26, X26
+	VADDSD   (R11)(R9*8), X26, X26
 	LEAQ     ·zlo(SB), R11
-	VSUBSD   (R11)(R10*8), X26, X27
+	VSUBSD   (R11)(R9*8), X26, X27
 	VUCOMISD X27, X25
 	JCS      accept
 	LEAQ     ·zhi(SB), R11
-	VADDSD   (R11)(R10*8), X26, X27
+	VADDSD   (R11)(R9*8), X26, X27
 	VUCOMISD X27, X25
-	JLS      back
-
-	// Rejected: start over with a fresh word.
-	INCQ CX
-	WORD
-	JMP  draw
+	JLS      finish // inside the band: leave the cell to Go
+	ADDQ     $2, CX // rejected: the draw starts over after y
+	JMP      resume
 
 accept:
-	// The cell: float32(float64(src) + x·std), as the lanes compute it.
-	VMULSD    X21, X24, X24
+	// The cell: float32(float64(src) + z·std).
+	VMOVSD    (SP)(CX*8), X24
 	VCVTSS2SD (SI), X25, X25
 	VADDSD    X24, X25, X25
 	VCVTSD2SS X25, X25, X25
 	VMOVSS    X25, (DI)
-	MOVQ      520(SP), R10
-	INCQ      CX
+	ADDQ      $2, CX
 	INCQ      AX
 	ADDQ      $4, DI
 	ADDQ      R13, SI
 	DECQ      DX
 	JZ        finish
-	CMPQ      CX, $32
-	JB        walk
-	JMP       rotate
+
+resume:
+	CMPQ CX, $32
+	JB   walk
 
 rotate:
-	// The walk left the current block at word CX. Within the next one,
-	// it becomes current and a new next block is drawn; past it, both
-	// are drawn afresh from the state after word CX−1.
+	// The walk left the current block at word CX, 32 or 33. A drawn next
+	// block becomes current; otherwise the blocks are drawn afresh.
 	MOVQ  $0x9e3779b97f4a7c15, R11
-	CMPQ  CX, $64
-	JAE   restart
+	CMPB  1024(SP), $0
+	JNE   advance
+	IMULQ CX, R11
+	ADDQ  R11, BX
+	JMP   draw
+
+advance:
 	VMOVUPD 256(SP), Z28
 	VMOVUPD Z28, (SP)
 	VMOVUPD 320(SP), Z28
@@ -353,23 +350,25 @@ rotate:
 	VMOVUPD Z28, 128(SP)
 	VMOVUPD 448(SP), Z28
 	VMOVUPD Z28, 192(SP)
+	VMOVDQU64 768(SP), Z28
+	VMOVDQU64 Z28, 512(SP)
+	VMOVDQU64 832(SP), Z28
+	VMOVDQU64 Z28, 576(SP)
+	VMOVDQU64 896(SP), Z28
+	VMOVDQU64 Z28, 640(SP)
+	VMOVDQU64 960(SP), Z28
+	VMOVDQU64 Z28, 704(SP)
 	MOVQ  R10, R8
 	SUBQ  $32, CX
 	SHLQ  $5, R11
 	ADDQ  R11, BX
-	XORQ  R10, R10
-	ZIGGEN(256, 0)
-	ZIGGEN(384, 16)
+	MOVB  $0, 1024(SP)
+	MOVQ  $32, R11
+	SUBQ  CX, R11
+	CMPQ  DX, R11
+	JLS   walk
+	NEXTBLOCK
 	JMP   walk
-
-restart:
-	IMULQ CX, R11
-	ADDQ  R11, BX
-	JMP   start
-
-back:
-	// Hand the cell back with the state before its first word.
-	MOVQ 512(SP), CX
 
 finish:
 	MOVQ  $0x9e3779b97f4a7c15, R11

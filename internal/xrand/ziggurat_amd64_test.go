@@ -6,7 +6,10 @@ import "testing"
 // generator at state: before the first cell whose draw needs math.Log
 // (the base layer's tail) or math.Exp (a wedge y inside the squeeze
 // band), or after all n, with the generator state at that point. Every
-// other draw, rejected wedges included, the kernel finishes itself.
+// other draw, rejected wedges included, the kernel finishes itself. A
+// cell whose draw was rejected before it needed math.Exp or math.Log is
+// handed over at its fresh word: zigguratRow draws it from there as it
+// would have after the rejection.
 func kernelStop(state uint64, n int) (done int, next uint64) {
 	r := RNG{state: state}
 	for i := 0; i < n; i++ {
@@ -28,6 +31,9 @@ func kernelStop(state uint64, n int) (done int, next uint64) {
 			if c < 0 {
 				break
 			}
+			// A rejected draw starts over with a fresh word, as a new
+			// cell would: the kernel hands the cell over from there.
+			before = r
 			u = r.Uint64()
 		}
 	}

@@ -701,7 +701,7 @@ func TestZigguratKernelExitPaths(t *testing.T) {
 		}
 		got, want := make([]float32, len(src)), make([]float32, len(src))
 		for kind := 0; kind < exitCases; kind++ {
-			for _, pos := range []int{0, 1, 4, 7, 8, 15, 16, 30, 31, 32, 33, 47, 63} {
+			for _, pos := range []int{0, 1, 4, 7, 8, 15, 16, 30, 31, 32, 33, 47, 63, 64, 65} {
 				state := exitState(t, pos, kind)
 				for _, n := range []int{pos + 1, pos + 2, pos + 9, len(src)} {
 					for _, in := range [][]float32{nil, src[:n]} {
