@@ -32,7 +32,6 @@ import (
 	"impress/internal/sched"
 	"impress/internal/simclock"
 	"impress/internal/steer"
-	"impress/internal/telemetry"
 	"impress/internal/trace"
 	"impress/internal/workload"
 	"impress/internal/xrand"
@@ -131,12 +130,13 @@ type Config struct {
 	// and requeues to surviving pilots whatever cannot finish within the
 	// grace window, and lets the rest run out. 0 keeps the hard kill.
 	WalltimeGrace time.Duration
-	// Telemetry enables the campaign's observability layer
-	// (internal/telemetry): instant events from the fault injector and
-	// steering controller, per-pilot occupancy gauges, and steering-tick
-	// logs, all riding on the Result for Chrome-trace export. Off (the
-	// default) the recorder is nil and the campaign is byte-identical to
-	// a runtime without the subsystem.
+	// Telemetry turns on the observability record of the campaign's
+	// trace recorder: instant events from the fault injector, the
+	// steering controller and the coordinator, per-pilot occupancy
+	// gauges, and steering-tick logs, gathered into Result.Telemetry
+	// (internal/telemetry) for Chrome-trace export. Off (the default)
+	// those calls return at once and the campaign is byte-identical to a
+	// runtime without the subsystem; on, nothing it measures changes.
 	Telemetry bool
 	// Steer names the campaign's elastic-steering policy
 	// (internal/steer: none, greedy, hysteresis). Empty means "none":
@@ -186,7 +186,6 @@ type Coordinator struct {
 
 	engine  *simclock.Engine
 	rec     *trace.Recorder
-	tel     *telemetry.Recorder
 	specs   []PilotSpec
 	pilots  []*pilot.Pilot
 	tm      *pilot.TaskManager
@@ -319,8 +318,7 @@ func (c *Coordinator) StartOn(engine *simclock.Engine, onDone func()) error {
 	c.rec = trace.NewRecorder(totalCores, totalGPUs, engine.Now())
 	pm := pilot.NewPilotManager(c.engine, c.rec)
 	if c.cfg.Telemetry {
-		c.tel = telemetry.NewRecorder()
-		pm.SetTelemetry(c.tel)
+		c.rec.EnableTelemetry()
 	}
 	for _, ps := range c.specs {
 		p, err := pm.Submit(pilot.PilotDescription{
@@ -512,7 +510,7 @@ func (c *Coordinator) killPipeline(plID string, t *pilot.Task, s pilot.TaskState
 	c.killed[plID] = true
 	c.publish(EventPipelineKilled, pl, nil,
 		fmt.Sprintf("task %s (%s) ended %v after %d attempt(s): %v", t.ID, t.Description.Name, s, t.Attempt, t.Err))
-	c.tel.Instant(c.engine.Now(), telemetry.KindPipelineKill, -1, -1, plID)
+	c.rec.Instant(c.engine.Now(), trace.KindPipelineKill, -1, -1, plID)
 	// Abort the pipeline's other in-flight work (e.g. the surviving half
 	// of a split fold): its results have nowhere to go, so every further
 	// core-hour would be waste.
@@ -542,8 +540,7 @@ func (c *Coordinator) startSteering() {
 	for i, p := range c.pilots {
 		elastics[i] = p
 	}
-	c.steerer = steer.NewController(c.engine, elastics, pol, steer.DefaultPeriod, c.onNodeTransfer)
-	c.steerer.SetTelemetry(c.tel)
+	c.steerer = steer.NewController(c.engine, elastics, pol, steer.DefaultPeriod, c.rec, c.onNodeTransfer)
 	c.steerer.Start()
 }
 
@@ -553,8 +550,8 @@ func (c *Coordinator) onNodeTransfer(mv steer.Move) {
 	c.publish(EventNodeTransferred, nil, nil,
 		fmt.Sprintf("%s -> %s (%dc/%dg/%dGB)",
 			c.specs[mv.From].Name, c.specs[mv.To].Name, mv.Node.Cores, mv.Node.GPUs, mv.Node.MemGB))
-	if c.tel.Enabled() {
-		c.tel.Instant(mv.At, telemetry.KindTransfer, mv.To, -1,
+	if c.rec.Telemetry() {
+		c.rec.Instant(mv.At, trace.KindTransfer, mv.To, -1,
 			fmt.Sprintf("%s -> %s", c.specs[mv.From].Name, c.specs[mv.To].Name))
 	}
 }

@@ -299,8 +299,12 @@ func (c *Coordinator) buildResult() *Result {
 	for i := range c.specs {
 		res.QueueSeries = append(res.QueueSeries, c.rec.QueueSeries(i))
 	}
-	if c.tel.Enabled() {
-		res.Telemetry = c.tel.Data()
+	if c.rec.Telemetry() {
+		ids := make([]string, len(c.pilots))
+		for i, p := range c.pilots {
+			ids[i] = p.ID
+		}
+		res.Telemetry = telemetry.Collect(c.rec, ids)
 	}
 	if c.cfg.faultEnabled() {
 		res.Faults = c.buildFaultStats(res)

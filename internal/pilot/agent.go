@@ -13,7 +13,6 @@ import (
 	"impress/internal/preempt"
 	"impress/internal/sched"
 	"impress/internal/simclock"
-	"impress/internal/telemetry"
 	"impress/internal/trace"
 )
 
@@ -75,12 +74,6 @@ type agent struct {
 	scratchMerged  []laneEntry
 	scratchItems   []sched.Task
 	scratchOffered []bool
-
-	// Telemetry gauge names, concatenated once at construction so the
-	// per-event gauge updates allocate nothing.
-	gaugeRunning   string
-	gaugeFreeCores string
-	gaugeFreeGPUs  string
 }
 
 // laneEntry is one queued task and its enqueue sequence number.
@@ -251,13 +244,10 @@ func (ex *execution) fault() {
 
 func newAgent(p *Pilot, clu *cluster.Cluster, rec *trace.Recorder, pol sched.Policy) *agent {
 	return &agent{
-		pilot:          p,
-		cluster:        clu,
-		rec:            rec,
-		policy:         pol,
-		gaugeRunning:   p.ID + "/running",
-		gaugeFreeCores: p.ID + "/free-cores",
-		gaugeFreeGPUs:  p.ID + "/free-gpus",
+		pilot:   p,
+		cluster: clu,
+		rec:     rec,
+		policy:  pol,
 	}
 }
 
@@ -270,17 +260,12 @@ func (a *agent) noteQueueDepth() {
 	}
 }
 
-// noteOccupancy samples the telemetry gauges that track the pilot's
-// placement state. No-op (one nil check) when telemetry is off.
+// noteOccupancy samples the occupancy gauges that track the pilot's
+// placement state. No-op (one check) when telemetry is off.
 func (a *agent) noteOccupancy() {
-	tel := a.pilot.tel
-	if tel == nil {
-		return
+	if a.rec.Telemetry() {
+		a.rec.SetOccupancy(a.pilot.ordinal, a.pilot.engine.Now(), len(a.running), a.cluster.FreeCores(), a.cluster.FreeGPUs())
 	}
-	now := a.pilot.engine.Now()
-	tel.SetGauge(a.gaugeRunning, now, len(a.running))
-	tel.SetGauge(a.gaugeFreeCores, now, a.cluster.FreeCores())
-	tel.SetGauge(a.gaugeFreeGPUs, now, a.cluster.FreeGPUs())
 }
 
 // enqueue accepts a task from the TaskManager and tries to place it. A
@@ -645,9 +630,7 @@ func (a *agent) startRun(ex *execution) {
 		resume = total
 	}
 	if resume > 0 {
-		if tel := a.pilot.tel; tel != nil {
-			tel.Instant(t.RunAt, telemetry.KindTaskResume, a.pilot.ordinal, t.Node(), t.ID)
-		}
+		a.rec.Instant(t.RunAt, trace.KindTaskResume, a.pilot.ordinal, t.Node(), t.ID)
 	}
 
 	// The phases that end after the resume point are a suffix of the
@@ -850,12 +833,10 @@ func (a *agent) evict(t *Task, resumeOn, reason string) {
 	now := a.pilot.engine.Now()
 	saved := checkpointProgress(t, now)
 	t.requeue = &requeuePlan{exclude: -1, resumeFrom: saved, pilotHint: resumeOn}
-	if tel := a.pilot.tel; tel != nil {
-		if saved > t.ResumeFrom {
-			tel.Instant(now, telemetry.KindTaskCheckpoint, a.pilot.ordinal, t.Node(), t.ID)
-		}
-		tel.Instant(now, telemetry.KindTaskEvict, a.pilot.ordinal, t.Node(), t.ID)
+	if saved > t.ResumeFrom {
+		a.rec.Instant(now, trace.KindTaskCheckpoint, a.pilot.ordinal, t.Node(), t.ID)
 	}
+	a.rec.Instant(now, trace.KindTaskEvict, a.pilot.ordinal, t.Node(), t.ID)
 	a.unwind(t, StateFailed, fmt.Errorf("pilot: %s", reason))
 	a.tm.execRecovery(t)
 }

@@ -7,7 +7,7 @@ import (
 
 	"impress/internal/fault"
 	"impress/internal/simclock"
-	"impress/internal/telemetry"
+	"impress/internal/trace"
 	"impress/internal/xrand"
 )
 
@@ -305,7 +305,7 @@ func (in *injector) crash(i int) {
 	}
 	in.bookDown(i, causeCrash)
 	clu.SetNodeDown(i)
-	in.pilot.tel.Instant(in.pilot.engine.Now(), telemetry.KindNodeCrash, in.pilot.ordinal, i, clu.NodeDomain(i))
+	in.pilot.agent.rec.Instant(in.pilot.engine.Now(), trace.KindNodeCrash, in.pilot.ordinal, i, clu.NodeDomain(i))
 	in.pilot.agent.failNode(i)
 	repair := in.spec.RepairWindow()
 	in.chains[i].ev = in.pilot.engine.After(repair, func() {
@@ -363,7 +363,7 @@ func (in *injector) repair(i int) {
 	in.downtime += in.pilot.engine.Now().Sub(s.downAt)
 	s.cause = causeNone
 	in.pilot.agent.cluster.SetNodeUp(i)
-	in.pilot.tel.Instant(in.pilot.engine.Now(), telemetry.KindNodeRepair, in.pilot.ordinal, i, "")
+	in.pilot.agent.rec.Instant(in.pilot.engine.Now(), trace.KindNodeRepair, in.pilot.ordinal, i, "")
 	if in.pilot.state == PilotActive {
 		in.pilot.agent.schedule()
 	}
@@ -408,7 +408,7 @@ func (in *injector) outage(d *domainState) {
 	}
 	in.outages++
 	clu := in.pilot.agent.cluster
-	in.pilot.tel.Instant(in.pilot.engine.Now(), telemetry.KindOutage, in.pilot.ordinal, -1, d.name)
+	in.pilot.agent.rec.Instant(in.pilot.engine.Now(), trace.KindOutage, in.pilot.ordinal, -1, d.name)
 	d.victims = d.victims[:0]
 	for i := 0; i < clu.NodeCount(); i++ {
 		if clu.NodeIsRemoved(i) || clu.NodeIsDown(i) || clu.NodeDomain(i) != d.name {
@@ -450,7 +450,7 @@ func (in *injector) restore(d *domainState) {
 	}
 	d.victims = d.victims[:0]
 	if up {
-		in.pilot.tel.Instant(in.pilot.engine.Now(), telemetry.KindRestore, in.pilot.ordinal, -1, d.name)
+		in.pilot.agent.rec.Instant(in.pilot.engine.Now(), trace.KindRestore, in.pilot.ordinal, -1, d.name)
 	}
 	if up && in.pilot.state == PilotActive {
 		in.pilot.agent.schedule()
@@ -491,7 +491,7 @@ func (in *injector) maintOpen(idx int, m fault.Maintenance) {
 	in.maintVictims[idx] = victims
 	if len(victims) > 0 {
 		in.maintenances++
-		in.pilot.tel.Instant(in.pilot.engine.Now(), telemetry.KindMaintOpen, in.pilot.ordinal, -1, m.Domain)
+		in.pilot.agent.rec.Instant(in.pilot.engine.Now(), trace.KindMaintOpen, in.pilot.ordinal, -1, m.Domain)
 	}
 	for _, i := range victims {
 		in.pilot.agent.failNode(i)
@@ -521,7 +521,7 @@ func (in *injector) maintClose(idx int, m fault.Maintenance) {
 	}
 	in.maintVictims[idx] = in.maintVictims[idx][:0]
 	if up {
-		in.pilot.tel.Instant(in.pilot.engine.Now(), telemetry.KindMaintClose, in.pilot.ordinal, -1, m.Domain)
+		in.pilot.agent.rec.Instant(in.pilot.engine.Now(), trace.KindMaintClose, in.pilot.ordinal, -1, m.Domain)
 	}
 	if up && in.pilot.state == PilotActive {
 		in.pilot.agent.schedule()

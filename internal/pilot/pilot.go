@@ -10,7 +10,6 @@ import (
 	"impress/internal/preempt"
 	"impress/internal/sched"
 	"impress/internal/simclock"
-	"impress/internal/telemetry"
 	"impress/internal/trace"
 )
 
@@ -95,23 +94,20 @@ type PilotDescription struct {
 type PilotManager struct {
 	engine *simclock.Engine
 	rec    *trace.Recorder
-	tel    *telemetry.Recorder
 	nextID int
 }
 
-// NewPilotManager creates a pilot manager bound to an engine and a trace
-// recorder. The recorder may be nil when no accounting is wanted.
+// NewPilotManager creates a pilot manager bound to an engine and the
+// campaign's trace recorder, which every pilot it launches reports to:
+// busy series, queue depth and task log, and — when the recorder has
+// telemetry on — instants and occupancy gauges. The recorder may be nil
+// when no accounting is wanted.
 func NewPilotManager(engine *simclock.Engine, rec *trace.Recorder) *PilotManager {
 	if engine == nil {
 		panic("pilot: nil engine")
 	}
 	return &PilotManager{engine: engine, rec: rec}
 }
-
-// SetTelemetry attaches the campaign's telemetry recorder. Pilots
-// submitted afterwards thread it through their agent and fault injector.
-// A nil recorder (the default) disables the whole layer.
-func (pm *PilotManager) SetTelemetry(tel *telemetry.Recorder) { pm.tel = tel }
 
 // Submit launches a pilot. The pilot becomes active after the bootstrap
 // delay; tasks submitted earlier queue in the agent.
@@ -154,7 +150,6 @@ func (pm *PilotManager) Submit(pd PilotDescription) (*Pilot, error) {
 		engine:   pm.engine,
 		state:    PilotLaunching,
 		recovery: rec,
-		tel:      pm.tel,
 	}
 	p.agent = newAgent(p, clu, pm.rec, pol)
 	if pd.Fault.Enabled() {
@@ -183,7 +178,7 @@ func (pm *PilotManager) Submit(pd PilotDescription) (*Pilot, error) {
 type Pilot struct {
 	ID string
 	// ordinal is the zero-based launch index — the pilot's row in the
-	// trace recorder's queue series and the telemetry track layout.
+	// trace recorder's per-pilot series and the telemetry track layout.
 	ordinal int
 	desc    PilotDescription
 	engine  *simclock.Engine
@@ -197,9 +192,6 @@ type Pilot struct {
 
 	recovery fault.Policy
 	injector *injector
-	// tel is the campaign's telemetry recorder; nil (the default)
-	// disables instant events and gauges for this pilot.
-	tel *telemetry.Recorder
 }
 
 // Policy returns the resolved name of the agent's scheduling policy.
@@ -652,9 +644,7 @@ func (tm *TaskManager) planRecovery(t *Task, kind fault.Kind) {
 	if t.pilot.desc.CheckpointInterval > 0 {
 		plan.resumeFrom = checkpointProgress(t, tm.engine.Now())
 		if plan.resumeFrom > t.ResumeFrom {
-			if tel := t.pilot.tel; tel != nil {
-				tel.Instant(tm.engine.Now(), telemetry.KindTaskCheckpoint, t.pilot.ordinal, t.Node(), t.ID)
-			}
+			t.pilot.agent.rec.Instant(tm.engine.Now(), trace.KindTaskCheckpoint, t.pilot.ordinal, t.Node(), t.ID)
 		}
 	}
 	t.requeue = plan

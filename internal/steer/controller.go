@@ -7,7 +7,7 @@ import (
 	"impress/internal/cluster"
 	"impress/internal/fault"
 	"impress/internal/simclock"
-	"impress/internal/telemetry"
+	"impress/internal/trace"
 )
 
 // Elastic is the slice of the pilot mechanism the controller drives.
@@ -89,6 +89,9 @@ type Veto struct {
 //   - a node moves only if the receiver has a queued task its capacity
 //     could actually host (no stranding a 0-GPU node on a GPU queue),
 //   - inactive pilots neither donate nor receive.
+//
+// It reports to the campaign's trace recorder: with telemetry on, each
+// observation is logged as a tick and each move or veto as an instant.
 type Controller struct {
 	engine *simclock.Engine
 	pilots []Elastic
@@ -109,20 +112,18 @@ type Controller struct {
 	prevQueue []int
 	observed  bool
 
-	// tel, when set, receives a log of every tick's stats and each
-	// decision or veto; nil keeps the controller telemetry-free.
-	tel *telemetry.Recorder
+	// rec is the campaign's trace recorder. With telemetry on it logs
+	// every tick's stats and each move or veto.
+	rec *trace.Recorder
 
 	stopped bool
 }
 
-// SetTelemetry attaches a telemetry recorder; every subsequent tick logs
-// its observed stats, applied moves, and vetoes into it.
-func (c *Controller) SetTelemetry(tel *telemetry.Recorder) { c.tel = tel }
-
-// NewController builds a controller over the pilots; onMove (optional)
+// NewController builds a controller over the pilots. rec (optional) is
+// the campaign's trace recorder: with telemetry on, every tick logs its
+// observed stats, applied moves and vetoes into it. onMove (optional)
 // observes every applied transfer.
-func NewController(engine *simclock.Engine, pilots []Elastic, pol Policy, period time.Duration, onMove func(Move)) *Controller {
+func NewController(engine *simclock.Engine, pilots []Elastic, pol Policy, period time.Duration, rec *trace.Recorder, onMove func(Move)) *Controller {
 	if engine == nil || pol == nil {
 		panic("steer: controller needs an engine and a policy")
 	}
@@ -137,6 +138,7 @@ func NewController(engine *simclock.Engine, pilots []Elastic, pol Policy, period
 		pilots:    pilots,
 		pol:       pol,
 		period:    period,
+		rec:       rec,
 		onMove:    onMove,
 		stats:     make([]Stat, len(pilots)),
 		utilWin:   make([]float64, len(pilots)),
@@ -211,10 +213,10 @@ func (c *Controller) observe() {
 		c.apply(tr)
 	}
 
-	if c.tel.Enabled() {
-		samples := make([]telemetry.PilotSample, len(c.stats))
+	if c.rec.Telemetry() {
+		samples := make([]trace.PilotSample, len(c.stats))
 		for i, st := range c.stats {
-			samples[i] = telemetry.PilotSample{
+			samples[i] = trace.PilotSample{
 				Queue: st.Queue, Running: st.Running, Nodes: st.Nodes,
 				Idle: st.Idle, Frozen: st.Frozen, Util: st.Util,
 				UtilWindow: st.UtilWindow, QueueDelta: st.QueueDelta,
@@ -228,7 +230,7 @@ func (c *Controller) observe() {
 		for _, v := range c.vetoes[vetoesBefore:] {
 			actions = append(actions, fmt.Sprintf("veto %d->%d: %s", v.From, v.To, v.Reason))
 		}
-		c.tel.Tick(c.engine.Now(), samples, actions)
+		c.rec.Tick(c.engine.Now(), samples, actions)
 	}
 }
 
@@ -306,12 +308,12 @@ func (c *Controller) grow(tr Transfer, to Elastic, nc cluster.NodeCapacity, ch *
 	to.GrowNode(nc, ch)
 	mv := Move{At: c.engine.Now(), From: tr.From, To: tr.To, Node: nc}
 	c.moves = append(c.moves, mv)
-	if c.tel.Enabled() {
+	if c.rec.Telemetry() {
 		detail := fmt.Sprintf("%d->%d %dc/%dg/%dGB", tr.From, tr.To, nc.Cores, nc.GPUs, nc.MemGB)
 		if drained {
 			detail += " drained"
 		}
-		c.tel.Instant(mv.At, telemetry.KindSteerMove, tr.To, -1, detail)
+		c.rec.Instant(mv.At, trace.KindSteerMove, tr.To, -1, detail)
 	}
 	if c.onMove != nil {
 		c.onMove(mv)
@@ -322,12 +324,12 @@ func (c *Controller) grow(tr Transfer, to Elastic, nc cluster.NodeCapacity, ch *
 func (c *Controller) veto(tr Transfer, reason string) {
 	v := Veto{At: c.engine.Now(), From: tr.From, To: tr.To, Reason: reason}
 	c.vetoes = append(c.vetoes, v)
-	if c.tel.Enabled() {
+	if c.rec.Telemetry() {
 		pilot := tr.To
 		if pilot < 0 || pilot >= len(c.pilots) {
 			pilot = -1
 		}
-		c.tel.Instant(v.At, telemetry.KindSteerVeto, pilot, -1,
+		c.rec.Instant(v.At, trace.KindSteerVeto, pilot, -1,
 			fmt.Sprintf("%d->%d: %s", tr.From, tr.To, reason))
 	}
 }

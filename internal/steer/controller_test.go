@@ -29,6 +29,7 @@ func testCost() costmodel.Params {
 
 type rig struct {
 	engine *simclock.Engine
+	rec    *trace.Recorder
 	pilots []*pilot.Pilot
 	tm     *pilot.TaskManager
 }
@@ -54,7 +55,7 @@ func newRig(t *testing.T, nodes int) *rig {
 		}
 		pilots = append(pilots, p)
 	}
-	return &rig{engine: engine, pilots: pilots, tm: pilot.NewTaskManager(engine, pilots...)}
+	return &rig{engine: engine, rec: rec, pilots: pilots, tm: pilot.NewTaskManager(engine, pilots...)}
 }
 
 func elastics(ps []*pilot.Pilot) []steer.Elastic {
@@ -84,7 +85,7 @@ func TestControllerSteersCapacityTowardPressure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctl = steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
+			ctl = steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil, nil)
 			ctl.Start()
 		}
 		// 24 MSA-shaped CPU tasks (8 cores, the paper's MSA width) over 3
@@ -136,7 +137,7 @@ func TestControllerSteersCapacityTowardPressure(t *testing.T) {
 func TestControllerSkipsUselessDonations(t *testing.T) {
 	r := newRig(t, 2)
 	pol, _ := steer.New("greedy")
-	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
+	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil, nil)
 	ctl.Start()
 	// Flood the GPU pilot with GPU tasks; the CPU pilot idles. Its
 	// 0-GPU nodes are useless to that queue and must stay home.
@@ -165,7 +166,7 @@ func TestControllerSkipsUselessDonations(t *testing.T) {
 func TestControllerKeepsLastOperationalNode(t *testing.T) {
 	r := newRig(t, 2)
 	pol, _ := steer.New("greedy")
-	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
+	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil, nil)
 	ctl.Start()
 	for i := 0; i < 16; i++ {
 		mustSubmit(r.tm, pilot.TaskDescription{
@@ -211,7 +212,7 @@ func TestControllerRecordsVetoes(t *testing.T) {
 		{From: 1, To: 1}, // self-transfer
 		{From: 1, To: 0}, // no queued CPU work fits nothing -> no-fitting-capacity
 	}}
-	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
+	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil, nil)
 	ctl.Start()
 	// One short task keeps the engine alive past a few observations.
 	mustSubmit(r.tm, pilot.TaskDescription{
@@ -252,7 +253,7 @@ func TestControllerRecordsVetoes(t *testing.T) {
 func TestControllerStatDerivatives(t *testing.T) {
 	r := newRig(t, 2)
 	pol := &capturePolicy{}
-	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
+	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil, nil)
 	ctl.Start()
 	for i := 0; i < 16; i++ {
 		mustSubmit(r.tm, pilot.TaskDescription{
@@ -285,14 +286,14 @@ func TestControllerStatDerivatives(t *testing.T) {
 	}
 }
 
-// TestControllerTelemetryLog: with a recorder attached, every tick lands
-// in the timeline with its per-pilot samples, and vetoes emit instants.
+// TestControllerTelemetryLog: with telemetry on in the campaign's
+// recorder, every tick lands in the timeline with its per-pilot samples,
+// and vetoes emit instants.
 func TestControllerTelemetryLog(t *testing.T) {
 	r := newRig(t, 2)
+	r.rec.EnableTelemetry()
 	pol := &capturePolicy{proposal: []steer.Transfer{{From: 9, To: 9}}}
-	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil)
-	tel := telemetry.NewRecorder()
-	ctl.SetTelemetry(tel)
+	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, r.rec, nil)
 	ctl.Start()
 	mustSubmit(r.tm, pilot.TaskDescription{
 		Name: "cpu", Cores: 2, Pilot: r.pilots[0].ID, Work: cpuWork(time.Hour, 2),
@@ -301,7 +302,7 @@ func TestControllerTelemetryLog(t *testing.T) {
 	ctl.Stop()
 	r.engine.Run()
 
-	d := tel.Data()
+	d := telemetry.Collect(r.rec, nil)
 	if len(d.Ticks) != len(pol.snaps) {
 		t.Fatalf("%d ticks logged for %d observations", len(d.Ticks), len(pol.snaps))
 	}
@@ -311,7 +312,7 @@ func TestControllerTelemetryLog(t *testing.T) {
 	if len(d.Ticks[0].Actions) == 0 {
 		t.Fatal("vetoed observation logged no actions")
 	}
-	if d.Counters[telemetry.KindSteerVeto] == 0 {
+	if d.Counters[trace.KindSteerVeto] == 0 {
 		t.Fatal("no steer-veto instants recorded")
 	}
 }

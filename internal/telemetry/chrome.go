@@ -393,7 +393,7 @@ func (tw *traceWriter) campaign(c *CampaignTrace, nextPid int) int {
 // appendStats writes a tick's pilot samples as
 // "p%d q=%d(%+d) run=%d nodes=%d idle=%d util=%.2f[ frozen]", joined by
 // " | ".
-func appendStats(b []byte, pilots []PilotSample) []byte {
+func appendStats(b []byte, pilots []trace.PilotSample) []byte {
 	for i, p := range pilots {
 		if i > 0 {
 			b = append(b, " | "...)

@@ -138,11 +138,11 @@ func FuzzChromeTraceEncoding(f *testing.F) {
 				Placed: true, State: detail, Pilot: pilot, Node: 2},
 		}
 		data := &Data{
-			Instants: []Instant{
+			Instants: []trace.Instant{
 				{T: ts[0], Kind: action, Pilot: node, Node: node, Detail: detail},
 				{T: ts[1], Kind: stage, Pilot: 1, Node: -1},
 			},
-			Ticks: []Tick{{T: ts[2], Pilots: []PilotSample{
+			Ticks: []trace.Tick{{T: ts[2], Pilots: []trace.PilotSample{
 				{Queue: int(t0), Running: 1, Nodes: int(t1), Idle: -1, UtilWindow: util, QueueDelta: int(t1 - t0), Frozen: t1%2 == 0},
 				{UtilWindow: -util},
 			}, Actions: []string{action, detail}}},
@@ -294,14 +294,14 @@ func hostileTraces() []CampaignTrace {
 			EndedAt: math.MaxInt64, Placed: true, Cores: 1, State: "DONE", Pilot: pilots[0], Node: 3},
 	}
 	data := &Data{
-		Instants: []Instant{
-			{T: hour(0.5), Kind: KindNodeCrash + hostile, Pilot: 1, Node: 7, Detail: "rack\"A\\" + hostile},
-			{T: 1, Kind: KindTransfer, Pilot: 0, Node: -1},               // empty detail: no args
-			{T: math.MaxInt64, Kind: KindOutage, Pilot: 5, Node: 11},     // off the pilot list
-			{T: math.MinInt64, Kind: KindSteerVeto, Pilot: -1, Node: -1}, // campaign-level
+		Instants: []trace.Instant{
+			{T: hour(0.5), Kind: trace.KindNodeCrash + hostile, Pilot: 1, Node: 7, Detail: "rack\"A\\" + hostile},
+			{T: 1, Kind: trace.KindTransfer, Pilot: 0, Node: -1},               // empty detail: no args
+			{T: math.MaxInt64, Kind: trace.KindOutage, Pilot: 5, Node: 11},     // off the pilot list
+			{T: math.MinInt64, Kind: trace.KindSteerVeto, Pilot: -1, Node: -1}, // campaign-level
 		},
-		Ticks: []Tick{
-			{T: hour(1.5), Pilots: []PilotSample{
+		Ticks: []trace.Tick{
+			{T: hour(1.5), Pilots: []trace.PilotSample{
 				{Queue: 2, Running: 1, Nodes: 3, Idle: 1, UtilWindow: 0.125, QueueDelta: -4, Frozen: true},
 				{Queue: 0, Nodes: 1, UtilWindow: 1, QueueDelta: 0},
 			}, Actions: []string{"veto 0->1: " + hostile, "move"}},

@@ -11,77 +11,94 @@ import (
 
 func hour(h float64) simclock.Time { return simclock.Time(h * float64(time.Hour)) }
 
-// TestNilRecorderIsInert: the disabled layer is a nil pointer; every
-// method must be a safe no-op so call sites need no guards.
+// TestNilRecorderIsInert: with telemetry off — a nil recorder or one
+// that never enabled it — every recording call is a no-op and Collect
+// returns no payload.
 func TestNilRecorderIsInert(t *testing.T) {
-	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
-	r.Instant(hour(1), KindNodeCrash, 0, 3, "rackA")
-	r.Tick(hour(1), nil, nil)
-	r.SetGauge("g", hour(1), 2)
-	if r.Series("g") != nil {
-		t.Fatal("nil recorder retained state")
-	}
-	if r.Data() != nil {
-		t.Fatal("nil recorder returned data")
+	var none *trace.Recorder
+	for name, r := range map[string]*trace.Recorder{"nil": none, "off": trace.NewRecorder(8, 1, 0)} {
+		if r.Telemetry() {
+			t.Fatalf("%s recorder reports telemetry on", name)
+		}
+		r.Instant(hour(1), trace.KindNodeCrash, 0, 3, "rackA")
+		r.Tick(hour(1), nil, nil)
+		r.SetOccupancy(0, hour(1), 2, 4, 0)
+		if r.Instants() != nil || r.Ticks() != nil {
+			t.Fatalf("%s recorder retained state", name)
+		}
+		if Collect(r, []string{"pilot"}) != nil {
+			t.Fatalf("%s recorder returned data", name)
+		}
 	}
 }
 
+// newTelemetryRecorder returns a recorder with telemetry on.
+func newTelemetryRecorder() *trace.Recorder {
+	r := trace.NewRecorder(8, 1, 0)
+	r.EnableTelemetry()
+	return r
+}
+
 func TestInstantsBumpCounters(t *testing.T) {
-	r := NewRecorder()
-	r.Instant(hour(1), KindNodeCrash, 0, 3, "rackA")
-	r.Instant(hour(2), KindNodeCrash, 1, 5, "rackB")
-	r.Instant(hour(3), KindTransfer, 1, -1, "cpu -> gpu")
-	if got := r.data.Counters[KindNodeCrash]; got != 2 {
+	r := newTelemetryRecorder()
+	r.Instant(hour(1), trace.KindNodeCrash, 0, 3, "rackA")
+	r.Instant(hour(2), trace.KindNodeCrash, 1, 5, "rackB")
+	r.Instant(hour(3), trace.KindTransfer, 1, -1, "cpu -> gpu")
+	d := Collect(r, nil)
+	if got := d.Counters[trace.KindNodeCrash]; got != 2 {
 		t.Fatalf("crash counter = %d, want 2", got)
 	}
-	if got := r.data.Counters[KindTransfer]; got != 1 {
+	if got := d.Counters[trace.KindTransfer]; got != 1 {
 		t.Fatalf("transfer counter = %d, want 1", got)
 	}
-	d := r.Data()
 	if len(d.Instants) != 3 || d.Instants[0].Detail != "rackA" {
 		t.Fatalf("instants = %+v", d.Instants)
 	}
 }
 
+// TestGaugeCoalescing: gauges share the queue-depth series' discipline
+// (unchanged values add no point, a same-instant update overwrites) and
+// are named by the pilot names Collect is given.
 func TestGaugeCoalescing(t *testing.T) {
-	r := NewRecorder()
-	r.SetGauge("g", hour(1), 2)
-	r.SetGauge("g", hour(2), 2) // unchanged: no point
-	r.SetGauge("g", hour(3), 5)
-	r.SetGauge("g", hour(3), 7) // same timestamp: overwrite
-	s := r.Series("g")
+	r := newTelemetryRecorder()
+	r.SetOccupancy(1, hour(1), 2, 4, 0)
+	r.SetOccupancy(1, hour(2), 2, 4, 0) // unchanged: no point
+	r.SetOccupancy(1, hour(3), 5, 4, 0)
+	r.SetOccupancy(1, hour(3), 7, 4, 0) // same timestamp: overwrite
+	d := Collect(r, []string{"cpu", "gpu"})
+	s := d.Series["gpu/running"]
 	if len(s) != 2 || s[0] != (trace.Point{T: hour(1), Value: 2}) || s[1] != (trace.Point{T: hour(3), Value: 7}) {
 		t.Fatalf("series = %+v", s)
 	}
-	if len(r.data.Series) != 1 {
-		t.Fatalf("series = %v", r.data.Series)
+	if len(d.Series) != 3 || len(d.Series["gpu/free-cores"]) != 1 || len(d.Series["gpu/free-gpus"]) != 1 {
+		t.Fatalf("series = %v", d.Series)
+	}
+	if r.QueueSeries(1) != nil || r.Makespan() != 0 {
+		t.Fatal("gauges touched the queue series or moved the campaign end")
 	}
 }
 
 func TestGaugeNonMonotonePanics(t *testing.T) {
-	r := NewRecorder()
-	r.SetGauge("g", hour(2), 1)
+	r := newTelemetryRecorder()
+	r.SetOccupancy(0, hour(2), 1, 1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for time going backwards")
 		}
 	}()
-	r.SetGauge("g", hour(1), 2)
+	r.SetOccupancy(0, hour(1), 2, 1, 1)
 }
 
 func TestDataSnapshotIsACopy(t *testing.T) {
-	r := NewRecorder()
-	r.Instant(hour(1), KindOutage, 0, -1, "rackA")
-	r.SetGauge("g", hour(1), 1)
-	d := r.Data()
+	r := newTelemetryRecorder()
+	r.Instant(hour(1), trace.KindOutage, 0, -1, "rackA")
+	r.SetOccupancy(0, hour(1), 1, 1, 1)
+	d := Collect(r, []string{"p"})
 	d.Instants[0].Detail = "mutated"
-	d.Counters[KindOutage] = 99
-	d.Series["g"][0].Value = 99
-	if r.Data().Instants[0].Detail != "rackA" || r.data.Counters[KindOutage] != 1 || r.Series("g")[0].Value != 1 {
-		t.Fatal("Data snapshot aliased recorder state")
+	d.Series["p/running"][0].Value = 99
+	again := Collect(r, []string{"p"})
+	if again.Instants[0].Detail != "rackA" || again.Series["p/running"][0].Value != 1 {
+		t.Fatal("Collect's payload aliased recorder state")
 	}
 }
 
@@ -193,14 +210,6 @@ func TestCriticalPathOffPathSlack(t *testing.T) {
 }
 
 func campaignTrace() CampaignTrace {
-	r := NewRecorder()
-	r.Instant(hour(0.5), KindNodeCrash, 0, 2, "rackA")
-	r.Instant(hour(2.5), KindSteerMove, 0, -1, "1->0 8c/0g/32GB")
-	r.SetGauge("pilot.0001/running", hour(0.2), 1)
-	r.SetGauge("pilot.0001/running", hour(1), 0)
-	r.SetGauge("campaign-level", hour(1), 3)
-	r.Tick(hour(1.5), []PilotSample{{Queue: 2, Running: 1, Nodes: 3, Idle: 1, Util: 0.5, UtilWindow: 0.4, QueueDelta: 1}},
-		[]string{"veto 0->1: last-node"})
 	return CampaignTrace{
 		Label:  "unit/seed1",
 		Pilots: []string{"pilot.0001"},
@@ -208,7 +217,20 @@ func campaignTrace() CampaignTrace {
 		QueueSeries: [][]trace.Point{
 			{{T: 0, Value: 0}, {T: hour(1), Value: 2}, {T: hour(2), Value: 0}},
 		},
-		Data: r.Data(),
+		Data: &Data{
+			Instants: []trace.Instant{
+				{T: hour(0.5), Kind: trace.KindNodeCrash, Pilot: 0, Node: 2, Detail: "rackA"},
+				{T: hour(2.5), Kind: trace.KindSteerMove, Pilot: 0, Node: -1, Detail: "1->0 8c/0g/32GB"},
+			},
+			Ticks: []trace.Tick{{T: hour(1.5),
+				Pilots:  []trace.PilotSample{{Queue: 2, Running: 1, Nodes: 3, Idle: 1, Util: 0.5, UtilWindow: 0.4, QueueDelta: 1}},
+				Actions: []string{"veto 0->1: last-node"}}},
+			Counters: map[string]int64{trace.KindNodeCrash: 1, trace.KindSteerMove: 1},
+			Series: map[string][]trace.Point{
+				"pilot.0001/running": {{T: hour(0.2), Value: 1}, {T: hour(1), Value: 0}},
+				"campaign-level":     {{T: hour(1), Value: 3}},
+			},
+		},
 	}
 }
 
@@ -265,12 +287,4 @@ func TestValidateChromeTraceRejectsGarbage(t *testing.T) {
 			t.Fatalf("%s: validation passed", name)
 		}
 	}
-}
-
-// Series returns a copy of the named gauge series.
-func (r *Recorder) Series(name string) []trace.Point {
-	if r == nil {
-		return nil
-	}
-	return append([]trace.Point(nil), r.data.Series[name]...)
 }

@@ -157,8 +157,8 @@ func sameRecorders(t *testing.T, where string, r *Recorder, f *flatRecorder) {
 	if got, want := r.GPUSeries(), f.gpuSeries; !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: GPUSeries differs (%d vs %d points)", where, len(got), len(want))
 	}
-	if len(r.queueSeries) != len(f.queueSeries) {
-		t.Fatalf("%s: QueuePilots = %d, want %d", where, len(r.queueSeries), len(f.queueSeries))
+	if len(r.pilots) != len(f.queueSeries) {
+		t.Fatalf("%s: pilots = %d, want %d", where, len(r.pilots), len(f.queueSeries))
 	}
 	for p := 0; p <= len(f.queueSeries); p++ {
 		if got, want := r.QueueSeries(p), f.QueueSeries(p); !reflect.DeepEqual(got, want) {

@@ -1,12 +1,18 @@
-// Package trace records what the paper's Figures 4 and 5 plot: busy-CPU
-// and busy-GPU time series over a campaign, average utilization
-// percentages, and the per-task phase breakdown (Bootstrap / Exec setup /
-// Running).
+// Package trace is a campaign's one recorder. It records what the
+// paper's Figures 4 and 5 plot: busy-CPU and busy-GPU time series over a
+// campaign, average utilization percentages, and the per-task phase
+// breakdown (Bootstrap / Exec setup / Running), plus each pilot's queue
+// depth and the task log.
 //
 // "Busy" is distinct from "allocated": a task may hold a GPU while only
 // its CPU phase runs (CONT-V's monolithic AlphaFold task does exactly
 // that), and utilization counts only actively used resources — the same
 // accounting the paper's monitoring produced.
+//
+// With telemetry on (EnableTelemetry) the same recorder also keeps the
+// observability record (telemetry.go): instant events, steering ticks
+// and per-pilot occupancy gauges. Off, those calls return at once and
+// allocate nothing.
 package trace
 
 import (
@@ -118,10 +124,12 @@ type Recorder struct {
 	cpuSeries pagedLog[Point]
 	gpuSeries pagedLog[Point]
 
-	// queueSeries holds one step series per pilot ordinal: the pilot's
-	// queue depth over virtual time. Grown lazily the first time a pilot
-	// reports; same coalescing discipline as the busy-series.
-	queueSeries []pagedLog[Point]
+	// pilots holds each pilot ordinal's step series, grown lazily the
+	// first time a pilot reports; same coalescing discipline as the
+	// busy-series.
+	pilots []pilotSeries
+	// tel is the telemetry record; nil while telemetry is off.
+	tel *telemetryLog
 
 	phases map[string]time.Duration
 	tasks  pagedLog[TaskSource]
@@ -136,6 +144,13 @@ type Recorder struct {
 	start  simclock.Time
 	end    simclock.Time
 	closed bool
+}
+
+// pilotSeries is one pilot's step series: its queue depth, and with
+// telemetry on its occupancy gauges (Gauges order).
+type pilotSeries struct {
+	queue  pagedLog[Point]
+	gauges [len(Gauges)]pagedLog[Point]
 }
 
 // NewRecorder creates a recorder for a resource of the given capacity,
@@ -212,21 +227,11 @@ func (r *Recorder) AddBusy(t simclock.Time, dCores, dGPUs int) {
 // zero-based pilot ordinal. Unchanged depths return without touching the
 // series, so scheduling passes that move nothing stay allocation-free.
 func (r *Recorder) SetQueueDepth(pilot int, t simclock.Time, depth int) {
-	if pilot < 0 {
-		panic("trace: negative pilot ordinal")
-	}
+	s := &r.pilotSeries(pilot).queue
 	if r.closed {
 		panic("trace: SetQueueDepth after Close")
 	}
-	for len(r.queueSeries) <= pilot {
-		r.queueSeries = append(r.queueSeries, pagedLog[Point]{})
-	}
-	s := &r.queueSeries[pilot]
-	if last := s.last(); last != nil && last.Value == depth {
-		return
-	}
-	r.appendPoint(s, t, depth)
-	if t > r.end {
+	if r.setStep(s, t, depth) && t > r.end {
 		r.end = t
 	}
 }
@@ -234,10 +239,33 @@ func (r *Recorder) SetQueueDepth(pilot int, t simclock.Time, depth int) {
 // QueueSeries returns a copy of the queue-depth step series for the
 // given pilot ordinal (nil when the pilot never reported).
 func (r *Recorder) QueueSeries(pilot int) []Point {
-	if pilot < 0 || pilot >= len(r.queueSeries) {
+	if pilot < 0 || pilot >= len(r.pilots) {
 		return nil
 	}
-	return r.queueSeries[pilot].flat()
+	return r.pilots[pilot].queue.flat()
+}
+
+// pilotSeries returns the series of a pilot ordinal, growing the table
+// the first time the pilot reports.
+func (r *Recorder) pilotSeries(pilot int) *pilotSeries {
+	if pilot < 0 {
+		panic("trace: negative pilot ordinal")
+	}
+	for len(r.pilots) <= pilot {
+		r.pilots = append(r.pilots, pilotSeries{})
+	}
+	return &r.pilots[pilot]
+}
+
+// setStep sets a per-pilot step series to v at t. An unchanged value
+// returns false without touching the series, so scheduling passes that
+// move nothing stay allocation-free.
+func (r *Recorder) setStep(series *pagedLog[Point], t simclock.Time, v int) bool {
+	if last := series.last(); last != nil && last.Value == v {
+		return false
+	}
+	r.appendPoint(series, t, v)
+	return true
 }
 
 // appendPoint extends a step series: a point at the last point's time

@@ -259,8 +259,8 @@ func TestQueueDepthSeries(t *testing.T) {
 	if len(s) != 2 || s[0] != (Point{T: hour(1), Value: 3}) || s[1] != (Point{T: hour(3), Value: 1}) {
 		t.Fatalf("queue series = %+v", s)
 	}
-	if len(r.queueSeries) != 3 {
-		t.Fatalf("QueuePilots = %d, want 3", len(r.queueSeries))
+	if len(r.pilots) != 3 {
+		t.Fatalf("pilots = %d, want 3", len(r.pilots))
 	}
 	if got := r.QueueSeries(1); got != nil {
 		t.Fatalf("pilot 1 series = %+v, want nil", got)

@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"impress"
-	"impress/internal/telemetry"
+	"impress/internal/trace"
 )
 
 // telemetryDigestCell is one pinned cell: the scenario it comes from,
@@ -39,12 +39,12 @@ var telemetryDigestCells = []telemetryDigestCell{
 
 // allInstantKinds lists every instant kind the recorder knows.
 var allInstantKinds = []string{
-	telemetry.KindNodeCrash, telemetry.KindNodeRepair,
-	telemetry.KindOutage, telemetry.KindRestore,
-	telemetry.KindMaintOpen, telemetry.KindMaintClose,
-	telemetry.KindTransfer, telemetry.KindPipelineKill,
-	telemetry.KindSteerMove, telemetry.KindSteerVeto,
-	telemetry.KindTaskCheckpoint, telemetry.KindTaskEvict, telemetry.KindTaskResume,
+	trace.KindNodeCrash, trace.KindNodeRepair,
+	trace.KindOutage, trace.KindRestore,
+	trace.KindMaintOpen, trace.KindMaintClose,
+	trace.KindTransfer, trace.KindPipelineKill,
+	trace.KindSteerMove, trace.KindSteerVeto,
+	trace.KindTaskCheckpoint, trace.KindTaskEvict, trace.KindTaskResume,
 }
 
 // runTelemetryCell builds scenario at seed 42 with 8 targets and the
