@@ -23,7 +23,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 		r.Instant(hour(1), trace.KindNodeCrash, 0, 3, "rackA")
 		r.Tick(hour(1), nil, nil)
 		r.SetOccupancy(0, hour(1), 2, 4, 0)
-		if r.Instants() != nil || r.Ticks() != nil {
+		if r != nil && (r.Instants() != nil || r.Ticks() != nil || r.GaugeSeries(0, 0) != nil) {
 			t.Fatalf("%s recorder retained state", name)
 		}
 		if Collect(r, []string{"pilot"}) != nil {

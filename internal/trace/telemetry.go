@@ -1,6 +1,10 @@
 package trace
 
-import "impress/internal/simclock"
+import (
+	"slices"
+
+	"impress/internal/simclock"
+)
 
 // Instant-event kinds: what the fault injector, the steering controller,
 // the preemption path and the coordinator report to a recorder with
@@ -64,38 +68,27 @@ type Tick struct {
 	Actions []string      `json:"actions,omitempty"`
 }
 
-// telemetryLog holds the instants and steering ticks of a recorder with
-// telemetry on; the occupancy gauges live with the per-pilot series.
-type telemetryLog struct {
-	instants []Instant
-	ticks    []Tick
-}
-
 // EnableTelemetry makes the recorder keep instants, steering ticks and
 // occupancy gauges as well. None of them moves the campaign end, so a
 // campaign measures the same with telemetry on or off.
-func (r *Recorder) EnableTelemetry() {
-	if r.tel == nil {
-		r.tel = &telemetryLog{}
-	}
-}
+func (r *Recorder) EnableTelemetry() { r.telemetry = true }
 
 // Telemetry reports whether the recorder keeps telemetry. It is false on
 // a nil recorder, so call sites guard work that only feeds telemetry
 // (formatting a detail, sampling a gauge) with one call.
-func (r *Recorder) Telemetry() bool { return r != nil && r.tel != nil }
+func (r *Recorder) Telemetry() bool { return r != nil && r.telemetry }
 
 // Instant logs an instant event; a no-op unless Telemetry.
 func (r *Recorder) Instant(t simclock.Time, kind string, pilot, node int, detail string) {
 	if r.Telemetry() {
-		r.tel.instants = append(r.tel.instants, Instant{T: t, Kind: kind, Pilot: pilot, Node: node, Detail: detail})
+		r.instants = append(r.instants, Instant{T: t, Kind: kind, Pilot: pilot, Node: node, Detail: detail})
 	}
 }
 
 // Tick logs a steering-controller observation; a no-op unless Telemetry.
 func (r *Recorder) Tick(t simclock.Time, pilots []PilotSample, actions []string) {
 	if r.Telemetry() {
-		r.tel.ticks = append(r.tel.ticks, Tick{T: t, Pilots: pilots, Actions: actions})
+		r.ticks = append(r.ticks, Tick{T: t, Pilots: pilots, Actions: actions})
 	}
 }
 
@@ -112,20 +105,10 @@ func (r *Recorder) SetOccupancy(pilot int, t simclock.Time, running, freeCores, 
 }
 
 // Instants returns a copy of the logged instants in logging order.
-func (r *Recorder) Instants() []Instant {
-	if !r.Telemetry() {
-		return nil
-	}
-	return append([]Instant(nil), r.tel.instants...)
-}
+func (r *Recorder) Instants() []Instant { return slices.Clone(r.instants) }
 
 // Ticks returns a copy of the logged steering ticks.
-func (r *Recorder) Ticks() []Tick {
-	if !r.Telemetry() {
-		return nil
-	}
-	return append([]Tick(nil), r.tel.ticks...)
-}
+func (r *Recorder) Ticks() []Tick { return slices.Clone(r.ticks) }
 
 // GaugeSeries returns a copy of one occupancy gauge's step series for
 // the given pilot ordinal; gauge indexes Gauges. Nil when the gauge was

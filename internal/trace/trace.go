@@ -128,8 +128,11 @@ type Recorder struct {
 	// first time a pilot reports; same coalescing discipline as the
 	// busy-series.
 	pilots []pilotSeries
-	// tel is the telemetry record; nil while telemetry is off.
-	tel *telemetryLog
+	// With telemetry on, the instants and steering ticks logged; the
+	// occupancy gauges live with the per-pilot series.
+	telemetry bool
+	instants  []Instant
+	ticks     []Tick
 
 	phases map[string]time.Duration
 	tasks  pagedLog[TaskSource]
