@@ -314,12 +314,15 @@ func (in *injector) crash(i int) {
 	in.cascadeFrom(i)
 }
 
-// bookDown records a node-down transition that counts as a crash
-// (individual, cascade, or outage).
+// bookDown records when and why node i went down. Every cause but a
+// maintenance window (planned downtime) counts as a crash.
 func (in *injector) bookDown(i int, cause downCause) {
 	s := in.slot(i)
 	s.downAt = in.pilot.engine.Now()
 	s.cause = cause
+	if cause == causeMaint {
+		return
+	}
 	in.crashes++
 	if in.crashesByDomain == nil {
 		in.crashesByDomain = make(map[string]int)
@@ -407,20 +410,7 @@ func (in *injector) outage(d *domainState) {
 		return
 	}
 	in.outages++
-	clu := in.pilot.agent.cluster
-	in.pilot.agent.rec.Instant(in.pilot.engine.Now(), trace.KindOutage, in.pilot.ordinal, -1, d.name)
-	d.victims = d.victims[:0]
-	for i := 0; i < clu.NodeCount(); i++ {
-		if clu.NodeIsRemoved(i) || clu.NodeIsDown(i) || clu.NodeDomain(i) != d.name {
-			continue
-		}
-		in.bookDown(i, causeOutage)
-		clu.SetNodeDown(i)
-		d.victims = append(d.victims, i)
-	}
-	for _, i := range d.victims {
-		in.pilot.agent.failNode(i)
-	}
+	d.victims = in.takeDown(d.name, causeOutage, d.victims, trace.KindOutage)
 	dur := in.spec.Domains.OutageDuration
 	if dur <= 0 {
 		dur = in.spec.RepairWindow()
@@ -436,26 +426,58 @@ func (in *injector) restore(d *domainState) {
 	if in.stopped {
 		return
 	}
+	d.victims = in.bringUp(d.name, causeOutage, d.victims, trace.KindRestore)
+	in.scheduleOutage(d)
+}
+
+// takeDown takes every up node of domain dom down for cause, appending
+// them to victims[:0]: all capacity leaves the ledger first, then the
+// kill cascade runs per node, so no victim's work can be re-placed onto
+// a sibling about to go down in the same burst. The instant kind is
+// logged in between; an outage logs it even when it finds no node up,
+// a maintenance window only when it takes one of this pilot's nodes.
+func (in *injector) takeDown(dom string, cause downCause, victims []int, kind string) []int {
 	clu := in.pilot.agent.cluster
+	victims = victims[:0]
+	for i := 0; i < clu.NodeCount(); i++ {
+		if clu.NodeIsRemoved(i) || clu.NodeIsDown(i) || clu.NodeDomain(i) != dom {
+			continue
+		}
+		in.bookDown(i, cause)
+		clu.SetNodeDown(i)
+		victims = append(victims, i)
+	}
+	if len(victims) > 0 || cause == causeOutage {
+		in.pilot.agent.rec.Instant(in.pilot.engine.Now(), kind, in.pilot.ordinal, -1, dom)
+	}
+	for _, i := range victims {
+		in.pilot.agent.failNode(i)
+	}
+	return victims
+}
+
+// bringUp ends a takeDown: every victim still down for cause comes back
+// and its downtime is booked. When one did, the instant kind is logged
+// and the freed capacity offered to the queue. It returns victims[:0].
+func (in *injector) bringUp(dom string, cause downCause, victims []int, kind string) []int {
 	up := false
-	for _, i := range d.victims {
+	for _, i := range victims {
 		s := &in.chains[i]
-		if s.cause != causeOutage {
+		if s.cause != cause {
 			continue
 		}
 		in.downtime += in.pilot.engine.Now().Sub(s.downAt)
 		s.cause = causeNone
-		clu.SetNodeUp(i)
+		in.pilot.agent.cluster.SetNodeUp(i)
 		up = true
 	}
-	d.victims = d.victims[:0]
 	if up {
-		in.pilot.agent.rec.Instant(in.pilot.engine.Now(), trace.KindRestore, in.pilot.ordinal, -1, d.name)
+		in.pilot.agent.rec.Instant(in.pilot.engine.Now(), kind, in.pilot.ordinal, -1, dom)
+		if in.pilot.state == PilotActive {
+			in.pilot.agent.schedule()
+		}
 	}
-	if up && in.pilot.state == PilotActive {
-		in.pilot.agent.schedule()
-	}
-	in.scheduleOutage(d)
+	return victims[:0]
 }
 
 // scheduleMaintOpen arms maintenance window idx's next opening.
@@ -476,25 +498,9 @@ func (in *injector) maintOpen(idx int, m fault.Maintenance) {
 	if in.stopped || in.pilot.state != PilotActive {
 		return
 	}
-	clu := in.pilot.agent.cluster
-	victims := in.maintVictims[idx][:0]
-	for i := 0; i < clu.NodeCount(); i++ {
-		if clu.NodeIsRemoved(i) || clu.NodeIsDown(i) || clu.NodeDomain(i) != m.Domain {
-			continue
-		}
-		s := in.slot(i)
-		s.downAt = in.pilot.engine.Now()
-		s.cause = causeMaint
-		clu.SetNodeDown(i)
-		victims = append(victims, i)
-	}
-	in.maintVictims[idx] = victims
-	if len(victims) > 0 {
+	in.maintVictims[idx] = in.takeDown(m.Domain, causeMaint, in.maintVictims[idx], trace.KindMaintOpen)
+	if len(in.maintVictims[idx]) > 0 {
 		in.maintenances++
-		in.pilot.agent.rec.Instant(in.pilot.engine.Now(), trace.KindMaintOpen, in.pilot.ordinal, -1, m.Domain)
-	}
-	for _, i := range victims {
-		in.pilot.agent.failNode(i)
 	}
 	in.maintEvents[idx] = in.pilot.engine.After(m.Duration, func() {
 		in.maintClose(idx, m)
@@ -507,25 +513,7 @@ func (in *injector) maintClose(idx int, m fault.Maintenance) {
 	if in.stopped {
 		return
 	}
-	clu := in.pilot.agent.cluster
-	up := false
-	for _, i := range in.maintVictims[idx] {
-		s := &in.chains[i]
-		if s.cause != causeMaint {
-			continue
-		}
-		in.downtime += in.pilot.engine.Now().Sub(s.downAt)
-		s.cause = causeNone
-		clu.SetNodeUp(i)
-		up = true
-	}
-	in.maintVictims[idx] = in.maintVictims[idx][:0]
-	if up {
-		in.pilot.agent.rec.Instant(in.pilot.engine.Now(), trace.KindMaintClose, in.pilot.ordinal, -1, m.Domain)
-	}
-	if up && in.pilot.state == PilotActive {
-		in.pilot.agent.schedule()
-	}
+	in.maintVictims[idx] = in.bringUp(m.Domain, causeMaint, in.maintVictims[idx], trace.KindMaintClose)
 	if m.Every > 0 {
 		// The next opening is Every after the previous one; the close ran
 		// Duration in.
