@@ -248,7 +248,7 @@ func TestPagedRecorderMatchesFlatRandomized(t *testing.T) {
 				r.SetQueueDepth(p, now, d)
 				f.SetQueueDepth(p, now, d)
 			case op < 99:
-				rec := taskRecord(i, simclock.Time(rng.Intn(int(now)+1)))
+				rec := taskRecord(i, simclock.Time(rng.Uint64()%(uint64(now)+1))) // now outgrows a 32-bit int
 				addRecord(r, rec)
 				f.AddTask(rec)
 			default:
