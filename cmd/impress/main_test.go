@@ -290,7 +290,7 @@ func TestOutWritesReportFiles(t *testing.T) {
 // sweep writes with -csv and -chrome-trace.
 var sweepArtifacts = map[string]string{
 	"sweep.csv":        "ee5ddc69bfa33ca496ef129cc981d9f2e0fb2c27433df70d4e2fcf994ff146e0",
-	"sweep.trace.json": "ac7f5d3239ce0623d3aefb8943e99da05e124ccab24650a9055f67f216c97089",
+	"sweep.trace.json": "ab659eb235163eb13c3e30668c45a060c5ef56ea8dd4d5a446d1fddaf4725b4d",
 }
 
 // TestArtifactFiles pins the files the sweep and the paper figures write:

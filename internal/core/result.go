@@ -120,7 +120,8 @@ type Result struct {
 	// to Pilots (nil entries for pilots that never queued).
 	QueueSeries [][]trace.Point `json:"queue_series,omitempty"`
 	// Telemetry carries the campaign's observability record — instants,
-	// steering ticks, counters, and gauge series. Nil unless the campaign
+	// steering ticks, counters, and gauge series (named
+	// "<pilot>/<gauge>" by the names in Pilots). Nil unless the campaign
 	// ran with Config.Telemetry set.
 	Telemetry *telemetry.Data `json:"telemetry,omitempty"`
 
@@ -299,13 +300,7 @@ func (c *Coordinator) buildResult() *Result {
 	for i := range c.specs {
 		res.QueueSeries = append(res.QueueSeries, c.rec.QueueSeries(i))
 	}
-	if c.rec.Telemetry() {
-		ids := make([]string, len(c.pilots))
-		for i, p := range c.pilots {
-			ids[i] = p.ID
-		}
-		res.Telemetry = telemetry.Collect(c.rec, ids)
-	}
+	res.Telemetry = telemetry.Collect(c.rec, res.Pilots)
 	if c.cfg.faultEnabled() {
 		res.Faults = c.buildFaultStats(res)
 	}

@@ -20,7 +20,8 @@ import (
 type CampaignTrace struct {
 	// Label names the campaign in process names ("adpt/seed42").
 	Label string
-	// Pilots lists pilot IDs in ordinal order.
+	// Pilots names the pilots in ordinal order. A gauge series named
+	// "<pilot>/<gauge>" goes on that pilot's track.
 	Pilots []string
 	// Tasks is the recorded attempt timeline.
 	Tasks []trace.TaskRecord

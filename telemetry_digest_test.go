@@ -29,12 +29,12 @@ var telemetryDigestCells = []telemetryDigestCell{
 	// Crashes, repairs, outages, restores, the maintenance window,
 	// transfers, steering moves and vetoes, pipeline kills, evictions.
 	{"chaos-sweep", "chaos/elsewhere+preempt/seed42",
-		"5c13a6b9c1cac1ff348e620408741d8b155477bf9ce213dad580feeea9ed6f89",
-		"50dff07b606b2d1239b2cb4145a461895eb31efae7b42e5e212077a3733ec8cc"},
+		"17741751543efe83f6a1a059911dc100015fcc5da0802004e6c755047f35b1d4",
+		"1f1d4d9333b0d260a396ebfffc271db13821730011b4799bd4e05ce016a1ae84"},
 	// Checkpoints, evictions and resumes across a pilot's walltime.
 	{"preempt-sweep", "preempt/kill+preempt/ck15m/seed42",
-		"9de5554293ab39be729bd1a9b356254e4bb1ed604617509af6befa5b24569447",
-		"77b036049d2ecd14a0b52ca632a9e1d58393035dfe363233d8be6e1b2ce6be4f"},
+		"06bda3161d8afeb0c5741af4b538c571f6a268f5a0226f323230c37462464e5b",
+		"84793ca19d25618a81233e56924ca326f193841e9c1a2cb28336355759183751"},
 }
 
 // allInstantKinds lists every instant kind the recorder knows.

@@ -8,7 +8,9 @@ package impress_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,10 +81,70 @@ func TestChromeTraceEndToEnd(t *testing.T) {
 	}
 	// The export's bytes are pinned by digest: a writer change that
 	// alters one byte of pair@42's trace fails here.
-	const wantLen, wantSum = 350745, "8e82fe0a8c9ed274a5e596998312418fbb137c2fed4805dc852216f46ad13e1f"
+	const wantLen, wantSum = 343155, "0111af22f82fcf645736cee48a0115ac7536c093f7b77fbbc76b24b0a9b66203"
 	if sum := fmt.Sprintf("%x", sha256.Sum256(a)); len(a) != wantLen || sum != wantSum {
 		t.Fatalf("pair@42 chrome trace is %d bytes with sha256 %s, want %d bytes with sha256 %s",
 			len(a), sum, wantLen, wantSum)
+	}
+}
+
+// TestGaugesOnPilotTracks runs pair@42 on the split CPU/GPU pilots with
+// telemetry on: every gauge series is named after one of the result's
+// pilots, and in the Chrome export every counter but the queue depth
+// sits on a pilot's process, not on the campaign's.
+func TestGaugesOnPilotTracks(t *testing.T) {
+	campaigns, err := impress.BuildScenario("pair", impress.ScenarioParams{
+		Seed:        42,
+		SplitPilots: true,
+		Telemetry:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range impress.RunCampaigns(campaigns, 1) {
+		if o.Err != nil {
+			t.Fatalf("campaign %s failed: %v", o.Name, o.Err)
+		}
+		res := o.Result
+		for name := range res.Telemetry.Series {
+			pilot, _, _ := strings.Cut(name, "/")
+			if !slices.Contains(res.Pilots, pilot) {
+				t.Errorf("%s: gauge series %q names no pilot of %v", o.Name, name, res.Pilots)
+			}
+		}
+		var buf bytes.Buffer
+		if err := impress.WriteChromeTrace(&buf, []*impress.Result{res}, []string{o.Name}); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name, Ph string
+				Pid      int
+				Args     map[string]any
+			}
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		process := make(map[int]string)
+		for _, e := range doc.TraceEvents {
+			if e.Ph == "M" && e.Name == "process_name" {
+				process[e.Pid], _ = e.Args["name"].(string)
+			}
+		}
+		gauges := 0
+		for _, e := range doc.TraceEvents {
+			if e.Ph != "C" || e.Name == "queue depth" {
+				continue
+			}
+			gauges++
+			if strings.HasSuffix(process[e.Pid], "/campaign") {
+				t.Fatalf("%s: gauge %q sits on the campaign process %q", o.Name, e.Name, process[e.Pid])
+			}
+		}
+		if gauges == 0 {
+			t.Fatalf("%s: no gauge counters exported", o.Name)
+		}
 	}
 }
 
