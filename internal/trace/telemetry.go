@@ -98,7 +98,7 @@ func (r *Recorder) SetOccupancy(pilot int, t simclock.Time, running, freeCores, 
 	if !r.Telemetry() {
 		return
 	}
-	g := &r.pilotSeries(pilot).gauges
+	g := &r.seriesOf(pilot).gauges
 	r.setStep(&g[0], t, running)
 	r.setStep(&g[1], t, freeCores)
 	r.setStep(&g[2], t, freeGPUs)

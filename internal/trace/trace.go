@@ -227,14 +227,12 @@ func (r *Recorder) AddBusy(t simclock.Time, dCores, dGPUs int) {
 }
 
 // SetQueueDepth records pilot's queue depth at time t. Pilot is the
-// zero-based pilot ordinal. Unchanged depths return without touching the
-// series, so scheduling passes that move nothing stay allocation-free.
+// zero-based pilot ordinal; an unchanged depth adds no point.
 func (r *Recorder) SetQueueDepth(pilot int, t simclock.Time, depth int) {
-	s := &r.pilotSeries(pilot).queue
 	if r.closed {
 		panic("trace: SetQueueDepth after Close")
 	}
-	if r.setStep(s, t, depth) && t > r.end {
+	if r.setStep(&r.seriesOf(pilot).queue, t, depth) && t > r.end {
 		r.end = t
 	}
 }
@@ -248,9 +246,9 @@ func (r *Recorder) QueueSeries(pilot int) []Point {
 	return r.pilots[pilot].queue.flat()
 }
 
-// pilotSeries returns the series of a pilot ordinal, growing the table
+// seriesOf returns the series of a pilot ordinal, growing the table
 // the first time the pilot reports.
-func (r *Recorder) pilotSeries(pilot int) *pilotSeries {
+func (r *Recorder) seriesOf(pilot int) *pilotSeries {
 	if pilot < 0 {
 		panic("trace: negative pilot ordinal")
 	}
