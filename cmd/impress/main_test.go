@@ -27,6 +27,8 @@ func TestTranscripts(t *testing.T) {
 			{Name: "run-fault-retry", Args: []string{"run", "-fault", "0.15", "-recovery", "retry"}},
 			{Name: "run-events", Args: []string{"run", "-fault", "0.3", "-recovery", "retry", "-events"}},
 			{Name: "run-list-scenarios", Args: []string{"run", "-list-scenarios"}},
+			// The help text pins every flag's name, default and usage line.
+			{Name: "run-help", Args: []string{"run", "-h"}},
 			{Name: "run-scenario-pair", Args: []string{"run", "-scenario", "pair"}},
 			{Name: "run-scenario-pair-seed100", Args: []string{"run", "-scenario", "pair", "-seed", "100", "-parallel", "2"}},
 			{Name: "run-scenario-pair-protocol", Args: []string{"run", "-scenario", "pair", "-protocol", "imrp"}},
