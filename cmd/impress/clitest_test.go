@@ -1,8 +1,9 @@
-// Package clitest pins command transcripts. A command's test binary
-// re-executes itself as the command (see Main) and Run compares the
-// exit code, stdout and stderr of each invocation with a golden file
-// under testdata/cli. Regenerate the files with UPDATE_GOLDEN=1.
-package clitest
+// The transcript harness: the test binary re-executes itself as the
+// command (see TestMain), and checkTranscripts compares the exit code,
+// stdout and stderr of each invocation with a golden file under
+// testdata/cli. Regenerate the files with UPDATE_GOLDEN=1.
+
+package main
 
 import (
 	"bytes"
@@ -19,10 +20,9 @@ import (
 // of the tests.
 const mainEnv = "IMPRESS_CLI_MAIN"
 
-// Main is the body of a command package's TestMain: it runs the
-// command's main when the binary was re-executed by Run, and the tests
-// otherwise.
-func Main(m *testing.M, main func()) {
+// TestMain runs the command when the binary was re-executed by execCLI,
+// and the tests otherwise.
+func TestMain(m *testing.M) {
 	if os.Getenv(mainEnv) == "1" {
 		main()
 		os.Exit(0)
@@ -30,19 +30,19 @@ func Main(m *testing.M, main func()) {
 	os.Exit(m.Run())
 }
 
-// Case is one pinned invocation: its golden file is
+// cliCase is one pinned invocation: its golden file is
 // testdata/cli/<Name>.golden.
-type Case struct {
+type cliCase struct {
 	Name string
 	Args []string
 }
 
-// Run executes every case as a subprocess of the current test binary
-// and compares its transcript with the golden file.
-func Run(t *testing.T, cases []Case) {
+// checkTranscripts executes every case as a subprocess of the current
+// test binary and compares its transcript with the golden file.
+func checkTranscripts(t *testing.T, cases []cliCase) {
 	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
-			code, stdout, stderr := Exec(t, c.Args...)
+			code, stdout, stderr := execCLI(t, c.Args...)
 			got := fmt.Sprintf("$ %s\nexit %d\n--- stdout\n%s--- stderr\n%s",
 				strings.Join(c.Args, " "), code, stdout, stderr)
 			path := filepath.Join("testdata", "cli", c.Name+".golden")
@@ -66,9 +66,9 @@ func Run(t *testing.T, cases []Case) {
 	}
 }
 
-// Exec runs the command once, as a subprocess of the current test
+// execCLI runs the command once, as a subprocess of the current test
 // binary, and returns its exit code and output.
-func Exec(t *testing.T, args ...string) (code int, stdout, stderr string) {
+func execCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), mainEnv+"=1")
@@ -84,22 +84,22 @@ func Exec(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errOut.String()
 }
 
-// UsageError fails t unless the command, run with args, exits 2 with
+// usageError fails t unless the command, run with args, exits 2 with
 // nothing on stdout and an error that starts by naming the flag at
 // args[len(args)-2], the flag whose value is out of range.
-func UsageError(t *testing.T, args ...string) {
+func usageError(t *testing.T, args ...string) {
 	t.Helper()
 	name := args[len(args)-2]
-	code, stdout, stderr := Exec(t, args...)
+	code, stdout, stderr := execCLI(t, args...)
 	if code != 2 || stdout != "" || !strings.HasPrefix(stderr, name+" ") {
 		t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and an error naming %s", args, code, stdout, stderr, name)
 	}
 }
 
-// SameFiles fails t unless directory got holds exactly the files of
+// sameFiles fails t unless directory got holds exactly the files of
 // directory want, byte for byte. With UPDATE_GOLDEN set it copies got's
 // files over want instead.
-func SameFiles(t *testing.T, got, want string) {
+func sameFiles(t *testing.T, got, want string) {
 	t.Helper()
 	files, err := os.ReadDir(got)
 	if err != nil {

@@ -1,4 +1,4 @@
-package cliflags
+package main
 
 import (
 	"flag"
@@ -12,10 +12,11 @@ import (
 	"time"
 )
 
-func parse(t *testing.T, args ...string) *Common {
+// parse returns the flags args set, unchecked.
+func parse(t *testing.T, args ...string) *flags {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs)
+	c := newFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -24,13 +25,13 @@ func parse(t *testing.T, args ...string) *Common {
 
 func TestDefaults(t *testing.T) {
 	c := parse(t)
-	if c.p.Seed != 42 || c.Parallel != 1 || c.p.Nodes != 1 || c.p.SplitPilots || c.p.Recovery != "" || c.p.Fault.TaskFailProb != 0 {
+	if c.p.Seed != 42 || c.parallel != 1 || c.p.Nodes != 1 || c.p.SplitPilots || c.p.Recovery != "" || c.p.Fault.TaskFailProb != 0 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Fault().Enabled() {
+	if c.fault().Enabled() {
 		t.Fatal("default fault spec enabled")
 	}
 }
@@ -39,22 +40,22 @@ func TestFaultFlags(t *testing.T) {
 	c := parse(t,
 		"-fault", "0.2", "-mtbf", "6h", "-repair", "20m", "-recovery", "elsewhere",
 		"-pilots", "split", "-nodes", "4", "-steer", "hysteresis")
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if c.p.Steer != "hysteresis" || c.p.Nodes != 4 {
 		t.Fatalf("steer/nodes flags not parsed: %+v", c)
 	}
-	if !c.Params().SplitPilots {
+	if !c.params().SplitPilots {
 		t.Fatal("split placement not detected")
 	}
-	s := c.Fault()
+	s := c.fault()
 	if s.TaskFailProb != 0.2 || s.NodeMTBF != 6*time.Hour || s.NodeRepair != 20*time.Minute {
 		t.Fatalf("fault spec %+v", s)
 	}
 	// Without -mtbf the repair default must not enable the crash model.
 	c = parse(t, "-fault", "0.1")
-	if s := c.Fault(); s.NodeMTBF != 0 || s.NodeRepair != 0 {
+	if s := c.fault(); s.NodeMTBF != 0 || s.NodeRepair != 0 {
 		t.Fatalf("crash model leaked into spec: %+v", s)
 	}
 }
@@ -63,7 +64,7 @@ func TestValidateRejects(t *testing.T) {
 	// An unknown placement is refused while parsing.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	Register(fs)
+	newFlags(fs)
 	if err := fs.Parse([]string{"-pilots", "mesh"}); err == nil {
 		t.Fatal("-pilots mesh accepted")
 	}
@@ -80,7 +81,7 @@ func TestValidateRejects(t *testing.T) {
 		{"-fault", "1.5"},
 	} {
 		c := parse(t, args...)
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
 	}
@@ -110,10 +111,10 @@ func TestWarnings(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := parse(t, tc.args...)
-			if err := c.Validate(); err != nil {
+			if err := c.validate(); err != nil {
 				t.Fatalf("args %v rejected: %v", tc.args, err)
 			}
-			got := c.Warnings()
+			got := c.warnings()
 			if len(got) != len(tc.want) {
 				t.Fatalf("args %v: %d warnings %q, want %d", tc.args, len(got), got, len(tc.want))
 			}
@@ -129,7 +130,7 @@ func TestWarnings(t *testing.T) {
 func TestPrintWarnings(t *testing.T) {
 	c := parse(t, "-recovery", "elsewhere")
 	var sb strings.Builder
-	c.PrintWarnings(&sb)
+	c.printWarnings(&sb)
 	out := sb.String()
 	if !strings.HasPrefix(out, "warning: -recovery") {
 		t.Fatalf("PrintWarnings output %q", out)
@@ -140,7 +141,7 @@ func TestPrintWarnings(t *testing.T) {
 
 	// A clean flag set stays silent.
 	sb.Reset()
-	parse(t).PrintWarnings(&sb)
+	parse(t).printWarnings(&sb)
 	if sb.Len() != 0 {
 		t.Fatalf("clean flags printed %q", sb.String())
 	}
@@ -152,15 +153,15 @@ func TestProfileFlagsAndLifecycle(t *testing.T) {
 	mem := filepath.Join(dir, "mem.prof")
 
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	c := Register(fs)
+	c := newFlags(fs)
 	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
 		t.Fatal(err)
 	}
-	if c.CPUProfile != cpu || c.MemProfile != mem {
+	if c.cpuProfile != cpu || c.memProfile != mem {
 		t.Fatalf("profile paths not captured: %+v", c)
 	}
 
-	stop, err := c.StartProfiles()
+	stop, err := c.startProfiles()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +187,11 @@ func TestProfileFlagsAndLifecycle(t *testing.T) {
 
 func TestStartProfilesNoFlagsIsNoop(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	c := Register(fs)
+	c := newFlags(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	stop, err := c.StartProfiles()
+	stop, err := c.startProfiles()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,18 +199,16 @@ func TestStartProfilesNoFlagsIsNoop(t *testing.T) {
 }
 
 // TestEveryParamsFieldHasAFlag guards against knob drift: every exported
-// campaign.Params field is bound by one of the shared flags (a struct
-// field such as Fault counts when a flag binds inside it), or is listed
-// here as filled some other way. A new Params knob without a flag fails
+// campaign.Params field is bound by one of the flags (a struct field
+// such as Fault counts when a flag binds inside it), or is listed here
+// as filled some other way. A new Params knob without a flag fails
 // until it gets one or an exemption.
 func TestEveryParamsFieldHasAFlag(t *testing.T) {
 	exempt := map[string]string{
-		"Seeds":     "workload width, a flag of the impress command (-seeds)",
-		"Targets":   "workload width, a flag of the impress command (-screen-size)",
 		"Telemetry": "derived from -chrome-trace",
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs)
+	c := newFlags(fs)
 	bound := map[uintptr]string{}
 	fs.VisitAll(func(f *flag.Flag) {
 		bound[reflect.ValueOf(f.Value).Pointer()] = f.Name
@@ -232,50 +231,50 @@ func TestEveryParamsFieldHasAFlag(t *testing.T) {
 		case by != "" && isExempt:
 			t.Errorf("Params.%s is bound by -%s but also exempt", field.Name, by)
 		case by == "" && !isExempt:
-			t.Errorf("Params.%s has no shared flag and no exemption", field.Name)
+			t.Errorf("Params.%s has no flag and no exemption", field.Name)
 		}
 	}
 }
 
 func TestReject(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs)
-	fs.String("csv", "", "a flag the command registers itself")
-	if err := fs.Parse([]string{"-steer", "none", "-admit", "quota", "-csv", "x", "-seed", "7"}); err != nil {
+	c := newFlags(fs)
+	if err := fs.Parse([]string{"-steer", "none", "-admit", "quota", "-protocol", "contv", "-seed", "7"}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Shared("steer") || !c.Shared("admit") || c.Shared("csv") {
-		t.Fatal("Shared does not tell the registered flags from the command's own")
+	if campaignOnly("steer") || campaignOnly("admit") || !campaignOnly("protocol") {
+		t.Fatal("campaignOnly does not tell a single campaign's own flags from the execution knobs")
 	}
 	// Explicitly set flags are judged even at their default value.
-	err := c.Reject("test mode", func(name string) bool { return name == "seed" })
-	if err == nil || err.Error() != "flags [-admit -csv -steer] do not apply to test mode" {
-		t.Fatalf("Reject = %v", err)
+	err := c.reject("test mode", func(name string) bool { return name == "seed" })
+	if err == nil || err.Error() != "flags [-admit -protocol -steer] do not apply to test mode" {
+		t.Fatalf("reject = %v", err)
 	}
-	if err := c.Reject("test mode", c.Shared); err == nil || err.Error() != "flags [-csv] do not apply to test mode" {
-		t.Fatalf("Reject = %v", err)
+	notCampaignOnly := func(name string) bool { return !campaignOnly(name) }
+	if err := c.reject("test mode", notCampaignOnly); err == nil || err.Error() != "flags [-protocol] do not apply to test mode" {
+		t.Fatalf("reject = %v", err)
 	}
 	// Flags left unset are never judged.
 	fs = flag.NewFlagSet("test", flag.ContinueOnError)
-	c = Register(fs)
-	if err := c.Reject("test mode", func(string) bool { return false }); err != nil {
+	c = newFlags(fs)
+	if err := c.reject("test mode", func(string) bool { return false }); err != nil {
 		t.Fatalf("unset flags rejected: %v", err)
 	}
 }
 
 func TestTenancyNamesSharedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs)
+	newFlags(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) {
-		if Tenancy(f.Name) {
+		if tenancyFlag(f.Name) {
 			got = append(got, f.Name)
 		}
 	})
 	if want := "[admit arrival arrival-span reclaim tenants]"; fmt.Sprint(got) != want {
 		t.Fatalf("tenancy flags %v, want %s", got, want)
 	}
-	if !c.Shared("tenants") || Tenancy("fleet") {
-		t.Fatal("Tenancy misclassifies a shared flag")
+	if campaignOnly("tenants") || tenancyFlag("fleet") {
+		t.Fatal("tenancyFlag misclassifies a shared flag")
 	}
 }

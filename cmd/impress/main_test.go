@@ -9,18 +9,14 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"impress/internal/clitest"
 )
-
-func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestTranscripts pins stdout, stderr and the exit code of representative
 // invocations (testdata/cli; regenerate with UPDATE_GOLDEN=1): single
 // campaigns and scenarios, the pair sweep, and the paper's figures.
 func TestTranscripts(t *testing.T) {
 	t.Run("run", func(t *testing.T) {
-		clitest.Run(t, []clitest.Case{
+		checkTranscripts(t, []cliCase{
 			{Name: "run-imrp", Args: []string{"run", "-protocol", "imrp"}},
 			{Name: "run-contv-seed7", Args: []string{"run", "-protocol", "contv", "-seed", "7"}},
 			{Name: "run-split-steer", Args: []string{"run", "-pilots", "split", "-nodes", "4", "-steer", "greedy"}},
@@ -61,7 +57,7 @@ func TestTranscripts(t *testing.T) {
 	})
 	// The CONT-V vs IM-RP pair across seeds: the sweep scenario.
 	t.Run("sweep", func(t *testing.T) {
-		clitest.Run(t, []clitest.Case{
+		checkTranscripts(t, []cliCase{
 			{Name: "sweep-seeds2", Args: []string{"run", "-scenario", "sweep", "-seed", "100", "-seeds", "2"}},
 			{Name: "sweep-seeds2-split-steer", Args: []string{"run", "-scenario", "sweep", "-seed", "100", "-seeds", "2", "-pilots", "split", "-nodes", "4", "-steer", "hysteresis"}},
 			// The pair sweep runs on each protocol's own machine, so it
@@ -74,7 +70,7 @@ func TestTranscripts(t *testing.T) {
 	})
 	// The paper's evaluation: Table I and Figs. 2-5.
 	t.Run("experiments", func(t *testing.T) {
-		clitest.Run(t, []clitest.Case{
+		checkTranscripts(t, []cliCase{
 			{Name: "experiments-all-screen8", Args: []string{"run", "-scenario", "table1,fig2,fig3,fig4,fig5", "-screen-size", "8"}},
 			{Name: "experiments-table1-bestfit", Args: []string{"run", "-scenario", "table1", "-policy", "bestfit"}},
 			{Name: "experiments-fig2-fault-retry", Args: []string{"run", "-scenario", "fig2", "-fault", "0.1", "-recovery", "retry"}},
@@ -92,7 +88,7 @@ func TestTranscripts(t *testing.T) {
 	})
 
 	// Without the run mode the binary prints its usage.
-	clitest.Run(t, []clitest.Case{
+	checkTranscripts(t, []cliCase{
 		{Name: "no-mode", Args: nil},
 		{Name: "unknown-mode", Args: []string{"-seed", "7"}},
 	})
@@ -141,10 +137,10 @@ func TestNegativeCountsAreUsageErrors(t *testing.T) {
 	for _, kind := range []string{"run", "sweep", "experiments"} {
 		t.Run(kind, func(t *testing.T) {
 			for _, args := range usage[kind] {
-				clitest.UsageError(t, args...)
+				usageError(t, args...)
 			}
 			for _, args := range positional[kind] {
-				code, stdout, stderr := clitest.Exec(t, args...)
+				code, stdout, stderr := execCLI(t, args...)
 				if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "unexpected argument ") {
 					t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and an unexpected-argument error", args, code, stdout, stderr)
 				}
@@ -165,8 +161,8 @@ func TestNonFiniteProbabilitiesAreUsageErrors(t *testing.T) {
 	} {
 		t.Run(kind, func(t *testing.T) {
 			for _, v := range []string{"NaN", "+Inf", "-Inf", "1.5", "-0.1"} {
-				clitest.UsageError(t, append(slices.Clone(prefix), "-fault", v)...)
-				clitest.UsageError(t, append(slices.Clone(prefix), "-mtbf", "12h", "-cascade", v)...)
+				usageError(t, append(slices.Clone(prefix), "-fault", v)...)
+				usageError(t, append(slices.Clone(prefix), "-mtbf", "12h", "-cascade", v)...)
 			}
 		})
 	}
@@ -245,7 +241,7 @@ func TestModeRules(t *testing.T) {
 // <name>.csv, whose header names the scenario's CSV kind.
 func TestOutWritesReportFiles(t *testing.T) {
 	dir := t.TempDir()
-	code, stdout, stderr := clitest.Exec(t, "run", "-scenario", "table1,fig4", "-out", dir)
+	code, stdout, stderr := execCLI(t, "run", "-scenario", "table1,fig4", "-out", dir)
 	if code != 0 {
 		t.Fatalf("exit %d\nstderr: %s", code, stderr)
 	}
@@ -302,7 +298,7 @@ var sweepArtifacts = map[string]string{
 func TestArtifactFiles(t *testing.T) {
 	dir := t.TempDir()
 	csv, trace := filepath.Join(dir, "sweep.csv"), filepath.Join(dir, "sweep.trace.json")
-	if code, _, stderr := clitest.Exec(t, "run", "-scenario", "sweep", "-seed", "100", "-seeds", "2", "-csv", csv, "-chrome-trace", trace); code != 0 {
+	if code, _, stderr := execCLI(t, "run", "-scenario", "sweep", "-seed", "100", "-seeds", "2", "-csv", csv, "-chrome-trace", trace); code != 0 {
 		t.Fatalf("sweep: exit %d\nstderr: %s", code, stderr)
 	}
 	for name, want := range sweepArtifacts {
@@ -316,8 +312,8 @@ func TestArtifactFiles(t *testing.T) {
 	}
 
 	out := filepath.Join(dir, "out")
-	if code, _, stderr := clitest.Exec(t, "run", "-scenario", "table1,fig3,fig4", "-screen-size", "8", "-out", out); code != 0 {
+	if code, _, stderr := execCLI(t, "run", "-scenario", "table1,fig3,fig4", "-screen-size", "8", "-out", out); code != 0 {
 		t.Fatalf("paper figures: exit %d\nstderr: %s", code, stderr)
 	}
-	clitest.SameFiles(t, out, filepath.Join("testdata", "out"))
+	sameFiles(t, out, filepath.Join("testdata", "out"))
 }

@@ -1,14 +1,4 @@
-// Package scenariorun executes registered campaign scenarios on the
-// campaign engine and renders the standard CLI output — one summary per
-// campaign, each scenario's cross-campaign report, and its CSV
-// companion.
-//
-// It is the one scenario path of the impress command (impress run
-// -scenario), so a workload registered once in internal/campaign (pair,
-// sweep, the paper's table1 and fig2–fig5, screen, stress,
-// policy-compare, fault-sweep, mega-screen…) is reachable from the
-// command line without a new main.
-package scenariorun
+package main
 
 import (
 	"fmt"
@@ -24,26 +14,9 @@ import (
 	"impress/internal/telemetry"
 )
 
-// Options are a run's engine width and the artifacts it writes.
-type Options struct {
-	// Workers is the engine worker count (0 = GOMAXPROCS).
-	Workers int
-	// CSV, when set, is the path a one-scenario run writes the
-	// scenario's CSV report to.
-	CSV string
-	// ChromeTrace, when set, switches telemetry on and is the path every
-	// completed campaign's timeline is written to, in Chrome Trace Event
-	// Format (one Perfetto process track per pilot). Tracks are labelled
-	// by campaign name, prefixed with the scenario name in a list.
-	ChromeTrace string
-	// Out, when set, is a directory each scenario writes its report to,
-	// as <name>.txt (the report text) and <name>.csv.
-	Out string
-}
-
-// Lookup returns the registered scenarios a comma-separated list names,
-// in list order. An unknown or repeated name is an error.
-func Lookup(list string) ([]campaign.Scenario, error) {
+// lookupScenarios returns the registered scenarios a comma-separated
+// list names, in list order. An unknown or repeated name is an error.
+func lookupScenarios(list string) ([]campaign.Scenario, error) {
 	var scs []campaign.Scenario
 	seen := make(map[string]bool)
 	for _, name := range strings.Split(list, ",") {
@@ -60,28 +33,24 @@ func Lookup(list string) ([]campaign.Scenario, error) {
 	return scs, nil
 }
 
-// Run builds every scenario in scs with p and executes all their
-// campaigns as one batch. Then, scenario by scenario, it writes to
+// runScenarios builds every scenario -scenario names and executes all
+// their campaigns as one batch. Then, scenario by scenario, it writes to
 // stdout the block a run of that scenario alone would write — a header,
 // a summary per completed campaign, the report and the requested report
 // files — and to stderr each failed campaign. The Chrome trace follows
-// the last block. The return value is the process exit code: 0 on full
-// success, 1 when any campaign failed or an artifact could not be
-// written, 2 on a build error.
-func Run(stdout, stderr io.Writer, scs []campaign.Scenario, p campaign.Params, o Options) int {
-	if o.CSV != "" && len(scs) != 1 {
-		fmt.Fprintln(stderr, "scenariorun: a CSV path takes one scenario; write the reports of several to Out")
-		return 2
-	}
-	if o.Out != "" {
-		if err := os.MkdirAll(o.Out, 0o755); err != nil {
+// the last block, one Perfetto process track per pilot, each labelled
+// by campaign name, prefixed with the scenario name in a list. The
+// return value is the process exit code: 0 on full success, 1 when any
+// campaign failed or an artifact could not be written, 2 on a build
+// error.
+func (f *flags) runScenarios(stdout, stderr io.Writer) int {
+	if f.out != "" {
+		if err := os.MkdirAll(f.out, 0o755); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	}
-	if o.ChromeTrace != "" {
-		p.Telemetry = true
-	}
+	scs, p := f.scenarios, f.params()
 	var batch []campaign.Campaign
 	sizes := make([]int, len(scs))
 	for i, sc := range scs {
@@ -93,7 +62,7 @@ func Run(stdout, stderr io.Writer, scs []campaign.Scenario, p campaign.Params, o
 		batch = append(batch, cs...)
 		sizes[i] = len(cs)
 	}
-	engine := campaign.NewEngine(o.Workers)
+	engine := campaign.NewEngine(f.parallel)
 	outs := engine.Run(batch)
 	a := artifacts{stdout: stdout, stderr: stderr}
 	failed := 0
@@ -111,7 +80,7 @@ func Run(stdout, stderr io.Writer, scs []campaign.Scenario, p campaign.Params, o
 				continue
 			}
 			results = append(results, out.Result)
-			if o.ChromeTrace != "" {
+			if f.chromeTrace != "" {
 				// Scenarios of a list may name campaigns alike (table1
 				// and fig4 both run contv/seed42), so a list's trace
 				// labels each with its scenario too.
@@ -142,20 +111,20 @@ func Run(stdout, stderr io.Writer, scs []campaign.Scenario, p campaign.Params, o
 			noCSV = "scenario " + sc.Name + " declares no CSV report"
 		}
 		writeCSV := func(w io.Writer) error { return sc.ReportCSV(w, results) }
-		a.write(o.CSV, noCSV, writeCSV)
-		if o.Out != "" {
-			a.write(filepath.Join(o.Out, sc.Name+".txt"), noText, func(w io.Writer) error {
+		a.write(f.csv, noCSV, writeCSV)
+		if f.out != "" {
+			a.write(filepath.Join(f.out, sc.Name+".txt"), noText, func(w io.Writer) error {
 				_, err := io.WriteString(w, text)
 				return err
 			})
-			a.write(filepath.Join(o.Out, sc.Name+".csv"), noCSV, writeCSV)
+			a.write(filepath.Join(f.out, sc.Name+".csv"), noCSV, writeCSV)
 		}
 	}
 	noTrace := ""
 	if len(traces) == 0 {
 		noTrace = "no campaign completed"
 	}
-	a.write(o.ChromeTrace, noTrace, func(w io.Writer) error { return telemetry.WriteChromeTrace(w, traces) })
+	a.write(f.chromeTrace, noTrace, func(w io.Writer) error { return telemetry.WriteChromeTrace(w, traces) })
 	if failed > 0 {
 		fmt.Fprintf(stderr, "%d/%d campaigns failed\n", failed, len(batch))
 		return 1

@@ -1,4 +1,4 @@
-package scenariorun
+package main
 
 // Satellite regression tests: a -csv request must never be silently
 // ignored. When the scenario has no CSV report, or every campaign
@@ -28,11 +28,21 @@ func register(t *testing.T, s campaign.Scenario) {
 // lookup returns the registered scenarios list names.
 func lookup(t *testing.T, list string) []campaign.Scenario {
 	t.Helper()
-	scs, err := Lookup(list)
+	scs, err := lookupScenarios(list)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return scs
+}
+
+// scenarioRun returns the flags of a run of the scenarios list names,
+// parsed from args but not checked, so that a test can also run what
+// the command line refuses.
+func scenarioRun(t *testing.T, list string, args ...string) *flags {
+	t.Helper()
+	f := parse(t, args...)
+	f.scenarios = lookup(t, list)
+	return f
 }
 
 // miniCampaign is a small adaptive campaign that completes in well under
@@ -57,7 +67,7 @@ func TestRunWarnsWhenScenarioHasNoCSVReport(t *testing.T) {
 	})
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	var stdout, stderr strings.Builder
-	code := Run(&stdout, &stderr, lookup(t, "srun-nocsv"), campaign.Params{}, Options{Workers: 1, CSV: csv})
+	code := scenarioRun(t, "srun-nocsv", "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
@@ -84,7 +94,7 @@ func TestRunWarnsWhenEveryCampaignFailed(t *testing.T) {
 	})
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	var stdout, stderr strings.Builder
-	code := Run(&stdout, &stderr, lookup(t, "srun-allfail"), campaign.Params{}, Options{Workers: 1, CSV: csv})
+	code := scenarioRun(t, "srun-allfail", "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (a campaign failed)", code)
 	}
@@ -109,7 +119,7 @@ func TestRunWritesDeclaredCSV(t *testing.T) {
 	})
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	var stdout, stderr strings.Builder
-	code := Run(&stdout, &stderr, lookup(t, "srun-ok"), campaign.Params{}, Options{Workers: 1, CSV: csv})
+	code := scenarioRun(t, "srun-ok", "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
@@ -140,7 +150,7 @@ func TestRunFailsOnUnwritableCSV(t *testing.T) {
 	})
 	csv := filepath.Join(t.TempDir(), "missing-dir", "out.csv")
 	var stdout, stderr strings.Builder
-	code := Run(&stdout, &stderr, lookup(t, "srun-unwritable"), campaign.Params{}, Options{Workers: 1, CSV: csv})
+	code := scenarioRun(t, "srun-unwritable", "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 for an unwritable CSV", code)
 	}
@@ -154,7 +164,7 @@ func TestRunFailsOnUnwritableCSV(t *testing.T) {
 func TestListPrintsEachScenarioBlock(t *testing.T) {
 	run := func(list string) string {
 		var stdout, stderr strings.Builder
-		if code := Run(&stdout, &stderr, lookup(t, list), campaign.Params{Seed: 5}, Options{Workers: 2}); code != 0 {
+		if code := scenarioRun(t, list, "-seed", "5", "-parallel", "2").runScenarios(&stdout, &stderr); code != 0 {
 			t.Fatalf("%s: exit %d, stderr: %s", list, code, stderr.String())
 		}
 		return stdout.String()
@@ -170,8 +180,7 @@ func TestListPrintsEachScenarioBlock(t *testing.T) {
 func TestListTraceNamesProcessesApart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var stdout, stderr strings.Builder
-	p := campaign.Params{Seed: 42}
-	if code := Run(&stdout, &stderr, lookup(t, "table1,fig4"), p, Options{Workers: 2, ChromeTrace: path}); code != 0 {
+	if code := scenarioRun(t, "table1,fig4", "-parallel", "2", "-chrome-trace", path).runScenarios(&stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
 	data, err := os.ReadFile(path)
@@ -213,8 +222,8 @@ func TestLookupRejectsUnknownAndRepeatedNames(t *testing.T) {
 		"fig4,fig4":      `scenario "fig4" named twice`,
 		"fig2,fig3,fig2": `scenario "fig2" named twice`,
 	} {
-		if _, err := Lookup(list); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Lookup(%q) = %v, want an error containing %q", list, err, want)
+		if _, err := lookupScenarios(list); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("lookupScenarios(%q) = %v, want an error containing %q", list, err, want)
 		}
 	}
 }

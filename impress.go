@@ -189,14 +189,6 @@ func AdaptiveConfig(seed uint64) Config { return core.AdaptiveConfig(seed) }
 // AlphaFold tasks, strictly sequential execution.
 func ControlConfig(seed uint64) Config { return core.ControlConfig(seed) }
 
-// FleetPilots generates a seed-deterministic heterogeneous fleet from a
-// node-template spec (e.g. "cpu:28c0g128m*900+gpu:8c4g32m*100") and
-// splits it into a CPU pilot and a GPU pilot with explicit per-node
-// capacities. Assign the result to Config.Pilots.
-func FleetPilots(spec string, seed uint64) ([]PilotSpec, error) {
-	return campaign.FleetPilots(spec, seed)
-}
-
 // RunAdaptive executes an IM-RP campaign over targets.
 func RunAdaptive(targets []*Target, cfg Config) (*Result, error) {
 	return core.RunAdaptive(targets, cfg)
@@ -214,12 +206,6 @@ func RunControl(targets []*Target, cfg Config) (*Result, error) {
 func RunCampaigns(campaigns []Campaign, workers int) []CampaignOutcome {
 	return campaign.Run(campaigns, workers)
 }
-
-// Scenarios returns the registered campaign scenarios (sorted by name):
-// the declarative workload catalogue, including the paper's Table I and
-// Figs. 2-5 (table1, fig2 ... fig5) and its pair, sweep, screen, and
-// stress workloads.
-func Scenarios() []Scenario { return campaign.Scenarios() }
 
 // BuildScenario constructs the campaigns of a named scenario. The
 // README's scenario example calls it; the command and examples do not.

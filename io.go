@@ -36,13 +36,6 @@ func WriteResultJSON(w io.Writer, r *Result, includeTasks bool) error {
 	return r.WriteJSON(w, includeTasks)
 }
 
-// WriteArtifact creates (or truncates) path, streams the artifact
-// through write, and closes it, propagating write and close errors — the
-// loss-proof write path every command output goes through.
-func WriteArtifact(path string, write func(io.Writer) error) error {
-	return artifact.WriteFile(path, write)
-}
-
 // WriteDesignPDBs writes each target's best design from a campaign
 // result as <dir>/<target>.pdb and returns the written paths. Targets
 // are emitted in sorted name order, so the files — and any log lines
