@@ -54,12 +54,22 @@ func (t Template) Validate() error {
 	if nc.Cores < 0 || nc.GPUs < 0 || nc.MemGB < 0 || (nc.Cores == 0 && nc.GPUs == 0) {
 		return fmt.Errorf("fleet: template %q has degenerate node shape %+v", t.Name, nc)
 	}
-	if nc.Cores > MaxPerNode || nc.GPUs > MaxPerNode || nc.MemGB > MaxPerNode {
-		return fmt.Errorf("fleet: template %q node shape %dc%dg%dm exceeds the per-node ceiling of %d cores, GPUs and GB",
-			t.Name, nc.Cores, nc.GPUs, nc.MemGB, MaxPerNode)
+	if err := shapeCeiling(t.Name, int64(nc.Cores), int64(nc.GPUs), int64(nc.MemGB)); err != nil {
+		return err
 	}
 	if t.Count <= 0 {
 		return fmt.Errorf("fleet: template %q has non-positive count %d", t.Name, t.Count)
+	}
+	return nil
+}
+
+// shapeCeiling rejects a node shape with a core, GPU or memory count past
+// MaxPerNode. It takes 64-bit counts, so that the parser can apply it
+// before narrowing them to int.
+func shapeCeiling(name string, cores, gpus, memGB int64) error {
+	if cores > MaxPerNode || gpus > MaxPerNode || memGB > MaxPerNode {
+		return fmt.Errorf("fleet: template %q node shape %dc%dg%dm exceeds the per-node ceiling of %d cores, GPUs and GB",
+			name, cores, gpus, memGB, MaxPerNode)
 	}
 	return nil
 }
@@ -144,15 +154,18 @@ func parseSegment(seg string) (Template, error) {
 	if !ok {
 		return bad("missing *<count>")
 	}
-	var nc cluster.NodeCapacity
+	// Counts and shapes are parsed in 64 bits and checked against their
+	// ceilings before they narrow to int, so that a 32-bit build names
+	// the ceiling a value breaks as a 64-bit one does.
+	var cores, gpus, memGB int64
 	var err error
-	if shape, nc.Cores, err = eatInt(shape, 'c'); err != nil {
+	if shape, cores, err = eatInt(shape, 'c'); err != nil {
 		return bad(err.Error())
 	}
-	if shape, nc.GPUs, err = eatInt(shape, 'g'); err != nil {
+	if shape, gpus, err = eatInt(shape, 'g'); err != nil {
 		return bad(err.Error())
 	}
-	if shape, nc.MemGB, err = eatInt(shape, 'm'); err != nil {
+	if shape, memGB, err = eatInt(shape, 'm'); err != nil {
 		return bad(err.Error())
 	}
 	if shape != "" {
@@ -162,28 +175,33 @@ func parseSegment(seg string) (Template, error) {
 	if hasDomain && domain == "" {
 		return bad("empty domain after '@'")
 	}
-	count, err := strconv.Atoi(countStr)
+	count, err := strconv.ParseInt(countStr, 10, 64)
 	if err != nil || count <= 0 {
 		return bad(fmt.Sprintf("bad count %q", countStr))
 	}
 	if count > MaxNodes {
 		return bad(fmt.Sprintf("count %d exceeds the %d-node ceiling", count, MaxNodes))
 	}
-	t := Template{Name: name, Cap: nc, Count: count, Domain: domain}
+	if err := shapeCeiling(name, cores, gpus, memGB); err != nil {
+		return bad(err.Error())
+	}
+	nc := cluster.NodeCapacity{Cores: int(cores), GPUs: int(gpus), MemGB: int(memGB)}
+	t := Template{Name: name, Cap: nc, Count: int(count), Domain: domain}
 	if err := t.Validate(); err != nil {
 		return bad(err.Error())
 	}
 	return t, nil
 }
 
-// eatInt consumes a leading decimal integer terminated by unit.
-func eatInt(s string, unit byte) (rest string, v int, err error) {
+// eatInt consumes a leading non-negative decimal integer terminated by
+// unit.
+func eatInt(s string, unit byte) (rest string, v int64, err error) {
 	i := strings.IndexByte(s, unit)
 	if i < 0 {
 		return "", 0, fmt.Errorf("missing %q field", string(unit))
 	}
-	v, err = strconv.Atoi(s[:i])
-	if err != nil {
+	v, err = strconv.ParseInt(s[:i], 10, 64)
+	if err != nil || v < 0 {
 		return "", 0, fmt.Errorf("bad %q value %q", string(unit), s[:i])
 	}
 	return s[i+1:], v, nil

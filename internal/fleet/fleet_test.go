@@ -45,6 +45,7 @@ func TestParseSpecErrorsNameSegment(t *testing.T) {
 		{"cpu:28c0g128m*0", "cpu:28c0g128m*0"},                                 // zero count
 		{"cpu:28c0g128mXX*9", "cpu:28c0g128mXX*9"},                             // trailing junk
 		{"cpu:0c0g128m*9", "cpu:0c0g128m*9"},                                   // degenerate shape
+		{"cpu:-4c1g8m*9", "cpu:-4c1g8m*9"},                                     // negative cores
 		{"cpu:4c0g8m*2+cpu:8c0g16m*2", "cpu:8c0g16m*2"},                        // duplicate name
 		{"cpu:4c0g8m*2+gpu:2c1g4m*bad+big:8c0g64m*1", "gpu:2c1g4m*bad"},        // middle segment
 		{"a:28c4g128m*9223372036854775807", "a:28c4g128m*9223372036854775807"}, // count past MaxNodes
