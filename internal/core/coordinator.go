@@ -336,6 +336,9 @@ func (c *Coordinator) StartOn(engine *simclock.Engine, onDone func()) error {
 		if err != nil {
 			return err
 		}
+		// A campaign's pilots go by their spec names, unique per campaign,
+		// so task records name the pilot that Result.Pilots lists.
+		p.ID = ps.Name
 		c.pilots = append(c.pilots, p)
 	}
 	c.tm = pilot.NewTaskManager(c.engine, c.pilots...)

@@ -176,6 +176,8 @@ func (pm *PilotManager) Submit(pd PilotDescription) (*Pilot, error) {
 // Pilot is a live pilot job: a resource allocation plus the agent running
 // on it.
 type Pilot struct {
+	// ID names the pilot: pilot.0001, pilot.0002, … in launch order,
+	// unless the launcher renames it before submitting tasks to it.
 	ID string
 	// ordinal is the zero-based launch index — the pilot's row in the
 	// trace recorder's per-pilot series and the telemetry track layout.

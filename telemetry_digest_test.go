@@ -30,11 +30,11 @@ var telemetryDigestCells = []telemetryDigestCell{
 	// transfers, steering moves and vetoes, pipeline kills, evictions.
 	{"chaos-sweep", "chaos/elsewhere+preempt/seed42",
 		"17741751543efe83f6a1a059911dc100015fcc5da0802004e6c755047f35b1d4",
-		"1f1d4d9333b0d260a396ebfffc271db13821730011b4799bd4e05ce016a1ae84"},
+		"726865d3418804f7a9810c29c49093bad7d2b594087122a60d7471cd5acbce4e"},
 	// Checkpoints, evictions and resumes across a pilot's walltime.
 	{"preempt-sweep", "preempt/kill+preempt/ck15m/seed42",
 		"06bda3161d8afeb0c5741af4b538c571f6a268f5a0226f323230c37462464e5b",
-		"84793ca19d25618a81233e56924ca326f193841e9c1a2cb28336355759183751"},
+		"33ae0bbb040736a2b2968057ec1ab337c5abb7f274448a86ebccf805737ee559"},
 }
 
 // allInstantKinds lists every instant kind the recorder knows.

@@ -89,9 +89,12 @@ func TestChromeTraceEndToEnd(t *testing.T) {
 }
 
 // TestGaugesOnPilotTracks runs pair@42 on the split CPU/GPU pilots with
-// telemetry on: every gauge series is named after one of the result's
-// pilots, and in the Chrome export every counter but the queue depth
-// sits on a pilot's process, not on the campaign's.
+// telemetry on: every gauge series and task record is named after one
+// of the result's pilots, and in the Chrome export every counter but the
+// queue depth sits on a pilot's process, not on the campaign's. Every
+// task span and run slice sits on the process of its task's pilot, each
+// run slice on a named node thread, and every pilot holds task spans and
+// node threads.
 func TestGaugesOnPilotTracks(t *testing.T) {
 	campaigns, err := impress.BuildScenario("pair", impress.ScenarioParams{
 		Seed:        42,
@@ -118,9 +121,9 @@ func TestGaugesOnPilotTracks(t *testing.T) {
 		}
 		var doc struct {
 			TraceEvents []struct {
-				Name, Ph string
-				Pid      int
-				Args     map[string]any
+				Name, Ph, ID string
+				Pid, Tid     int
+				Args         map[string]any
 			}
 		}
 		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
@@ -144,6 +147,45 @@ func TestGaugesOnPilotTracks(t *testing.T) {
 		}
 		if gauges == 0 {
 			t.Fatalf("%s: no gauge counters exported", o.Name)
+		}
+
+		processOf := make(map[string]string) // task ID -> its pilot's process
+		for _, tr := range res.TaskRecords {
+			if !slices.Contains(res.Pilots, tr.Pilot) {
+				t.Fatalf("%s: task %s ran on %q, no pilot of %v", o.Name, tr.ID, tr.Pilot, res.Pilots)
+			}
+			processOf[tr.ID] = o.Name + "/" + tr.Pilot
+		}
+		spans, nodeThreads := make(map[string]int), make(map[string]int)
+		named := make(map[[2]int]bool)
+		for _, e := range doc.TraceEvents {
+			if e.Ph == "M" && e.Name == "thread_name" && e.Tid > 0 {
+				named[[2]int{e.Pid, e.Tid}] = true
+				nodeThreads[process[e.Pid]]++
+			}
+		}
+		for _, e := range doc.TraceEvents {
+			id := e.ID
+			switch e.Ph {
+			case "b":
+				spans[process[e.Pid]]++
+			case "e":
+			case "X":
+				id, _ = e.Args["id"].(string)
+				if !named[[2]int{e.Pid, e.Tid}] {
+					t.Fatalf("%s: run slice of %s on thread %d of %q, which names no node", o.Name, id, e.Tid, process[e.Pid])
+				}
+			default:
+				continue
+			}
+			if got, want := process[e.Pid], processOf[id]; got != want {
+				t.Fatalf("%s: %q event of task %s sits on %q, want %q", o.Name, e.Ph, id, got, want)
+			}
+		}
+		for _, p := range res.Pilots {
+			if spans[o.Name+"/"+p] == 0 || nodeThreads[o.Name+"/"+p] == 0 {
+				t.Fatalf("%s: pilot %s holds %d task spans and %d node threads, want some of each", o.Name, p, spans[o.Name+"/"+p], nodeThreads[o.Name+"/"+p])
+			}
 		}
 	}
 }
