@@ -9,14 +9,16 @@
 // table1,fig2,fig3,fig4,fig5 regenerates Table I and Figs. 2–5, and
 // -scenario sweep the CONT-V vs IM-RP pair across seeds.
 //
-// The command parses one flag set, validated in one place, and rejects
-// with exit 2 any flag the run does not honour, and any positional
-// argument. A single campaign honours every flag but -seeds, -out and
-// the tenancy flags. A scenario run honours the shared execution knobs,
-// plus each workload flag (-seeds, -screen-size, -fleet, the tenancy
-// flags) that some named scenario declares it reads
-// (campaign.Scenario.Reads). Campaigns are hermetically seeded, so every
-// output is identical at any -parallel setting.
+// The command parses one flag set (flags.go), binds it into the one
+// campaign.Params every run starts from, validates it in one place, and
+// rejects with exit 2 any flag the run does not honour, and any
+// positional argument. A single campaign honours every flag but -seeds,
+// -out and the tenancy flags. A scenario run (scenarios.go) honours the
+// execution knobs, plus each workload flag (-seeds, -screen-size,
+// -fleet, the tenancy flags) that some named scenario declares it reads
+// (campaign.Scenario.Reads), but none of the single campaign's own
+// flags. Campaigns are hermetically seeded, so every output is
+// identical at any -parallel setting.
 //
 // Examples:
 //
