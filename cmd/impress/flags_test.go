@@ -133,7 +133,7 @@ func TestPrintWarnings(t *testing.T) {
 	c.printWarnings(&sb)
 	out := sb.String()
 	if !strings.HasPrefix(out, "warning: -recovery") {
-		t.Fatalf("PrintWarnings output %q", out)
+		t.Fatalf("printWarnings output %q", out)
 	}
 	if strings.Count(out, "\n") != 1 {
 		t.Fatalf("want exactly one warning line, got %q", out)
