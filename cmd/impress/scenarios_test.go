@@ -18,13 +18,6 @@ import (
 	"impress/internal/workload"
 )
 
-func register(t *testing.T, s campaign.Scenario) {
-	t.Helper()
-	if err := campaign.Register(s); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // lookup returns the registered scenarios list names.
 func lookup(t *testing.T, list string) []campaign.Scenario {
 	t.Helper()
@@ -45,6 +38,16 @@ func scenarioRun(t *testing.T, list string, args ...string) *flags {
 	return f
 }
 
+// runOf returns the flags of a run of sc, parsed from args, with sc
+// handed to the runner directly rather than through the process-wide
+// registry, so that the test can run again in the same process.
+func runOf(t *testing.T, sc campaign.Scenario, args ...string) *flags {
+	t.Helper()
+	f := parse(t, args...)
+	f.scenarios = []campaign.Scenario{sc}
+	return f
+}
+
 // miniCampaign is a small adaptive campaign that completes in well under
 // a second.
 func miniCampaign(t *testing.T, name string) campaign.Campaign {
@@ -61,13 +64,13 @@ func miniCampaign(t *testing.T, name string) campaign.Campaign {
 }
 
 func TestRunWarnsWhenScenarioHasNoCSVReport(t *testing.T) {
-	register(t, campaign.Scenario{
+	sc := campaign.Scenario{
 		Name:  "srun-nocsv",
 		Build: func(campaign.Params) ([]campaign.Campaign, error) { return nil, nil },
-	})
+	}
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	var stdout, stderr strings.Builder
-	code := scenarioRun(t, "srun-nocsv", "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
+	code := runOf(t, sc, "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
@@ -80,7 +83,7 @@ func TestRunWarnsWhenScenarioHasNoCSVReport(t *testing.T) {
 }
 
 func TestRunWarnsWhenEveryCampaignFailed(t *testing.T) {
-	register(t, campaign.Scenario{
+	sc := campaign.Scenario{
 		Name: "srun-allfail",
 		Build: func(campaign.Params) ([]campaign.Campaign, error) {
 			// No targets: the coordinator rejects the campaign at
@@ -91,10 +94,10 @@ func TestRunWarnsWhenEveryCampaignFailed(t *testing.T) {
 			_, err := io.WriteString(w, "never\n")
 			return err
 		},
-	})
+	}
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	var stdout, stderr strings.Builder
-	code := scenarioRun(t, "srun-allfail", "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
+	code := runOf(t, sc, "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (a campaign failed)", code)
 	}
@@ -107,7 +110,7 @@ func TestRunWarnsWhenEveryCampaignFailed(t *testing.T) {
 }
 
 func TestRunWritesDeclaredCSV(t *testing.T) {
-	register(t, campaign.Scenario{
+	sc := campaign.Scenario{
 		Name: "srun-ok",
 		Build: func(campaign.Params) ([]campaign.Campaign, error) {
 			return []campaign.Campaign{miniCampaign(t, "srun-ok/mini")}, nil
@@ -116,10 +119,10 @@ func TestRunWritesDeclaredCSV(t *testing.T) {
 			_, err := io.WriteString(w, "rows\n")
 			return err
 		},
-	})
+	}
 	csv := filepath.Join(t.TempDir(), "out.csv")
 	var stdout, stderr strings.Builder
-	code := scenarioRun(t, "srun-ok", "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
+	code := runOf(t, sc, "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
@@ -138,7 +141,7 @@ func TestRunWritesDeclaredCSV(t *testing.T) {
 // TestRunFailsOnUnwritableCSV: the loss-proof write path turns an
 // unwritable destination into a non-zero exit with a message.
 func TestRunFailsOnUnwritableCSV(t *testing.T) {
-	register(t, campaign.Scenario{
+	sc := campaign.Scenario{
 		Name: "srun-unwritable",
 		Build: func(campaign.Params) ([]campaign.Campaign, error) {
 			return []campaign.Campaign{miniCampaign(t, "srun-unwritable/mini")}, nil
@@ -147,10 +150,10 @@ func TestRunFailsOnUnwritableCSV(t *testing.T) {
 			_, err := io.WriteString(w, "rows\n")
 			return err
 		},
-	})
+	}
 	csv := filepath.Join(t.TempDir(), "missing-dir", "out.csv")
 	var stdout, stderr strings.Builder
-	code := scenarioRun(t, "srun-unwritable", "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
+	code := runOf(t, sc, "-parallel", "1", "-csv", csv).runScenarios(&stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 for an unwritable CSV", code)
 	}

@@ -539,11 +539,7 @@ func (c *Coordinator) startSteering() {
 		// Config.Steer was validated in NewCoordinator.
 		panic(err)
 	}
-	elastics := make([]steer.Elastic, len(c.pilots))
-	for i, p := range c.pilots {
-		elastics[i] = p
-	}
-	c.steerer = steer.NewController(c.engine, elastics, pol, steer.DefaultPeriod, c.rec, c.onNodeTransfer)
+	c.steerer = steer.NewController(c.engine, c.pilots, pol, steer.DefaultPeriod, c.rec, c.onNodeTransfer)
 	c.steerer.Start()
 }
 

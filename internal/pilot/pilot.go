@@ -208,10 +208,6 @@ func (p *Pilot) Recovery() string { return p.recovery.Name() }
 // but places nothing new.
 func (p *Pilot) Active() bool { return p.state == PilotActive && !p.draining }
 
-// PilotID returns the pilot's ID — the steering layer's handle for
-// routing resumed work to a transfer's receiver.
-func (p *Pilot) PilotID() string { return p.ID }
-
 // unavailable reports whether the pilot can no longer host new or
 // resubmitted work.
 func (p *Pilot) unavailable() bool { return p.state == PilotDone || p.draining }

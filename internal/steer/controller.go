@@ -6,45 +6,13 @@ import (
 
 	"impress/internal/cluster"
 	"impress/internal/fault"
+	"impress/internal/pilot"
 	"impress/internal/simclock"
 	"impress/internal/trace"
 )
 
-// Elastic is the slice of the pilot mechanism the controller drives.
-// *pilot.Pilot implements it; the interface keeps this package below
-// internal/pilot in the dependency order (pilot validates steering
-// names through this package).
-type Elastic interface {
-	// Active reports whether the pilot currently schedules tasks.
-	Active() bool
-	// QueueLen returns the number of tasks waiting for resources.
-	QueueLen() int
-	// RunningCount returns the number of placed tasks.
-	RunningCount() int
-	// QueuedRequests returns the allocation requests of the queued
-	// tasks, in queue order.
-	QueuedRequests() []cluster.Request
-	// Cluster exposes the pilot's resource ledger.
-	Cluster() *cluster.Cluster
-	// ShrinkNode transfers the identified idle node out of the pilot,
-	// returning its capacity and its detached crash chain (nil without a
-	// crash model) — node fault ownership travels with the node.
-	ShrinkNode(id int) (cluster.NodeCapacity, *fault.Chain, error)
-	// GrowNode transfers a node of the given capacity into the pilot,
-	// handing the donor's crash chain to the receiver's fault injector.
-	GrowNode(nc cluster.NodeCapacity, ch *fault.Chain) int
-	// EvictNode checkpoints and evicts every task resident on the
-	// identified node (requeueing each with its saved progress, hinted
-	// at the resumeOn pilot), then transfers the node out like
-	// ShrinkNode. Only preemptive policies reach this.
-	EvictNode(id int, resumeOn string) (cluster.NodeCapacity, *fault.Chain, error)
-	// PilotID returns the pilot's stable identifier, used as the
-	// resume hint for work evicted toward it.
-	PilotID() string
-}
-
 // preemptCapable marks a policy whose transfers may drain a busy node
-// through Elastic.EvictNode when no idle node fits. Policies that do not
+// through Pilot.EvictNode when no idle node fits. Policies that do not
 // implement it (or return false) keep the non-idle veto semantics.
 type preemptCapable interface{ Preemptive() bool }
 
@@ -94,7 +62,7 @@ type Veto struct {
 // observation is logged as a tick and each move or veto as an instant.
 type Controller struct {
 	engine *simclock.Engine
-	pilots []Elastic
+	pilots []*pilot.Pilot
 	pol    Policy
 	period time.Duration
 
@@ -123,7 +91,7 @@ type Controller struct {
 // the campaign's trace recorder: with telemetry on, every tick logs its
 // observed stats, applied moves and vetoes into it. onMove (optional)
 // observes every applied transfer.
-func NewController(engine *simclock.Engine, pilots []Elastic, pol Policy, period time.Duration, rec *trace.Recorder, onMove func(Move)) *Controller {
+func NewController(engine *simclock.Engine, pilots []*pilot.Pilot, pol Policy, period time.Duration, rec *trace.Recorder, onMove func(Move)) *Controller {
 	if engine == nil || pol == nil {
 		panic("steer: controller needs an engine and a policy")
 	}
@@ -293,8 +261,8 @@ func (c *Controller) preemptive() bool {
 // drain executes one preemptive transfer: checkpoint and evict the work
 // resident on the donor's node, move the node, and let the evicted
 // attempts resume on the receiver.
-func (c *Controller) drain(tr Transfer, from, to Elastic, id int) {
-	nc, ch, err := from.EvictNode(id, to.PilotID())
+func (c *Controller) drain(tr Transfer, from, to *pilot.Pilot, id int) {
+	nc, ch, err := from.EvictNode(id, to.ID)
 	if err != nil {
 		c.veto(tr, VetoNonIdle)
 		return
@@ -304,7 +272,7 @@ func (c *Controller) drain(tr Transfer, from, to Elastic, id int) {
 
 // grow completes a validated transfer: hand the node to the receiver
 // and log the move.
-func (c *Controller) grow(tr Transfer, to Elastic, nc cluster.NodeCapacity, ch *fault.Chain, drained bool) {
+func (c *Controller) grow(tr Transfer, to *pilot.Pilot, nc cluster.NodeCapacity, ch *fault.Chain, drained bool) {
 	to.GrowNode(nc, ch)
 	mv := Move{At: c.engine.Now(), From: tr.From, To: tr.To, Node: nc}
 	c.moves = append(c.moves, mv)
@@ -338,7 +306,7 @@ func (c *Controller) veto(tr Transfer, reason string) {
 // capacity could host at least one of the receiver's queued tasks.
 // Shipping a node the receiver cannot use would strand capacity where
 // neither pilot can reach it.
-func (c *Controller) usefulNode(donor *cluster.Cluster, to Elastic) (int, bool) {
+func (c *Controller) usefulNode(donor *cluster.Cluster, to *pilot.Pilot) (int, bool) {
 	queued := to.QueuedRequests()
 	for _, id := range donor.TransferableNodes() {
 		nc := donor.NodeCap(id)
@@ -353,7 +321,7 @@ func (c *Controller) usefulNode(donor *cluster.Cluster, to Elastic) (int, bool) 
 // donor's lowest-ID up node whose capacity could host one of the
 // receiver's queued tasks, whatever is currently running on it. Only
 // the preemptive drain path consults it.
-func (c *Controller) busyUsefulNode(donor *cluster.Cluster, to Elastic) (int, bool) {
+func (c *Controller) busyUsefulNode(donor *cluster.Cluster, to *pilot.Pilot) (int, bool) {
 	queued := to.QueuedRequests()
 	for id := 0; id < donor.NodeCount(); id++ {
 		if donor.NodeIsRemoved(id) || donor.NodeIsDown(id) {

@@ -58,14 +58,6 @@ func newRig(t *testing.T, nodes int) *rig {
 	return &rig{engine: engine, rec: rec, pilots: pilots, tm: pilot.NewTaskManager(engine, pilots...)}
 }
 
-func elastics(ps []*pilot.Pilot) []steer.Elastic {
-	out := make([]steer.Elastic, len(ps))
-	for i, p := range ps {
-		out[i] = p
-	}
-	return out
-}
-
 func cpuWork(d time.Duration, cores int) pilot.Work {
 	return pilot.WorkFunc(func(*pilot.ExecContext) (pilot.Result, error) {
 		return pilot.Result{Phases: []pilot.Phase{{Name: "c", Duration: d, BusyCores: cores}}}, nil
@@ -85,7 +77,7 @@ func TestControllerSteersCapacityTowardPressure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctl = steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil, nil)
+			ctl = steer.NewController(r.engine, r.pilots, pol, steer.DefaultPeriod, nil, nil)
 			ctl.Start()
 		}
 		// 24 MSA-shaped CPU tasks (8 cores, the paper's MSA width) over 3
@@ -137,7 +129,7 @@ func TestControllerSteersCapacityTowardPressure(t *testing.T) {
 func TestControllerSkipsUselessDonations(t *testing.T) {
 	r := newRig(t, 2)
 	pol, _ := steer.New("greedy")
-	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil, nil)
+	ctl := steer.NewController(r.engine, r.pilots, pol, steer.DefaultPeriod, nil, nil)
 	ctl.Start()
 	// Flood the GPU pilot with GPU tasks; the CPU pilot idles. Its
 	// 0-GPU nodes are useless to that queue and must stay home.
@@ -166,7 +158,7 @@ func TestControllerSkipsUselessDonations(t *testing.T) {
 func TestControllerKeepsLastOperationalNode(t *testing.T) {
 	r := newRig(t, 2)
 	pol, _ := steer.New("greedy")
-	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil, nil)
+	ctl := steer.NewController(r.engine, r.pilots, pol, steer.DefaultPeriod, nil, nil)
 	ctl.Start()
 	for i := 0; i < 16; i++ {
 		mustSubmit(r.tm, pilot.TaskDescription{
@@ -212,7 +204,7 @@ func TestControllerRecordsVetoes(t *testing.T) {
 		{From: 1, To: 1}, // self-transfer
 		{From: 1, To: 0}, // no queued CPU work fits nothing -> no-fitting-capacity
 	}}
-	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil, nil)
+	ctl := steer.NewController(r.engine, r.pilots, pol, steer.DefaultPeriod, nil, nil)
 	ctl.Start()
 	// One short task keeps the engine alive past a few observations.
 	mustSubmit(r.tm, pilot.TaskDescription{
@@ -253,7 +245,7 @@ func TestControllerRecordsVetoes(t *testing.T) {
 func TestControllerStatDerivatives(t *testing.T) {
 	r := newRig(t, 2)
 	pol := &capturePolicy{}
-	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, nil, nil)
+	ctl := steer.NewController(r.engine, r.pilots, pol, steer.DefaultPeriod, nil, nil)
 	ctl.Start()
 	for i := 0; i < 16; i++ {
 		mustSubmit(r.tm, pilot.TaskDescription{
@@ -293,7 +285,7 @@ func TestControllerTelemetryLog(t *testing.T) {
 	r := newRig(t, 2)
 	r.rec.EnableTelemetry()
 	pol := &capturePolicy{proposal: []steer.Transfer{{From: 9, To: 9}}}
-	ctl := steer.NewController(r.engine, elastics(r.pilots), pol, steer.DefaultPeriod, r.rec, nil)
+	ctl := steer.NewController(r.engine, r.pilots, pol, steer.DefaultPeriod, r.rec, nil)
 	ctl.Start()
 	mustSubmit(r.tm, pilot.TaskDescription{
 		Name: "cpu", Cores: 2, Pilot: r.pilots[0].ID, Work: cpuWork(time.Hour, 2),

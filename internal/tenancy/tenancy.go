@@ -1,10 +1,10 @@
 // Package tenancy is the multi-tenant campaign service: many campaigns
 // sharing one cluster. It is the layer the single-campaign stack slots
-// into — a Service owns a shared cluster.Shared pool behind its
-// node-lease API and one discrete-event engine, admits a deterministic
-// seed-driven stream of arriving campaigns (tenants), and runs each
-// admitted tenant's core.Coordinator against leased capacity via
-// StartOn/Finish instead of a private engine.
+// into — a Service owns the machine's node pool, an owner table that
+// leases whole nodes to tenants, and one discrete-event engine, admits a
+// deterministic seed-driven stream of arriving campaigns (tenants), and
+// runs each admitted tenant's core.Coordinator against its leased nodes
+// via StartOn/Finish instead of a private engine.
 //
 // Three policy layers compose here, each behind its own registry:
 //
@@ -131,6 +131,7 @@ type tenant struct {
 	granted   int
 	reclaimed int
 	regranted int
+	held      int // pool nodes the tenant owns
 
 	// pilotToPool maps the tenant's private node IDs to the shared
 	// pool's node IDs, so a shrink/evict on the tenant ledger releases
@@ -143,10 +144,87 @@ type tenant struct {
 
 func (t *tenant) name() string { return t.spec.Name }
 
+// pool is the machine's owner table: each node's capacity and the tenant
+// that leases it (nil while free). Tenants lease whole nodes and run
+// their private schedulers on them. Only the engine goroutine touches
+// the table, and a shortfall or a wrong owner is a bug in the Service,
+// so both panic.
+type pool struct {
+	caps        []cluster.NodeCapacity
+	owner       []*tenant
+	free        int
+	cores, gpus int
+}
+
+// newPool validates the machine, and caps when given, as a cluster does.
+func newPool(spec cluster.Spec, caps []cluster.NodeCapacity) (*pool, error) {
+	var (
+		c   *cluster.Cluster
+		err error
+	)
+	if caps == nil {
+		c, err = cluster.New(spec)
+	} else {
+		c, err = cluster.NewWithNodes(spec, caps)
+	}
+	if err != nil {
+		return nil, err
+	}
+	p := &pool{owner: make([]*tenant, c.NodeCount()), free: c.NodeCount(), cores: c.CapCores(), gpus: c.CapGPUs()}
+	for id := range p.owner {
+		p.caps = append(p.caps, c.NodeCap(id))
+	}
+	return p, nil
+}
+
+// lease gives t the n lowest-numbered free nodes and returns their IDs.
+func (p *pool) lease(t *tenant, n int) []int {
+	if n > p.free {
+		panic(fmt.Sprintf("tenancy: tenant %s wants %d nodes, only %d free", t.name(), n, p.free))
+	}
+	ids := make([]int, 0, n)
+	for id := 0; len(ids) < n; id++ {
+		if p.owner[id] == nil {
+			p.owner[id] = t
+			ids = append(ids, id)
+		}
+	}
+	p.free -= n
+	t.held += n
+	return ids
+}
+
+// give hands node id from its owner to another tenant, or back to the
+// free pool when to is nil.
+func (p *pool) give(from, to *tenant, id int) {
+	if p.owner[id] != from {
+		panic(fmt.Sprintf("tenancy: node %d is not leased to %s", id, from.name()))
+	}
+	p.owner[id] = to
+	from.held--
+	if to == nil {
+		p.free++
+	} else {
+		to.held++
+	}
+}
+
+// release returns node id from t to the free pool.
+func (p *pool) release(t *tenant, id int) { p.give(t, nil, id) }
+
+// releaseAll returns every node t owns to the free pool.
+func (p *pool) releaseAll(t *tenant) {
+	for id, o := range p.owner {
+		if o == t {
+			p.release(t, id)
+		}
+	}
+}
+
 // Service runs many campaigns against one shared cluster.
 type Service struct {
 	cfg     Config
-	pool    *cluster.Shared
+	pool    *pool
 	engine  *simclock.Engine
 	admit   Policy
 	reclaim steer.TenantPolicy
@@ -181,11 +259,11 @@ func NewService(spec Spec) (*Service, error) {
 	if cfg.ReclaimPeriod == 0 {
 		cfg.ReclaimPeriod = steer.DefaultPeriod
 	}
-	pool, err := cluster.NewShared(cfg.Machine, cfg.Nodes)
+	pool, err := newPool(cfg.Machine, cfg.Nodes)
 	if err != nil {
 		return nil, err
 	}
-	total := pool.TotalNodes()
+	total := len(pool.owner)
 	if cfg.Quota <= 0 {
 		cfg.Quota = total / 4
 		if cfg.Quota < 1 {
@@ -336,7 +414,7 @@ func (s *Service) views() ([]View, []*tenant) {
 			Name:    t.name(),
 			Weight:  t.spec.Weight,
 			Demand:  t.spec.Nodes,
-			Nodes:   len(s.pool.Leased(t.name())),
+			Nodes:   t.held,
 			Waiting: t.state == tenantWaiting,
 			Arrived: t.arrived.Duration(),
 		})
@@ -354,13 +432,13 @@ func (s *Service) admissionPass() {
 	if len(vs) == 0 {
 		return
 	}
-	grants := s.admit.Admit(vs, s.pool.FreeNodes(), s.pool.TotalNodes())
+	grants := s.admit.Admit(vs, s.pool.free, len(s.pool.owner))
 	for _, g := range grants {
 		if g.Index < 0 || g.Index >= len(ts) {
 			continue
 		}
 		t := ts[g.Index]
-		if t.state != tenantWaiting || g.Nodes < 1 || g.Nodes > s.pool.FreeNodes() {
+		if t.state != tenantWaiting || g.Nodes < 1 || g.Nodes > s.pool.free {
 			continue
 		}
 		s.admitTenant(t, g.Nodes)
@@ -370,15 +448,10 @@ func (s *Service) admissionPass() {
 // admitTenant leases the grant, builds the tenant's coordinator over the
 // leased capacity, and starts it on the shared engine.
 func (s *Service) admitTenant(t *tenant, nodes int) {
-	ids, err := s.pool.Lease(t.name(), nodes)
-	if err != nil {
-		t.err = err
-		s.finishTenant(t)
-		return
-	}
+	ids := s.pool.lease(t, nodes)
 	caps := make([]cluster.NodeCapacity, len(ids))
 	for i, id := range ids {
-		caps[i] = s.pool.Cap(id)
+		caps[i] = s.pool.caps[id]
 	}
 	cfg := t.spec.Config
 	machine := cfg.Machine
@@ -392,14 +465,14 @@ func (s *Service) admitTenant(t *tenant, nodes int) {
 	cfg.Pilots = []core.PilotSpec{{Name: "pilot", Machine: machine, Nodes: caps}}
 	coord, err := core.NewCoordinator(t.targets, cfg)
 	if err != nil {
-		s.pool.ReleaseAll(t.name())
+		s.pool.releaseAll(t)
 		t.err = err
 		s.finishTenant(t)
 		return
 	}
 	t.coord = coord
 	if err := coord.StartOn(s.engine, func() { s.onTenantDone(t) }); err != nil {
-		s.pool.ReleaseAll(t.name())
+		s.pool.releaseAll(t)
 		t.err = err
 		s.finishTenant(t)
 		return
@@ -419,7 +492,7 @@ func (s *Service) admitTenant(t *tenant, nodes int) {
 // through admission.
 func (s *Service) onTenantDone(t *tenant) {
 	t.finished = s.engine.Now()
-	s.pool.ReleaseAll(t.name())
+	s.pool.releaseAll(t)
 	s.finishTenant(t)
 	if s.remaining > 0 {
 		s.admissionPass()
@@ -456,16 +529,15 @@ func (s *Service) reclaimTick() {
 	if len(vs) == 0 {
 		return
 	}
-	shares := s.admit.Shares(vs, s.pool.TotalNodes())
+	shares := s.admit.Shares(vs, len(s.pool.owner))
 
 	// Expansion: demand-driven growth from the free pool, one node per
 	// tenant per tick, arrival order.
 	for i, t := range ts {
-		if t.state != tenantRunning || s.pool.FreeNodes() == 0 {
+		if t.state != tenantRunning || s.pool.free == 0 {
 			continue
 		}
-		held := len(s.pool.Leased(t.name()))
-		if float64(held) < shares[i]-0.5 && held < t.spec.Nodes && t.pilot.QueueLen() > 0 {
+		if float64(t.held) < shares[i]-0.5 && t.held < t.spec.Nodes && t.pilot.QueueLen() > 0 {
 			s.growTenant(t, 1)
 		}
 	}
@@ -479,7 +551,7 @@ func (s *Service) reclaimTick() {
 		st := steer.TenantStat{
 			Name:  t.name(),
 			Share: shares[i],
-			Nodes: len(s.pool.Leased(t.name())),
+			Nodes: t.held,
 		}
 		if t.state == tenantRunning {
 			st.Queue = t.pilot.QueueLen()
@@ -511,12 +583,8 @@ func (s *Service) reclaimTick() {
 
 // growTenant leases n free nodes and grows them into the tenant's pilot.
 func (s *Service) growTenant(t *tenant, n int) {
-	ids, err := s.pool.Lease(t.name(), n)
-	if err != nil {
-		return
-	}
-	for _, id := range ids {
-		pid := t.pilot.GrowNode(s.pool.Cap(id), nil)
+	for _, id := range s.pool.lease(t, n) {
+		pid := t.pilot.GrowNode(s.pool.caps[id], nil)
 		t.pilotToPool[pid] = id
 		t.regranted++
 	}
@@ -553,7 +621,7 @@ func (s *Service) drainNode(from *tenant) (cluster.NodeCapacity, int, bool) {
 			if clu.NodeIsRemoved(pid) || clu.NodeIsDown(pid) {
 				continue
 			}
-			if got, _, err := donor.EvictNode(pid, donor.PilotID()); err == nil {
+			if got, _, err := donor.EvictNode(pid, donor.ID); err == nil {
 				nc, ok = got, true
 				break
 			}
@@ -579,9 +647,7 @@ func (s *Service) moveNode(from, to *tenant) {
 	if !ok {
 		return
 	}
-	if err := s.pool.Transfer(from.name(), to.name(), poolID); err != nil {
-		panic(fmt.Sprintf("tenancy: lease transfer %s->%s node %d: %v", from.name(), to.name(), poolID, err))
-	}
+	s.pool.give(from, to, poolID)
 	newPid := to.pilot.GrowNode(nc, nil)
 	to.pilotToPool[newPid] = poolID
 	to.regranted++
@@ -594,9 +660,7 @@ func (s *Service) reclaimToPool(from *tenant) bool {
 	if !ok {
 		return false
 	}
-	if err := s.pool.Release(from.name(), poolID); err != nil {
-		panic(fmt.Sprintf("tenancy: lease release %s node %d: %v", from.name(), poolID, err))
-	}
+	s.pool.release(from, poolID)
 	return true
 }
 
@@ -611,8 +675,8 @@ func (s *Service) aggregate() *core.Result {
 		Admission:    s.admit.Name(),
 		Pool:         ga.NewPool(),
 		Makespan:     end.Duration(),
-		TotalCores:   s.pool.TotalCores(),
-		TotalGPUs:    s.pool.TotalGPUs(),
+		TotalCores:   s.pool.cores,
+		TotalGPUs:    s.pool.gpus,
 		Starting:     make(map[string]landscape.Metrics),
 		FinalBest:    make(map[string]landscape.Metrics),
 		FinalDesigns: make(map[string]*protein.Structure),
@@ -676,10 +740,10 @@ func (s *Service) aggregate() *core.Result {
 		}
 		agg.TaskRecords = append(agg.TaskRecords, r.TaskRecords...)
 	}
-	if c := float64(s.pool.TotalCores()) * float64(end.Duration()); c > 0 {
+	if c := float64(s.pool.cores) * float64(end.Duration()); c > 0 {
 		agg.CPUUtilization = usedCPU / c
 	}
-	if g := float64(s.pool.TotalGPUs()) * float64(end.Duration()); g > 0 {
+	if g := float64(s.pool.gpus) * float64(end.Duration()); g > 0 {
 		agg.GPUUtilization = usedGPU / g
 	}
 	for p := range policies {

@@ -37,17 +37,15 @@ func testSpec(n, poolNodes, demand int, admission, reclaim, arrival string, seed
 	return spec
 }
 
+// runService runs spec, checking the pool at every admission pass and
+// reclaim tick.
 func runService(t *testing.T, spec Spec) (*Service, *core.Result) {
 	t.Helper()
 	s, err := NewService(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, res
+	return s, runChecked(t, s)
 }
 
 func TestServiceValidation(t *testing.T) {
@@ -133,10 +131,7 @@ func TestServiceInvariants(t *testing.T) {
 			spec.Config.Quota = 2
 			s, res := runService(t, spec)
 
-			if err := s.pool.Audit(); err != nil {
-				t.Fatalf("%s/seed%d: pool ledger corrupt after run: %v", admission, seed, err)
-			}
-			if free, total := s.pool.FreeNodes(), s.pool.TotalNodes(); free != total {
+			if free, total := s.pool.free, len(s.pool.owner); free != total {
 				t.Fatalf("%s/seed%d: %d of %d nodes still leased after all tenants finished", admission, seed, total-free, total)
 			}
 			var prevAdmitted time.Duration
@@ -183,10 +178,7 @@ func TestServiceInvariants(t *testing.T) {
 // node each on a 2-node pool. Later tenants must wait, and the reclaim
 // layer must never let the ledger go inconsistent.
 func TestServiceSharedPoolOversubscribed(t *testing.T) {
-	s, res := runService(t, testSpec(4, 2, 1, "fcfs-admit", "", "instant", 11))
-	if err := s.pool.Audit(); err != nil {
-		t.Fatal(err)
-	}
+	_, res := runService(t, testSpec(4, 2, 1, "fcfs-admit", "", "instant", 11))
 	waited := 0
 	for _, ts := range res.Tenants {
 		if ts.Wait > 0 {
@@ -222,10 +214,7 @@ func TestServiceReclaimToWaitingTenant(t *testing.T) {
 			{Name: "late", Seed: 43, Weight: 3, Nodes: 3, TargetCount: 1, Config: core.AdaptiveConfig(43)},
 		},
 	}
-	s, res := runService(t, spec)
-	if err := s.pool.Audit(); err != nil {
-		t.Fatal(err)
-	}
+	_, res := runService(t, spec)
 	byName := map[string]core.TenantStat{}
 	for _, ts := range res.Tenants {
 		byName[ts.Name] = ts
@@ -307,10 +296,7 @@ func TestServiceThreeTargetTenantWave(t *testing.T) {
 	if res.FailedTasks != 0 {
 		t.Fatalf("%d failed tasks, want 0", res.FailedTasks)
 	}
-	if err := s.pool.Audit(); err != nil {
-		t.Fatalf("pool ledger corrupt after run: %v", err)
-	}
-	if free, total := s.pool.FreeNodes(), s.pool.TotalNodes(); free != total {
+	if free, total := s.pool.free, len(s.pool.owner); free != total {
 		t.Fatalf("%d of %d nodes still leased after all tenants finished", total-free, total)
 	}
 }
