@@ -166,26 +166,61 @@ func TestPoolLeaseLowestIDsFirst(t *testing.T) {
 	}
 }
 
-func TestPoolOwnershipEnforced(t *testing.T) {
+// TestPoolLeaseAllOrNothing: a lease beyond the free count panics
+// before it touches the table.
+func TestPoolLeaseAllOrNothing(t *testing.T) {
+	p := testPool(t, 4)
+	ts := testTenants("a", "b")
+	a, b := ts[0], ts[1]
+	p.lease(a, 3)
+	mustPanic(t, "a lease beyond the free count", func() { p.lease(b, 2) })
+	if p.free != 1 || b.held != 0 {
+		t.Fatalf("%d free, b holds %d after the refused lease; want 1 and 0", p.free, b.held)
+	}
+	if err := checkTable(p, ts); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolReleaseOwnershipEnforced: only the owner releases a node, and
+// a free node cannot be released.
+func TestPoolReleaseOwnershipEnforced(t *testing.T) {
 	p := testPool(t, 4)
 	ts := testTenants("a", "b")
 	a, b := ts[0], ts[1]
 	p.lease(a, 2)
-	mustPanic(t, "a lease beyond the free count", func() { p.lease(b, 3) })
 	mustPanic(t, "a foreign release", func() { p.release(b, 0) })
 	mustPanic(t, "a release of a free node", func() { p.release(a, 3) })
+	if err := checkTable(p, ts); err != nil {
+		t.Fatalf("refused releases changed the table: %v", err)
+	}
+	p.release(a, 0)
+	if p.owner[0] != nil || p.free != 3 || a.held != 1 {
+		t.Fatalf("after the release: node 0 owner %v, %d free, a holds %d", p.owner[0], p.free, a.held)
+	}
+	p.releaseAll(a)
+	if p.free != 4 || a.held != 0 {
+		t.Fatalf("%d free nodes, a holds %d after release-all; want 4 and 0", p.free, a.held)
+	}
+	if err := checkTable(p, ts); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolTransferMovesLease: give hands a node from its owner to
+// another tenant without the free pool, and refuses a non-owner.
+func TestPoolTransferMovesLease(t *testing.T) {
+	p := testPool(t, 4)
+	ts := testTenants("a", "b")
+	a, b := ts[0], ts[1]
+	p.lease(a, 2)
 	mustPanic(t, "a transfer by a non-owner", func() { p.give(b, a, 0) })
 	if err := checkTable(p, ts); err != nil {
-		t.Fatalf("refused operations changed the table: %v", err)
+		t.Fatalf("the refused transfer changed the table: %v", err)
 	}
 	p.give(a, b, 1)
 	if p.owner[1] != b || p.free != 2 || a.held != 1 || b.held != 1 {
 		t.Fatalf("after the transfer: node 1 owner %v, %d free, holds %d/%d", p.owner[1], p.free, a.held, b.held)
-	}
-	p.releaseAll(a)
-	p.releaseAll(b)
-	if p.free != 4 {
-		t.Fatalf("%d free nodes after release-all, want 4", p.free)
 	}
 	if err := checkTable(p, ts); err != nil {
 		t.Fatal(err)
