@@ -20,3 +20,12 @@ var residueIndex = func() (t [256]uint8) {
 //
 //go:noescape
 func conditionalAVX512(out *[protein.NumAA]float64, field *[protein.NumAA]float32, adj []halfEdge, full []byte) (ok bool)
+
+// weightsAVX512 is the body of boltzmannWeights on AVX-512: it runs
+// boltzmann's steps on 20 float64 lanes, so every weight is weightsGo's
+// bit for bit. It returns false, with w written, when a lane's argument
+// -(cond[a]-minE)/temp is NaN or outside [-708, 708], where boltzmann
+// may take a tail; weightsGo then rewrites w.
+//
+//go:noescape
+func weightsAVX512(w, cond *[protein.NumAA]float64, minE, temp float64) (ok bool)

@@ -37,11 +37,19 @@
 //
 // ConditionalEnergies, the Gibbs kernel, has an AVX-512 path
 // (conditionalAVX512) that runs when xrand selects its AVX-512 kernels:
-// one CPU check at start-up serves both, and xrand.UseKernel switches
-// both. It holds the 20 sums in float64 lanes and adds each half-edge's
-// row, or its column (80-byte stride), widened from float32, in
-// adjacency order, so every sum has the Go loop's bits. The Boltzmann
-// weights and math.Exp stay in Go.
+// one CPU check at start-up serves all three kernels, and
+// xrand.UseKernel switches them together. It holds the 20 sums in
+// float64 lanes and adds each half-edge's row, or its column (80-byte
+// stride), widened from float32, in adjacency order, so every sum has
+// the Go loop's bits.
+//
+// The exponential is the package's own: boltzmann ports the FMA path of
+// amd64's math.Exp to Go, so the Gibbs weights and the metric sigmoids
+// have the same bits on every host. The 20 Boltzmann weights of a
+// position have an AVX-512 path too (weightsAVX512), which runs
+// boltzmann's steps lane by lane and hands a position with a lane in
+// one of its tails to the Go loop. The minimum, the sums of the weights
+// and the pick stay sequential in Go, in index order.
 package landscape
 
 import (
@@ -515,19 +523,9 @@ func (m *Model) Sample(start protein.Sequence, opts SampleOptions) protein.Seque
 
 func (m *Model) gibbsStep(seq protein.Sequence, pos int, temp float64, rng *xrand.RNG, sc *scratch) {
 	m.ConditionalEnergies(seq, pos, sc.cond[:])
-	minE := sc.cond[0]
-	for _, e := range sc.cond[1:] {
-		if e < minE {
-			minE = e
-		}
-	}
+	boltzmannWeights(&sc.weights, &sc.cond, minimum(&sc.cond), temp)
 	var total float64
-	for a, e := range &sc.cond {
-		w := 1.0 // exp(-0): the minimum's weight, exactly
-		if e != minE {
-			w = math.Exp(-(e - minE) / temp)
-		}
-		sc.weights[a] = w
+	for _, w := range &sc.weights {
 		total += w
 	}
 	t := rng.Float64() * total
@@ -555,19 +553,11 @@ func (m *Model) LogLikelihood(full protein.Sequence, temp float64) float64 {
 	var ll float64
 	for pos := 0; pos < m.RecLen; pos++ {
 		m.ConditionalEnergies(full, pos, sc.cond[:])
-		minE := sc.cond[0]
-		for _, e := range sc.cond[1:] {
-			if e < minE {
-				minE = e
-			}
-		}
+		minE := minimum(&sc.cond)
+		boltzmannWeights(&sc.weights, &sc.cond, minE, temp)
 		var z float64
-		for _, e := range &sc.cond {
-			if e == minE {
-				z++ // exp(-0), exactly
-				continue
-			}
-			z += math.Exp(-(e - minE) / temp)
+		for _, w := range &sc.weights {
+			z += w
 		}
 		self := sc.cond[protein.Index(full[pos])]
 		ll += -(self-minE)/temp - math.Log(z)

@@ -1,10 +1,6 @@
 package landscape
 
-import (
-	"math"
-
-	"impress/internal/protein"
-)
+import "impress/internal/protein"
 
 // Metrics are the AlphaFold confidence and error measures the paper
 // evaluates designs by (Section III): pLDDT and pTM (higher is better) and
@@ -56,7 +52,7 @@ const (
 	ipaeShift = 0.48
 )
 
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+func sigmoid(x float64) float64 { return 1 / (1 + boltzmann(-x)) }
 
 // TrueMetrics converts the full sequence's energies into noise-free
 // metrics. The AlphaFold simulator adds observation noise on top; tests

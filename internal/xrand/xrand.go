@@ -17,9 +17,10 @@
 // or a wedge y inside the squeeze band, about one cell in 400, which
 // zigguratRow finishes in Go. Everywhere else the fills run
 // zigguratRow. Both paths write the same bits and leave the generator
-// in the same state. The same detection selects landscape's AVX-512
-// ConditionalEnergies kernel (see AVX512); UseKernel switches both
-// kernels at once, for tests and benchmarks.
+// in the same state. The same detection selects landscape's two AVX-512
+// kernels, its ConditionalEnergies sums and its Boltzmann weights (see
+// AVX512); UseKernel switches all three kernels at once, for tests and
+// benchmarks.
 package xrand
 
 import "math"

@@ -88,16 +88,16 @@ func (r *RNG) FillZiggurat(dst []float32, std float64) {
 // kernels: haveAVX512 reads CPUID and XGETBV.
 var cpuAVX512 = haveAVX512()
 
-// avx512 selects the path of both AVX-512 kernels: the row fills
-// (zigguratVector, else zigguratRow) and the landscape's Gibbs kernel,
-// which reads it through AVX512. Both paths of each kernel write the
-// same bits and leave the generator in the same state. Only UseKernel
-// changes it.
+// avx512 selects the path of all three AVX-512 kernels: the row fills
+// (zigguratVector, else zigguratRow) and the landscape's Gibbs sums and
+// Boltzmann weights, which read it through AVX512. Both paths of each
+// kernel write the same bits, and the row fills leave the generator in
+// the same state. Only UseKernel changes it.
 var avx512 = cpuAVX512
 
 // AVX512 reports whether the AVX-512 kernels are selected: the row
-// fills here and landscape's ConditionalEnergies dispatch on it, so
-// UseKernel switches both at once.
+// fills here and landscape's ConditionalEnergies and Boltzmann weights
+// dispatch on it, so UseKernel switches all three at once.
 func AVX512() bool { return avx512 }
 
 func (r *RNG) zigguratBulk(dst, src []float32, std float64) {
@@ -108,7 +108,8 @@ func (r *RNG) zigguratBulk(dst, src []float32, std float64) {
 	r.zigguratRow(dst, src, std)
 }
 
-// Kernels names the paths the AVX-512 kernels can take on this CPU:
+// Kernels names the paths the three AVX-512 kernels (the row fills, and
+// landscape's Gibbs sums and Boltzmann weights) can take on this CPU:
 // "generic", then "avx512" where the CPU has AVX-512 F, DQ and VL. The
 // kernels take the last one.
 func Kernels() []string {
@@ -118,7 +119,7 @@ func Kernels() []string {
 	return []string{"generic"}
 }
 
-// UseKernel makes the AVX-512 kernels take the named path, one of
+// UseKernel makes all three AVX-512 kernels take the named path, one of
 // Kernels, and returns a function that restores the previous one. It
 // lets tests and benchmarks compare the paths on one machine; no kernel
 // may run while it switches.

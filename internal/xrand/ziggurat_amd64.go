@@ -1,10 +1,10 @@
 package xrand
 
 // haveAVX512 reports whether the CPU runs the AVX-512 kernels
-// (zigguratAVX512 here, landscape's conditionalAVX512): it has AVX-512
-// F, DQ and VL, and the operating system saves the opmask and ZMM
-// registers across context switches (XCR0 bits 1, 2 and 5–7). It runs
-// once, at start-up (cpuAVX512).
+// (zigguratAVX512 here, landscape's conditionalAVX512 and
+// weightsAVX512): it has AVX-512 F, DQ and VL, and the operating system
+// saves the opmask and ZMM registers across context switches (XCR0 bits
+// 1, 2 and 5–7). It runs once, at start-up (cpuAVX512).
 func haveAVX512() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false

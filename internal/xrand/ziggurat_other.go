@@ -3,7 +3,7 @@
 package xrand
 
 // haveAVX512 is false off amd64: the row fills take zigguratRow and
-// landscape's ConditionalEnergies its Go loop.
+// landscape's ConditionalEnergies and Boltzmann weights their Go loops.
 func haveAVX512() bool { return false }
 
 // zigguratVector is zigguratRow where no vector kernel is built.
