@@ -42,18 +42,12 @@ func expArg(g *xrand.RNG, i int) float64 {
 		return math.Float64frombits(g.Uint64())
 	default:
 		x := (float64(g.Intn(2200)-1100) + 0.5) * math.Ln2
-		for n := g.Intn(9) - 4; n != 0; n -= sign(n) {
-			x = math.Nextafter(x, float64(n)*math.Inf(1))
+		n := g.Intn(9) - 4
+		for range max(n, -n) {
+			x = math.Nextafter(x, math.Inf(n))
 		}
 		return x
 	}
-}
-
-func sign(n int) int {
-	if n < 0 {
-		return -1
-	}
-	return 1
 }
 
 // expEdges are the arguments at boltzmann's branch points and tails.
